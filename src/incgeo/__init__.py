@@ -8,8 +8,9 @@ The package is organized bottom-up:
   hyperplanes, and their exact incidence predicates
 - surfaces: singularities, flat and singular lines, flecnode witnesses,
   ruledness indicators, per-component classification, generator counting
-- incidence: point-line incidence statistics, the ruled/unruled line
-  decomposition, pruning, and the bound evaluators
+- incidence: the per-instance incidence table (each point-line pair checked
+  once, read by every statistic), the ruled/unruled line decomposition,
+  pruning, meeting counts, and the bound evaluators
 - projection: seeded generic projection of high-dimensional instances down
   to 3-space with exact genericity certificates
 - forge: canonical surface instances (cone, regulus, ruled cubic, sphere,
@@ -18,7 +19,7 @@ The package is organized bottom-up:
 """
 
 from .forge import IncidenceInstance, build_instance, make_lines, make_surface
-from .incidence import count_incidences, decompose_lines, verify_bound
+from .incidence import IncidenceTable, count_incidences, decompose_lines, verify_bound
 from .instfile import load_instance, save_instance
 from .linespace import AffLine
 from .poly import Poly, variables
@@ -28,6 +29,7 @@ from .surfaces import Surface, classify_component, flecnode_polynomial
 __all__ = [
     "AffLine",
     "IncidenceInstance",
+    "IncidenceTable",
     "Poly",
     "Surface",
     "build_instance",

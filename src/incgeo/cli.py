@@ -34,12 +34,11 @@ from .errors import (
 )
 from .forge import SURFACE_KINDS, IncidenceInstance, build_instance
 from .incidence import (
+    IncidenceTable,
     check_meeting_cap,
     conical_incidence_count,
-    count_incidences,
     decompose_lines,
     max_lines_per_flat,
-    meeting_line_counts,
     prune_points,
     verify_bound,
     verify_planes_bound,
@@ -174,7 +173,8 @@ def _cmd_flecnode(args: argparse.Namespace) -> int:
 
 def _cmd_incidence(args: argparse.Namespace) -> int:
     inst = load_instance(args.file)
-    total = count_incidences(inst.points, inst.lines)
+    table = IncidenceTable(inst.points, inst.lines)
+    total = table.total
     s = max_lines_per_flat(inst.lines)
     report: dict = {"m": inst.m, "n": inst.n, "dim": inst.dim, "incidences": total, "s": s}
     lines_out = [
@@ -184,9 +184,9 @@ def _cmd_incidence(args: argparse.Namespace) -> int:
     ]
     if inst.surface is not None:
         decomp = decompose_lines(inst.surface, inst.lines)
-        conical = conical_incidence_count(decomp, inst.points)
-        kept = prune_points(decomp, inst.points, min_incidences=args.prune)
-        worst = check_meeting_cap(decomp, kept)
+        conical = conical_incidence_count(decomp, table)
+        kept = prune_points(decomp, table, min_incidences=args.prune)
+        worst = check_meeting_cap(decomp, table, kept)
         report.update(
             {
                 "structured": len(decomp.structured),

@@ -53,10 +53,6 @@ class ExceptionalLineError(IncGeoError):
     """The generator-count inequality is not defined on exceptional lines."""
 
 
-class UnclassifiedFactorError(IncGeoError):
-    """A surface factor could not be classified, blocking the decomposition."""
-
-
 class PlanarComponentError(IncGeoError):
     """Degree-1 factors are outside the bound verifier's domain."""
 
@@ -67,10 +63,6 @@ class CollapseError(IncGeoError):
 
 class ResampleExhaustedError(IncGeoError):
     """No generic projection direction was found within the resample budget."""
-
-
-class UnknownKindError(IncGeoError):
-    """The requested canonical surface kind does not exist."""
 
 
 class InvariantViolation(IncGeoError):

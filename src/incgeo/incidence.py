@@ -1,15 +1,20 @@
 """Point-line incidence counting over a known surface decomposition.
 
-The workflow: count incidences exactly, measure the coplanarity parameter s,
-split the line family by surface factor into the structured part L0 (lines
-on non-ruled factors, on several factors at once, or exceptional on a singly
-ruled factor) and the generic part L1, then check the structural caps and
-evaluate the closed-form bounds.  Bound evaluation is the only place floats
-appear; everything combinatorial is exact.
+The workflow: build the instance's IncidenceTable, which checks every
+point-line pair exactly once and records the relation both ways; measure
+the coplanarity parameter s; split the line family by surface factor into
+the structured part L0 (lines on non-ruled factors, on several factors at
+once, or exceptional on a singly ruled factor) and the generic part L1;
+then read the incidence count, the conical incidences, the pruned points
+and the meeting counts off the table, check the structural caps and
+evaluate the closed-form bounds.  count_incidences is the exhaustive
+reference count.  Bound evaluation is the only place floats appear;
+everything combinatorial is exact.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -19,7 +24,7 @@ from .errors import (
     NotOnSurfaceError,
     PlanarComponentError,
 )
-from .linalg import Vec, in_span, rref, to_vec, vec_sub
+from .linalg import Vec, to_vec, vec_sub
 from .linespace import AffLine, RelationKind, incidence_point_line, line_on_surface, line_relation
 from .surfaces import (
     ClassificationResult,
@@ -32,7 +37,7 @@ from .surfaces import (
 RULED_VERDICTS = frozenset({Verdict.REGULUS, Verdict.CONE, Verdict.SINGLY_RULED})
 
 
-# -- raw counting -----------------------------------------------------------
+# -- the incidence relation --------------------------------------------------
 
 
 def count_incidences(points: Sequence, lines: Sequence[AffLine]) -> int:
@@ -41,63 +46,67 @@ def count_incidences(points: Sequence, lines: Sequence[AffLine]) -> int:
     return sum(1 for p in pts for ln in lines if incidence_point_line(p, ln))
 
 
-def incidence_counts_by_point(points: Sequence, lines: Sequence[AffLine]) -> list[int]:
-    pts = [to_vec(p) for p in points]
-    return [sum(1 for ln in lines if incidence_point_line(p, ln)) for p in pts]
+@dataclass(frozen=True)
+class IncidenceTable:
+    """The point-line incidence relation of one instance, computed once.
 
+    Every pair is checked exactly on construction.  lines_at[i] holds the
+    indices of the lines through points[i] and points_on[j] the indices of
+    the points on lines[j], both ascending.  Duplicate points or lines are
+    rejected, so each incidence is counted once.
+    """
 
-def incidence_counts_by_line(points: Sequence, lines: Sequence[AffLine]) -> list[int]:
-    pts = [to_vec(p) for p in points]
-    return [sum(1 for p in pts if incidence_point_line(p, ln)) for ln in lines]
+    points: tuple[Vec, ...]
+    lines: tuple[AffLine, ...]
+    lines_at: tuple[tuple[int, ...], ...]
+    points_on: tuple[tuple[int, ...], ...]
+
+    def __init__(self, points: Sequence, lines: Sequence[AffLine]):
+        pts, lns = tuple(to_vec(p) for p in points), tuple(lines)
+        if len(set(pts)) != len(pts):
+            raise DomainError("point set contains duplicates")
+        if len(set(lns)) != len(lns):
+            raise DomainError("line family contains duplicates")
+        lines_at = tuple(
+            tuple(j for j, ln in enumerate(lns) if incidence_point_line(p, ln)) for p in pts
+        )
+        points_on: list[list[int]] = [[] for _ in lns]
+        for i, through in enumerate(lines_at):
+            for j in through:
+                points_on[j].append(i)
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "lines", lns)
+        object.__setattr__(self, "lines_at", lines_at)
+        object.__setattr__(self, "points_on", tuple(map(tuple, points_on)))
+
+    @property
+    def total(self) -> int:
+        """Number of incident pairs."""
+        return sum(len(through) for through in self.lines_at)
 
 
 # -- coplanarity parameter ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwoFlat:
-    """A 2-dimensional affine subspace in canonical form.
+def _flat_key(a: AffLine, b: AffLine) -> Vec | None:
+    """Key of the 2-flat spanned by a and b among the flats through a.
 
-    The span is the reduced row echelon basis of the direction plane and the
-    base point is reduced to zero in the pivot coordinates, so equal flats
-    compare equal as values.
+    None unless the lines are distinct and coplanar.  The flat is
+    a.base + span(a.direction, w) with w = b's direction if b meets a and
+    w = b.base - a.base if b is parallel to a; the key is w reduced to zero
+    at the pivot of a's direction and scaled to first nonzero entry 1.
     """
-
-    base: Vec
-    span: tuple[Vec, Vec]
-
-    def __init__(self, base: Sequence, u: Sequence, w: Sequence):
-        b = to_vec(base)
-        rows = rref([to_vec(u), to_vec(w)])
-        if len(rows) != 2:
-            raise DomainError("spanning directions of a 2-flat must be independent")
-        if not (len(b) == len(rows[0])):
-            raise DomainError("base point and directions disagree on dimension")
-        for row in rows:
-            pivot = next(i for i, c in enumerate(row) if c)
-            b = tuple(bc - b[pivot] * rc for bc, rc in zip(b, row))
-        object.__setattr__(self, "base", b)
-        object.__setattr__(self, "span", (rows[0], rows[1]))
-
-    @property
-    def dim(self) -> int:
-        return len(self.base)
-
-    def contains_point(self, p: Sequence) -> bool:
-        return in_span(vec_sub(to_vec(p), self.base), self.span)
-
-    def contains_line(self, ln: AffLine) -> bool:
-        return self.contains_point(ln.base) and in_span(ln.direction, self.span)
-
-
-def spanning_flat(a: AffLine, b: AffLine) -> TwoFlat | None:
-    """The unique 2-flat containing two coplanar distinct lines, else None."""
-    rel = line_relation(a, b)
-    if rel.kind is RelationKind.INTERSECTING:
-        return TwoFlat(a.base, a.direction, b.direction)
-    if rel.kind is RelationKind.PARALLEL:
-        return TwoFlat(a.base, a.direction, vec_sub(b.base, a.base))
-    return None
+    kind = line_relation(a, b).kind
+    if kind is RelationKind.INTERSECTING:
+        w = b.direction
+    elif kind is RelationKind.PARALLEL:
+        w = vec_sub(b.base, a.base)
+    else:
+        return None
+    pivot = next(i for i, c in enumerate(a.direction) if c)
+    reduced = tuple(wc - w[pivot] * dc for wc, dc in zip(w, a.direction))
+    lead = next(c for c in reduced if c)
+    return tuple(c / lead for c in reduced)
 
 
 def max_lines_per_flat(lines: Sequence[AffLine]) -> int:
@@ -112,13 +121,8 @@ def max_lines_per_flat(lines: Sequence[AffLine]) -> int:
         return 0
     best = 1
     for i, a in enumerate(lines):
-        per_flat: dict[TwoFlat, int] = {}
-        for j, b in enumerate(lines):
-            if i == j or a == b:
-                continue
-            flat = spanning_flat(a, b)
-            if flat is not None:
-                per_flat[flat] = per_flat.get(flat, 0) + 1
+        keys = (_flat_key(a, b) for j, b in enumerate(lines) if j != i)
+        per_flat = Counter(key for key in keys if key is not None)
         if per_flat:
             best = max(best, 1 + max(per_flat.values()))
     return best
@@ -239,63 +243,61 @@ def decompose_lines(
 # -- conical incidences and pruning -------------------------------------------
 
 
-def is_conical_incidence(decomp: Decomposition, p: Sequence, ln: AffLine) -> bool:
-    """Incidence at the apex of the cone factor owning a generic line."""
-    pt = to_vec(p)
-    owner = decomp.generic_owner.get(ln)
-    if owner is None or owner not in decomp.apexes:
-        return False
-    return decomp.apexes[owner] == pt and incidence_point_line(pt, ln)
+def _generic_apexes(decomp: Decomposition, table: IncidenceTable) -> dict[int, Vec | None]:
+    """Index of each generic line of the table -> apex of its owning cone,
+    None if the owner is no cone.  A conical incidence is a line through it."""
+    if table.lines != decomp.lines:
+        raise DomainError("incidence table and decomposition hold different lines")
+    return {
+        j: decomp.apexes.get(decomp.generic_owner[ln])
+        for j, ln in enumerate(table.lines)
+        if ln in decomp.generic_owner
+    }
 
 
-def conical_incidence_count(decomp: Decomposition, points: Sequence) -> int:
+def _non_conical_at(apexes: Mapping[int, Vec | None], table: IncidenceTable, i: int) -> list[int]:
+    """Generic lines through point i, leaving out the conical incidences."""
+    return [j for j in table.lines_at[i] if j in apexes and apexes[j] != table.points[i]]
+
+
+def conical_incidence_count(decomp: Decomposition, table: IncidenceTable) -> int:
     """Number of conical incidences; structurally at most one per generic line."""
-    pts = {to_vec(p) for p in points}
-    count = 0
-    for ln in decomp.generic:
-        apex = decomp.apexes.get(decomp.factor_of(ln))
-        if apex is not None and apex in pts and incidence_point_line(apex, ln):
-            count += 1
+    apexes = _generic_apexes(decomp, table)
+    count = sum(apexes.get(j) == p for p, lns in zip(table.points, table.lines_at) for j in lns)
     if count > len(decomp.generic):
         raise InvariantViolation("conical incidences exceed the generic line count")
     return count
 
 
 def prune_points(
-    decomp: Decomposition, points: Sequence, min_incidences: int = 4
-) -> tuple[Vec, ...]:
-    """Points with at least min_incidences non-conical generic-line incidences."""
-    kept = []
-    for p in points:
-        pt = to_vec(p)
-        count = 0
-        for ln in decomp.generic:
-            if incidence_point_line(pt, ln) and not is_conical_incidence(decomp, pt, ln):
-                count += 1
-        if count >= min_incidences:
-            kept.append(pt)
-    return tuple(kept)
+    decomp: Decomposition, table: IncidenceTable, min_incidences: int = 4
+) -> tuple[int, ...]:
+    """Indices of the points with at least min_incidences non-conical
+    generic-line incidences."""
+    apexes = _generic_apexes(decomp, table)
+    return tuple(
+        i for i in range(len(table.points))
+        if len(_non_conical_at(apexes, table, i)) >= min_incidences
+    )
 
 
 def meeting_line_counts(
-    decomp: Decomposition, kept_points: Sequence
+    decomp: Decomposition, table: IncidenceTable, kept: Sequence[int]
 ) -> dict[AffLine, int]:
-    """Per generic line: distinct generic lines met non-conically at kept points."""
-    partners: dict[AffLine, set[AffLine]] = {ln: set() for ln in decomp.generic}
-    for p in (to_vec(q) for q in kept_points):
-        incident = [
-            ln
-            for ln in decomp.generic
-            if incidence_point_line(p, ln) and not is_conical_incidence(decomp, p, ln)
-        ]
-        for ln in incident:
-            partners[ln].update(other for other in incident if other != ln)
-    return {ln: len(met) for ln, met in partners.items()}
+    """Per generic line: distinct generic lines met non-conically at the kept
+    points (indices into the table)."""
+    apexes = _generic_apexes(decomp, table)
+    partners: dict[int, set[int]] = {j: set() for j in apexes}
+    for i in kept:
+        incident = _non_conical_at(apexes, table, i)
+        for j in incident:
+            partners[j].update(k for k in incident if k != j)
+    return {table.lines[j]: len(met) for j, met in partners.items()}
 
 
-def check_meeting_cap(decomp: Decomposition, kept_points: Sequence) -> int:
+def check_meeting_cap(decomp: Decomposition, table: IncidenceTable, kept: Sequence[int]) -> int:
     """Assert each generic line meets at most 4*degree others; return the max."""
-    counts = meeting_line_counts(decomp, kept_points)
+    counts = meeting_line_counts(decomp, table, kept)
     cap = 4 * decomp.surface.degree
     worst = max(counts.values(), default=0)
     if worst > cap:
@@ -392,15 +394,11 @@ def verify_bound(
     """
     if degree < 1:
         raise DomainError("surface degree must be positive")
-    pts = [to_vec(p) for p in points]
-    if len(set(pts)) != len(pts):
-        raise DomainError("point set contains duplicates")
-    if len(set(lines)) != len(lines):
-        raise DomainError("line family contains duplicates")
-    m, n = len(pts), len(lines)
+    table = IncidenceTable(points, lines)
+    m, n = len(table.points), len(table.lines)
     if s is None:
-        s = max_lines_per_flat(lines)
-    inc = count_incidences(pts, lines)
+        s = max_lines_per_flat(table.lines)
+    inc = table.total
     main = rhs_main(m, n, degree, s) if n else float(m)
     ratio = inc / main if main else 0.0
     return BoundReport(
@@ -427,10 +425,10 @@ def verify_planes_bound(
     notes: str = "",
 ) -> BoundReport:
     """Plane-dominated variant used when the surface has planar components."""
-    pts = [to_vec(p) for p in points]
-    m, n = len(pts), len(lines)
-    s = max_lines_per_flat(lines)
-    inc = count_incidences(pts, lines)
+    table = IncidenceTable(points, lines)
+    m, n = len(table.points), len(table.lines)
+    s = max_lines_per_flat(table.lines)
+    inc = table.total
     main = rhs_planes(m, s, n)
     return BoundReport(
         m=m,

@@ -18,6 +18,7 @@ A lifted instance has no surface; the field is null and "dim" may exceed 3.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,9 +34,13 @@ def format_rational(q: Fraction) -> str:
     return str(q)
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_rational(text: object) -> Fraction:
-    if not isinstance(text, str):
-        raise ParseError(f"expected a rational string, got {text!r}")
+    """Parse the "n" or "n/d" grammar; nothing else (no exponents, no decimals)."""
+    if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
+        raise ParseError(f"expected an 'n' or 'n/d' rational string, got {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -69,9 +74,10 @@ def obj_to_poly(obj: object, nvars: int) -> Poly:
         if not isinstance(item, dict):
             raise ParseError(f"bad polynomial term {item!r}")
         n, d, e = item.get("n"), item.get("d"), item.get("e")
-        if not isinstance(n, int) or not isinstance(d, int) or d <= 0:
+        # type(...) is int: JSON true/false load as bool, an int subclass
+        if type(n) is not int or type(d) is not int or d <= 0:
             raise ParseError(f"bad coefficient in term {item!r}")
-        if not isinstance(e, list) or len(e) != nvars or not all(isinstance(k, int) for k in e):
+        if not isinstance(e, list) or len(e) != nvars or not all(type(k) is int for k in e):
             raise ParseError(f"bad exponent in term {item!r}")
         key = tuple(e)
         if key in terms:
@@ -145,6 +151,6 @@ def load_instance(path: str | Path) -> IncidenceInstance:
         raise ParseError(f"cannot read instance file {path}: {exc}") from exc
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
         raise ParseError(f"instance file {path} is not valid JSON: {exc}") from exc
     return obj_to_instance(obj)

@@ -17,10 +17,6 @@ def to_vec(values: Sequence) -> Vec:
     return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
 
 
-def vec_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vec_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
 
@@ -77,12 +73,6 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(rref(rows))
 
 
-def in_span(v: Sequence[Fraction], basis: Sequence[Sequence[Fraction]]) -> bool:
-    """True iff v lies in the row span of basis."""
-    base_rank = rank(basis)
-    return rank(list(basis) + [list(v)]) == base_rank
-
-
 def solve_linear(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vec | None:
     """One exact solution x of A x = b, or None if inconsistent.
 
@@ -125,19 +115,3 @@ def nullspace(rows: Sequence[Sequence[Fraction]]) -> list[Vec]:
         basis.append(tuple(v))
     return basis
 
-
-def integer_primitive(v: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale a nonzero rational vector to coprime integers, first nonzero > 0."""
-    from math import gcd, lcm
-
-    nz = [x for x in v if x != 0]
-    if not nz:
-        raise ValueError("zero vector has no primitive form")
-    den = lcm(*(x.denominator for x in nz))
-    ints = [int(x * den) for x in v]
-    g = gcd(*(abs(i) for i in ints if i))
-    ints = [i // g for i in ints]
-    first = next(i for i in ints if i)
-    if first < 0:
-        ints = [-i for i in ints]
-    return tuple(ints)

@@ -57,15 +57,6 @@ class ProjPoint:
     def dim(self) -> int:
         return len(self.coords) - 1
 
-    @property
-    def is_at_infinity(self) -> bool:
-        return self.coords[0] == 0
-
-    def to_affine(self) -> Vec:
-        if self.is_at_infinity:
-            raise DomainError("point at infinity has no affine coordinates")
-        return self.coords[1:]
-
     @staticmethod
     def from_affine(point: Sequence) -> ProjPoint:
         return ProjPoint((Fraction(1),) + to_vec(point))

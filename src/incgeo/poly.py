@@ -340,20 +340,6 @@ def variables(nvars: int) -> tuple[Poly, ...]:
 # -- spec-level operations ---------------------------------------------
 
 
-def poly_eval(p: Poly, at: Sequence[RatLike]) -> Fraction:
-    """Exact evaluation of p at a rational point."""
-    return p.eval(at)
-
-
-def partial_derivative(p: Poly, var: int) -> Poly:
-    """Formal partial derivative with respect to one variable."""
-    return p.diff(var)
-
-
-def gradient(p: Poly) -> list[Poly]:
-    return [p.diff(i) for i in range(p.nvars)]
-
-
 def taylor_components(p: Poly, at: Sequence[RatLike]) -> list[Poly]:
     """Homogeneous components of p(at + x), indexed by total degree.
 
@@ -678,6 +664,21 @@ def matrix_determinant(mat: list[list[Poly]], nvars: int) -> Poly:
     return _det_bareiss(mat, nvars)
 
 
+def sylvester_determinant(a: Sequence[Poly], b: Sequence[Poly], nvars: int) -> Poly:
+    """Sylvester determinant of two coefficient lists, highest power first:
+    len(b) - 1 shifted rows of a above len(a) - 1 shifted rows of b."""
+    n = len(a) + len(b) - 2
+    zero = Poly.zero(nvars)
+    mat: list[list[Poly]] = []
+    for coeffs, shifts in ((a, len(b) - 1), (b, len(a) - 1)):
+        for i in range(shifts):
+            row = [zero] * n
+            for j, c in enumerate(coeffs):
+                row[i + j] = c
+            mat.append(row)
+    return matrix_determinant(mat, nvars)
+
+
 def sylvester_resultant(p: Poly, q: Poly, var: int) -> Poly:
     """Resultant of p and q with respect to one variable.
 
@@ -686,22 +687,6 @@ def sylvester_resultant(p: Poly, q: Poly, var: int) -> Poly:
     variables (still carried with the same arity, var-degree zero).
     """
     p._check_same(q)
-    dp, dq = p.degree_in(var), q.degree_in(var)
-    if dp < 1 or dq < 1:
+    if p.degree_in(var) < 1 or q.degree_in(var) < 1:
         raise DomainError("resultant needs positive degree in the eliminated variable")
-    a = p.coeffs_in(var)
-    b = q.coeffs_in(var)
-    n = dp + dq
-    zero = Poly.zero(p.nvars)
-    mat: list[list[Poly]] = []
-    for i in range(dq):
-        row = [zero] * n
-        for j, c in enumerate(reversed(a)):
-            row[i + j] = c
-        mat.append(row)
-    for i in range(dp):
-        row = [zero] * n
-        for j, c in enumerate(reversed(b)):
-            row[i + j] = c
-        mat.append(row)
-    return _det_bareiss(mat, p.nvars)
+    return sylvester_determinant(p.coeffs_in(var)[::-1], q.coeffs_in(var)[::-1], p.nvars)

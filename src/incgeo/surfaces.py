@@ -43,10 +43,9 @@ from .poly import (
     divides,
     exact_div,
     is_square_free,
-    matrix_determinant,
-    poly_eval,
     remove_content,
     restrict_to_line,
+    sylvester_determinant,
     taylor_components,
     variables,
 )
@@ -108,7 +107,7 @@ def is_singular_point(surface: Surface | Poly, p: Sequence) -> bool:
     """True iff p is on the surface and all first partials vanish there."""
     f = _as_poly(surface)
     pt = to_vec(p)
-    if poly_eval(f, pt) != 0:
+    if f.eval(pt) != 0:
         raise NotOnSurfaceError(f"point {pt} is not on the surface")
     return all(f.diff(i).eval(pt) == 0 for i in range(f.nvars))
 
@@ -142,7 +141,7 @@ def intersection_multiplicity_line(surface: Surface | Poly, ln: AffLine, p: Sequ
     pt = to_vec(p)
     if not incidence_point_line(pt, ln):
         raise DomainError("point is not on the line")
-    if poly_eval(f, pt) != 0:
+    if f.eval(pt) != 0:
         raise NotOnSurfaceError(f"point {pt} is not on the surface")
     r = restrict_to_line(f, pt, ln.direction)
     if r.is_zero:
@@ -161,7 +160,7 @@ def is_flat_point(surface: Surface | Poly, p: Sequence) -> bool:
     vanishes identically on the tangent plane."""
     f = _as_poly(surface)
     pt = to_vec(p)
-    if poly_eval(f, pt) != 0:
+    if f.eval(pt) != 0:
         raise NotOnSurfaceError(f"point {pt} is not on the surface")
     grad = [f.diff(i).eval(pt) for i in range(f.nvars)]
     if all(g == 0 for g in grad):
@@ -267,20 +266,7 @@ def _binary_form_resultant(g2: Poly, g3: Poly, ia: int, ib: int) -> Poly:
     b = _binary_form_coeffs(g3, ia, ib, 3)
     if all(c.is_zero for c in a) or all(c.is_zero for c in b):
         return Poly.zero(g2.nvars)
-    n = 5
-    zero = Poly.zero(g2.nvars)
-    mat = []
-    for i in range(3):
-        row = [zero] * n
-        for j, c in enumerate(a):
-            row[i + j] = c
-        mat.append(row)
-    for i in range(2):
-        row = [zero] * n
-        for j, c in enumerate(b):
-            row[i + j] = c
-        mat.append(row)
-    return matrix_determinant(mat, g2.nvars)
+    return sylvester_determinant(a, b, g2.nvars)
 
 
 def _lift_to_six(g: Poly) -> Poly:
@@ -505,7 +491,7 @@ def _apex_candidates(f: Poly, hint_lines: Sequence[AffLine]) -> list[Vec]:
     for p in itertools.product(grid, repeat=3):
         if p in seen:
             continue
-        if poly_eval(f, p) == 0 and all(g.eval(p) == 0 for g in grads):
+        if f.eval(p) == 0 and all(g.eval(p) == 0 for g in grads):
             seen.add(p)
             candidates.append(p)
     return candidates
@@ -564,7 +550,7 @@ def classify_component(factor: Poly, hint_lines: Sequence[AffLine] = ()) -> Clas
     if not indication.indicated:
         return ClassificationResult(Verdict.NOT_RULED_REAL, complex_ruled_indicated=False)
     for apex in _apex_candidates(factor, hint_lines):
-        if poly_eval(factor, apex) == 0 and _is_cone_apex(factor, apex):
+        if factor.eval(apex) == 0 and _is_cone_apex(factor, apex):
             return ClassificationResult(Verdict.CONE, apex=apex, complex_ruled_indicated=True)
     real_line = next(
         (ln for ln in hint_lines if ln.dim == 3 and line_on_surface(factor, ln)), None
@@ -584,7 +570,7 @@ def _search_real_line(factor: Poly, bound: int = 5) -> AffLine | None:
     """Cheap bounded search for one rational line on the factor."""
     grid = [Fraction(v) for v in (0, 1, -1, 2, -2)]
     for p in itertools.product(grid, repeat=3):
-        if poly_eval(factor, p) != 0:
+        if factor.eval(p) != 0:
             continue
         lines = find_lines_through_point(factor, p, bound)
         if lines:
@@ -655,7 +641,7 @@ def find_lines_through_point(factor: Poly, p: Sequence, denominator_bound: int =
     if denominator_bound < 1:
         raise DomainError("denominator bound must be >= 1")
     pt = to_vec(p)
-    if poly_eval(factor, pt) != 0:
+    if factor.eval(pt) != 0:
         raise NotOnSurfaceError(f"point {tuple(pt)} is not on the surface")
     key = (factor, pt, denominator_bound)
     cached = _LINE_SEARCH_CACHE.get(key)

@@ -22,12 +22,11 @@ from incgeo.forge import (
     place_points,
 )
 from incgeo.incidence import (
+    IncidenceTable,
     check_meeting_cap,
     conical_incidence_count,
     count_incidences,
     decompose_lines,
-    incidence_counts_by_line,
-    incidence_counts_by_point,
     prune_points,
     rhs_gk,
     rhs_main,
@@ -218,12 +217,13 @@ def test_c07_meeting_cap_on_product_suite():
     surface, lines, points = _product_instance(200)
     assert len(lines) == 200
     decomp = decompose_lines(surface, lines)
+    table = IncidenceTable(points, lines)
     for threshold in (4, 3):
-        kept = prune_points(decomp, points, min_incidences=threshold)
-        worst = check_meeting_cap(decomp, kept)
+        kept = prune_points(decomp, table, min_incidences=threshold)
+        worst = check_meeting_cap(decomp, table, kept)
         assert worst <= 4 * surface.degree == 28
         assert worst <= 36
-    kept3 = prune_points(decomp, points, min_incidences=3)
+    kept3 = prune_points(decomp, table, min_incidences=3)
     assert kept3, "threshold-3 pruning should keep the triple points"
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"meeting-cap suite took {elapsed:.1f}s"
@@ -247,7 +247,7 @@ def test_c08_conical_incidence_cap():
     saw_positive = False
     for inst in _conical_suite():
         decomp = decompose_lines(inst.surface, inst.lines)
-        conical = conical_incidence_count(decomp, inst.points)
+        conical = conical_incidence_count(decomp, IncidenceTable(inst.points, inst.lines))
         assert conical <= len(decomp.generic)
         if conical:
             saw_positive = True
@@ -328,5 +328,6 @@ def test_c12_double_counting_identity():
     ]
     for inst in instances:
         total = count_incidences(inst.points, inst.lines)
-        assert sum(incidence_counts_by_line(inst.points, inst.lines)) == total
-        assert sum(incidence_counts_by_point(inst.points, inst.lines)) == total
+        table = IncidenceTable(inst.points, inst.lines)
+        assert sum(len(on) for on in table.points_on) == total
+        assert sum(len(through) for through in table.lines_at) == total

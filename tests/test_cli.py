@@ -207,10 +207,67 @@ class TestErrorPaths:
         code, _, err = run(capsys, "flecnode", str(path))
         assert code == 2 and "not valid JSON" in err
 
+    def test_oversized_json_integer(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"dim": ' + "9" * 5000 + "}", encoding="utf-8")
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 2 and "not valid JSON" in err
+
     def test_argparse_usage_exit(self):
         with pytest.raises(SystemExit) as exc:
             main(["nosuchcommand"])
         assert exc.value.code == 2
+
+
+PRODUCT_INCIDENCE_PRUNE_3 = """\
+m=25 n=19 dim=3
+incidences I=27
+max lines per flat s=3
+structured lines |L0|=1 (cap 56)
+generic lines |L1|=18
+conical incidences=0
+points kept at threshold 3: 0
+meeting cap: worst generic line meets 0 <= 28
+"""
+
+PRODUCT_INCIDENCE_PRUNE_2 = """\
+m=25 n=19 dim=3
+incidences I=27
+max lines per flat s=3
+structured lines |L0|=1 (cap 56)
+generic lines |L1|=18
+conical incidences=0
+points kept at threshold 2: 2
+meeting cap: worst generic line meets 2 <= 28
+"""
+
+PRODUCT_VERIFY = """\
+m=25 n=19 degree=7 s=3
+incidences I=27
+xi=3
+rhs_st=104.878284576121 rhs_gk=122.406716243347 rhs_main=134.567034799561
+ratio=0.200643493707183
+within constant 4: yes
+"""
+
+
+class TestGoldenText:
+    """Exact text reports on the product fixture, frozen from a known-good
+    build; any change to a number or to the layout shows here."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("incidence", "--prune", "3"), PRODUCT_INCIDENCE_PRUNE_3),
+            (("incidence", "--prune", "2"), PRODUCT_INCIDENCE_PRUNE_2),
+            (("verify",), PRODUCT_VERIFY),
+        ],
+        ids=["incidence-prune-3", "incidence-prune-2", "verify"],
+    )
+    def test_full_stdout(self, product_file, capsys, argv, expected):
+        code, out, _ = run(capsys, argv[0], str(product_file), *argv[1:])
+        assert code == 0
+        assert out == expected
 
 
 class TestDeterminism:

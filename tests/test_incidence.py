@@ -5,18 +5,18 @@ ruled quadric and a singly ruled cubic."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from incgeo.errors import DomainError, NotOnSurfaceError, PlanarComponentError
+from incgeo.errors import DegenerateLineError, DomainError, NotOnSurfaceError, PlanarComponentError
 from incgeo.incidence import (
     BoundReport,
-    TwoFlat,
+    IncidenceTable,
     check_meeting_cap,
     choose_xi,
     conical_incidence_count,
     count_incidences,
     decompose_lines,
-    incidence_counts_by_line,
-    incidence_counts_by_point,
     max_lines_per_flat,
     meeting_line_counts,
     prune_points,
@@ -24,11 +24,10 @@ from incgeo.incidence import (
     rhs_main,
     rhs_planes,
     rhs_st,
-    spanning_flat,
     verify_bound,
     verify_planes_bound,
 )
-from incgeo.linespace import AffLine
+from incgeo.linespace import AffLine, coplanar_triple, incidence_point_line
 from incgeo.poly import variables
 from incgeo.surfaces import Surface, Verdict
 
@@ -89,38 +88,100 @@ def test_count_incidences_tiny():
 
 def test_double_counting_identity():
     surface, points, lines = product_instance()
+    table = IncidenceTable(points, lines)
     total = count_incidences(points, lines)
-    assert total == sum(incidence_counts_by_point(points, lines))
-    assert total == sum(incidence_counts_by_line(points, lines))
+    assert table.total == total
+    assert total == sum(len(through) for through in table.lines_at)
+    assert total == sum(len(on) for on in table.points_on)
 
 
-# -- flats and the coplanarity parameter
+def test_incidence_table_tiny():
+    table = IncidenceTable([(0, 0, 0), (1, 0, 0), (0, 1, 0), (5, 5, 5)], [X_AXIS, Y_AXIS])
+    assert table.lines_at == ((0, 1), (0,), (1,), ())
+    assert table.points_on == ((0, 1), (0, 2))
+    assert table.total == 4
 
 
-def test_two_flat_canonical_equality():
-    a = TwoFlat((0, 0, 0), (1, 0, 0), (0, 1, 0))
-    b = TwoFlat((3, -2, 0), (1, 1, 0), (1, -1, 0))
-    assert a == b
-    assert a.contains_point((7, 9, 0))
-    assert not a.contains_point((0, 0, 1))
-    assert a.contains_line(AffLine((2, 5, 0), (1, -3, 0)))
-    assert not a.contains_line(Z_AXIS)
+def test_incidence_table_rejects_duplicates():
+    with pytest.raises(DomainError, match="point set contains duplicates"):
+        IncidenceTable([(0, 0, 0), (0, 0, 0)], [X_AXIS])
+    with pytest.raises(DomainError, match="line family contains duplicates"):
+        IncidenceTable([(0, 0, 0)], [X_AXIS, AffLine((5, 0, 0), (-2, 0, 0))])
 
 
-def test_two_flat_needs_independent_span():
-    with pytest.raises(DomainError):
-        TwoFlat((0, 0, 0), (1, 2, 0), (2, 4, 0))
+small_ints = st.integers(-2, 2)
 
 
-def test_spanning_flat_cases():
-    meet = spanning_flat(X_AXIS, Y_AXIS)
-    assert meet is not None and meet.contains_line(Y_AXIS)
-    shifted = AffLine((0, 3, 0), (1, 0, 0))
-    par = spanning_flat(X_AXIS, shifted)
-    assert par is not None and par.contains_line(shifted)
-    skew = AffLine((0, 0, 1), (0, 1, 0))
-    assert spanning_flat(X_AXIS, skew) is None
-    assert spanning_flat(X_AXIS, X_AXIS) is None
+@st.composite
+def line_families(draw, dims=(3, 4, 5)):
+    """Small line families that mix free, concurrent, parallel and coplanar
+    lines, all inside R^dim with small integer data."""
+    dim = draw(st.sampled_from(dims))
+    vec = st.tuples(*[small_ints] * dim)
+    origin, u, v = draw(vec), draw(vec), draw(vec)
+    lines = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["free", "concurrent", "parallel", "coplanar"]))
+        if kind == "free":
+            base, direction = draw(vec), draw(vec)
+        elif kind == "concurrent":
+            base, direction = origin, draw(vec)
+        elif kind == "parallel":
+            base, direction = draw(vec), u
+        else:
+            a, b, c, e = (draw(small_ints) for _ in range(4))
+            base = tuple(o + a * x + b * y for o, x, y in zip(origin, u, v))
+            direction = tuple(c * x + e * y for x, y in zip(u, v))
+        try:
+            lines.append(AffLine(base, direction))
+        except DegenerateLineError:
+            pass
+    return dim, list(dict.fromkeys(lines))
+
+
+@st.composite
+def incidence_instances(draw):
+    dim, lines = draw(line_families(dims=(3, 4)))
+    points = [draw(st.tuples(*[small_ints] * dim)) for _ in range(draw(st.integers(0, 4)))]
+    for _ in range(draw(st.integers(0, 8)) if lines else 0):
+        ln = draw(st.sampled_from(lines))
+        points.append(ln.point_at(Fraction(draw(small_ints), draw(st.integers(1, 2)))))
+    return list(dict.fromkeys(tuple(map(Fraction, p)) for p in points)), lines
+
+
+@settings(max_examples=80, deadline=None)
+@given(incidence_instances())
+def test_incidence_table_matches_exhaustive_check(instance):
+    points, lines = instance
+    table = IncidenceTable(points, lines)
+    assert table.total == count_incidences(points, lines)
+    for i, p in enumerate(points):
+        for j, ln in enumerate(lines):
+            on = incidence_point_line(p, ln)
+            assert (j in table.lines_at[i]) == on
+            assert (i in table.points_on[j]) == on
+    assert all(list(t) == sorted(t) for t in table.lines_at + table.points_on)
+
+
+# -- the coplanarity parameter
+
+
+def max_lines_per_flat_oracle(lines) -> int:
+    """Brute force: two distinct coplanar lines span one plane, which holds
+    exactly the lines coplanar with both."""
+    best = min(len(lines), 1)
+    for i, a in enumerate(lines):
+        for b in lines[i + 1:]:
+            if coplanar_triple(a, b, b):
+                best = max(best, sum(1 for c in lines if coplanar_triple(a, b, c)))
+    return best
+
+
+@settings(max_examples=80, deadline=None)
+@given(line_families())
+def test_max_lines_per_flat_matches_oracle(family):
+    _, lines = family
+    assert max_lines_per_flat(lines) == max_lines_per_flat_oracle(lines)
 
 
 def test_max_lines_per_flat_small_cases():
@@ -201,32 +262,41 @@ def test_decompose_rejects_planar_factor():
 def test_conical_incidences_at_apex():
     surface, points, lines = product_instance()
     dec = decompose_lines(surface, lines)
-    assert conical_incidence_count(dec, points) == 4
-    assert conical_incidence_count(dec, [(1, 1, 1)]) == 0
+    assert conical_incidence_count(dec, IncidenceTable(points, lines)) == 4
+    assert conical_incidence_count(dec, IncidenceTable([(1, 1, 1)], lines)) == 0
+
+
+def test_statistics_need_the_decomposed_lines():
+    surface, points, lines = product_instance()
+    dec = decompose_lines(surface, lines)
+    with pytest.raises(DomainError):
+        prune_points(dec, IncidenceTable(points, lines[:-1]))
 
 
 def test_prune_points_thresholds():
     surface, points, lines = product_instance()
     dec = decompose_lines(surface, lines)
+    table = IncidenceTable(points, lines)
     # regulus grid points carry two generic rulings unless one of them is
     # the shared y axis; conical incidences never count
-    kept2 = prune_points(dec, points, min_incidences=2)
+    kept2 = prune_points(dec, table, min_incidences=2)
     assert len(kept2) == 20
-    assert all(p[0] != 0 for p in kept2)
-    assert prune_points(dec, points) == ()
+    assert all(table.points[i][0] != 0 for i in kept2)
+    assert prune_points(dec, table) == ()
 
 
 def test_meeting_counts_across_rulings():
     surface, points, lines = product_instance()
     dec = decompose_lines(surface, lines)
-    kept = prune_points(dec, points, min_incidences=2)
-    counts = meeting_line_counts(dec, kept)
+    table = IncidenceTable(points, lines)
+    kept = prune_points(dec, table, min_incidences=2)
+    counts = meeting_line_counts(dec, table, kept)
     # ruling u(1) meets the four off-axis opposite rulings plus the cubic
     # generator through (1,1,1); ruling v(1) additionally meets the x axis
     assert counts[ruling_u(1)] == 5
     assert counts[ruling_v(1)] == 6
     assert counts[cone_generator(2, 1)] == 0
-    worst = check_meeting_cap(dec, kept)
+    worst = check_meeting_cap(dec, table, kept)
     assert worst == 6 <= 4 * surface.degree
 
 
@@ -276,6 +346,11 @@ def test_verify_bound_rejects_duplicates():
         verify_bound([(0, 0, 0), (0, 0, 0)], [X_AXIS], 2)
     with pytest.raises(DomainError):
         verify_bound([(0, 0, 0)], [X_AXIS, X_AXIS], 2)
+    # two equal points on two lines would otherwise count I=4
+    with pytest.raises(DomainError):
+        verify_planes_bound([(0, 0, 0), (0, 0, 0)], [X_AXIS, Y_AXIS])
+    with pytest.raises(DomainError):
+        verify_planes_bound([(0, 0, 0)], [X_AXIS, X_AXIS])
 
 
 def test_verify_planes_bound():

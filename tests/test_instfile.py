@@ -31,7 +31,9 @@ class TestRationals:
     def test_integer_form_has_no_slash(self):
         assert format_rational(F(4, 2)) == "2"
 
-    @pytest.mark.parametrize("bad", ["1/0", "abc", "", "1.5e3x", 12, None, ["1"]])
+    @pytest.mark.parametrize(
+        "bad", ["1/0", "abc", "", "1.5e3x", 12, None, ["1"], "1e2000000", "1.5", " 3", "+3"]
+    )
     def test_rejects_garbage(self, bad):
         with pytest.raises(ParseError):
             parse_rational(bad)
@@ -58,6 +60,9 @@ class TestPolySerialization:
             {"terms": [{"n": 1, "d": 1, "e": [0, 0, 0]}, {"n": 2, "d": 1, "e": [0, 0, 0]}]},
             {"terms": {}},
             [],
+            {"terms": [{"n": True, "d": 1, "e": [0, 0, 0]}]},
+            {"terms": [{"n": 1, "d": True, "e": [0, 0, 0]}]},
+            {"terms": [{"n": 1, "d": 1, "e": [True, 0, 0]}]},
         ],
     )
     def test_rejects_malformed_polynomials(self, obj):
@@ -100,6 +105,16 @@ class TestInstanceFiles:
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{", encoding="utf-8")
+        with pytest.raises(ParseError):
+            load_instance(path)
+
+    @pytest.mark.parametrize(
+        "text", ['{"dim": ' + "9" * 5000 + "}", "[" * 100000 + "]" * 100000],
+        ids=["oversized-integer", "deep-nesting"],
+    )
+    def test_json_the_decoder_refuses(self, tmp_path, text):
+        path = tmp_path / "hostile.json"
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError):
             load_instance(path)
 

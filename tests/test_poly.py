@@ -19,11 +19,10 @@ from incgeo.poly import (
     divides,
     exact_div,
     is_square_free,
-    partial_derivative,
-    poly_eval,
     poly_gcd,
     restrict_to_line,
     square_free_part,
+    sylvester_determinant,
     sylvester_resultant,
     taylor_components,
     variables,
@@ -65,18 +64,18 @@ def test_grlex_leading_term():
 
 def test_eval_example_and_arity():
     f = X**2 - Y**2 * Z
-    assert poly_eval(f, frac_vec(2, 1, 4)) == 0
-    assert poly_eval(f, frac_vec(1, 1, 2)) == -1
+    assert f.eval(frac_vec(2, 1, 4)) == 0
+    assert f.eval(frac_vec(1, 1, 2)) == -1
     with pytest.raises(ArityError):
-        poly_eval(f, frac_vec(1, 2))
+        f.eval(frac_vec(1, 2))
 
 
 def test_partial_derivative_matches_hand_result():
     f = X**2 - Y**2 * Z
-    assert partial_derivative(f, 0) == 2 * X
-    assert partial_derivative(f, 1) == -2 * Y * Z
-    assert partial_derivative(f, 2) == -(Y**2)
-    assert partial_derivative(Poly.const(3, 5), 1).is_zero
+    assert f.diff(0) == 2 * X
+    assert f.diff(1) == -2 * Y * Z
+    assert f.diff(2) == -(Y**2)
+    assert Poly.const(3, 5).diff(1).is_zero
 
 
 # -- taylor components and directional powers ---------------------------
@@ -179,6 +178,17 @@ def test_sylvester_resultant_vanishes_iff_shared_factor():
     assert not res.is_zero
     assert res.eval([Fraction(0), Fraction(0)]) == 0
     assert res.eval([Fraction(0), Fraction(3)]) != 0
+
+
+def test_sylvester_determinant_takes_highest_power_first():
+    t, _ = variables(2)
+    one, zero = Poly.const(2, 1), Poly.zero(2)
+    # v - t against v^2 - 1: g(t) for the monic linear f
+    assert sylvester_determinant([one, -t], [one, zero, -one], 2) == t**2 - 1
+    # v - t against v^2 - t^2: common root v = t
+    assert sylvester_determinant([one, -t], [one, zero, -(t**2)], 2).is_zero
+    # binary forms whose leading coefficients both vanish share the root (1:0)
+    assert sylvester_determinant([zero, one, -t], [zero, one, t, one], 2).is_zero
 
 
 def test_sylvester_resultant_requires_positive_degree():
