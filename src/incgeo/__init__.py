@@ -15,12 +15,14 @@ The package is organized bottom-up:
   to 3-space with exact genericity certificates
 - forge: canonical surface instances (cone, regulus, ruled cubic, sphere,
   Fermat cubic and products) with seeded line and point placement
-- cli: file formats and the command-line front end
+- instfile: the IncidenceInstance container and its exact JSON file format
+- cli: the command-line front end, one report per command printed as
+  text or JSON
 """
 
-from .forge import IncidenceInstance, build_instance, make_lines, make_surface
+from .forge import build_instance, make_lines, make_surface
 from .incidence import IncidenceTable, count_incidences, decompose_lines, verify_bound
-from .instfile import load_instance, save_instance
+from .instfile import IncidenceInstance, load_instance, save_instance
 from .linespace import AffLine
 from .poly import Poly, variables
 from .projection import project_to_3space

@@ -11,7 +11,6 @@ higher dimension, both driven by an explicit seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count as it_count
 from math import gcd
@@ -19,7 +18,8 @@ from typing import Iterator, Mapping, Sequence
 
 from .errors import ArityError, DomainError, ResampleExhaustedError
 from .linalg import Vec, rank, to_vec
-from .linespace import AffLine, line_on_surface
+from .instfile import IncidenceInstance
+from .linespace import AffLine
 from .poly import Poly, variables
 from .surfaces import Surface
 
@@ -216,56 +216,6 @@ def lift_to_dim(
         AffLine(move(ln.base), _mat_vec(matrix, _embed(ln.direction, dim))) for ln in lns
     ]
     return out_pts, out_lns
-
-
-@dataclass(frozen=True)
-class IncidenceInstance:
-    """A point set and line set, optionally tied to a concrete surface.
-
-    Lifted instances drop the surface: its equation lives in three
-    variables and does not travel to higher dimension, while the points
-    and lines do.
-    """
-
-    surface: Surface | None
-    points: tuple[Vec, ...]
-    lines: tuple[AffLine, ...]
-
-    def __init__(self, surface: Surface | None, points: Sequence, lines: Sequence[AffLine]):
-        pts = tuple(to_vec(p) for p in points)
-        lns = tuple(lines)
-        if len(set(pts)) != len(pts):
-            raise DomainError("instance points must be distinct")
-        if len(set(lns)) != len(lns):
-            raise DomainError("instance lines must be distinct")
-        dims = {len(p) for p in pts} | {ln.dim for ln in lns}
-        if len(dims) > 1:
-            raise ArityError("points and lines disagree on ambient dimension")
-        if surface is not None:
-            if dims and dims != {3}:
-                raise ArityError("a surface-carrying instance must live in 3-space")
-            for ln in lns:
-                if not line_on_surface(surface.f, ln):
-                    raise DomainError("an instance line misses the surface")
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "lines", lns)
-
-    @property
-    def m(self) -> int:
-        return len(self.points)
-
-    @property
-    def n(self) -> int:
-        return len(self.lines)
-
-    @property
-    def dim(self) -> int:
-        for p in self.points:
-            return len(p)
-        for ln in self.lines:
-            return ln.dim
-        return 3
 
 
 def build_instance(

@@ -88,21 +88,10 @@ class IncidenceTable:
 # -- coplanarity parameter ---------------------------------------------------
 
 
-def _flat_key(a: AffLine, b: AffLine) -> Vec | None:
-    """Key of the 2-flat spanned by a and b among the flats through a.
-
-    None unless the lines are distinct and coplanar.  The flat is
-    a.base + span(a.direction, w) with w = b's direction if b meets a and
-    w = b.base - a.base if b is parallel to a; the key is w reduced to zero
-    at the pivot of a's direction and scaled to first nonzero entry 1.
-    """
-    kind = line_relation(a, b).kind
-    if kind is RelationKind.INTERSECTING:
-        w = b.direction
-    elif kind is RelationKind.PARALLEL:
-        w = vec_sub(b.base, a.base)
-    else:
-        return None
+def _flat_key(a: AffLine, w: Vec) -> Vec:
+    """Key of the 2-flat a.base + span(a.direction, w) among the flats through
+    a: w reduced to zero at the pivot of a's direction and scaled to first
+    nonzero entry 1, so any nonzero multiple of w gives the same key."""
     pivot = next(i for i, c in enumerate(a.direction) if c)
     reduced = tuple(wc - w[pivot] * dc for wc, dc in zip(w, a.direction))
     lead = next(c for c in reduced if c)
@@ -115,17 +104,25 @@ def max_lines_per_flat(lines: Sequence[AffLine]) -> int:
     Zero for an empty family; one when no two lines are coplanar.  Any two
     lines inside a common plane either meet or are parallel, so grouping the
     partners of each line by the plane they span with it sees every
-    populated plane.
+    populated plane.  Each unordered pair is classified once; a meeting pair
+    spans its two directions, a parallel pair a's direction and b.base - a.base.
     """
     if not lines:
         return 0
-    best = 1
+    per_flat: list[Counter] = [Counter() for _ in lines]
     for i, a in enumerate(lines):
-        keys = (_flat_key(a, b) for j, b in enumerate(lines) if j != i)
-        per_flat = Counter(key for key in keys if key is not None)
-        if per_flat:
-            best = max(best, 1 + max(per_flat.values()))
-    return best
+        for j in range(i + 1, len(lines)):
+            b = lines[j]
+            kind = line_relation(a, b).kind
+            if kind is RelationKind.INTERSECTING:
+                w_a, w_b = b.direction, a.direction
+            elif kind is RelationKind.PARALLEL:
+                w_a = w_b = vec_sub(b.base, a.base)
+            else:
+                continue
+            per_flat[i][_flat_key(a, w_a)] += 1
+            per_flat[j][_flat_key(b, w_b)] += 1
+    return 1 + max(max(counts.values(), default=0) for counts in per_flat)
 
 
 # -- decomposition of the line family ----------------------------------------
@@ -378,6 +375,39 @@ class BoundReport:
     notes: str = ""
 
 
+def _bound_report(
+    points: Sequence, lines: Sequence[AffLine], degree: int, s: int | None,
+    constant: float, notes: str, planes: bool,
+) -> BoundReport:
+    """Count the instance once and evaluate the bounds; planes selects the
+    plane-dominated shape (and xi 0) instead of the surface-sensitive one."""
+    table = IncidenceTable(points, lines)
+    m, n = len(table.points), len(table.lines)
+    if s is None:
+        s = max_lines_per_flat(table.lines)
+    inc = table.total
+    if planes:
+        main, xi = rhs_planes(m, s, n), 0.0
+    else:
+        main = rhs_main(m, n, degree, s) if n else float(m)
+        xi = choose_xi(m, n, degree) if m and n else 0.0
+    return BoundReport(
+        m=m,
+        n=n,
+        degree=degree,
+        s=s,
+        incidences=inc,
+        xi=xi,
+        rhs_st=rhs_st(m, n),
+        rhs_gk=rhs_gk(m, n, s),
+        rhs_main=main,
+        ratio_main=inc / main if main else 0.0,
+        constant=constant,
+        within=inc <= constant * main,
+        notes=notes,
+    )
+
+
 def verify_bound(
     points: Sequence,
     lines: Sequence[AffLine],
@@ -394,28 +424,7 @@ def verify_bound(
     """
     if degree < 1:
         raise DomainError("surface degree must be positive")
-    table = IncidenceTable(points, lines)
-    m, n = len(table.points), len(table.lines)
-    if s is None:
-        s = max_lines_per_flat(table.lines)
-    inc = table.total
-    main = rhs_main(m, n, degree, s) if n else float(m)
-    ratio = inc / main if main else 0.0
-    return BoundReport(
-        m=m,
-        n=n,
-        degree=degree,
-        s=s,
-        incidences=inc,
-        xi=choose_xi(m, n, degree) if m and n else 0.0,
-        rhs_st=rhs_st(m, n),
-        rhs_gk=rhs_gk(m, n, s),
-        rhs_main=main,
-        ratio_main=ratio,
-        constant=constant,
-        within=inc <= constant * main,
-        notes=notes,
-    )
+    return _bound_report(points, lines, degree, s, constant, notes, planes=False)
 
 
 def verify_planes_bound(
@@ -425,23 +434,6 @@ def verify_planes_bound(
     notes: str = "",
 ) -> BoundReport:
     """Plane-dominated variant used when the surface has planar components."""
-    table = IncidenceTable(points, lines)
-    m, n = len(table.points), len(table.lines)
-    s = max_lines_per_flat(table.lines)
-    inc = table.total
-    main = rhs_planes(m, s, n)
-    return BoundReport(
-        m=m,
-        n=n,
-        degree=1,
-        s=s,
-        incidences=inc,
-        xi=0.0,
-        rhs_st=rhs_st(m, n),
-        rhs_gk=rhs_gk(m, n, s),
-        rhs_main=main,
-        ratio_main=inc / main if main else 0.0,
-        constant=constant,
-        within=inc <= constant * main,
-        notes=notes or "plane-dominated bound",
+    return _bound_report(
+        points, lines, 1, None, constant, notes or "plane-dominated bound", planes=True
     )

@@ -1,9 +1,10 @@
-"""Reading and writing instances as JSON.
+"""Incidence instances and their JSON file format.
 
-The layout keeps every number exact: rationals are "n" or "n/d" strings,
-polynomial coefficients are split into integer numerator and denominator,
-and term lists are sorted, so serialization is deterministic and a file
-round-trips byte for byte.
+An IncidenceInstance holds a point set and a line set, optionally tied to a
+surface.  The layout keeps every number exact: rationals are "n" or "n/d"
+strings, polynomial coefficients are split into integer numerator and
+denominator, and term lists are sorted, so serialization is deterministic
+and a file round-trips byte for byte.
 
     {
       "dim": 3,
@@ -13,21 +14,78 @@ round-trips byte for byte.
     }
 
 A lifted instance has no surface; the field is null and "dim" may exceed 3.
+A polynomial term of total degree above MAX_DEGREE is refused on reading:
+checking a line against the surface expands every power, so one huge
+exponent would stall the load.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Sequence
 
-from .errors import ParseError
-from .forge import IncidenceInstance
-from .linalg import Vec
-from .linespace import AffLine
+from .errors import ArityError, DomainError, ParseError
+from .linalg import Vec, to_vec
+from .linespace import AffLine, line_on_surface
 from .poly import Poly, grlex_key
 from .surfaces import Surface
+
+
+@dataclass(frozen=True)
+class IncidenceInstance:
+    """A point set and line set, optionally tied to a concrete surface.
+
+    Lifted instances drop the surface: its equation lives in three
+    variables and does not travel to higher dimension, while the points
+    and lines do.
+    """
+
+    surface: Surface | None
+    points: tuple[Vec, ...]
+    lines: tuple[AffLine, ...]
+
+    def __init__(self, surface: Surface | None, points: Sequence, lines: Sequence[AffLine]):
+        pts = tuple(to_vec(p) for p in points)
+        lns = tuple(lines)
+        if len(set(pts)) != len(pts):
+            raise DomainError("instance points must be distinct")
+        if len(set(lns)) != len(lns):
+            raise DomainError("instance lines must be distinct")
+        dims = {len(p) for p in pts} | {ln.dim for ln in lns}
+        if len(dims) > 1:
+            raise ArityError("points and lines disagree on ambient dimension")
+        if surface is not None:
+            if dims and dims != {3}:
+                raise ArityError("a surface-carrying instance must live in 3-space")
+            for ln in lns:
+                if not line_on_surface(surface.f, ln):
+                    raise DomainError("an instance line misses the surface")
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "lines", lns)
+
+    @property
+    def m(self) -> int:
+        return len(self.points)
+
+    @property
+    def n(self) -> int:
+        return len(self.lines)
+
+    @property
+    def dim(self) -> int:
+        for p in self.points:
+            return len(p)
+        for ln in self.lines:
+            return ln.dim
+        return 3
+
+
+MAX_DEGREE = 64
 
 
 def format_rational(q: Fraction) -> str:
@@ -79,6 +137,8 @@ def obj_to_poly(obj: object, nvars: int) -> Poly:
             raise ParseError(f"bad coefficient in term {item!r}")
         if not isinstance(e, list) or len(e) != nvars or not all(type(k) is int for k in e):
             raise ParseError(f"bad exponent in term {item!r}")
+        if sum(e) > MAX_DEGREE:
+            raise ParseError(f"term of degree {sum(e)} exceeds the cap {MAX_DEGREE}")
         key = tuple(e)
         if key in terms:
             raise ParseError(f"repeated exponent {key} in polynomial")

@@ -17,6 +17,7 @@ hand.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -229,8 +230,6 @@ def is_flat_line(surface: Surface | Poly, ln: AffLine) -> bool:
 
 # -- flecnode witness -------------------------------------------------------
 
-_FLECNODE_CACHE: dict[Poly, Poly] = {}
-
 
 def _project_to_xyz(p: Poly) -> Poly:
     """Drop the trailing direction variables of a 6-var poly with v-degree 0."""
@@ -326,10 +325,14 @@ def flecnode_polynomial(surface: Surface | Poly) -> Poly:
     d = f.degree()
     if d < 3:
         raise DegreeError("flecnode witness needs degree >= 3")
-    cached = _FLECNODE_CACHE.get(f)
-    if cached is not None:
-        return cached
+    return _flecnode_witness(f)
 
+
+# Memo bounds: twice the distinct keys the whole test suite makes in one
+# process, rounded up to a power of two (here 6 witnesses).
+@functools.lru_cache(maxsize=16)
+def _flecnode_witness(f: Poly) -> Poly:
+    d = f.degree()
     grads = [f.diff(i) for i in range(3)]
     f2 = directional_power(f, 2)
     f3 = directional_power(f, 3)
@@ -357,7 +360,6 @@ def flecnode_polynomial(surface: Surface | Poly) -> Poly:
         raise InvariantViolation(
             f"flecnode witness degree {witness.degree()} exceeds 11*{d}-18"
         )
-    _FLECNODE_CACHE[f] = witness
     return witness
 
 
@@ -580,8 +582,6 @@ def _search_real_line(factor: Poly, bound: int = 5) -> AffLine | None:
 
 # -- lines through a point ---------------------------------------------------
 
-_LINE_SEARCH_CACHE: dict[tuple[Poly, Vec, int], tuple[AffLine, ...]] = {}
-
 
 def _restriction_coefficients(f: Poly, p: Vec) -> list[Poly]:
     """Polynomials c_k(v) with f(p + t v) = sum_k t^k c_k(v); c_0 omitted."""
@@ -643,18 +643,17 @@ def find_lines_through_point(factor: Poly, p: Sequence, denominator_bound: int =
     pt = to_vec(p)
     if factor.eval(pt) != 0:
         raise NotOnSurfaceError(f"point {tuple(pt)} is not on the surface")
-    key = (factor, pt, denominator_bound)
-    cached = _LINE_SEARCH_CACHE.get(key)
-    if cached is not None:
-        return list(cached)
+    return list(_lines_through(factor, pt, denominator_bound))
 
+
+@functools.lru_cache(maxsize=4096)  # the test suite makes 1,801 searches
+def _lines_through(factor: Poly, pt: Vec, bound: int) -> tuple[AffLine, ...]:
     coeff_polys = _restriction_coefficients(factor, pt)
     int_coeffs = sorted(
         (c for c in (_int_terms(cp) for cp in coeff_polys) if c), key=len
     )
     grad = tuple(factor.diff(i).eval(pt) for i in range(3))
     found: set[AffLine] = set()
-    bound = denominator_bound
 
     def check_dir(v: tuple[int, int, int]) -> None:
         for terms in int_coeffs:
@@ -693,13 +692,10 @@ def find_lines_through_point(factor: Poly, p: Sequence, denominator_bound: int =
     for ln in lines:
         if not line_on_surface(factor, ln):  # pragma: no cover - guards check_dir
             raise InvariantViolation("line search returned a non-contained line")
-    _LINE_SEARCH_CACHE[key] = tuple(lines)
-    return lines
+    return tuple(lines)
 
 
 # -- exceptional lines and generator counts ----------------------------------
-
-_EXCEPTIONAL_CACHE: dict[tuple[Poly, frozenset, int], tuple[AffLine, ...]] = {}
 
 
 def _probe_parameters(d: int) -> list[Fraction]:
@@ -740,40 +736,45 @@ def exceptional_lines(
     """
     d = factor.degree()
     contained = [ln for ln in lines if line_on_surface(factor, ln)]
-    key = (factor, frozenset(contained), denominator_bound)
-    cached = _EXCEPTIONAL_CACHE.get(key)
-    if cached is None:
-        need = 2 * d + 1
-        probes = _probe_parameters(d)
-        out: list[AffLine] = []
-        for ln in contained:
-            witnesses: set[Vec] = set()
-            for other in contained:
-                if other == ln:
-                    continue
-                rel = line_relation(ln, other)
-                if rel.kind is RelationKind.INTERSECTING:
-                    witnesses.add(rel.point)
-            if len(witnesses) < need:
-                for t in probes:
-                    pt = ln.point_at(t)
-                    if pt in witnesses:
-                        continue
-                    others = find_lines_through_point(factor, pt, denominator_bound)
-                    if any(o != ln for o in others):
-                        witnesses.add(pt)
-                    if len(witnesses) >= need:
-                        break
-            if len(witnesses) >= need:
-                out.append(ln)
-        cached = tuple(out)
-        _EXCEPTIONAL_CACHE[key] = cached
-    result = list(cached)
+    found = _exceptional_among(factor, frozenset(contained), denominator_bound)
+    result = [ln for ln in contained if ln in found]
     if enforce_cap and d >= 2 and len(result) > 2:
         raise InvariantViolation(
             f"{len(result)} exceptional lines on a degree-{d} factor (cap is 2)"
         )
     return result
+
+
+@functools.lru_cache(maxsize=32)  # the test suite makes 14 scans
+def _exceptional_among(
+    factor: Poly, contained: frozenset[AffLine], denominator_bound: int
+) -> frozenset[AffLine]:
+    """The exceptional lines of a contained family; whether a line is
+    exceptional depends on the family as a set, not on its order."""
+    need = 2 * factor.degree() + 1
+    probes = _probe_parameters(factor.degree())
+    out = set()
+    for ln in contained:
+        witnesses: set[Vec] = set()
+        for other in contained:
+            if other == ln:
+                continue
+            rel = line_relation(ln, other)
+            if rel.kind is RelationKind.INTERSECTING:
+                witnesses.add(rel.point)
+        if len(witnesses) < need:
+            for t in probes:
+                pt = ln.point_at(t)
+                if pt in witnesses:
+                    continue
+                others = find_lines_through_point(factor, pt, denominator_bound)
+                if any(o != ln for o in others):
+                    witnesses.add(pt)
+                if len(witnesses) >= need:
+                    break
+        if len(witnesses) >= need:
+            out.add(ln)
+    return frozenset(out)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ import pytest
 from incgeo.forge import (
     ORIGIN,
     WHITNEY_SINGULAR_AXIS,
-    IncidenceInstance,
     build_instance,
     lift_to_dim,
     make_lines,
@@ -34,6 +33,7 @@ from incgeo.incidence import (
     rhs_st,
     verify_bound,
 )
+from incgeo.instfile import IncidenceInstance
 from incgeo.linespace import (
     AffLine,
     ProjPoint,

@@ -8,13 +8,15 @@ repeated runs, so anything time-dependent is asserted to live on stderr.
 import json
 import subprocess
 import sys
+import time
+from fractions import Fraction as F
 
 import pytest
 
 from incgeo.cli import main
-from incgeo.forge import IncidenceInstance, build_instance
+from incgeo.forge import build_instance
 from incgeo.incidence import count_incidences
-from incgeo.instfile import load_instance, save_instance
+from incgeo.instfile import IncidenceInstance, load_instance, save_instance
 from incgeo.poly import variables
 from incgeo.surfaces import Surface
 
@@ -213,6 +215,23 @@ class TestErrorPaths:
         code, _, err = run(capsys, "verify", str(path))
         assert code == 2 and "not valid JSON" in err
 
+    def test_huge_exponent_exits_fast(self, tmp_path, capsys):
+        # z - xy + y^2000 with one line: checking the line against the surface
+        # would expand the power, which takes tens of seconds
+        path = tmp_path / "deg.json"
+        terms = [{"n": 1, "d": 1, "e": e} for e in ([0, 0, 1], [0, 2000, 0])]
+        terms.append({"n": -1, "d": 1, "e": [1, 1, 0]})
+        path.write_text(json.dumps({
+            "dim": 3,
+            "surface": {"vars": 3, "factors": [{"terms": terms}]},
+            "points": [],
+            "lines": [{"base": ["1", "1", "1"], "dir": ["1", "2", "3"]}],
+        }), encoding="utf-8")
+        started = time.perf_counter()
+        code, _, err = run(capsys, "incidence", str(path))
+        assert time.perf_counter() - started < 1.0
+        assert code == 2 and "exceeds the cap" in err
+
     def test_argparse_usage_exit(self):
         with pytest.raises(SystemExit) as exc:
             main(["nosuchcommand"])
@@ -251,9 +270,191 @@ within constant 4: yes
 """
 
 
+PRODUCT_GEN = "kind=product m=25 n=19 dim=3\n"
+
+PRODUCT_GEN_JSON = """\
+{
+  "dim": 3,
+  "kind": "product",
+  "m": 25,
+  "n": 19
+}
+"""
+
+PRODUCT_CLASSIFY = """\
+surface degree 7 with 3 factor(s)
+factor 0: degree 2 verdict Cone apex (0, 0, 0)
+factor 1: degree 2 verdict Regulus
+factor 2: degree 3 verdict SinglyRuled
+"""
+
+PRODUCT_CLASSIFY_JSON = """\
+{
+  "degree": 7,
+  "factors": [
+    {
+      "apex": [
+        "0",
+        "0",
+        "0"
+      ],
+      "complex_ruled_indicated": true,
+      "degree": 2,
+      "index": 0,
+      "notes": "",
+      "verdict": "Cone"
+    },
+    {
+      "apex": null,
+      "complex_ruled_indicated": true,
+      "degree": 2,
+      "index": 1,
+      "notes": "",
+      "verdict": "Regulus"
+    },
+    {
+      "apex": null,
+      "complex_ruled_indicated": true,
+      "degree": 3,
+      "index": 2,
+      "notes": "",
+      "verdict": "SinglyRuled"
+    }
+  ]
+}
+"""
+
+QUADRICS_CLASSIFY = """\
+surface degree 4 with 2 factor(s)
+factor 0: degree 2 verdict SinglyRuled  [rank-3 quadric with vertex at infinity (cylinder)]
+factor 1: degree 2 verdict Cone apex (1/2, 0, 0)
+"""
+
+QUADRICS_CLASSIFY_JSON = """\
+{
+  "degree": 4,
+  "factors": [
+    {
+      "apex": null,
+      "complex_ruled_indicated": true,
+      "degree": 2,
+      "index": 0,
+      "notes": "rank-3 quadric with vertex at infinity (cylinder)",
+      "verdict": "SinglyRuled"
+    },
+    {
+      "apex": [
+        "1/2",
+        "0",
+        "0"
+      ],
+      "complex_ruled_indicated": true,
+      "degree": 2,
+      "index": 1,
+      "notes": "",
+      "verdict": "Cone"
+    }
+  ]
+}
+"""
+
+PRODUCT_FLECNODE = """\
+factor 0: degree 2 ruled-indicated (below cubic, no witness)
+factor 1: degree 2 ruled-indicated (below cubic, no witness)
+factor 2: degree 3 witness degree 12 divides factor: yes
+"""
+
+PRODUCT_FLECNODE_JSON = """\
+{
+  "factors": [
+    {
+      "degree": 2,
+      "divides": true,
+      "index": 0,
+      "witness_degree": null
+    },
+    {
+      "degree": 2,
+      "divides": true,
+      "index": 1,
+      "witness_degree": null
+    },
+    {
+      "degree": 3,
+      "divides": true,
+      "index": 2,
+      "witness_degree": 12
+    }
+  ]
+}
+"""
+
+PRODUCT_VERIFY_PLANES = """\
+m=25 n=19 degree=1 s=3
+incidences I=27
+xi=0
+rhs_st=104.878284576121 rhs_gk=122.406716243347 rhs_main=61.7844665224503
+ratio=0.437003044935075
+within constant 4: yes
+"""
+
+LIFTED_INCIDENCE = """\
+m=16 n=10 dim=6
+incidences I=16
+max lines per flat s=3
+"""
+
+LIFTED_VERIFY_DEGREE_3 = """\
+m=16 n=10 degree=3 s=3
+incidences I=16
+xi=3
+rhs_st=55.4722519891231 rhs_gk=68.2233496022577 rhs_main=66.957714923825
+ratio=0.238956780681696
+within constant 4: yes
+"""
+
+LIFTED_PROJECT = """\
+projected dim 6 -> 3
+m=16 n=10 resamples=0
+certificate ok: yes
+"""
+
+LIFTED_PROJECT_JSON = """\
+{
+  "dim_after": 3,
+  "dim_before": 6,
+  "m": 16,
+  "n": 10,
+  "ok": true,
+  "resamples": 0
+}
+"""
+
+PRODUCT_GEN_ARGS = ("gen", "--kind", "product", "--lines", "19", "--points", "25",
+                    "--seed", "3", "-o", "{out}")
+
+
+@pytest.fixture()
+def golden_files(tmp_path, capsys, product_file):
+    """Paths substituted into the golden argv: the product fixture, a lifted
+    product instance in R^6, two quadrics without lines and an output path."""
+    lifted = tmp_path / "lift.json"
+    code, _, _ = run(
+        capsys, "gen", "--kind", "product", "--lines", "10", "--points", "16",
+        "--seed", "5", "--dim", "6", "-o", str(lifted),
+    )
+    assert code == 0
+    quadrics = tmp_path / "quadrics.json"
+    cylinder, cone = X**2 + Y**2 - 1, (X - F(1, 2)) ** 2 + Y**2 - Z**2
+    save_instance(IncidenceInstance(Surface([cylinder, cone]), [], []), quadrics)
+    return {"product": str(product_file), "lifted": str(lifted),
+            "quadrics": str(quadrics), "out": str(tmp_path / "out.json")}
+
+
 class TestGoldenText:
-    """Exact text reports on the product fixture, frozen from a known-good
-    build; any change to a number or to the layout shows here."""
+    """Exact stdout and exit code of every subcommand, text and JSON, frozen
+    from a known-good build; any change to a number or to the layout shows
+    here."""
 
     @pytest.mark.parametrize(
         "argv, expected",
@@ -266,6 +467,36 @@ class TestGoldenText:
     )
     def test_full_stdout(self, product_file, capsys, argv, expected):
         code, out, _ = run(capsys, argv[0], str(product_file), *argv[1:])
+        assert code == 0
+        assert out == expected
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (PRODUCT_GEN_ARGS, PRODUCT_GEN),
+            (PRODUCT_GEN_ARGS + ("--json-out",), PRODUCT_GEN_JSON),
+            (("classify", "{product}"), PRODUCT_CLASSIFY),
+            (("classify", "{product}", "--json-out"), PRODUCT_CLASSIFY_JSON),
+            (("classify", "{quadrics}"), QUADRICS_CLASSIFY),
+            (("classify", "{quadrics}", "--json-out"), QUADRICS_CLASSIFY_JSON),
+            (("flecnode", "{product}"), PRODUCT_FLECNODE),
+            (("flecnode", "{product}", "--json-out"), PRODUCT_FLECNODE_JSON),
+            (("incidence", "{lifted}"), LIFTED_INCIDENCE),
+            (("verify", "{product}", "--planes"), PRODUCT_VERIFY_PLANES),
+            (("verify", "{lifted}", "--degree", "3"), LIFTED_VERIFY_DEGREE_3),
+            (("project", "{lifted}", "--seed", "2", "-o", "{out}"), LIFTED_PROJECT),
+            (("project", "{lifted}", "--seed", "2", "-o", "{out}", "--json-out"),
+             LIFTED_PROJECT_JSON),
+        ],
+        ids=[
+            "gen", "gen-json", "classify", "classify-json", "classify-quadrics",
+            "classify-quadrics-json", "flecnode", "flecnode-json",
+            "incidence-surfaceless", "verify-planes", "verify-degree", "project",
+            "project-json",
+        ],
+    )
+    def test_every_subcommand(self, golden_files, capsys, argv, expected):
+        code, out, _ = run(capsys, *(a.format(**golden_files) for a in argv))
         assert code == 0
         assert out == expected
 

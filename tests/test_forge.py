@@ -8,7 +8,6 @@ from incgeo.errors import ArityError, DomainError, ResampleExhaustedError
 from incgeo.forge import (
     ORIGIN,
     WHITNEY_SINGULAR_AXIS,
-    IncidenceInstance,
     build_instance,
     lift_to_dim,
     make_lines,
@@ -16,6 +15,7 @@ from incgeo.forge import (
     place_points,
 )
 from incgeo.incidence import count_incidences, max_lines_per_flat, verify_bound
+from incgeo.instfile import IncidenceInstance
 from incgeo.linespace import AffLine, incidence_point_line, line_on_surface
 
 F = Fraction

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from incgeo import incidence
 from incgeo.errors import DegenerateLineError, DomainError, NotOnSurfaceError, PlanarComponentError
 from incgeo.incidence import (
     BoundReport,
@@ -27,7 +28,7 @@ from incgeo.incidence import (
     verify_bound,
     verify_planes_bound,
 )
-from incgeo.linespace import AffLine, coplanar_triple, incidence_point_line
+from incgeo.linespace import AffLine, coplanar_triple, incidence_point_line, line_relation
 from incgeo.poly import variables
 from incgeo.surfaces import Surface, Verdict
 
@@ -206,6 +207,20 @@ def test_max_lines_per_flat_triangle():
 def test_max_lines_per_flat_parallel_family():
     fam = [AffLine((0, c, 0), (1, 0, 0)) for c in range(6)]
     assert max_lines_per_flat(fam) == 6
+
+
+def test_max_lines_per_flat_classifies_each_pair_once(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return line_relation(a, b)
+
+    monkeypatch.setattr(incidence, "line_relation", counted)
+    _, _, lines = product_instance()
+    assert max_lines_per_flat(lines) == 3
+    n = len(lines)
+    assert len(calls) == n * (n - 1) // 2
 
 
 def test_product_instance_coplanarity():

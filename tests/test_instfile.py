@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from incgeo.errors import ParseError
-from incgeo.forge import IncidenceInstance, build_instance
+from incgeo.forge import build_instance
 from incgeo.instfile import (
+    MAX_DEGREE,
+    IncidenceInstance,
     dumps_instance,
     format_rational,
     instance_to_obj,
@@ -63,11 +65,17 @@ class TestPolySerialization:
             {"terms": [{"n": True, "d": 1, "e": [0, 0, 0]}]},
             {"terms": [{"n": 1, "d": True, "e": [0, 0, 0]}]},
             {"terms": [{"n": 1, "d": 1, "e": [True, 0, 0]}]},
+            {"terms": [{"n": 1, "d": 1, "e": [0, MAX_DEGREE + 1, 0]}]},
+            {"terms": [{"n": 1, "d": 1, "e": [0, 0, 0]}, {"n": 1, "d": 1, "e": [40, 0, 40]}]},
         ],
     )
     def test_rejects_malformed_polynomials(self, obj):
         with pytest.raises(ParseError):
             obj_to_poly(obj, 3)
+
+    def test_degree_cap_is_inclusive(self):
+        p = obj_to_poly({"terms": [{"n": 1, "d": 1, "e": [1, MAX_DEGREE - 2, 1]}]}, 3)
+        assert p.degree() == MAX_DEGREE
 
 
 class TestInstanceFiles:

@@ -11,6 +11,7 @@ from math import inf
 
 import pytest
 
+from incgeo import surfaces
 from incgeo.errors import (
     AllSampledPointsSingularError,
     DegreeError,
@@ -317,6 +318,39 @@ def test_classify_cubic_cone():
     r = classify_component(cubic_cone)
     assert r.verdict is Verdict.CONE
     assert r.apex == (0, 0, 0)
+
+
+# -- memo
+
+
+def test_repeat_calls_hit_the_memo():
+    calls = [
+        (surfaces._flecnode_witness, lambda: flecnode_polynomial(RULED_CUBIC)),
+        (surfaces._lines_through, lambda: find_lines_through_point(CONE, (3, 4, 5), 10)),
+        (surfaces._exceptional_among, lambda: exceptional_lines(RULED_CUBIC, cubic_family(), 10)),
+    ]
+    for memo, call in calls:
+        first = call()
+        before = memo.cache_info()
+        assert call() == first
+        after = memo.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_memoized_line_search_returns_a_fresh_list():
+    lines = find_lines_through_point(CONE, (3, 4, 5), 10)
+    lines.append(Z_AXIS)
+    assert find_lines_through_point(CONE, (3, 4, 5), 10) == [AffLine((0, 0, 0), (3, 4, 5))]
+
+
+def test_exceptional_lines_follow_the_given_order():
+    # on the regulus every ruling meets many others, so all are reported;
+    # a memo hit must not hand back the order of an earlier call
+    rulings = [AffLine((0, c, 0), (1, 0, c)) for c in range(-2, 3)]
+    rulings += [AffLine((c, 0, 0), (0, 1, c)) for c in range(-2, 3)]
+    assert exceptional_lines(REGULUS, rulings, 10, enforce_cap=False) == rulings
+    reverse = rulings[::-1]
+    assert exceptional_lines(REGULUS, reverse, 10, enforce_cap=False) == reverse
 
 
 # -- lines through a point
