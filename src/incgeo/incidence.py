@@ -25,7 +25,14 @@ from .errors import (
     PlanarComponentError,
 )
 from .linalg import Vec, to_vec, vec_sub
-from .linespace import AffLine, RelationKind, incidence_point_line, line_on_surface, line_relation
+from .linespace import (
+    AffLine,
+    RelationKind,
+    flat_key,
+    incidence_point_line,
+    line_on_surface,
+    line_relation,
+)
 from .surfaces import (
     ClassificationResult,
     Surface,
@@ -88,16 +95,6 @@ class IncidenceTable:
 # -- coplanarity parameter ---------------------------------------------------
 
 
-def _flat_key(a: AffLine, w: Vec) -> Vec:
-    """Key of the 2-flat a.base + span(a.direction, w) among the flats through
-    a: w reduced to zero at the pivot of a's direction and scaled to first
-    nonzero entry 1, so any nonzero multiple of w gives the same key."""
-    pivot = next(i for i, c in enumerate(a.direction) if c)
-    reduced = tuple(wc - w[pivot] * dc for wc, dc in zip(w, a.direction))
-    lead = next(c for c in reduced if c)
-    return tuple(c / lead for c in reduced)
-
-
 def max_lines_per_flat(lines: Sequence[AffLine]) -> int:
     """Largest number of family lines lying in a common plane.
 
@@ -120,8 +117,8 @@ def max_lines_per_flat(lines: Sequence[AffLine]) -> int:
                 w_a = w_b = vec_sub(b.base, a.base)
             else:
                 continue
-            per_flat[i][_flat_key(a, w_a)] += 1
-            per_flat[j][_flat_key(b, w_b)] += 1
+            per_flat[i][flat_key(a, w_a)] += 1
+            per_flat[j][flat_key(b, w_b)] += 1
     return 1 + max(max(counts.values(), default=0) for counts in per_flat)
 
 

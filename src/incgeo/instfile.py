@@ -14,9 +14,10 @@ and a file round-trips byte for byte.
     }
 
 A lifted instance has no surface; the field is null and "dim" may exceed 3.
-A polynomial term of total degree above MAX_DEGREE is refused on reading:
-checking a line against the surface expands every power, so one huge
-exponent would stall the load.
+A polynomial term of total degree above MAX_DEGREE, or a polynomial of more
+than MAX_TERMS terms, is refused on reading: checking a line against the
+surface expands every term along the line, so one huge exponent or a dense
+high-degree factor would stall the load.
 """
 
 from __future__ import annotations
@@ -86,6 +87,11 @@ class IncidenceInstance:
 
 
 MAX_DEGREE = 64
+# Checking a line against a factor expands each term along the line, about
+# 13 ms a term at degree MAX_DEGREE (2-vCPU Xeon VM, Python 3.11), so a factor
+# at the cap takes under 1 s.  Every polynomial of degree 5 or less (at most
+# 56 terms) fits; the catalog factors have at most 4 terms.
+MAX_TERMS = 64
 
 
 def format_rational(q: Fraction) -> str:
@@ -127,6 +133,8 @@ def poly_to_obj(p: Poly) -> dict:
 def obj_to_poly(obj: object, nvars: int) -> Poly:
     if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
         raise ParseError(f"expected a polynomial object, got {obj!r}")
+    if len(obj["terms"]) > MAX_TERMS:
+        raise ParseError(f"polynomial of {len(obj['terms'])} terms exceeds the cap {MAX_TERMS}")
     terms: dict[tuple[int, ...], Fraction] = {}
     for item in obj["terms"]:
         if not isinstance(item, dict):

@@ -292,6 +292,19 @@ def coplanar_triple(l1: AffLine, l2: AffLine, l3: AffLine) -> bool:
     return linalg.rank(rows) <= 2
 
 
+def flat_key(a: AffLine, w: Vec) -> Vec:
+    """Key of the 2-flat a.base + span(a.direction, w) among the flats through
+    a: w reduced to zero at the pivot of a's direction and scaled to first
+    nonzero entry 1, so any nonzero multiple of w gives the same key.
+
+    A coplanar partner b of a spans the flat with w = b.direction when the
+    two lines meet and w = b.base - a.base when they are parallel."""
+    pivot = next(i for i, c in enumerate(a.direction) if c)
+    reduced = tuple(wc - w[pivot] * dc for wc, dc in zip(w, a.direction))
+    lead = next(c for c in reduced if c)
+    return tuple(c / lead for c in reduced)
+
+
 def line_on_surface(f: Poly, ln: AffLine) -> bool:
     """True iff the whole line lies in the zero set of f."""
     if f.nvars != ln.dim:

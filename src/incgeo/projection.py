@@ -8,18 +8,26 @@ stay distinct, lines stay distinct and none collapses, the incidence
 relation is preserved pair for pair, and non-coplanar line triples stay
 non-coplanar.  Failed samples are retried against a fixed budget, so the
 output carries a certificate rather than a probabilistic promise.
+
+The triple check costs O(n^2) pair tests, not O(n^3) triple tests: three
+projected lines share a 2-flat only if each two of them do, so each line's
+coplanar partners are grouped by the flat they span with it (the key
+linespace.flat_key also gives the coplanarity parameter s), and only triples
+inside one group are tested exactly on the original side.
 """
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import combinations
+from typing import Iterator, Sequence
 
 from .errors import ArityError, CollapseError, DomainError, ResampleExhaustedError
-from .linalg import Vec, is_zero_vec, to_vec
-from .linespace import AffLine, coplanar_triple, incidence_point_line
+from .linalg import Vec, is_zero_vec, rank, to_vec, vec_sub
+from .linespace import AffLine, coplanar_triple, flat_key, incidence_point_line
 
 SAMPLE_MAGNITUDE = 10**4
 MAX_RESAMPLES = 32
@@ -83,6 +91,46 @@ def project_once(
     return out_points, out_lines
 
 
+def _coplanar_triples(lines: Sequence[AffLine]) -> Iterator[tuple[int, int, int]]:
+    """Every index triple i < j < k whose lines lie in one 2-flat.
+
+    Three lines share a 2-flat only if each two of them do, and two distinct
+    coplanar lines span exactly one.  So each pair (i, j) with i < j is
+    tested once, the partners j of line i are grouped by the flat they span
+    with it, and only triples inside one group are coplanar.  A partner
+    equal to line i lies in every flat through it, so it completes a
+    coplanar triple with any other partner.
+    """
+    n = len(lines)
+    for i in range(n - 2):
+        a = lines[i]
+        groups: defaultdict[Vec, list[int]] = defaultdict(list)
+        equal: list[int] = []
+        for j in range(i + 1, n):
+            b = lines[j]
+            if b.dim != a.dim:
+                raise ArityError("lines live in different dimensions")
+            delta = vec_sub(b.base, a.base)
+            if b.direction == a.direction:  # directions are canonical
+                if is_zero_vec(delta):
+                    equal.append(j)
+                    continue
+                w = delta
+            elif rank([a.direction, b.direction, delta]) <= 2:
+                w = b.direction
+            else:
+                continue
+            groups[flat_key(a, w)].append(j)
+        for group in groups.values():
+            for j, k in combinations(group, 2):
+                yield i, j, k
+        if equal:
+            partners = sorted(equal + [j for group in groups.values() for j in group])
+            for j, k in combinations(partners, 2):
+                if j in equal or k in equal:
+                    yield i, j, k
+
+
 def is_generic(
     points: Sequence,
     lines: Sequence[AffLine],
@@ -92,7 +140,10 @@ def is_generic(
     """Certify that a projection preserved the instance combinatorics.
 
     Incidence preservation is checked in both directions on every pair, so
-    accidental new incidences are caught, not just lost ones.
+    accidental new incidences are caught, not just lost ones.  A triple is
+    tested on the original side only if its projected lines share a 2-flat:
+    any other triple is non-coplanar after the projection, so it cannot
+    have become coplanar.
     """
     pts = [to_vec(p) for p in points]
     pts2 = [to_vec(p) for p in projected_points]
@@ -108,20 +159,9 @@ def is_generic(
         for p, q in zip(pts, pts2)
         for ln, ln2 in zip(lines, lines2)
     )
-    triples_ok = True
-    n = len(lines)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if not coplanar_triple(lines[i], lines[j], lines[k]) and coplanar_triple(
-                    lines2[i], lines2[j], lines2[k]
-                ):
-                    triples_ok = False
-                    break
-            if not triples_ok:
-                break
-        if not triples_ok:
-            break
+    triples_ok = all(
+        coplanar_triple(lines[i], lines[j], lines[k]) for i, j, k in _coplanar_triples(lines2)
+    )
     return GenericityCertificate(
         points_distinct=points_distinct,
         lines_distinct=lines_distinct,

@@ -232,6 +232,32 @@ class TestErrorPaths:
         assert time.perf_counter() - started < 1.0
         assert code == 2 and "exceeds the cap" in err
 
+    def test_dense_factor_exits_fast(self, tmp_path, capsys):
+        # every monomial of degree at most 64 (47,905 terms, 1.7 MB) with one
+        # line: checking the line against it used to take minutes
+        path = tmp_path / "dense.json"
+        terms = [
+            {"n": 1, "d": 1, "e": [i, j, k]}
+            for i in range(65) for j in range(65 - i) for k in range(65 - i - j)
+        ]
+        path.write_text(json.dumps({
+            "dim": 3,
+            "surface": {"vars": 3, "factors": [{"terms": terms}]},
+            "points": [],
+            "lines": [{"base": ["1", "1", "1"], "dir": ["1", "2", "3"]}],
+        }), encoding="utf-8")
+        started = time.perf_counter()
+        code, _, err = run(capsys, "incidence", str(path))
+        assert time.perf_counter() - started < 1.0
+        assert code == 2 and "47905 terms exceeds the cap" in err
+
+    def test_module_entry_point(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "incgeo", "--help"], capture_output=True, text=True
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: incgeo ")
+
     def test_argparse_usage_exit(self):
         with pytest.raises(SystemExit) as exc:
             main(["nosuchcommand"])

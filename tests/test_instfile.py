@@ -8,6 +8,7 @@ from incgeo.errors import ParseError
 from incgeo.forge import build_instance
 from incgeo.instfile import (
     MAX_DEGREE,
+    MAX_TERMS,
     IncidenceInstance,
     dumps_instance,
     format_rational,
@@ -76,6 +77,12 @@ class TestPolySerialization:
     def test_degree_cap_is_inclusive(self):
         p = obj_to_poly({"terms": [{"n": 1, "d": 1, "e": [1, MAX_DEGREE - 2, 1]}]}, 3)
         assert p.degree() == MAX_DEGREE
+
+    def test_term_cap_is_inclusive(self):
+        terms = [{"n": 1, "d": 1, "e": [k, 0, 1]} for k in range(MAX_TERMS + 1)]
+        assert len(obj_to_poly({"terms": terms[:MAX_TERMS]}, 3).terms) == MAX_TERMS
+        with pytest.raises(ParseError, match="exceeds the cap"):
+            obj_to_poly({"terms": terms}, 3)
 
 
 class TestInstanceFiles:

@@ -1,14 +1,25 @@
 """Tests for generic dimension-lowering projections."""
 
+from dataclasses import astuple
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from incgeo import projection
 from incgeo.errors import ArityError, CollapseError, DomainError, ResampleExhaustedError
+from incgeo.forge import build_instance, lift_to_dim
 from incgeo.incidence import count_incidences
-from incgeo.linespace import AffLine, coplanar_triple
+from incgeo.linalg import is_zero_vec, to_vec
+from incgeo.linespace import (
+    AffLine,
+    RelationKind,
+    coplanar_triple,
+    incidence_point_line,
+    line_relation,
+)
 from incgeo.projection import (
     is_generic,
     project_once,
@@ -198,3 +209,188 @@ class TestProjectionProperties:
         assert len(pts3) == len(pts)
         assert len(lns3) == len(lns)
         assert count_incidences(pts3, lns3) == before
+
+
+def brute_force_certificate(points, lines, projected_points, projected_lines):
+    """The four certificate booleans with every line triple tested on both
+    sides: the reference for is_generic, which tests triples only inside a
+    shared projected plane."""
+    pts = [to_vec(p) for p in points]
+    pts2 = [to_vec(p) for p in projected_points]
+    lines2 = list(projected_lines)
+    return (
+        len(set(pts2)) == len(set(pts)) == len(pts),
+        len(set(lines2)) == len(set(lines)) == len(lines),
+        all(
+            incidence_point_line(p, ln) == incidence_point_line(q, ln2)
+            for p, q in zip(pts, pts2)
+            for ln, ln2 in zip(lines, lines2)
+        ),
+        all(
+            coplanar_triple(lines[i], lines[j], lines[k])
+            or not coplanar_triple(lines2[i], lines2[j], lines2[k])
+            for i, j, k in combinations(range(len(lines)), 3)
+        ),
+    )
+
+
+def certificate_fields(cert):
+    return astuple(cert)[:4]
+
+
+def nonzero(dim):
+    return st.tuples(*[st.integers(-3, 3)] * dim).filter(any).map(to_vec)
+
+
+def keep_projectable(lines, w):
+    """Drop the lines that would collapse to a point along w."""
+    return [ln for ln in lines if not is_zero_vec(project_vector(ln.direction, w))]
+
+
+@st.composite
+def lifted_catalog_projections(draw):
+    """A lifted catalog instance, as in c10, and a small integer direction,
+    so that degenerate projections are drawn now and then."""
+    kind = draw(st.sampled_from(("cone", "regulus", "whitney", "product")))
+    seed = draw(st.integers(0, 10**6))
+    inst = build_instance(kind, draw(st.integers(3, 6)), draw(st.integers(5, 9)), seed=seed)
+    dim = draw(st.integers(4, 5))
+    pts, lns = lift_to_dim(inst.points, inst.lines, dim, seed=seed)
+    w = draw(nonzero(dim))
+    return pts, keep_projectable(lns, w), w
+
+
+@st.composite
+def adversarial_projections(draw):
+    """Pencils of concurrent lines, parallel classes and several lines in one
+    plane (some of them parallel), in a shuffled order, projected along a
+    random direction or along one that makes two lines coincide."""
+    dim = draw(st.integers(4, 5))
+    vec = st.tuples(*[st.integers(-3, 3)] * dim).map(to_vec)
+    small = st.integers(-2, 2)
+    lines = []
+    center = draw(vec)
+    lines += [AffLine(center, d) for d in draw(st.lists(nonzero(dim), max_size=4))]
+    shared = draw(nonzero(dim))
+    lines += [AffLine(b, shared) for b in draw(st.lists(vec, max_size=3))]
+    origin, u, v = draw(vec), draw(nonzero(dim)), draw(nonzero(dim))
+    for a, b, al, be in draw(st.lists(st.tuples(small, small, small, small), max_size=5)):
+        direction = tuple(al * x + be * y for x, y in zip(u, v))
+        if any(direction):
+            lines.append(AffLine(tuple(o + a * x + b * y for o, x, y in zip(origin, u, v)),
+                                 direction))
+    lines += [AffLine(draw(vec), d) for d in draw(st.lists(nonzero(dim), max_size=1))]
+    if len(lines) < 2:
+        lines += [
+            AffLine(center, (1,) + (0,) * (dim - 1)),
+            AffLine(origin, (0, 1) + (0,) * (dim - 2)),
+        ]
+    lines = [lines[i] for i in draw(st.permutations(range(len(lines))))]
+
+    w = draw(nonzero(dim))
+    i, j = draw(st.lists(st.integers(0, len(lines) - 1), min_size=2, max_size=2, unique=True))
+    a, b = lines[i], lines[j]
+    kind = line_relation(a, b).kind
+    if draw(st.booleans()) and kind in (RelationKind.PARALLEL, RelationKind.INTERSECTING):
+        # a direction inside the plane of a and b but along neither line
+        # maps that plane onto one line, so a and b land on the same line
+        if kind is RelationKind.PARALLEL:
+            w = tuple(y - x for x, y in zip(a.base, b.base))
+        else:
+            w = tuple(x + y for x, y in zip(a.direction, b.direction))
+
+    points = [center, origin] + [ln.point_at(t) for ln in lines for t in draw(
+        st.lists(st.integers(-2, 2), max_size=1))]
+    points.append(draw(vec))
+    return points, keep_projectable(lines, w), w
+
+
+class TestCertificateAgainstBruteForce:
+    @staticmethod
+    def check(instance):
+        pts, lns, w = instance
+        pts2, lns2 = project_once(pts, lns, w)
+        expected = brute_force_certificate(pts, lns, pts2, lns2)
+        assert certificate_fields(is_generic(pts, lns, pts2, lns2)) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(lifted_catalog_projections())
+    def test_lifted_catalog_families(self, instance):
+        self.check(instance)
+
+    @settings(max_examples=150, deadline=None)
+    @given(adversarial_projections())
+    def test_adversarial_configurations(self, instance):
+        self.check(instance)
+
+    def test_coincident_projected_lines(self):
+        # a and b are parallel in R^4; projecting along their base difference
+        # puts them on one line.  c leaves their plane, so the triple a, b, c
+        # is not coplanar before; after, it is coplanar exactly when the
+        # image of c meets the common image of a and b.
+        a = AffLine((0, 0, 0, 0), (1, 0, 0, 0))
+        b = AffLine((0, 1, 0, 0), (1, 0, 0, 0))
+        w = (F(0), F(1), F(0), F(0))
+        for c, triples_ok in (
+            (AffLine((0, 0, 1, 0), (0, 0, 0, 1)), True),
+            (AffLine((0, 0, 0, 1), (0, 1, 0, 1)), False),
+        ):
+            pts2, lns2 = project_once([], [a, b, c], w)
+            assert lns2[0] == lns2[1]
+            cert = is_generic([], [a, b, c], pts2, lns2)
+            assert certificate_fields(cert) == brute_force_certificate([], [a, b, c], [], lns2)
+            assert cert.noncoplanar_triples_preserved is triples_ok
+            assert not cert.lines_distinct
+
+
+@pytest.fixture()
+def triple_calls(monkeypatch):
+    """Record every coplanar_triple call that is_generic makes."""
+    calls = []
+
+    def counting(*lines):
+        calls.append(lines)
+        return coplanar_triple(*lines)
+
+    monkeypatch.setattr(projection, "coplanar_triple", counting)
+    return calls
+
+
+class TestTripleTestMechanism:
+    def test_pencil_needs_no_triple_test(self, triple_calls):
+        # directions on the moment curve: no three are linearly dependent,
+        # so no three lines of the pencil share a plane, before or after
+        center = (1, 2, 0, -1)
+        lines = [AffLine(center, (1, k, k * k, k**3)) for k in range(8)]
+        w = (F(1), F(3), F(-5), F(7))
+        pts2, lns2 = project_once([center], lines, w)
+        cert = is_generic([center], lines, pts2, lns2)
+        assert cert.ok
+        assert triple_calls == []
+
+    def test_pairwise_skew_image_needs_no_triple_test(self, triple_calls):
+        lines = [AffLine((k, 0, k * k, 1), (1, k, k**3, 2 * k + 1)) for k in range(1, 9)]
+        w = (F(2), F(-1), F(3), F(1))
+        pts2, lns2 = project_once([], lines, w)
+        assert all(line_relation(a, b).kind is RelationKind.SKEW
+                   for a, b in combinations(lns2, 2))
+        assert is_generic([], lines, pts2, lns2).ok
+        assert triple_calls == []
+
+    def test_only_triples_in_a_shared_plane_are_tested(self, triple_calls):
+        # four lines in the plane x3 = x4 = 0, two of them parallel, plus a
+        # pencil of three lines through a point off that plane
+        plane = [
+            AffLine((0, 0, 0, 0), (1, 0, 0, 0)),
+            AffLine((0, 1, 0, 0), (1, 0, 0, 0)),
+            AffLine((0, 0, 0, 0), (0, 1, 0, 0)),
+            AffLine((1, 0, 0, 0), (1, 1, 0, 0)),
+        ]
+        pencil = [AffLine((0, 0, 1, 1), d) for d in ((1, 0, 1, 0), (0, 1, 0, 1), (1, 1, 1, 2))]
+        lines = plane + pencil
+        w = (F(1), F(3), F(-5), F(7))
+        pts2, lns2 = project_once([], lines, w)
+        assert is_generic([], lines, pts2, lns2).ok
+        in_plane = {frozenset(t) for t in combinations(plane, 3)}
+        assert len(triple_calls) == 4
+        assert {frozenset(c) for c in triple_calls} == in_plane
