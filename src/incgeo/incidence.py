@@ -1,20 +1,19 @@
 """Point-line incidence counting over a known surface decomposition.
 
-The workflow: build the instance's IncidenceTable, which checks every
-point-line pair exactly once and records the relation both ways; measure
-the coplanarity parameter s; split the line family by surface factor into
-the structured part L0 (lines on non-ruled factors, on several factors at
-once, or exceptional on a singly ruled factor) and the generic part L1;
-then read the incidence count, the conical incidences, the pruned points
-and the meeting counts off the table, check the structural caps and
-evaluate the closed-form bounds.  count_incidences is the exhaustive
-reference count.  Bound evaluation is the only place floats appear;
-everything combinatorial is exact.
+The workflow: build the instance's IncidenceTable, which holds the
+point-line relation (linespace.incidence_relation) both ways; measure the
+coplanarity parameter s from linespace.coplanar_partners; split the line
+family by surface factor into the structured part L0 (lines on non-ruled
+factors, on several factors at once, or exceptional on a singly ruled
+factor) and the generic part L1; then read the incidence count, the
+conical incidences, the pruned points and the meeting counts off the
+table, check the structural caps and evaluate the closed-form bounds.
+count_incidences is the exhaustive reference count.  Bound evaluation is
+the only place floats appear; everything combinatorial is exact.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -24,14 +23,13 @@ from .errors import (
     NotOnSurfaceError,
     PlanarComponentError,
 )
-from .linalg import Vec, to_vec, vec_sub
+from .linalg import Vec, to_vec
 from .linespace import (
     AffLine,
-    RelationKind,
-    flat_key,
+    coplanar_partners,
     incidence_point_line,
+    incidence_relation,
     line_on_surface,
-    line_relation,
 )
 from .surfaces import (
     ClassificationResult,
@@ -74,9 +72,7 @@ class IncidenceTable:
             raise DomainError("point set contains duplicates")
         if len(set(lns)) != len(lns):
             raise DomainError("line family contains duplicates")
-        lines_at = tuple(
-            tuple(j for j, ln in enumerate(lns) if incidence_point_line(p, ln)) for p in pts
-        )
+        lines_at = incidence_relation(pts, lns)
         points_on: list[list[int]] = [[] for _ in lns]
         for i, through in enumerate(lines_at):
             for j in through:
@@ -98,28 +94,17 @@ class IncidenceTable:
 def max_lines_per_flat(lines: Sequence[AffLine]) -> int:
     """Largest number of family lines lying in a common plane.
 
-    Zero for an empty family; one when no two lines are coplanar.  Any two
-    lines inside a common plane either meet or are parallel, so grouping the
-    partners of each line by the plane they span with it sees every
-    populated plane.  Each unordered pair is classified once; a meeting pair
-    spans its two directions, a parallel pair a's direction and b.base - a.base.
+    Zero for an empty family.  The lowest-index line of a plane finds every
+    other line of it in one group of coplanar_partners, so s is one more
+    than the largest group.  Duplicate lines are rejected.
     """
+    if len(set(lines)) != len(lines):
+        raise DomainError("line family contains duplicates")
     if not lines:
         return 0
-    per_flat: list[Counter] = [Counter() for _ in lines]
-    for i, a in enumerate(lines):
-        for j in range(i + 1, len(lines)):
-            b = lines[j]
-            kind = line_relation(a, b).kind
-            if kind is RelationKind.INTERSECTING:
-                w_a, w_b = b.direction, a.direction
-            elif kind is RelationKind.PARALLEL:
-                w_a = w_b = vec_sub(b.base, a.base)
-            else:
-                continue
-            per_flat[i][flat_key(a, w_a)] += 1
-            per_flat[j][flat_key(b, w_b)] += 1
-    return 1 + max(max(counts.values(), default=0) for counts in per_flat)
+    return 1 + max(
+        (len(group) for groups, _ in coplanar_partners(lines) for group in groups), default=0
+    )
 
 
 # -- decomposition of the line family ----------------------------------------
@@ -163,9 +148,7 @@ class Decomposition:
         return 11 * non_ruled_sq + d * d + d
 
 
-def decompose_lines(
-    surface: Surface, lines: Sequence[AffLine], denominator_bound: int = 10
-) -> Decomposition:
+def decompose_lines(surface: Surface, lines: Sequence[AffLine]) -> Decomposition:
     """Classify the factors and split the line family into L0 and L1."""
     lines = tuple(lines)
     if len(set(lines)) != len(lines):
@@ -196,11 +179,7 @@ def decompose_lines(
         if r.verdict is Verdict.CONE and r.apex is not None:
             apexes[i] = r.apex
         if r.verdict is Verdict.SINGLY_RULED:
-            exceptional[i] = tuple(
-                exceptional_lines(
-                    surface.factors[i], per_factor_lines[i], denominator_bound
-                )
-            )
+            exceptional[i] = tuple(exceptional_lines(surface.factors[i], per_factor_lines[i]))
 
     structured: list[AffLine] = []
     generic: list[AffLine] = []

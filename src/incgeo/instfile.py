@@ -62,8 +62,9 @@ class IncidenceInstance:
         if surface is not None:
             if dims and dims != {3}:
                 raise ArityError("a surface-carrying instance must live in 3-space")
+            # a line lies in Z(gh) iff it lies in Z(g) or in Z(h)
             for ln in lns:
-                if not line_on_surface(surface.f, ln):
+                if not any(line_on_surface(w, ln) for w in surface.factors):
                     raise DomainError("an instance line misses the surface")
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "points", pts)

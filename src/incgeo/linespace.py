@@ -14,14 +14,18 @@ Conventions, fixed once for the whole package:
 
 All coordinate vectors canonicalize by scaling so the first nonzero entry
 is 1, which makes equality and hashing exact.
+
+An instance's two pairwise relations are built here, one pass each:
+incidence_relation (point-line) and coplanar_partners (line-line).
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import linalg
 from .errors import (
@@ -30,7 +34,7 @@ from .errors import (
     DegenerateLineError,
     DomainError,
 )
-from .linalg import Vec, cross, dot, to_vec, vec_scale, vec_sub
+from .linalg import Vec, cross, dot, is_zero_vec, to_vec, vec_scale, vec_sub
 from .poly import Poly, restrict_to_line
 
 
@@ -257,6 +261,14 @@ def incidence_point_line(point: Sequence, ln: AffLine) -> bool:
     return all(dv == t * dd for dv, dd in zip(delta, ln.direction))
 
 
+def incidence_relation(points: Sequence, lines: Sequence[AffLine]) -> tuple[tuple[int, ...], ...]:
+    """For each point, the ascending indices of the lines through it; one
+    incidence_point_line check per pair."""
+    return tuple(
+        tuple(j for j, ln in enumerate(lines) if incidence_point_line(p, ln)) for p in points
+    )
+
+
 def line_relation(l1: AffLine, l2: AffLine) -> LineRelation:
     """Classify an ordered pair of affine lines in R^d.
 
@@ -267,7 +279,7 @@ def line_relation(l1: AffLine, l2: AffLine) -> LineRelation:
         raise ArityError("lines live in different dimensions")
     if l1 == l2:
         return LineRelation(RelationKind.EQUAL)
-    if linalg.rank([l1.direction, l2.direction]) == 1:
+    if l1.direction == l2.direction:  # directions are canonical
         return LineRelation(RelationKind.PARALLEL)
     delta = vec_sub(l2.base, l1.base)
     cols = list(zip(l1.direction, tuple(-c for c in l2.direction)))
@@ -295,14 +307,43 @@ def coplanar_triple(l1: AffLine, l2: AffLine, l3: AffLine) -> bool:
 def flat_key(a: AffLine, w: Vec) -> Vec:
     """Key of the 2-flat a.base + span(a.direction, w) among the flats through
     a: w reduced to zero at the pivot of a's direction and scaled to first
-    nonzero entry 1, so any nonzero multiple of w gives the same key.
-
-    A coplanar partner b of a spans the flat with w = b.direction when the
-    two lines meet and w = b.base - a.base when they are parallel."""
+    nonzero entry 1, so any nonzero multiple of w gives the same key."""
     pivot = next(i for i, c in enumerate(a.direction) if c)
     reduced = tuple(wc - w[pivot] * dc for wc, dc in zip(w, a.direction))
     lead = next(c for c in reduced if c)
     return tuple(c / lead for c in reduced)
+
+
+def _partner_span(a: AffLine, b: AffLine) -> Vec | None:
+    """w with b inside the 2-flat a.base + span(a.direction, w), None if the
+    lines are skew: b's direction if they meet, else b.base - a.base (zero
+    if they are equal)."""
+    if a.dim != b.dim:
+        raise ArityError("lines live in different dimensions")
+    delta = vec_sub(b.base, a.base)
+    if a.direction == b.direction:  # directions are canonical
+        return delta
+    if linalg.rank([a.direction, b.direction, delta]) <= 2:
+        return b.direction
+    return None
+
+
+def coplanar_partners(lines: Sequence[AffLine]) -> Iterator[tuple[list[list[int]], list[int]]]:
+    """For each line a, in order: the indices of its later coplanar
+    partners, grouped by the 2-flat they span with a (flat_key), and of its
+    later equal lines.  Each unordered pair is tested once."""
+    for i, a in enumerate(lines):
+        groups: defaultdict[Vec, list[int]] = defaultdict(list)
+        equal: list[int] = []
+        for j in range(i + 1, len(lines)):
+            w = _partner_span(a, lines[j])
+            if w is None:
+                continue
+            if is_zero_vec(w):
+                equal.append(j)
+            else:
+                groups[flat_key(a, w)].append(j)
+        yield list(groups.values()), equal
 
 
 def line_on_surface(f: Poly, ln: AffLine) -> bool:

@@ -9,25 +9,25 @@ relation is preserved pair for pair, and non-coplanar line triples stay
 non-coplanar.  Failed samples are retried against a fixed budget, so the
 output carries a certificate rather than a probabilistic promise.
 
-The triple check costs O(n^2) pair tests, not O(n^3) triple tests: three
-projected lines share a 2-flat only if each two of them do, so each line's
-coplanar partners are grouped by the flat they span with it (the key
-linespace.flat_key also gives the coplanarity parameter s), and only triples
-inside one group are tested exactly on the original side.
+Both pairwise relations come from linespace.  The triple check costs
+O(n^2) pair tests, not O(n^3) triple tests: three projected lines share a
+2-flat only if each two of them do, so only triples inside one group of
+linespace.coplanar_partners are tested exactly on the original side.  The
+original incidence relation is built once: each accepted step certifies
+that it did not change.
 """
 
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Sequence
 
 from .errors import ArityError, CollapseError, DomainError, ResampleExhaustedError
-from .linalg import Vec, is_zero_vec, rank, to_vec, vec_sub
-from .linespace import AffLine, coplanar_triple, flat_key, incidence_point_line
+from .linalg import Vec, is_zero_vec, to_vec
+from .linespace import AffLine, coplanar_partners, coplanar_triple, incidence_relation
 
 SAMPLE_MAGNITUDE = 10**4
 MAX_RESAMPLES = 32
@@ -94,41 +94,40 @@ def project_once(
 def _coplanar_triples(lines: Sequence[AffLine]) -> Iterator[tuple[int, int, int]]:
     """Every index triple i < j < k whose lines lie in one 2-flat.
 
-    Three lines share a 2-flat only if each two of them do, and two distinct
-    coplanar lines span exactly one.  So each pair (i, j) with i < j is
-    tested once, the partners j of line i are grouped by the flat they span
-    with it, and only triples inside one group are coplanar.  A partner
-    equal to line i lies in every flat through it, so it completes a
-    coplanar triple with any other partner.
+    Three lines share a 2-flat only if each two of them do, so such a triple
+    lies inside one group of line i's coplanar partners.  A partner equal to
+    line i lies in every flat through it, so it completes a coplanar triple
+    with any other partner.
     """
-    n = len(lines)
-    for i in range(n - 2):
-        a = lines[i]
-        groups: defaultdict[Vec, list[int]] = defaultdict(list)
-        equal: list[int] = []
-        for j in range(i + 1, n):
-            b = lines[j]
-            if b.dim != a.dim:
-                raise ArityError("lines live in different dimensions")
-            delta = vec_sub(b.base, a.base)
-            if b.direction == a.direction:  # directions are canonical
-                if is_zero_vec(delta):
-                    equal.append(j)
-                    continue
-                w = delta
-            elif rank([a.direction, b.direction, delta]) <= 2:
-                w = b.direction
-            else:
-                continue
-            groups[flat_key(a, w)].append(j)
-        for group in groups.values():
+    for i, (groups, equal) in enumerate(coplanar_partners(lines)):
+        for group in groups:
             for j, k in combinations(group, 2):
                 yield i, j, k
         if equal:
-            partners = sorted(equal + [j for group in groups.values() for j in group])
+            partners = sorted(equal + [j for group in groups for j in group])
             for j, k in combinations(partners, 2):
                 if j in equal or k in equal:
                     yield i, j, k
+
+
+def _certificate(
+    points: Sequence[Vec], lines: Sequence[AffLine], lines_at: tuple[tuple[int, ...], ...],
+    projected_points: Sequence, projected_lines: Sequence[AffLine],
+) -> GenericityCertificate:
+    """is_generic, given the original side's incidence relation as lines_at."""
+    pts2 = [to_vec(p) for p in projected_points]
+    lines2 = list(projected_lines)
+    if len(points) != len(pts2) or len(lines) != len(lines2):
+        raise DomainError("projected instance has mismatched sizes")
+    return GenericityCertificate(
+        points_distinct=len(set(pts2)) == len(set(points)) == len(points),
+        lines_distinct=len(set(lines2)) == len(set(lines)) == len(lines),
+        incidences_preserved=incidence_relation(pts2, lines2) == lines_at,
+        noncoplanar_triples_preserved=all(
+            coplanar_triple(lines[i], lines[j], lines[k]) for i, j, k in _coplanar_triples(lines2)
+        ),
+        resamples_used=0,
+    )
 
 
 def is_generic(
@@ -139,36 +138,16 @@ def is_generic(
 ) -> GenericityCertificate:
     """Certify that a projection preserved the instance combinatorics.
 
-    Incidence preservation is checked in both directions on every pair, so
-    accidental new incidences are caught, not just lost ones.  A triple is
-    tested on the original side only if its projected lines share a 2-flat:
-    any other triple is non-coplanar after the projection, so it cannot
-    have become coplanar.
+    The incidence relation is built on both sides and compared pair for
+    pair, so accidental new incidences are caught, not just lost ones.  A
+    triple is tested on the original side only if its projected lines share
+    a 2-flat: any other triple is non-coplanar after the projection, so it
+    cannot have become coplanar.
     """
     pts = [to_vec(p) for p in points]
-    pts2 = [to_vec(p) for p in projected_points]
     lines = list(lines)
-    lines2 = list(projected_lines)
-    if len(pts) != len(pts2) or len(lines) != len(lines2):
-        raise DomainError("projected instance has mismatched sizes")
-
-    points_distinct = len(set(pts2)) == len(set(pts)) == len(pts)
-    lines_distinct = len(set(lines2)) == len(set(lines)) == len(lines)
-    incidences_preserved = all(
-        incidence_point_line(p, ln) == incidence_point_line(q, ln2)
-        for p, q in zip(pts, pts2)
-        for ln, ln2 in zip(lines, lines2)
-    )
-    triples_ok = all(
-        coplanar_triple(lines[i], lines[j], lines[k]) for i, j, k in _coplanar_triples(lines2)
-    )
-    return GenericityCertificate(
-        points_distinct=points_distinct,
-        lines_distinct=lines_distinct,
-        incidences_preserved=incidences_preserved,
-        noncoplanar_triples_preserved=triples_ok,
-        resamples_used=0,
-    )
+    lines_at = incidence_relation(pts, lines)
+    return _certificate(pts, lines, lines_at, projected_points, projected_lines)
 
 
 def _sample_direction(rng: random.Random, dim: int) -> Vec:
@@ -205,6 +184,8 @@ def project_to_3space(
 
     rng = random.Random(seed)
     resamples = 0
+    # an accepted step preserves the incidence relation, so it is built once
+    lines_at = incidence_relation(pts, lns) if dim > 3 else ()
     while dim > 3:
         accepted = False
         while not accepted:
@@ -213,7 +194,7 @@ def project_to_3space(
                 if is_zero_vec(w):
                     raise CollapseError("zero direction")
                 cand_pts, cand_lns = project_once(pts, lns, w)
-                cert = is_generic(pts, lns, cand_pts, cand_lns)
+                cert = _certificate(pts, lns, lines_at, cand_pts, cand_lns)
             except CollapseError:
                 cert = None
             if cert is not None and cert.ok:

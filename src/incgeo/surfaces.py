@@ -1,13 +1,13 @@
 """Local and global analysis of algebraic surfaces in R^3.
 
-The surface is given by a squarefree polynomial f together with its (known)
-factorization into pairwise distinct squarefree factors; factorization is
-never computed here, only consumed.  The module answers the questions the
-incidence machinery needs: where is the surface singular, which points and
-lines are flat, does a factor admit a ruling (flecnode witness plus
-divisibility), is it a cone, which lines through a point lie on the surface,
-which lines are exceptional, and do the generator-count sums stay below the
-factor degree.
+The surface is given by its (known) factorization into pairwise distinct
+squarefree factors; factorization is never computed here, only consumed,
+and the product f is built only on request.  The module answers the
+questions the incidence machinery needs: where is the surface singular,
+which points and lines are flat, does a factor admit a ruling (flecnode
+witness plus divisibility), is it a cone, which lines through a point lie
+on the surface, which lines are exceptional, and do the generator-count
+sums stay below the factor degree.
 
 Everything is exact.  Ruledness certificates obtained through the flecnode
 route are certificates over the complex numbers; real verdicts are only
@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, inf, lcm
+from math import gcd, inf, lcm, prod
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -56,16 +56,14 @@ from .poly import (
 
 @dataclass(frozen=True)
 class Surface:
-    """A squarefree trivariate polynomial with its known factor list."""
+    """A squarefree trivariate polynomial, kept as its known factor list."""
 
-    f: Poly
     factors: tuple[Poly, ...]
 
-    def __init__(self, factors: Sequence[Poly], f: Poly | None = None):
+    def __init__(self, factors: Sequence[Poly]):
         factors = tuple(factors)
         if not factors:
             raise DomainError("surface needs at least one factor")
-        prod = Poly.const(3, 1)
         seen = set()
         for w in factors:
             if w.nvars != 3:
@@ -78,21 +76,16 @@ class Surface:
             if key in seen:
                 raise DomainError("repeated factor in surface")
             seen.add(key)
-            prod = prod * w
-        if f is None:
-            f = prod
-        else:
-            if f.nvars != 3 or f.is_zero:
-                raise DomainError("surface polynomial must be a nonzero trivariate")
-            quotient_ok = divides(prod, f) and exact_div(f, prod).degree() == 0
-            if not quotient_ok:
-                raise DomainError("factors do not multiply to the surface polynomial")
-        object.__setattr__(self, "f", f)
         object.__setattr__(self, "factors", factors)
+
+    @functools.cached_property
+    def f(self) -> Poly:
+        """The surface polynomial, the product of the factors."""
+        return prod(self.factors, start=Poly.const(3, 1))
 
     @property
     def degree(self) -> int:
-        return self.f.degree()
+        return sum(w.degree() for w in self.factors)
 
 
 def _as_poly(surface_or_poly: Surface | Poly) -> Poly:
@@ -625,7 +618,13 @@ def _primitive_dirs(bound: int):
                     yield (v1, v2, v3)
 
 
-def find_lines_through_point(factor: Poly, p: Sequence, denominator_bound: int = 10) -> list[AffLine]:
+# Entry bound of the line search behind the exceptional-line scans.
+DENOMINATOR_BOUND = 10
+
+
+def find_lines_through_point(
+    factor: Poly, p: Sequence, denominator_bound: int = DENOMINATOR_BOUND
+) -> list[AffLine]:
     """All lines through p inside Z(factor) with small integer directions.
 
     Sound and complete for directions admitting a primitive integer
@@ -721,22 +720,20 @@ def _probe_parameters(d: int) -> list[Fraction]:
 
 
 def exceptional_lines(
-    factor: Poly,
-    lines: Sequence[AffLine],
-    denominator_bound: int = 10,
-    enforce_cap: bool = True,
+    factor: Poly, lines: Sequence[AffLine], enforce_cap: bool = True
 ) -> list[AffLine]:
     """Lines of the family meeting other contained lines along their length.
 
     A line is reported when at least 2*deg + 1 distinct points on it are
     each incident to another line inside the factor, where the witnesses
-    come from the supplied family and from bounded line search at probe
-    points.  On a singly ruled factor more than two such lines contradict
-    the structure theory, so with enforce_cap the count is asserted.
+    come from the supplied family and from line search (entries up to
+    DENOMINATOR_BOUND) at probe points.  On a singly ruled factor more than
+    two such lines contradict the structure theory, so with enforce_cap the
+    count is asserted.
     """
     d = factor.degree()
     contained = [ln for ln in lines if line_on_surface(factor, ln)]
-    found = _exceptional_among(factor, frozenset(contained), denominator_bound)
+    found = _exceptional_among(factor, frozenset(contained))
     result = [ln for ln in contained if ln in found]
     if enforce_cap and d >= 2 and len(result) > 2:
         raise InvariantViolation(
@@ -746,33 +743,30 @@ def exceptional_lines(
 
 
 @functools.lru_cache(maxsize=32)  # the test suite makes 14 scans
-def _exceptional_among(
-    factor: Poly, contained: frozenset[AffLine], denominator_bound: int
-) -> frozenset[AffLine]:
+def _exceptional_among(factor: Poly, contained: frozenset[AffLine]) -> frozenset[AffLine]:
     """The exceptional lines of a contained family; whether a line is
     exceptional depends on the family as a set, not on its order."""
     need = 2 * factor.degree() + 1
     probes = _probe_parameters(factor.degree())
+    witnesses: dict[AffLine, set[Vec]] = {ln: set() for ln in contained}
+    for a, b in itertools.combinations(contained, 2):
+        rel = line_relation(a, b)
+        if rel.kind is RelationKind.INTERSECTING:
+            witnesses[a].add(rel.point)
+            witnesses[b].add(rel.point)
     out = set()
-    for ln in contained:
-        witnesses: set[Vec] = set()
-        for other in contained:
-            if other == ln:
-                continue
-            rel = line_relation(ln, other)
-            if rel.kind is RelationKind.INTERSECTING:
-                witnesses.add(rel.point)
-        if len(witnesses) < need:
+    for ln, found in witnesses.items():
+        if len(found) < need:
             for t in probes:
                 pt = ln.point_at(t)
-                if pt in witnesses:
+                if pt in found:
                     continue
-                others = find_lines_through_point(factor, pt, denominator_bound)
+                others = find_lines_through_point(factor, pt)
                 if any(o != ln for o in others):
-                    witnesses.add(pt)
-                if len(witnesses) >= need:
+                    found.add(pt)
+                if len(found) >= need:
                     break
-        if len(witnesses) >= need:
+        if len(found) >= need:
             out.add(ln)
     return frozenset(out)
 
@@ -824,7 +818,6 @@ def check_firstflip(
     ln: AffLine,
     lines: Sequence[AffLine],
     apex: Sequence | None = None,
-    denominator_bound: int = 10,
 ) -> FirstflipReport:
     """Generator-count sum along one probe line against the factor degree.
 
@@ -835,7 +828,7 @@ def check_firstflip(
     rejected since the inequality says nothing about them.
     """
     d = factor.degree()
-    exceptional = exceptional_lines(factor, lines, denominator_bound)
+    exceptional = exceptional_lines(factor, lines)
     if ln in exceptional:
         raise ExceptionalLineError("generator-count sums are undefined on exceptional lines")
     contained = line_on_surface(factor, ln)

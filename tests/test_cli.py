@@ -251,6 +251,29 @@ class TestErrorPaths:
         assert time.perf_counter() - started < 1.0
         assert code == 2 and "47905 terms exceeds the cap" in err
 
+    def test_many_factors_exit_fast(self, tmp_path, capsys):
+        # eight distinct dense quintics (every monomial of degree at most 5)
+        # and a line on none of them: the line is checked against each
+        # factor, never against their degree-40 product
+        path = tmp_path / "quintics.json"
+        monomials = [
+            [i, j, k] for i in range(6) for j in range(6 - i) for k in range(6 - i - j)
+        ]
+        factors = [
+            {"terms": [{"n": c if e == [0, 0, 0] else 1, "d": 1, "e": e} for e in monomials]}
+            for c in range(2, 10)
+        ]
+        path.write_text(json.dumps({
+            "dim": 3,
+            "surface": {"vars": 3, "factors": factors},
+            "points": [],
+            "lines": [{"base": ["1", "1", "1"], "dir": ["1", "2", "3"]}],
+        }), encoding="utf-8")
+        started = time.perf_counter()
+        code, _, err = run(capsys, "incidence", str(path))
+        assert time.perf_counter() - started < 1.0
+        assert code == 2 and "an instance line misses the surface" in err
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "incgeo", "--help"], capture_output=True, text=True

@@ -3,12 +3,13 @@ bound evaluation, exercised on a product surface mixing a cone, a doubly
 ruled quadric and a singly ruled cubic."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incgeo import incidence
+from incgeo import linespace
 from incgeo.errors import DegenerateLineError, DomainError, NotOnSurfaceError, PlanarComponentError
 from incgeo.incidence import (
     BoundReport,
@@ -28,7 +29,7 @@ from incgeo.incidence import (
     verify_bound,
     verify_planes_bound,
 )
-from incgeo.linespace import AffLine, coplanar_triple, incidence_point_line, line_relation
+from incgeo.linespace import AffLine, coplanar_triple, incidence_point_line
 from incgeo.poly import variables
 from incgeo.surfaces import Surface, Verdict
 
@@ -210,17 +211,30 @@ def test_max_lines_per_flat_parallel_family():
 
 
 def test_max_lines_per_flat_classifies_each_pair_once(monkeypatch):
-    calls = []
+    # one pair test per unordered pair, in the pass it shares with the
+    # projection certificate, and no line_relation call
+    pair_tests, relations = [], []
+    span = linespace._partner_span
 
     def counted(a, b):
-        calls.append((a, b))
-        return line_relation(a, b)
+        pair_tests.append(frozenset((a, b)))
+        return span(a, b)
 
-    monkeypatch.setattr(incidence, "line_relation", counted)
+    monkeypatch.setattr(linespace, "_partner_span", counted)
+    monkeypatch.setattr(linespace, "line_relation", lambda a, b: relations.append((a, b)))
     _, _, lines = product_instance()
     assert max_lines_per_flat(lines) == 3
     n = len(lines)
-    assert len(calls) == n * (n - 1) // 2
+    assert len(pair_tests) == n * (n - 1) // 2
+    assert set(pair_tests) == {frozenset(pair) for pair in combinations(lines, 2)}
+    assert relations == []
+
+
+def test_max_lines_per_flat_rejects_duplicates():
+    # the second line is the x-axis again, written from another base point
+    lines = [X_AXIS, AffLine((5, 0, 0), (2, 0, 0)), Y_AXIS]
+    with pytest.raises(DomainError, match="line family contains duplicates"):
+        max_lines_per_flat(lines)
 
 
 def test_product_instance_coplanarity():

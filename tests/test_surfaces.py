@@ -21,7 +21,7 @@ from incgeo.errors import (
     NotOnSurfaceError,
     SingularPointError,
 )
-from incgeo.linespace import AffLine
+from incgeo.linespace import AffLine, line_relation
 from incgeo.poly import Poly, divides, remove_content, variables
 from incgeo.surfaces import (
     ClassificationResult,
@@ -74,6 +74,14 @@ def test_surface_builds_product():
     assert s.f == CONE * REGULUS
 
 
+def test_surface_multiplies_its_factors_on_first_use():
+    s = Surface([CONE, REGULUS, RULED_CUBIC])
+    assert s.degree == 7
+    assert "f" not in vars(s)
+    assert s.f == CONE * REGULUS * RULED_CUBIC
+    assert s == Surface([CONE, REGULUS, RULED_CUBIC])
+
+
 def test_surface_rejects_non_squarefree_factor():
     with pytest.raises(DomainError):
         Surface([X**2])
@@ -82,16 +90,6 @@ def test_surface_rejects_non_squarefree_factor():
 def test_surface_rejects_repeated_factor():
     with pytest.raises(DomainError):
         Surface([CONE, 3 * CONE])
-
-
-def test_surface_rejects_mismatched_product():
-    with pytest.raises(DomainError):
-        Surface([CONE], f=REGULUS)
-
-
-def test_surface_accepts_scaled_product():
-    s = Surface([CONE, REGULUS], f=5 * CONE * REGULUS)
-    assert s.degree == 4
 
 
 # -- point-local analysis
@@ -327,7 +325,7 @@ def test_repeat_calls_hit_the_memo():
     calls = [
         (surfaces._flecnode_witness, lambda: flecnode_polynomial(RULED_CUBIC)),
         (surfaces._lines_through, lambda: find_lines_through_point(CONE, (3, 4, 5), 10)),
-        (surfaces._exceptional_among, lambda: exceptional_lines(RULED_CUBIC, cubic_family(), 10)),
+        (surfaces._exceptional_among, lambda: exceptional_lines(RULED_CUBIC, cubic_family())),
     ]
     for memo, call in calls:
         first = call()
@@ -348,9 +346,9 @@ def test_exceptional_lines_follow_the_given_order():
     # a memo hit must not hand back the order of an earlier call
     rulings = [AffLine((0, c, 0), (1, 0, c)) for c in range(-2, 3)]
     rulings += [AffLine((c, 0, 0), (0, 1, c)) for c in range(-2, 3)]
-    assert exceptional_lines(REGULUS, rulings, 10, enforce_cap=False) == rulings
+    assert exceptional_lines(REGULUS, rulings, enforce_cap=False) == rulings
     reverse = rulings[::-1]
-    assert exceptional_lines(REGULUS, reverse, 10, enforce_cap=False) == reverse
+    assert exceptional_lines(REGULUS, reverse, enforce_cap=False) == reverse
 
 
 # -- lines through a point
@@ -408,22 +406,37 @@ def cubic_family() -> list[AffLine]:
 
 
 def test_exceptional_line_of_ruled_cubic():
-    exc = exceptional_lines(RULED_CUBIC, cubic_family(), 10)
+    exc = exceptional_lines(RULED_CUBIC, cubic_family())
     assert exc == [Z_AXIS]
 
 
 def test_exceptional_lines_cone_generators_are_not():
     fam = [cone_generator(a, b) for a, b in [(2, 1), (3, 2), (4, 1), (4, 3), (5, 2)]]
-    assert exceptional_lines(CONE, fam, 10) == []
+    assert exceptional_lines(CONE, fam) == []
 
 
 def test_exceptional_cap_on_regulus_needs_opt_out():
     rulings = [AffLine((0, c, 0), (1, 0, c)) for c in range(-3, 4)]
     rulings += [AffLine((c, 0, 0), (0, 1, c)) for c in range(-3, 4)]
-    exc = exceptional_lines(REGULUS, rulings, 10, enforce_cap=False)
+    exc = exceptional_lines(REGULUS, rulings, enforce_cap=False)
     assert len(exc) == len(rulings)
     with pytest.raises(InvariantViolation):
-        exceptional_lines(REGULUS, rulings, 10)
+        exceptional_lines(REGULUS, rulings)
+
+
+def test_exceptional_scan_classifies_each_pair_once(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return line_relation(a, b)
+
+    monkeypatch.setattr(surfaces, "line_relation", counted)
+    surfaces._exceptional_among.cache_clear()
+    fam = cubic_family()
+    assert exceptional_lines(RULED_CUBIC, fam) == [Z_AXIS]
+    n = len(fam)
+    assert len(calls) == n * (n - 1) // 2
 
 
 # -- generator counts and the per-line sum
