@@ -3,9 +3,10 @@
 The package is organized bottom-up:
 
 - poly: sparse multivariate polynomials over Q (arithmetic, Taylor
-  components, directional derivatives, resultants, gcd, square-free parts)
-- linespace: projective points, Plucker line coordinates, affine lines,
-  hyperplanes, and their exact incidence predicates
+  components, directional derivatives, Sylvester determinants, exact
+  division, gcd, a square-free test)
+- linespace: affine lines in R^d with their exact incidence, relation and
+  coplanarity predicates, and Plucker coordinates with the Klein form
 - surfaces: singularities, flat and singular lines, flecnode witnesses,
   ruledness indicators, per-component classification, generator counting
 - incidence: the per-instance incidence table (each point-line pair checked

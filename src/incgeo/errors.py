@@ -29,10 +29,6 @@ class DegenerateLineError(IncGeoError):
     """Two coincident points, or a zero direction, cannot span a line."""
 
 
-class ContainedError(IncGeoError):
-    """The line lies inside the plane; no single intersection point exists."""
-
-
 class NotOnSurfaceError(IncGeoError):
     """The point or line does not lie on the surface."""
 

@@ -232,6 +232,8 @@ def build_instance(
     it) every generator passes through the apex, and a single point of
     that concurrency would dominate the incidence count.
     """
+    if dim != 3 and n_lines == 0 and n_points == 0:
+        raise DomainError(f"an instance without points or lines has dim 3, not {dim}")
     surface = make_surface(kind)
     lines = make_lines(kind, n_lines, include_exceptional=include_exceptional)
     points = place_points(lines, n_points, seed=seed, avoid=(ORIGIN,)) if n_points else []

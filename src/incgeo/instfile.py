@@ -14,6 +14,8 @@ and a file round-trips byte for byte.
     }
 
 A lifted instance has no surface; the field is null and "dim" may exceed 3.
+An instance's dimension is read off its points and lines, so an instance
+with neither must have "dim" 3.
 A polynomial term of total degree above MAX_DEGREE, or a polynomial of more
 than MAX_TERMS terms, is refused on reading: checking a line against the
 surface expands every term along the line, so one huge exponent or a dense
@@ -194,6 +196,9 @@ def obj_to_instance(obj: object) -> IncidenceInstance:
     lines_obj = obj.get("lines")
     if not isinstance(points_obj, list) or not isinstance(lines_obj, list):
         raise ParseError("instance needs point and line lists")
+    if not points_obj and not lines_obj and dim != 3:
+        # nothing would carry the dimension, so it would come back as 3
+        raise ParseError(f"an instance without points or lines has dim 3, not {dim}")
     points = [_obj_to_vector(p, dim) for p in points_obj]
     lines = []
     for item in lines_obj:

@@ -21,20 +21,8 @@ def vec_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vec_scale(a: Sequence[Fraction], c: Fraction) -> Vec:
-    return tuple(x * c for x in a)
-
-
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
-def cross(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
 
 
 def is_zero_vec(a: Sequence[Fraction]) -> bool:

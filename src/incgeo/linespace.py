@@ -1,40 +1,37 @@
-"""Exact projective points, Plucker line coordinates, and affine lines.
+"""Affine lines in R^d and their exact relations, plus Plucker coordinates.
 
-Conventions, fixed once for the whole package:
+An AffLine is stored canonically (direction scaled to first nonzero entry
+1, base slid to 0 at that pivot), so equality and hashing are exact.  The
+module decides point-line incidence, the relation of two lines (equal,
+parallel, intersecting, skew), coplanarity of three lines and containment
+of a line in a surface.  An instance's two pairwise relations are built
+here, one pass each: incidence_relation (point-line) and coplanar_partners
+(line-line).
 
-- Homogeneous coordinates in P^3 are (x0, x1, x2, x3) with x0 the
-  homogenizing coordinate; the affine point a = (a1, a2, a3) embeds as
-  (1, a1, a2, a3).
-- The six Plucker coordinates of the line through points x and y are
-  pi_ij = x_i y_j - x_j y_i, reported in the order
-  (pi01, pi02, pi03, pi23, pi31, pi12).
-- dvec = (pi01, pi02, pi03) is the direction block and
-  mvec = (pi23, pi31, pi12) the moment block; for a line through affine
-  points a, b this gives dvec = b - a and mvec = a x b.
+Plucker coordinates of lines in P^3 use these conventions:
 
-All coordinate vectors canonicalize by scaling so the first nonzero entry
-is 1, which makes equality and hashing exact.
+- Homogeneous coordinates are (x0, x1, x2, x3) with x0 the homogenizing
+  coordinate; the affine point a = (a1, a2, a3) embeds as (1, a1, a2, a3).
+- The six coordinates of the line through points x and y are
+  pi_ij = x_i y_j - x_j y_i, in the order (pi01, pi02, pi03, pi23, pi31,
+  pi12): a direction block and a moment block, which for a line through
+  affine points a, b are b - a and a x b.
 
-An instance's two pairwise relations are built here, one pass each:
-incidence_relation (point-line) and coplanar_partners (line-line).
+Projective points and Plucker tuples are scaled so the first nonzero entry
+is 1, which makes them exact to compare too.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from . import linalg
-from .errors import (
-    ArityError,
-    ContainedError,
-    DegenerateLineError,
-    DomainError,
-)
-from .linalg import Vec, cross, dot, is_zero_vec, to_vec, vec_scale, vec_sub
+from .errors import ArityError, DegenerateLineError, DomainError
+from .linalg import Vec, is_zero_vec, to_vec, vec_sub
 from .poly import Poly, restrict_to_line
 
 
@@ -66,117 +63,36 @@ class ProjPoint:
         return ProjPoint((Fraction(1),) + to_vec(point))
 
 
-@dataclass(frozen=True)
-class FlatH:
-    """Hyperplane of P^d given by coefficients (A0, ..., Ad), canonical scale."""
-
-    coeffs: Vec
-
-    def __init__(self, coeffs: Sequence):
-        vec = to_vec(coeffs)
-        if len(vec) < 2:
-            raise ArityError("hyperplane needs at least two coefficients")
-        object.__setattr__(self, "coeffs", _canonical_ray(vec))
-
-    @property
-    def dim(self) -> int:
-        return len(self.coeffs) - 1
-
-    def contains(self, p: ProjPoint) -> bool:
-        if len(self.coeffs) != len(p.coords):
-            raise ArityError("hyperplane and point dimensions differ")
-        return dot(self.coeffs, p.coords) == 0
-
-
-@dataclass(frozen=True)
-class PluckerLine:
-    """Line of P^3 through two distinct projective points.
-
-    The six coordinates satisfy the Klein identity
-    pi01*pi23 + pi02*pi31 + pi03*pi12 = 0 by construction; the constructor
-    asserts it.  pl is stored in canonical scale so equal lines compare equal
-    regardless of the spanning points used.
-    """
-
-    pl: Vec
-    p: ProjPoint = field(compare=False)
-    q: ProjPoint = field(compare=False)
-
-    def __init__(self, p: ProjPoint, q: ProjPoint):
-        if p.dim != 3 or q.dim != 3:
-            raise ArityError("Plucker coordinates are defined for P^3 lines")
-        if p == q:
-            raise DegenerateLineError("coincident points span no line")
-        x, y = p.coords, q.coords
-        pi = (
-            x[0] * y[1] - x[1] * y[0],
-            x[0] * y[2] - x[2] * y[0],
-            x[0] * y[3] - x[3] * y[0],
-            x[2] * y[3] - x[3] * y[2],
-            x[3] * y[1] - x[1] * y[3],
-            x[1] * y[2] - x[2] * y[1],
-        )
-        klein = pi[0] * pi[3] + pi[1] * pi[4] + pi[2] * pi[5]
-        if klein != 0:
-            raise DomainError("Klein identity violated; nonsense input")
-        object.__setattr__(self, "pl", _canonical_ray(pi))
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-
-    @property
-    def dvec(self) -> Vec:
-        return self.pl[:3]
-
-    @property
-    def mvec(self) -> Vec:
-        return self.pl[3:]
-
-    def contains(self, point: ProjPoint) -> bool:
-        if point.dim != 3:
-            raise ArityError("expected a P^3 point")
-        rows = [list(self.p.coords), list(self.q.coords), list(point.coords)]
-        return linalg.rank(rows) == 2
+def plucker_from_points(p: ProjPoint, q: ProjPoint) -> Vec:
+    """Plucker coordinates of the line of P^3 spanned by two distinct points,
+    in canonical scale, so equal lines give equal tuples whatever points
+    span them.  The Klein identity pi01*pi23 + pi02*pi31 + pi03*pi12 = 0
+    holds by construction; it is asserted exactly."""
+    if p.dim != 3 or q.dim != 3:
+        raise ArityError("Plucker coordinates are defined for P^3 lines")
+    if p == q:
+        raise DegenerateLineError("coincident points span no line")
+    x, y = p.coords, q.coords
+    pi = (
+        x[0] * y[1] - x[1] * y[0],
+        x[0] * y[2] - x[2] * y[0],
+        x[0] * y[3] - x[3] * y[0],
+        x[2] * y[3] - x[3] * y[2],
+        x[3] * y[1] - x[1] * y[3],
+        x[1] * y[2] - x[2] * y[1],
+    )
+    if pi[0] * pi[3] + pi[1] * pi[4] + pi[2] * pi[5] != 0:
+        raise DomainError("Klein identity violated; nonsense input")
+    return _canonical_ray(pi)
 
 
-def plucker_from_points(p: ProjPoint, q: ProjPoint) -> PluckerLine:
-    """Plucker coordinates of the line spanned by two distinct points."""
-    return PluckerLine(p, q)
-
-
-def klein_form(l1: PluckerLine, l2: PluckerLine) -> Fraction:
-    """Symmetric bilinear Klein form; zero iff the lines are coplanar.
-
-    A line paired with itself gives zero identically.
-    """
-    a, b = l1.pl, l2.pl
+def klein_form(a: Vec, b: Vec) -> Fraction:
+    """Symmetric bilinear Klein form of two Plucker 6-tuples; zero iff the
+    lines are coplanar.  A line paired with itself gives zero identically."""
     return (
         a[0] * b[3] + a[1] * b[4] + a[2] * b[5]
         + a[3] * b[0] + a[4] * b[1] + a[5] * b[2]
     )
-
-
-def plane_line_intersection(h: FlatH, ln: PluckerLine) -> ProjPoint:
-    """The unique intersection point of a plane and a line not inside it.
-
-    With plane coefficients (A0, A) and line blocks (d, m) the point is
-    (A . d, A x m - A0 * d); it degenerates to the zero vector exactly when
-    the line lies in the plane, which raises ContainedError.
-    """
-    if h.dim != 3:
-        raise ArityError("expected a plane of P^3")
-    a0 = h.coeffs[0]
-    a = h.coeffs[1:]
-    d, m = ln.dvec, ln.mvec
-    first = dot(a, d)
-    rest = vec_sub(cross(a, m), vec_scale(d, a0))
-    coords = (first,) + rest
-    if all(c == 0 for c in coords):
-        raise ContainedError("line lies in the plane")
-    point = ProjPoint(coords)
-    # both defining properties are cheap to assert exactly
-    if not h.contains(point) or not ln.contains(point):
-        raise DomainError("intersection formula broke its contract")
-    return point
 
 
 class RelationKind(Enum):
@@ -218,13 +134,6 @@ class AffLine:
         object.__setattr__(self, "base", bcan)
         object.__setattr__(self, "direction", dcan)
 
-    @staticmethod
-    def through(p: Sequence, q: Sequence) -> AffLine:
-        pv, qv = to_vec(p), to_vec(q)
-        if pv == qv:
-            raise DegenerateLineError("coincident points span no line")
-        return AffLine(pv, vec_sub(qv, pv))
-
     @property
     def dim(self) -> int:
         return len(self.base)
@@ -232,22 +141,6 @@ class AffLine:
     def point_at(self, t) -> Vec:
         tf = t if isinstance(t, Fraction) else Fraction(t)
         return tuple(b + tf * d for b, d in zip(self.base, self.direction))
-
-    def param_of(self, point: Sequence) -> Fraction:
-        """Parameter t with point = base + t*direction; DomainError if off-line."""
-        pv = to_vec(point)
-        if not incidence_point_line(pv, self):
-            raise DomainError("point not on line")
-        pivot = next(i for i, c in enumerate(self.direction) if c != 0)
-        return (pv[pivot] - self.base[pivot]) / self.direction[pivot]
-
-    def to_plucker(self) -> PluckerLine:
-        if self.dim != 3:
-            raise ArityError("Plucker coordinates are defined in 3-space")
-        return PluckerLine(
-            ProjPoint.from_affine(self.base),
-            ProjPoint.from_affine(self.point_at(1)),
-        )
 
 
 def incidence_point_line(point: Sequence, ln: AffLine) -> bool:

@@ -8,8 +8,9 @@ the zero polynomial has degree -1.
 
 Beyond ring arithmetic the module provides the calculus and elimination
 tools the geometry layers need: Taylor components around a point, powers of
-the directional derivative, Sylvester resultants, single-divisor exact
-division, multivariate gcd, and square-free parts.
+the directional derivative, polynomial determinants (Bareiss) and the
+Sylvester determinant built on them, single-divisor exact division,
+multivariate gcd, and a square-free test.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import ArityError, DomainError
 
@@ -201,12 +202,11 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly({self.render()})"
 
-    def render(self, names: Sequence[str] | None = None) -> str:
+    def render(self) -> str:
         """Human-readable form, mostly for error messages and reports."""
         if not self.terms:
             return "0"
-        if names is None:
-            names = _default_names(self.nvars)
+        names = "xyzw" if self.nvars <= 4 else [f"x{i}" for i in range(self.nvars)]
         parts = []
         for e in sorted(self.terms, key=grlex_key, reverse=True):
             c = self.terms[e]
@@ -319,13 +319,6 @@ class Poly:
         return Poly(self.nvars, {e: c for e, c in self.terms.items() if sum(e) == d})
 
 
-def _default_names(nvars: int) -> list[str]:
-    base = ["x", "y", "z", "w"]
-    if nvars <= len(base):
-        return base[:nvars]
-    return [f"x{i}" for i in range(nvars)]
-
-
 def _binom(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
@@ -417,13 +410,9 @@ def restrict_to_line(p: Poly, base: Sequence[RatLike], direction: Sequence[RatLi
 # -- division, gcd, resultants -----------------------------------------
 
 
-def _divmod_single(g: Poly, f: Poly, exact_only: bool = False) -> tuple[Poly, Poly] | None:
-    """Divide g by the single divisor f in graded lex order.
-
-    Returns (quotient, remainder) with g = q*f + r and no term of r
-    divisible by the leading term of f.  With exact_only the call returns
-    None as soon as the remainder is known to be nonzero.
-    """
+def _exact_quotient(g: Poly, f: Poly) -> Poly | None:
+    """Quotient g/f by division in graded lex order, or None as soon as a
+    term of g's remainder shows up, that is when f does not divide g."""
     g._check_same(f)
     if f.is_zero:
         raise DomainError("division by the zero polynomial")
@@ -437,7 +426,6 @@ def _divmod_single(g: Poly, f: Poly, exact_only: bool = False) -> tuple[Poly, Po
     heap = [(heap_key(e), e) for e in work]
     heapq.heapify(heap)
     quot: dict[Exponent, Fraction] = {}
-    rem: dict[Exponent, Fraction] = {}
     while heap:
         e = heapq.heappop(heap)[-1]
         c = work.get(e)
@@ -461,11 +449,8 @@ def _divmod_single(g: Poly, f: Poly, exact_only: bool = False) -> tuple[Poly, Po
                 else:
                     work.pop(te, None)
         else:
-            if exact_only:
-                return None
-            rem[e] = c
-            del work[e]
-    return Poly(g.nvars, quot), Poly(g.nvars, rem)
+            return None
+    return Poly(g.nvars, quot)
 
 
 def divides(f: Poly, g: Poly) -> bool:
@@ -478,15 +463,15 @@ def divides(f: Poly, g: Poly) -> bool:
         raise ArityError(f"mixed arities {f.nvars} and {g.nvars}")
     if f.degree() > g.degree():
         return False
-    return _divmod_single(g, f, exact_only=True) is not None
+    return _exact_quotient(g, f) is not None
 
 
 def exact_div(g: Poly, f: Poly) -> Poly:
     """Quotient g/f when the division is exact; DomainError otherwise."""
-    res = _divmod_single(g, f, exact_only=True)
-    if res is None:
+    q = _exact_quotient(g, f)
+    if q is None:
         raise DomainError("division is not exact")
-    return res[0]
+    return q
 
 
 def rational_content(p: Poly) -> Fraction:
@@ -584,41 +569,6 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     return remove_content(cont * a)
 
 
-def square_free_part(p: Poly, hints: Iterable[Poly] = ()) -> Poly:
-    """Product of the distinct irreducible factors of p.
-
-    Computed as p / gcd(p, all partial derivatives).  The optional hints are
-    candidate repeated factors stripped first by exact trial division; a
-    hint h with h^k | p and k >= 2 is reduced to a single copy, which leaves
-    the radical unchanged and shrinks the gcd workload.
-    """
-    if p.is_zero:
-        raise DomainError("square-free part of the zero polynomial is undefined")
-    if p.degree() == 0:
-        return Poly.const(p.nvars, 1)
-    work = remove_content(p)
-    for h in hints:
-        if h.is_zero or h.degree() < 1 or h.nvars != p.nvars:
-            continue
-        count = 0
-        while True:
-            res = _divmod_single(work, h, exact_only=True)
-            if res is None:
-                break
-            work = res[0]
-            count += 1
-        if count >= 1:
-            work = remove_content(work * h)
-    g = work
-    for var in work.vars_used():
-        g = poly_gcd(g, work.diff(var))
-        if g.degree() == 0:
-            break
-    if g.degree() == 0:
-        return remove_content(work)
-    return remove_content(exact_div(work, g))
-
-
 def is_square_free(p: Poly) -> bool:
     """True iff p has no repeated factor."""
     if p.is_zero:
@@ -678,15 +628,3 @@ def sylvester_determinant(a: Sequence[Poly], b: Sequence[Poly], nvars: int) -> P
             mat.append(row)
     return matrix_determinant(mat, nvars)
 
-
-def sylvester_resultant(p: Poly, q: Poly, var: int) -> Poly:
-    """Resultant of p and q with respect to one variable.
-
-    Both inputs must have positive degree in var.  The result is the
-    determinant of the Sylvester matrix, a polynomial in the remaining
-    variables (still carried with the same arity, var-degree zero).
-    """
-    p._check_same(q)
-    if p.degree_in(var) < 1 or q.degree_in(var) < 1:
-        raise DomainError("resultant needs positive degree in the eliminated variable")
-    return sylvester_determinant(p.coeffs_in(var)[::-1], q.coeffs_in(var)[::-1], p.nvars)

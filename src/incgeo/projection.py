@@ -13,8 +13,8 @@ Both pairwise relations come from linespace.  The triple check costs
 O(n^2) pair tests, not O(n^3) triple tests: three projected lines share a
 2-flat only if each two of them do, so only triples inside one group of
 linespace.coplanar_partners are tested exactly on the original side.  The
-original incidence relation is built once: each accepted step certifies
-that it did not change.
+original incidence relation is built once and handed to is_generic: each
+accepted step certifies that it did not change.
 """
 
 from __future__ import annotations
@@ -110,11 +110,22 @@ def _coplanar_triples(lines: Sequence[AffLine]) -> Iterator[tuple[int, int, int]
                     yield i, j, k
 
 
-def _certificate(
-    points: Sequence[Vec], lines: Sequence[AffLine], lines_at: tuple[tuple[int, ...], ...],
-    projected_points: Sequence, projected_lines: Sequence[AffLine],
+def is_generic(
+    points: Sequence[Vec],
+    lines: Sequence[AffLine],
+    lines_at: tuple[tuple[int, ...], ...],
+    projected_points: Sequence,
+    projected_lines: Sequence[AffLine],
 ) -> GenericityCertificate:
-    """is_generic, given the original side's incidence relation as lines_at."""
+    """Certify that a projection preserved the instance combinatorics.
+
+    lines_at is the original side's incidence relation, as
+    linespace.incidence_relation builds it.  The projected side's relation
+    is built here and compared pair for pair, so accidental new incidences
+    are caught, not just lost ones.  A triple is tested on the original
+    side only if its projected lines share a 2-flat: any other triple is
+    non-coplanar after the projection, so it cannot have become coplanar.
+    """
     pts2 = [to_vec(p) for p in projected_points]
     lines2 = list(projected_lines)
     if len(points) != len(pts2) or len(lines) != len(lines2):
@@ -128,26 +139,6 @@ def _certificate(
         ),
         resamples_used=0,
     )
-
-
-def is_generic(
-    points: Sequence,
-    lines: Sequence[AffLine],
-    projected_points: Sequence,
-    projected_lines: Sequence[AffLine],
-) -> GenericityCertificate:
-    """Certify that a projection preserved the instance combinatorics.
-
-    The incidence relation is built on both sides and compared pair for
-    pair, so accidental new incidences are caught, not just lost ones.  A
-    triple is tested on the original side only if its projected lines share
-    a 2-flat: any other triple is non-coplanar after the projection, so it
-    cannot have become coplanar.
-    """
-    pts = [to_vec(p) for p in points]
-    lines = list(lines)
-    lines_at = incidence_relation(pts, lines)
-    return _certificate(pts, lines, lines_at, projected_points, projected_lines)
 
 
 def _sample_direction(rng: random.Random, dim: int) -> Vec:
@@ -194,7 +185,7 @@ def project_to_3space(
                 if is_zero_vec(w):
                     raise CollapseError("zero direction")
                 cand_pts, cand_lns = project_once(pts, lns, w)
-                cert = _certificate(pts, lns, lines_at, cand_pts, cand_lns)
+                cert = is_generic(pts, lns, lines_at, cand_pts, cand_lns)
             except CollapseError:
                 cert = None
             if cert is not None and cert.ok:

@@ -1,13 +1,14 @@
 """Local and global analysis of algebraic surfaces in R^3.
 
-The surface is given by its (known) factorization into pairwise distinct
+A Surface is kept as its (known) factorization into pairwise distinct
 squarefree factors; factorization is never computed here, only consumed,
-and the product f is built only on request.  The module answers the
-questions the incidence machinery needs: where is the surface singular,
-which points and lines are flat, does a factor admit a ruling (flecnode
-witness plus divisibility), is it a cone, which lines through a point lie
-on the surface, which lines are exceptional, and do the generator-count
-sums stay below the factor degree.
+and the product of the factors is never formed.  Every analysis function
+takes one trivariate polynomial f, in practice a single factor.  The
+module answers the questions the incidence machinery needs: where is the
+surface singular, which points and lines are flat, does a factor admit a
+ruling (flecnode witness plus divisibility), is it a cone, which lines
+through a point lie on the surface, which lines are exceptional, and do
+the generator-count sums stay below the factor degree.
 
 Everything is exact.  Ruledness certificates obtained through the flecnode
 route are certificates over the complex numbers; real verdicts are only
@@ -22,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, inf, lcm, prod
+from math import gcd, inf, lcm
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -36,7 +37,7 @@ from .errors import (
     SingularPointError,
     AllSampledPointsSingularError,
 )
-from .linalg import Vec, dot, to_vec
+from .linalg import Vec, to_vec
 from .linespace import AffLine, RelationKind, incidence_point_line, line_on_surface, line_relation
 from .poly import (
     Poly,
@@ -78,37 +79,24 @@ class Surface:
             seen.add(key)
         object.__setattr__(self, "factors", factors)
 
-    @functools.cached_property
-    def f(self) -> Poly:
-        """The surface polynomial, the product of the factors."""
-        return prod(self.factors, start=Poly.const(3, 1))
-
     @property
     def degree(self) -> int:
         return sum(w.degree() for w in self.factors)
 
 
-def _as_poly(surface_or_poly: Surface | Poly) -> Poly:
-    if isinstance(surface_or_poly, Surface):
-        return surface_or_poly.f
-    return surface_or_poly
-
-
 # -- point-local analysis ---------------------------------------------------
 
 
-def is_singular_point(surface: Surface | Poly, p: Sequence) -> bool:
+def is_singular_point(f: Poly, p: Sequence) -> bool:
     """True iff p is on the surface and all first partials vanish there."""
-    f = _as_poly(surface)
     pt = to_vec(p)
     if f.eval(pt) != 0:
         raise NotOnSurfaceError(f"point {pt} is not on the surface")
     return all(f.diff(i).eval(pt) == 0 for i in range(f.nvars))
 
 
-def multiplicity(surface: Surface | Poly, p: Sequence) -> int:
+def multiplicity(f: Poly, p: Sequence) -> int:
     """Order of vanishing of f at a surface point: smallest nonzero Taylor index."""
-    f = _as_poly(surface)
     pt = to_vec(p)
     parts = taylor_components(f, pt)
     if not parts[0].is_zero:
@@ -119,9 +107,8 @@ def multiplicity(surface: Surface | Poly, p: Sequence) -> int:
     raise DomainError("zero polynomial has no multiplicity")
 
 
-def tangent_cone(surface: Surface | Poly, p: Sequence) -> Poly:
+def tangent_cone(f: Poly, p: Sequence) -> Poly:
     """Lowest nonzero Taylor component of f at a surface point."""
-    f = _as_poly(surface)
     pt = to_vec(p)
     parts = taylor_components(f, pt)
     if not parts[0].is_zero:
@@ -129,9 +116,8 @@ def tangent_cone(surface: Surface | Poly, p: Sequence) -> Poly:
     return parts[multiplicity(f, pt)]
 
 
-def intersection_multiplicity_line(surface: Surface | Poly, ln: AffLine, p: Sequence):
+def intersection_multiplicity_line(f: Poly, ln: AffLine, p: Sequence):
     """Vanishing order of f along ln at p; inf when the line is contained."""
-    f = _as_poly(surface)
     pt = to_vec(p)
     if not incidence_point_line(pt, ln):
         raise DomainError("point is not on the line")
@@ -149,10 +135,9 @@ def hessian_at(f: Poly, p: Sequence) -> list[list[Fraction]]:
     return [[f.diff(i).diff(j).eval(pt) for j in range(n)] for i in range(n)]
 
 
-def is_flat_point(surface: Surface | Poly, p: Sequence) -> bool:
+def is_flat_point(f: Poly, p: Sequence) -> bool:
     """Second fundamental form degenerates: the second-order Taylor part
     vanishes identically on the tangent plane."""
-    f = _as_poly(surface)
     pt = to_vec(p)
     if f.eval(pt) != 0:
         raise NotOnSurfaceError(f"point {pt} is not on the surface")
@@ -171,9 +156,8 @@ def is_flat_point(surface: Surface | Poly, p: Sequence) -> bool:
 # -- line-local analysis ----------------------------------------------------
 
 
-def is_singular_line(surface: Surface | Poly, ln: AffLine) -> bool:
+def is_singular_line(f: Poly, ln: AffLine) -> bool:
     """True iff every point of a contained line is singular."""
-    f = _as_poly(surface)
     if not line_on_surface(f, ln):
         raise NotOnSurfaceError("line is not contained in the surface")
     return all(
@@ -190,13 +174,12 @@ def _sample_parameters() -> Iterable[Fraction]:
         k += 1
 
 
-def is_flat_line(surface: Surface | Poly, ln: AffLine) -> bool:
+def is_flat_line(f: Poly, ln: AffLine) -> bool:
     """All of 3*deg+1 sampled non-singular points of a contained line are flat.
 
     A degree-D surface that is flat along that many points of a line is flat
     along the whole line, so the sample size is a proof, not a heuristic.
     """
-    f = _as_poly(surface)
     if not line_on_surface(f, ln):
         raise NotOnSurfaceError("line is not contained in the surface")
     d = f.degree()
@@ -298,7 +281,7 @@ def _chart_eliminant(f: Poly, grads: list[Poly], f2: Poly, f3: Poly, c: int) -> 
     return remove_content(exact_div(res3, scale))
 
 
-def flecnode_polynomial(surface: Surface | Poly) -> Poly:
+def flecnode_polynomial(f: Poly) -> Poly:
     """Polynomial witness for the osculating-line locus of a degree >= 3 surface.
 
     At a flecnode some tangent direction osculates to third order: the
@@ -312,7 +295,6 @@ def flecnode_polynomial(surface: Surface | Poly) -> Poly:
     identically (every point of space carries an osculating direction) the
     surface polynomial itself is returned, which keeps that equivalence.
     """
-    f = _as_poly(surface)
     if f.nvars != 3:
         raise ArityError("flecnode witness is defined for trivariate surfaces")
     d = f.degree()
@@ -369,13 +351,12 @@ class RuledIndication:
     witness_degree: int | None = None
 
 
-def ruled_indicator(surface: Surface | Poly) -> RuledIndication:
+def ruled_indicator(f: Poly) -> RuledIndication:
     """Is the (factor) surface covered by lines over the complex numbers?
 
     Degree 1 and 2 are always ruled over C.  From degree 3 on the test is
     whether the factor divides its flecnode witness.
     """
-    f = _as_poly(surface)
     d = f.degree()
     if d < 1:
         raise DomainError("constant polynomials are not surfaces")

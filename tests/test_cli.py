@@ -76,6 +76,22 @@ class TestGen:
         assert code == 2
         assert "no real lines" in err
 
+    def test_empty_lifted_instance_refused(self, tmp_path, capsys):
+        # no point or line would carry the dimension: the file would say 3
+        path = tmp_path / "empty.json"
+        code, out, err = run(
+            capsys, "gen", "--kind", "sphere", "--lines", "0", "--points", "0",
+            "--dim", "6", "-o", str(path),
+        )
+        assert (code, out) == (2, "")
+        assert "has dim 3, not 6" in err
+        assert not path.exists()
+        code, out, _ = run(
+            capsys, "gen", "--kind", "sphere", "--lines", "0", "--points", "0",
+            "-o", str(path),
+        )
+        assert (code, out) == (0, "kind=sphere m=0 n=0 dim=3\n")
+
 
 class TestClassify:
     def test_product_verdicts(self, product_file, capsys):
@@ -199,6 +215,18 @@ class TestProject:
 
 
 class TestErrorPaths:
+    def test_empty_instance_with_dim_above_three(self, tmp_path, capsys):
+        # read back, it would report and write dim 3
+        path = tmp_path / "empty6.json"
+        path.write_text(json.dumps(
+            {"dim": 6, "surface": None, "points": [], "lines": []}
+        ), encoding="utf-8")
+        out_path = tmp_path / "proj.json"
+        code, out, err = run(capsys, "project", str(path), "-o", str(out_path))
+        assert (code, out) == (2, "")
+        assert "has dim 3, not 6" in err
+        assert not out_path.exists()
+
     def test_unreadable_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "incidence", str(tmp_path / "missing.json"))
         assert code == 2 and "cannot read" in err

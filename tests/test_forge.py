@@ -49,7 +49,7 @@ class TestMakeLines:
         surface = make_surface(kind)
         lines = make_lines(kind, 16)
         assert len(lines) == len(set(lines)) == 16
-        assert all(line_on_surface(surface.f, ln) for ln in lines)
+        assert all(any(line_on_surface(w, ln) for w in surface.factors) for ln in lines)
 
     def test_deterministic(self):
         assert make_lines("product", 11) == make_lines("product", 11)

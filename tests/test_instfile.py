@@ -94,7 +94,7 @@ class TestInstanceFiles:
         assert back.points == inst.points
         assert back.lines == inst.lines
         assert back.surface is not None
-        assert back.surface.f == inst.surface.f
+        assert back.surface.factors == inst.surface.factors
         assert back.surface.factors == inst.surface.factors
 
     def test_lifted_instance_round_trip(self, tmp_path):

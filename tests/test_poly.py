@@ -20,10 +20,9 @@ from incgeo.poly import (
     exact_div,
     is_square_free,
     poly_gcd,
+    remove_content,
     restrict_to_line,
-    square_free_part,
     sylvester_determinant,
-    sylvester_resultant,
     taylor_components,
     variables,
 )
@@ -146,15 +145,21 @@ def test_directional_power_rejects_zero_order():
 # -- resultants ----------------------------------------------------------
 
 
+def resultant(p, q, var):
+    """Resultant of p and q in one variable: the Sylvester determinant of
+    their coefficient lists in that variable."""
+    return sylvester_determinant(p.coeffs_in(var)[::-1], q.coeffs_in(var)[::-1], p.nvars)
+
+
 def test_sylvester_resultant_quadratic_example():
     v, t = variables(2)
-    res = sylvester_resultant(v**2 - t, v - 1, 0)
+    res = resultant(v**2 - t, v - 1, 0)
     assert res == Poly(2, {(0, 0): 1, (0, 1): -1})
 
 
 def test_sylvester_resultant_two_linear():
     (v,) = variables(1)
-    res = sylvester_resultant(2 * v + 3, 5 * v + 7, 0)
+    res = resultant(2 * v + 3, 5 * v + 7, 0)
     assert res.constant_value() == Fraction(-1)  # 2*7 - 3*5
 
 
@@ -162,18 +167,18 @@ def test_sylvester_resultant_detects_common_root():
     (v,) = variables(1)
     p = (v - 2) * (v - 3)
     q = (v - 2) * (v - 5)
-    assert sylvester_resultant(p, q, 0).is_zero
+    assert resultant(p, q, 0).is_zero
     r = (v - 4) * (v - 5)
-    assert not sylvester_resultant(p, r, 0).is_zero
+    assert not resultant(p, r, 0).is_zero
 
 
 def test_sylvester_resultant_vanishes_iff_shared_factor():
     v, t = variables(2)
     p = (v - t) * (v + 1)
     q = (v - t) * (v - 2)
-    assert sylvester_resultant(p, q, 0).is_zero
+    assert resultant(p, q, 0).is_zero
     q2 = (v + t) * (v - 2)
-    res = sylvester_resultant(p, q2, 0)
+    res = resultant(p, q2, 0)
     # res vanishes exactly at t values where roots collide: -t = t or -t = -1
     assert not res.is_zero
     assert res.eval([Fraction(0), Fraction(0)]) == 0
@@ -189,14 +194,6 @@ def test_sylvester_determinant_takes_highest_power_first():
     assert sylvester_determinant([one, -t], [one, zero, -(t**2)], 2).is_zero
     # binary forms whose leading coefficients both vanish share the root (1:0)
     assert sylvester_determinant([zero, one, -t], [zero, one, t, one], 2).is_zero
-
-
-def test_sylvester_resultant_requires_positive_degree():
-    v, t = variables(2)
-    with pytest.raises(DomainError):
-        sylvester_resultant(t, v - 1, 0)
-    with pytest.raises(DomainError):
-        sylvester_resultant(Poly.zero(2), v, 0)
 
 
 # -- division, gcd, square-free -------------------------------------------
@@ -248,29 +245,10 @@ def test_poly_gcd_divides_both_inputs():
         assert divides(c, g) or c.degree() == 0
 
 
-def test_square_free_part_examples():
-    assert square_free_part(X**2 * Y) == X * Y
-    assert square_free_part((X - Y) ** 3) == X - Y
-    sf = square_free_part((X - Y) ** 2 * (X + Y))
-    assert sf == (X - Y) * (X + Y) or sf == -(X - Y) * (X + Y)
-
-
-def test_square_free_part_with_hints_matches_plain():
-    p = (X - Y) ** 3 * (X + Z) ** 2 * (Y + 1)
-    plain = square_free_part(p)
-    hinted = square_free_part(p, hints=(X - Y, X + Z))
-    assert divides(plain, hinted) and divides(hinted, plain)
-
-
 def test_is_square_free():
     assert is_square_free(X * Y - 1)
     assert not is_square_free(X**2 * Y)
     assert is_square_free(Poly.const(3, 4))
-
-
-def test_square_free_part_rejects_zero():
-    with pytest.raises(DomainError):
-        square_free_part(Poly.zero(3))
 
 
 # -- property tests -------------------------------------------------------
@@ -305,15 +283,31 @@ def test_mul_commutes_and_degree_adds(p, q):
         assert (p * q).degree() == p.degree() + q.degree()
 
 
+@st.composite
+def linear_forms(draw):
+    """A nonconstant a0 + a1 x + a2 y + a3 z with small integer coefficients."""
+    a = draw(st.tuples(*[st.integers(-3, 3)] * 4).filter(lambda a: any(a[1:])))
+    return a[0] + a[1] * X + a[2] * Y + a[3] * Z
+
+
+# Factors stay small: poly_gcd blows up on dense inputs, and with factors of
+# degree up to 2 in each variable some planted squares g^2 h run past 5 s.
 @settings(max_examples=40, deadline=None)
-@given(polys(nvars=3, max_deg=2, max_terms=4))
-def test_double_square_free_is_stable(p):
-    if p.is_zero or p.degree() < 1:
+@given(polys(nvars=3, max_deg=1, max_terms=4), polys(nvars=3, max_deg=1, max_terms=4))
+def test_planted_square_is_not_square_free(g, h):
+    if g.degree() < 1 or h.is_zero:
         return
-    sf = square_free_part(p)
-    assert is_square_free(sf)
-    assert divides(sf, p)
-    assert square_free_part(sf) == sf
+    assert not is_square_free(g**2 * h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(linear_forms(), min_size=1, max_size=3), st.integers(1, 5))
+def test_distinct_irreducible_factors_are_square_free(factors, scale):
+    distinct = {remove_content(f) for f in factors}
+    product = Poly.const(3, scale)
+    for f in distinct:
+        product = product * f
+    assert is_square_free(product)
 
 
 # -- helpers ---------------------------------------------------------------

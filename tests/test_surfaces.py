@@ -71,15 +71,9 @@ def cone_generator(a: int, b: int) -> AffLine:
 def test_surface_builds_product():
     s = Surface([CONE, REGULUS])
     assert s.degree == 4
-    assert s.f == CONE * REGULUS
-
-
-def test_surface_multiplies_its_factors_on_first_use():
-    s = Surface([CONE, REGULUS, RULED_CUBIC])
-    assert s.degree == 7
-    assert "f" not in vars(s)
-    assert s.f == CONE * REGULUS * RULED_CUBIC
-    assert s == Surface([CONE, REGULUS, RULED_CUBIC])
+    assert s.factors == (CONE, REGULUS)
+    assert Surface([CONE, REGULUS, RULED_CUBIC]).degree == 7
+    assert s == Surface([CONE, REGULUS])
 
 
 def test_surface_rejects_non_squarefree_factor():
