@@ -2,7 +2,7 @@
 
 Everything works on tuples/lists of Fraction and never leaves the rationals.
 Only the handful of primitives the geometry layers need: rank, reduced row
-echelon form, solving, and kernels.
+echelon form, and kernels.
 """
 
 from __future__ import annotations
@@ -19,10 +19,6 @@ def to_vec(values: Sequence) -> Vec:
 
 def vec_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
 def is_zero_vec(a: Sequence[Fraction]) -> bool:
@@ -59,29 +55,6 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> list[Vec]:
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(rref(rows))
-
-
-def solve_linear(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vec | None:
-    """One exact solution x of A x = b, or None if inconsistent.
-
-    Free variables are set to zero.
-    """
-    rows = [list(r) + [bv] for r, bv in zip(a, b)]
-    n = len(a[0]) if a else 0
-    reduced = rref(rows)
-    solution = [Fraction(0)] * n
-    for row in reduced:
-        pivot = next((j for j in range(n) if row[j] != 0), None)
-        if pivot is None:
-            if row[n] != 0:
-                return None
-            continue
-        solution[pivot] = row[n]
-    # verify: free variables interact with pivots only through zeros in rref
-    for r, bv in zip(a, b):
-        if dot(r, solution) != bv:
-            return None
-    return tuple(solution)
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]]) -> list[Vec]:

@@ -8,6 +8,12 @@ of a line in a surface.  An instance's two pairwise relations are built
 here, one pass each: incidence_relation (point-line) and coplanar_partners
 (line-line).
 
+Incidence and pair questions are one step, _reduce: subtract
+w[pivot]*direction from w.  A point is on a line iff it reduces to the
+base; two lines meet iff the reduced direction and offset are proportional,
+and the normalized reduced vector keys their 2-flat.  coplanar_triple, by
+exact rank, stays the reference predicate for three lines.
+
 Plucker coordinates of lines in P^3 use these conventions:
 
 - Homogeneous coordinates are (x0, x1, x2, x3) with x0 the homogenizing
@@ -143,23 +149,57 @@ class AffLine:
         return tuple(b + tf * d for b, d in zip(self.base, self.direction))
 
 
+def _reduce(w: Sequence, ln: AffLine, pivot: int) -> Vec:
+    """w - w[pivot]*ln.direction, zero at ln's pivot.  The map is linear
+    with kernel span(ln.direction), so every point of ln reduces to ln.base."""
+    t = w[pivot]
+    return tuple(c - t * d for c, d in zip(w, ln.direction))
+
+
 def incidence_point_line(point: Sequence, ln: AffLine) -> bool:
     """Exact membership of an affine point on an affine line."""
     pv = to_vec(point)
     if len(pv) != ln.dim:
         raise ArityError("point and line dimensions differ")
-    delta = vec_sub(pv, ln.base)
-    pivot = next(i for i, c in enumerate(ln.direction) if c != 0)
-    t = delta[pivot] / ln.direction[pivot]
-    return all(dv == t * dd for dv, dd in zip(delta, ln.direction))
+    return _reduce(pv, ln, ln.direction.index(1)) == ln.base
 
 
-def incidence_relation(points: Sequence, lines: Sequence[AffLine]) -> tuple[tuple[int, ...], ...]:
-    """For each point, the ascending indices of the lines through it; one
-    incidence_point_line check per pair."""
+def incidence_relation(points: Sequence[Vec], lines: Sequence[AffLine]) -> tuple[tuple[int, ...], ...]:
+    """For each point, the ascending indices of the lines through it; each
+    line's pivot is found once and each point-line pair reduced once."""
+    if len({len(p) for p in points} | {ln.dim for ln in lines}) > 1:
+        raise ArityError("point and line dimensions differ")
+    pivoted = [(j, ln, ln.direction.index(1)) for j, ln in enumerate(lines)]
     return tuple(
-        tuple(j for j, ln in enumerate(lines) if incidence_point_line(p, ln)) for p in points
+        tuple(j for j, ln, k in pivoted if _reduce(p, ln, k) == ln.base) for p in points
     )
+
+
+def _relate(a: AffLine, pivot: int, b: AffLine) -> tuple[RelationKind, Vec | None, Fraction | None]:
+    """How b sits against a, from b's direction and b.base - a.base reduced
+    against a (pivot is a's).
+
+    Returns the kind; for coplanar distinct lines, the key of the 2-flat
+    they span among the flats through a (the reduced direction, or for
+    parallel lines the reduced offset, scaled to first nonzero entry 1);
+    and for intersecting lines, the s with b.point_at(s) on a.
+    """
+    if a.dim != b.dim:
+        raise ArityError("lines live in different dimensions")
+    offset = _reduce(vec_sub(b.base, a.base), a, pivot)
+    if a.direction == b.direction:  # directions are canonical
+        if is_zero_vec(offset):
+            return RelationKind.EQUAL, None, None
+        lead = next(c for c in offset if c)
+        return RelationKind.PARALLEL, tuple(c / lead for c in offset), None
+    turn = _reduce(b.direction, a, pivot)  # nonzero: the directions differ
+    lead = next(c for c in turn if c)
+    key = tuple(c / lead for c in turn)
+    # b meets a iff offset + s*turn = 0 for some s
+    ratio = offset[key.index(1)]
+    if offset != tuple(ratio * c for c in key):
+        return RelationKind.SKEW, None, None
+    return RelationKind.INTERSECTING, key, -ratio / lead
 
 
 def line_relation(l1: AffLine, l2: AffLine) -> LineRelation:
@@ -168,19 +208,8 @@ def line_relation(l1: AffLine, l2: AffLine) -> LineRelation:
     Parallel means equal directions but distinct lines; intersecting
     returns the unique common point.  Works in any ambient dimension.
     """
-    if l1.dim != l2.dim:
-        raise ArityError("lines live in different dimensions")
-    if l1 == l2:
-        return LineRelation(RelationKind.EQUAL)
-    if l1.direction == l2.direction:  # directions are canonical
-        return LineRelation(RelationKind.PARALLEL)
-    delta = vec_sub(l2.base, l1.base)
-    cols = list(zip(l1.direction, tuple(-c for c in l2.direction)))
-    sol = linalg.solve_linear(cols, delta)
-    if sol is None:
-        return LineRelation(RelationKind.SKEW)
-    t = sol[0]
-    return LineRelation(RelationKind.INTERSECTING, l1.point_at(t))
+    kind, _, s = _relate(l1, l1.direction.index(1), l2)
+    return LineRelation(kind, None if s is None else l2.point_at(s))
 
 
 def coplanar_triple(l1: AffLine, l2: AffLine, l3: AffLine) -> bool:
@@ -197,45 +226,20 @@ def coplanar_triple(l1: AffLine, l2: AffLine, l3: AffLine) -> bool:
     return linalg.rank(rows) <= 2
 
 
-def flat_key(a: AffLine, w: Vec) -> Vec:
-    """Key of the 2-flat a.base + span(a.direction, w) among the flats through
-    a: w reduced to zero at the pivot of a's direction and scaled to first
-    nonzero entry 1, so any nonzero multiple of w gives the same key."""
-    pivot = next(i for i, c in enumerate(a.direction) if c)
-    reduced = tuple(wc - w[pivot] * dc for wc, dc in zip(w, a.direction))
-    lead = next(c for c in reduced if c)
-    return tuple(c / lead for c in reduced)
-
-
-def _partner_span(a: AffLine, b: AffLine) -> Vec | None:
-    """w with b inside the 2-flat a.base + span(a.direction, w), None if the
-    lines are skew: b's direction if they meet, else b.base - a.base (zero
-    if they are equal)."""
-    if a.dim != b.dim:
-        raise ArityError("lines live in different dimensions")
-    delta = vec_sub(b.base, a.base)
-    if a.direction == b.direction:  # directions are canonical
-        return delta
-    if linalg.rank([a.direction, b.direction, delta]) <= 2:
-        return b.direction
-    return None
-
-
 def coplanar_partners(lines: Sequence[AffLine]) -> Iterator[tuple[list[list[int]], list[int]]]:
     """For each line a, in order: the indices of its later coplanar
-    partners, grouped by the 2-flat they span with a (flat_key), and of its
-    later equal lines.  Each unordered pair is tested once."""
+    partners, grouped by the 2-flat they span with a, and of its later
+    equal lines.  Each unordered pair is tested once."""
     for i, a in enumerate(lines):
+        pivot = a.direction.index(1)
         groups: defaultdict[Vec, list[int]] = defaultdict(list)
         equal: list[int] = []
         for j in range(i + 1, len(lines)):
-            w = _partner_span(a, lines[j])
-            if w is None:
-                continue
-            if is_zero_vec(w):
+            kind, key, _ = _relate(a, pivot, lines[j])
+            if key is not None:
+                groups[key].append(j)
+            elif kind is RelationKind.EQUAL:
                 equal.append(j)
-            else:
-                groups[flat_key(a, w)].append(j)
         yield list(groups.values()), equal
 
 

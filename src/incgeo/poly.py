@@ -7,8 +7,9 @@ lexicographically (total degree first, then lex with variable 0 highest);
 the zero polynomial has degree -1.
 
 Beyond ring arithmetic the module provides the calculus and elimination
-tools the geometry layers need: Taylor components around a point, powers of
-the directional derivative, polynomial determinants (Bareiss) and the
+tools the geometry layers need: Taylor components around a point (whose
+degree-k part is the t^k coefficient of p(at + t*v)), powers of the
+directional derivative v.grad, polynomial determinants (Bareiss) and the
 Sylvester determinant built on them, single-divisor exact division,
 multivariate gcd, and a square-free test.
 """
@@ -356,46 +357,13 @@ def directional_power(p: Poly, k: int) -> Poly:
     if k < 1:
         raise DomainError("directional derivative order must be >= 1")
     n = p.nvars
-    out: dict[Exponent, Fraction] = {}
-    kfact = factorial(k)
-
-    def walk(var: int, remaining: int, dp: Poly, alpha: list[int]) -> None:
-        if dp.is_zero:
-            return
-        if var == n - 1:
-            alpha.append(remaining)
-            d_final = dp
-            for _ in range(remaining):
-                d_final = d_final.diff(var)
-                if d_final.is_zero:
-                    break
-            if not d_final.is_zero:
-                mult = Fraction(kfact)
-                for a in alpha:
-                    mult /= factorial(a)
-                v_expo = tuple(alpha)
-                for e, c in d_final.terms.items():
-                    key = e + v_expo
-                    out[key] = out.get(key, Fraction(0)) + c * mult
-            alpha.pop()
-            return
-        d_cur = dp
-        for j in range(remaining + 1):
-            alpha.append(j)
-            walk(var + 1, remaining - j, d_cur, alpha)
-            alpha.pop()
-            d_cur = d_cur.diff(var)
-            if d_cur.is_zero:
-                break
-
     if n == 0:
         raise DomainError("directional derivative needs at least one variable")
-    walk(0, k, p, [])
-    result: dict[Exponent, Fraction] = {}
-    for key, c in out.items():
-        if c:
-            result[key] = c
-    return Poly(2 * n, result)
+    out = Poly(2 * n, {e + (0,) * n: c for e, c in p.terms.items()})
+    v = variables(2 * n)[n:]
+    for _ in range(k):
+        out = sum((vi * out.diff(i) for i, vi in enumerate(v)), Poly.zero(2 * n))
+    return out
 
 
 def restrict_to_line(p: Poly, base: Sequence[RatLike], direction: Sequence[RatLike]) -> Poly:

@@ -557,21 +557,6 @@ def _search_real_line(factor: Poly, bound: int = 5) -> AffLine | None:
 # -- lines through a point ---------------------------------------------------
 
 
-def _restriction_coefficients(f: Poly, p: Vec) -> list[Poly]:
-    """Polynomials c_k(v) with f(p + t v) = sum_k t^k c_k(v); c_0 omitted."""
-    t_and_v = variables(4)
-    t = t_and_v[0]
-    vs = t_and_v[1:]
-    vals = [Poly.const(4, p[i]) + t * vs[i] for i in range(3)]
-    r = f.substitute(vals)
-    coeffs = r.coeffs_in(0)
-    out = []
-    for k in range(1, len(coeffs)):
-        ck = coeffs[k]
-        out.append(Poly(3, {e[1:]: c for e, c in ck.terms.items()}))
-    return out
-
-
 def _int_terms(p: Poly) -> list[tuple[int, tuple[int, int, int]]]:
     if p.is_zero:
         return []
@@ -628,7 +613,8 @@ def find_lines_through_point(
 
 @functools.lru_cache(maxsize=4096)  # the test suite makes 1,801 searches
 def _lines_through(factor: Poly, pt: Vec, bound: int) -> tuple[AffLine, ...]:
-    coeff_polys = _restriction_coefficients(factor, pt)
+    # factor(pt + t v) = sum_k t^k c_k(v), c_k the degree-k Taylor part; c_0 = 0
+    coeff_polys = taylor_components(factor, pt)[1:]
     int_coeffs = sorted(
         (c for c in (_int_terms(cp) for cp in coeff_polys) if c), key=len
     )

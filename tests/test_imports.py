@@ -1,7 +1,10 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every module-level private function is referenced somewhere in the package.
 
-A name counts as used when the module's code reads it, or when the module
-re-exports it through __all__.  The check is a plain ast walk, so it needs
+An imported name counts as used when the module's code reads it, or when
+the module re-exports it through __all__.  A private function (one leading
+underscore) counts as referenced when any module reads it by name, as an
+attribute or in an import.  The checks are plain ast walks, so they need
 no linter.
 """
 
@@ -34,6 +37,28 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def unused_private_functions(sources: dict[str, str]) -> list[str]:
+    defined: list[tuple[str, str]] = []
+    used: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [
+            (module, node.name)
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("_")
+            and not node.name.startswith("__")
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return [f"{module}.{name}" for module, name in defined if name not in used]
+
+
 def test_detects_an_unused_import():
     source = "from math import gcd, lcm\nimport os\n\nprint(gcd(4, 6))\n"
     assert unused_imports(source) == ["line 1: lcm", "line 2: os"]
@@ -42,3 +67,17 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_a_dead_private_function():
+    sources = {
+        "a": "def _kept():\n    return 1\n\n\ndef _dead():\n    return 2\n",
+        "b": "from a import _kept\n\n\ndef _called():\n    return _kept()\n\n\nx = _called()\n",
+        "c": "import a\n\n\ndef _unread():\n    return a._kept()\n",
+    }
+    assert unused_private_functions(sources) == ["a._dead", "c._unread"]
+
+
+def test_no_dead_private_functions():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert unused_private_functions(sources) == []

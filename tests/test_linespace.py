@@ -2,7 +2,9 @@
 
 Fixtures are hand-checked configurations (coordinate axes, parallel and
 skew pairs); the random cases cross-check the Klein form against the
-affine relation of the same two lines.
+affine relation of the same two lines, and the pivot-reduction answers
+(incidence, pair relation, coplanar groups) against exact ranks in R^3
+to R^6.
 """
 
 import random
@@ -13,10 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incgeo.errors import ArityError, DegenerateLineError, DomainError
+from incgeo.linalg import rank, vec_sub
 from incgeo.linespace import (
     AffLine,
     ProjPoint,
     RelationKind,
+    coplanar_partners,
     coplanar_triple,
     incidence_point_line,
     klein_form,
@@ -221,6 +225,94 @@ def test_point_at_parameter_is_incident(base, direction, num, den):
     ln = AffLine(affmk(*base), affmk(*direction))
     p = ln.point_at(Fraction(num, den))
     assert incidence_point_line(p, ln)
+
+
+# -- pivot reduction against the rank oracle --------------------------------
+
+
+@st.composite
+def line_families(draw):
+    """Two to six lines in R^3..R^6.  Later lines are planted parallel to,
+    equal to, meeting, or in a shared 2-flat with an earlier one, so every
+    relation and every kind of coplanar group occurs."""
+    dim = draw(st.integers(3, 6))
+    coord = st.integers(-3, 3)
+    vec = st.tuples(*([coord] * dim)).map(lambda v: affmk(*v))
+    direction = vec.filter(any)
+    tilt = draw(direction)  # shared by the lines planted in a flat
+    lines = [AffLine(draw(vec), draw(direction))]
+    for _ in range(draw(st.integers(1, 5))):
+        other = draw(st.sampled_from(lines))
+        how = draw(st.sampled_from(["free", "parallel", "equal", "meeting", "flat"]))
+        if how == "free":
+            ln = AffLine(draw(vec), draw(direction))
+        elif how == "parallel":
+            ln = AffLine(draw(vec), other.direction)
+        elif how == "equal":
+            ln = AffLine(other.point_at(draw(coord)), [-2 * c for c in other.direction])
+        elif how == "meeting":
+            ln = AffLine(other.point_at(draw(coord)), draw(direction))
+        else:
+            i, j, k, m = (draw(coord) for _ in range(4))
+            base = tuple(b + j * t for b, t in zip(other.point_at(i), tilt))
+            turn = tuple(k * d + m * t for d, t in zip(other.direction, tilt))
+            ln = AffLine(base, turn) if any(turn) else AffLine(base, tilt)
+        lines.append(ln)
+    return lines
+
+
+def on_line_by_rank(p, ln):
+    return rank([vec_sub(p, ln.base), ln.direction]) <= 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(line_families(), st.integers(-4, 4), st.booleans(), st.data())
+def test_incidence_agrees_with_rank(lines, t, planted, data):
+    ln = lines[-1]
+    if planted:
+        p = ln.point_at(t)
+    else:
+        p = affmk(*data.draw(st.tuples(*([st.integers(-3, 3)] * ln.dim))))
+    assert incidence_point_line(p, ln) == on_line_by_rank(p, ln)
+
+
+@settings(max_examples=150, deadline=None)
+@given(line_families())
+def test_line_relation_agrees_with_rank(lines):
+    expected = {
+        (1, 1): RelationKind.EQUAL,
+        (1, 2): RelationKind.PARALLEL,
+        (2, 2): RelationKind.INTERSECTING,
+        (2, 3): RelationKind.SKEW,
+    }
+    for a in lines:
+        for b in lines:
+            rel = line_relation(a, b)
+            ranks = (
+                rank([a.direction, b.direction]),
+                rank([a.direction, b.direction, vec_sub(b.base, a.base)]),
+            )
+            assert rel.kind is expected[ranks]
+            if rel.kind is RelationKind.INTERSECTING:
+                assert on_line_by_rank(rel.point, a) and on_line_by_rank(rel.point, b)
+            else:
+                assert rel.point is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(line_families())
+def test_coplanar_groups_agree_with_rank(lines):
+    for i, (groups, equal) in enumerate(coplanar_partners(lines)):
+        a = lines[i]
+        group_of = {j: g for g, group in enumerate(groups) for j in group}
+        assert equal == [j for j in range(i + 1, len(lines)) if lines[j] == a]
+        for j in range(i + 1, len(lines)):
+            b = lines[j]
+            assert (j in group_of) == (b != a and coplanar_triple(a, b, b))
+            for k in range(j + 1, len(lines)):
+                if j in group_of and k in group_of:
+                    same = group_of[j] == group_of[k]
+                    assert same == coplanar_triple(a, b, lines[k])
 
 
 # -- helpers -----------------------------------------------------------------

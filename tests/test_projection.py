@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incgeo import linespace, projection
+from incgeo import projection
 from incgeo.errors import ArityError, CollapseError, DomainError, ResampleExhaustedError
 from incgeo.forge import build_instance, lift_to_dim
 from incgeo.incidence import count_incidences
@@ -409,20 +409,20 @@ def test_incidence_relation_is_built_once(monkeypatch):
     # sample: an accepted step certifies that the relation did not change
     inst = build_instance("product", 6, 9, seed=4)
     pts, lns = lift_to_dim(inst.points, inst.lines, 6, seed=4)
-    checks, samples = [], []
-    check, project = linespace.incidence_point_line, projection.project_once
+    built, samples = [], []
+    relation, project = projection.incidence_relation, projection.project_once
 
-    def counted_check(p, ln):
-        checks.append(ln)
-        return check(p, ln)
+    def counted_relation(points, lines):
+        built.append(list(points))
+        return relation(points, lines)
 
     def counted_project(*args):
         samples.append(project(*args))
         return samples[-1]
 
-    monkeypatch.setattr(linespace, "incidence_point_line", counted_check)
+    monkeypatch.setattr(projection, "incidence_relation", counted_relation)
     monkeypatch.setattr(projection, "project_once", counted_project)
     pts3, _, cert = project_to_3space(pts, lns, seed=2)
     assert cert.ok and len(samples) >= 3
-    assert len(checks) == len(pts) * len(lns) * (1 + len(samples))
+    assert built == [pts] + [projected for projected, _ in samples]
     assert count_incidences(pts3, samples[-1][1]) == count_incidences(pts, lns)
