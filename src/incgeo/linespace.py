@@ -156,12 +156,21 @@ def _reduce(w: Sequence, ln: AffLine, pivot: int) -> Vec:
     return tuple(c - t * d for c, d in zip(w, ln.direction))
 
 
+def _on_line(w: Sequence, ln: AffLine, pivot: int) -> bool:
+    """_reduce(w, ln, pivot) == ln.base, stopping at the first mismatch."""
+    t = w[pivot]
+    for c, d, b in zip(w, ln.direction, ln.base):
+        if c - t * d != b:
+            return False
+    return True
+
+
 def incidence_point_line(point: Sequence, ln: AffLine) -> bool:
     """Exact membership of an affine point on an affine line."""
     pv = to_vec(point)
     if len(pv) != ln.dim:
         raise ArityError("point and line dimensions differ")
-    return _reduce(pv, ln, ln.direction.index(1)) == ln.base
+    return _on_line(pv, ln, ln.direction.index(1))
 
 
 def incidence_relation(points: Sequence[Vec], lines: Sequence[AffLine]) -> tuple[tuple[int, ...], ...]:
@@ -171,7 +180,7 @@ def incidence_relation(points: Sequence[Vec], lines: Sequence[AffLine]) -> tuple
         raise ArityError("point and line dimensions differ")
     pivoted = [(j, ln, ln.direction.index(1)) for j, ln in enumerate(lines)]
     return tuple(
-        tuple(j for j, ln, k in pivoted if _reduce(p, ln, k) == ln.base) for p in points
+        tuple(j for j, ln, k in pivoted if _on_line(p, ln, k)) for p in points
     )
 
 

@@ -1,17 +1,19 @@
 """Sparse multivariate polynomials over the rationals.
 
-Coefficients are fractions.Fraction throughout; nothing in this module ever
-rounds.  A polynomial is a map from exponent tuples to nonzero coefficients,
-wrapped in an immutable Poly object.  Monomials are ordered graded
-lexicographically (total degree first, then lex with variable 0 highest);
-the zero polynomial has degree -1.
+Coefficients are fractions.Fraction throughout the API; nothing in this
+module ever rounds.  Inside, the determinant and exact division run on
+integer term maps with packed monomials.  A polynomial is a map from
+exponent tuples to nonzero coefficients, wrapped in an immutable Poly
+object.  Monomials are ordered graded lexicographically (total degree
+first, then lex with variable 0 highest); the zero polynomial has degree
+-1.
 
 Beyond ring arithmetic the module provides the calculus and elimination
 tools the geometry layers need: Taylor components around a point (whose
 degree-k part is the t^k coefficient of p(at + t*v)), powers of the
 directional derivative v.grad, polynomial determinants (Bareiss) and the
 Sylvester determinant built on them, single-divisor exact division,
-multivariate gcd, and a square-free test.
+multivariate gcd, and a square-free test with a certificate on lines.
 """
 
 from __future__ import annotations
@@ -378,59 +380,123 @@ def restrict_to_line(p: Poly, base: Sequence[RatLike], direction: Sequence[RatLi
 # -- division, gcd, resultants -----------------------------------------
 
 
+# The determinant and exact division run on integer term maps {packed
+# monomial: int}.  A monomial packs into one int of `width`-bit fields: from
+# the top, the total degree, then e[0], e[1], ...  Multiplying monomials is
+# adding ints, and int order is graded lex order.  The width is one bit more
+# than the operation's degree bound needs, so for packed m, n the difference
+# m - n borrows across a field (n does not divide m) exactly when it is
+# negative or shows one of those top guard bits.
+
+
+def _guard(nvars: int, width: int) -> int:
+    bit = 1 << (width - 1)
+    return sum(bit << (i * width) for i in range(nvars + 1))
+
+
+def _den(polys: Sequence[Poly]) -> int:
+    """Least common denominator of the coefficients of polys."""
+    return lcm(*(c.denominator for p in polys for c in p.terms.values()))
+
+
+def _pack(p: Poly, width: int, den: int) -> dict[int, int]:
+    """Packed integer term map of den*p; den is a multiple of _den((p,))."""
+    out = {}
+    for e, c in p.terms.items():
+        m = sum(e)
+        for k in e:
+            m = (m << width) | k
+        out[m] = c.numerator * (den // c.denominator)
+    return out
+
+
+def _unpack(terms: dict[int, int], nvars: int, width: int, den: int) -> Poly:
+    """The Poly with term map terms/den."""
+    mask = (1 << width) - 1
+    out = {}
+    for m, c in terms.items():
+        e = [0] * nvars
+        for i in range(nvars - 1, -1, -1):
+            e[i] = m & mask
+            m >>= width
+        out[tuple(e)] = Fraction(c, den)
+    return Poly(nvars, out)
+
+
+def _zcross(a: dict[int, int], d: dict[int, int], b: dict[int, int], c: dict[int, int]) -> dict[int, int]:
+    """a*d - b*c on integer term maps."""
+    out: dict[int, int] = {}
+    get = out.get
+    for ea, ca in a.items():
+        for ed, cd in d.items():
+            e = ea + ed
+            out[e] = get(e, 0) + ca * cd
+    for eb, cb in b.items():
+        for ec, cc in c.items():
+            e = eb + ec
+            out[e] = get(e, 0) - cb * cc
+    return {e: v for e, v in out.items() if v}
+
+
+def _zquot(g: dict[int, int], f: dict[int, int], guard: int) -> dict[int, int] | None:
+    """Quotient g/f in Z[x] by division in graded lex order, or None as soon
+    as a term of g's remainder shows up, that is when f does not divide g
+    over Z.  f is nonzero; all monomials fit the packing behind guard."""
+    lt_e = max(f)
+    lt_c = f[lt_e]
+    rest = [(e, c) for e, c in f.items() if e != lt_e]
+    work = dict(g)
+    heap = [-e for e in work]  # heapq pops smallest: walk graded lex from the top
+    heapq.heapify(heap)
+    quot = {}
+    while heap:
+        e = -heapq.heappop(heap)
+        c = work.pop(e)
+        if not c:
+            continue
+        q_e = e - lt_e
+        if q_e < 0 or q_e & guard:
+            return None
+        q_c, r = divmod(c, lt_c)
+        if r:
+            return None
+        quot[q_e] = q_c
+        for fe, fc in rest:
+            te = q_e + fe  # below e, so not yet popped
+            prev = work.get(te)
+            if prev is None:
+                heapq.heappush(heap, -te)
+                work[te] = -q_c * fc
+            else:
+                work[te] = prev - q_c * fc
+    return quot
+
+
 def _exact_quotient(g: Poly, f: Poly) -> Poly | None:
-    """Quotient g/f by division in graded lex order, or None as soon as a
-    term of g's remainder shows up, that is when f does not divide g."""
+    """Quotient g/f, or None when f does not divide g.  By Gauss's lemma,
+    f divides g over Q exactly when f's primitive integer part divides an
+    integer multiple of g over Z."""
     g._check_same(f)
     if f.is_zero:
         raise DomainError("division by the zero polynomial")
-    lt_e, lt_c = f.leading()
-
-    def heap_key(e: Exponent) -> tuple[int, Exponent]:
-        # heapq pops smallest, so negate to walk graded-lex from the top
-        return (-sum(e), tuple(-k for k in e))
-
-    work = dict(g.terms)
-    heap = [(heap_key(e), e) for e in work]
-    heapq.heapify(heap)
-    quot: dict[Exponent, Fraction] = {}
-    while heap:
-        e = heapq.heappop(heap)[-1]
-        c = work.get(e)
-        if not c:
-            continue
-        if all(a >= b for a, b in zip(e, lt_e)):
-            q_e = tuple(a - b for a, b in zip(e, lt_e))
-            q_c = c / lt_c
-            quot[q_e] = quot.get(q_e, Fraction(0)) + q_c
-            del work[e]
-            for fe, fc in f.terms.items():
-                if fe == lt_e:
-                    continue
-                te = tuple(a + b for a, b in zip(q_e, fe))
-                prev = work.get(te, Fraction(0))
-                nxt = prev - q_c * fc
-                if nxt:
-                    if not prev:
-                        heapq.heappush(heap, (heap_key(te), te))
-                    work[te] = nxt
-                else:
-                    work.pop(te, None)
-        else:
-            return None
-    return Poly(g.nvars, quot)
+    if g.is_zero:
+        return Poly.zero(g.nvars)
+    if f.degree() > g.degree():
+        return None
+    width = g.degree().bit_length() + 1
+    g_den, f_den = _den((g,)), _den((f,))
+    fz = _pack(f, width, f_den)
+    f_num = gcd(*fz.values())
+    q = _zquot(_pack(g, width, g_den), {e: c // f_num for e, c in fz.items()}, _guard(g.nvars, width))
+    if q is None:
+        return None
+    return _unpack({e: c * f_den for e, c in q.items()}, g.nvars, width, g_den * f_num)
 
 
 def divides(f: Poly, g: Poly) -> bool:
     """True iff f divides g exactly (f nonzero; g zero is divisible)."""
     if f.is_zero:
         raise DomainError("divisibility by the zero polynomial is undefined")
-    if g.is_zero:
-        return True
-    if f.nvars != g.nvars:
-        raise ArityError(f"mixed arities {f.nvars} and {g.nvars}")
-    if f.degree() > g.degree():
-        return False
     return _exact_quotient(g, f) is not None
 
 
@@ -538,11 +604,22 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 
 
 def is_square_free(p: Poly) -> bool:
-    """True iff p has no repeated factor."""
+    """True iff p has no repeated factor.
+
+    If p restricted to a line keeps p's degree and is square-free, so is p
+    (were p = g^2 h, g restricted would keep its degree, and its square
+    divide); if three fixed lines fail, the gcd of p and its partials decides.
+    """
     if p.is_zero:
         return False
-    if p.degree() == 0:
+    d = p.degree()
+    if d == 0:
         return True
+    for k in range(1, 4):
+        base = [(k + i) ** 2 % 11 - 5 for i in range(p.nvars)]
+        r = restrict_to_line(p, base, [k * (i + 1) ** 2 % 13 - 6 for i in range(p.nvars)])
+        if r.degree() == d and poly_gcd(r, r.diff(0)).degree() == 0:
+            return True
     g = p
     for var in p.vars_used():
         g = poly_gcd(g, p.diff(var))
@@ -551,35 +628,39 @@ def is_square_free(p: Poly) -> bool:
     return g.degree() == 0
 
 
-def _det_bareiss(mat: list[list[Poly]], nvars: int) -> Poly:
-    """Fraction-free determinant of a square matrix of polynomials."""
+def matrix_determinant(mat: list[list[Poly]], nvars: int) -> Poly:
+    """Exact determinant of a square matrix of polynomials.
+
+    Each row is scaled by the lcm of its denominators, and Bareiss
+    elimination runs on the integer matrix, where every division is exact
+    in Z[x]; the result is its determinant over the product of the scales.
+    """
+    if any(len(row) != len(mat) for row in mat):
+        raise DomainError("determinant needs a square matrix")
     n = len(mat)
     if n == 0:
         return Poly.const(nvars, 1)
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = Poly.const(nvars, 1)
+    # a product of two minors bounds every degree the elimination reaches
+    width = (2 * sum(max(max(p.degree() for p in row), 0) for row in mat)).bit_length() + 1
+    guard = _guard(nvars, width)
+    m, scale = [], 1
+    for row in mat:
+        den = _den(row)
+        m.append([_pack(p, width, den) for p in row])
+        scale *= den
+    prev = {0: 1}
     for k in range(n - 1):
-        if m[k][k].is_zero:
-            pivot = next((i for i in range(k + 1, n) if not m[i][k].is_zero), None)
+        if not m[k][k]:
+            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
             if pivot is None:
                 return Poly.zero(nvars)
             m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
+            scale = -scale
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = exact_div(num, prev) if prev.degree() > 0 else num * (1 / prev.constant_value())
+                m[i][j] = _zquot(_zcross(m[i][j], m[k][k], m[i][k], m[k][j]), prev, guard)
         prev = m[k][k]
-    result = m[n - 1][n - 1]
-    return result if sign == 1 else -result
-
-
-def matrix_determinant(mat: list[list[Poly]], nvars: int) -> Poly:
-    """Exact determinant of a square matrix of polynomials (Bareiss)."""
-    if any(len(row) != len(mat) for row in mat):
-        raise DomainError("determinant needs a square matrix")
-    return _det_bareiss(mat, nvars)
+    return _unpack(m[n - 1][n - 1], nvars, width, scale)
 
 
 def sylvester_determinant(a: Sequence[Poly], b: Sequence[Poly], nvars: int) -> Poly:

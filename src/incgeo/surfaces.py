@@ -207,32 +207,21 @@ def is_flat_line(f: Poly, ln: AffLine) -> bool:
 # -- flecnode witness -------------------------------------------------------
 
 
-def _project_to_xyz(p: Poly) -> Poly:
-    """Drop the trailing direction variables of a 6-var poly with v-degree 0."""
-    out = {}
-    for e, c in p.terms.items():
-        if any(e[3:]):
-            raise DomainError("polynomial still involves direction variables")
-        out[e[:3]] = c
-    return Poly(3, out)
-
-
 def _binary_form_coeffs(g: Poly, ia: int, ib: int, deg: int) -> list[Poly]:
-    """Coefficients of a binary form in variables ia, ib, highest ia first."""
+    """Coefficients of a binary form in the direction variables ia, ib of a
+    6-variable polynomial, highest ia first, as polynomials in x, y, z."""
     coeffs = [dict() for _ in range(deg + 1)]
     for e, c in g.terms.items():
         ka, kb = e[ia], e[ib]
         if ka + kb != deg:
             raise DomainError("not homogeneous of the expected degree")
-        e2 = list(e)
-        e2[ia] = 0
-        e2[ib] = 0
-        coeffs[kb][tuple(e2)] = c
-    return [Poly(g.nvars, d) for d in coeffs]
+        coeffs[kb][e[:3]] = c
+    return [Poly(3, d) for d in coeffs]
 
 
 def _binary_form_resultant(g2: Poly, g3: Poly, ia: int, ib: int) -> Poly:
-    """Formal Sylvester resultant of binary forms of degrees 2 and 3.
+    """Formal Sylvester resultant of binary forms of degrees 2 and 3, as a
+    polynomial in x, y, z.
 
     Built from the full coefficient lists, so vanishing leading coefficients
     (common projective root at (1:0)) are handled uniformly.
@@ -240,8 +229,8 @@ def _binary_form_resultant(g2: Poly, g3: Poly, ia: int, ib: int) -> Poly:
     a = _binary_form_coeffs(g2, ia, ib, 2)
     b = _binary_form_coeffs(g3, ia, ib, 3)
     if all(c.is_zero for c in a) or all(c.is_zero for c in b):
-        return Poly.zero(g2.nvars)
-    return sylvester_determinant(a, b, g2.nvars)
+        return Poly.zero(3)
+    return sylvester_determinant(a, b, 3)
 
 
 def _lift_to_six(g: Poly) -> Poly:
@@ -273,12 +262,12 @@ def _chart_eliminant(f: Poly, grads: list[Poly], f2: Poly, f3: Poly, c: int) -> 
     g3 = f3.substitute(vals)
     res = _binary_form_resultant(g2, g3, 3 + free[0], 3 + free[1])
     if res.is_zero:
-        return Poly.zero(3)
-    res3 = _project_to_xyz(res)
-    scale = grads[c] ** 6
-    if not divides(scale, res3):
+        return res
+    try:
+        witness = exact_div(res, grads[c] ** 6)
+    except DomainError:  # the rescaling does not divide on this chart
         return None
-    return remove_content(exact_div(res3, scale))
+    return remove_content(witness)
 
 
 def flecnode_polynomial(f: Poly) -> Poly:
@@ -304,8 +293,8 @@ def flecnode_polynomial(f: Poly) -> Poly:
 
 
 # Memo bounds: twice the distinct keys the whole test suite makes in one
-# process, rounded up to a power of two (here 6 witnesses).
-@functools.lru_cache(maxsize=16)
+# process, rounded up to a power of two (here 15 witnesses).
+@functools.lru_cache(maxsize=32)
 def _flecnode_witness(f: Poly) -> Poly:
     d = f.degree()
     grads = [f.diff(i) for i in range(3)]

@@ -19,6 +19,7 @@ from incgeo.poly import (
     divides,
     exact_div,
     is_square_free,
+    matrix_determinant,
     poly_gcd,
     remove_content,
     restrict_to_line,
@@ -324,3 +325,115 @@ def _random_poly(rng, nvars, max_deg, nonzero=False):
     if nonzero and p.is_zero:
         return Poly.const(nvars, 1) + Poly.variable(nvars, 0)
     return p
+
+
+# -- integer kernel: determinant and exact division ------------------------
+
+
+def laplace_determinant(mat, nvars):
+    """Reference determinant: cofactor expansion along the first row."""
+    if not mat:
+        return Poly.const(nvars, 1)
+    total = Poly.zero(nvars)
+    for j, entry in enumerate(mat[0]):
+        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
+        total = total + (-1) ** j * entry * laplace_determinant(minor, nvars)
+    return total
+
+
+@st.composite
+def square_matrices(draw):
+    """0x0 to 4x4 matrices with rational polynomial entries; some with zero
+    leading entries down the first column (forcing row swaps), some with a
+    last row that is a polynomial multiple of the first (singular)."""
+    n = draw(st.integers(0, 4))
+    rows = [[draw(polys(nvars=2, max_deg=2, max_terms=3)) for _ in range(n)] for _ in range(n)]
+    for i in range(draw(st.integers(0, n))):
+        rows[i][0] = Poly.zero(2)
+    if n >= 2 and draw(st.booleans()):
+        c = draw(polys(nvars=2, max_deg=1, max_terms=2))
+        rows[-1] = [c * x for x in rows[0]]
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices())
+def test_matrix_determinant_matches_laplace_expansion(mat):
+    assert matrix_determinant(mat, 2) == laplace_determinant(mat, 2)
+
+
+def test_matrix_determinant_rejects_a_ragged_matrix():
+    with pytest.raises(DomainError):
+        matrix_determinant([[X, Y]], 3)
+
+
+# negative rationals other than -1
+negative_scales = st.tuples(st.integers(2, 6), st.integers(1, 5)).filter(lambda ab: ab[0] != ab[1])
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    polys(nvars=3, max_deg=2, max_terms=4),
+    polys(nvars=3, max_deg=2, max_terms=4),
+    negative_scales.map(lambda ab: -Fraction(*ab)),
+)
+def test_exact_div_multiplies_back(f, q, scale):
+    if f.degree() < 1:
+        return
+    # non-primitive, rational, negative graded-lex leading sign
+    f = scale * remove_content(f)
+    assert f.leading()[1] < 0
+    g = q * f
+    assert divides(f, g)
+    assert exact_div(g, f) == q
+    # f divides g + r only if it divides r, and r is a nonzero constant
+    assert not divides(f, g + scale)
+    with pytest.raises(DomainError):
+        exact_div(g + scale, f)
+
+
+@settings(max_examples=120, deadline=None)
+@given(polys(nvars=3, max_deg=2, max_terms=4), polys(nvars=3, max_deg=3, max_terms=5))
+def test_divides_agrees_with_multiplying_back(f, g):
+    if f.is_zero:
+        return
+    if divides(f, g):
+        assert exact_div(g, f) * f == g
+
+
+def test_kernel_field_width_follows_the_degree_bound():
+    big = 2**16 + 3  # beyond a 16-bit exponent field
+    f = X**big - 2 * Y
+    assert exact_div(f * (X**big + Z), f) == X**big + Z
+    assert divides(X * Y**big, X**big * Y**big)
+    assert not divides(Y**2, X**big * Y)  # a borrow out of a wide field
+    assert not divides(X**2, X * Y**big)
+    mat = [[X**big, Y], [Y, X**big]]
+    assert matrix_determinant(mat, 3) == X ** (2 * big) - Y**2
+    # the second elimination step multiplies two minors of degree big + 1
+    one, zero = Poly.const(3, 1), Poly.zero(3)
+    mat = [[X**big, one, one], [one, Y, zero], [one, zero, Z]]
+    assert matrix_determinant(mat, 3) == X**big * Y * Z - Y - Z
+
+
+# -- square-free certificate ----------------------------------------------
+
+
+def gcd_square_free(p):
+    """Reference: a nonconstant p is square-free iff its gcd with all its
+    partial derivatives is constant."""
+    g = p
+    for var in p.vars_used():
+        g = poly_gcd(g, p.diff(var))
+    return g.degree() == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(nvars=3, max_deg=1, max_terms=4), polys(nvars=3, max_deg=1, max_terms=4), st.booleans())
+def test_square_free_certificate_agrees_with_the_gcd_test(g, h, square):
+    if g.degree() < 1 or h.is_zero:
+        return
+    p = g**2 * h if square else g * h
+    assert is_square_free(p) == gcd_square_free(p)
+    if square:
+        assert not is_square_free(p)

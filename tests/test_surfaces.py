@@ -6,6 +6,9 @@ hyperbolic paraboloid z-xy, the unit sphere, the singly ruled cubic
 x^2-y^2*z with its singular z-axis, and the smooth cubic x^3+y^3+z^3-1.
 """
 
+import hashlib
+import random
+import time
 from fractions import Fraction
 from math import inf
 
@@ -22,7 +25,7 @@ from incgeo.errors import (
     SingularPointError,
 )
 from incgeo.linespace import AffLine, line_relation
-from incgeo.poly import Poly, divides, remove_content, variables
+from incgeo.poly import Poly, divides, is_square_free, remove_content, variables
 from incgeo.surfaces import (
     ClassificationResult,
     Surface,
@@ -211,6 +214,75 @@ def test_flecnode_vanishes_at_flecnodes():
     fl = flecnode_polynomial(RULED_CUBIC)
     for p in [(2, 1, 4), (3, 1, 9), (Fraction(1, 2), 1, Fraction(1, 4))]:
         assert fl.eval([Fraction(v) for v in p]) == 0
+
+
+# sha256 of each witness's sorted terms, recorded with the Fraction Bareiss
+# determinant that preceded the integer kernel: two seeded cubics on each
+# of the benchmark's sparse supports (integer, then rational coefficients)
+# and one dense cubic.
+CUBIC_SUPPORTS = {
+    "c5a": ((1, 1, 0), (1, 0, 2), (1, 0, 1), (0, 0, 3), (0, 0, 2)),
+    "c5b": ((1, 1, 1), (1, 0, 1), (0, 2, 0), (0, 0, 1), (0, 0, 0)),
+    "c6a": ((1, 1, 0), (1, 0, 2), (1, 0, 1), (0, 2, 0), (0, 0, 3), (0, 0, 2)),
+    "c7b": ((1, 1, 0), (1, 0, 2), (1, 0, 1), (0, 2, 0), (0, 0, 3), (0, 0, 2), (1, 0, 0)),
+    "dense": tuple((a, b, d - a - b) for d in range(4) for a in range(d + 1) for b in range(d - a + 1)),
+}
+WITNESS_SHA256 = {
+    ("c5a", 0): "45f947e3f39ce8bb3ec212f51072165519ef6cd8724d31b8b858f2789037ea3f",
+    ("c5a", 1): "bcc18507f4f938be3b69683a13a132029f7404530f42ee93c42504c0d6c425a0",
+    ("c5b", 0): "841069241e6c24571a6eb02f6e978eeb8614810d0d60ee94e8ca8cecf2db6490",
+    ("c5b", 1): "573fffce423e75d397bdfe9f08e46a5968839b61fe0360a7f573b06cd465082a",
+    ("c6a", 0): "616392221d5f9bf31b2c9d4ccee62279a1af4e09b9fa28b5194ae0ed44b78b89",
+    ("c6a", 1): "676c6ef58e44e46d07642ddf83e89284fceb4d062e5efa93959f8659f4009eaa",
+    ("c7b", 0): "4ac77a81591d1101ba3ac6820340786fd14b4aac4cdf0a158f125955e06e40ea",
+    ("c7b", 1): "ebf8d99e8c63b3081253373de067adeea1e96805bd8650736d5ce27bdb1d0bf3",
+}
+DENSE_WITNESS_SHA256 = "074bf57a942ccb5f65c378338be3f453dcf5a7563d4d846617c37843cd7a5aaa"
+
+
+def pinned_cubic(name, k):
+    """Seeded cubic on a support: integer coefficients for k = 0, rational
+    ones for k = 1; sparse ones are redrawn until square-free."""
+    rng = random.Random(f"witness-pin:{name}:{k}")
+
+    def coeff():
+        if k == 0:
+            return rng.choice((-3, -2, -1, 1, 2, 3))
+        return Fraction(rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)), rng.choice((1, 2, 3, 4)))
+
+    while True:
+        f = Poly(3, {e: coeff() for e in CUBIC_SUPPORTS[name]})
+        if name == "dense" or is_square_free(f):
+            return f
+
+
+def witness_digest(w):
+    return hashlib.sha256(repr(sorted(w.terms.items())).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name, k", sorted(WITNESS_SHA256))
+def test_flecnode_witness_is_pinned(name, k):
+    assert witness_digest(flecnode_polynomial(pinned_cubic(name, k))) == WITNESS_SHA256[name, k]
+
+
+def test_dense_cubic_witness_within_budget():
+    # the Fraction Bareiss determinant took 100-144 s on a dense cubic
+    f = pinned_cubic("dense", 0)
+    start = time.perf_counter()
+    w = flecnode_polynomial(f)
+    assert time.perf_counter() - start < 30
+    assert witness_digest(w) == DENSE_WITNESS_SHA256
+
+
+def test_dense_quartic_square_free_check_within_budget():
+    # the gcd of this quartic with one of its partials alone ran past 60 s
+    rng = random.Random(1)
+    monomials = [(a, b, d - a - b) for d in range(5) for a in range(d + 1) for b in range(d - a + 1)]
+    quartic = Poly(3, {e: rng.choice((-3, -2, -1, 1, 2, 3)) for e in monomials})
+    assert len(quartic.terms) == 35
+    start = time.perf_counter()
+    assert Surface([quartic]).degree == 4
+    assert time.perf_counter() - start < 1
 
 
 def test_ruled_indicator_routes():
