@@ -532,6 +532,8 @@ def remove_content(p: Poly) -> Poly:
 
 
 def _content_and_primitive(p: Poly, var: int) -> tuple[Poly, Poly]:
+    """Content of p in var, and p over it scaled to integer primitive form,
+    which keeps the coefficients of a remainder sequence from growing."""
     coeffs = [c for c in p.coeffs_in(var) if not c.is_zero]
     cont = Poly.zero(p.nvars)
     for c in coeffs:
@@ -539,7 +541,7 @@ def _content_and_primitive(p: Poly, var: int) -> tuple[Poly, Poly]:
         if cont.degree() == 0:
             cont = remove_content(cont)
             break
-    return cont, exact_div(p, cont)
+    return cont, remove_content(exact_div(p, cont))
 
 
 def _pseudo_reduce(a: Poly, b: Poly, var: int) -> Poly:

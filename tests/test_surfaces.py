@@ -266,7 +266,7 @@ def test_flecnode_witness_is_pinned(name, k):
 
 
 def test_dense_cubic_witness_within_budget():
-    # the Fraction Bareiss determinant took 100-144 s on a dense cubic
+    # a determinant on Fraction coefficients takes minutes on a dense cubic
     f = pinned_cubic("dense", 0)
     start = time.perf_counter()
     w = flecnode_polynomial(f)
@@ -275,13 +275,27 @@ def test_dense_cubic_witness_within_budget():
 
 
 def test_dense_quartic_square_free_check_within_budget():
-    # the gcd of this quartic with one of its partials alone ran past 60 s
+    # the exact gcd test alone runs for minutes on this quartic
     rng = random.Random(1)
     monomials = [(a, b, d - a - b) for d in range(5) for a in range(d + 1) for b in range(d - a + 1)]
     quartic = Poly(3, {e: rng.choice((-3, -2, -1, 1, 2, 3)) for e in monomials})
     assert len(quartic.terms) == 35
     start = time.perf_counter()
     assert Surface([quartic]).degree == 4
+    assert time.perf_counter() - start < 1
+
+
+def test_dense_planted_square_rejected_within_budget():
+    # every certificate line fails on g^2 h, so the exact gcd test decides;
+    # without primitive remainders it takes about a minute on this factor
+    rng = random.Random(2)
+    g, h = (
+        Poly(3, {e: rng.choice((-3, -2, -1, 1, 2, 3)) for e in CUBIC_SUPPORTS["dense"] if sum(e) <= d})
+        for d in (2, 1)
+    )
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="not square-free"):
+        Surface([g**2 * h])
     assert time.perf_counter() - start < 1
 
 
