@@ -286,24 +286,39 @@ class Poly:
         return out
 
     def shift(self, at: Sequence[RatLike]) -> Poly:
-        """Return p(at + x) as a polynomial in x, one variable at a time."""
+        """Return p(at + x) as a polynomial in x, one variable at a time.
+
+        The expansion runs on integers.  With at = P/s for an integer
+        vector P, d = deg p and den the lcm of p's denominators,
+        G(y) = den s^d p(y/s) has integer coefficients and
+        p(at + x) = G(P + s x) / (den s^d), so the x^J coefficient of
+        p(at + x) is that of G(P + x) over den s^(d-|J|).
+        """
         if len(at) != self.nvars:
             raise ArityError(f"expected {self.nvars} coordinates, got {len(at)}")
-        p = self
-        for var, raw in enumerate(at):
-            a = _frac(raw)
+        if not self.terms:
+            return self
+        pt = [_frac(a) for a in at]
+        s = lcm(*(a.denominator for a in pt))
+        d = self.degree()
+        den = _den((self,))
+        terms = {
+            e: c.numerator * (den // c.denominator) * s ** (d - sum(e))
+            for e, c in self.terms.items()
+        }
+        for var, a in enumerate(pt):
             if not a:
                 continue
-            out: dict[Exponent, Fraction] = {}
-            for e, c in p.terms.items():
+            a = a.numerator * (s // a.denominator)
+            out: dict[Exponent, int] = {}
+            for e, c in terms.items():
                 k = e[var]
                 # binomial expansion of (x_var + a)^k
-                coeff = c
                 for j in range(k, -1, -1):
                     e2 = e[:var] + (j,) + e[var + 1 :]
-                    out[e2] = out.get(e2, Fraction(0)) + coeff * _binom(k, j) * a ** (k - j)
-            p = Poly(self.nvars, out)
-        return p
+                    out[e2] = out.get(e2, 0) + c * _binom(k, j) * a ** (k - j)
+            terms = {e: c for e, c in out.items() if c}
+        return Poly(self.nvars, {e: Fraction(c, den * s ** (d - sum(e))) for e, c in terms.items()})
 
     def coeffs_in(self, var: int) -> list[Poly]:
         """Coefficients [c_0, ..., c_d] of var^k, as polynomials without var."""
@@ -605,12 +620,59 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     return remove_content(cont * a)
 
 
+def _line_coeffs(p: Poly, base: Sequence[int], direction: Sequence[int]) -> list[int]:
+    """Coefficients of t -> den*p(base + t*direction), highest power of t
+    first, padded to length deg p + 1; den clears p's denominators."""
+    d = p.degree()
+    den = _den((p,))
+    powers = [[[1]] for _ in range(p.nvars)]  # powers[i][k]: (b_i + d_i t)^k, lowest first
+    out = [0] * (d + 1)
+    for e, c in p.terms.items():
+        term = [c.numerator * (den // c.denominator)]
+        for i, k in enumerate(e):
+            pw = powers[i]
+            while len(pw) <= k:
+                prev = pw[-1]
+                pw.append([base[i] * x + direction[i] * y for x, y in zip(prev + [0], [0] + prev)])
+            if k:
+                factor = pw[k]
+                prod = [0] * (len(term) + k)
+                for j, x in enumerate(term):
+                    for l, y in enumerate(factor):
+                        prod[j + l] += x * y
+                term = prod
+        for j, x in enumerate(term):
+            out[d - j] += x
+    return out
+
+
+def _univariate_square_free(r: list[int]) -> bool:
+    """True iff the integer polynomial r (highest power first, r[0] != 0)
+    has a constant gcd with its derivative: a primitive remainder sequence."""
+    n = len(r) - 1
+    a, b = r, [c * (n - i) for i, c in enumerate(r[:-1])]
+    while len(b) > 1:
+        lb = b[0]
+        while len(a) >= len(b):
+            la = a[0]
+            pad = b + [0] * (len(a) - len(b))
+            a = [lb * x - la * y for x, y in zip(a[1:], pad[1:])]
+            lead = next((i for i, x in enumerate(a) if x), len(a))
+            a = a[lead:]
+        if not a:
+            return False
+        g = gcd(*a)
+        a, b = b, [x // g for x in a]
+    return True
+
+
 def is_square_free(p: Poly) -> bool:
     """True iff p has no repeated factor.
 
     If p restricted to a line keeps p's degree and is square-free, so is p
     (were p = g^2 h, g restricted would keep its degree, and its square
     divide); if three fixed lines fail, the gcd of p and its partials decides.
+    The restrictions run on integer coefficient lists.
     """
     if p.is_zero:
         return False
@@ -619,8 +681,8 @@ def is_square_free(p: Poly) -> bool:
         return True
     for k in range(1, 4):
         base = [(k + i) ** 2 % 11 - 5 for i in range(p.nvars)]
-        r = restrict_to_line(p, base, [k * (i + 1) ** 2 % 13 - 6 for i in range(p.nvars)])
-        if r.degree() == d and poly_gcd(r, r.diff(0)).degree() == 0:
+        r = _line_coeffs(p, base, [k * (i + 1) ** 2 % 13 - 6 for i in range(p.nvars)])
+        if r[0] and _univariate_square_free(r):
             return True
     g = p
     for var in p.vars_used():

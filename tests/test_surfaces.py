@@ -10,9 +10,11 @@ import hashlib
 import random
 import time
 from fractions import Fraction
-from math import inf
+from math import gcd, inf, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from incgeo import surfaces
 from incgeo.errors import (
@@ -25,7 +27,7 @@ from incgeo.errors import (
     SingularPointError,
 )
 from incgeo.linespace import AffLine, line_relation
-from incgeo.poly import Poly, divides, is_square_free, remove_content, variables
+from incgeo.poly import Poly, divides, is_square_free, remove_content, taylor_components, variables
 from incgeo.surfaces import (
     ClassificationResult,
     Surface,
@@ -476,6 +478,178 @@ def test_lines_search_respects_bound():
     steep = AffLine((0, 0, 0), (5, 12, 13))
     assert steep not in lines10
     assert steep in lines13
+    # the same generator through a smooth point, found by the tangent walk
+    assert find_lines_through_point(CONE, (5, 12, 13), 12) == []
+    assert find_lines_through_point(CONE, (5, 12, 13), 13) == [steep]
+
+
+# -- line search against the Fraction box search
+#
+# The reference is the search as it stood before the integer lattice walk,
+# copied unchanged apart from its names: it divides Fraction gradient
+# entries for each (a, b) of the box and tests every candidate, repeats
+# included.
+
+
+def _ref_int_terms(p: Poly) -> list[tuple[int, tuple[int, int, int]]]:
+    if p.is_zero:
+        return []
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return [(int(c * den), e) for e, c in p.terms.items()]  # type: ignore[misc]
+
+
+def _ref_eval_int_terms(terms: list[tuple[int, tuple[int, int, int]]], v: tuple[int, int, int]) -> int:
+    total = 0
+    for c, e in terms:
+        val = c
+        for base, k in zip(v, e):
+            if k:
+                val *= base**k
+        total += val
+    return total
+
+
+def _ref_primitive_dirs(bound: int):
+    """All primitive integer directions in the box, first nonzero entry positive."""
+    for v1 in range(0, bound + 1):
+        for v2 in range(0 if v1 == 0 else -bound, bound + 1):
+            for v3 in range(1 if v1 == v2 == 0 else -bound, bound + 1):
+                if gcd(gcd(v1, abs(v2)), abs(v3)) == 1:
+                    yield (v1, v2, v3)
+
+
+def reference_lines_through(factor: Poly, pt, bound: int) -> list[AffLine]:
+    pt = tuple(Fraction(c) for c in pt)
+    # factor(pt + t v) = sum_k t^k c_k(v), c_k the degree-k Taylor part; c_0 = 0
+    coeff_polys = taylor_components(factor, pt)[1:]
+    int_coeffs = sorted(
+        (c for c in (_ref_int_terms(cp) for cp in coeff_polys) if c), key=len
+    )
+    grad = tuple(factor.diff(i).eval(pt) for i in range(3))
+    found: set[AffLine] = set()
+
+    def check_dir(v: tuple[int, int, int]) -> None:
+        for terms in int_coeffs:
+            if _ref_eval_int_terms(terms, v) != 0:
+                return
+        found.add(AffLine(pt, [Fraction(c) for c in v]))
+
+    if any(g != 0 for g in grad):
+        # tangent directions form a plane lattice: enumerate two coordinates,
+        # solve the third from the gradient equation
+        piv = max(range(3), key=lambda i: abs(grad[i]))
+        others = [i for i in range(3) if i != piv]
+        for a in range(-bound, bound + 1):
+            for b in range(-bound, bound + 1):
+                rhs = -(grad[others[0]] * a + grad[others[1]] * b)
+                vp = rhs / grad[piv]
+                if vp.denominator != 1:
+                    continue
+                raw = [0, 0, 0]
+                raw[others[0]], raw[others[1]], raw[piv] = a, b, int(vp)
+                if all(x == 0 for x in raw):
+                    continue
+                g = gcd(gcd(abs(raw[0]), abs(raw[1])), abs(raw[2]))
+                prim = tuple(x // g for x in raw)
+                if max(abs(x) for x in prim) > bound:
+                    continue
+                first = next(x for x in prim if x)
+                if first < 0:
+                    prim = tuple(-x for x in prim)
+                check_dir(prim)  # type: ignore[arg-type]
+    else:
+        for v in _ref_primitive_dirs(bound):
+            check_dir(v)
+
+    return sorted(found, key=lambda ln: (ln.direction, ln.base))
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _linear(normal, p) -> Poly:
+    """normal . (x - p)."""
+    return sum((c * (var - a) for c, var, a in zip(normal, (X, Y, Z), p)), Poly.zero(3))
+
+
+small_ints = st.integers(-3, 3)
+triples = st.tuples(small_ints, small_ints, small_ints).filter(any)
+# gradient directions with a negative largest entry, or a largest entry tied
+# with another one, up to sign
+tied_or_negative = st.sampled_from(
+    [(1, 1, 0), (-2, 1, 2), (3, -3, 1), (-1, -1, -1), (0, -2, 1), (2, 0, -2), (1, -3, 2)]
+)
+
+
+@st.composite
+def planted_searches(draw):
+    """A surface through a rational point p holding two planted lines there.
+
+    f = n.(x-p) * A + w1.(x-p) * w2.(x-p) * B, where n is normal to both
+    directions and w_i to the i-th one, contains both lines; the gradient
+    at p is A(p) n, so the point is singular exactly when A(p) = 0.
+    """
+    p = draw(st.tuples(*[st.fractions(-4, 4, max_denominator=3)] * 3))
+    n = draw(st.one_of(tied_or_negative, triples))
+    dirs = []
+    for _ in range(2):
+        v = _cross(n, draw(triples))
+        if not any(v):
+            v = _cross(n, (1, 0, 0)) if any(_cross(n, (1, 0, 0))) else _cross(n, (0, 1, 0))
+        k = gcd(*v)
+        dirs.append(tuple(c // k for c in v))
+    ws = []
+    for v in dirs:
+        w = _cross(v, draw(triples))
+        if not any(w):
+            w = _cross(v, (1, 2, 3)) if any(_cross(v, (1, 2, 3))) else _cross(v, (3, 1, 2))
+        ws.append(w)
+    a = draw(st.tuples(small_ints, small_ints, small_ints, small_ints))
+    b = draw(st.tuples(small_ints, small_ints, small_ints, small_ints))
+    big_a = a[0] + a[1] * X + a[2] * Y + a[3] * Z
+    big_b = b[0] + b[1] * X + b[2] * Y + b[3] * Z
+    f = _linear(n, p) * big_a + _linear(ws[0], p) * _linear(ws[1], p) * big_b
+    # bounds at and just below the largest entry of a planted direction
+    top = max(abs(c) for c in dirs[0])
+    bound = draw(st.one_of(st.integers(1, 10), st.sampled_from([top, top - 1])))
+    return f, p, min(max(bound, 1), 10)
+
+
+@st.composite
+def catalog_searches(draw):
+    """Catalog and random surfaces at rational points, the singular points
+    of the cone and the Whitney cubic included."""
+    kind = draw(st.sampled_from(["apex", "axis", "cone", "cubic", "random"]))
+    if kind == "apex":
+        f, p = CONE, (0, 0, 0)
+    elif kind == "axis":
+        f, p = RULED_CUBIC, (0, 0, draw(st.fractions(-4, 4, max_denominator=3)))
+    elif kind == "cone":
+        a, b = draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any))
+        t = draw(st.fractions(-3, 3, max_denominator=4).filter(bool))
+        p = tuple(t * c for c in (a * a - b * b, 2 * a * b, a * a + b * b))
+        f = CONE
+    elif kind == "cubic":
+        c, t = draw(st.integers(-3, 3)), draw(st.fractions(-3, 3, max_denominator=3))
+        f, p = RULED_CUBIC, (c * t, t, Fraction(c * c))
+    else:
+        p = draw(st.tuples(*[st.fractions(-3, 3, max_denominator=3)] * 3))
+        exponents = st.tuples(*[st.integers(0, 2)] * 3)
+        g = Poly(3, draw(st.dictionaries(exponents, st.integers(-3, 3), max_size=5)))
+        f = g - g.eval(p)
+        if f.degree() < 1:
+            f = _linear((1, -2, 2), p)
+    return f, p, draw(st.integers(1, 10))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(planted_searches(), catalog_searches()))
+def test_line_search_matches_the_fraction_box_search(search):
+    f, p, bound = search
+    if f.degree() < 1:
+        return
+    assert find_lines_through_point(f, p, bound) == reference_lines_through(f, p, bound)
 
 
 # -- exceptional lines
