@@ -603,7 +603,7 @@ def find_lines_through_point(
     return list(_lines_through(factor, pt, denominator_bound))
 
 
-@functools.lru_cache(maxsize=4096)  # the test suite makes 1,948 searches
+@functools.lru_cache(maxsize=4096)  # the test suite makes 1,944 searches
 def _lines_through(factor: Poly, pt: Vec, bound: int) -> tuple[AffLine, ...]:
     # factor(pt + t v) = sum_k t^k c_k(v), c_k the degree-k Taylor part; c_0 = 0
     # and c_1(v) = grad . v

@@ -488,7 +488,8 @@ def test_lines_search_respects_bound():
 # The reference is the search as it stood before the integer lattice walk,
 # copied unchanged apart from its names: it divides Fraction gradient
 # entries for each (a, b) of the box and tests every candidate, repeats
-# included.
+# included.  Its Taylor parts come from `taylor_components`, whose shift
+# test_poly checks against substitution.
 
 
 def _ref_int_terms(p: Poly) -> list[tuple[int, tuple[int, int, int]]]:
