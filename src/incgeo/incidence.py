@@ -353,7 +353,7 @@ class BoundReport:
 
 def _bound_report(
     points: Sequence, lines: Sequence[AffLine], degree: int, s: int | None,
-    constant: float, notes: str, planes: bool,
+    constant: float, planes: bool,
 ) -> BoundReport:
     """Count the instance once and evaluate the bounds; planes selects the
     plane-dominated shape (and xi 0) instead of the surface-sensitive one."""
@@ -380,7 +380,7 @@ def _bound_report(
         ratio_main=inc / main if main else 0.0,
         constant=constant,
         within=inc <= constant * main,
-        notes=notes,
+        notes="plane-dominated bound" if planes else "",
     )
 
 
@@ -390,7 +390,6 @@ def verify_bound(
     degree: int,
     s: int | None = None,
     constant: float = 4.0,
-    notes: str = "",
 ) -> BoundReport:
     """Measure an instance against the closed-form bounds.
 
@@ -400,16 +399,13 @@ def verify_bound(
     """
     if degree < 1:
         raise DomainError("surface degree must be positive")
-    return _bound_report(points, lines, degree, s, constant, notes, planes=False)
+    return _bound_report(points, lines, degree, s, constant, planes=False)
 
 
 def verify_planes_bound(
     points: Sequence,
     lines: Sequence[AffLine],
     constant: float = 4.0,
-    notes: str = "",
 ) -> BoundReport:
     """Plane-dominated variant used when the surface has planar components."""
-    return _bound_report(
-        points, lines, 1, None, constant, notes or "plane-dominated bound", planes=True
-    )
+    return _bound_report(points, lines, 1, None, constant, planes=True)

@@ -90,10 +90,11 @@ class IncidenceInstance:
 
 
 MAX_DEGREE = 64
-# Checking a line against a factor expands each term along the line, about
-# 13 ms a term at degree MAX_DEGREE (2-vCPU Xeon VM, Python 3.11), so a factor
-# at the cap takes under 1 s.  Every polynomial of degree 5 or less (at most
-# 56 terms) fits; the catalog factors have at most 4 terms.
+# Checking a line against a factor expands it along the line on integers:
+# about 16 ms for a 64-term factor of degree 64 on a line whose entries have
+# denominators 7, 2, 3 and 5 (2-vCPU Xeon VM, Python 3.11).  Every polynomial
+# of degree 5 or less (at most 56 terms) fits; the catalog factors have at
+# most 4 terms.
 MAX_TERMS = 64
 
 

@@ -2,11 +2,11 @@
 
 Coefficients are fractions.Fraction throughout the API; nothing in this
 module ever rounds.  Inside, the determinant and exact division run on
-integer term maps with packed monomials.  A polynomial is a map from
-exponent tuples to nonzero coefficients, wrapped in an immutable Poly
-object.  Monomials are ordered graded lexicographically (total degree
-first, then lex with variable 0 highest); the zero polynomial has degree
--1.
+integer term maps with packed monomials, and the restriction to a line on
+integer coefficient lists.  A polynomial is a map from exponent tuples to
+nonzero coefficients, wrapped in an immutable Poly object.  Monomials are
+ordered graded lexicographically (total degree first, then lex with
+variable 0 highest); the zero polynomial has degree -1.
 
 Beyond ring arithmetic the module provides the calculus and elimination
 tools the geometry layers need: Taylor components around a point (whose
@@ -384,12 +384,12 @@ def directional_power(p: Poly, k: int) -> Poly:
 
 
 def restrict_to_line(p: Poly, base: Sequence[RatLike], direction: Sequence[RatLike]) -> Poly:
-    """Univariate polynomial t -> p(base + t*direction)."""
+    """Univariate polynomial t -> p(base + t*direction), divided back once
+    from its integer expansion."""
     if len(base) != p.nvars or len(direction) != p.nvars:
         raise ArityError("base/direction arity does not match polynomial")
-    t = Poly.variable(1, 0)
-    values = [Poly.const(1, _frac(b)) + t * _frac(d) for b, d in zip(base, direction)]
-    return p.substitute(values)
+    coeffs, scale = _line_coeffs(p, base, direction)
+    return Poly(1, {(j,): Fraction(c, scale) for j, c in enumerate(reversed(coeffs))})
 
 
 # -- division, gcd, resultants -----------------------------------------
@@ -620,20 +620,27 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     return remove_content(cont * a)
 
 
-def _line_coeffs(p: Poly, base: Sequence[int], direction: Sequence[int]) -> list[int]:
-    """Coefficients of t -> den*p(base + t*direction), highest power of t
-    first, padded to length deg p + 1; den clears p's denominators."""
+def _line_coeffs(p: Poly, base: Sequence[RatLike], direction: Sequence[RatLike]) -> tuple[list[int], int]:
+    """Integer coefficients of t -> scale*p(base + t*direction), highest
+    power of t first, padded to length deg p + 1, and scale.  As in
+    Poly.shift, with base = B/s and direction = D/s for an integer s,
+    scale = den*s^deg p and the term c*x^e gives den*c*s^(deg p-|e|)*(B+tD)^e.
+    """
     d = p.degree()
     den = _den((p,))
-    powers = [[[1]] for _ in range(p.nvars)]  # powers[i][k]: (b_i + d_i t)^k, lowest first
+    b, v = [_frac(a) for a in base], [_frac(a) for a in direction]
+    s = lcm(*(a.denominator for a in b + v))
+    b = [a.numerator * (s // a.denominator) for a in b]
+    v = [a.numerator * (s // a.denominator) for a in v]
+    powers = [[[1]] for _ in range(p.nvars)]  # powers[i][k]: (b_i + v_i t)^k, lowest first
     out = [0] * (d + 1)
     for e, c in p.terms.items():
-        term = [c.numerator * (den // c.denominator)]
+        term = [c.numerator * (den // c.denominator) * s ** (d - sum(e))]
         for i, k in enumerate(e):
             pw = powers[i]
             while len(pw) <= k:
                 prev = pw[-1]
-                pw.append([base[i] * x + direction[i] * y for x, y in zip(prev + [0], [0] + prev)])
+                pw.append([b[i] * x + v[i] * y for x, y in zip(prev + [0], [0] + prev)])
             if k:
                 factor = pw[k]
                 prod = [0] * (len(term) + k)
@@ -643,7 +650,7 @@ def _line_coeffs(p: Poly, base: Sequence[int], direction: Sequence[int]) -> list
                 term = prod
         for j, x in enumerate(term):
             out[d - j] += x
-    return out
+    return out, den * s ** max(d, 0)
 
 
 def _univariate_square_free(r: list[int]) -> bool:
@@ -681,7 +688,7 @@ def is_square_free(p: Poly) -> bool:
         return True
     for k in range(1, 4):
         base = [(k + i) ** 2 % 11 - 5 for i in range(p.nvars)]
-        r = _line_coeffs(p, base, [k * (i + 1) ** 2 % 13 - 6 for i in range(p.nvars)])
+        r, _ = _line_coeffs(p, base, [k * (i + 1) ** 2 % 13 - 6 for i in range(p.nvars)])
         if r[0] and _univariate_square_free(r):
             return True
     g = p

@@ -87,70 +87,63 @@ class Surface:
 # -- point-local analysis ---------------------------------------------------
 
 
-def is_singular_point(f: Poly, p: Sequence) -> bool:
-    """True iff p is on the surface and all first partials vanish there."""
-    pt = to_vec(p)
-    if f.eval(pt) != 0:
-        raise NotOnSurfaceError(f"point {pt} is not on the surface")
-    return all(f.diff(i).eval(pt) == 0 for i in range(f.nvars))
-
-
-def multiplicity(f: Poly, p: Sequence) -> int:
-    """Order of vanishing of f at a surface point: smallest nonzero Taylor index."""
+def _parts_on_surface(f: Poly, p: Sequence) -> list[Poly]:
+    """The one expansion each point question reads, the Taylor components
+    of f at p: part 0 is f(p), which must vanish, part 1 the gradient as a
+    linear form and part 2 the second-order form."""
     pt = to_vec(p)
     parts = taylor_components(f, pt)
     if not parts[0].is_zero:
         raise NotOnSurfaceError(f"point {pt} is not on the surface")
-    for j in range(1, len(parts)):
-        if not parts[j].is_zero:
-            return j
-    raise DomainError("zero polynomial has no multiplicity")
+    return parts
+
+
+def _gradient(linear: Poly) -> list[Fraction]:
+    return [linear.terms.get(e, Fraction(0)) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+
+
+def is_singular_point(f: Poly, p: Sequence) -> bool:
+    """True iff p is on the surface and the gradient vanishes there."""
+    parts = _parts_on_surface(f, p)
+    return len(parts) < 2 or parts[1].is_zero
+
+
+def multiplicity(f: Poly, p: Sequence) -> int:
+    """Order of vanishing of f at a surface point: the tangent cone's degree."""
+    return tangent_cone(f, p).degree()
 
 
 def tangent_cone(f: Poly, p: Sequence) -> Poly:
     """Lowest nonzero Taylor component of f at a surface point."""
-    pt = to_vec(p)
-    parts = taylor_components(f, pt)
-    if not parts[0].is_zero:
-        raise NotOnSurfaceError(f"point {pt} is not on the surface")
-    return parts[multiplicity(f, pt)]
+    for part in _parts_on_surface(f, p)[1:]:
+        if not part.is_zero:
+            return part
+    raise DomainError("zero polynomial has no multiplicity")
 
 
 def intersection_multiplicity_line(f: Poly, ln: AffLine, p: Sequence):
-    """Vanishing order of f along ln at p; inf when the line is contained."""
+    """Vanishing order of f along ln at p; inf when the line is contained.
+    The restriction to the line starts at p, so its constant term is f(p)."""
     pt = to_vec(p)
     if not incidence_point_line(pt, ln):
         raise DomainError("point is not on the line")
-    if f.eval(pt) != 0:
-        raise NotOnSurfaceError(f"point {pt} is not on the surface")
     r = restrict_to_line(f, pt, ln.direction)
-    if r.is_zero:
-        return inf
-    return min(e[0] for e in r.terms)
-
-
-def hessian_at(f: Poly, p: Sequence) -> list[list[Fraction]]:
-    pt = to_vec(p)
-    n = f.nvars
-    return [[f.diff(i).diff(j).eval(pt) for j in range(n)] for i in range(n)]
+    if (0,) in r.terms:
+        raise NotOnSurfaceError(f"point {pt} is not on the surface")
+    return min((e[0] for e in r.terms), default=inf)
 
 
 def is_flat_point(f: Poly, p: Sequence) -> bool:
-    """Second fundamental form degenerates: the second-order Taylor part
-    vanishes identically on the tangent plane."""
-    pt = to_vec(p)
-    if f.eval(pt) != 0:
-        raise NotOnSurfaceError(f"point {pt} is not on the surface")
-    grad = [f.diff(i).eval(pt) for i in range(f.nvars)]
-    if all(g == 0 for g in grad):
-        raise SingularPointError(f"point {pt} is singular")
-    u, w = linalg.nullspace([grad])
-    h = hessian_at(f, pt)
-
-    def form(a: Vec, b: Vec) -> Fraction:
-        return sum((a[i] * h[i][j] * b[j] for i in range(3) for j in range(3)), Fraction(0))
-
-    return form(u, u) == 0 and form(u, w) == 0 and form(w, w) == 0
+    """Second fundamental form degenerates: the second-order Taylor part q
+    vanishes on the tangent plane, that is q(u) = q(w) = q(u + w) = 0 for
+    its basis u, w.  A plane has no part 2 and is flat everywhere."""
+    parts = _parts_on_surface(f, p)
+    if len(parts) < 2 or parts[1].is_zero:
+        raise SingularPointError(f"point {to_vec(p)} is singular")
+    if len(parts) < 3:
+        return True
+    u, w = linalg.nullspace([_gradient(parts[1])])
+    return all(parts[2].eval(v) == 0 for v in (u, w, [a + b for a, b in zip(u, w)]))
 
 
 # -- line-local analysis ----------------------------------------------------
@@ -515,7 +508,7 @@ def classify_component(factor: Poly, hint_lines: Sequence[AffLine] = ()) -> Clas
     if not indication.indicated:
         return ClassificationResult(Verdict.NOT_RULED_REAL, complex_ruled_indicated=False)
     for apex in _apex_candidates(factor, hint_lines):
-        if factor.eval(apex) == 0 and _is_cone_apex(factor, apex):
+        if _is_cone_apex(factor, apex):
             return ClassificationResult(Verdict.CONE, apex=apex, complex_ruled_indicated=True)
     real_line = next(
         (ln for ln in hint_lines if ln.dim == 3 and line_on_surface(factor, ln)), None
@@ -531,13 +524,13 @@ def classify_component(factor: Poly, hint_lines: Sequence[AffLine] = ()) -> Clas
     )
 
 
-def _search_real_line(factor: Poly, bound: int = 5) -> AffLine | None:
+def _search_real_line(factor: Poly) -> AffLine | None:
     """Cheap bounded search for one rational line on the factor."""
     grid = [Fraction(v) for v in (0, 1, -1, 2, -2)]
     for p in itertools.product(grid, repeat=3):
         if factor.eval(p) != 0:
             continue
-        lines = find_lines_through_point(factor, p, bound)
+        lines = find_lines_through_point(factor, p, REAL_LINE_BOUND)
         if lines:
             return lines[0]
     return None
@@ -575,6 +568,8 @@ def _primitive_dirs(bound: int):
 
 # Entry bound of the line search behind the exceptional-line scans.
 DENOMINATOR_BOUND = 10
+# Entry bound of the search for one real line that witnesses a ruling.
+REAL_LINE_BOUND = 5
 
 
 def find_lines_through_point(
@@ -608,7 +603,7 @@ def _lines_through(factor: Poly, pt: Vec, bound: int) -> tuple[AffLine, ...]:
     # factor(pt + t v) = sum_k t^k c_k(v), c_k the degree-k Taylor part; c_0 = 0
     # and c_1(v) = grad . v
     parts = taylor_components(factor, pt)
-    grad = [parts[1].terms.get(e, Fraction(0)) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    grad = _gradient(parts[1])
     int_coeffs = sorted((c for c in (_int_terms(cp) for cp in parts[2:]) if c), key=len)
     found: set[AffLine] = set()
 

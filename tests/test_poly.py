@@ -279,6 +279,46 @@ def test_shift_matches_substitution(p, at):
     assert p.shift(at) == p.substitute([v + a for v, a in zip((X, Y, Z), at)])
 
 
+def reference_restriction(p, base, direction):
+    """Reference: substitute b_i + d_i*t for variable i, on Fractions."""
+    t = Poly.variable(1, 0)
+    return p.substitute([Poly.const(1, Fraction(b)) + Fraction(d) * t for b, d in zip(base, direction)])
+
+
+# entries with denominators, and zeros
+line_entries = st.one_of(st.just(0), st.integers(-5, 5), st.fractions(-5, 5, max_denominator=7))
+line_triples = st.tuples(line_entries, line_entries, line_entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(nvars=3, max_deg=3, max_terms=6), line_triples, line_triples)
+def test_restrict_to_line_matches_substitution(p, base, direction):
+    assert restrict_to_line(p, base, direction) == reference_restriction(p, base, direction)
+
+
+def test_restrict_to_line_on_zero_constant_and_large_factors():
+    base, direction = (Fraction(1, 7), Fraction(-3, 2), 0), (Fraction(2, 3), 0, Fraction(-4, 5))
+    assert restrict_to_line(Poly.zero(3), base, direction) == Poly.zero(1)
+    assert restrict_to_line(Poly.const(3, Fraction(-5, 6)), base, direction) == Poly.const(1, Fraction(-5, 6))
+    # 64 terms of degree up to 64, one at the top degree
+    rng = random.Random(1)
+    terms = {(20, 30, 14): Fraction(3, 4)}
+    while len(terms) < 64:
+        a = rng.randint(0, 64)
+        b = rng.randint(0, 64 - a)
+        terms[(a, b, rng.randint(0, 64 - a - b))] = Fraction(rng.randint(1, 50) * rng.choice((-1, 1)), rng.randint(1, 9))
+    p = Poly(3, terms)
+    assert (p.degree(), len(p.terms)) == (64, 64)
+    r = restrict_to_line(p, base, direction)
+    assert r == reference_restriction(p, base, direction)
+    assert r.degree() == 64
+
+
+def test_restrict_to_line_checks_arity():
+    with pytest.raises(ArityError):
+        restrict_to_line(X + Y, (0, 0), (1, 1, 1))
+
+
 @settings(max_examples=60, deadline=None)
 @given(polys(), polys(), st.tuples(small_fracs, small_fracs))
 def test_eval_is_ring_homomorphism(p, q, at):
@@ -435,13 +475,15 @@ small_int_triples = st.tuples(*[st.integers(-6, 6)] * 3)
 
 @settings(max_examples=80, deadline=None)
 @given(polys(nvars=3, max_deg=3, max_terms=6), small_int_triples, small_int_triples)
-def test_certificate_restriction_matches_restrict_to_line(p, base, direction):
+def test_certificate_restriction_matches_substitution(p, base, direction):
     if p.degree() < 1:
         return
     d = p.degree()
     den = lcm(*(c.denominator for c in p.terms.values()))
-    r = restrict_to_line(p, base, direction)
-    assert _line_coeffs(p, base, direction) == [den * r.terms.get((d - j,), 0) for j in range(d + 1)]
+    coeffs, scale = _line_coeffs(p, base, direction)
+    assert scale == den  # integer lines need no scaling
+    r = reference_restriction(p, base, direction)
+    assert coeffs == [den * r.terms.get((d - j,), 0) for j in range(d + 1)]
 
 
 @settings(max_examples=80, deadline=None)

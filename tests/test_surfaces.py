@@ -7,10 +7,11 @@ x^2-y^2*z with its singular z-axis, and the smooth cubic x^3+y^3+z^3-1.
 """
 
 import hashlib
+import itertools
 import random
 import time
 from fractions import Fraction
-from math import gcd, inf, lcm
+from math import factorial, gcd, inf, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from incgeo.errors import (
     NotOnSurfaceError,
     SingularPointError,
 )
+from incgeo.linalg import nullspace
 from incgeo.linespace import AffLine, line_relation
 from incgeo.poly import Poly, divides, is_square_free, remove_content, taylor_components, variables
 from incgeo.surfaces import (
@@ -130,6 +132,11 @@ def test_intersection_multiplicity_transversal():
 
 def test_intersection_multiplicity_contained_line():
     assert intersection_multiplicity_line(RULED_CUBIC, Z_AXIS, (0, 0, 2)) == inf
+
+
+def test_intersection_multiplicity_requires_surface_point():
+    with pytest.raises(NotOnSurfaceError, match=r"point \(Fraction\(0, 1\), .* is not on the surface"):
+        intersection_multiplicity_line(SPHERE, Z_AXIS, (0, 0, 0))
 
 
 def test_intersection_multiplicity_requires_incidence():
@@ -651,6 +658,119 @@ def test_line_search_matches_the_fraction_box_search(search):
     if f.degree() < 1:
         return
     assert find_lines_through_point(f, p, bound) == reference_lines_through(f, p, bound)
+
+
+# -- point questions against partial derivatives
+#
+# The reference is the point-local code as it stood before each question
+# read one Taylor expansion: f(p) and the gradient by evaluating partial
+# derivatives, flatness by the Hessian on the tangent plane.  Multiplicity
+# and tangent cone come from the partials of each order, D^a f(p) / a!.
+
+
+def _ref_on_surface(f: Poly, p) -> tuple:
+    pt = tuple(Fraction(c) for c in p)
+    if f.eval(pt) != 0:
+        raise NotOnSurfaceError(f"point {pt} is not on the surface")
+    return pt
+
+
+def reference_is_singular_point(f: Poly, p) -> bool:
+    pt = _ref_on_surface(f, p)
+    return all(f.diff(i).eval(pt) == 0 for i in range(f.nvars))
+
+
+def reference_hessian_at(f: Poly, p) -> list[list[Fraction]]:
+    pt = tuple(Fraction(c) for c in p)
+    n = f.nvars
+    return [[f.diff(i).diff(j).eval(pt) for j in range(n)] for i in range(n)]
+
+
+def reference_is_flat_point(f: Poly, p) -> bool:
+    pt = _ref_on_surface(f, p)
+    grad = [f.diff(i).eval(pt) for i in range(f.nvars)]
+    if all(g == 0 for g in grad):
+        raise SingularPointError(f"point {pt} is singular")
+    u, w = nullspace([grad])
+    h = reference_hessian_at(f, pt)
+
+    def form(a, b) -> Fraction:
+        return sum((a[i] * h[i][j] * b[j] for i in range(3) for j in range(3)), Fraction(0))
+
+    return form(u, u) == 0 and form(u, w) == 0 and form(w, w) == 0
+
+
+def reference_tangent_cone(f: Poly, p) -> Poly:
+    pt = _ref_on_surface(f, p)
+    for k in range(1, f.degree() + 1):
+        terms = {}
+        for a in itertools.product(range(k + 1), repeat=3):
+            if sum(a) != k:
+                continue
+            g = f
+            for i, ai in enumerate(a):
+                for _ in range(ai):
+                    g = g.diff(i)
+            terms[a] = g.eval(pt) / (factorial(a[0]) * factorial(a[1]) * factorial(a[2]))
+        cone = Poly(3, terms)
+        if not cone.is_zero:
+            return cone
+    raise DomainError("zero polynomial has no multiplicity")
+
+
+def reference_multiplicity(f: Poly, p) -> int:
+    return reference_tangent_cone(f, p).degree()
+
+
+def _outcome(fn, f, p):
+    try:
+        return fn(f, p)
+    except (DomainError, NotOnSurfaceError, SingularPointError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def point_questions(draw):
+    """A trivariate f and a rational point p: on a random surface through
+    p, a plane, a saddle, a surface singular at p, a catalog point, or p
+    off the surface."""
+    p = draw(st.tuples(*[st.fractions(-3, 3, max_denominator=3)] * 3))
+    exponents = st.tuples(*[st.integers(0, 2)] * 3)
+    g = Poly(3, draw(st.dictionaries(exponents, st.integers(-3, 3), max_size=5)))
+    kind = draw(st.sampled_from(["random", "plane", "saddle", "singular", "catalog", "off"]))
+    if kind == "random":
+        f = g - g.eval(p)
+    elif kind == "plane":
+        f = _linear(draw(triples), p)
+    elif kind == "saddle":
+        # q = (a.x)(b.x) vanishes on the tangent basis u, w but not on u + w
+        n = draw(triples)
+        u, w = nullspace([[Fraction(c) for c in n]])
+        f = _linear(n, p) + _linear(_cross(n, u), p) * _linear(_cross(n, w), p)
+    elif kind == "singular":
+        # the product of two forms vanishing at p has no linear part there
+        f = _linear(draw(triples), p) * _linear(draw(triples), p) * (g + draw(small_ints))
+    elif kind == "catalog":
+        f, p = draw(st.sampled_from([
+            (CONE, (0, 0, 0)), (RULED_CUBIC, (0, 0, 0)), (RULED_CUBIC, (0, 0, 2)),
+            (SPHERE, (0, 0, 1)), (REGULUS, (0, 0, 0)), (REGULUS, (1, 2, 2)), (Z, (1, 2, 0)),
+        ]))
+    else:
+        f = g - g.eval(p) + draw(st.fractions(-3, 3, max_denominator=3).filter(bool))
+    return f, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_questions())
+def test_point_questions_match_the_partial_derivatives(question):
+    f, p = question
+    for fn, ref in (
+        (is_singular_point, reference_is_singular_point),
+        (multiplicity, reference_multiplicity),
+        (tangent_cone, reference_tangent_cone),
+        (is_flat_point, reference_is_flat_point),
+    ):
+        assert _outcome(fn, f, p) == _outcome(ref, f, p)
 
 
 # -- exceptional lines
