@@ -8,8 +8,10 @@ factors, on several factors at once, or exceptional on a singly ruled
 factor) and the generic part L1; then read the incidence count, the
 conical incidences, the pruned points and the meeting counts off the
 table, check the structural caps and evaluate the closed-form bounds.
-count_incidences is the exhaustive reference count.  Bound evaluation is
-the only place floats appear; everything combinatorial is exact.
+count_incidences is the exhaustive reference count.  The table and s both
+come from linespace's integer kernel, which answers every point-line and
+line-line question on integer-primitive data.  Bound evaluation is the
+only place floats appear; everything combinatorial is exact.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 """Small exact linear algebra helpers over Fraction vectors.
 
-Everything works on tuples/lists of Fraction and never leaves the rationals.
+Everything works on tuples/lists of Fraction and never leaves the rationals:
+to_vec admits only int and Fraction entries, so no float is ever read as
+the binary fraction it stores.
 Only the handful of primitives the geometry layers need: rank, reduced row
 echelon form, and kernels.
 """
@@ -10,11 +12,23 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import DomainError
+
 Vec = tuple[Fraction, ...]
 
 
+def _exact(v: object) -> Fraction:
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, int) and not isinstance(v, bool):
+        return Fraction(v)
+    raise DomainError(f"coordinate {v!r} is not an int or a Fraction")
+
+
 def to_vec(values: Sequence) -> Vec:
-    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
+    """The entries as Fractions; anything but an int (bool excluded) or a
+    Fraction is a DomainError."""
+    return tuple(map(_exact, values))
 
 
 def vec_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:

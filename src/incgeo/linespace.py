@@ -8,11 +8,14 @@ of a line in a surface.  An instance's two pairwise relations are built
 here, one pass each: incidence_relation (point-line) and coplanar_partners
 (line-line).
 
-Incidence and pair questions are one step, _reduce: subtract
-w[pivot]*direction from w.  A point is on a line iff it reduces to the
-base; two lines meet iff the reduced direction and offset are proportional,
-and the normalized reduced vector keys their 2-flat.  coplanar_triple, by
-exact rank, stays the reference predicate for three lines.
+Every point-line and line-line question runs on integers.  A line caches
+its pivot k, integer direction D (D[k] > 0) and integer base B with scale
+s, so direction = D/D[k] and base = B/s.  A point P/q lies on it iff
+s*(P_i*D_k - P_k*D_i) = q*D_k*B_i for every i.  Line b meets line a iff
+b's direction and base offset, reduced against a's pivot, are
+proportional; the reduced vector, primitive with positive lead entry,
+keys the 2-flat they span.  coplanar_triple, by exact rank, stays the
+reference predicate for three lines.
 
 Plucker coordinates of lines in P^3 use these conventions:
 
@@ -33,11 +36,13 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 from typing import Iterator, Sequence
 
 from . import linalg
 from .errors import ArityError, DegenerateLineError, DomainError
-from .linalg import Vec, is_zero_vec, to_vec, vec_sub
+from .linalg import Vec, to_vec, vec_sub
 from .poly import Poly, restrict_to_line
 
 
@@ -101,6 +106,10 @@ def klein_form(a: Vec, b: Vec) -> Fraction:
     )
 
 
+# (pivot, integer direction, integer base, base scale) of an AffLine
+Lattice = tuple[int, tuple[int, ...], tuple[int, ...], int]
+
+
 class RelationKind(Enum):
     EQUAL = "equal"
     PARALLEL = "parallel"
@@ -144,23 +153,35 @@ class AffLine:
     def dim(self) -> int:
         return len(self.base)
 
+    @cached_property
+    def lattice(self) -> Lattice:
+        """(k, D, B, s): the pivot k, the primitive integer direction D with
+        D[k] > 0 and the integer base B with scale s > 0, so that
+        direction = D/D[k] and base = B/s."""
+        dv, _ = _scaled(self.direction)
+        bv, s = _scaled(self.base)
+        return self.direction.index(1), dv, bv, s
+
     def point_at(self, t) -> Vec:
         tf = t if isinstance(t, Fraction) else Fraction(t)
         return tuple(b + tf * d for b, d in zip(self.base, self.direction))
 
 
-def _reduce(w: Sequence, ln: AffLine, pivot: int) -> Vec:
-    """w - w[pivot]*ln.direction, zero at ln's pivot.  The map is linear
-    with kernel span(ln.direction), so every point of ln reduces to ln.base."""
-    t = w[pivot]
-    return tuple(c - t * d for c, d in zip(w, ln.direction))
+def _scaled(v: Vec) -> tuple[tuple[int, ...], int]:
+    """(V, q) with v = V/q: q is the lcm of v's denominators, V integer."""
+    q = lcm(*(c.denominator for c in v))
+    return tuple(c.numerator * (q // c.denominator) for c in v), q
 
 
-def _on_line(w: Sequence, ln: AffLine, pivot: int) -> bool:
-    """_reduce(w, ln, pivot) == ln.base, stopping at the first mismatch."""
-    t = w[pivot]
-    for c, d, b in zip(w, ln.direction, ln.base):
-        if c - t * d != b:
+def _on_lattice(point: tuple[tuple[int, ...], int], lattice: Lattice) -> bool:
+    """Whether the scaled point (P, q) lies on the line with this lattice
+    data, stopping at the first mismatch."""
+    pv, q = point
+    k, dv, bv, s = lattice
+    pk, dk = pv[k], dv[k]
+    qdk = q * dk
+    for p, d, b in zip(pv, dv, bv):
+        if s * (p * dk - pk * d) != qdk * b:
             return False
     return True
 
@@ -170,45 +191,61 @@ def incidence_point_line(point: Sequence, ln: AffLine) -> bool:
     pv = to_vec(point)
     if len(pv) != ln.dim:
         raise ArityError("point and line dimensions differ")
-    return _on_line(pv, ln, ln.direction.index(1))
+    return _on_lattice(_scaled(pv), ln.lattice)
 
 
 def incidence_relation(points: Sequence[Vec], lines: Sequence[AffLine]) -> tuple[tuple[int, ...], ...]:
     """For each point, the ascending indices of the lines through it; each
-    line's pivot is found once and each point-line pair reduced once."""
+    point is scaled to integers once and each point-line pair tested once."""
     if len({len(p) for p in points} | {ln.dim for ln in lines}) > 1:
         raise ArityError("point and line dimensions differ")
-    pivoted = [(j, ln, ln.direction.index(1)) for j, ln in enumerate(lines)]
+    lattices = [ln.lattice for ln in lines]
     return tuple(
-        tuple(j for j, ln, k in pivoted if _on_line(p, ln, k)) for p in points
+        tuple(j for j, lat in enumerate(lattices) if _on_lattice(pt, lat))
+        for pt in map(_scaled, points)
     )
 
 
-def _relate(a: AffLine, pivot: int, b: AffLine) -> tuple[RelationKind, Vec | None, Fraction | None]:
+def _flat_key(v: list[int]) -> tuple[int, ...]:
+    """The primitive integer vector on v's ray with a positive lead entry."""
+    g = gcd(*v)
+    if next(c for c in v if c) < 0:
+        g = -g
+    return tuple(c // g for c in v)
+
+
+def _pair(a: AffLine, b: AffLine) -> tuple[RelationKind, tuple[int, ...] | None, Fraction | None]:
     """How b sits against a, from b's direction and b.base - a.base reduced
-    against a (pivot is a's).
+    against a, all in integers.
 
     Returns the kind; for coplanar distinct lines, the key of the 2-flat
     they span among the flats through a (the reduced direction, or for
-    parallel lines the reduced offset, scaled to first nonzero entry 1);
-    and for intersecting lines, the s with b.point_at(s) on a.
+    parallel lines the reduced offset, as a primitive integer vector with
+    positive lead entry); and for intersecting lines, the s with
+    b.point_at(s) on a.
     """
-    if a.dim != b.dim:
+    k, da, ba, sa = a.lattice
+    kb, db, bb, sb = b.lattice
+    if len(da) != len(db):
         raise ArityError("lines live in different dimensions")
-    offset = _reduce(vec_sub(b.base, a.base), a, pivot)
-    if a.direction == b.direction:  # directions are canonical
-        if is_zero_vec(offset):
+    dk = da[k]
+    # sa*sb*dk times the reduced offset; zero at k, where a's base is 0
+    wk = bb[k] * sa
+    offset = [(y * sa - x * sb) * dk - wk * d for x, y, d in zip(ba, bb, da)]
+    if da == db:  # primitive with positive pivot entry, so equal iff parallel
+        if not any(offset):
             return RelationKind.EQUAL, None, None
-        lead = next(c for c in offset if c)
-        return RelationKind.PARALLEL, tuple(c / lead for c in offset), None
-    turn = _reduce(b.direction, a, pivot)  # nonzero: the directions differ
-    lead = next(c for c in turn if c)
-    key = tuple(c / lead for c in turn)
+        return RelationKind.PARALLEL, _flat_key(offset), None
+    # db[kb]*dk times the reduced direction; nonzero, as the directions differ
+    tk = db[k]
+    turn = [c * dk - tk * d for c, d in zip(db, da)]
+    j = next(i for i, c in enumerate(turn) if c)
+    tj, oj = turn[j], offset[j]
     # b meets a iff offset + s*turn = 0 for some s
-    ratio = offset[key.index(1)]
-    if offset != tuple(ratio * c for c in key):
-        return RelationKind.SKEW, None, None
-    return RelationKind.INTERSECTING, key, -ratio / lead
+    for t, o in zip(turn, offset):
+        if o * tj != oj * t:
+            return RelationKind.SKEW, None, None
+    return RelationKind.INTERSECTING, _flat_key(turn), Fraction(-oj * db[kb], sa * sb * tj)
 
 
 def line_relation(l1: AffLine, l2: AffLine) -> LineRelation:
@@ -217,7 +254,7 @@ def line_relation(l1: AffLine, l2: AffLine) -> LineRelation:
     Parallel means equal directions but distinct lines; intersecting
     returns the unique common point.  Works in any ambient dimension.
     """
-    kind, _, s = _relate(l1, l1.direction.index(1), l2)
+    kind, _, s = _pair(l1, l2)
     return LineRelation(kind, None if s is None else l2.point_at(s))
 
 
@@ -240,11 +277,10 @@ def coplanar_partners(lines: Sequence[AffLine]) -> Iterator[tuple[list[list[int]
     partners, grouped by the 2-flat they span with a, and of its later
     equal lines.  Each unordered pair is tested once."""
     for i, a in enumerate(lines):
-        pivot = a.direction.index(1)
-        groups: defaultdict[Vec, list[int]] = defaultdict(list)
+        groups: defaultdict[tuple[int, ...], list[int]] = defaultdict(list)
         equal: list[int] = []
         for j in range(i + 1, len(lines)):
-            kind, key, _ = _relate(a, pivot, lines[j])
+            kind, key, _ = _pair(a, lines[j])
             if key is not None:
                 groups[key].append(j)
             elif kind is RelationKind.EQUAL:

@@ -9,7 +9,9 @@ relation is preserved pair for pair, and non-coplanar line triples stay
 non-coplanar.  Failed samples are retried against a fixed budget, so the
 output carries a certificate rather than a probabilistic promise.
 
-Both pairwise relations come from linespace.  The triple check costs
+Both pairwise relations come from linespace's integer kernel, on both
+sides of the certificate; the growing denominators of projected
+coordinates only lengthen its integers.  The triple check costs
 O(n^2) pair tests, not O(n^3) triple tests: three projected lines share a
 2-flat only if each two of them do, so only triples inside one group of
 linespace.coplanar_partners are tested exactly on the original side.  The

@@ -214,13 +214,13 @@ def test_max_lines_per_flat_classifies_each_pair_once(monkeypatch):
     # one pair test per unordered pair, in the pass it shares with the
     # projection certificate, and no line_relation call
     pair_tests, relations = [], []
-    relate = linespace._relate
+    pair = linespace._pair
 
-    def counted(a, pivot, b):
+    def counted(a, b):
         pair_tests.append(frozenset((a, b)))
-        return relate(a, pivot, b)
+        return pair(a, b)
 
-    monkeypatch.setattr(linespace, "_relate", counted)
+    monkeypatch.setattr(linespace, "_pair", counted)
     monkeypatch.setattr(linespace, "line_relation", lambda a, b: relations.append((a, b)))
     _, _, lines = product_instance()
     assert max_lines_per_flat(lines) == 3

@@ -2,32 +2,39 @@
 
 Fixtures are hand-checked configurations (coordinate axes, parallel and
 skew pairs); the random cases cross-check the Klein form against the
-affine relation of the same two lines, and the pivot-reduction answers
+affine relation of the same two lines, the integer kernel's answers
 (incidence, pair relation, coplanar groups) against exact ranks in R^3
-to R^6.
+to R^6, and the same answers against the Fraction pivot reduction the
+kernel replaced, kept at the end of this file as the oracle.
 """
 
 import random
+from collections import defaultdict
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incgeo.errors import ArityError, DegenerateLineError, DomainError
-from incgeo.linalg import rank, vec_sub
+from incgeo.errors import ArityError, CollapseError, DegenerateLineError, DomainError
+from incgeo.forge import build_instance
+from incgeo.linalg import Vec, is_zero_vec, rank, to_vec, vec_sub
 from incgeo.linespace import (
     AffLine,
+    LineRelation,
     ProjPoint,
     RelationKind,
     coplanar_partners,
     coplanar_triple,
     incidence_point_line,
+    incidence_relation,
     klein_form,
     line_on_surface,
     line_relation,
     plucker_from_points,
 )
+from incgeo.projection import project_once, project_to_3space
 from incgeo.poly import variables
 
 X, Y, Z = variables(3)
@@ -56,6 +63,27 @@ def test_affline_canonical_equality():
     assert a != c
     with pytest.raises(DegenerateLineError):
         AffLine([0, 0, 0], [0, 0, 0])
+
+
+@pytest.mark.parametrize(
+    "bad", [0.1, 2.0, float("nan"), float("inf"), "1/0", "1/2", True, False, None],
+    ids=["float", "integral_float", "nan", "inf", "str_zero_den", "str", "true", "false", "none"],
+)
+def test_inexact_coordinates_are_a_domain_error(bad):
+    # a float would be read as the binary fraction it stores (0.1 as n/2**55)
+    with pytest.raises(DomainError, match="not an int or a Fraction"):
+        to_vec([1, bad, Fraction(1, 3)])
+    with pytest.raises(DomainError):
+        AffLine((bad, 0, 0), (1, 2, 3))
+    with pytest.raises(DomainError):
+        AffLine((0, 0, 0), (1, bad, 3))
+    with pytest.raises(DomainError):
+        incidence_point_line((bad, 0, 0), AffLine((0, 0, 0), (1, 2, 3)))
+
+
+def test_exact_coordinates_pass_the_gate():
+    assert to_vec([3, Fraction(-1, 2), 0]) == (Fraction(3), Fraction(-1, 2), Fraction(0))
+    assert all(type(c) is Fraction for c in to_vec([3, Fraction(-1, 2)]))
 
 
 def test_affline_through_two_points():
@@ -231,32 +259,39 @@ def test_point_at_parameter_is_incident(base, direction, num, den):
 
 
 @st.composite
-def line_families(draw):
-    """Two to six lines in R^3..R^6.  Later lines are planted parallel to,
-    equal to, meeting, or in a shared 2-flat with an earlier one, so every
-    relation and every kind of coplanar group occurs."""
-    dim = draw(st.integers(3, 6))
-    coord = st.integers(-3, 3)
-    vec = st.tuples(*([coord] * dim)).map(lambda v: affmk(*v))
+def line_families(draw, denominators=(1,), dims=(3, 6)):
+    """Two to six lines in R^3..R^6 (or the given range).  Later lines are
+    planted parallel to, equal to, meeting, in a shared 2-flat with, or
+    sharing the pivot and lead entry of an earlier one, so every relation
+    and every kind of coplanar group occurs.  Coordinates are n/d with d
+    drawn from denominators; directions are drawn with either sign."""
+    dim = draw(st.integers(*dims))
+    coord = st.builds(Fraction, st.integers(-3, 3), st.sampled_from(denominators))
+    vec = st.tuples(*([coord] * dim))
     direction = vec.filter(any)
+    sign = st.sampled_from([1, -1, 2, -3])
     tilt = draw(direction)  # shared by the lines planted in a flat
     lines = [AffLine(draw(vec), draw(direction))]
     for _ in range(draw(st.integers(1, 5))):
         other = draw(st.sampled_from(lines))
-        how = draw(st.sampled_from(["free", "parallel", "equal", "meeting", "flat"]))
+        how = draw(st.sampled_from(["free", "parallel", "equal", "meeting", "flat", "tied"]))
         if how == "free":
             ln = AffLine(draw(vec), draw(direction))
         elif how == "parallel":
-            ln = AffLine(draw(vec), other.direction)
+            ln = AffLine(draw(vec), [draw(sign) * c for c in other.direction])
         elif how == "equal":
             ln = AffLine(other.point_at(draw(coord)), [-2 * c for c in other.direction])
         elif how == "meeting":
             ln = AffLine(other.point_at(draw(coord)), draw(direction))
-        else:
+        elif how == "flat":
             i, j, k, m = (draw(coord) for _ in range(4))
             base = tuple(b + j * t for b, t in zip(other.point_at(i), tilt))
             turn = tuple(k * d + m * t for d, t in zip(other.direction, tilt))
             ln = AffLine(base, turn) if any(turn) else AffLine(base, tilt)
+        else:
+            k = other.direction.index(1)
+            tail = draw(vec)[k + 1:]
+            ln = AffLine(draw(vec), [draw(sign) * c for c in other.direction[: k + 1] + tail])
         lines.append(ln)
     return lines
 
@@ -331,3 +366,138 @@ def plucker(ln):
     return plucker_from_points(
         ProjPoint.from_affine(ln.base), ProjPoint.from_affine(ln.point_at(1))
     )
+
+
+# -- the integer kernel against the Fraction pivot reduction ----------------
+#
+# _reduce, _on_line and _relate are the Fraction routines the integer kernel
+# replaced, kept verbatim; the oracle_* functions are the relation builders
+# that ran on them.
+
+
+def _reduce(w: Sequence, ln: AffLine, pivot: int) -> Vec:
+    """w - w[pivot]*ln.direction, zero at ln's pivot.  The map is linear
+    with kernel span(ln.direction), so every point of ln reduces to ln.base."""
+    t = w[pivot]
+    return tuple(c - t * d for c, d in zip(w, ln.direction))
+
+
+def _on_line(w: Sequence, ln: AffLine, pivot: int) -> bool:
+    """_reduce(w, ln, pivot) == ln.base, stopping at the first mismatch."""
+    t = w[pivot]
+    for c, d, b in zip(w, ln.direction, ln.base):
+        if c - t * d != b:
+            return False
+    return True
+
+
+def _relate(a: AffLine, pivot: int, b: AffLine) -> tuple[RelationKind, Vec | None, Fraction | None]:
+    """How b sits against a, from b's direction and b.base - a.base reduced
+    against a (pivot is a's).
+
+    Returns the kind; for coplanar distinct lines, the key of the 2-flat
+    they span among the flats through a (the reduced direction, or for
+    parallel lines the reduced offset, scaled to first nonzero entry 1);
+    and for intersecting lines, the s with b.point_at(s) on a.
+    """
+    if a.dim != b.dim:
+        raise ArityError("lines live in different dimensions")
+    offset = _reduce(vec_sub(b.base, a.base), a, pivot)
+    if a.direction == b.direction:  # directions are canonical
+        if is_zero_vec(offset):
+            return RelationKind.EQUAL, None, None
+        lead = next(c for c in offset if c)
+        return RelationKind.PARALLEL, tuple(c / lead for c in offset), None
+    turn = _reduce(b.direction, a, pivot)  # nonzero: the directions differ
+    lead = next(c for c in turn if c)
+    key = tuple(c / lead for c in turn)
+    # b meets a iff offset + s*turn = 0 for some s
+    ratio = offset[key.index(1)]
+    if offset != tuple(ratio * c for c in key):
+        return RelationKind.SKEW, None, None
+    return RelationKind.INTERSECTING, key, -ratio / lead
+
+
+def oracle_incidence_relation(points, lines):
+    pivoted = [(j, ln, ln.direction.index(1)) for j, ln in enumerate(lines)]
+    return tuple(
+        tuple(j for j, ln, k in pivoted if _on_line(p, ln, k)) for p in points
+    )
+
+
+def oracle_line_relation(l1, l2):
+    kind, _, s = _relate(l1, l1.direction.index(1), l2)
+    return LineRelation(kind, None if s is None else l2.point_at(s))
+
+
+def oracle_coplanar_partners(lines):
+    for i, a in enumerate(lines):
+        pivot = a.direction.index(1)
+        groups = defaultdict(list)
+        equal = []
+        for j in range(i + 1, len(lines)):
+            kind, key, _ = _relate(a, pivot, lines[j])
+            if key is not None:
+                groups[key].append(j)
+            elif kind is RelationKind.EQUAL:
+                equal.append(j)
+        yield list(groups.values()), equal
+
+
+def near_points(lines, rng):
+    """Points on each line at rational parameters, the same points nudged
+    off the line in one coordinate, and their midpoints across lines."""
+    on = [ln.point_at(Fraction(rng.randint(-9, 9), rng.randint(1, 5))) for ln in lines]
+    nudged = []
+    for p in on:
+        i = rng.randrange(len(p))
+        nudged.append(p[:i] + (p[i] + Fraction(1, rng.choice([1, 3, 2**65 + 1])),) + p[i + 1:])
+    mixed = [tuple((x + y) / 2 for x, y in zip(p, q)) for p, q in zip(on, on[1:])]
+    return list(dict.fromkeys(on + nudged + mixed))
+
+
+def assert_kernel_matches_oracle(points, lines):
+    assert incidence_relation(points, lines) == oracle_incidence_relation(points, lines)
+    for p in points[:4]:
+        for ln in lines:
+            assert incidence_point_line(p, ln) == _on_line(p, ln, ln.direction.index(1))
+    for a in lines:
+        for b in lines:
+            assert line_relation(a, b) == oracle_line_relation(a, b)
+    assert list(coplanar_partners(lines)) == list(oracle_coplanar_partners(lines))
+
+
+WIDE_DENOMINATORS = (1, 1, 2, 3, 7, 12, 2**64 + 13, 3**41)
+
+
+@settings(max_examples=150, deadline=None)
+@given(line_families(WIDE_DENOMINATORS), st.integers(0, 2**32))
+def test_kernel_matches_fraction_oracle(lines, seed):
+    assert_kernel_matches_oracle(near_points(lines, random.Random(seed)), lines)
+
+
+@settings(max_examples=60, deadline=None)
+@given(line_families((1, 2, 5), dims=(4, 6)), st.integers(0, 2**32))
+def test_kernel_matches_fraction_oracle_after_projection(lines, seed):
+    # one project_once step per dimension, along directions with nonzero
+    # 40-bit numerators and denominators, so the projected lines' entries
+    # have denominators far above 2**64
+    rng = random.Random(seed)
+    points = near_points(lines, rng)
+    while lines[0].dim > 3:
+        w = [
+            Fraction(rng.choice((-1, 1)) * rng.randint(1, 2**40), rng.randint(2**39, 2**40))
+            for _ in range(lines[0].dim)
+        ]
+        try:
+            points, lines = project_once(points, lines, w)
+        except CollapseError:
+            return
+    assert_kernel_matches_oracle(list(dict.fromkeys(points)), lines)
+
+
+def test_kernel_matches_fraction_oracle_on_a_projected_instance():
+    inst = build_instance("product", 10, 16, seed=5, dim=6)
+    points, lines, _ = project_to_3space(inst.points, inst.lines, seed=2)
+    assert max(c.denominator for ln in lines for c in ln.base) > 2**64
+    assert_kernel_matches_oracle(points + near_points(lines, random.Random(3)), lines)
