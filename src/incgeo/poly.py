@@ -653,11 +653,12 @@ def _line_coeffs(p: Poly, base: Sequence[RatLike], direction: Sequence[RatLike])
     return out, den * s ** max(d, 0)
 
 
-def _univariate_square_free(r: list[int]) -> bool:
-    """True iff the integer polynomial r (highest power first, r[0] != 0)
-    has a constant gcd with its derivative: a primitive remainder sequence."""
-    n = len(r) - 1
-    a, b = r, [c * (n - i) for i, c in enumerate(r[:-1])]
+def univariate_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Gcd up to a constant of two nonzero integer polynomials given as
+    coefficient lists, highest power first and leading entry nonzero: a
+    primitive remainder sequence.  A list of length 1 means a constant gcd."""
+    if len(a) < len(b):
+        a, b = b, a
     while len(b) > 1:
         lb = b[0]
         while len(a) >= len(b):
@@ -667,10 +668,17 @@ def _univariate_square_free(r: list[int]) -> bool:
             lead = next((i for i, x in enumerate(a) if x), len(a))
             a = a[lead:]
         if not a:
-            return False
+            return b
         g = gcd(*a)
         a, b = b, [x // g for x in a]
-    return True
+    return b
+
+
+def _univariate_square_free(r: list[int]) -> bool:
+    """True iff the integer polynomial r (highest power first, r[0] != 0)
+    has a constant gcd with its derivative."""
+    n = len(r) - 1
+    return len(univariate_gcd(r, [c * (n - i) for i, c in enumerate(r[:-1])])) == 1
 
 
 def is_square_free(p: Poly) -> bool:

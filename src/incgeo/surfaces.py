@@ -6,9 +6,12 @@ and the product of the factors is never formed.  Every analysis function
 takes one trivariate polynomial f, in practice a single factor.  The
 module answers the questions the incidence machinery needs: where is the
 surface singular, which points and lines are flat, does a factor admit a
-ruling (flecnode witness plus divisibility), is it a cone, which lines
-through a point lie on the surface, which lines are exceptional, and do
-the generator-count sums stay below the factor degree.
+ruling (flecnode witness plus divisibility), is it a cone (its apex comes
+from one linear solve), which lines through a point lie on the surface
+(a bounded search), which lines are exceptional, and do the
+generator-count sums stay below the factor degree.  Exceptionality is
+exact over C on non-singular lines, read off the tangent pencil along the
+line; on singular lines it is a bounded scan.
 
 Everything is exact.  Ruledness certificates obtained through the flecnode
 route are certificates over the complex numbers; real verdicts are only
@@ -23,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, inf, lcm
+from math import comb, factorial, gcd, inf, lcm
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -45,10 +48,12 @@ from .poly import (
     divides,
     exact_div,
     is_square_free,
+    poly_gcd,
     remove_content,
     restrict_to_line,
     sylvester_determinant,
     taylor_components,
+    univariate_gcd,
     variables,
 )
 
@@ -286,8 +291,8 @@ def flecnode_polynomial(f: Poly) -> Poly:
 
 
 # Memo bounds: twice the distinct keys the whole test suite makes in one
-# process, rounded up to a power of two (here 15 witnesses).
-@functools.lru_cache(maxsize=32)
+# process, rounded up to a power of two (here 17 witnesses).
+@functools.lru_cache(maxsize=64)
 def _flecnode_witness(f: Poly) -> Poly:
     d = f.degree()
     grads = [f.diff(i) for i in range(3)]
@@ -435,24 +440,36 @@ def symmetric_inertia(matrix: Sequence[Sequence[Fraction]]) -> tuple[int, int, i
     return pos, neg, zero
 
 
-def _apex_candidates(f: Poly, hint_lines: Sequence[AffLine]) -> list[Vec]:
-    candidates: list[Vec] = []
-    seen = set()
-    verified = [ln for ln in hint_lines if ln.dim == 3 and line_on_surface(f, ln)]
-    for a, b in itertools.combinations(verified, 2):
-        rel = line_relation(a, b)
-        if rel.kind is RelationKind.INTERSECTING and rel.point not in seen:
-            seen.add(rel.point)
-            candidates.append(rel.point)
-    grid = [Fraction(v) for v in (-2, -1, 0, 1, 2)]
-    grads = [f.diff(i) for i in range(3)]
-    for p in itertools.product(grid, repeat=3):
-        if p in seen:
+def _cone_apex(f: Poly) -> Vec | None:
+    """The apex of a cone of degree d >= 3, or None when f is no cone.
+
+    If f(p + x) is homogeneous of degree d, every (d-1)-th partial of f is
+    affine-linear and vanishes at p, so p solves one linear system, taken
+    term by term: c*x^e with |e| = d adds c*e! to the x_i coefficient of
+    the partial D^(e - unit_i), and |e| = d - 1 adds c*e! to the constant
+    of D^e.  On its solution set S each lower partial is constant, since
+    its gradient is made of higher partials, which vanish on S; so one
+    test at the rref point of S (free coordinates 0) decides all of S.
+    """
+    d = f.degree()
+    rows: dict[tuple[int, ...], list[Fraction]] = {}
+    for e, c in f.terms.items():
+        if sum(e) < d - 1:
             continue
-        if f.eval(p) == 0 and all(g.eval(p) == 0 for g in grads):
-            seen.add(p)
-            candidates.append(p)
-    return candidates
+        weight = c * factorial(e[0]) * factorial(e[1]) * factorial(e[2])
+        if sum(e) == d - 1:
+            rows.setdefault(e, [Fraction(0)] * 4)[3] -= weight
+            continue
+        for i in range(3):
+            if e[i]:
+                rows.setdefault(e[:i] + (e[i] - 1,) + e[i + 1 :], [Fraction(0)] * 4)[i] += weight
+    apex = [Fraction(0)] * 3
+    for row in linalg.rref(list(rows.values())):
+        pivot = next((j for j in range(3) if row[j]), None)
+        if pivot is None:  # 0 = 1: the partials share no zero
+            return None
+        apex[pivot] = row[3]
+    return tuple(apex) if _is_cone_apex(f, apex) else None
 
 
 def _is_cone_apex(f: Poly, apex: Sequence) -> bool:
@@ -467,8 +484,10 @@ def classify_component(factor: Poly, hint_lines: Sequence[AffLine] = ()) -> Clas
     Quadrics are settled exactly through the inertia of the homogenized
     4x4 matrix.  From degree 3 on, the flecnode divisibility test decides
     complex ruledness; a cone verdict additionally needs an exact apex
-    (a point whose Taylor expansion is purely top-degree), and a singly
-    ruled verdict needs a real rational line as witness.
+    (a point whose Taylor expansion is purely top-degree), found or ruled
+    out by one linear solve whatever the hint lines, and a singly ruled
+    verdict needs a real rational line as witness: a hint line on the
+    factor, else a bounded search.
     """
     d = factor.degree()
     if d < 1:
@@ -507,9 +526,9 @@ def classify_component(factor: Poly, hint_lines: Sequence[AffLine] = ()) -> Clas
     indication = ruled_indicator(factor)
     if not indication.indicated:
         return ClassificationResult(Verdict.NOT_RULED_REAL, complex_ruled_indicated=False)
-    for apex in _apex_candidates(factor, hint_lines):
-        if _is_cone_apex(factor, apex):
-            return ClassificationResult(Verdict.CONE, apex=apex, complex_ruled_indicated=True)
+    apex = _cone_apex(factor)
+    if apex is not None:
+        return ClassificationResult(Verdict.CONE, apex=apex, complex_ruled_indicated=True)
     real_line = next(
         (ln for ln in hint_lines if ln.dim == 3 and line_on_surface(factor, ln)), None
     )
@@ -566,7 +585,8 @@ def _primitive_dirs(bound: int):
                     yield (v1, v2, v3)
 
 
-# Entry bound of the line search behind the exceptional-line scans.
+# Entry bound of the line search: its default, and the bound of the probe
+# scan that decides exceptionality on singular lines.
 DENOMINATOR_BOUND = 10
 # Entry bound of the search for one real line that witnesses a ruling.
 REAL_LINE_BOUND = 5
@@ -598,7 +618,7 @@ def find_lines_through_point(
     return list(_lines_through(factor, pt, denominator_bound))
 
 
-@functools.lru_cache(maxsize=4096)  # the test suite makes 1,944 searches
+@functools.lru_cache(maxsize=4096)  # the test suite makes 1,302 searches
 def _lines_through(factor: Poly, pt: Vec, bound: int) -> tuple[AffLine, ...]:
     # factor(pt + t v) = sum_k t^k c_k(v), c_k the degree-k Taylor part; c_0 = 0
     # and c_1(v) = grad . v
@@ -679,14 +699,19 @@ def _probe_parameters(d: int) -> list[Fraction]:
 def exceptional_lines(
     factor: Poly, lines: Sequence[AffLine], enforce_cap: bool = True
 ) -> list[AffLine]:
-    """Lines of the family meeting other contained lines along their length.
+    """Lines of the family meeting other lines of the factor along their length.
 
-    A line is reported when at least 2*deg + 1 distinct points on it are
-    each incident to another line inside the factor, where the witnesses
-    come from the supplied family and from line search (entries up to
-    DENOMINATOR_BOUND) at probe points.  On a singly ruled factor more than
-    two such lines contradict the structure theory, so with enforce_cap the
-    count is asserted.
+    On a non-singular contained line the answer is exact over C: the line
+    is exceptional iff the tangent pencil along it (_tangent_pencil) has a
+    common factor in the pencil direction, so infinitely many of its points
+    carry a second line of the factor, whatever their entries.  A singular
+    line (is_singular_line) keeps a bounded scan: it is reported when at
+    least 2*deg + 1 distinct points on it are each incident to another line
+    inside the factor, where the witnesses come from its crossings with the
+    supplied family and from line search (entries up to DENOMINATOR_BOUND)
+    at probe points.  On a singly ruled factor more than two such lines
+    contradict the structure theory, so with enforce_cap the count is
+    asserted.
     """
     d = factor.degree()
     contained = [ln for ln in lines if line_on_surface(factor, ln)]
@@ -699,33 +724,162 @@ def exceptional_lines(
     return result
 
 
-@functools.lru_cache(maxsize=32)  # the test suite makes 14 scans
+@functools.lru_cache(maxsize=128)  # the test suite makes 56 scans
 def _exceptional_among(factor: Poly, contained: frozenset[AffLine]) -> frozenset[AffLine]:
-    """The exceptional lines of a contained family; whether a line is
-    exceptional depends on the family as a set, not on its order."""
-    need = 2 * factor.degree() + 1
-    probes = _probe_parameters(factor.degree())
-    witnesses: dict[AffLine, set[Vec]] = {ln: set() for ln in contained}
-    for a, b in itertools.combinations(contained, 2):
-        rel = line_relation(a, b)
-        if rel.kind is RelationKind.INTERSECTING:
-            witnesses[a].add(rel.point)
-            witnesses[b].add(rel.point)
+    """The exceptional lines of a contained family; only a singular line's
+    verdict depends on the family, and then on it as a set, not its order."""
     out = set()
-    for ln, found in witnesses.items():
-        if len(found) < need:
-            for t in probes:
-                pt = ln.point_at(t)
-                if pt in found:
-                    continue
-                others = find_lines_through_point(factor, pt)
-                if any(o != ln for o in others):
-                    found.add(pt)
-                if len(found) >= need:
-                    break
-        if len(found) >= need:
+    for ln in contained:
+        pencil = _tangent_pencil(factor, ln)
+        if pencil is None:
+            if _singular_line_scan(factor, ln, contained):
+                out.add(ln)
+        elif _pencil_has_common_factor(pencil):
             out.add(ln)
     return frozenset(out)
+
+
+def _singular_line_scan(factor: Poly, ln: AffLine, contained: frozenset[AffLine]) -> bool:
+    """Bounded verdict on a singular line: 2*deg + 1 witness points, from its
+    crossings with the other contained lines, then from line searches at
+    the probe points."""
+    need = 2 * factor.degree() + 1
+    found: set[Vec] = set()
+    for other in contained:
+        if other != ln:
+            rel = line_relation(ln, other)
+            if rel.kind is RelationKind.INTERSECTING:
+                found.add(rel.point)
+    for t in _probe_parameters(factor.degree()):
+        if len(found) >= need:
+            break
+        pt = ln.point_at(t)
+        if pt in found:
+            continue
+        if any(o != ln for o in find_lines_through_point(factor, pt)):
+            found.add(pt)
+    return len(found) >= need
+
+
+# Bivariate integer polynomials in (t, a) are maps {(i, j): c} for c*t^i*a^j.
+Bivariate = dict[tuple[int, int], int]
+
+
+def _zmul(p: Bivariate, q: Bivariate) -> Bivariate:
+    out: Bivariate = {}
+    for (i, j), a in p.items():
+        for (k, l), b in q.items():
+            key = (i + k, j + l)
+            out[key] = out.get(key, 0) + a * b
+    return {e: c for e, c in out.items() if c}
+
+
+def _zadd(acc: Bivariate, p: Bivariate, scale: int = 1) -> None:
+    """acc += scale*p, in place."""
+    for key, x in p.items():
+        acc[key] = acc.get(key, 0) + scale * x
+
+
+def _zpowers(p: Bivariate, top: int) -> list[Bivariate]:
+    out = [{(0, 0): 1}]
+    for _ in range(top):
+        out.append(_zmul(out[-1], p))
+    return out
+
+
+def _tangent_pencil(f: Poly, ln: AffLine) -> list[Bivariate] | None:
+    """The tangent pencil along a contained line, on integers; None when
+    the gradient vanishes along the whole line (a singular line).
+
+    With the line's lattice data (D, B, s), X(t) = (B + t*D)/s runs over
+    the line, and F(y) = den*s^deg f*f(y/s) has integer coefficients, as
+    in Poly.shift.  One expansion of F(B + t*D + y) in y gives the gradient
+    of F along the line (its y-linear part) and every higher Taylor part.
+    The tangent plane at X(t) is spanned by D and W(t) = grad F x D, so a
+    second line through X(t) has a direction a*D + W(t).  The result is,
+    for k = 2..deg f, the u^k coefficient c_k(t, a) of
+    F(B + t*D + u*(a*D + W(t))); the u^0 and u^1 coefficients vanish since
+    the line is contained.  c_k has a-degree at most k - 1.
+    """
+    _, dv, bv, s = ln.lattice
+    d = f.degree()
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    tops = [f.degree_in(i) for i in range(3)]
+    along = [_zpowers({(0, 0): b, (1, 0): v}, top) for b, v, top in zip(bv, dv, tops)]
+    # taylor[a]: the y^a coefficient of F(B + t*D + y), for |a| >= 1
+    taylor: dict[tuple[int, ...], Bivariate] = {}
+    for e, c in f.terms.items():
+        coef = c.numerator * (den // c.denominator) * s ** (d - sum(e))
+        for a in itertools.product(*(range(k + 1) for k in e)):
+            if any(a):
+                term = {(0, 0): coef * comb(e[0], a[0]) * comb(e[1], a[1]) * comb(e[2], a[2])}
+                for i in range(3):
+                    if e[i] > a[i]:
+                        term = _zmul(term, along[i][e[i] - a[i]])
+                _zadd(taylor.setdefault(a, {}), term)
+    grad = [taylor.get(a, {}) for a in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    cross: list[Bivariate] = []
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        w: Bivariate = {}
+        _zadd(w, grad[j], dv[k])
+        _zadd(w, grad[k], -dv[j])
+        cross.append({e: c for e, c in w.items() if c})
+    if not any(cross):
+        return None
+    # powers of the pencil direction a*D_i + W_i(t), coordinate by coordinate
+    dirs = [_zpowers({**w, (0, 1): v}, top) for w, v, top in zip(cross, dv, tops)]
+    out: list[Bivariate] = [{} for _ in range(d - 1)]  # c_2, ..., c_d
+    for a, g in taylor.items():
+        if sum(a) >= 2:
+            term = g
+            for i in range(3):
+                if a[i]:
+                    term = _zmul(term, dirs[i][a[i]])
+            _zadd(out[sum(a) - 2], term)
+    return [{e: c for e, c in ck.items() if c} for ck in out]
+
+
+def _pencil_has_common_factor(pencil: list[Bivariate]) -> bool:
+    """Whether the c_k share a factor of positive degree in a over Q(t):
+    then infinitely many points of the line carry a second line.
+
+    If every c_k vanishes, every direction works.  Otherwise a certificate
+    at a few integers t0 usually settles the common case: when some
+    c_k(t0, .) keeps its a-degree and the c_j(t0, .) have a constant gcd,
+    no common factor exists, since its leading coefficient in a divides
+    that of c_k and so the factor would survive at t0.  Lines without such
+    a point take the exact bivariate gcd.
+    """
+    cs = [c for c in pencil if c]
+    if not cs:
+        return True
+    degrees = [max(j for _, j in c) for c in cs]
+    if min(degrees) == 0:
+        return False
+    if len(cs) == 1:
+        return True
+    for t0 in (1, -1, 2, -2):
+        at = []
+        for c, dg in zip(cs, degrees):
+            row = [0] * (dg + 1)
+            for (i, j), x in c.items():
+                row[dg - j] += x * t0**i
+            at.append(row)
+        if not any(row[0] for row in at):
+            continue
+        rows = [row[next(i for i, x in enumerate(row) if x) :] for row in at if any(row)]
+        g = rows[0]
+        for row in rows[1:]:
+            g = univariate_gcd(g, row)
+            if len(g) == 1:
+                return False
+    g = Poly.zero(2)
+    for c in cs:
+        g = poly_gcd(g, Poly(2, {e: Fraction(x) for e, x in c.items()}))
+        if g.degree_in(1) == 0:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial, gcd, inf, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from incgeo import surfaces
@@ -28,8 +28,17 @@ from incgeo.errors import (
     SingularPointError,
 )
 from incgeo.linalg import nullspace
-from incgeo.linespace import AffLine, line_relation
-from incgeo.poly import Poly, divides, is_square_free, remove_content, taylor_components, variables
+from incgeo.forge import make_lines
+from incgeo.linespace import AffLine, RelationKind, line_on_surface, line_relation
+from incgeo.poly import (
+    Poly,
+    divides,
+    is_square_free,
+    poly_gcd,
+    remove_content,
+    taylor_components,
+    variables,
+)
 from incgeo.surfaces import (
     ClassificationResult,
     Surface,
@@ -405,6 +414,92 @@ def test_classify_cubic_cone():
     r = classify_component(cubic_cone)
     assert r.verdict is Verdict.CONE
     assert r.apex == (0, 0, 0)
+
+
+@pytest.mark.parametrize("shift", [3, 7])
+def test_classify_cubic_cone_off_the_grid(shift):
+    # the apex (3, 0, 0) or (7, 0, 0) is off the old 5x5x5 grid, and with
+    # no hint lines the old candidates missed it
+    u = X - shift
+    cubic_cone = u**3 + Y**3 - Z**3 + u * Y * Z
+    assert reference_cone_apex(cubic_cone) is None
+    r = classify_component(cubic_cone)
+    assert r.verdict is Verdict.CONE
+    assert r.apex == (shift, 0, 0)
+
+
+def test_classify_makes_no_pair_relation(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("classify_component related a pair of lines")
+
+    monkeypatch.setattr(surfaces, "line_relation", refuse)
+    hints = [cubic_generator(c) for c in (1, -1, 2, -2)] + [Z_AXIS]
+    assert classify_component(RULED_CUBIC, hint_lines=hints).verdict is Verdict.SINGLY_RULED
+
+
+# -- cone apex against the old candidate scan
+#
+# The reference is the apex search as it stood before the linear solve,
+# copied unchanged apart from its name: crossings of the hint lines, then a
+# 5x5x5 grid of singular points, each candidate tested in that order.
+
+
+def reference_apex_candidates(f: Poly, hint_lines) -> list:
+    candidates = []
+    seen = set()
+    verified = [ln for ln in hint_lines if ln.dim == 3 and line_on_surface(f, ln)]
+    for a, b in itertools.combinations(verified, 2):
+        rel = line_relation(a, b)
+        if rel.kind is RelationKind.INTERSECTING and rel.point not in seen:
+            seen.add(rel.point)
+            candidates.append(rel.point)
+    grid = [Fraction(v) for v in (-2, -1, 0, 1, 2)]
+    grads = [f.diff(i) for i in range(3)]
+    for p in itertools.product(grid, repeat=3):
+        if p in seen:
+            continue
+        if f.eval(p) == 0 and all(g.eval(p) == 0 for g in grads):
+            seen.add(p)
+            candidates.append(p)
+    return candidates
+
+
+def reference_cone_apex(f: Poly, hint_lines=()):
+    candidates = reference_apex_candidates(f, hint_lines)
+    return next((p for p in candidates if surfaces._is_cone_apex(f, p)), None)
+
+
+@st.composite
+def planted_cones(draw):
+    """A random form h of degree 3 or 4 moved to an apex on the old grid,
+    then left alone, lifted by 1 (no apex) or given a random lower part."""
+    d = draw(st.integers(3, 4))
+    p = draw(st.tuples(*[st.integers(-2, 2)] * 3))
+    monomials = [e for e in itertools.product(range(d + 1), repeat=3) if sum(e) == d]
+    h = Poly(3, draw(st.dictionaries(st.sampled_from(monomials), st.integers(-3, 3), min_size=1)))
+    if h.is_zero:
+        h = Poly(3, {(d, 0, 0): 1})
+    f = h.substitute([X - p[0], Y - p[1], Z - p[2]])
+    tail = draw(st.sampled_from(["cone", "plus one", "lower part"]))
+    if tail == "plus one":
+        f = f + 1
+    elif tail == "lower part":
+        lower = [e for e in itertools.product(range(d), repeat=3) if sum(e) < d]
+        terms = st.dictionaries(st.sampled_from(lower), st.integers(-2, 2), max_size=3)
+        f = f + Poly(3, draw(terms))
+    return f
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_cones())
+def test_cone_apex_matches_the_candidate_scan(f):
+    apex, ref = surfaces._cone_apex(f), reference_cone_apex(f)
+    assert (apex is None) == (ref is None)
+    if apex is not None:
+        assert surfaces._is_cone_apex(f, apex)
+        # two apexes differ only when the apex set is positive-dimensional;
+        # the solve reports its rref point, the scan its first grid point
+        assert apex == ref or surfaces._is_cone_apex(f, ref)
 
 
 # -- memo
@@ -799,19 +894,238 @@ def test_exceptional_cap_on_regulus_needs_opt_out():
         exceptional_lines(REGULUS, rulings)
 
 
-def test_exceptional_scan_classifies_each_pair_once(monkeypatch):
-    calls = []
+def test_exceptional_scan_relates_only_singular_lines(monkeypatch):
+    related, searched = [], []
 
-    def counted(a, b):
-        calls.append((a, b))
+    def counted_relation(a, b):
+        related.append((a, b))
         return line_relation(a, b)
 
-    monkeypatch.setattr(surfaces, "line_relation", counted)
+    def counted_search(f, p, bound=surfaces.DENOMINATOR_BOUND):
+        searched.append(tuple(p))
+        return find_lines_through_point(f, p, bound)
+
+    monkeypatch.setattr(surfaces, "line_relation", counted_relation)
+    monkeypatch.setattr(surfaces, "find_lines_through_point", counted_search)
     surfaces._exceptional_among.cache_clear()
     fam = cubic_family()
     assert exceptional_lines(RULED_CUBIC, fam) == [Z_AXIS]
-    n = len(fam)
-    assert len(calls) == n * (n - 1) // 2
+    # the singular axis is related once with each other line; no pair of
+    # two smooth lines is related and no smooth line is searched on
+    assert [a for a, _ in related] == [Z_AXIS] * (len(fam) - 1)
+    assert {b for _, b in related} == set(fam) - {Z_AXIS}
+    assert searched and all(p[:2] == (0, 0) for p in searched)
+
+
+# -- exceptional lines against the probe scan
+#
+# The reference is the scan as it stood before the tangent pencil decided
+# non-singular lines, copied unchanged apart from its name and memo: a pair
+# scan over the family, then bounded line searches at probe points.
+
+
+def reference_exceptional_among(factor: Poly, contained: frozenset[AffLine]) -> frozenset[AffLine]:
+    """The exceptional lines of a contained family; whether a line is
+    exceptional depends on the family as a set, not on its order."""
+    need = 2 * factor.degree() + 1
+    probes = surfaces._probe_parameters(factor.degree())
+    witnesses: dict[AffLine, set] = {ln: set() for ln in contained}
+    for a, b in itertools.combinations(contained, 2):
+        rel = line_relation(a, b)
+        if rel.kind is RelationKind.INTERSECTING:
+            witnesses[a].add(rel.point)
+            witnesses[b].add(rel.point)
+    out = set()
+    for ln, found in witnesses.items():
+        if len(found) < need:
+            for t in probes:
+                pt = ln.point_at(t)
+                if pt in found:
+                    continue
+                others = find_lines_through_point(factor, pt)
+                if any(o != ln for o in others):
+                    found.add(pt)
+                if len(found) >= need:
+                    break
+        if len(found) >= need:
+            out.add(ln)
+    return frozenset(out)
+
+
+def reference_exceptional_lines(factor: Poly, lines) -> list[AffLine]:
+    contained = [ln for ln in lines if line_on_surface(factor, ln)]
+    found = reference_exceptional_among(factor, frozenset(contained))
+    return [ln for ln in contained if ln in found]
+
+
+def _x_axis_family(g: Poly, cs) -> list[AffLine]:
+    """The x-axis of z - g(x)*y and its generators x = c, z = g(c)*y."""
+    return [AffLine((0, 0, 0), (1, 0, 0))] + [
+        AffLine((c, 0, 0), (0, 1, g.eval((c, 0, 0)))) for c in cs
+    ]
+
+
+def _small_meetings(g: Poly, cs) -> int:
+    """Points of the x-axis of z - g(x)*y that the probe scan sees meet a
+    generator: the family's crossings, and the probe points t where the
+    generator's direction (0, 1, g(t)) fits the search box."""
+    d = max(g.degree() + 1, 1)
+    probes = {
+        t for t in surfaces._probe_parameters(d)
+        if abs(g.eval((t, 0, 0))) <= surfaces.DENOMINATOR_BOUND
+    }
+    return len(probes | {Fraction(c) for c in cs})
+
+
+@st.composite
+def exceptional_families(draw):
+    """A catalog factor with a shuffled prefix of its family, or a planted
+    z - g(x)*y with its x-axis and some generators, where the probe scan
+    can see the x-axis meet 2*deg + 1 generators (small entries)."""
+    kind = draw(st.sampled_from(["cone", "regulus", "whitney", "planted"]))
+    if kind == "planted":
+        g = sum(
+            (draw(st.integers(-2, 2)) * X**k for k in range(draw(st.integers(1, 3)) + 1)),
+            Poly.zero(3),
+        )
+        cs = draw(st.lists(st.integers(-4, 4), unique=True, max_size=9))
+        f = Z - g * Y
+        assume(_small_meetings(g, cs) >= 2 * f.degree() + 1)
+        return f, _x_axis_family(g, cs)
+    factor = {"cone": CONE, "regulus": REGULUS, "whitney": RULED_CUBIC}[kind]
+    family = make_lines(kind, draw(st.integers(2, 14)), include_exceptional=kind == "whitney")
+    return factor, draw(st.permutations(family))
+
+
+@settings(max_examples=60, deadline=None)
+@given(exceptional_families())
+def test_exceptional_lines_match_the_probe_scan(case):
+    f, family = case
+    assert exceptional_lines(f, family, enforce_cap=False) == reference_exceptional_lines(f, family)
+
+
+# -- the tangent pencil against substitution
+#
+# The reference builds the pencil from its definition on Poly objects: the
+# u^k coefficients of f(l(t) + u*(a*d + grad f(l(t)) x d)) by substitution,
+# and their gcd over Q[t, a] by poly_gcd alone, with no certificate.
+
+
+def reference_pencil_verdict(f: Poly, ln: AffLine):
+    """None on a singular line, else whether the pencil has a common factor
+    of positive degree in a."""
+    t, a, u = variables(3)
+    at = [t * c + b for b, c in zip(ln.base, ln.direction)]
+    grad = [f.diff(i).substitute(at) for i in range(3)]
+    d = ln.direction
+    w = [grad[(i + 1) % 3] * d[(i + 2) % 3] - grad[(i + 2) % 3] * d[(i + 1) % 3] for i in range(3)]
+    if all(c.is_zero for c in w):
+        return None
+    h = f.substitute([x + u * (a * c + wc) for x, c, wc in zip(at, d, w)])
+    coeffs = [
+        Poly(2, {e[:2]: c for e, c in h.terms.items() if e[2] == k}) for k in range(f.degree() + 1)
+    ]
+    assert coeffs[0].is_zero and coeffs[1].is_zero
+    g = Poly.zero(2)
+    for c in coeffs[2:]:
+        g = poly_gcd(g, c)
+    return g.is_zero or g.degree_in(1) > 0
+
+
+@st.composite
+def surfaces_through_a_line(draw):
+    """A line l and a surface l1*A + l2*B through it, l1 and l2 linear forms
+    vanishing on l; or l1 - l2*g(m), m a coordinate along l, which is
+    z - g(x)*y moved onto l and makes l exceptional."""
+    base = draw(st.tuples(*[st.fractions(-2, 2, max_denominator=2)] * 3))
+    d = draw(triples)
+    n1 = _cross(d, draw(triples))
+    if not any(n1):
+        n1 = _cross(d, (1, 2, 3)) if any(_cross(d, (1, 2, 3))) else _cross(d, (3, 1, 2))
+    n2 = _cross(d, n1)
+    l1, l2, m = _linear(n1, base), _linear(n2, base), _linear(d, base)
+    exponents = st.tuples(*[st.integers(0, 2)] * 3).filter(lambda e: sum(e) <= 2)
+    if draw(st.booleans()):
+        top = draw(st.integers(1, 3))
+        g = sum((draw(st.integers(-2, 2)) * m**k for k in range(top + 1)), Poly.zero(3))
+        f = l1 - l2 * g
+    else:
+        terms = st.dictionaries(exponents, small_ints, max_size=4)
+        big_a, big_b = Poly(3, draw(terms)), Poly(3, draw(terms))
+        f = l1 * big_a + l2 * big_b
+    return f, AffLine(base, d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(surfaces_through_a_line())
+def test_tangent_pencil_matches_substitution(case):
+    f, ln = case
+    if f.is_zero:
+        return
+    pencil = surfaces._tangent_pencil(f, ln)
+    expected = reference_pencil_verdict(f, ln)
+    assert (pencil is None) == (expected is None) == is_singular_line(f, ln)
+    if pencil is not None:
+        assert surfaces._pencil_has_common_factor(pencil) == expected
+        assert all(max((j for _, j in c), default=0) <= k + 1 for k, c in enumerate(pencil))
+
+
+def _bivariate(draw, a_degree: int) -> dict:
+    keys = st.tuples(st.integers(0, 3), st.integers(0, a_degree))
+    terms = draw(st.dictionaries(keys, st.integers(-3, 3), max_size=4))
+    return {e: c for e, c in terms.items() if c}
+
+
+@st.composite
+def pencils(draw):
+    """Integer pencils c_2, c_3, c_4 with a-degree at most k - 1: random,
+    with a planted common factor, or with every leading coefficient in a
+    vanishing at the certificate's points t = 1, -1, 2, -2."""
+    # (t^2 - 1)(t^2 - 4) = t^4 - 5t^2 + 4 vanishes at every certificate point
+    q = {(4, 0): 1, (2, 0): -5, (0, 0): 4}
+    kind = draw(st.sampled_from(["random", "common", "degenerate"]))
+    if kind == "common":
+        lead = draw(st.sampled_from([{(0, 0): 1}, q, {(1, 0): 1, (0, 0): 3}]))
+        factor = {**_bivariate(draw, 0), **surfaces._zmul(lead, {(0, 1): 1})}
+        cs = [surfaces._zmul(_bivariate(draw, k - 2), factor) for k in range(2, 5)]
+    else:
+        cs = [_bivariate(draw, k - 1) for k in range(2, 5)]
+    if kind == "degenerate":
+        for c in cs:
+            top = max((j for _, j in c), default=0)
+            lead = {e: x for e, x in c.items() if e[1] == top}
+            for e in lead:
+                del c[e]
+            c.update(surfaces._zmul(lead, q))
+    return cs
+
+
+@settings(max_examples=150, deadline=None)
+@given(pencils())
+def test_pencil_certificate_matches_the_exact_gcd(cs):
+    g = Poly.zero(2)
+    for c in cs:
+        g = poly_gcd(g, Poly(2, {e: Fraction(x) for e, x in c.items()}))
+    assert surfaces._pencil_has_common_factor(cs) == (g.is_zero or g.degree_in(1) > 0)
+
+
+@pytest.mark.parametrize("g", [X**3 + 2 * X, X**5 + 2 * X], ids=["x3", "x5"])
+def test_smooth_exceptional_axis_with_large_meeting_directions(g):
+    # every point (c, 0, 0) carries the line x = c, z = g(c)*y, but only
+    # c = 0, 1, -1 give directions inside the probe scan's box
+    f = Z - g * Y
+    family = _x_axis_family(g, (-1, 0, 1))
+    assert reference_exceptional_lines(f, family) == []
+    assert exceptional_lines(f, family) == [family[0]]
+
+
+def test_exceptional_verdict_needs_no_family_on_smooth_lines():
+    # the pencil decides a smooth line alone: the x-axis of z - x^2*y is
+    # exceptional and a generator is not, with no witnesses supplied
+    f = Z - X**2 * Y
+    axis, generator = _x_axis_family(X**2, (2,))
+    assert exceptional_lines(f, [axis]) == [axis]
+    assert exceptional_lines(f, [generator]) == []
 
 
 # -- generator counts and the per-line sum
