@@ -2,7 +2,7 @@
 
 Coefficients are fractions.Fraction throughout the API; nothing in this
 module ever rounds.  Inside, the determinant and exact division run on
-integer term maps with packed monomials, and the restriction to a line on
+integer term maps with packed monomials, and the expansion along a line on
 integer coefficient lists.  A polynomial is a map from exponent tuples to
 nonzero coefficients, wrapped in an immutable Poly object.  Monomials are
 ordered graded lexicographically (total degree first, then lex with
@@ -19,8 +19,9 @@ multivariate gcd, and a square-free test with a certificate on lines.
 from __future__ import annotations
 
 import heapq
+import itertools
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import comb, gcd, lcm, prod
 from typing import Mapping, Sequence
 
 from .errors import ArityError, DomainError
@@ -43,9 +44,8 @@ class Poly:
     """Immutable sparse polynomial with Fraction coefficients.
 
     Zero coefficients are dropped on construction, so two polynomials are
-    equal iff their term maps are equal.  Instances hash, which lets the
-    expensive derived quantities (flecnode witnesses, line searches) be
-    memoized by polynomial identity.
+    equal iff their term maps are equal.  Instances hash, so a set of them
+    finds repeated factors.
     """
 
     __slots__ = ("nvars", "terms", "_hash")
@@ -316,7 +316,7 @@ class Poly:
                 # binomial expansion of (x_var + a)^k
                 for j in range(k, -1, -1):
                     e2 = e[:var] + (j,) + e[var + 1 :]
-                    out[e2] = out.get(e2, 0) + c * _binom(k, j) * a ** (k - j)
+                    out[e2] = out.get(e2, 0) + c * comb(k, j) * a ** (k - j)
             terms = {e: c for e, c in out.items() if c}
         return Poly(self.nvars, {e: Fraction(c, den * s ** (d - sum(e))) for e, c in terms.items()})
 
@@ -335,12 +335,6 @@ class Poly:
 
     def homogeneous_part(self, d: int) -> Poly:
         return Poly(self.nvars, {e: c for e, c in self.terms.items() if sum(e) == d})
-
-
-def _binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return factorial(n) // (factorial(k) * factorial(n - k))
 
 
 def variables(nvars: int) -> tuple[Poly, ...]:
@@ -620,37 +614,68 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     return remove_content(cont * a)
 
 
-def _line_coeffs(p: Poly, base: Sequence[RatLike], direction: Sequence[RatLike]) -> tuple[list[int], int]:
-    """Integer coefficients of t -> scale*p(base + t*direction), highest
-    power of t first, padded to length deg p + 1, and scale.  As in
-    Poly.shift, with base = B/s and direction = D/s for an integer s,
-    scale = den*s^deg p and the term c*x^e gives den*c*s^(deg p-|e|)*(B+tD)^e.
+def _line_expansion(
+    p: Poly, base: Sequence[int], direction: Sequence[int], s: int, order: int
+) -> tuple[dict[Exponent, list[int]], int]:
+    """The expansion of p along the line X(t) = (base + t*direction)/s, on
+    integers, up to the given order in the transverse variables y, and scale.
+
+    With d = deg p and den the lcm of p's denominators, F(y) = den*s^d*p(y/s)
+    has integer coefficients and F(base + t*direction + y) = scale*p(X(t) + y/s)
+    for scale = den*s^d.  Each a with |a| <= order that some term reaches maps
+    to the y^a coefficient of F(base + t*direction + y), a list in t, lowest
+    power first, of length d - |a| + 1.  The term c*x^e gives
+    den*c*s^(d-|e|) times comb(e_i, a_i)*(base_i + t*direction_i)^(e_i-a_i)
+    over i; exponents a above order are never formed.
     """
     d = p.degree()
     den = _den((p,))
+    powers = [[[1]] for _ in range(p.nvars)]  # powers[i][k]: (base_i + direction_i t)^k, lowest first
+    only_zero = (((0,) * p.nvars, 1),)
+    out: dict[Exponent, list[int]] = {}
+    for e, c in p.terms.items():
+        coef = c.numerator * (den // c.denominator) * s ** (d - sum(e))
+        # pairs (a, prod comb(e_i, a_i)); order 0, the restriction, is the
+        # hot case and needs no product
+        if order:
+            ranges = (range(min(k, order) + 1) for k in e)
+            exponents = [(a, prod(map(comb, e, a))) for a in itertools.product(*ranges) if sum(a) <= order]
+        else:
+            exponents = only_zero
+        for a, weight in exponents:
+            term = [coef * weight]
+            for i, k in enumerate(e):
+                k -= a[i]
+                if k:
+                    pw = powers[i]
+                    while len(pw) <= k:
+                        prev = pw[-1]
+                        pw.append([base[i] * x + direction[i] * y for x, y in zip(prev + [0], [0] + prev)])
+                    conv = [0] * (len(term) + k)
+                    for m, x in enumerate(term):
+                        for l, y in enumerate(pw[k]):
+                            conv[m + l] += x * y
+                    term = conv
+            acc = out.get(a)
+            if acc is None:
+                acc = out[a] = [0] * (d - sum(a) + 1)
+            for m, x in enumerate(term):
+                acc[m] += x
+    return out, den * s ** max(d, 0)
+
+
+def _line_coeffs(p: Poly, base: Sequence[RatLike], direction: Sequence[RatLike]) -> tuple[list[int], int]:
+    """Integer coefficients of t -> scale*p(base + t*direction), highest
+    power of t first, padded to length deg p + 1, and scale: the order-0
+    part of _line_expansion, with base = B/s and direction = D/s for the
+    lcm s of their denominators.
+    """
     b, v = [_frac(a) for a in base], [_frac(a) for a in direction]
     s = lcm(*(a.denominator for a in b + v))
-    b = [a.numerator * (s // a.denominator) for a in b]
-    v = [a.numerator * (s // a.denominator) for a in v]
-    powers = [[[1]] for _ in range(p.nvars)]  # powers[i][k]: (b_i + v_i t)^k, lowest first
-    out = [0] * (d + 1)
-    for e, c in p.terms.items():
-        term = [c.numerator * (den // c.denominator) * s ** (d - sum(e))]
-        for i, k in enumerate(e):
-            pw = powers[i]
-            while len(pw) <= k:
-                prev = pw[-1]
-                pw.append([b[i] * x + v[i] * y for x, y in zip(prev + [0], [0] + prev)])
-            if k:
-                factor = pw[k]
-                prod = [0] * (len(term) + k)
-                for j, x in enumerate(term):
-                    for l, y in enumerate(factor):
-                        prod[j + l] += x * y
-                term = prod
-        for j, x in enumerate(term):
-            out[d - j] += x
-    return out, den * s ** max(d, 0)
+    bv = [a.numerator * (s // a.denominator) for a in b]
+    dv = [a.numerator * (s // a.denominator) for a in v]
+    parts, scale = _line_expansion(p, bv, dv, s, 0)
+    return parts.get((0,) * p.nvars, [])[::-1], scale
 
 
 def univariate_gcd(a: list[int], b: list[int]) -> list[int]:

@@ -21,12 +21,11 @@ hand.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb, factorial, gcd, inf, lcm
+from math import factorial, gcd, inf, lcm
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -44,6 +43,7 @@ from .linalg import Vec, to_vec
 from .linespace import AffLine, RelationKind, incidence_point_line, line_on_surface, line_relation
 from .poly import (
     Poly,
+    _line_expansion,
     directional_power,
     divides,
     exact_div,
@@ -155,12 +155,16 @@ def is_flat_point(f: Poly, p: Sequence) -> bool:
 
 
 def is_singular_line(f: Poly, ln: AffLine) -> bool:
-    """True iff every point of a contained line is singular."""
-    if not line_on_surface(f, ln):
+    """True iff every point of a contained line is singular.  One expansion
+    along the line to first order answers both: its order-0 part is f on
+    the line, and its order-1 parts the gradient there, up to a scale."""
+    if f.nvars != ln.dim:
+        raise ArityError("polynomial arity and line dimension differ")
+    _, dv, bv, s = ln.lattice
+    parts, _ = _line_expansion(f, bv, dv, s, 1)
+    if any(parts.get((0,) * f.nvars, ())):
         raise NotOnSurfaceError("line is not contained in the surface")
-    return all(
-        restrict_to_line(f.diff(i), ln.base, ln.direction).is_zero for i in range(f.nvars)
-    )
+    return not any(any(c) for a, c in parts.items() if sum(a) == 1)
 
 
 def _sample_parameters() -> Iterable[Fraction]:
@@ -287,14 +291,6 @@ def flecnode_polynomial(f: Poly) -> Poly:
     d = f.degree()
     if d < 3:
         raise DegreeError("flecnode witness needs degree >= 3")
-    return _flecnode_witness(f)
-
-
-# Memo bounds: twice the distinct keys the whole test suite makes in one
-# process, rounded up to a power of two (here 17 witnesses).
-@functools.lru_cache(maxsize=64)
-def _flecnode_witness(f: Poly) -> Poly:
-    d = f.degree()
     grads = [f.diff(i) for i in range(3)]
     f2 = directional_power(f, 2)
     f3 = directional_power(f, 3)
@@ -615,11 +611,6 @@ def find_lines_through_point(
     pt = to_vec(p)
     if factor.eval(pt) != 0:
         raise NotOnSurfaceError(f"point {tuple(pt)} is not on the surface")
-    return list(_lines_through(factor, pt, denominator_bound))
-
-
-@functools.lru_cache(maxsize=4096)  # the test suite makes 1,302 searches
-def _lines_through(factor: Poly, pt: Vec, bound: int) -> tuple[AffLine, ...]:
     # factor(pt + t v) = sum_k t^k c_k(v), c_k the degree-k Taylor part; c_0 = 0
     # and c_1(v) = grad . v
     parts = taylor_components(factor, pt)
@@ -643,15 +634,15 @@ def _lines_through(factor: Poly, pt: Vec, bound: int) -> tuple[AffLine, ...]:
         i, j = (k for k in range(3) if k != piv)
         gi, gj, gp = g[i], g[j], g[piv]
         seen: set[tuple[int, ...]] = set()
-        for a in range(0, bound + 1):
-            for b in range(1 if a == 0 else -bound, bound + 1):
+        for a in range(0, denominator_bound + 1):
+            for b in range(1 if a == 0 else -denominator_bound, denominator_bound + 1):
                 rhs = -(gi * a + gj * b)
                 if rhs % gp:
                     continue
                 raw = [0, 0, 0]
                 raw[i], raw[j], raw[piv] = a, b, rhs // gp
                 k = gcd(*raw)
-                if abs(raw[piv]) > bound * k:
+                if abs(raw[piv]) > denominator_bound * k:
                     continue
                 first = next(x for x in raw if x)
                 if first < 0:
@@ -661,14 +652,14 @@ def _lines_through(factor: Poly, pt: Vec, bound: int) -> tuple[AffLine, ...]:
                     seen.add(prim)
                     check_dir(prim)  # type: ignore[arg-type]
     else:
-        for v in _primitive_dirs(bound):
+        for v in _primitive_dirs(denominator_bound):
             check_dir(v)
 
     lines = sorted(found, key=lambda ln: (ln.direction, ln.base))
     for ln in lines:
         if not line_on_surface(factor, ln):  # pragma: no cover - guards check_dir
             raise InvariantViolation("line search returned a non-contained line")
-    return tuple(lines)
+    return lines
 
 
 # -- exceptional lines and generator counts ----------------------------------
@@ -715,8 +706,7 @@ def exceptional_lines(
     """
     d = factor.degree()
     contained = [ln for ln in lines if line_on_surface(factor, ln)]
-    found = _exceptional_among(factor, frozenset(contained))
-    result = [ln for ln in contained if ln in found]
+    result = [ln for ln in contained if _is_exceptional(factor, ln, contained)]
     if enforce_cap and d >= 2 and len(result) > 2:
         raise InvariantViolation(
             f"{len(result)} exceptional lines on a degree-{d} factor (cap is 2)"
@@ -724,32 +714,32 @@ def exceptional_lines(
     return result
 
 
-@functools.lru_cache(maxsize=128)  # the test suite makes 56 scans
-def _exceptional_among(factor: Poly, contained: frozenset[AffLine]) -> frozenset[AffLine]:
-    """The exceptional lines of a contained family; only a singular line's
+def _is_exceptional(factor: Poly, ln: AffLine, contained: Sequence[AffLine]) -> bool:
+    """Whether a contained line is exceptional; only a singular line's
     verdict depends on the family, and then on it as a set, not its order."""
-    out = set()
-    for ln in contained:
-        pencil = _tangent_pencil(factor, ln)
-        if pencil is None:
-            if _singular_line_scan(factor, ln, contained):
-                out.add(ln)
-        elif _pencil_has_common_factor(pencil):
-            out.add(ln)
-    return frozenset(out)
+    pencil = _tangent_pencil(factor, ln)
+    if pencil is None:
+        return _singular_line_scan(factor, ln, contained)
+    return _pencil_has_common_factor(pencil)
 
 
-def _singular_line_scan(factor: Poly, ln: AffLine, contained: frozenset[AffLine]) -> bool:
+def _crossings(ln: AffLine, family: Iterable[AffLine]) -> set[Vec]:
+    """The points where the lines of the family other than ln meet it."""
+    points: set[Vec] = set()
+    for other in family:
+        if other != ln:
+            rel = line_relation(ln, other)
+            if rel.kind is RelationKind.INTERSECTING:
+                points.add(rel.point)
+    return points
+
+
+def _singular_line_scan(factor: Poly, ln: AffLine, contained: Sequence[AffLine]) -> bool:
     """Bounded verdict on a singular line: 2*deg + 1 witness points, from its
     crossings with the other contained lines, then from line searches at
     the probe points."""
     need = 2 * factor.degree() + 1
-    found: set[Vec] = set()
-    for other in contained:
-        if other != ln:
-            rel = line_relation(ln, other)
-            if rel.kind is RelationKind.INTERSECTING:
-                found.add(rel.point)
+    found = _crossings(ln, contained)
     for t in _probe_parameters(factor.degree()):
         if len(found) >= need:
             break
@@ -774,12 +764,6 @@ def _zmul(p: Bivariate, q: Bivariate) -> Bivariate:
     return {e: c for e, c in out.items() if c}
 
 
-def _zadd(acc: Bivariate, p: Bivariate, scale: int = 1) -> None:
-    """acc += scale*p, in place."""
-    for key, x in p.items():
-        acc[key] = acc.get(key, 0) + scale * x
-
-
 def _zpowers(p: Bivariate, top: int) -> list[Bivariate]:
     out = [{(0, 0): 1}]
     for _ in range(top):
@@ -792,51 +776,42 @@ def _tangent_pencil(f: Poly, ln: AffLine) -> list[Bivariate] | None:
     the gradient vanishes along the whole line (a singular line).
 
     With the line's lattice data (D, B, s), X(t) = (B + t*D)/s runs over
-    the line, and F(y) = den*s^deg f*f(y/s) has integer coefficients, as
-    in Poly.shift.  One expansion of F(B + t*D + y) in y gives the gradient
-    of F along the line (its y-linear part) and every higher Taylor part.
-    The tangent plane at X(t) is spanned by D and W(t) = grad F x D, so a
-    second line through X(t) has a direction a*D + W(t).  The result is,
-    for k = 2..deg f, the u^k coefficient c_k(t, a) of
-    F(B + t*D + u*(a*D + W(t))); the u^0 and u^1 coefficients vanish since
-    the line is contained.  c_k has a-degree at most k - 1.
+    the line, and F(y) = den*s^deg f*f(y/s) has integer coefficients.  The
+    full expansion of F(B + t*D + y) in y (_line_expansion) gives the
+    gradient of F along the line (its y-linear part) and every higher
+    Taylor part.  The tangent plane at X(t) is spanned by D and
+    W(t) = grad F x D, so a second line through X(t) has a direction
+    a*D + W(t).  The result is, for k = 2..deg f, the u^k coefficient
+    c_k(t, a) of F(B + t*D + u*(a*D + W(t))); the u^0 and u^1 coefficients
+    vanish since the line is contained.  c_k has a-degree at most k - 1.
     """
     _, dv, bv, s = ln.lattice
     d = f.degree()
-    den = lcm(*(c.denominator for c in f.terms.values()))
-    tops = [f.degree_in(i) for i in range(3)]
-    along = [_zpowers({(0, 0): b, (1, 0): v}, top) for b, v, top in zip(bv, dv, tops)]
-    # taylor[a]: the y^a coefficient of F(B + t*D + y), for |a| >= 1
-    taylor: dict[tuple[int, ...], Bivariate] = {}
-    for e, c in f.terms.items():
-        coef = c.numerator * (den // c.denominator) * s ** (d - sum(e))
-        for a in itertools.product(*(range(k + 1) for k in e)):
-            if any(a):
-                term = {(0, 0): coef * comb(e[0], a[0]) * comb(e[1], a[1]) * comb(e[2], a[2])}
-                for i in range(3):
-                    if e[i] > a[i]:
-                        term = _zmul(term, along[i][e[i] - a[i]])
-                _zadd(taylor.setdefault(a, {}), term)
-    grad = [taylor.get(a, {}) for a in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    expansion, _ = _line_expansion(f, bv, dv, s, d)
+    # the y^a coefficient of F(B + t*D + y) is a list in t; |a| = 1 gives grad F
+    zero = [0] * d
+    grad = [expansion.get(a, zero) for a in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
     cross: list[Bivariate] = []
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
-        w: Bivariate = {}
-        _zadd(w, grad[j], dv[k])
-        _zadd(w, grad[k], -dv[j])
-        cross.append({e: c for e, c in w.items() if c})
+        w = [x * dv[k] - y * dv[j] for x, y in zip(grad[j], grad[k])]
+        cross.append({(m, 0): x for m, x in enumerate(w) if x})
     if not any(cross):
         return None
     # powers of the pencil direction a*D_i + W_i(t), coordinate by coordinate
-    dirs = [_zpowers({**w, (0, 1): v}, top) for w, v, top in zip(cross, dv, tops)]
+    dirs = [_zpowers({**w, (0, 1): v}, f.degree_in(i)) for i, (w, v) in enumerate(zip(cross, dv))]
     out: list[Bivariate] = [{} for _ in range(d - 1)]  # c_2, ..., c_d
-    for a, g in taylor.items():
+    for a, g in expansion.items():
         if sum(a) >= 2:
-            term = g
+            term: Bivariate | None = None
             for i in range(3):
                 if a[i]:
-                    term = _zmul(term, dirs[i][a[i]])
-            _zadd(out[sum(a) - 2], term)
+                    term = dirs[i][a[i]] if term is None else _zmul(term, dirs[i][a[i]])
+            acc = out[sum(a) - 2]
+            for (i, j), y in term.items():  # times g(t)
+                for m, x in enumerate(g):
+                    if x:
+                        acc[i + m, j] = acc.get((i + m, j), 0) + x * y
     return [{e: c for e, c in ck.items() if c} for ck in out]
 
 
@@ -944,13 +919,7 @@ def check_firstflip(
         raise ExceptionalLineError("generator-count sums are undefined on exceptional lines")
     contained = line_on_surface(factor, ln)
     family = [l for l in lines if line_on_surface(factor, l)]
-    points: set[Vec] = set()
-    for other in family:
-        if other == ln:
-            continue
-        rel = line_relation(ln, other)
-        if rel.kind is RelationKind.INTERSECTING:
-            points.add(rel.point)
+    points = _crossings(ln, family)
     total = 0
     all_lines = list(family)
     if contained and ln not in all_lines:

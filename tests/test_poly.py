@@ -17,6 +17,7 @@ from incgeo.errors import ArityError, DomainError
 from incgeo.poly import (
     Poly,
     _line_coeffs,
+    _line_expansion,
     _univariate_square_free,
     directional_power,
     divides,
@@ -294,6 +295,29 @@ line_triples = st.tuples(line_entries, line_entries, line_entries)
 @given(polys(nvars=3, max_deg=3, max_terms=6), line_triples, line_triples)
 def test_restrict_to_line_matches_substitution(p, base, direction):
     assert restrict_to_line(p, base, direction) == reference_restriction(p, base, direction)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(nvars=3, max_deg=3, max_terms=6), line_triples, line_triples)
+def test_line_expansion_matches_substitution(p, base, direction):
+    # with base = B/s and direction = D/s, F(B + t*D + y) = scale*p(base + t*direction + y/s),
+    # so its y^a part is scale/s^|a| times the y^a part of p(base + t*direction + y)
+    base, direction = [Fraction(c) for c in base], [Fraction(c) for c in direction]
+    s = lcm(*(c.denominator for c in base + direction))
+    bv, dv = [int(c * s) for c in base], [int(c * s) for c in direction]
+    t, *y = variables(4)
+    r = p.substitute([b + c * t + yi for b, c, yi in zip(base, direction, y)])
+    d = p.degree()
+    for order in range(3):
+        parts, scale = _line_expansion(p, bv, dv, s, order)
+        assert scale == lcm(*(c.denominator for c in p.terms.values())) * s ** max(d, 0)
+        expected: dict = {}
+        for e, c in r.terms.items():
+            if sum(e[1:]) <= order:
+                expected.setdefault(e[1:], [0] * (d - sum(e[1:]) + 1))[e[0]] = scale * c / s ** sum(e[1:])
+        assert all(len(c) == d - sum(a) + 1 and sum(a) <= order for a, c in parts.items())
+        assert all(isinstance(x, int) for c in parts.values() for x in c)
+        assert {a: c for a, c in parts.items() if any(c)} == expected
 
 
 def test_restrict_to_line_on_zero_constant_and_large_factors():

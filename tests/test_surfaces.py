@@ -36,6 +36,7 @@ from incgeo.poly import (
     is_square_free,
     poly_gcd,
     remove_content,
+    restrict_to_line,
     taylor_components,
     variables,
 )
@@ -502,32 +503,18 @@ def test_cone_apex_matches_the_candidate_scan(f):
         assert apex == ref or surfaces._is_cone_apex(f, ref)
 
 
-# -- memo
+# -- repeat calls
 
 
-def test_repeat_calls_hit_the_memo():
-    calls = [
-        (surfaces._flecnode_witness, lambda: flecnode_polynomial(RULED_CUBIC)),
-        (surfaces._lines_through, lambda: find_lines_through_point(CONE, (3, 4, 5), 10)),
-        (surfaces._exceptional_among, lambda: exceptional_lines(RULED_CUBIC, cubic_family())),
-    ]
-    for memo, call in calls:
-        first = call()
-        before = memo.cache_info()
-        assert call() == first
-        after = memo.cache_info()
-        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-
-
-def test_memoized_line_search_returns_a_fresh_list():
+def test_line_search_returns_a_fresh_list():
     lines = find_lines_through_point(CONE, (3, 4, 5), 10)
     lines.append(Z_AXIS)
     assert find_lines_through_point(CONE, (3, 4, 5), 10) == [AffLine((0, 0, 0), (3, 4, 5))]
 
 
 def test_exceptional_lines_follow_the_given_order():
-    # on the regulus every ruling meets many others, so all are reported;
-    # a memo hit must not hand back the order of an earlier call
+    # on the regulus every ruling meets many others, so all are reported,
+    # in the order of each call
     rulings = [AffLine((0, c, 0), (1, 0, c)) for c in range(-2, 3)]
     rulings += [AffLine((c, 0, 0), (0, 1, c)) for c in range(-2, 3)]
     assert exceptional_lines(REGULUS, rulings, enforce_cap=False) == rulings
@@ -907,7 +894,6 @@ def test_exceptional_scan_relates_only_singular_lines(monkeypatch):
 
     monkeypatch.setattr(surfaces, "line_relation", counted_relation)
     monkeypatch.setattr(surfaces, "find_lines_through_point", counted_search)
-    surfaces._exceptional_among.cache_clear()
     fam = cubic_family()
     assert exceptional_lines(RULED_CUBIC, fam) == [Z_AXIS]
     # the singular axis is related once with each other line; no pair of
@@ -1068,6 +1054,61 @@ def test_tangent_pencil_matches_substitution(case):
     if pencil is not None:
         assert surfaces._pencil_has_common_factor(pencil) == expected
         assert all(max((j for _, j in c), default=0) <= k + 1 for k, c in enumerate(pencil))
+
+
+# -- singular lines against the partial derivatives
+#
+# The reference is is_singular_line as it stood before it read one
+# expansion along the line: containment, then each partial restricted.
+
+
+def reference_is_singular_line(f: Poly, ln: AffLine) -> bool:
+    """True iff every point of a contained line is singular."""
+    if not line_on_surface(f, ln):
+        raise NotOnSurfaceError("line is not contained in the surface")
+    return all(
+        restrict_to_line(f.diff(i), ln.base, ln.direction).is_zero for i in range(f.nvars)
+    )
+
+
+@st.composite
+def singular_line_questions(draw):
+    """A line l with l1*A + l2*B (smooth along l for most A, B) or
+    l1^2*A + l1*l2*B + l2^2*C (singular along l), l1 and l2 linear forms
+    vanishing on l; or either shifted off l by a nonzero constant."""
+    kind = draw(st.sampled_from(["smooth", "singular", "off"]))
+    base = draw(st.tuples(*[st.fractions(-2, 2, max_denominator=3)] * 3))
+    d = draw(triples)
+    n1 = _cross(d, draw(triples))
+    if not any(n1):
+        n1 = _cross(d, (1, 2, 3)) if any(_cross(d, (1, 2, 3))) else _cross(d, (3, 1, 2))
+    n2 = _cross(d, n1)
+    l1, l2 = _linear(n1, base), _linear(n2, base)
+    exponents = st.tuples(*[st.integers(0, 2)] * 3).filter(lambda e: sum(e) <= 2)
+    big_a, big_b, big_c = (Poly(3, draw(st.dictionaries(exponents, small_ints, max_size=4))) for _ in range(3))
+    if kind == "singular" or (kind == "off" and draw(st.booleans())):
+        f = l1 * l1 * big_a + l1 * l2 * big_b + l2 * l2 * big_c
+    else:
+        f = l1 * big_a + l2 * big_b
+    if kind == "off":
+        f = f + draw(st.fractions(-3, 3, max_denominator=3).filter(bool))
+    return f, AffLine(base, d)
+
+
+def test_singular_line_matches_the_reference_on_the_catalog():
+    for name, factor in (("cone", CONE), ("regulus", REGULUS), ("whitney", RULED_CUBIC)):
+        for ln in make_lines(name, 24, include_exceptional=name == "whitney"):
+            assert is_singular_line(factor, ln) == reference_is_singular_line(factor, ln)
+    # on a coordinate plane only one partial is nonzero
+    for plane, ln in ((X, AffLine((0, 1, 0), (0, 1, 2))), (Y, AffLine((1, 0, 0), (1, 0, 3))), (Z, Y_AXIS)):
+        assert is_singular_line(plane, ln) is reference_is_singular_line(plane, ln) is False
+
+
+@settings(max_examples=100, deadline=None)
+@given(singular_line_questions())
+def test_singular_line_matches_the_partial_derivatives(question):
+    f, ln = question
+    assert _outcome(is_singular_line, f, ln) == _outcome(reference_is_singular_line, f, ln)
 
 
 def _bivariate(draw, a_degree: int) -> dict:
