@@ -4,7 +4,7 @@ The package is organized bottom-up:
 
 - poly: sparse multivariate polynomials over Q (arithmetic, Taylor
   components, directional derivatives, Sylvester determinants, exact
-  division, gcd, a square-free test)
+  division, gcd, a square-free test) and the Surface factor list
 - linespace: affine lines in R^d with their exact incidence, relation and
   coplanarity predicates, and Plucker coordinates with the Klein form
 - surfaces: singularities, flat and singular lines, flecnode witnesses,
@@ -19,15 +19,27 @@ The package is organized bottom-up:
 - instfile: the IncidenceInstance container and its exact JSON file format
 - cli: the command-line front end, one report per command printed as
   text or JSON
+
+Importing the package loads none of these modules.  Each name in __all__
+resolves on first use by importing its home module (PEP 562), so a CLI call
+loads only the modules its subcommand runs.
 """
 
-from .forge import build_instance, make_lines, make_surface
-from .incidence import IncidenceTable, count_incidences, decompose_lines, verify_bound
-from .instfile import IncidenceInstance, load_instance, save_instance
-from .linespace import AffLine
-from .poly import Poly, variables
-from .projection import project_to_3space
-from .surfaces import Surface, classify_component, flecnode_polynomial
+from importlib import import_module
+
+# the catalog surface names, shared by forge and the CLI parser
+SURFACE_KINDS = ("cone", "regulus", "whitney", "sphere", "fermat", "product")
+
+_HOMES = {
+    "forge": ("build_instance", "make_lines", "make_surface"),
+    "incidence": ("IncidenceTable", "count_incidences", "decompose_lines", "verify_bound"),
+    "instfile": ("IncidenceInstance", "load_instance", "save_instance"),
+    "linespace": ("AffLine",),
+    "poly": ("Poly", "Surface", "variables"),
+    "projection": ("project_to_3space",),
+    "surfaces": ("classify_component", "flecnode_polynomial"),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
 
 __all__ = [
     "AffLine",
@@ -48,3 +60,14 @@ __all__ = [
     "variables",
     "verify_bound",
 ]
+
+
+def __getattr__(name: str):
+    module = _HOME_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -8,6 +8,11 @@ _cmd_* runs its command and returns (exit code, report dict); main prints
 the dict as JSON under --json-out, else the lines its _text_* renders
 from it.
 
+Names resolve on first use: each _cmd_* imports the modules its command
+runs when it runs, so building the parser loads only this module and
+errors, and a call loads nothing its subcommand does not use (project and
+a surfaceless verify never load poly or surfaces).
+
 Exit codes: 0 success, 1 a checked invariant or claimed bound failed,
 2 bad usage or unreadable input, 3 the input violates a command's
 hypotheses (say a planar component without --planes).
@@ -20,8 +25,9 @@ import dataclasses
 import json
 import sys
 import time
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
+from . import SURFACE_KINDS
 from .errors import (
     DegreeError,
     DomainError,
@@ -33,21 +39,9 @@ from .errors import (
     ResampleExhaustedError,
     SingularPointError,
 )
-from .forge import SURFACE_KINDS, build_instance
-from .incidence import (
-    IncidenceTable,
-    check_meeting_cap,
-    conical_incidence_count,
-    decompose_lines,
-    max_lines_per_flat,
-    prune_points,
-    verify_bound,
-    verify_planes_bound,
-)
-from .instfile import IncidenceInstance, format_rational, load_instance, save_instance
-from .projection import project_to_3space
-from .surfaces import classify_component, flecnode_polynomial, ruled_indicator
-from .poly import divides
+
+if TYPE_CHECKING:
+    from .instfile import IncidenceInstance
 
 USAGE_EXIT = 2
 HYPOTHESIS_EXIT = 3
@@ -84,6 +78,9 @@ def _require_surface(inst: IncidenceInstance):
 
 
 def _cmd_gen(args: argparse.Namespace) -> tuple[int, dict]:
+    from .forge import build_instance
+    from .instfile import save_instance
+
     inst = build_instance(
         args.kind,
         args.lines,
@@ -101,6 +98,9 @@ def _text_gen(report: dict, args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_classify(args: argparse.Namespace) -> tuple[int, dict]:
+    from .instfile import format_rational, load_instance
+    from .surfaces import classify_component
+
     inst = load_instance(args.file)
     surface = _require_surface(inst)
     hints = tuple(ln for ln in inst.lines if ln.dim == 3)
@@ -133,6 +133,10 @@ def _text_classify(report: dict, args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_flecnode(args: argparse.Namespace) -> tuple[int, dict]:
+    from .instfile import load_instance
+    from .poly import divides
+    from .surfaces import flecnode_polynomial, ruled_indicator
+
     inst = load_instance(args.file)
     surface = _require_surface(inst)
     factors = []
@@ -159,6 +163,16 @@ def _text_flecnode(report: dict, args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_incidence(args: argparse.Namespace) -> tuple[int, dict]:
+    from .incidence import (
+        IncidenceTable,
+        check_meeting_cap,
+        conical_incidence_count,
+        decompose_lines,
+        max_lines_per_flat,
+        prune_points,
+    )
+    from .instfile import load_instance
+
     inst = load_instance(args.file)
     table = IncidenceTable(inst.points, inst.lines)
     report: dict = {
@@ -200,6 +214,9 @@ def _text_incidence(report: dict, args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
+    from .incidence import verify_bound, verify_planes_bound
+    from .instfile import load_instance
+
     inst = load_instance(args.file)
     if args.planes:
         bound = verify_planes_bound(inst.points, inst.lines, constant=args.constant)
@@ -238,6 +255,9 @@ def _text_verify(report: dict, args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_project(args: argparse.Namespace) -> tuple[int, dict]:
+    from .instfile import IncidenceInstance, load_instance, save_instance
+    from .projection import project_to_3space
+
     inst = load_instance(args.file)
     pts3, lns3, cert = project_to_3space(inst.points, inst.lines, seed=args.seed)
     out = IncidenceInstance(None, pts3, lns3)

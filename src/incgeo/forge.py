@@ -16,16 +16,14 @@ from itertools import count as it_count
 from math import gcd
 from typing import Iterator, Mapping, Sequence
 
+from . import SURFACE_KINDS
 from .errors import ArityError, DomainError, ResampleExhaustedError
 from .linalg import Vec, rank, to_vec
 from .instfile import IncidenceInstance
 from .linespace import AffLine
-from .poly import Poly, variables
-from .surfaces import Surface
+from .poly import Poly, Surface, variables
 
 _X, _Y, _Z = variables(3)
-
-SURFACE_KINDS = ("cone", "regulus", "whitney", "sphere", "fermat", "product")
 
 _RULED_FACTORS: Mapping[str, Poly] = {
     "cone": _X**2 + _Y**2 - _Z**2,

@@ -11,13 +11,15 @@ table, check the structural caps and evaluate the closed-form bounds.
 count_incidences is the exhaustive reference count.  The table and s both
 come from linespace's integer kernel, which answers every point-line and
 line-line question on integer-primitive data.  Bound evaluation is the
-only place floats appear; everything combinatorial is exact.
+only place floats appear; everything combinatorial is exact.  Only the
+decomposition reads surfaces, which it imports when it runs, so counting
+and the bounds load no surface analysis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import (
     DomainError,
@@ -33,15 +35,10 @@ from .linespace import (
     incidence_relation,
     line_on_surface,
 )
-from .surfaces import (
-    ClassificationResult,
-    Surface,
-    Verdict,
-    classify_component,
-    exceptional_lines,
-)
 
-RULED_VERDICTS = frozenset({Verdict.REGULUS, Verdict.CONE, Verdict.SINGLY_RULED})
+if TYPE_CHECKING:
+    from .poly import Surface
+    from .surfaces import ClassificationResult
 
 
 # -- the incidence relation --------------------------------------------------
@@ -141,6 +138,8 @@ class Decomposition:
 
     @property
     def structured_cap(self) -> int:
+        from .surfaces import RULED_VERDICTS
+
         d = self.surface.degree
         non_ruled_sq = sum(
             self.surface.factors[i].degree() ** 2
@@ -152,6 +151,8 @@ class Decomposition:
 
 def decompose_lines(surface: Surface, lines: Sequence[AffLine]) -> Decomposition:
     """Classify the factors and split the line family into L0 and L1."""
+    from .surfaces import RULED_VERDICTS, Verdict, classify_component, exceptional_lines
+
     lines = tuple(lines)
     if len(set(lines)) != len(lines):
         raise DomainError("line family contains duplicates")

@@ -14,6 +14,8 @@ and a file round-trips byte for byte.
     }
 
 A lifted instance has no surface; the field is null and "dim" may exceed 3.
+Only a surface needs poly, so the module imports it where a polynomial is
+read or written, and a surfaceless file loads without it.
 An instance's dimension is read off its points and lines, so an instance
 with neither must have "dim" 3.
 A polynomial term of total degree above MAX_DEGREE, or a polynomial of more
@@ -29,13 +31,14 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import ArityError, DomainError, ParseError
 from .linalg import Vec, to_vec
 from .linespace import AffLine, line_on_surface
-from .poly import Poly, grlex_key
-from .surfaces import Surface
+
+if TYPE_CHECKING:
+    from .poly import Poly, Surface
 
 
 @dataclass(frozen=True)
@@ -126,6 +129,8 @@ def _obj_to_vector(obj: object, dim: int) -> Vec:
 
 
 def poly_to_obj(p: Poly) -> dict:
+    from .poly import grlex_key
+
     terms = sorted(p.terms.items(), key=lambda item: grlex_key(item[0]), reverse=True)
     return {
         "terms": [
@@ -135,6 +140,8 @@ def poly_to_obj(p: Poly) -> dict:
 
 
 def obj_to_poly(obj: object, nvars: int) -> Poly:
+    from .poly import Poly
+
     if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
         raise ParseError(f"expected a polynomial object, got {obj!r}")
     if len(obj["terms"]) > MAX_TERMS:
@@ -163,6 +170,8 @@ def surface_to_obj(surface: Surface) -> dict:
 
 
 def obj_to_surface(obj: object) -> Surface:
+    from .poly import Surface
+
     if not isinstance(obj, dict) or obj.get("vars") != 3:
         raise ParseError(f"expected a trivariate surface object, got {obj!r}")
     factors = obj.get("factors")

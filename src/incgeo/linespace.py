@@ -4,9 +4,9 @@ An AffLine is stored canonically (direction scaled to first nonzero entry
 1, base slid to 0 at that pivot), so equality and hashing are exact.  The
 module decides point-line incidence, the relation of two lines (equal,
 parallel, intersecting, skew), coplanarity of three lines and containment
-of a line in a surface.  An instance's two pairwise relations are built
-here, one pass each: incidence_relation (point-line) and coplanar_partners
-(line-line).
+of a line in a surface (the one question that loads poly).  An instance's
+two pairwise relations are built here, one pass each: incidence_relation
+(point-line) and coplanar_partners (line-line).
 
 Every point-line and line-line question runs on integers.  A line caches
 its pivot k, integer direction D (D[k] > 0) and integer base B with scale
@@ -38,12 +38,14 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import linalg
 from .errors import ArityError, DegenerateLineError, DomainError
 from .linalg import Vec, to_vec, vec_sub
-from .poly import Poly, restrict_to_line
+
+if TYPE_CHECKING:
+    from .poly import Poly
 
 
 def _canonical_ray(coords: Vec) -> Vec:
@@ -290,6 +292,8 @@ def coplanar_partners(lines: Sequence[AffLine]) -> Iterator[tuple[list[list[int]
 
 def line_on_surface(f: Poly, ln: AffLine) -> bool:
     """True iff the whole line lies in the zero set of f."""
+    from .poly import restrict_to_line
+
     if f.nvars != ln.dim:
         raise ArityError("polynomial arity and line dimension differ")
     return restrict_to_line(f, ln.base, ln.direction).is_zero

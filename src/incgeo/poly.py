@@ -14,12 +14,17 @@ degree-k part is the t^k coefficient of p(at + t*v)), powers of the
 directional derivative v.grad, polynomial determinants (Bareiss) and the
 Sylvester determinant built on them, single-divisor exact division,
 multivariate gcd, and a square-free test with a certificate on lines.
+
+Surface, the container of a surface's known square-free factor list, lives
+here too: checking its factors needs only the square-free test and the
+content, so reading or writing a surface file loads no surface analysis.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
 from typing import Mapping, Sequence
@@ -730,6 +735,35 @@ def is_square_free(p: Poly) -> bool:
         if g.degree() == 0:
             return True
     return g.degree() == 0
+
+
+@dataclass(frozen=True)
+class Surface:
+    """A squarefree trivariate polynomial, kept as its known factor list."""
+
+    factors: tuple[Poly, ...]
+
+    def __init__(self, factors: Sequence[Poly]):
+        factors = tuple(factors)
+        if not factors:
+            raise DomainError("surface needs at least one factor")
+        seen = set()
+        for w in factors:
+            if w.nvars != 3:
+                raise ArityError("surface factors must be trivariate")
+            if w.degree() < 1:
+                raise DomainError("constant factor in surface")
+            if not is_square_free(w):
+                raise DomainError(f"factor {w.render()} is not square-free")
+            key = remove_content(w)
+            if key in seen:
+                raise DomainError("repeated factor in surface")
+            seen.add(key)
+        object.__setattr__(self, "factors", factors)
+
+    @property
+    def degree(self) -> int:
+        return sum(w.degree() for w in self.factors)
 
 
 def matrix_determinant(mat: list[list[Poly]], nvars: int) -> Poly:

@@ -1,8 +1,9 @@
 """Local and global analysis of algebraic surfaces in R^3.
 
-A Surface is kept as its (known) factorization into pairwise distinct
-squarefree factors; factorization is never computed here, only consumed,
-and the product of the factors is never formed.  Every analysis function
+A Surface (defined in poly, re-exported here) is kept as its (known)
+factorization into pairwise distinct squarefree factors; factorization is
+never computed here, only consumed, and the product of the factors is
+never formed.  Every analysis function
 takes one trivariate polynomial f, in practice a single factor.  The
 module answers the questions the incidence machinery needs: where is the
 surface singular, which points and lines are flat, does a factor admit a
@@ -28,7 +29,7 @@ from fractions import Fraction
 from math import factorial, gcd, inf, lcm
 from typing import Iterable, Sequence
 
-from . import linalg
+from . import linalg, poly
 from .errors import (
     ArityError,
     DegreeError,
@@ -47,7 +48,6 @@ from .poly import (
     directional_power,
     divides,
     exact_div,
-    is_square_free,
     poly_gcd,
     remove_content,
     restrict_to_line,
@@ -57,37 +57,9 @@ from .poly import (
     variables,
 )
 
-# -- surface container ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Surface:
-    """A squarefree trivariate polynomial, kept as its known factor list."""
-
-    factors: tuple[Poly, ...]
-
-    def __init__(self, factors: Sequence[Poly]):
-        factors = tuple(factors)
-        if not factors:
-            raise DomainError("surface needs at least one factor")
-        seen = set()
-        for w in factors:
-            if w.nvars != 3:
-                raise ArityError("surface factors must be trivariate")
-            if w.degree() < 1:
-                raise DomainError("constant factor in surface")
-            if not is_square_free(w):
-                raise DomainError(f"factor {w.render()} is not square-free")
-            key = remove_content(w)
-            if key in seen:
-                raise DomainError("repeated factor in surface")
-            seen.add(key)
-        object.__setattr__(self, "factors", factors)
-
-    @property
-    def degree(self) -> int:
-        return sum(w.degree() for w in self.factors)
-
+# The container lives in poly, so a surface file is read and checked without
+# this module; it is re-exported here beside the analysis of its factors.
+Surface = poly.Surface
 
 # -- point-local analysis ---------------------------------------------------
 
@@ -362,6 +334,9 @@ class Verdict(Enum):
     SINGLY_RULED = "SinglyRuled"
     NOT_RULED_REAL = "NotRuledReal"
     UNKNOWN = "Unknown"
+
+
+RULED_VERDICTS = frozenset({Verdict.REGULUS, Verdict.CONE, Verdict.SINGLY_RULED})
 
 
 @dataclass(frozen=True)

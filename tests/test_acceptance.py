@@ -167,10 +167,10 @@ def test_c06_generator_count_sums():
     probes_ran = 0
     for factor, family, apex in suites:
         degree = factor.degree()
+        exceptional = exceptional_lines(factor, family)
         contained = [
             ln for ln in family
-            if line_on_surface(factor, ln)
-            and ln not in exceptional_lines(factor, family)
+            if line_on_surface(factor, ln) and ln not in exceptional
         ]
         for ln in contained[:9]:
             report = check_firstflip(factor, ln, family, apex=apex)
