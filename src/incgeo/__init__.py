@@ -9,14 +9,15 @@ The package is organized bottom-up:
   coplanarity predicates, and Plucker coordinates with the Klein form
 - surfaces: singularities, flat and singular lines, flecnode witnesses,
   ruledness indicators, per-component classification, generator counting
-- incidence: the per-instance incidence table (each point-line pair checked
-  once, read by every statistic), the ruled/unruled line decomposition,
-  pruning, meeting counts, and the bound evaluators
+- incidence: the ruled/unruled line decomposition, pruning, meeting
+  counts, and the bound evaluators, all read from one checked instance
 - projection: seeded generic projection of high-dimensional instances down
   to 3-space with exact genericity certificates
 - forge: canonical surface instances (cone, regulus, ruled cubic, sphere,
   Fermat cubic and products) with seeded line and point placement
-- instfile: the IncidenceInstance container and its exact JSON file format
+- instfile: the IncidenceInstance, checked once on construction (which
+  factors hold each line; the point-line relation, built on first read),
+  and its exact JSON file format
 - cli: the command-line front end, one report per command printed as
   text or JSON
 
@@ -32,7 +33,7 @@ SURFACE_KINDS = ("cone", "regulus", "whitney", "sphere", "fermat", "product")
 
 _HOMES = {
     "forge": ("build_instance", "make_lines", "make_surface"),
-    "incidence": ("IncidenceTable", "count_incidences", "decompose_lines", "verify_bound"),
+    "incidence": ("count_incidences", "decompose_lines", "verify_bound"),
     "instfile": ("IncidenceInstance", "load_instance", "save_instance"),
     "linespace": ("AffLine",),
     "poly": ("Poly", "Surface", "variables"),
@@ -44,7 +45,6 @@ _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
 __all__ = [
     "AffLine",
     "IncidenceInstance",
-    "IncidenceTable",
     "Poly",
     "Surface",
     "build_instance",

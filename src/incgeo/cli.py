@@ -103,9 +103,9 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[int, dict]:
 
     inst = load_instance(args.file)
     surface = _require_surface(inst)
-    hints = tuple(ln for ln in inst.lines if ln.dim == 3)
     factors = []
     for i, factor in enumerate(surface.factors):
+        hints = [ln for ln, owners in zip(inst.lines, inst.containing) if i in owners]
         res = classify_component(factor, hint_lines=hints)
         factors.append(
             {
@@ -164,7 +164,6 @@ def _text_flecnode(report: dict, args: argparse.Namespace) -> list[str]:
 
 def _cmd_incidence(args: argparse.Namespace) -> tuple[int, dict]:
     from .incidence import (
-        IncidenceTable,
         check_meeting_cap,
         conical_incidence_count,
         decompose_lines,
@@ -174,18 +173,17 @@ def _cmd_incidence(args: argparse.Namespace) -> tuple[int, dict]:
     from .instfile import load_instance
 
     inst = load_instance(args.file)
-    table = IncidenceTable(inst.points, inst.lines)
     report: dict = {
         "m": inst.m,
         "n": inst.n,
         "dim": inst.dim,
-        "incidences": table.total,
+        "incidences": inst.incidences,
         "s": max_lines_per_flat(inst.lines),
     }
     if inst.surface is not None:
-        decomp = decompose_lines(inst.surface, inst.lines)
-        conical = conical_incidence_count(decomp, table)
-        kept = prune_points(decomp, table, min_incidences=args.prune)
+        decomp = decompose_lines(inst)
+        conical = conical_incidence_count(decomp)
+        kept = prune_points(decomp, min_incidences=args.prune)
         report.update(
             {
                 "structured": len(decomp.structured),
@@ -193,7 +191,7 @@ def _cmd_incidence(args: argparse.Namespace) -> tuple[int, dict]:
                 "structured_cap": decomp.structured_cap,
                 "conical": conical,
                 "pruned_kept": len(kept),
-                "meeting_worst": check_meeting_cap(decomp, table, kept),
+                "meeting_worst": check_meeting_cap(decomp, kept),
                 "meeting_cap": 4 * inst.surface.degree,
             }
         )
@@ -219,7 +217,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
 
     inst = load_instance(args.file)
     if args.planes:
-        bound = verify_planes_bound(inst.points, inst.lines, constant=args.constant)
+        bound = verify_planes_bound(inst, constant=args.constant)
     else:
         if inst.surface is not None and any(
             w.degree() == 1 for w in inst.surface.factors
@@ -233,9 +231,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
             degree = args.degree
         else:
             raise DomainError("surfaceless instance: pass --degree for the bound")
-        bound = verify_bound(
-            inst.points, inst.lines, degree=degree, constant=args.constant
-        )
+        bound = verify_bound(inst, degree=degree, constant=args.constant)
     return (0 if bound.within else 1), {
         key: _fmt(value) if isinstance(value, float) else value
         for key, value in dataclasses.asdict(bound).items()

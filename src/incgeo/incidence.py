@@ -1,19 +1,20 @@
 """Point-line incidence counting over a known surface decomposition.
 
-The workflow: build the instance's IncidenceTable, which holds the
-point-line relation (linespace.incidence_relation) both ways; measure the
-coplanarity parameter s from linespace.coplanar_partners; split the line
-family by surface factor into the structured part L0 (lines on non-ruled
-factors, on several factors at once, or exceptional on a singly ruled
-factor) and the generic part L1; then read the incidence count, the
-conical incidences, the pruned points and the meeting counts off the
-table, check the structural caps and evaluate the closed-form bounds.
-count_incidences is the exhaustive reference count.  The table and s both
-come from linespace's integer kernel, which answers every point-line and
-line-line question on integer-primitive data.  Bound evaluation is the
-only place floats appear; everything combinatorial is exact.  Only the
-decomposition reads surfaces, which it imports when it runs, so counting
-and the bounds load no surface analysis.
+Every function here reads one checked IncidenceInstance (instfile), which
+has already rejected duplicates and stray lines, decided which surface
+factors hold each line (containing) and holds the point-line relation
+(lines_at, points_on, built on first read by linespace.incidence_relation).
+The workflow: measure the coplanarity parameter s from
+linespace.coplanar_partners; split the line family by surface factor into
+the structured part L0 (lines on non-ruled factors, on several factors at
+once, or exceptional on a singly ruled factor) and the generic part L1;
+then read the incidence count, the conical incidences, the pruned points
+and the meeting counts off the instance, check the structural caps and
+evaluate the closed-form bounds.  count_incidences is the exhaustive
+reference count.  Bound evaluation is the only place floats appear;
+everything combinatorial is exact.  Only the decomposition reads
+surfaces, which it imports when it runs, so counting and the bounds load
+no surface analysis.
 """
 
 from __future__ import annotations
@@ -21,70 +22,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .errors import (
-    DomainError,
-    InvariantViolation,
-    NotOnSurfaceError,
-    PlanarComponentError,
-)
+from .errors import DomainError, InvariantViolation, PlanarComponentError
 from .linalg import Vec, to_vec
-from .linespace import (
-    AffLine,
-    coplanar_partners,
-    incidence_point_line,
-    incidence_relation,
-    line_on_surface,
-)
+from .linespace import AffLine, coplanar_partners, incidence_point_line
 
 if TYPE_CHECKING:
-    from .poly import Surface
+    from .instfile import IncidenceInstance
     from .surfaces import ClassificationResult
-
-
-# -- the incidence relation --------------------------------------------------
 
 
 def count_incidences(points: Sequence, lines: Sequence[AffLine]) -> int:
     """Number of pairs (p, ln) with p on ln, by exhaustive exact check."""
     pts = [to_vec(p) for p in points]
     return sum(1 for p in pts for ln in lines if incidence_point_line(p, ln))
-
-
-@dataclass(frozen=True)
-class IncidenceTable:
-    """The point-line incidence relation of one instance, computed once.
-
-    Every pair is checked exactly on construction.  lines_at[i] holds the
-    indices of the lines through points[i] and points_on[j] the indices of
-    the points on lines[j], both ascending.  Duplicate points or lines are
-    rejected, so each incidence is counted once.
-    """
-
-    points: tuple[Vec, ...]
-    lines: tuple[AffLine, ...]
-    lines_at: tuple[tuple[int, ...], ...]
-    points_on: tuple[tuple[int, ...], ...]
-
-    def __init__(self, points: Sequence, lines: Sequence[AffLine]):
-        pts, lns = tuple(to_vec(p) for p in points), tuple(lines)
-        if len(set(pts)) != len(pts):
-            raise DomainError("point set contains duplicates")
-        if len(set(lns)) != len(lns):
-            raise DomainError("line family contains duplicates")
-        lines_at = incidence_relation(pts, lns)
-        points_on: list[list[int]] = [[] for _ in lns]
-        for i, through in enumerate(lines_at):
-            for j in through:
-                points_on[j].append(i)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "lines", lns)
-        object.__setattr__(self, "lines_at", lines_at)
-        object.__setattr__(self, "points_on", tuple(map(tuple, points_on)))
-
-    @property
-    def total(self) -> int:
-        """Number of incident pairs."""
-        return sum(len(through) for through in self.lines_at)
 
 
 # -- coplanarity parameter ---------------------------------------------------
@@ -95,10 +45,11 @@ def max_lines_per_flat(lines: Sequence[AffLine]) -> int:
 
     Zero for an empty family.  The lowest-index line of a plane finds every
     other line of it in one group of coplanar_partners, so s is one more
-    than the largest group.  Duplicate lines are rejected.
+    than the largest group.  Duplicate lines are rejected, with the
+    instance's message.
     """
     if len(set(lines)) != len(lines):
-        raise DomainError("line family contains duplicates")
+        raise DomainError("instance lines must be distinct")
     if not lines:
         return 0
     return 1 + max(
@@ -111,21 +62,23 @@ def max_lines_per_flat(lines: Sequence[AffLine]) -> int:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Line family split against the classified surface factors.
+    """An instance's line family split against its classified surface factors.
 
     structured holds the lines that the generic argument cannot handle
     uniformly: lines on some non-ruled factor, lines shared by two factors,
     and exceptional lines of singly ruled factors.  Every remaining line
     (generic) lies on exactly one factor, and that factor is ruled.
+    generic_apex maps the index of each generic line to the apex of its
+    owning cone, or None if the owner is no cone; a conical incidence is a
+    generic line through its apex.
     """
 
-    surface: Surface
-    lines: tuple[AffLine, ...]
+    instance: IncidenceInstance
     verdicts: tuple[ClassificationResult, ...]
-    containing: tuple[tuple[int, ...], ...]
     structured: tuple[AffLine, ...]
     generic: tuple[AffLine, ...]
     generic_owner: Mapping[AffLine, int]
+    generic_apex: Mapping[int, Vec | None]
     exceptional: Mapping[int, tuple[AffLine, ...]]
     apexes: Mapping[int, Vec]
 
@@ -140,33 +93,27 @@ class Decomposition:
     def structured_cap(self) -> int:
         from .surfaces import RULED_VERDICTS
 
-        d = self.surface.degree
+        surface = self.instance.surface
+        d = surface.degree
         non_ruled_sq = sum(
-            self.surface.factors[i].degree() ** 2
+            surface.factors[i].degree() ** 2
             for i, r in enumerate(self.verdicts)
             if r.verdict not in RULED_VERDICTS
         )
         return 11 * non_ruled_sq + d * d + d
 
 
-def decompose_lines(surface: Surface, lines: Sequence[AffLine]) -> Decomposition:
-    """Classify the factors and split the line family into L0 and L1."""
+def decompose_lines(inst: IncidenceInstance) -> Decomposition:
+    """Classify the surface factors and split the line family into L0 and L1."""
     from .surfaces import RULED_VERDICTS, Verdict, classify_component, exceptional_lines
 
-    lines = tuple(lines)
-    if len(set(lines)) != len(lines):
-        raise DomainError("line family contains duplicates")
+    surface = inst.surface
+    if surface is None:
+        raise DomainError("decomposition needs an instance with a surface")
     per_factor_lines: list[list[AffLine]] = [[] for _ in surface.factors]
-    containing: list[tuple[int, ...]] = []
-    for ln in lines:
-        owners = tuple(
-            i for i, w in enumerate(surface.factors) if line_on_surface(w, ln)
-        )
-        if not owners:
-            raise NotOnSurfaceError(f"line {ln} lies on no factor of the surface")
+    for ln, owners in zip(inst.lines, inst.containing):
         for i in owners:
             per_factor_lines[i].append(ln)
-        containing.append(owners)
 
     verdicts = []
     for i, w in enumerate(surface.factors):
@@ -187,7 +134,8 @@ def decompose_lines(surface: Surface, lines: Sequence[AffLine]) -> Decomposition
     structured: list[AffLine] = []
     generic: list[AffLine] = []
     generic_owner: dict[AffLine, int] = {}
-    for ln, owners in zip(lines, containing):
+    generic_apex: dict[int, Vec | None] = {}
+    for j, (ln, owners) in enumerate(zip(inst.lines, inst.containing)):
         on_non_ruled = any(verdicts[i].verdict not in RULED_VERDICTS for i in owners)
         shared = len(owners) >= 2
         is_exceptional = any(ln in exceptional.get(i, ()) for i in owners)
@@ -196,15 +144,15 @@ def decompose_lines(surface: Surface, lines: Sequence[AffLine]) -> Decomposition
         else:
             generic.append(ln)
             generic_owner[ln] = owners[0]
+            generic_apex[j] = apexes.get(owners[0])
 
     decomp = Decomposition(
-        surface=surface,
-        lines=lines,
+        instance=inst,
         verdicts=tuple(verdicts),
-        containing=tuple(containing),
         structured=tuple(structured),
         generic=tuple(generic),
         generic_owner=generic_owner,
+        generic_apex=generic_apex,
         exceptional=exceptional,
         apexes=apexes,
     )
@@ -219,62 +167,46 @@ def decompose_lines(surface: Surface, lines: Sequence[AffLine]) -> Decomposition
 # -- conical incidences and pruning -------------------------------------------
 
 
-def _generic_apexes(decomp: Decomposition, table: IncidenceTable) -> dict[int, Vec | None]:
-    """Index of each generic line of the table -> apex of its owning cone,
-    None if the owner is no cone.  A conical incidence is a line through it."""
-    if table.lines != decomp.lines:
-        raise DomainError("incidence table and decomposition hold different lines")
-    return {
-        j: decomp.apexes.get(decomp.generic_owner[ln])
-        for j, ln in enumerate(table.lines)
-        if ln in decomp.generic_owner
-    }
-
-
-def _non_conical_at(apexes: Mapping[int, Vec | None], table: IncidenceTable, i: int) -> list[int]:
+def _non_conical_at(decomp: Decomposition, i: int) -> list[int]:
     """Generic lines through point i, leaving out the conical incidences."""
-    return [j for j in table.lines_at[i] if j in apexes and apexes[j] != table.points[i]]
+    apex_of, p = decomp.generic_apex, decomp.instance.points[i]
+    return [j for j in decomp.instance.lines_at[i] if j in apex_of and apex_of[j] != p]
 
 
-def conical_incidence_count(decomp: Decomposition, table: IncidenceTable) -> int:
+def conical_incidence_count(decomp: Decomposition) -> int:
     """Number of conical incidences; structurally at most one per generic line."""
-    apexes = _generic_apexes(decomp, table)
-    count = sum(apexes.get(j) == p for p, lns in zip(table.points, table.lines_at) for j in lns)
+    inst, apex_of = decomp.instance, decomp.generic_apex
+    count = sum(apex_of.get(j) == p for p, lns in zip(inst.points, inst.lines_at) for j in lns)
     if count > len(decomp.generic):
         raise InvariantViolation("conical incidences exceed the generic line count")
     return count
 
 
-def prune_points(
-    decomp: Decomposition, table: IncidenceTable, min_incidences: int = 4
-) -> tuple[int, ...]:
-    """Indices of the points with at least min_incidences non-conical
-    generic-line incidences."""
-    apexes = _generic_apexes(decomp, table)
+def prune_points(decomp: Decomposition, min_incidences: int = 4) -> tuple[int, ...]:
+    """Indices of the instance points with at least min_incidences
+    non-conical generic-line incidences."""
     return tuple(
-        i for i in range(len(table.points))
-        if len(_non_conical_at(apexes, table, i)) >= min_incidences
+        i for i in range(decomp.instance.m)
+        if len(_non_conical_at(decomp, i)) >= min_incidences
     )
 
 
-def meeting_line_counts(
-    decomp: Decomposition, table: IncidenceTable, kept: Sequence[int]
-) -> dict[AffLine, int]:
+def meeting_line_counts(decomp: Decomposition, kept: Sequence[int]) -> dict[AffLine, int]:
     """Per generic line: distinct generic lines met non-conically at the kept
-    points (indices into the table)."""
-    apexes = _generic_apexes(decomp, table)
-    partners: dict[int, set[int]] = {j: set() for j in apexes}
+    points (indices into the instance points)."""
+    partners: dict[int, set[int]] = {j: set() for j in decomp.generic_apex}
     for i in kept:
-        incident = _non_conical_at(apexes, table, i)
+        incident = _non_conical_at(decomp, i)
         for j in incident:
             partners[j].update(k for k in incident if k != j)
-    return {table.lines[j]: len(met) for j, met in partners.items()}
+    lines = decomp.instance.lines
+    return {lines[j]: len(met) for j, met in partners.items()}
 
 
-def check_meeting_cap(decomp: Decomposition, table: IncidenceTable, kept: Sequence[int]) -> int:
+def check_meeting_cap(decomp: Decomposition, kept: Sequence[int]) -> int:
     """Assert each generic line meets at most 4*degree others; return the max."""
-    counts = meeting_line_counts(decomp, table, kept)
-    cap = 4 * decomp.surface.degree
+    counts = meeting_line_counts(decomp, kept)
+    cap = 4 * decomp.instance.surface.degree
     worst = max(counts.values(), default=0)
     if worst > cap:
         raise InvariantViolation(f"a generic line meets {worst} others, cap {cap}")
@@ -355,16 +287,13 @@ class BoundReport:
 
 
 def _bound_report(
-    points: Sequence, lines: Sequence[AffLine], degree: int, s: int | None,
-    constant: float, planes: bool,
+    inst: IncidenceInstance, degree: int, s: int | None, constant: float, planes: bool
 ) -> BoundReport:
-    """Count the instance once and evaluate the bounds; planes selects the
+    """Evaluate the bounds on the instance's counts; planes selects the
     plane-dominated shape (and xi 0) instead of the surface-sensitive one."""
-    table = IncidenceTable(points, lines)
-    m, n = len(table.points), len(table.lines)
+    m, n, inc = inst.m, inst.n, inst.incidences
     if s is None:
-        s = max_lines_per_flat(table.lines)
-    inc = table.total
+        s = max_lines_per_flat(inst.lines)
     if planes:
         main, xi = rhs_planes(m, s, n), 0.0
     else:
@@ -388,11 +317,7 @@ def _bound_report(
 
 
 def verify_bound(
-    points: Sequence,
-    lines: Sequence[AffLine],
-    degree: int,
-    s: int | None = None,
-    constant: float = 4.0,
+    inst: IncidenceInstance, degree: int, s: int | None = None, constant: float = 4.0
 ) -> BoundReport:
     """Measure an instance against the closed-form bounds.
 
@@ -402,13 +327,9 @@ def verify_bound(
     """
     if degree < 1:
         raise DomainError("surface degree must be positive")
-    return _bound_report(points, lines, degree, s, constant, planes=False)
+    return _bound_report(inst, degree, s, constant, planes=False)
 
 
-def verify_planes_bound(
-    points: Sequence,
-    lines: Sequence[AffLine],
-    constant: float = 4.0,
-) -> BoundReport:
+def verify_planes_bound(inst: IncidenceInstance, constant: float = 4.0) -> BoundReport:
     """Plane-dominated variant used when the surface has planar components."""
-    return _bound_report(points, lines, 1, None, constant, planes=True)
+    return _bound_report(inst, 1, None, constant, planes=True)

@@ -1,7 +1,10 @@
 """Incidence instances and their JSON file format.
 
 An IncidenceInstance holds a point set and a line set, optionally tied to a
-surface.  The layout keeps every number exact: rationals are "n" or "n/d"
+surface, and is the one checked structure every command reads: it rejects
+duplicates and stray lines once, records which surface factors hold each
+line, and builds the point-line relation on first read.  The file layout
+keeps every number exact: rationals are "n" or "n/d"
 strings, polynomial coefficients are split into integer numerator and
 denominator, and term lists are sorted, so serialization is deterministic
 and a file round-trips byte for byte.
@@ -30,12 +33,13 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import ArityError, DomainError, ParseError
 from .linalg import Vec, to_vec
-from .linespace import AffLine, line_on_surface
+from .linespace import AffLine, incidence_relation, line_on_surface
 
 if TYPE_CHECKING:
     from .poly import Poly, Surface
@@ -45,6 +49,14 @@ if TYPE_CHECKING:
 class IncidenceInstance:
     """A point set and line set, optionally tied to a concrete surface.
 
+    Construction checks the instance once: points and lines are distinct
+    and share one dimension, and with a surface every line lies on it.
+    containing[j] holds the ascending indices of the surface factors that
+    contain lines[j] (empty without a surface), decided here and read by
+    the decomposition and the classifier hints.  The incidence relation,
+    lines_at and points_on, is built from linespace.incidence_relation on
+    first read, so commands that never count incidences never build it.
+
     Lifted instances drop the surface: its equation lives in three
     variables and does not travel to higher dimension, while the points
     and lines do.
@@ -53,6 +65,7 @@ class IncidenceInstance:
     surface: Surface | None
     points: tuple[Vec, ...]
     lines: tuple[AffLine, ...]
+    containing: tuple[tuple[int, ...], ...]
 
     def __init__(self, surface: Surface | None, points: Sequence, lines: Sequence[AffLine]):
         pts = tuple(to_vec(p) for p in points)
@@ -64,16 +77,39 @@ class IncidenceInstance:
         dims = {len(p) for p in pts} | {ln.dim for ln in lns}
         if len(dims) > 1:
             raise ArityError("points and lines disagree on ambient dimension")
+        containing: list[tuple[int, ...]] = []
         if surface is not None:
             if dims and dims != {3}:
                 raise ArityError("a surface-carrying instance must live in 3-space")
             # a line lies in Z(gh) iff it lies in Z(g) or in Z(h)
             for ln in lns:
-                if not any(line_on_surface(w, ln) for w in surface.factors):
+                owners = tuple(i for i, w in enumerate(surface.factors) if line_on_surface(w, ln))
+                if not owners:
                     raise DomainError("an instance line misses the surface")
+                containing.append(owners)
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "lines", lns)
+        object.__setattr__(self, "containing", tuple(containing))
+
+    @cached_property
+    def lines_at(self) -> tuple[tuple[int, ...], ...]:
+        """For each point, the ascending indices of the lines through it."""
+        return incidence_relation(self.points, self.lines)
+
+    @cached_property
+    def points_on(self) -> tuple[tuple[int, ...], ...]:
+        """For each line, the ascending indices of the points on it."""
+        points_on: list[list[int]] = [[] for _ in self.lines]
+        for i, through in enumerate(self.lines_at):
+            for j in through:
+                points_on[j].append(i)
+        return tuple(map(tuple, points_on))
+
+    @property
+    def incidences(self) -> int:
+        """Number of incident point-line pairs."""
+        return sum(map(len, self.lines_at))
 
     @property
     def m(self) -> int:

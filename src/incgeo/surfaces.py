@@ -667,21 +667,21 @@ def exceptional_lines(
 ) -> list[AffLine]:
     """Lines of the family meeting other lines of the factor along their length.
 
-    On a non-singular contained line the answer is exact over C: the line
-    is exceptional iff the tangent pencil along it (_tangent_pencil) has a
-    common factor in the pencil direction, so infinitely many of its points
-    carry a second line of the factor, whatever their entries.  A singular
-    line (is_singular_line) keeps a bounded scan: it is reported when at
-    least 2*deg + 1 distinct points on it are each incident to another line
-    inside the factor, where the witnesses come from its crossings with the
-    supplied family and from line search (entries up to DENOMINATOR_BOUND)
-    at probe points.  On a singly ruled factor more than two such lines
-    contradict the structure theory, so with enforce_cap the count is
-    asserted.
+    Every line of the family must lie on the factor; one that does not
+    raises NotOnSurfaceError.  On a non-singular line the answer is exact
+    over C: the line is exceptional iff the tangent pencil along it
+    (_tangent_pencil) has a common factor in the pencil direction, so
+    infinitely many of its points carry a second line of the factor,
+    whatever their entries.  A singular line (is_singular_line) keeps a
+    bounded scan: it is reported when at least 2*deg + 1 distinct points on
+    it are each incident to another line inside the factor, where the
+    witnesses come from its crossings with the supplied family and from
+    line search (entries up to DENOMINATOR_BOUND) at probe points.  On a
+    singly ruled factor more than two such lines contradict the structure
+    theory, so with enforce_cap the count is asserted.
     """
     d = factor.degree()
-    contained = [ln for ln in lines if line_on_surface(factor, ln)]
-    result = [ln for ln in contained if _is_exceptional(factor, ln, contained)]
+    result = [ln for ln in lines if _is_exceptional(factor, ln, lines)]
     if enforce_cap and d >= 2 and len(result) > 2:
         raise InvariantViolation(
             f"{len(result)} exceptional lines on a degree-{d} factor (cap is 2)"
@@ -690,7 +690,7 @@ def exceptional_lines(
 
 
 def _is_exceptional(factor: Poly, ln: AffLine, contained: Sequence[AffLine]) -> bool:
-    """Whether a contained line is exceptional; only a singular line's
+    """Whether a line of the factor is exceptional; only a singular line's
     verdict depends on the family, and then on it as a set, not its order."""
     pencil = _tangent_pencil(factor, ln)
     if pencil is None:
@@ -748,7 +748,9 @@ def _zpowers(p: Bivariate, top: int) -> list[Bivariate]:
 
 def _tangent_pencil(f: Poly, ln: AffLine) -> list[Bivariate] | None:
     """The tangent pencil along a contained line, on integers; None when
-    the gradient vanishes along the whole line (a singular line).
+    the gradient vanishes along the whole line (a singular line).  A line
+    off the surface, where the expansion's order-0 part is nonzero, raises
+    NotOnSurfaceError.
 
     With the line's lattice data (D, B, s), X(t) = (B + t*D)/s runs over
     the line, and F(y) = den*s^deg f*f(y/s) has integer coefficients.  The
@@ -760,9 +762,13 @@ def _tangent_pencil(f: Poly, ln: AffLine) -> list[Bivariate] | None:
     c_k(t, a) of F(B + t*D + u*(a*D + W(t))); the u^0 and u^1 coefficients
     vanish since the line is contained.  c_k has a-degree at most k - 1.
     """
+    if f.nvars != ln.dim:
+        raise ArityError("polynomial arity and line dimension differ")
     _, dv, bv, s = ln.lattice
     d = f.degree()
     expansion, _ = _line_expansion(f, bv, dv, s, d)
+    if any(expansion.get((0, 0, 0), ())):
+        raise NotOnSurfaceError("line is not contained in the surface")
     # the y^a coefficient of F(B + t*D + y) is a list in t; |a| = 1 gives grad F
     zero = [0] * d
     grad = [expansion.get(a, zero) for a in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
@@ -889,11 +895,11 @@ def check_firstflip(
     rejected since the inequality says nothing about them.
     """
     d = factor.degree()
-    exceptional = exceptional_lines(factor, lines)
+    family = [l for l in lines if line_on_surface(factor, l)]
+    exceptional = exceptional_lines(factor, family)
     if ln in exceptional:
         raise ExceptionalLineError("generator-count sums are undefined on exceptional lines")
     contained = line_on_surface(factor, ln)
-    family = [l for l in lines if line_on_surface(factor, l)]
     points = _crossings(ln, family)
     total = 0
     all_lines = list(family)

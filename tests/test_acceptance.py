@@ -21,7 +21,6 @@ from incgeo.forge import (
     place_points,
 )
 from incgeo.incidence import (
-    IncidenceTable,
     check_meeting_cap,
     conical_incidence_count,
     count_incidences,
@@ -216,14 +215,13 @@ def test_c07_meeting_cap_on_product_suite():
     started = time.perf_counter()
     surface, lines, points = _product_instance(200)
     assert len(lines) == 200
-    decomp = decompose_lines(surface, lines)
-    table = IncidenceTable(points, lines)
+    decomp = decompose_lines(IncidenceInstance(surface, points, lines))
     for threshold in (4, 3):
-        kept = prune_points(decomp, table, min_incidences=threshold)
-        worst = check_meeting_cap(decomp, table, kept)
+        kept = prune_points(decomp, min_incidences=threshold)
+        worst = check_meeting_cap(decomp, kept)
         assert worst <= 4 * surface.degree == 28
         assert worst <= 36
-    kept3 = prune_points(decomp, table, min_incidences=3)
+    kept3 = prune_points(decomp, min_incidences=3)
     assert kept3, "threshold-3 pruning should keep the triple points"
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"meeting-cap suite took {elapsed:.1f}s"
@@ -246,8 +244,8 @@ def test_c08_conical_incidence_cap():
     instances that contain the apex itself."""
     saw_positive = False
     for inst in _conical_suite():
-        decomp = decompose_lines(inst.surface, inst.lines)
-        conical = conical_incidence_count(decomp, IncidenceTable(inst.points, inst.lines))
+        decomp = decompose_lines(inst)
+        conical = conical_incidence_count(decomp)
         assert conical <= len(decomp.generic)
         if conical:
             saw_positive = True
@@ -265,15 +263,13 @@ def test_c09_bound_ratio_on_seeded_instances():
         n = min(10 + 8 * k, 200)
         m = min(30 + 20 * k, 500)
         inst = build_instance(kind, n, m, seed=100 + k)
-        report = verify_bound(
-            inst.points, inst.lines, degree=inst.surface.degree
-        )
+        report = verify_bound(inst, degree=inst.surface.degree)
         assert report.within, (
             f"instance {k} ({kind}, m={m}, n={n}) ratio {report.ratio_main:.3f}"
         )
         assert report.ratio_main <= 4.0
     reference = build_instance("cone", 20, 200, seed=3)
-    report = verify_bound(reference.points, reference.lines, degree=2, s=2)
+    report = verify_bound(reference, degree=2, s=2)
     assert abs(report.rhs_main - 377.8) < 0.1
     assert abs(report.ratio_main - 0.53) <= 0.01
     elapsed = time.perf_counter() - started
@@ -328,6 +324,5 @@ def test_c12_double_counting_identity():
     ]
     for inst in instances:
         total = count_incidences(inst.points, inst.lines)
-        table = IncidenceTable(inst.points, inst.lines)
-        assert sum(len(on) for on in table.points_on) == total
-        assert sum(len(through) for through in table.lines_at) == total
+        assert sum(len(on) for on in inst.points_on) == total
+        assert sum(len(through) for through in inst.lines_at) == total

@@ -279,10 +279,12 @@ class TestErrorPaths:
         assert time.perf_counter() - started < 1.0
         assert code == 2 and "47905 terms exceeds the cap" in err
 
-    def test_many_factors_exit_fast(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["incidence", "verify", "classify", "flecnode"])
+    def test_many_factors_exit_fast(self, tmp_path, capsys, command):
         # eight distinct dense quintics (every monomial of degree at most 5)
         # and a line on none of them: the line is checked against each
-        # factor, never against their degree-40 product
+        # factor, never against their degree-40 product, and every command
+        # that reads the surface refuses the instance
         path = tmp_path / "quintics.json"
         monomials = [
             [i, j, k] for i in range(6) for j in range(6 - i) for k in range(6 - i - j)
@@ -298,9 +300,9 @@ class TestErrorPaths:
             "lines": [{"base": ["1", "1", "1"], "dir": ["1", "2", "3"]}],
         }), encoding="utf-8")
         started = time.perf_counter()
-        code, _, err = run(capsys, "incidence", str(path))
+        code, out, err = run(capsys, command, str(path))
         assert time.perf_counter() - started < 1.0
-        assert code == 2 and "an instance line misses the surface" in err
+        assert code == 2 and out == "" and "an instance line misses the surface" in err
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from incgeo.errors import ArityError, DomainError, ResampleExhaustedError
 from incgeo.forge import (
@@ -153,11 +155,15 @@ class TestLiftToDim:
 class TestIncidenceInstance:
     def test_validates_distinctness(self):
         p = (F(1), F(2), F(3))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="instance points must be distinct"):
             IncidenceInstance(None, [p, p], [])
         ln = AffLine((0, 0, 0), (1, 1, 0))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="instance lines must be distinct"):
             IncidenceInstance(None, [], [ln, ln])
+        # the x-axis again, on a surface, written from another base point
+        x_axis, again = AffLine((0, 0, 0), (1, 0, 0)), AffLine((5, 0, 0), (-2, 0, 0))
+        with pytest.raises(DomainError, match="instance lines must be distinct"):
+            IncidenceInstance(make_surface("regulus"), [(0, 0, 0)], [x_axis, again])
 
     def test_validates_dimensions(self):
         with pytest.raises(ArityError):
@@ -166,8 +172,14 @@ class TestIncidenceInstance:
             IncidenceInstance(make_surface("cone"), [(F(0),) * 4], [])
 
     def test_validates_lines_on_surface(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="an instance line misses the surface"):
             IncidenceInstance(make_surface("cone"), [], [AffLine((0, 0, 0), (1, 0, 0))])
+
+    def test_incidence_relation_is_built_on_first_read(self):
+        inst = build_instance("product", 12, 20, seed=2)
+        assert "lines_at" not in vars(inst) and "points_on" not in vars(inst)
+        assert inst.incidences == count_incidences(inst.points, inst.lines)
+        assert "lines_at" in vars(inst)
 
     def test_counts_and_dim(self):
         inst = build_instance("whitney", 5, 9, seed=8)
@@ -181,7 +193,7 @@ class TestBuildInstance:
         assert (inst.m, inst.n) == (200, 20)
         assert count_incidences(inst.points, inst.lines) == 200
         assert max_lines_per_flat(inst.lines) == 2
-        report = verify_bound(inst.points, inst.lines, degree=2, s=2)
+        report = verify_bound(inst, degree=2, s=2)
         assert report.within
         assert abs(report.ratio_main - 0.5293) < 0.001
 
@@ -198,3 +210,51 @@ class TestBuildInstance:
         one = build_instance("whitney", 7, 12, seed=5)
         two = build_instance("whitney", 7, 12, seed=5)
         assert one.points == two.points and one.lines == two.lines
+
+
+# a line on none of the catalog factors, and small data for random lines
+OFF_SURFACE = AffLine((9, 9, 9), (1, 1, 1))
+small = st.integers(-3, 3)
+
+
+@st.composite
+def catalog_instances(draw):
+    """A catalog surface with a random subset of its family in random
+    order, the Whitney axis when drawn, a further line that may or may not
+    lie on the surface, and points on and off the lines."""
+    kind = draw(st.sampled_from(["cone", "regulus", "whitney", "product"]))
+    family = make_lines(kind, 12, include_exceptional=draw(st.booleans()))
+    lines = draw(st.lists(st.sampled_from(family), unique=True, max_size=8))
+    extra = draw(st.sampled_from([None, OFF_SURFACE, "random"]))
+    if extra == "random":
+        direction = draw(st.tuples(small, small, small).filter(any))
+        extra = AffLine(draw(st.tuples(small, small, small)), direction)
+    if extra is not None and extra not in lines:
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    points = [draw(st.tuples(small, small, small)) for _ in range(draw(st.integers(0, 3)))]
+    for _ in range(draw(st.integers(0, 10)) if lines else 0):
+        ln = draw(st.sampled_from(lines))
+        points.append(ln.point_at(F(draw(small), draw(st.integers(1, 2)))))
+    points = list(dict.fromkeys(tuple(map(F, p)) for p in points))
+    return make_surface(kind), points, lines
+
+
+@settings(max_examples=80, deadline=None)
+@given(catalog_instances())
+def test_instance_matches_brute_force_tables(case):
+    surface, points, lines = case
+    owners = tuple(
+        tuple(i for i, w in enumerate(surface.factors) if line_on_surface(w, ln)) for ln in lines
+    )
+    if not all(owners):
+        with pytest.raises(DomainError, match="an instance line misses the surface"):
+            IncidenceInstance(surface, points, lines)
+        return
+    inst = IncidenceInstance(surface, points, lines)
+    assert inst.containing == owners
+    table = [[incidence_point_line(p, ln) for ln in lines] for p in points]
+    assert inst.lines_at == tuple(tuple(j for j, on in enumerate(row) if on) for row in table)
+    assert inst.points_on == tuple(
+        tuple(i for i, row in enumerate(table) if row[j]) for j in range(len(lines))
+    )
+    assert inst.incidences == count_incidences(points, lines)

@@ -10,10 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incgeo import linespace
-from incgeo.errors import DegenerateLineError, DomainError, NotOnSurfaceError, PlanarComponentError
+from incgeo.errors import DegenerateLineError, DomainError, PlanarComponentError
 from incgeo.incidence import (
     BoundReport,
-    IncidenceTable,
     check_meeting_cap,
     choose_xi,
     conical_incidence_count,
@@ -29,6 +28,7 @@ from incgeo.incidence import (
     verify_bound,
     verify_planes_bound,
 )
+from incgeo.instfile import IncidenceInstance
 from incgeo.linespace import AffLine, coplanar_triple, incidence_point_line
 from incgeo.poly import variables
 from incgeo.surfaces import Surface, Verdict
@@ -79,6 +79,10 @@ def product_instance():
     return surface, points, lines
 
 
+def product_checked():
+    return IncidenceInstance(*product_instance())
+
+
 # -- raw counting
 
 
@@ -89,26 +93,28 @@ def test_count_incidences_tiny():
 
 
 def test_double_counting_identity():
-    surface, points, lines = product_instance()
-    table = IncidenceTable(points, lines)
-    total = count_incidences(points, lines)
-    assert table.total == total
-    assert total == sum(len(through) for through in table.lines_at)
-    assert total == sum(len(on) for on in table.points_on)
+    inst = product_checked()
+    total = count_incidences(inst.points, inst.lines)
+    assert inst.incidences == total
+    assert total == sum(len(through) for through in inst.lines_at)
+    assert total == sum(len(on) for on in inst.points_on)
 
 
 def test_incidence_table_tiny():
-    table = IncidenceTable([(0, 0, 0), (1, 0, 0), (0, 1, 0), (5, 5, 5)], [X_AXIS, Y_AXIS])
-    assert table.lines_at == ((0, 1), (0,), (1,), ())
-    assert table.points_on == ((0, 1), (0, 2))
-    assert table.total == 4
+    # the instance's incidence table, both ways
+    inst = IncidenceInstance(None, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (5, 5, 5)], [X_AXIS, Y_AXIS])
+    assert inst.lines_at == ((0, 1), (0,), (1,), ())
+    assert inst.points_on == ((0, 1), (0, 2))
+    assert inst.incidences == 4
 
 
 def test_incidence_table_rejects_duplicates():
-    with pytest.raises(DomainError, match="point set contains duplicates"):
-        IncidenceTable([(0, 0, 0), (0, 0, 0)], [X_AXIS])
-    with pytest.raises(DomainError, match="line family contains duplicates"):
-        IncidenceTable([(0, 0, 0)], [X_AXIS, AffLine((5, 0, 0), (-2, 0, 0))])
+    # the incidence table lives on the instance, which refuses repeats
+    with pytest.raises(DomainError, match="instance points must be distinct"):
+        IncidenceInstance(None, [(0, 0, 0), (0, 0, 0)], [X_AXIS])
+    # the x-axis again, written from another base point and direction
+    with pytest.raises(DomainError, match="instance lines must be distinct"):
+        IncidenceInstance(None, [(0, 0, 0)], [X_AXIS, AffLine((5, 0, 0), (-2, 0, 0))])
 
 
 small_ints = st.integers(-2, 2)
@@ -155,14 +161,14 @@ def incidence_instances(draw):
 @given(incidence_instances())
 def test_incidence_table_matches_exhaustive_check(instance):
     points, lines = instance
-    table = IncidenceTable(points, lines)
-    assert table.total == count_incidences(points, lines)
+    inst = IncidenceInstance(None, points, lines)
+    assert inst.incidences == count_incidences(points, lines)
     for i, p in enumerate(points):
         for j, ln in enumerate(lines):
             on = incidence_point_line(p, ln)
-            assert (j in table.lines_at[i]) == on
-            assert (i in table.points_on[j]) == on
-    assert all(list(t) == sorted(t) for t in table.lines_at + table.points_on)
+            assert (j in inst.lines_at[i]) == on
+            assert (i in inst.points_on[j]) == on
+    assert all(list(t) == sorted(t) for t in inst.lines_at + inst.points_on)
 
 
 # -- the coplanarity parameter
@@ -231,9 +237,10 @@ def test_max_lines_per_flat_classifies_each_pair_once(monkeypatch):
 
 
 def test_max_lines_per_flat_rejects_duplicates():
-    # the second line is the x-axis again, written from another base point
+    # with the instance's message; the second line is the x-axis again,
+    # written from another base point
     lines = [X_AXIS, AffLine((5, 0, 0), (2, 0, 0)), Y_AXIS]
-    with pytest.raises(DomainError, match="line family contains duplicates"):
+    with pytest.raises(DomainError, match="instance lines must be distinct"):
         max_lines_per_flat(lines)
 
 
@@ -247,8 +254,8 @@ def test_product_instance_coplanarity():
 
 
 def test_decompose_product_instance():
-    surface, points, lines = product_instance()
-    dec = decompose_lines(surface, lines)
+    dec = decompose_lines(product_checked())
+    lines = dec.instance.lines
     assert [r.verdict for r in dec.verdicts] == [
         Verdict.CONE,
         Verdict.REGULUS,
@@ -267,65 +274,64 @@ def test_decompose_product_instance():
         dec.factor_of(Y_AXIS)
 
 
+# decompose_lines reads a checked instance, so the instance refuses what the
+# decomposition cannot split: a line on no factor, a repeated line
+
+
 def test_decompose_rejects_stray_line():
-    surface, _, lines = product_instance()
-    with pytest.raises(NotOnSurfaceError):
-        decompose_lines(surface, lines + [AffLine((9, 9, 9), (1, 1, 1))])
+    surface, points, lines = product_instance()
+    with pytest.raises(DomainError, match="an instance line misses the surface"):
+        IncidenceInstance(surface, points, lines + [AffLine((9, 9, 9), (1, 1, 1))])
 
 
 def test_decompose_rejects_duplicates():
-    surface, _, lines = product_instance()
-    with pytest.raises(DomainError):
-        decompose_lines(surface, lines + [lines[0]])
+    surface, points, lines = product_instance()
+    with pytest.raises(DomainError, match="instance lines must be distinct"):
+        IncidenceInstance(surface, points, lines + [lines[0]])
 
 
 def test_decompose_rejects_planar_factor():
-    surface = Surface([Z, CONE])
+    inst = IncidenceInstance(Surface([Z, CONE]), [], [X_AXIS])
     with pytest.raises(PlanarComponentError):
-        decompose_lines(surface, [X_AXIS])
+        decompose_lines(inst)
+
+
+def test_decompose_needs_a_surface():
+    with pytest.raises(DomainError, match="needs an instance with a surface"):
+        decompose_lines(IncidenceInstance(None, [], [X_AXIS]))
 
 
 # -- conical incidences and pruning
 
 
 def test_conical_incidences_at_apex():
-    surface, points, lines = product_instance()
-    dec = decompose_lines(surface, lines)
-    assert conical_incidence_count(dec, IncidenceTable(points, lines)) == 4
-    assert conical_incidence_count(dec, IncidenceTable([(1, 1, 1)], lines)) == 0
-
-
-def test_statistics_need_the_decomposed_lines():
-    surface, points, lines = product_instance()
-    dec = decompose_lines(surface, lines)
-    with pytest.raises(DomainError):
-        prune_points(dec, IncidenceTable(points, lines[:-1]))
+    surface, _, lines = product_instance()
+    assert conical_incidence_count(decompose_lines(product_checked())) == 4
+    away = IncidenceInstance(surface, [(1, 1, 1)], lines)
+    assert conical_incidence_count(decompose_lines(away)) == 0
 
 
 def test_prune_points_thresholds():
-    surface, points, lines = product_instance()
-    dec = decompose_lines(surface, lines)
-    table = IncidenceTable(points, lines)
+    dec = decompose_lines(product_checked())
     # regulus grid points carry two generic rulings unless one of them is
     # the shared y axis; conical incidences never count
-    kept2 = prune_points(dec, table, min_incidences=2)
+    kept2 = prune_points(dec, min_incidences=2)
     assert len(kept2) == 20
-    assert all(table.points[i][0] != 0 for i in kept2)
-    assert prune_points(dec, table) == ()
+    assert all(dec.instance.points[i][0] != 0 for i in kept2)
+    assert prune_points(dec) == ()
 
 
 def test_meeting_counts_across_rulings():
-    surface, points, lines = product_instance()
-    dec = decompose_lines(surface, lines)
-    table = IncidenceTable(points, lines)
-    kept = prune_points(dec, table, min_incidences=2)
-    counts = meeting_line_counts(dec, table, kept)
+    dec = decompose_lines(product_checked())
+    surface = dec.instance.surface
+    kept = prune_points(dec, min_incidences=2)
+    counts = meeting_line_counts(dec, kept)
     # ruling u(1) meets the four off-axis opposite rulings plus the cubic
     # generator through (1,1,1); ruling v(1) additionally meets the x axis
     assert counts[ruling_u(1)] == 5
     assert counts[ruling_v(1)] == 6
     assert counts[cone_generator(2, 1)] == 0
-    worst = check_meeting_cap(dec, table, kept)
+    worst = check_meeting_cap(dec, kept)
     assert worst == 6 <= 4 * surface.degree
 
 
@@ -361,7 +367,7 @@ def test_choose_xi_regimes():
 
 def test_verify_bound_product_instance():
     surface, points, lines = product_instance()
-    rep = verify_bound(points, lines, surface.degree)
+    rep = verify_bound(product_checked(), surface.degree)
     assert isinstance(rep, BoundReport)
     assert rep.m == len(points) and rep.n == len(lines)
     assert rep.incidences == count_incidences(points, lines)
@@ -371,21 +377,23 @@ def test_verify_bound_product_instance():
 
 
 def test_verify_bound_rejects_duplicates():
-    with pytest.raises(DomainError):
-        verify_bound([(0, 0, 0), (0, 0, 0)], [X_AXIS], 2)
-    with pytest.raises(DomainError):
-        verify_bound([(0, 0, 0)], [X_AXIS, X_AXIS], 2)
+    # verify_bound and verify_planes_bound read a checked instance, so a
+    # repeated point or line is refused before either bound is evaluated
+    with pytest.raises(DomainError, match="instance points must be distinct"):
+        verify_bound(IncidenceInstance(None, [(0, 0, 0), (0, 0, 0)], [X_AXIS]), 2)
+    with pytest.raises(DomainError, match="instance lines must be distinct"):
+        verify_bound(IncidenceInstance(None, [(0, 0, 0)], [X_AXIS, X_AXIS]), 2)
     # two equal points on two lines would otherwise count I=4
-    with pytest.raises(DomainError):
-        verify_planes_bound([(0, 0, 0), (0, 0, 0)], [X_AXIS, Y_AXIS])
-    with pytest.raises(DomainError):
-        verify_planes_bound([(0, 0, 0)], [X_AXIS, X_AXIS])
+    with pytest.raises(DomainError, match="instance points must be distinct"):
+        verify_planes_bound(IncidenceInstance(None, [(0, 0, 0), (0, 0, 0)], [X_AXIS, Y_AXIS]))
+    with pytest.raises(DomainError, match="instance lines must be distinct"):
+        verify_planes_bound(IncidenceInstance(None, [(0, 0, 0)], [X_AXIS, X_AXIS]))
 
 
 def test_verify_planes_bound():
     points = [(Fraction(i), Fraction(j), Fraction(0)) for i in range(3) for j in range(3)]
     lines = [AffLine((0, c, 0), (1, 0, 0)) for c in range(3)]
-    rep = verify_planes_bound(points, lines)
+    rep = verify_planes_bound(IncidenceInstance(None, points, lines))
     assert rep.incidences == 9
     assert rep.s == 3
     assert rep.within

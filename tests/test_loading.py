@@ -23,7 +23,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 HOMES = {
     "AffLine": "linespace",
     "IncidenceInstance": "instfile",
-    "IncidenceTable": "incidence",
     "Poly": "poly",
     "Surface": "poly",
     "build_instance": "forge",

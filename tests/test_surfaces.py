@@ -14,12 +14,13 @@ from fractions import Fraction
 from math import factorial, gcd, inf, lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from incgeo import surfaces
 from incgeo.errors import (
     AllSampledPointsSingularError,
+    ArityError,
     DegreeError,
     DomainError,
     ExceptionalLineError,
@@ -493,8 +494,14 @@ def planted_cones(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(planted_cones())
+@example(X**2 * Y - 3 * X**2)
 def test_cone_apex_matches_the_candidate_scan(f):
     apex, ref = surfaces._cone_apex(f), reference_cone_apex(f)
+    if apex is not None and not all(c.denominator == 1 and -2 <= c <= 2 for c in apex):
+        # the scan sees only the -2..2 grid, and a lower part can move the
+        # apex set off it: x^2*y - 3x^2 = x^2*(y - 3) has apex (0, 3, 0)
+        assert surfaces._is_cone_apex(f, apex)
+        return
     assert (apex is None) == (ref is None)
     if apex is not None:
         assert surfaces._is_cone_apex(f, apex)
@@ -988,6 +995,30 @@ def exceptional_families(draw):
 def test_exceptional_lines_match_the_probe_scan(case):
     f, family = case
     assert exceptional_lines(f, family, enforce_cap=False) == reference_exceptional_lines(f, family)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["regulus", "whitney"]),
+    st.data(),
+    st.tuples(*[st.integers(-3, 3)] * 3),
+    st.tuples(*[st.integers(-3, 3)] * 3).filter(any),
+)
+def test_exceptional_lines_refuse_a_line_off_the_factor(kind, data, base, direction):
+    # the regulus is smooth, the Whitney cubic singular along its z-axis,
+    # which the family holds; the stray line is refused wherever it stands
+    factor = {"regulus": REGULUS, "whitney": RULED_CUBIC}[kind]
+    stray = AffLine(base, direction)
+    assume(not line_on_surface(factor, stray))
+    family = data.draw(st.permutations(make_lines(kind, 6, include_exceptional=True)))
+    family.insert(data.draw(st.integers(0, len(family))), stray)
+    with pytest.raises(NotOnSurfaceError):
+        exceptional_lines(factor, family, enforce_cap=False)
+
+
+def test_exceptional_lines_refuse_a_line_of_another_dimension():
+    with pytest.raises(ArityError):
+        exceptional_lines(REGULUS, [AffLine((0, 0, 0, 0), (1, 0, 0, 0))])
 
 
 # -- the tangent pencil against substitution
