@@ -683,6 +683,16 @@ def _line_coeffs(p: Poly, base: Sequence[RatLike], direction: Sequence[RatLike])
     return parts.get((0,) * p.nvars, [])[::-1], scale
 
 
+def _fixed_lines(nvars: int) -> list[tuple[list[int], list[int]]]:
+    """Three fixed integer lines (base, direction), none through the
+    origin or along an axis, on which the line certificates test a
+    polynomial."""
+    return [
+        ([(k + i) ** 2 % 11 - 5 for i in range(nvars)], [k * (i + 1) ** 2 % 13 - 6 for i in range(nvars)])
+        for k in range(1, 4)
+    ]
+
+
 def univariate_gcd(a: list[int], b: list[int]) -> list[int]:
     """Gcd up to a constant of two nonzero integer polynomials given as
     coefficient lists, highest power first and leading entry nonzero: a
@@ -724,9 +734,8 @@ def is_square_free(p: Poly) -> bool:
     d = p.degree()
     if d == 0:
         return True
-    for k in range(1, 4):
-        base = [(k + i) ** 2 % 11 - 5 for i in range(p.nvars)]
-        r, _ = _line_coeffs(p, base, [k * (i + 1) ** 2 % 13 - 6 for i in range(p.nvars)])
+    for base, direction in _fixed_lines(p.nvars):
+        r, _ = _line_coeffs(p, base, direction)
         if r[0] and _univariate_square_free(r):
             return True
     g = p
@@ -766,18 +775,42 @@ class Surface:
         return sum(w.degree() for w in self.factors)
 
 
+def _bareiss(m: list[list], step) -> tuple[object, int]:
+    """Fraction-free elimination of a square matrix over Z or Z[x], in
+    place: its determinant up to the sign of the row swaps, and that sign.
+    step(a, d, b, c, p) is (a*d - b*c)/p, exact; p is None at the first
+    step, whose divisor is 1."""
+    n, sign, prev = len(m), 1, None
+    for k in range(n - 1):
+        if not m[k][k]:
+            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if pivot is None:
+                return m[k][k], sign
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = step(m[i][j], m[k][k], m[i][k], m[k][j], prev)
+        prev = m[k][k]
+    return m[n - 1][n - 1], sign
+
+
 def matrix_determinant(mat: list[list[Poly]], nvars: int) -> Poly:
     """Exact determinant of a square matrix of polynomials.
 
     Each row is scaled by the lcm of its denominators, and Bareiss
     elimination runs on the integer matrix, where every division is exact
     in Z[x]; the result is its determinant over the product of the scales.
+    Univariate entries are evaluated at t = 2^k first, so the elimination
+    runs on integers (_univariate_determinant).
     """
     if any(len(row) != len(mat) for row in mat):
         raise DomainError("determinant needs a square matrix")
     n = len(mat)
     if n == 0:
         return Poly.const(nvars, 1)
+    if nvars == 1:
+        return _univariate_determinant(mat)
     # a product of two minors bounds every degree the elimination reaches
     width = (2 * sum(max(max(p.degree() for p in row), 0) for row in mat)).bit_length() + 1
     guard = _guard(nvars, width)
@@ -786,19 +819,43 @@ def matrix_determinant(mat: list[list[Poly]], nvars: int) -> Poly:
         den = _den(row)
         m.append([_pack(p, width, den) for p in row])
         scale *= den
-    prev = {0: 1}
-    for k in range(n - 1):
-        if not m[k][k]:
-            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if pivot is None:
-                return Poly.zero(nvars)
-            m[k], m[pivot] = m[pivot], m[k]
-            scale = -scale
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = _zquot(_zcross(m[i][j], m[k][k], m[i][k], m[k][j]), prev, guard)
-        prev = m[k][k]
-    return _unpack(m[n - 1][n - 1], nvars, width, scale)
+
+    def step(a, d, b, c, p):
+        cross = _zcross(a, d, b, c)
+        return cross if p is None else _zquot(cross, p, guard)
+
+    det, sign = _bareiss(m, step)
+    return _unpack(det, nvars, width, sign * scale)
+
+
+def _univariate_determinant(mat: list[list[Poly]]) -> Poly:
+    """matrix_determinant for univariate entries, as one integer.
+
+    With each row scaled to integers, every coefficient of the determinant
+    is at most the permanent of the entries' coefficient 1-norms, so at
+    most the product of the row sums of those norms; k is one bit above
+    it.  The entries are evaluated at t = 2^k, the integer determinant is
+    taken by Bareiss elimination, and its balanced base-2^k digits are the
+    coefficients.
+    """
+    rows, scale = [], 1
+    for row in mat:
+        den = _den(row)
+        rows.append([[(e, c.numerator * (den // c.denominator)) for (e,), c in p.terms.items()] for p in row])
+        scale *= den
+    k = prod(sum(abs(c) for p in row for _, c in p) for row in rows).bit_length() + 1
+    m = [[sum(c << (k * e) for e, c in p) for p in row] for row in rows]
+    det, sign = _bareiss(m, lambda a, d, b, c, p: a * d - b * c if p is None else (a * d - b * c) // p)
+    det *= sign
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    terms, e = {}, 0
+    while det:
+        digit = ((det + half) & mask) - half
+        if digit:
+            terms[e,] = Fraction(digit, scale)
+        det = (det - digit) >> k
+        e += 1
+    return Poly(1, terms)
 
 
 def sylvester_determinant(a: Sequence[Poly], b: Sequence[Poly], nvars: int) -> Poly:

@@ -7,12 +7,13 @@ never formed.  Every analysis function
 takes one trivariate polynomial f, in practice a single factor.  The
 module answers the questions the incidence machinery needs: where is the
 surface singular, which points and lines are flat, does a factor admit a
-ruling (flecnode witness plus divisibility), is it a cone (its apex comes
-from one linear solve), which lines through a point lie on the surface
-(a bounded search), which lines are exceptional, and do the
-generator-count sums stay below the factor degree.  Exceptionality is
-exact over C on non-singular lines, read off the tangent pencil along the
-line; on singular lines it is a bounded scan.
+ruling (flecnode witness plus divisibility, tried first on a few lines),
+is it a cone (its apex comes from one linear solve), which lines through
+a point lie on the surface (a bounded search), which lines are
+exceptional, and do the generator-count sums stay below the factor
+degree.  Exceptionality is exact over C on non-singular lines, read off
+the tangent pencil along the line; on singular lines it is a bounded
+scan.
 
 Everything is exact.  Ruledness certificates obtained through the flecnode
 route are certificates over the complex numbers; real verdicts are only
@@ -44,6 +45,7 @@ from .linalg import Vec, to_vec
 from .linespace import AffLine, RelationKind, incidence_point_line, line_on_surface, line_relation
 from .poly import (
     Poly,
+    _fixed_lines,
     _line_expansion,
     directional_power,
     divides,
@@ -178,6 +180,52 @@ def is_flat_line(f: Poly, ln: AffLine) -> bool:
     raise AllSampledPointsSingularError("sampling exhausted")  # pragma: no cover
 
 
+# -- forms along a line -------------------------------------------------------
+
+# Bivariate integer polynomials in t and a second variable (the pencil
+# parameter a, or a chart's direction coordinate w_j) are maps {(i, j): c}
+# for c*t^i*a^j.
+Bivariate = dict[tuple[int, int], int]
+
+
+def _zmul(p: Bivariate, q: Bivariate) -> Bivariate:
+    out: Bivariate = {}
+    for (i, j), a in p.items():
+        for (k, l), b in q.items():
+            key = (i + k, j + l)
+            out[key] = out.get(key, 0) + a * b
+    return {e: c for e, c in out.items() if c}
+
+
+def _zpowers(p: Bivariate, top: int) -> list[Bivariate]:
+    out = [{(0, 0): 1}]
+    for _ in range(top):
+        out.append(_zmul(out[-1], p))
+    return out
+
+
+def _forms_along(
+    expansion: dict[tuple[int, ...], list[int]], dirs: list[list[Bivariate]], low: int, high: int
+) -> list[Bivariate]:
+    """The Taylor parts of orders low..high along a line, in a direction
+    y that moves with t: for each k, the sum over |e| = k of the y^e
+    coefficient g_e(t) of an expansion (_line_expansion) times
+    prod_i y_i^e_i, where dirs[i] lists the powers of y_i as Bivariates."""
+    out: list[Bivariate] = [{} for _ in range(low, high + 1)]
+    for a, g in expansion.items():
+        if low <= sum(a) <= high:
+            term: Bivariate | None = None
+            for i in range(3):
+                if a[i]:
+                    term = dirs[i][a[i]] if term is None else _zmul(term, dirs[i][a[i]])
+            acc = out[sum(a) - low]
+            for (i, j), y in term.items():  # times g(t)
+                for m, x in enumerate(g):
+                    if x:
+                        acc[i + m, j] = acc.get((i + m, j), 0) + x * y
+    return [{e: c for e, c in ck.items() if c} for ck in out]
+
+
 # -- flecnode witness -------------------------------------------------------
 
 
@@ -220,8 +268,9 @@ def _chart_eliminant(f: Poly, grads: list[Poly], f2: Poly, f3: Poly, c: int) -> 
     second and third-order conditions become binary forms of degrees 2 and 3
     in the free direction coordinates; their resultant depends on position
     alone.  The scaling inflates the resultant by the 6th power of the
-    chart partial, which is divided back out, leaving a chart-independent
-    polynomial of degree exactly 11*deg - 18 in the generic case.
+    chart partial, which is divided back out, leaving a polynomial of
+    degree at most 11*deg - 18.  That every chart gives the same witness
+    up to content is not proven here, and no caller relies on it.
     """
     if grads[c].is_zero:
         return None
@@ -293,6 +342,75 @@ def flecnode_polynomial(f: Poly) -> Poly:
     return witness
 
 
+def _certified_not_ruled(f: Poly) -> bool:
+    """Whether one of the fixed lines certifies that a factor of degree
+    >= 3 does not divide its flecnode witness, without building it.
+
+    On chart c, _chart_eliminant's resultant is res_c = f_c^6 * W_c, and
+    every step of it commutes with restricting x to a line l.  So if f
+    divides W_c, then f|l divides res_c|l.  A line certifies "not ruled"
+    when, on every chart whose partial f_c is nonzero, res_c|l is nonzero
+    and f|l does not divide it: whichever chart flecnode_polynomial takes,
+    its witness is then nonzero and f does not divide it.  This does not
+    rest on the charts giving one witness.  A line where f is constant or
+    some res_c|l vanishes says nothing, and the next line is tried.  A line
+    where f|l divides some res_c|l, as on every ruled factor, ends the
+    test, and the factor takes the full witness.  The 11*deg - 18 cap is
+    enforced on the restricted witness res_c|l / f_c|l^6.
+    """
+    if f.nvars != 3:  # flecnode_polynomial rejects it
+        return False
+    d = f.degree()
+    charts = [c for c in range(3) if f.degree_in(c)]
+    for base, direction in _fixed_lines(3):
+        expansion, _ = _line_expansion(f, base, direction, 1, 3)
+        if not any(expansion[0, 0, 0][1:]):
+            continue
+        # the first chart that does not rule f out decides the line
+        outcomes = (_chart_rules_out(d, expansion, c) for c in charts)
+        verdict = next((v for v in outcomes if v is not True), True)
+        if verdict is not None:
+            return verdict
+    return False
+
+
+def _chart_rules_out(d: int, expansion: dict[tuple[int, ...], list[int]], c: int) -> bool | None:
+    """True when res_c|l is nonzero and f|l does not divide it (see
+    _certified_not_ruled), False when f|l divides it and None when it is
+    zero.
+
+    The expansion of f along l = B + t*D (_line_expansion, to order 3)
+    gives, up to one constant for each order, f|l, the gradient on l and
+    the second and third-order forms.  With the chart's direction
+    v_i = f_c*w_i, v_j = f_c*w_j, v_c = -(f_i*w_i + f_j*w_j), which is
+    tangent for every w, _forms_along gives the system's binary forms of
+    degrees 2 and 3 in w, coefficients in Z[t] (the Bivariate's second
+    index is the power of w_j); their Sylvester determinant is res_c|l up
+    to a nonzero constant.
+    """
+    i, j = (k for k in range(3) if k != c)
+    grad = [expansion.get(u, ()) for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    fc = {m: x for m, x in enumerate(grad[c]) if x}
+    if not fc:  # both forms vanish at f_i*w_i + f_j*w_j = 0, so res_c|l = 0
+        return None
+    lin: list[Bivariate] = [{}, {}, {}]
+    lin[i] = {(m, 0): x for m, x in fc.items()}
+    lin[j] = {(m, 1): x for m, x in fc.items()}
+    lin[c] = {(m, k): -x for k, g in ((0, grad[i]), (1, grad[j])) for m, x in enumerate(g) if x}
+    g2, g3 = _forms_along(expansion, [_zpowers(v, 3) for v in lin], 2, 3)
+    a, b = (
+        [Poly(1, {(m,): x for (m, k), x in g.items() if k == n}) for n in range(deg + 1)]
+        for g, deg in ((g2, 2), (g3, 3))
+    )
+    res = sylvester_determinant(a, b, 1)
+    if res.is_zero:
+        return None
+    restricted = res.degree() - 6 * max(fc)  # of res_c|l / f_c|l^6
+    if restricted > 11 * d - 18:
+        raise InvariantViolation(f"restricted flecnode witness degree {restricted} exceeds 11*{d}-18")
+    return not divides(Poly(1, {(m,): x for m, x in enumerate(expansion[0, 0, 0])}), res)
+
+
 @dataclass(frozen=True)
 class RuledIndication:
     """Outcome of the ruledness test.
@@ -310,7 +428,9 @@ def ruled_indicator(f: Poly) -> RuledIndication:
     """Is the (factor) surface covered by lines over the complex numbers?
 
     Degree 1 and 2 are always ruled over C.  From degree 3 on the test is
-    whether the factor divides its flecnode witness.
+    whether the factor divides its flecnode witness, which is always built
+    here, for its degree.  classify_component asks the line certificate
+    (_certified_not_ruled) first and comes here only when no line decides.
     """
     d = f.degree()
     if d < 1:
@@ -454,10 +574,13 @@ def classify_component(factor: Poly, hint_lines: Sequence[AffLine] = ()) -> Clas
 
     Quadrics are settled exactly through the inertia of the homogenized
     4x4 matrix.  From degree 3 on, the flecnode divisibility test decides
-    complex ruledness; a cone verdict additionally needs an exact apex
-    (a point whose Taylor expansion is purely top-degree), found or ruled
-    out by one linear solve whatever the hint lines, and a singly ruled
-    verdict needs a real rational line as witness: a hint line on the
+    complex ruledness in two steps: the witness restricted to a few fixed
+    lines (_certified_not_ruled) settles "not ruled" without building it,
+    and a factor that no line settles, every ruled one among them, takes
+    the full witness (ruled_indicator).  A cone verdict also needs an
+    exact apex (a point whose Taylor expansion is purely top-degree), found
+    or ruled out by one linear solve whatever the hint lines, and a singly
+    ruled verdict needs a real rational line as witness: a hint line on the
     factor, else a bounded search.
     """
     d = factor.degree()
@@ -494,6 +617,8 @@ def classify_component(factor: Poly, hint_lines: Sequence[AffLine] = ()) -> Clas
             )
         return ClassificationResult(Verdict.NOT_RULED_REAL, complex_ruled_indicated=True)
 
+    if _certified_not_ruled(factor):
+        return ClassificationResult(Verdict.NOT_RULED_REAL, complex_ruled_indicated=False)
     indication = ruled_indicator(factor)
     if not indication.indicated:
         return ClassificationResult(Verdict.NOT_RULED_REAL, complex_ruled_indicated=False)
@@ -726,26 +851,6 @@ def _singular_line_scan(factor: Poly, ln: AffLine, contained: Sequence[AffLine])
     return len(found) >= need
 
 
-# Bivariate integer polynomials in (t, a) are maps {(i, j): c} for c*t^i*a^j.
-Bivariate = dict[tuple[int, int], int]
-
-
-def _zmul(p: Bivariate, q: Bivariate) -> Bivariate:
-    out: Bivariate = {}
-    for (i, j), a in p.items():
-        for (k, l), b in q.items():
-            key = (i + k, j + l)
-            out[key] = out.get(key, 0) + a * b
-    return {e: c for e, c in out.items() if c}
-
-
-def _zpowers(p: Bivariate, top: int) -> list[Bivariate]:
-    out = [{(0, 0): 1}]
-    for _ in range(top):
-        out.append(_zmul(out[-1], p))
-    return out
-
-
 def _tangent_pencil(f: Poly, ln: AffLine) -> list[Bivariate] | None:
     """The tangent pencil along a contained line, on integers; None when
     the gradient vanishes along the whole line (a singular line).  A line
@@ -781,19 +886,7 @@ def _tangent_pencil(f: Poly, ln: AffLine) -> list[Bivariate] | None:
         return None
     # powers of the pencil direction a*D_i + W_i(t), coordinate by coordinate
     dirs = [_zpowers({**w, (0, 1): v}, f.degree_in(i)) for i, (w, v) in enumerate(zip(cross, dv))]
-    out: list[Bivariate] = [{} for _ in range(d - 1)]  # c_2, ..., c_d
-    for a, g in expansion.items():
-        if sum(a) >= 2:
-            term: Bivariate | None = None
-            for i in range(3):
-                if a[i]:
-                    term = dirs[i][a[i]] if term is None else _zmul(term, dirs[i][a[i]])
-            acc = out[sum(a) - 2]
-            for (i, j), y in term.items():  # times g(t)
-                for m, x in enumerate(g):
-                    if x:
-                        acc[i + m, j] = acc.get((i + m, j), 0) + x * y
-    return [{e: c for e, c in ck.items() if c} for ck in out]
+    return _forms_along(expansion, dirs, 2, d)
 
 
 def _pencil_has_common_factor(pencil: list[Bivariate]) -> bool:
@@ -884,6 +977,7 @@ def check_firstflip(
     factor: Poly,
     ln: AffLine,
     lines: Sequence[AffLine],
+    exceptional: Sequence[AffLine],
     apex: Sequence | None = None,
 ) -> FirstflipReport:
     """Generator-count sum along one probe line against the factor degree.
@@ -892,11 +986,12 @@ def check_firstflip(
     its intersection points with the family; for a contained probe line each
     count drops by one (the line itself rules through those points).  The
     sum is bounded by the factor degree; exceptional probe lines are
-    rejected since the inequality says nothing about them.
+    rejected since the inequality says nothing about them.  exceptional
+    holds the family's exceptional lines (exceptional_lines), computed
+    once by the caller for all its probes.
     """
     d = factor.degree()
     family = [l for l in lines if line_on_surface(factor, l)]
-    exceptional = exceptional_lines(factor, family)
     if ln in exceptional:
         raise ExceptionalLineError("generator-count sums are undefined on exceptional lines")
     contained = line_on_surface(factor, ln)

@@ -172,12 +172,12 @@ def test_c06_generator_count_sums():
             if line_on_surface(factor, ln) and ln not in exceptional
         ]
         for ln in contained[:9]:
-            report = check_firstflip(factor, ln, family, apex=apex)
+            report = check_firstflip(factor, ln, family, exceptional, apex=apex)
             assert report.ok and report.total <= degree
             probes_ran += 1
         for _ in range(10):
             probe = _transversal_probe(rng, factor, contained)
-            report = check_firstflip(factor, probe, family, apex=apex)
+            report = check_firstflip(factor, probe, family, exceptional, apex=apex)
             assert report.ok and report.total <= degree
             probes_ran += 1
         for k in range(1, 8):
@@ -186,7 +186,7 @@ def test_c06_generator_count_sums():
                 line_relation(probe, other).kind is RelationKind.INTERSECTING
                 for other in contained
             )
-            report = check_firstflip(factor, probe, family, apex=apex)
+            report = check_firstflip(factor, probe, family, exceptional, apex=apex)
             assert report.ok and report.total <= degree
             if not meets_family:
                 assert report.total == 0

@@ -417,16 +417,16 @@ def laplace_determinant(mat, nvars):
 
 
 @st.composite
-def square_matrices(draw):
+def square_matrices(draw, nvars=2, max_deg=2):
     """0x0 to 4x4 matrices with rational polynomial entries; some with zero
     leading entries down the first column (forcing row swaps), some with a
     last row that is a polynomial multiple of the first (singular)."""
     n = draw(st.integers(0, 4))
-    rows = [[draw(polys(nvars=2, max_deg=2, max_terms=3)) for _ in range(n)] for _ in range(n)]
+    rows = [[draw(polys(nvars=nvars, max_deg=max_deg, max_terms=3)) for _ in range(n)] for _ in range(n)]
     for i in range(draw(st.integers(0, n))):
-        rows[i][0] = Poly.zero(2)
+        rows[i][0] = Poly.zero(nvars)
     if n >= 2 and draw(st.booleans()):
-        c = draw(polys(nvars=2, max_deg=1, max_terms=2))
+        c = draw(polys(nvars=nvars, max_deg=1, max_terms=2))
         rows[-1] = [c * x for x in rows[0]]
     return rows
 
@@ -435,6 +435,21 @@ def square_matrices(draw):
 @given(square_matrices())
 def test_matrix_determinant_matches_laplace_expansion(mat):
     assert matrix_determinant(mat, 2) == laplace_determinant(mat, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices(nvars=1, max_deg=6))
+def test_univariate_determinant_matches_laplace_expansion(mat):
+    # the evaluation at t = 2^k must leave every coefficient its own digit
+    assert matrix_determinant(mat, 1) == laplace_determinant(mat, 1)
+
+
+def test_univariate_determinant_reads_back_large_and_negative_coefficients():
+    t = Poly.variable(1, 0)
+    big = 3**40
+    mat = [[big * t**3 - 1, t + Fraction(1, 7)], [-t, big - t**2]]
+    assert matrix_determinant(mat, 1) == laplace_determinant(mat, 1)
+    assert matrix_determinant([[t, t], [t**2, t**2]], 1).is_zero
 
 
 def test_matrix_determinant_rejects_a_ragged_matrix():

@@ -9,6 +9,8 @@ x^2-y^2*z with its singular z-axis, and the smooth cubic x^3+y^3+z^3-1.
 import hashlib
 import itertools
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from math import factorial, gcd, inf, lcm
@@ -28,6 +30,7 @@ from incgeo.errors import (
     NotOnSurfaceError,
     SingularPointError,
 )
+from incgeo.instfile import IncidenceInstance, dumps_instance
 from incgeo.linalg import nullspace
 from incgeo.forge import make_lines
 from incgeo.linespace import AffLine, RelationKind, line_on_surface, line_relation
@@ -326,6 +329,134 @@ def test_ruled_indicator_routes():
     assert ind.indicated is True and ind.witness_degree == 12
     ind2 = ruled_indicator(SMOOTH_CUBIC)
     assert ind2.indicated is False
+
+
+# -- line certificate of "not ruled"
+
+
+@pytest.mark.parametrize("name, k", sorted(WITNESS_SHA256) + [("dense", 0)])
+def test_classify_certifies_pinned_cubics_without_the_witness(monkeypatch, name, k):
+    def no_witness(f):
+        raise AssertionError("classify built the full flecnode witness")
+
+    monkeypatch.setattr(surfaces, "flecnode_polynomial", no_witness)
+    res = classify_component(pinned_cubic(name, k))
+    assert res.verdict is Verdict.NOT_RULED_REAL and res.complex_ruled_indicated is False
+
+
+def test_ruled_factors_take_the_full_witness():
+    for f in (RULED_CUBIC, X**2 * Z - Y**3, X**3 + Y**3 - Z**3, X**3 - Y**2 + X):
+        assert not surfaces._certified_not_ruled(f)
+        assert divides(f, flecnode_polynomial(f))
+
+
+def test_line_certificate_enforces_the_witness_degree_cap(monkeypatch):
+    t = Poly.variable(1, 0)
+    monkeypatch.setattr(surfaces, "sylvester_determinant", lambda a, b, nvars: t**100 + 1)
+    with pytest.raises(InvariantViolation, match=r"exceeds 11\*3-18"):
+        classify_component(SMOOTH_CUBIC)
+
+
+def six_term_factor(d: int) -> Poly:
+    """A seeded square-free factor of degree d with six terms."""
+    rng = random.Random(f"six-term:{d}:0")
+    monomials = [(a, b, k - a - b) for k in range(d + 1) for a in range(k + 1) for b in range(k - a + 1)]
+    while True:
+        support = [rng.choice([e for e in monomials if sum(e) == d])] + rng.sample(monomials, 5)
+        f = Poly(3, {e: rng.choice((-3, -2, -1, 1, 2, 3)) for e in support})
+        if len(f.terms) == 6 and is_square_free(f):
+            return f
+
+
+@pytest.mark.parametrize("name", ["dense", "degree 8", "degree 12"])
+def test_cli_classify_certifies_within_budget(tmp_path, name):
+    # the full witness took 7-9 s on the dense cubic and 26-32 s on
+    # six-term factors of degree 8 and 12
+    f = pinned_cubic("dense", 0) if name == "dense" else six_term_factor(int(name.split()[1]))
+    path = tmp_path / "factor.json"
+    path.write_text(dumps_instance(IncidenceInstance(Surface([f]), [], [])))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "incgeo", "classify", str(path)], capture_output=True, text=True)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert f"degree {f.degree()} verdict NotRuledReal" in proc.stdout
+    assert elapsed < 1, f"classify took {elapsed:.2f}s"
+
+
+coefficients = st.sampled_from((-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-5, 3)))
+
+
+@st.composite
+def affine_maps(draw):
+    """An invertible integer affine map (A, b): A = L*U, L unit lower and
+    U upper triangular with a nonzero diagonal."""
+    low, up = (draw(st.tuples(*[st.integers(-2, 2)] * 3)) for _ in range(2))
+    diag = draw(st.tuples(*[st.sampled_from((-2, -1, 1, 2))] * 3))
+    lower = [[1, 0, 0], [low[0], 1, 0], [low[1], low[2], 1]]
+    upper = [[diag[0], up[0], up[1]], [0, diag[1], up[2]], [0, 0, diag[2]]]
+    a = [[sum(lower[i][k] * upper[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    return a, draw(st.tuples(*[st.integers(-3, 3)] * 3))
+
+
+def _moved(f: Poly, affine) -> Poly:
+    """f(A x + b) for an integer affine map (A, b)."""
+    a, b = affine
+    return f.substitute([r[0] * X + r[1] * Y + r[2] * Z + c for r, c in zip(a, b)])
+
+
+@st.composite
+def sparse_factors(draw):
+    """A random sparse cubic of up to 5 terms or quartic of up to 3: not
+    ruled, as a rule.  Their full witnesses take up to about a second;
+    with 7 terms a cubic's can take 4 s, and a 5-term quartic's 2 s."""
+    d = draw(st.integers(3, 4))
+    monomials = [e for e in itertools.product(range(d + 1), repeat=3) if sum(e) <= d]
+    size = 4 if d == 3 else 2
+    terms = draw(st.dictionaries(st.sampled_from(monomials), coefficients, min_size=2, max_size=size))
+    terms[draw(st.sampled_from([e for e in monomials if sum(e) == d]))] = draw(coefficients)
+    return Poly(3, terms), False
+
+
+@st.composite
+def planted_ruled_factors(draw):
+    """Ruled by construction: a cone over a random form with a random apex,
+    a cylinder over a plane cubic, or a Whitney-type cubic moved by a
+    random invertible affine map."""
+    kind = draw(st.sampled_from(["cone", "cylinder", "whitney"]))
+    if kind == "cone":
+        d = draw(st.integers(3, 4))
+        forms = [e for e in itertools.product(range(d + 1), repeat=3) if sum(e) == d]
+        h = Poly(3, draw(st.dictionaries(st.sampled_from(forms), coefficients, min_size=1, max_size=5)))
+        apex = draw(st.tuples(*[st.integers(-3, 3)] * 3))
+        return h.substitute([X - apex[0], Y - apex[1], Z - apex[2]]), True
+    if kind == "cylinder":
+        plane = [(a, b, 0) for a in range(4) for b in range(4 - a)]
+        terms = draw(st.dictionaries(st.sampled_from(plane), coefficients, min_size=1, max_size=5))
+        terms[draw(st.sampled_from([e for e in plane if sum(e) == 3]))] = draw(coefficients)
+        return _moved(Poly(3, terms), draw(affine_maps())), True
+    a, b = draw(coefficients), draw(coefficients)
+    return _moved(a * X**2 - b * Y**2 * Z, draw(affine_maps())), True
+
+
+# the catalog's Whitney and Fermat cubics and the other cubics of this file,
+# with whether they are ruled
+CATALOG_CUBICS = [
+    (RULED_CUBIC, True),
+    (X**2 * Z - Y**3, True),
+    (SMOOTH_CUBIC, False),
+    (X * Y * Z - 1, False),
+    (X**3 - Y * Z + 1, False),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(sparse_factors(), st.sampled_from(CATALOG_CUBICS), planted_ruled_factors()))
+def test_line_certificate_never_contradicts_the_witness(case):
+    f, ruled = case
+    if surfaces._certified_not_ruled(f):
+        # a planted ruled factor divides its witness (Cayley-Salmon-Monge)
+        assert not ruled
+        assert not divides(f, flecnode_polynomial(f))
 
 
 # -- quadric inertia and classification
@@ -1217,15 +1348,19 @@ def test_lambda_counts_apex_rule():
     assert counts.lam == 0 and counts.lam_star == 0
 
 
+def firstflip(factor, ln, family, apex=None):
+    return check_firstflip(factor, ln, family, exceptional_lines(factor, family), apex=apex)
+
+
 def test_firstflip_contained_generator():
-    rep = check_firstflip(RULED_CUBIC, Y_AXIS, cubic_family())
+    rep = firstflip(RULED_CUBIC, Y_AXIS, cubic_family())
     assert rep.contained is True
     assert rep.total == 0
     assert rep.ok is True
 
 
 def test_firstflip_transversal():
-    rep = check_firstflip(RULED_CUBIC, AffLine((0, 1, 1), (1, 0, 0)), cubic_family())
+    rep = firstflip(RULED_CUBIC, AffLine((0, 1, 1), (1, 0, 0)), cubic_family())
     assert rep.contained is False
     assert rep.total == 2
     assert rep.bound == 3
@@ -1234,12 +1369,12 @@ def test_firstflip_transversal():
 
 def test_firstflip_rejects_exceptional_probe():
     with pytest.raises(ExceptionalLineError):
-        check_firstflip(RULED_CUBIC, Z_AXIS, cubic_family())
+        firstflip(RULED_CUBIC, Z_AXIS, cubic_family())
 
 
 def test_firstflip_cone_generators_meet_at_apex_only():
     fam = [cone_generator(a, b) for a, b in [(2, 1), (3, 2), (4, 1), (4, 3)]]
-    rep = check_firstflip(CONE, cone_generator(5, 2), fam, apex=(0, 0, 0))
+    rep = firstflip(CONE, cone_generator(5, 2), fam, apex=(0, 0, 0))
     assert rep.contained is True
     assert rep.total == 0
     assert rep.ok is True
