@@ -2,13 +2,15 @@
 
 The package is organized bottom-up:
 
-- poly: sparse multivariate polynomials over Q (arithmetic, Taylor
-  components, directional derivatives, Sylvester determinants, exact
-  division, gcd, a square-free test) and the Surface factor list
+- poly: sparse multivariate polynomials over Q (arithmetic, one integer
+  expansion along a line or around a point, directional derivatives,
+  Sylvester determinants, exact division, gcd, a square-free test) and the
+  Surface factor list
 - linespace: affine lines in R^d with their exact incidence, relation and
   coplanarity predicates, and Plucker coordinates with the Klein form
-- surfaces: singularities, flat and singular lines, flecnode witnesses,
-  ruledness indicators, per-component classification, generator counting
+- surfaces: flecnode witnesses, ruledness indicators, per-component
+  classification, lines through a point, exceptional lines, generator
+  counting
 - incidence: the ruled/unruled line decomposition, pruning, meeting
   counts, and the bound evaluators, all read from one checked instance
 - projection: seeded generic projection of high-dimensional instances down

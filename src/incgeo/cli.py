@@ -37,7 +37,6 @@ from .errors import (
     NotOnSurfaceError,
     PlanarComponentError,
     ResampleExhaustedError,
-    SingularPointError,
 )
 
 if TYPE_CHECKING:
@@ -51,7 +50,6 @@ _HYPOTHESIS_ERRORS = (
     NotOnSurfaceError,
     ExceptionalLineError,
     DegreeError,
-    SingularPointError,
     ResampleExhaustedError,
 )
 
@@ -134,20 +132,17 @@ def _text_classify(report: dict, args: argparse.Namespace) -> list[str]:
 
 def _cmd_flecnode(args: argparse.Namespace) -> tuple[int, dict]:
     from .instfile import load_instance
-    from .poly import divides
-    from .surfaces import flecnode_polynomial, ruled_indicator
+    from .surfaces import ruled_indicator
 
     inst = load_instance(args.file)
     surface = _require_surface(inst)
     factors = []
     for i, factor in enumerate(surface.factors):
-        deg = factor.degree()
-        if deg < 3:
-            wdeg, div = None, ruled_indicator(factor).indicated
-        else:
-            witness = flecnode_polynomial(factor)
-            wdeg, div = witness.degree(), divides(factor, witness)
-        factors.append({"index": i, "degree": deg, "witness_degree": wdeg, "divides": div})
+        ind = ruled_indicator(factor)
+        factors.append(
+            {"index": i, "degree": factor.degree(),
+             "witness_degree": ind.witness_degree, "divides": ind.indicated}
+        )
     return 0, {"factors": factors}
 
 

@@ -33,14 +33,6 @@ class NotOnSurfaceError(IncGeoError):
     """The point or line does not lie on the surface."""
 
 
-class SingularPointError(IncGeoError):
-    """The operation needs a non-singular surface point."""
-
-
-class AllSampledPointsSingularError(IncGeoError):
-    """Sampling along a line found no non-singular surface points."""
-
-
 class DegreeError(IncGeoError):
     """The polynomial degree is outside the operation's supported range."""
 

@@ -64,30 +64,23 @@ def max_lines_per_flat(lines: Sequence[AffLine]) -> int:
 class Decomposition:
     """An instance's line family split against its classified surface factors.
 
-    structured holds the lines that the generic argument cannot handle
-    uniformly: lines on some non-ruled factor, lines shared by two factors,
-    and exceptional lines of singly ruled factors.  Every remaining line
-    (generic) lies on exactly one factor, and that factor is ruled.
-    generic_apex maps the index of each generic line to the apex of its
-    owning cone, or None if the owner is no cone; a conical incidence is a
-    generic line through its apex.
+    Lines are indices into instance.lines, as in the instance's own
+    containing and lines_at.  structured holds the lines that the generic
+    argument cannot handle uniformly: lines on some non-ruled factor, lines
+    shared by two factors, and exceptional lines of singly ruled factors
+    (exceptional, per singly ruled factor).  Every remaining line (generic)
+    lies on exactly one factor, its owner, and that factor is ruled; a
+    conical incidence is a generic line through the apex of its owner,
+    apexes.get(owner[j]).
     """
 
     instance: IncidenceInstance
     verdicts: tuple[ClassificationResult, ...]
-    structured: tuple[AffLine, ...]
-    generic: tuple[AffLine, ...]
-    generic_owner: Mapping[AffLine, int]
-    generic_apex: Mapping[int, Vec | None]
-    exceptional: Mapping[int, tuple[AffLine, ...]]
+    structured: tuple[int, ...]
+    generic: tuple[int, ...]
+    owner: Mapping[int, int]
+    exceptional: Mapping[int, tuple[int, ...]]
     apexes: Mapping[int, Vec]
-
-    def factor_of(self, ln: AffLine) -> int:
-        """The unique containing factor of a generic line."""
-        owner = self.generic_owner.get(ln)
-        if owner is None:
-            raise DomainError("line is not in the generic part of the family")
-        return owner
 
     @property
     def structured_cap(self) -> int:
@@ -110,10 +103,11 @@ def decompose_lines(inst: IncidenceInstance) -> Decomposition:
     surface = inst.surface
     if surface is None:
         raise DomainError("decomposition needs an instance with a surface")
-    per_factor_lines: list[list[AffLine]] = [[] for _ in surface.factors]
-    for ln, owners in zip(inst.lines, inst.containing):
+    per_factor: list[list[int]] = [[] for _ in surface.factors]
+    for j, owners in enumerate(inst.containing):
         for i in owners:
-            per_factor_lines[i].append(ln)
+            per_factor[i].append(j)
+    lines_of = [[inst.lines[j] for j in js] for js in per_factor]
 
     verdicts = []
     for i, w in enumerate(surface.factors):
@@ -121,38 +115,34 @@ def decompose_lines(inst: IncidenceInstance) -> Decomposition:
             raise PlanarComponentError(
                 "surface has a planar component; use the planes variant"
             )
-        verdicts.append(classify_component(w, hint_lines=per_factor_lines[i]))
+        verdicts.append(classify_component(w, hint_lines=lines_of[i]))
 
-    exceptional: dict[int, tuple[AffLine, ...]] = {}
+    exceptional: dict[int, tuple[int, ...]] = {}
     apexes: dict[int, Vec] = {}
     for i, r in enumerate(verdicts):
         if r.verdict is Verdict.CONE and r.apex is not None:
             apexes[i] = r.apex
         if r.verdict is Verdict.SINGLY_RULED:
-            exceptional[i] = tuple(exceptional_lines(surface.factors[i], per_factor_lines[i]))
+            found = set(exceptional_lines(surface.factors[i], lines_of[i]))
+            exceptional[i] = tuple(j for j in per_factor[i] if inst.lines[j] in found)
 
-    structured: list[AffLine] = []
-    generic: list[AffLine] = []
-    generic_owner: dict[AffLine, int] = {}
-    generic_apex: dict[int, Vec | None] = {}
-    for j, (ln, owners) in enumerate(zip(inst.lines, inst.containing)):
+    structured: list[int] = []
+    owner: dict[int, int] = {}
+    for j, owners in enumerate(inst.containing):
         on_non_ruled = any(verdicts[i].verdict not in RULED_VERDICTS for i in owners)
         shared = len(owners) >= 2
-        is_exceptional = any(ln in exceptional.get(i, ()) for i in owners)
+        is_exceptional = any(j in exceptional.get(i, ()) for i in owners)
         if on_non_ruled or shared or is_exceptional:
-            structured.append(ln)
+            structured.append(j)
         else:
-            generic.append(ln)
-            generic_owner[ln] = owners[0]
-            generic_apex[j] = apexes.get(owners[0])
+            owner[j] = owners[0]
 
     decomp = Decomposition(
         instance=inst,
         verdicts=tuple(verdicts),
         structured=tuple(structured),
-        generic=tuple(generic),
-        generic_owner=generic_owner,
-        generic_apex=generic_apex,
+        generic=tuple(owner),
+        owner=owner,
         exceptional=exceptional,
         apexes=apexes,
     )
@@ -169,14 +159,18 @@ def decompose_lines(inst: IncidenceInstance) -> Decomposition:
 
 def _non_conical_at(decomp: Decomposition, i: int) -> list[int]:
     """Generic lines through point i, leaving out the conical incidences."""
-    apex_of, p = decomp.generic_apex, decomp.instance.points[i]
-    return [j for j in decomp.instance.lines_at[i] if j in apex_of and apex_of[j] != p]
+    owner, apexes, p = decomp.owner, decomp.apexes, decomp.instance.points[i]
+    return [j for j in decomp.instance.lines_at[i] if j in owner and apexes.get(owner[j]) != p]
 
 
 def conical_incidence_count(decomp: Decomposition) -> int:
     """Number of conical incidences; structurally at most one per generic line."""
-    inst, apex_of = decomp.instance, decomp.generic_apex
-    count = sum(apex_of.get(j) == p for p, lns in zip(inst.points, inst.lines_at) for j in lns)
+    inst, owner, apexes = decomp.instance, decomp.owner, decomp.apexes
+    count = sum(
+        j in owner and apexes.get(owner[j]) == p
+        for p, lns in zip(inst.points, inst.lines_at)
+        for j in lns
+    )
     if count > len(decomp.generic):
         raise InvariantViolation("conical incidences exceed the generic line count")
     return count
@@ -191,16 +185,15 @@ def prune_points(decomp: Decomposition, min_incidences: int = 4) -> tuple[int, .
     )
 
 
-def meeting_line_counts(decomp: Decomposition, kept: Sequence[int]) -> dict[AffLine, int]:
-    """Per generic line: distinct generic lines met non-conically at the kept
-    points (indices into the instance points)."""
-    partners: dict[int, set[int]] = {j: set() for j in decomp.generic_apex}
+def meeting_line_counts(decomp: Decomposition, kept: Sequence[int]) -> dict[int, int]:
+    """Per generic line index: distinct generic lines met non-conically at
+    the kept points (indices into the instance points)."""
+    partners: dict[int, set[int]] = {j: set() for j in decomp.generic}
     for i in kept:
         incident = _non_conical_at(decomp, i)
         for j in incident:
             partners[j].update(k for k in incident if k != j)
-    lines = decomp.instance.lines
-    return {lines[j]: len(met) for j, met in partners.items()}
+    return {j: len(met) for j, met in partners.items()}
 
 
 def check_meeting_cap(decomp: Decomposition, kept: Sequence[int]) -> int:

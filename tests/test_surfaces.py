@@ -1,5 +1,6 @@
-"""Surface analysis: singularities, flatness, flecnodes, classification,
-line search, exceptional lines and generator-count sums.
+"""Surface analysis: the expansion around a point, singular lines,
+flecnodes, classification, line search, exceptional lines and
+generator-count sums.
 
 Oracles are hand-checked fixtures: the quadric cone x^2+y^2-z^2, the
 hyperbolic paraboloid z-xy, the unit sphere, the singly ruled cubic
@@ -13,7 +14,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import factorial, gcd, inf, lcm
+from math import factorial, gcd, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -21,14 +22,12 @@ from hypothesis import strategies as st
 
 from incgeo import surfaces
 from incgeo.errors import (
-    AllSampledPointsSingularError,
     ArityError,
     DegreeError,
     DomainError,
     ExceptionalLineError,
     InvariantViolation,
     NotOnSurfaceError,
-    SingularPointError,
 )
 from incgeo.instfile import IncidenceInstance, dumps_instance
 from incgeo.linalg import nullspace
@@ -41,7 +40,6 @@ from incgeo.poly import (
     poly_gcd,
     remove_content,
     restrict_to_line,
-    taylor_components,
     variables,
 )
 from incgeo.surfaces import (
@@ -53,16 +51,9 @@ from incgeo.surfaces import (
     exceptional_lines,
     find_lines_through_point,
     flecnode_polynomial,
-    intersection_multiplicity_line,
-    is_flat_line,
-    is_flat_point,
-    is_singular_line,
-    is_singular_point,
     lambda_counts,
-    multiplicity,
     ruled_indicator,
     symmetric_inertia,
-    tangent_cone,
 )
 
 X, Y, Z = variables(3)
@@ -107,93 +98,59 @@ def test_surface_rejects_repeated_factor():
         Surface([CONE, 3 * CONE])
 
 
-# -- point-local analysis
+# -- the expansion around a point, and singular lines
+
+
+def point_parts(f: Poly, p) -> list[Poly]:
+    """The Taylor parts of f at p, order 0 first, as the line search and
+    the cone apex test read them: the expansion along a line with
+    direction zero, each order a positive multiple of the true part."""
+    parts = surfaces._at_point(f, tuple(Fraction(c) for c in p), f.degree())
+    return [Poly(3, {a: c for a, c in parts.items() if sum(a) == k}) for k in range(f.degree() + 1)]
 
 
 def test_singular_point_cone_apex():
-    assert is_singular_point(CONE, (0, 0, 0)) is True
-    assert is_singular_point(CONE, (3, 4, 5)) is False
-
-
-def test_singular_point_needs_surface_membership():
-    with pytest.raises(NotOnSurfaceError):
-        is_singular_point(CONE, (1, 1, 1))
+    at_apex, smooth = point_parts(CONE, (0, 0, 0)), point_parts(CONE, (3, 4, 5))
+    assert at_apex[0].is_zero and at_apex[1].is_zero
+    assert smooth[0].is_zero and not smooth[1].is_zero
 
 
 def test_multiplicity_and_tangent_cone_at_pinch():
-    assert multiplicity(RULED_CUBIC, (0, 0, 0)) == 2
-    assert tangent_cone(RULED_CUBIC, (0, 0, 0)) == X**2
+    assert point_parts(RULED_CUBIC, (0, 0, 0))[:3] == [Poly.zero(3), Poly.zero(3), X**2]
 
 
 def test_multiplicity_on_singular_axis():
-    assert multiplicity(RULED_CUBIC, (0, 0, 1)) == 2
-    assert tangent_cone(RULED_CUBIC, (0, 0, 1)) == X**2 - Y**2
+    assert point_parts(RULED_CUBIC, (0, 0, 1))[:3] == [Poly.zero(3), Poly.zero(3), X**2 - Y**2]
 
 
 def test_multiplicity_smooth_point():
-    assert multiplicity(SPHERE, (0, 0, 1)) == 1
+    assert point_parts(SPHERE, (0, 0, 1))[:2] == [Poly.zero(3), 2 * Z]
+
+
+# the vanishing order of f along a line at p is the lowest power of t in
+# f(p + t*d), read off restrict_to_line; a contained line restricts to zero
 
 
 def test_intersection_multiplicity_tangent_line():
-    ln = AffLine((0, 0, 1), (1, 0, 0))
-    assert intersection_multiplicity_line(SPHERE, ln, (0, 0, 1)) == 2
+    assert restrict_to_line(SPHERE, (0, 0, 1), (1, 0, 0)).terms == {(2,): 1}
 
 
 def test_intersection_multiplicity_transversal():
-    ln = AffLine((0, 0, 1), (0, 0, 1))
-    assert intersection_multiplicity_line(SPHERE, ln, (0, 0, 1)) == 1
+    assert min(e[0] for e in restrict_to_line(SPHERE, (0, 0, 1), (0, 0, 1)).terms) == 1
 
 
 def test_intersection_multiplicity_contained_line():
-    assert intersection_multiplicity_line(RULED_CUBIC, Z_AXIS, (0, 0, 2)) == inf
-
-
-def test_intersection_multiplicity_requires_surface_point():
-    with pytest.raises(NotOnSurfaceError, match=r"point \(Fraction\(0, 1\), .* is not on the surface"):
-        intersection_multiplicity_line(SPHERE, Z_AXIS, (0, 0, 0))
-
-
-def test_intersection_multiplicity_requires_incidence():
-    ln = AffLine((0, 0, 1), (1, 0, 0))
-    with pytest.raises(DomainError):
-        intersection_multiplicity_line(SPHERE, ln, (0, 1, 0))
-
-
-def test_flat_point_plane_yes_sphere_no():
-    assert is_flat_point(Z, (1, 2, 0)) is True
-    assert is_flat_point(SPHERE, (0, 0, 1)) is False
-    assert is_flat_point(REGULUS, (0, 0, 0)) is False
-
-
-def test_flat_point_rejects_singular():
-    with pytest.raises(SingularPointError):
-        is_flat_point(CONE, (0, 0, 0))
-
-
-# -- line-local analysis
+    assert restrict_to_line(RULED_CUBIC, (0, 0, 2), Z_AXIS.direction).is_zero
 
 
 def test_singular_line_of_ruled_cubic():
-    assert is_singular_line(RULED_CUBIC, Z_AXIS) is True
-    assert is_singular_line(RULED_CUBIC, cubic_generator(2)) is False
+    assert surfaces._tangent_pencil(RULED_CUBIC, Z_AXIS) is None
+    assert surfaces._tangent_pencil(RULED_CUBIC, cubic_generator(2)) is not None
 
 
 def test_singular_line_requires_containment():
     with pytest.raises(NotOnSurfaceError):
-        is_singular_line(SPHERE, Z_AXIS)
-
-
-def test_flat_line_on_plane():
-    assert is_flat_line(Z, AffLine((0, 0, 0), (1, 0, 0))) is True
-
-
-def test_flat_line_regulus_ruling_is_not_flat():
-    assert is_flat_line(REGULUS, AffLine((0, 0, 0), (1, 0, 0))) is False
-
-
-def test_flat_line_all_points_singular():
-    with pytest.raises(AllSampledPointsSingularError):
-        is_flat_line(RULED_CUBIC, Z_AXIS)
+        surfaces._tangent_pencil(SPHERE, Z_AXIS)
 
 
 # -- flecnode witness
@@ -655,9 +612,9 @@ def test_exceptional_lines_follow_the_given_order():
     # in the order of each call
     rulings = [AffLine((0, c, 0), (1, 0, c)) for c in range(-2, 3)]
     rulings += [AffLine((c, 0, 0), (0, 1, c)) for c in range(-2, 3)]
-    assert exceptional_lines(REGULUS, rulings, enforce_cap=False) == rulings
+    assert uncapped_exceptional(REGULUS, rulings) == rulings
     reverse = rulings[::-1]
-    assert exceptional_lines(REGULUS, reverse, enforce_cap=False) == reverse
+    assert uncapped_exceptional(REGULUS, reverse) == reverse
 
 
 # -- lines through a point
@@ -715,8 +672,8 @@ def test_lines_search_respects_bound():
 # The reference is the search as it stood before the integer lattice walk,
 # copied unchanged apart from its names: it divides Fraction gradient
 # entries for each (a, b) of the box and tests every candidate, repeats
-# included.  Its Taylor parts come from `taylor_components`, whose shift
-# test_poly checks against substitution.
+# included.  Its Taylor parts come from substituting x_i + p_i, split by
+# degree.
 
 
 def _ref_int_terms(p: Poly) -> list[tuple[int, tuple[int, int, int]]]:
@@ -749,7 +706,10 @@ def _ref_primitive_dirs(bound: int):
 def reference_lines_through(factor: Poly, pt, bound: int) -> list[AffLine]:
     pt = tuple(Fraction(c) for c in pt)
     # factor(pt + t v) = sum_k t^k c_k(v), c_k the degree-k Taylor part; c_0 = 0
-    coeff_polys = taylor_components(factor, pt)[1:]
+    shifted = factor.substitute([x + c for x, c in zip(variables(3), pt)])
+    coeff_polys = [
+        Poly(3, {e: c for e, c in shifted.terms.items() if sum(e) == k}) for k in range(1, factor.degree() + 1)
+    ]
     int_coeffs = sorted(
         (c for c in (_ref_int_terms(cp) for cp in coeff_polys) if c), key=len
     )
@@ -880,72 +840,49 @@ def test_line_search_matches_the_fraction_box_search(search):
     assert find_lines_through_point(f, p, bound) == reference_lines_through(f, p, bound)
 
 
-# -- point questions against partial derivatives
+# -- the expansion around a point against partial derivatives
 #
-# The reference is the point-local code as it stood before each question
-# read one Taylor expansion: f(p) and the gradient by evaluating partial
-# derivatives, flatness by the Hessian on the tangent plane.  Multiplicity
-# and tangent cone come from the partials of each order, D^a f(p) / a!.
+# The reference is the point-local code as it stood before points read the
+# expansion along a line: f(p) and each Taylor part from the partials of
+# each order, D^a f(p) / a!.
 
 
-def _ref_on_surface(f: Poly, p) -> tuple:
-    pt = tuple(Fraction(c) for c in p)
-    if f.eval(pt) != 0:
-        raise NotOnSurfaceError(f"point {pt} is not on the surface")
-    return pt
-
-
-def reference_is_singular_point(f: Poly, p) -> bool:
-    pt = _ref_on_surface(f, p)
-    return all(f.diff(i).eval(pt) == 0 for i in range(f.nvars))
-
-
-def reference_hessian_at(f: Poly, p) -> list[list[Fraction]]:
-    pt = tuple(Fraction(c) for c in p)
-    n = f.nvars
-    return [[f.diff(i).diff(j).eval(pt) for j in range(n)] for i in range(n)]
-
-
-def reference_is_flat_point(f: Poly, p) -> bool:
-    pt = _ref_on_surface(f, p)
-    grad = [f.diff(i).eval(pt) for i in range(f.nvars)]
-    if all(g == 0 for g in grad):
-        raise SingularPointError(f"point {pt} is singular")
-    u, w = nullspace([grad])
-    h = reference_hessian_at(f, pt)
-
-    def form(a, b) -> Fraction:
-        return sum((a[i] * h[i][j] * b[j] for i in range(3) for j in range(3)), Fraction(0))
-
-    return form(u, u) == 0 and form(u, w) == 0 and form(w, w) == 0
+def reference_taylor_part(f: Poly, pt, k: int) -> Poly:
+    terms = {}
+    for a in itertools.product(range(k + 1), repeat=3):
+        if sum(a) != k:
+            continue
+        g = f
+        for i, ai in enumerate(a):
+            for _ in range(ai):
+                g = g.diff(i)
+        terms[a] = g.eval(pt) / (factorial(a[0]) * factorial(a[1]) * factorial(a[2]))
+    return Poly(3, terms)
 
 
 def reference_tangent_cone(f: Poly, p) -> Poly:
-    pt = _ref_on_surface(f, p)
+    pt = tuple(Fraction(c) for c in p)
+    if f.eval(pt) != 0:
+        raise NotOnSurfaceError(f"point {pt} is not on the surface")
     for k in range(1, f.degree() + 1):
-        terms = {}
-        for a in itertools.product(range(k + 1), repeat=3):
-            if sum(a) != k:
-                continue
-            g = f
-            for i, ai in enumerate(a):
-                for _ in range(ai):
-                    g = g.diff(i)
-            terms[a] = g.eval(pt) / (factorial(a[0]) * factorial(a[1]) * factorial(a[2]))
-        cone = Poly(3, terms)
+        cone = reference_taylor_part(f, pt, k)
         if not cone.is_zero:
             return cone
     raise DomainError("zero polynomial has no multiplicity")
 
 
-def reference_multiplicity(f: Poly, p) -> int:
-    return reference_tangent_cone(f, p).degree()
+def _positive_multiple(part: Poly, ref: Poly) -> bool:
+    """Whether part is ref times one positive rational."""
+    if set(part.terms) != set(ref.terms):
+        return False
+    ratios = {part.terms[e] / c for e, c in ref.terms.items()}
+    return ratios == set() or (len(ratios) == 1 and ratios.pop() > 0)
 
 
 def _outcome(fn, f, p):
     try:
         return fn(f, p)
-    except (DomainError, NotOnSurfaceError, SingularPointError) as exc:
+    except (DomainError, NotOnSurfaceError) as exc:
         return type(exc), str(exc)
 
 
@@ -984,13 +921,14 @@ def point_questions(draw):
 @given(point_questions())
 def test_point_questions_match_the_partial_derivatives(question):
     f, p = question
-    for fn, ref in (
-        (is_singular_point, reference_is_singular_point),
-        (multiplicity, reference_multiplicity),
-        (tangent_cone, reference_tangent_cone),
-        (is_flat_point, reference_is_flat_point),
-    ):
-        assert _outcome(fn, f, p) == _outcome(ref, f, p)
+    pt = tuple(Fraction(c) for c in p)
+    parts = point_parts(f, pt)
+    for k, part in enumerate(parts):
+        assert _positive_multiple(part, reference_taylor_part(f, pt, k))
+    if f.degree() >= 1 and parts[0].is_zero:
+        # the tangent cone is the lowest order after f(p)
+        cone = next(part for part in parts[1:] if not part.is_zero)
+        assert _positive_multiple(cone, reference_tangent_cone(f, pt))
 
 
 # -- exceptional lines
@@ -1005,6 +943,11 @@ def test_exceptional_line_of_ruled_cubic():
     assert exc == [Z_AXIS]
 
 
+def uncapped_exceptional(f: Poly, family) -> list[AffLine]:
+    """exceptional_lines without its cap of two, for doubly ruled factors."""
+    return [ln for ln in family if surfaces._is_exceptional(f, ln, family)]
+
+
 def test_exceptional_lines_cone_generators_are_not():
     fam = [cone_generator(a, b) for a, b in [(2, 1), (3, 2), (4, 1), (4, 3), (5, 2)]]
     assert exceptional_lines(CONE, fam) == []
@@ -1013,8 +956,7 @@ def test_exceptional_lines_cone_generators_are_not():
 def test_exceptional_cap_on_regulus_needs_opt_out():
     rulings = [AffLine((0, c, 0), (1, 0, c)) for c in range(-3, 4)]
     rulings += [AffLine((c, 0, 0), (0, 1, c)) for c in range(-3, 4)]
-    exc = exceptional_lines(REGULUS, rulings, enforce_cap=False)
-    assert len(exc) == len(rulings)
+    assert uncapped_exceptional(REGULUS, rulings) == rulings
     with pytest.raises(InvariantViolation):
         exceptional_lines(REGULUS, rulings)
 
@@ -1125,7 +1067,7 @@ def exceptional_families(draw):
 @given(exceptional_families())
 def test_exceptional_lines_match_the_probe_scan(case):
     f, family = case
-    assert exceptional_lines(f, family, enforce_cap=False) == reference_exceptional_lines(f, family)
+    assert uncapped_exceptional(f, family) == reference_exceptional_lines(f, family)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1144,7 +1086,7 @@ def test_exceptional_lines_refuse_a_line_off_the_factor(kind, data, base, direct
     family = data.draw(st.permutations(make_lines(kind, 6, include_exceptional=True)))
     family.insert(data.draw(st.integers(0, len(family))), stray)
     with pytest.raises(NotOnSurfaceError):
-        exceptional_lines(factor, family, enforce_cap=False)
+        uncapped_exceptional(factor, family)
 
 
 def test_exceptional_lines_refuse_a_line_of_another_dimension():
@@ -1212,7 +1154,7 @@ def test_tangent_pencil_matches_substitution(case):
         return
     pencil = surfaces._tangent_pencil(f, ln)
     expected = reference_pencil_verdict(f, ln)
-    assert (pencil is None) == (expected is None) == is_singular_line(f, ln)
+    assert (pencil is None) == (expected is None) == reference_is_singular_line(f, ln)
     if pencil is not None:
         assert surfaces._pencil_has_common_factor(pencil) == expected
         assert all(max((j for _, j in c), default=0) <= k + 1 for k, c in enumerate(pencil))
@@ -1220,8 +1162,13 @@ def test_tangent_pencil_matches_substitution(case):
 
 # -- singular lines against the partial derivatives
 #
-# The reference is is_singular_line as it stood before it read one
+# A contained line is singular exactly when _tangent_pencil gives None.  The
+# reference is the singular-line test as it stood before it read one
 # expansion along the line: containment, then each partial restricted.
+
+
+def is_singular_line(f: Poly, ln: AffLine) -> bool:
+    return surfaces._tangent_pencil(f, ln) is None
 
 
 def reference_is_singular_line(f: Poly, ln: AffLine) -> bool:
