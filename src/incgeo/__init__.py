@@ -18,8 +18,8 @@ The package is organized bottom-up:
 - forge: canonical surface instances (cone, regulus, ruled cubic, sphere,
   Fermat cubic and products) with seeded line and point placement
 - instfile: the IncidenceInstance, checked once on construction (which
-  factors hold each line; the point-line relation, built on first read),
-  and its exact JSON file format
+  factors hold each line and the point-line relation are built on first
+  read), and its exact JSON file format
 - cli: the command-line front end, one report per command printed as
   text or JSON
 

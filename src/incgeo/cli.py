@@ -21,7 +21,6 @@ hypotheses (say a planar component without --planes).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -229,7 +228,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
         bound = verify_bound(inst, degree=degree, constant=args.constant)
     return (0 if bound.within else 1), {
         key: _fmt(value) if isinstance(value, float) else value
-        for key, value in dataclasses.asdict(bound).items()
+        for key, value in bound._asdict().items()
     }
 
 

@@ -1,9 +1,10 @@
 """Point-line incidence counting over a known surface decomposition.
 
 Every function here reads one checked IncidenceInstance (instfile), which
-has already rejected duplicates and stray lines, decided which surface
-factors hold each line (containing) and holds the point-line relation
-(lines_at, points_on, built on first read by linespace.incidence_relation).
+has already rejected duplicates and stray lines, and which holds the
+surface factors of each line (containing) and the point-line relation
+(lines_at, points_on, by linespace.incidence_relation), both built on
+first read.
 The workflow: measure the coplanarity parameter s from
 linespace.coplanar_partners; split the line family by surface factor into
 the structured part L0 (lines on non-ruled factors, on several factors at
@@ -19,8 +20,7 @@ no surface analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, InvariantViolation, PlanarComponentError
 from .linalg import Vec, to_vec
@@ -60,8 +60,7 @@ def max_lines_per_flat(lines: Sequence[AffLine]) -> int:
 # -- decomposition of the line family ----------------------------------------
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """An instance's line family split against its classified surface factors.
 
     Lines are indices into instance.lines, as in the instance's own
@@ -262,8 +261,7 @@ def choose_xi(m: int, n: int, degree: int) -> float:
 # -- bound report --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     m: int
     n: int
     degree: int

@@ -2,8 +2,8 @@
 
 An IncidenceInstance holds a point set and a line set, optionally tied to a
 surface, and is the one checked structure every command reads: it rejects
-duplicates and stray lines once, records which surface factors hold each
-line, and builds the point-line relation on first read.  The file layout
+duplicates and stray lines once, and builds on first read which surface
+factors hold each line and the point-line relation.  The file layout
 keeps every number exact: rationals are "n" or "n/d"
 strings, polynomial coefficients are split into integer numerator and
 denominator, and term lists are sorted, so serialization is deterministic
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -45,17 +44,23 @@ if TYPE_CHECKING:
     from .poly import Poly, Surface
 
 
-@dataclass(frozen=True)
 class IncidenceInstance:
     """A point set and line set, optionally tied to a concrete surface.
 
     Construction checks the instance once: points and lines are distinct
-    and share one dimension, and with a surface every line lies on it.
-    containing[j] holds the ascending indices of the surface factors that
-    contain lines[j] (empty without a surface), decided here and read by
-    the decomposition and the classifier hints.  The incidence relation,
-    lines_at and points_on, is built from linespace.incidence_relation on
-    first read, so commands that never count incidences never build it.
+    and share one dimension, and with a surface every line lies on it,
+    each line tested against the factors in order up to the first that
+    holds it.  containing[j] holds the ascending indices of the surface
+    factors that contain lines[j] (empty without a surface), read by the
+    decomposition and the classifier hints; it is built on first read,
+    testing each line only against the factors after that first one.  The
+    incidence relation, lines_at and points_on, is built from
+    linespace.incidence_relation on first read.  A command that never reads
+    one of these never builds it.
+
+    Instances are immutable and equal when their surface, points and lines
+    are; containing and the incidence relation are functions of these.
+    The instance keeps a __dict__ for its cached properties.
 
     Lifted instances drop the surface: its equation lives in three
     variables and does not travel to higher dimension, while the points
@@ -65,7 +70,6 @@ class IncidenceInstance:
     surface: Surface | None
     points: tuple[Vec, ...]
     lines: tuple[AffLine, ...]
-    containing: tuple[tuple[int, ...], ...]
 
     def __init__(self, surface: Surface | None, points: Sequence, lines: Sequence[AffLine]):
         pts = tuple(to_vec(p) for p in points)
@@ -77,20 +81,58 @@ class IncidenceInstance:
         dims = {len(p) for p in pts} | {ln.dim for ln in lns}
         if len(dims) > 1:
             raise ArityError("points and lines disagree on ambient dimension")
-        containing: list[tuple[int, ...]] = []
+        first_owners: list[int] = []
         if surface is not None:
             if dims and dims != {3}:
                 raise ArityError("a surface-carrying instance must live in 3-space")
             # a line lies in Z(gh) iff it lies in Z(g) or in Z(h)
             for ln in lns:
-                owners = tuple(i for i, w in enumerate(surface.factors) if line_on_surface(w, ln))
-                if not owners:
+                owner = next(
+                    (i for i, w in enumerate(surface.factors) if line_on_surface(w, ln)), None
+                )
+                if owner is None:
                     raise DomainError("an instance line misses the surface")
-                containing.append(owners)
+                first_owners.append(owner)
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "lines", lns)
-        object.__setattr__(self, "containing", tuple(containing))
+        object.__setattr__(self, "_first_owners", tuple(first_owners))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("IncidenceInstance is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("IncidenceInstance is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.surface == other.surface
+            and self.points == other.points
+            and self.lines == other.lines
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.surface, self.points, self.lines))
+
+    def __repr__(self) -> str:
+        return (
+            f"IncidenceInstance(surface={self.surface!r}, points={self.points!r}, "
+            f"lines={self.lines!r})"
+        )
+
+    @cached_property
+    def containing(self) -> tuple[tuple[int, ...], ...]:
+        """For each line, the ascending indices of the surface factors that
+        contain it; empty without a surface."""
+        if self.surface is None:
+            return ()
+        factors = self.surface.factors
+        return tuple(
+            (i, *(k for k in range(i + 1, len(factors)) if line_on_surface(factors[k], ln)))
+            for i, ln in zip(self._first_owners, self.lines)
+        )
 
     @cached_property
     def lines_at(self) -> tuple[tuple[int, ...], ...]:

@@ -33,12 +33,11 @@ is 1, which makes them exact to compare too.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from . import linalg
 from .errors import ArityError, DegenerateLineError, DomainError
@@ -55,9 +54,11 @@ def _canonical_ray(coords: Vec) -> Vec:
     return tuple(c / pivot for c in coords)
 
 
-@dataclass(frozen=True)
 class ProjPoint:
-    """Point of P^d, stored in canonical scale (first nonzero entry 1)."""
+    """Immutable point of P^d, stored in canonical scale (first nonzero
+    entry 1), so equal points have equal coords."""
+
+    __slots__ = ("coords",)
 
     coords: Vec
 
@@ -67,13 +68,26 @@ class ProjPoint:
             raise ArityError("projective point needs at least two coordinates")
         object.__setattr__(self, "coords", _canonical_ray(vec))
 
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("ProjPoint is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("ProjPoint is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self) -> int:
+        return hash((self.coords,))
+
+    def __repr__(self) -> str:
+        return f"ProjPoint(coords={self.coords!r})"
+
     @property
     def dim(self) -> int:
         return len(self.coords) - 1
-
-    @staticmethod
-    def from_affine(point: Sequence) -> ProjPoint:
-        return ProjPoint((Fraction(1),) + to_vec(point))
 
 
 def plucker_from_points(p: ProjPoint, q: ProjPoint) -> Vec:
@@ -119,19 +133,19 @@ class RelationKind(Enum):
     SKEW = "skew"
 
 
-@dataclass(frozen=True)
-class LineRelation:
+class LineRelation(NamedTuple):
     kind: RelationKind
     point: Vec | None = None
 
 
-@dataclass(frozen=True)
 class AffLine:
-    """Affine line base + t*direction in R^d, stored canonically.
+    """Immutable affine line base + t*direction in R^d, stored canonically.
 
     The direction is scaled so its first nonzero entry is 1; the base is
     slid along the line so its entry at that pivot is 0.  Equal lines then
-    have equal fields, so the dataclass equality and hash are exact.
+    have equal fields, so equality and hash, which compare (base,
+    direction), are exact.  The instance keeps a __dict__ for the cached
+    lattice.
     """
 
     base: Vec
@@ -150,6 +164,23 @@ class AffLine:
         bcan = tuple(b - bvec[pivot] * d for b, d in zip(bvec, dcan))
         object.__setattr__(self, "base", bcan)
         object.__setattr__(self, "direction", dcan)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("AffLine is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("AffLine is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.base == other.base and self.direction == other.direction
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.direction))
+
+    def __repr__(self) -> str:
+        return f"AffLine(base={self.base!r}, direction={self.direction!r})"
 
     @property
     def dim(self) -> int:
@@ -216,15 +247,18 @@ def _flat_key(v: list[int]) -> tuple[int, ...]:
     return tuple(c // g for c in v)
 
 
-def _pair(a: AffLine, b: AffLine) -> tuple[RelationKind, tuple[int, ...] | None, Fraction | None]:
+def _pair(
+    a: AffLine, b: AffLine
+) -> tuple[RelationKind, tuple[int, ...] | None, tuple[int, int] | None]:
     """How b sits against a, from b's direction and b.base - a.base reduced
     against a, all in integers.
 
     Returns the kind; for coplanar distinct lines, the key of the 2-flat
     they span among the flats through a (the reduced direction, or for
     parallel lines the reduced offset, as a primitive integer vector with
-    positive lead entry); and for intersecting lines, the s with
-    b.point_at(s) on a.
+    positive lead entry); and for intersecting lines, the integer numerator
+    and nonzero denominator of the s with b.point_at(s) on a, left for
+    line_relation to reduce, as coplanar_partners never reads it.
     """
     k, da, ba, sa = a.lattice
     kb, db, bb, sb = b.lattice
@@ -247,7 +281,7 @@ def _pair(a: AffLine, b: AffLine) -> tuple[RelationKind, tuple[int, ...] | None,
     for t, o in zip(turn, offset):
         if o * tj != oj * t:
             return RelationKind.SKEW, None, None
-    return RelationKind.INTERSECTING, _flat_key(turn), Fraction(-oj * db[kb], sa * sb * tj)
+    return RelationKind.INTERSECTING, _flat_key(turn), (-oj * db[kb], sa * sb * tj)
 
 
 def line_relation(l1: AffLine, l2: AffLine) -> LineRelation:
@@ -257,7 +291,7 @@ def line_relation(l1: AffLine, l2: AffLine) -> LineRelation:
     returns the unique common point.  Works in any ambient dimension.
     """
     kind, _, s = _pair(l1, l2)
-    return LineRelation(kind, None if s is None else l2.point_at(s))
+    return LineRelation(kind, None if s is None else l2.point_at(Fraction(*s)))
 
 
 def coplanar_triple(l1: AffLine, l2: AffLine, l3: AffLine) -> bool:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
 from typing import Mapping, Sequence
@@ -125,12 +124,6 @@ class Poly:
             raise DomainError("zero polynomial has no leading term")
         e = max(self.terms, key=grlex_key)
         return e, self.terms[e]
-
-    def constant_value(self) -> Fraction:
-        """Value of a constant polynomial."""
-        if self.degree() > 0:
-            raise DomainError("not a constant polynomial")
-        return self.terms.get((0,) * self.nvars, Fraction(0))
 
     def _check_var(self, var: int) -> None:
         if not 0 <= var < self.nvars:
@@ -700,9 +693,13 @@ def is_square_free(p: Poly) -> bool:
     return g.degree() == 0
 
 
-@dataclass(frozen=True)
 class Surface:
-    """A squarefree trivariate polynomial, kept as its known factor list."""
+    """A squarefree trivariate polynomial, kept as its known factor list.
+
+    Immutable; surfaces are equal when their factor tuples are.
+    """
+
+    __slots__ = ("factors",)
 
     factors: tuple[Poly, ...]
 
@@ -723,6 +720,23 @@ class Surface:
                 raise DomainError("repeated factor in surface")
             seen.add(key)
         object.__setattr__(self, "factors", factors)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Surface is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("Surface is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return hash((self.factors,))
+
+    def __repr__(self) -> str:
+        return f"Surface(factors={self.factors!r})"
 
     @property
     def degree(self) -> int:

@@ -22,10 +22,9 @@ accepted step certifies that it did not change.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import ArityError, CollapseError, DomainError, ResampleExhaustedError
 from .linalg import Vec, is_zero_vec, to_vec
@@ -35,8 +34,7 @@ SAMPLE_MAGNITUDE = 10**4
 MAX_RESAMPLES = 32
 
 
-@dataclass(frozen=True)
-class GenericityCertificate:
+class GenericityCertificate(NamedTuple):
     """Which combinatorial invariants a projection preserved, checked exactly."""
 
     points_distinct: bool

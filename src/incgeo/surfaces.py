@@ -24,11 +24,10 @@ hand.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg, poly
 from .errors import (
@@ -303,8 +302,7 @@ def _chart_rules_out(d: int, expansion: dict[tuple[int, ...], list[int]], c: int
     return not divides(Poly(1, {(m,): x for m, x in enumerate(expansion[0, 0, 0])}), res)
 
 
-@dataclass(frozen=True)
-class RuledIndication:
+class RuledIndication(NamedTuple):
     """Outcome of the ruledness test.
 
     complex_only notes that the certificate lives over the complex numbers;
@@ -351,8 +349,7 @@ class Verdict(Enum):
 RULED_VERDICTS = frozenset({Verdict.REGULUS, Verdict.CONE, Verdict.SINGLY_RULED})
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     verdict: Verdict
     apex: Vec | None = None
     complex_ruled_indicated: bool = False
@@ -816,8 +813,7 @@ def _pencil_has_common_factor(pencil: list[Bivariate]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class GeneratorCount:
+class GeneratorCount(NamedTuple):
     """Number of family lines through a point, with the contained-line variant."""
 
     lam: int
@@ -849,8 +845,7 @@ def lambda_counts(
     return GeneratorCount(lam, max(0, lam - 1))
 
 
-@dataclass(frozen=True)
-class FirstflipReport:
+class FirstflipReport(NamedTuple):
     contained: bool
     total: int
     bound: int

@@ -195,6 +195,36 @@ class TestVerify:
         assert code == 0
 
 
+@pytest.fixture(scope="module")
+def product500(tmp_path_factory):
+    path = tmp_path_factory.mktemp("product500") / "product500.json"
+    assert main(["gen", "--kind", "product", "--lines", "500", "--points", "200",
+                 "--seed", "7", "-o", str(path)]) == 0
+    return path
+
+
+# 500 lines on 3 factors, one line on two of them: the instance tests each
+# line up to its first factor (999 calls), and containing, read only by
+# incidence and classify, tests the factors after it (501 more)
+@pytest.mark.parametrize(
+    "command, calls", [("verify", 999), ("flecnode", 999), ("incidence", 1500), ("classify", 1500)]
+)
+def test_containment_stops_at_the_first_owner(product500, monkeypatch, capsys, command, calls):
+    import incgeo.instfile as instfile
+
+    tested = []
+    line_on_surface = instfile.line_on_surface
+
+    def counted(f, ln):
+        tested.append(ln)
+        return line_on_surface(f, ln)
+
+    monkeypatch.setattr(instfile, "line_on_surface", counted)
+    code, _, _ = run(capsys, command, str(product500))
+    assert code == 0
+    assert len(tested) == calls
+
+
 class TestProject:
     def test_round_trip_preserves_counts(self, tmp_path, capsys):
         lifted = tmp_path / "lift.json"

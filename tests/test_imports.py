@@ -7,8 +7,9 @@ the module re-exports it through __all__.  A private function (one leading
 underscore) counts as referenced when any module reads it by name, as an
 attribute or in an import.  A public function or class counts as reached
 when some module of the package reads it that way, when the package lists
-it in __all__, or when the acceptance tests read it.  The checks are plain
-ast walks, so they need no linter.
+it in __all__, or when the acceptance tests read it; so does a public
+method of a module-level class, read by name or as an attribute.  The
+checks are plain ast walks, so they need no linter.
 """
 
 import ast
@@ -80,6 +81,13 @@ def unreached_public_names(sources: dict[str, str], acceptance: str) -> list[str
             for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
         ]
+        defined += [
+            (f"{module}.{node.name}", method.name)
+            for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            for method in node.body
+            if isinstance(method, ast.FunctionDef) and not method.name.startswith("_")
+        ]
         used |= names_read(tree)
         for node in tree.body:
             if isinstance(node, ast.Assign) and any(
@@ -121,6 +129,25 @@ def test_detects_an_unreached_public_name():
     }
     acceptance = "from b import tested\n\n\ndef test_it():\n    assert tested() == 2\n"
     assert unreached_public_names(sources, acceptance) == ["b.orphan", "c.Unused"]
+
+
+def test_detects_an_unreached_public_method():
+    sources = {
+        "a": (
+            "class Shape:\n"
+            "    def area(self):\n        return 1\n\n"
+            "    def _helper(self):\n        return 2\n\n"
+            "    def dead(self):\n        return 3\n\n"
+            "    def tested(self):\n        return 4\n\n"
+            "    @property\n    def size(self):\n        return self.area()\n"
+        ),
+        "b": "from a import Shape\n\n\ndef measure():\n    return Shape().size\n",
+    }
+    acceptance = (
+        "from a import Shape\nfrom b import measure\n\n\n"
+        "def test_it():\n    assert Shape().tested() == measure() + 3\n"
+    )
+    assert unreached_public_names(sources, acceptance) == ["a.Shape.dead"]
 
 
 def test_no_unreached_public_names():

@@ -100,9 +100,7 @@ def test_affline_through_two_points():
 
 def test_plucker_from_affine_points():
     # z-axis through (0,0,1) and (0,0,-1): direction block e3, zero moment
-    ln = plucker_from_points(
-        ProjPoint.from_affine([0, 0, 1]), ProjPoint.from_affine([0, 0, -1])
-    )
+    ln = plucker_from_points(ProjPoint((1, 0, 0, 1)), ProjPoint((1, 0, 0, -1)))
     assert ln[:3] == (0, 0, 1)
     assert ln[3:] == (0, 0, 0)
 
@@ -114,7 +112,7 @@ def test_plucker_blocks_are_direction_and_moment():
         b = affmk(*(rng.randint(-5, 5) for _ in range(3)))
         if a == b:
             continue
-        ln = plucker_from_points(ProjPoint.from_affine(a), ProjPoint.from_affine(b))
+        ln = plucker_from_points(ProjPoint((1, *a)), ProjPoint((1, *b)))
         diff = tuple(bb - aa for aa, bb in zip(a, b))
         moment = (
             a[1] * b[2] - a[2] * b[1],
@@ -239,8 +237,8 @@ def test_klein_form_vanishes_for_meeting_lines(a, b, c, d):
     # build two lines through one shared point a
     if b == a or c == a:
         return
-    l1 = plucker_from_points(ProjPoint.from_affine(a), ProjPoint.from_affine(b))
-    l2 = plucker_from_points(ProjPoint.from_affine(a), ProjPoint.from_affine(c))
+    l1 = plucker_from_points(ProjPoint((1, *a)), ProjPoint((1, *b)))
+    l2 = plucker_from_points(ProjPoint((1, *a)), ProjPoint((1, *c)))
     assert klein_form(l1, l2) == 0
     del d
 
@@ -364,7 +362,7 @@ def _random_affline(rng, dim=3):
 def plucker(ln):
     """Plucker coordinates of an affine line of R^3, through two of its points."""
     return plucker_from_points(
-        ProjPoint.from_affine(ln.base), ProjPoint.from_affine(ln.point_at(1))
+        ProjPoint((1, *ln.base)), ProjPoint((1, *ln.point_at(1)))
     )
 
 

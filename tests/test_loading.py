@@ -1,5 +1,5 @@
-"""Each CLI call loads only the modules its subcommand runs, and the package
-resolves its exported names on first use.
+"""Each CLI call loads only the modules its subcommand runs, and no call
+loads dataclasses; the package resolves its exported names on first use.
 
 The module sets are read in a fresh interpreter per call, since this test
 process has long since imported every module of the package.
@@ -39,8 +39,9 @@ HOMES = {
     "verify_bound": "incidence",
 }
 
-# runs main() on its arguments, if given any, and prints the exit code and
-# the loaded incgeo modules as the last line of stdout
+# runs main() on its arguments, if given any, and prints the exit code, the
+# loaded incgeo modules and whether dataclasses is loaded as the last line of
+# stdout
 CHILD = """
 import json, sys
 import incgeo
@@ -51,18 +52,35 @@ if sys.argv[1:]:
         code = main(sys.argv[1:])
     except SystemExit as exc:
         code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "incgeo")]))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "incgeo")
+print(json.dumps([code, loaded, "dataclasses" in sys.modules]))
 """
 
 
-def loaded_by(*argv: str) -> tuple[int | None, set[str]]:
+def child_env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def loaded_by(*argv: str) -> tuple[int | None, set[str], bool]:
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, *argv], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", CHILD, *argv],
+        capture_output=True, text=True, env=child_env(), check=True,
     )
-    code, modules = json.loads(proc.stdout.splitlines()[-1])
-    return code, {m.removeprefix("incgeo.") for m in modules}
+    code, modules, dataclasses_loaded = json.loads(proc.stdout.splitlines()[-1])
+    return code, {m.removeprefix("incgeo.") for m in modules}, dataclasses_loaded
+
+
+@pytest.fixture(scope="module")
+def bare_loads_dataclasses() -> bool:
+    """Whether a bare interpreter already has dataclasses loaded, say from a
+    site hook, in which case no call can be asked to leave it unloaded."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, env=child_env(), check=True,
+    )
+    return proc.stdout.split()[-1] == "True"
 
 
 @pytest.fixture(scope="module")
@@ -77,10 +95,11 @@ def files(tmp_path_factory):
     return paths
 
 
-def test_help_loads_only_the_front_end():
-    code, modules = loaded_by("--help")
+def test_help_loads_only_the_front_end(bare_loads_dataclasses):
+    code, modules, dataclasses_loaded = loaded_by("--help")
     assert code == 0
     assert modules == {"incgeo", "cli", "errors"}
+    assert bare_loads_dataclasses or not dataclasses_loaded
 
 
 @pytest.mark.parametrize(
@@ -99,14 +118,19 @@ def test_help_loads_only_the_front_end():
     ids=["project", "verify-degree", "incidence-surfaceless", "verify-surface", "classify",
          "flecnode", "incidence", "gen"],
 )
-def test_each_subcommand_loads_only_what_it_runs(files, tmp_path, argv, absent):
-    code, modules = loaded_by(*(a.format(out=tmp_path / "out.json", **files) for a in argv))
+def test_each_subcommand_loads_only_what_it_runs(
+    files, tmp_path, bare_loads_dataclasses, argv, absent
+):
+    code, modules, dataclasses_loaded = loaded_by(
+        *(a.format(out=tmp_path / "out.json", **files) for a in argv)
+    )
     assert code == 0
     assert not modules & absent
+    assert bare_loads_dataclasses or not dataclasses_loaded
 
 
 def test_importing_the_package_loads_no_module():
-    assert loaded_by() == (None, {"incgeo"})
+    assert loaded_by()[:2] == (None, {"incgeo"})
 
 
 def test_every_export_is_its_home_object():

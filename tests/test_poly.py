@@ -148,7 +148,7 @@ def test_directional_power_matches_line_restriction():
         coeffs = line.coeffs_in(0)
         for k in range(1, min(len(coeffs), 4)):
             dk = directional_power(f, k)
-            expected = coeffs[k].constant_value() * factorial(k)
+            expected = coeffs[k].terms.get((0,), 0) * factorial(k)
             assert dk.eval(p + v) == expected
 
 
@@ -175,7 +175,7 @@ def test_sylvester_resultant_quadratic_example():
 def test_sylvester_resultant_two_linear():
     (v,) = variables(1)
     res = resultant(2 * v + 3, 5 * v + 7, 0)
-    assert res.constant_value() == Fraction(-1)  # 2*7 - 3*5
+    assert res.terms == {(0,): Fraction(-1)}  # 2*7 - 3*5
 
 
 def test_sylvester_resultant_detects_common_root():
@@ -244,7 +244,7 @@ def test_divides_random_products():
 def test_poly_gcd_examples():
     g = poly_gcd((X - Y) ** 2 * (X + Z), (X - Y) * (X + Y))
     assert g == X - Y
-    assert poly_gcd(X * Y, Z).constant_value() == 1
+    assert poly_gcd(X * Y, Z).terms == {(0, 0, 0): 1}
     assert poly_gcd(Poly.zero(3), X * Y) == X * Y
 
 

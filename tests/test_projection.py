@@ -1,6 +1,5 @@
 """Tests for generic dimension-lowering projections."""
 
-from dataclasses import astuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -243,7 +242,7 @@ def brute_force_certificate(points, lines, projected_points, projected_lines):
 
 
 def certificate_fields(cert):
-    return astuple(cert)[:4]
+    return tuple(cert)[:4]
 
 
 def nonzero(dim):
