@@ -3,9 +3,9 @@
 The package is organized bottom-up:
 
 - poly: sparse multivariate polynomials over Q (arithmetic, one integer
-  expansion along a line or around a point, directional derivatives,
-  Sylvester determinants, exact division, gcd, a square-free test) and the
-  Surface factor list
+  expansion along a line or around a point, integer Taylor data at a
+  symbolic point, Sylvester determinants, exact division, gcd, a
+  square-free test) and the Surface factor list
 - linespace: affine lines in R^d with their exact incidence, relation and
   coplanarity predicates, and Plucker coordinates with the Klein form
 - surfaces: flecnode witnesses, ruledness indicators, per-component

@@ -10,8 +10,8 @@ variable 0 highest); the zero polynomial has degree -1.
 
 Beyond ring arithmetic the module provides the calculus and elimination
 tools the geometry layers need: one integer expansion along a line (with
-direction zero, around a point), powers of the directional derivative
-v.grad, polynomial determinants (Bareiss) and the Sylvester determinant
+direction zero, around a point), the integer Taylor data at a symbolic
+point, polynomial determinants (Bareiss) and the Sylvester determinant
 built on them, single-divisor exact division, multivariate gcd, and a
 square-free test with a certificate on lines.
 
@@ -229,7 +229,7 @@ class Poly:
         text = " + ".join(parts)
         return text.replace("+ -", "- ")
 
-    # -- evaluation and substitution ------------------------------------
+    # -- evaluation and derivatives --------------------------------------
 
     def eval(self, at: Sequence[RatLike]) -> Fraction:
         if len(at) != self.nvars:
@@ -254,35 +254,6 @@ class Poly:
                 out[e2] = out.get(e2, Fraction(0)) + c * k
         return Poly(self.nvars, out)
 
-    def substitute(self, values: Sequence[Poly]) -> Poly:
-        """Map variable i to values[i]; all values share one arity."""
-        if len(values) != self.nvars:
-            raise ArityError(f"expected {self.nvars} substitution values, got {len(values)}")
-        if not values:
-            return Poly(0, dict(self.terms))
-        m = values[0].nvars
-        for v in values:
-            if v.nvars != m:
-                raise ArityError("substitution values have mixed arities")
-        powers: list[dict[int, Poly]] = [dict() for _ in range(self.nvars)]
-
-        def power(i: int, k: int) -> Poly:
-            cache = powers[i]
-            got = cache.get(k)
-            if got is None:
-                got = values[i] ** k
-                cache[k] = got
-            return got
-
-        out = Poly.zero(m)
-        for e, c in self.terms.items():
-            term = Poly.const(m, c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * power(i, k)
-            out = out + term
-        return out
-
     def coeffs_in(self, var: int) -> list[Poly]:
         """Coefficients [c_0, ..., c_d] of var^k, as polynomials without var."""
         self._check_var(var)
@@ -303,25 +274,6 @@ def variables(nvars: int) -> tuple[Poly, ...]:
 
 
 # -- spec-level operations ---------------------------------------------
-
-
-def directional_power(p: Poly, k: int) -> Poly:
-    """k-th power of the directional derivative, as a polynomial in (x, v).
-
-    The result lives in 2*nvars variables: the original x block first, then
-    a direction block v.  It is homogeneous of degree k in v, and equals
-    sum over multi-indices a with |a| = k of (k!/a!) * D^a p(x) * v^a.
-    """
-    if k < 1:
-        raise DomainError("directional derivative order must be >= 1")
-    n = p.nvars
-    if n == 0:
-        raise DomainError("directional derivative needs at least one variable")
-    out = Poly(2 * n, {e + (0,) * n: c for e, c in p.terms.items()})
-    v = variables(2 * n)[n:]
-    for _ in range(k):
-        out = sum((vi * out.diff(i) for i, vi in enumerate(v)), Poly.zero(2 * n))
-    return out
 
 
 def restrict_to_line(p: Poly, base: Sequence[RatLike], direction: Sequence[RatLike]) -> Poly:
@@ -561,6 +513,16 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     return remove_content(cont * a)
 
 
+def _taylor_weights(e: Exponent, order: int) -> Sequence[tuple[Exponent, int]]:
+    """The pairs (a, prod comb(e_i, a_i)) for a <= e with |a| <= order: the
+    y^a coefficient of (x + y)^e is the weight times x^(e - a).  Order 0,
+    the restriction to a line, is the hot case and needs no product."""
+    if not order:
+        return (((0,) * len(e), 1),)
+    ranges = (range(min(k, order) + 1) for k in e)
+    return [(a, prod(map(comb, e, a))) for a in itertools.product(*ranges) if sum(a) <= order]
+
+
 def _line_expansion(
     p: Poly, base: Sequence[int], direction: Sequence[int], s: int, order: int
 ) -> tuple[dict[Exponent, list[int]], int]:
@@ -582,19 +544,13 @@ def _line_expansion(
     """
     d = p.degree()
     den = _den((p,))
-    powers = [[[1]] for _ in range(p.nvars)]  # powers[i][k]: (base_i + direction_i t)^k, lowest first
-    only_zero = (((0,) * p.nvars, 1),)
+    # powers[i][k]: (base_i + direction_i t)^k, lowest power first, up to its
+    # last nonzero entry, so a zero direction entry leaves one entry
+    powers = [[[1]] for _ in range(p.nvars)]
     out: dict[Exponent, list[int]] = {}
     for e, c in p.terms.items():
         coef = c.numerator * (den // c.denominator) * s ** (d - sum(e))
-        # pairs (a, prod comb(e_i, a_i)); order 0, the restriction, is the
-        # hot case and needs no product
-        if order:
-            ranges = (range(min(k, order) + 1) for k in e)
-            exponents = [(a, prod(map(comb, e, a))) for a in itertools.product(*ranges) if sum(a) <= order]
-        else:
-            exponents = only_zero
-        for a, weight in exponents:
+        for a, weight in _taylor_weights(e, order):
             term = [coef * weight]
             for i, k in enumerate(e):
                 k -= a[i]
@@ -602,8 +558,11 @@ def _line_expansion(
                     pw = powers[i]
                     while len(pw) <= k:
                         prev = pw[-1]
-                        pw.append([base[i] * x + direction[i] * y for x, y in zip(prev + [0], [0] + prev)])
-                    conv = [0] * (len(term) + k)
+                        nxt = [base[i] * x + direction[i] * y for x, y in zip(prev + [0], [0] + prev)]
+                        while nxt and not nxt[-1]:
+                            nxt.pop()
+                        pw.append(nxt)
+                    conv = [0] * (len(term) + len(pw[k]) - 1)
                     for m, x in enumerate(term):
                         for l, y in enumerate(pw[k]):
                             conv[m + l] += x * y
@@ -614,6 +573,23 @@ def _line_expansion(
             for m, x in enumerate(term):
                 acc[m] += x
     return out, den * s ** max(d, 0)
+
+
+def _taylor(p: Poly, order: int, width: int, den: int) -> dict[Exponent, dict[int, int]]:
+    """The Taylor data of p at a symbolic point x, on integers, up to the
+    given order: each a with |a| <= order that some term reaches maps to the
+    y^a coefficient of den*p(x + y), a packed integer term map in x (_pack;
+    den is a multiple of _den((p,))).  The term c*x^e gives
+    den*c*prod comb(e_i, a_i) at x^(e - a)."""
+    out: dict[Exponent, dict[int, int]] = {}
+    for e, c in p.terms.items():
+        coef = c.numerator * (den // c.denominator)
+        for a, weight in _taylor_weights(e, order):
+            m = sum(e) - sum(a)
+            for k, j in zip(e, a):
+                m = (m << width) | (k - j)
+            out.setdefault(a, {})[m] = coef * weight
+    return out
 
 
 def _line_coeffs(p: Poly, base: Sequence[RatLike], direction: Sequence[RatLike]) -> tuple[list[int], int]:

@@ -42,16 +42,17 @@ from .linalg import Vec, to_vec
 from .linespace import AffLine, RelationKind, incidence_point_line, line_on_surface, line_relation
 from .poly import (
     Poly,
+    _den,
     _fixed_lines,
     _line_expansion,
-    directional_power,
+    _taylor,
+    _unpack,
     divides,
     exact_div,
     poly_gcd,
     remove_content,
     sylvester_determinant,
     univariate_gcd,
-    variables,
 )
 
 # The container lives in poly, so a surface file is read and checked without
@@ -73,10 +74,23 @@ def _at_point(f: Poly, p: Vec, order: int) -> dict[tuple[int, ...], int]:
 
 # -- forms along a line -------------------------------------------------------
 
-# Bivariate integer polynomials in t and a second variable (the pencil
-# parameter a, or a chart's direction coordinate w_j) are maps {(i, j): c}
-# for c*t^i*a^j.
+# Taylor data: each a with |a| <= order maps to the y^a coefficient of
+# f(X + y), up to one positive constant per order, as an integer term map
+# {m: c} whose key is additive: the power of t along a line
+# (_line_expansion, through _term_maps), or a packed monomial in x, y, z at a
+# symbolic point (poly._taylor).
+Taylor = dict[tuple[int, ...], dict[int, int]]
+# Bivariate integer polynomials in that key and a second variable (the
+# pencil parameter a, or a chart's direction coordinate w_j) are maps
+# {(m, j): c} for c times the key's monomial times a^j.
 Bivariate = dict[tuple[int, int], int]
+
+_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _term_maps(expansion: dict[tuple[int, ...], list[int]]) -> Taylor:
+    """An expansion along a line as Taylor data keyed by the power of t."""
+    return {a: {m: x for m, x in enumerate(g) if x} for a, g in expansion.items()}
 
 
 def _zmul(p: Bivariate, q: Bivariate) -> Bivariate:
@@ -95,90 +109,78 @@ def _zpowers(p: Bivariate, top: int) -> list[Bivariate]:
     return out
 
 
-def _forms_along(
-    expansion: dict[tuple[int, ...], list[int]], dirs: list[list[Bivariate]], low: int, high: int
-) -> list[Bivariate]:
-    """The Taylor parts of orders low..high along a line, in a direction
-    y that moves with t: for each k, the sum over |e| = k of the y^e
-    coefficient g_e(t) of an expansion (_line_expansion) times
-    prod_i y_i^e_i, where dirs[i] lists the powers of y_i as Bivariates."""
+def _forms_along(taylor: Taylor, dirs: list[list[Bivariate]], low: int, high: int) -> list[Bivariate]:
+    """The Taylor parts of orders low..high in a direction y whose entries
+    are Bivariates: for each k, the sum over |e| = k of the y^e coefficient
+    g_e of the Taylor data times prod_i y_i^e_i, where dirs[i] lists the
+    powers of y_i."""
     out: list[Bivariate] = [{} for _ in range(low, high + 1)]
-    for a, g in expansion.items():
+    for a, g in taylor.items():
         if low <= sum(a) <= high:
             term: Bivariate | None = None
             for i in range(3):
                 if a[i]:
                     term = dirs[i][a[i]] if term is None else _zmul(term, dirs[i][a[i]])
             acc = out[sum(a) - low]
-            for (i, j), y in term.items():  # times g(t)
-                for m, x in enumerate(g):
-                    if x:
-                        acc[i + m, j] = acc.get((i + m, j), 0) + x * y
+            for (i, j), y in term.items():  # times g
+                for m, x in g.items():
+                    acc[i + m, j] = acc.get((i + m, j), 0) + x * y
     return [{e: c for e, c in ck.items() if c} for ck in out]
 
 
 # -- flecnode witness -------------------------------------------------------
 
 
-def _binary_form_coeffs(g: Poly, ia: int, ib: int, deg: int) -> list[Poly]:
-    """Coefficients of a binary form in the direction variables ia, ib of a
-    6-variable polynomial, highest ia first, as polynomials in x, y, z."""
-    coeffs = [dict() for _ in range(deg + 1)]
-    for e, c in g.terms.items():
-        ka, kb = e[ia], e[ib]
-        if ka + kb != deg:
-            raise DomainError("not homogeneous of the expected degree")
-        coeffs[kb][e[:3]] = c
-    return [Poly(3, d) for d in coeffs]
+def _chart_forms(taylor: Taylor, c: int) -> tuple[list[dict[int, int]], ...] | None:
+    """The osculation system's binary forms of degrees 2 and 3 on the chart
+    where the c-th partial f_c is nonzero, or None when f_c vanishes.
 
-
-def _binary_form_resultant(g2: Poly, g3: Poly, ia: int, ib: int) -> Poly:
-    """Formal Sylvester resultant of binary forms of degrees 2 and 3, as a
-    polynomial in x, y, z.
-
-    Built from the full coefficient lists, so vanishing leading coefficients
-    (common projective root at (1:0)) are handled uniformly.
+    With the chart's direction v_i = f_c*w_i, v_j = f_c*w_j,
+    v_c = -(f_i*w_i + f_j*w_j), which is tangent for every w, _forms_along
+    gives the second and third-order parts of f in direction v as binary
+    forms in w.  Each is a full coefficient list, highest power of w_i first
+    and zeros included, of term maps in the Taylor data's key; so a common
+    root at (1:0) stays visible to the formal Sylvester matrix.  Both the
+    full witness and its restriction to a line read these forms, so
+    restricting the key to a line commutes with building them.
     """
-    a = _binary_form_coeffs(g2, ia, ib, 2)
-    b = _binary_form_coeffs(g3, ia, ib, 3)
-    if all(c.is_zero for c in a) or all(c.is_zero for c in b):
-        return Poly.zero(3)
-    return sylvester_determinant(a, b, 3)
+    i, j = (k for k in range(3) if k != c)
+    grad = [taylor.get(u, {}) for u in _UNITS]
+    if not grad[c]:
+        return None
+    lin: list[Bivariate] = [{}, {}, {}]
+    lin[i] = {(m, 0): x for m, x in grad[c].items()}
+    lin[j] = {(m, 1): x for m, x in grad[c].items()}
+    lin[c] = {(m, k): -x for k, g in ((0, grad[i]), (1, grad[j])) for m, x in g.items()}
+    g2, g3 = _forms_along(taylor, [_zpowers(v, 3) for v in lin], 2, 3)
+    return tuple([{m: x for (m, k), x in g.items() if k == n} for n in range(deg + 1)] for g, deg in ((g2, 2), (g3, 3)))
 
 
-def _lift_to_six(g: Poly) -> Poly:
-    return Poly(6, {e + (0, 0, 0): c for e, c in g.terms.items()})
-
-
-def _chart_eliminant(f: Poly, grads: list[Poly], f2: Poly, f3: Poly, c: int) -> Poly | None:
+def _chart_eliminant(f: Poly, c: int) -> Poly | None:
     """Direction eliminant of the osculation system on one chart.
 
     On the chart where the c-th partial is nonzero the tangency condition is
     solved for the c-th direction coordinate (after scaling the free
     coordinates by that partial, which keeps everything polynomial).  The
     second and third-order conditions become binary forms of degrees 2 and 3
-    in the free direction coordinates; their resultant depends on position
-    alone.  The scaling inflates the resultant by the 6th power of the
-    chart partial, which is divided back out, leaving a polynomial of
-    degree at most 11*deg - 18.  That every chart gives the same witness
-    up to content is not proven here, and no caller relies on it.
+    in the free direction coordinates (_chart_forms, on the Taylor data at a
+    symbolic point); their resultant depends on position alone.  The
+    scaling inflates the resultant by the 6th power of the chart partial,
+    which is divided back out, leaving a polynomial of degree at most
+    11*deg - 18.  That every chart gives the same witness up to content is
+    not proven here, and no caller relies on it.
     """
-    if grads[c].is_zero:
+    # the forms have degree at most 4*deg - 6, so every exponent fits a field
+    width = (4 * f.degree()).bit_length()
+    forms = _chart_forms(_taylor(f, 3, width, _den((f,))), c)
+    if forms is None:
         return None
-    free = [i for i in range(3) if i != c]
-    xs = variables(6)
-    fc = _lift_to_six(grads[c])
-    vals: list[Poly] = list(xs[:3]) + [Poly.zero(6)] * 3
-    for i in free:
-        vals[3 + i] = fc * xs[3 + i]
-    vals[3 + c] = -sum((_lift_to_six(grads[i]) * xs[3 + i] for i in free), Poly.zero(6))
-    g2 = f2.substitute(vals)
-    g3 = f3.substitute(vals)
-    res = _binary_form_resultant(g2, g3, 3 + free[0], 3 + free[1])
+    a, b = ([_unpack(t, 3, width, 1) for t in form] for form in forms)
+    res = sylvester_determinant(a, b, 3)
     if res.is_zero:
         return res
     try:
-        witness = exact_div(res, grads[c] ** 6)
+        witness = exact_div(res, f.diff(c) ** 6)
     except DomainError:  # the rescaling does not divide on this chart
         return None
     return remove_content(witness)
@@ -203,14 +205,10 @@ def flecnode_polynomial(f: Poly) -> Poly:
     d = f.degree()
     if d < 3:
         raise DegreeError("flecnode witness needs degree >= 3")
-    grads = [f.diff(i) for i in range(3)]
-    f2 = directional_power(f, 2)
-    f3 = directional_power(f, 3)
-
     witness: Poly | None = None
     saw_zero = False
     for c in range(3):
-        result = _chart_eliminant(f, grads, f2, f3, c)
+        result = _chart_eliminant(f, c)
         if result is None:
             continue
         if result.is_zero:
@@ -237,17 +235,20 @@ def _certified_not_ruled(f: Poly) -> bool:
     """Whether one of the fixed lines certifies that a factor of degree
     >= 3 does not divide its flecnode witness, without building it.
 
-    On chart c, _chart_eliminant's resultant is res_c = f_c^6 * W_c, and
-    every step of it commutes with restricting x to a line l.  So if f
-    divides W_c, then f|l divides res_c|l.  A line certifies "not ruled"
-    when, on every chart whose partial f_c is nonzero, res_c|l is nonzero
-    and f|l does not divide it: whichever chart flecnode_polynomial takes,
-    its witness is then nonzero and f does not divide it.  This does not
-    rest on the charts giving one witness.  A line where f is constant or
-    some res_c|l vanishes says nothing, and the next line is tried.  A line
-    where f|l divides some res_c|l, as on every ruled factor, ends the
-    test, and the factor takes the full witness.  The 11*deg - 18 cap is
-    enforced on the restricted witness res_c|l / f_c|l^6.
+    On chart c, _chart_eliminant's resultant is res_c = f_c^6 * W_c, built
+    from _chart_forms, and restricting x to a line l commutes with every
+    step of it: the forms come from the one builder, on the Taylor data at a
+    symbolic point or along l, and the Sylvester determinant commutes with
+    evaluation.  So if f divides W_c, then f|l divides res_c|l.  A line
+    certifies "not ruled" when, on every chart whose partial f_c is nonzero,
+    res_c|l is nonzero and f|l does not divide it: whichever chart
+    flecnode_polynomial takes, its witness is then nonzero and f does not
+    divide it.  This does not rest on the charts giving one witness.  A line
+    where f is constant or some res_c|l vanishes says nothing, and the next
+    line is tried.  A line where f|l divides some res_c|l, as on every ruled
+    factor, ends the test, and the factor takes the full witness.  The
+    11*deg - 18 cap is enforced on the restricted witness
+    res_c|l / f_c|l^6.
     """
     if f.nvars != 3:  # flecnode_polynomial rejects it
         return False
@@ -257,49 +258,37 @@ def _certified_not_ruled(f: Poly) -> bool:
         expansion, _ = _line_expansion(f, base, direction, 1, 3)
         if not any(expansion[0, 0, 0][1:]):
             continue
+        taylor = _term_maps(expansion)
         # the first chart that does not rule f out decides the line
-        outcomes = (_chart_rules_out(d, expansion, c) for c in charts)
+        outcomes = (_chart_rules_out(d, taylor, c) for c in charts)
         verdict = next((v for v in outcomes if v is not True), True)
         if verdict is not None:
             return verdict
     return False
 
 
-def _chart_rules_out(d: int, expansion: dict[tuple[int, ...], list[int]], c: int) -> bool | None:
+def _chart_rules_out(d: int, taylor: Taylor, c: int) -> bool | None:
     """True when res_c|l is nonzero and f|l does not divide it (see
     _certified_not_ruled), False when f|l divides it and None when it is
     zero.
 
-    The expansion of f along l = B + t*D (_line_expansion, to order 3)
-    gives, up to one constant for each order, f|l, the gradient on l and
-    the second and third-order forms.  With the chart's direction
-    v_i = f_c*w_i, v_j = f_c*w_j, v_c = -(f_i*w_i + f_j*w_j), which is
-    tangent for every w, _forms_along gives the system's binary forms of
-    degrees 2 and 3 in w, coefficients in Z[t] (the Bivariate's second
-    index is the power of w_j); their Sylvester determinant is res_c|l up
-    to a nonzero constant.
+    The Taylor data of f along l = B + t*D (_line_expansion to order 3,
+    keyed by the power of t) gives, up to one constant for each order, f|l,
+    the gradient on l and the second and third-order forms.  The Sylvester
+    determinant of the chart's binary forms (_chart_forms), coefficients in
+    Z[t], is res_c|l up to a nonzero constant.
     """
-    i, j = (k for k in range(3) if k != c)
-    grad = [expansion.get(u, ()) for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    fc = {m: x for m, x in enumerate(grad[c]) if x}
-    if not fc:  # both forms vanish at f_i*w_i + f_j*w_j = 0, so res_c|l = 0
+    forms = _chart_forms(taylor, c)
+    if forms is None:  # both forms vanish at f_i*w_i + f_j*w_j = 0, so res_c|l = 0
         return None
-    lin: list[Bivariate] = [{}, {}, {}]
-    lin[i] = {(m, 0): x for m, x in fc.items()}
-    lin[j] = {(m, 1): x for m, x in fc.items()}
-    lin[c] = {(m, k): -x for k, g in ((0, grad[i]), (1, grad[j])) for m, x in enumerate(g) if x}
-    g2, g3 = _forms_along(expansion, [_zpowers(v, 3) for v in lin], 2, 3)
-    a, b = (
-        [Poly(1, {(m,): x for (m, k), x in g.items() if k == n}) for n in range(deg + 1)]
-        for g, deg in ((g2, 2), (g3, 3))
-    )
+    a, b = ([Poly(1, {(m,): x for m, x in t.items()}) for t in form] for form in forms)
     res = sylvester_determinant(a, b, 1)
     if res.is_zero:
         return None
-    restricted = res.degree() - 6 * max(fc)  # of res_c|l / f_c|l^6
+    restricted = res.degree() - 6 * max(taylor[_UNITS[c]])  # of res_c|l / f_c|l^6
     if restricted > 11 * d - 18:
         raise InvariantViolation(f"restricted flecnode witness degree {restricted} exceeds 11*{d}-18")
-    return not divides(Poly(1, {(m,): x for m, x in enumerate(expansion[0, 0, 0])}), res)
+    return not divides(Poly(1, {(m,): x for m, x in taylor[0, 0, 0].items()}), res)
 
 
 class RuledIndication(NamedTuple):
@@ -758,7 +747,7 @@ def _tangent_pencil(f: Poly, ln: AffLine) -> list[Bivariate] | None:
         raise NotOnSurfaceError("line is not contained in the surface")
     # the y^a coefficient of F(B + t*D + y) is a list in t; |a| = 1 gives grad F
     zero = [0] * d
-    grad = [expansion.get(a, zero) for a in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    grad = [expansion.get(a, zero) for a in _UNITS]
     cross: list[Bivariate] = []
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
@@ -768,7 +757,7 @@ def _tangent_pencil(f: Poly, ln: AffLine) -> list[Bivariate] | None:
         return None
     # powers of the pencil direction a*D_i + W_i(t), coordinate by coordinate
     dirs = [_zpowers({**w, (0, 1): v}, f.degree_in(i)) for i, (w, v) in enumerate(zip(cross, dv))]
-    return _forms_along(expansion, dirs, 2, d)
+    return _forms_along(_term_maps(expansion), dirs, 2, d)
 
 
 def _pencil_has_common_factor(pencil: list[Bivariate]) -> bool:

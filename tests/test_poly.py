@@ -16,10 +16,12 @@ from hypothesis import strategies as st
 from incgeo.errors import ArityError, DomainError
 from incgeo.poly import (
     Poly,
+    _den,
     _line_coeffs,
     _line_expansion,
+    _taylor,
     _univariate_square_free,
-    directional_power,
+    _unpack,
     divides,
     exact_div,
     is_square_free,
@@ -30,6 +32,7 @@ from incgeo.poly import (
     sylvester_determinant,
     variables,
 )
+from polyref import substitute
 
 X, Y, Z = variables(3)
 
@@ -81,7 +84,7 @@ def test_partial_derivative_matches_hand_result():
     assert Poly.const(3, 5).diff(1).is_zero
 
 
-# -- taylor components and directional powers ---------------------------
+# -- taylor components --------------------------------------------------
 
 
 def taylor_components(p, at):
@@ -121,40 +124,6 @@ def test_taylor_components_sum_reconstructs_shift():
         probe = frac_vec(rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-2, 2))
         moved = [q - a for q, a in zip(probe, at)]
         assert total.eval(moved) == p.eval(probe)
-
-
-def test_directional_power_first_and_second_order():
-    f = X**2 + Y**2 + Z**2 - 1
-    names = ["x", "y", "z", "v1", "v2", "v3"]
-    x, y, z, v1, v2, v3 = variables(6)
-    assert directional_power(f, 1) == 2 * x * v1 + 2 * y * v2 + 2 * z * v3
-    assert directional_power(f, 2) == 2 * v1**2 + 2 * v2**2 + 2 * v3**2
-    assert directional_power(f, 3).is_zero
-    g = X**3
-    assert directional_power(g, 3) == 6 * v1**3
-    del names
-
-
-def test_directional_power_matches_line_restriction():
-    # f(p + t v) = sum_k t^k / k! * (k-th directional power at (p, v))
-    rng = random.Random(11)
-    from math import factorial
-
-    for _ in range(10):
-        f = _random_poly(rng, 3, max_deg=3)
-        p = frac_vec(rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-2, 2))
-        v = frac_vec(rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-2, 2))
-        line = restrict_to_line(f, p, v)
-        coeffs = line.coeffs_in(0)
-        for k in range(1, min(len(coeffs), 4)):
-            dk = directional_power(f, k)
-            expected = coeffs[k].terms.get((0,), 0) * factorial(k)
-            assert dk.eval(p + v) == expected
-
-
-def test_directional_power_rejects_zero_order():
-    with pytest.raises(DomainError):
-        directional_power(X, 0)
 
 
 # -- resultants ----------------------------------------------------------
@@ -287,7 +256,7 @@ def polys(draw, nvars=2, max_deg=3, max_terms=5):
 def test_shift_matches_substitution(p, at):
     # p(at + x) by substituting x_i + at_i, independent of the integer
     # expansion, split by degree
-    shifted = p.substitute([v + a for v, a in zip((X, Y, Z), at)])
+    shifted = substitute(p, [v + a for v, a in zip((X, Y, Z), at)])
     parts = taylor_components(p, at)
     assert len(parts) == p.degree() + 1
     for k, part in enumerate(parts):
@@ -297,7 +266,7 @@ def test_shift_matches_substitution(p, at):
 def reference_restriction(p, base, direction):
     """Reference: substitute b_i + d_i*t for variable i, on Fractions."""
     t = Poly.variable(1, 0)
-    return p.substitute([Poly.const(1, Fraction(b)) + Fraction(d) * t for b, d in zip(base, direction)])
+    return substitute(p, [Poly.const(1, Fraction(b)) + Fraction(d) * t for b, d in zip(base, direction)])
 
 
 # entries with denominators, and zeros
@@ -320,7 +289,7 @@ def test_line_expansion_matches_substitution(p, base, direction):
     s = lcm(*(c.denominator for c in base + direction))
     bv, dv = [int(c * s) for c in base], [int(c * s) for c in direction]
     t, *y = variables(4)
-    r = p.substitute([b + c * t + yi for b, c, yi in zip(base, direction, y)])
+    r = substitute(p, [b + c * t + yi for b, c, yi in zip(base, direction, y)])
     d = p.degree()
     for order in range(3):
         parts, scale = _line_expansion(p, bv, dv, s, order)
@@ -332,6 +301,25 @@ def test_line_expansion_matches_substitution(p, base, direction):
         assert all(len(c) == d - sum(a) + 1 and sum(a) <= order for a, c in parts.items())
         assert all(isinstance(x, int) for c in parts.values() for x in c)
         assert {a: c for a, c in parts.items() if any(c)} == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(nvars=3, max_deg=3, max_terms=6), st.integers(0, 3), st.integers(1, 3))
+def test_taylor_matches_substitution(p, order, k):
+    # the y^a part of den*p(x + y), by substitution on Fractions
+    den = k * _den((p,))
+    width = (p.degree() + 1).bit_length() + 1
+    x = variables(6)
+    r = substitute(p, [x[i] + x[3 + i] for i in range(3)])
+    expected: dict = {}
+    for e, c in r.terms.items():
+        if sum(e[3:]) <= order:
+            expected.setdefault(e[3:], {})[e[:3]] = den * c
+    data = _taylor(p, order, width, den)
+    assert all(isinstance(c, int) for terms in data.values() for c in terms.values())
+    assert {a: _unpack(terms, 3, width, 1) for a, terms in data.items()} == {
+        a: Poly(3, terms) for a, terms in expected.items()
+    }
 
 
 def test_restrict_to_line_on_zero_constant_and_large_factors():

@@ -35,6 +35,11 @@ from incgeo.forge import make_lines
 from incgeo.linespace import AffLine, RelationKind, line_on_surface, line_relation
 from incgeo.poly import (
     Poly,
+    _den,
+    _fixed_lines,
+    _line_expansion,
+    _taylor,
+    _unpack,
     divides,
     is_square_free,
     poly_gcd,
@@ -55,6 +60,7 @@ from incgeo.surfaces import (
     ruled_indicator,
     symmetric_inertia,
 )
+from polyref import substitute
 
 X, Y, Z = variables(3)
 CONE = X**2 + Y**2 - Z**2
@@ -358,7 +364,7 @@ def affine_maps(draw):
 def _moved(f: Poly, affine) -> Poly:
     """f(A x + b) for an integer affine map (A, b)."""
     a, b = affine
-    return f.substitute([r[0] * X + r[1] * Y + r[2] * Z + c for r, c in zip(a, b)])
+    return substitute(f, [r[0] * X + r[1] * Y + r[2] * Z + c for r, c in zip(a, b)])
 
 
 @st.composite
@@ -385,7 +391,7 @@ def planted_ruled_factors(draw):
         forms = [e for e in itertools.product(range(d + 1), repeat=3) if sum(e) == d]
         h = Poly(3, draw(st.dictionaries(st.sampled_from(forms), coefficients, min_size=1, max_size=5)))
         apex = draw(st.tuples(*[st.integers(-3, 3)] * 3))
-        return h.substitute([X - apex[0], Y - apex[1], Z - apex[2]]), True
+        return substitute(h, [X - apex[0], Y - apex[1], Z - apex[2]]), True
     if kind == "cylinder":
         plane = [(a, b, 0) for a in range(4) for b in range(4 - a)]
         terms = draw(st.dictionaries(st.sampled_from(plane), coefficients, min_size=1, max_size=5))
@@ -414,6 +420,39 @@ def test_line_certificate_never_contradicts_the_witness(case):
         # a planted ruled factor divides its witness (Cayley-Salmon-Monge)
         assert not ruled
         assert not divides(f, flecnode_polynomial(f))
+
+
+@st.composite
+def forms_factors(draw):
+    """A random polynomial of degree 3 or 4 with up to 8 terms."""
+    d = draw(st.integers(3, 4))
+    monomials = [e for e in itertools.product(range(d + 1), repeat=3) if sum(e) <= d]
+    terms = draw(st.dictionaries(st.sampled_from(monomials), coefficients, max_size=7))
+    terms[draw(st.sampled_from([e for e in monomials if sum(e) == d]))] = draw(coefficients)
+    return Poly(3, terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(forms_factors())
+def test_chart_forms_commute_with_restriction(f):
+    # the forms on the Taylor data at a symbolic point, each coefficient
+    # restricted to a fixed line, against the forms on the data along it;
+    # both data carry den*f and the fixed lines have s = 1, so the constant
+    # relating them is 1 on each form
+    width = (4 * f.degree()).bit_length()
+    symbolic = _taylor(f, 3, width, _den((f,)))
+    for base, direction in _fixed_lines(3):
+        along = surfaces._term_maps(_line_expansion(f, base, direction, 1, 3)[0])
+        for c in range(3):
+            sym, lin = surfaces._chart_forms(symbolic, c), surfaces._chart_forms(along, c)
+            if sym is None or lin is None:
+                # the chart's partial vanishes on the line, or everywhere
+                assert lin is None
+                assert restrict_to_line(f.diff(c), base, direction).is_zero
+                continue
+            for sym_form, lin_form in zip(sym, lin):
+                restricted = [restrict_to_line(_unpack(t, 3, width, 1), base, direction) for t in sym_form]
+                assert restricted == [Poly(1, {(m,): x for m, x in t.items()}) for t in lin_form]
 
 
 # -- quadric inertia and classification
@@ -569,7 +608,7 @@ def planted_cones(draw):
     h = Poly(3, draw(st.dictionaries(st.sampled_from(monomials), st.integers(-3, 3), min_size=1)))
     if h.is_zero:
         h = Poly(3, {(d, 0, 0): 1})
-    f = h.substitute([X - p[0], Y - p[1], Z - p[2]])
+    f = substitute(h, [X - p[0], Y - p[1], Z - p[2]])
     tail = draw(st.sampled_from(["cone", "plus one", "lower part"]))
     if tail == "plus one":
         f = f + 1
@@ -706,7 +745,7 @@ def _ref_primitive_dirs(bound: int):
 def reference_lines_through(factor: Poly, pt, bound: int) -> list[AffLine]:
     pt = tuple(Fraction(c) for c in pt)
     # factor(pt + t v) = sum_k t^k c_k(v), c_k the degree-k Taylor part; c_0 = 0
-    shifted = factor.substitute([x + c for x, c in zip(variables(3), pt)])
+    shifted = substitute(factor, [x + c for x, c in zip(variables(3), pt)])
     coeff_polys = [
         Poly(3, {e: c for e, c in shifted.terms.items() if sum(e) == k}) for k in range(1, factor.degree() + 1)
     ]
@@ -1106,12 +1145,12 @@ def reference_pencil_verdict(f: Poly, ln: AffLine):
     of positive degree in a."""
     t, a, u = variables(3)
     at = [t * c + b for b, c in zip(ln.base, ln.direction)]
-    grad = [f.diff(i).substitute(at) for i in range(3)]
+    grad = [substitute(f.diff(i), at) for i in range(3)]
     d = ln.direction
     w = [grad[(i + 1) % 3] * d[(i + 2) % 3] - grad[(i + 2) % 3] * d[(i + 1) % 3] for i in range(3)]
     if all(c.is_zero for c in w):
         return None
-    h = f.substitute([x + u * (a * c + wc) for x, c, wc in zip(at, d, w)])
+    h = substitute(f, [x + u * (a * c + wc) for x, c, wc in zip(at, d, w)])
     coeffs = [
         Poly(2, {e[:2]: c for e, c in h.terms.items() if e[2] == k}) for k in range(f.degree() + 1)
     ]
