@@ -9,8 +9,9 @@ The package is organized bottom-up:
 - linespace: affine lines in R^d with their exact incidence, relation and
   coplanarity predicates, and Plucker coordinates with the Klein form
 - surfaces: flecnode witnesses, ruledness indicators, per-component
-  classification, lines through a point, exceptional lines, generator
-  counting
+  classification
+- exceptional: on ruled factors, lines through a point, exceptional lines
+  and generator counting
 - incidence: the ruled/unruled line decomposition, pruning, meeting
   counts, and the bound evaluators, all read from one checked instance
 - projection: seeded generic projection of high-dimensional instances down

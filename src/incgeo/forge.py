@@ -19,7 +19,7 @@ from typing import Iterator, Mapping, Sequence
 from . import SURFACE_KINDS
 from .errors import ArityError, DomainError, ResampleExhaustedError
 from .linalg import Vec, rank, to_vec
-from .instfile import IncidenceInstance
+from .instfile import MAX_DIM, IncidenceInstance
 from .linespace import AffLine
 from .poly import Poly, Surface, variables
 
@@ -181,7 +181,8 @@ def lift_to_dim(
 
     Zero-padding followed by an invertible rational matrix and a shift
     keeps every exact relation: distinctness, incidences, coplanarity and
-    its absence all survive in both directions.
+    its absence all survive in both directions.  A target above
+    instfile.MAX_DIM raises DomainError, as its file would be refused.
     """
     pts = [to_vec(p) for p in points]
     lns = list(lines)
@@ -191,6 +192,8 @@ def lift_to_dim(
     src = dims.pop() if dims else 3
     if dim < src:
         raise DomainError("lift target dimension is below the source")
+    if dim > MAX_DIM:
+        raise DomainError(f"lift target dimension {dim} exceeds the cap {MAX_DIM}")
     if dim == src:
         return pts, lns
 

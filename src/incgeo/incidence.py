@@ -14,8 +14,8 @@ and the meeting counts off the instance, check the structural caps and
 evaluate the closed-form bounds.  count_incidences is the exhaustive
 reference count.  Bound evaluation is the only place floats appear;
 everything combinatorial is exact.  Only the decomposition reads
-surfaces, which it imports when it runs, so counting and the bounds load
-no surface analysis.
+surfaces and exceptional, which it imports when it runs, so counting and
+the bounds load no surface analysis.
 """
 
 from __future__ import annotations
@@ -97,7 +97,8 @@ class Decomposition(NamedTuple):
 
 def decompose_lines(inst: IncidenceInstance) -> Decomposition:
     """Classify the surface factors and split the line family into L0 and L1."""
-    from .surfaces import RULED_VERDICTS, Verdict, classify_component, exceptional_lines
+    from .exceptional import exceptional_lines
+    from .surfaces import RULED_VERDICTS, Verdict, classify_component
 
     surface = inst.surface
     if surface is None:
@@ -282,6 +283,8 @@ def _bound_report(
 ) -> BoundReport:
     """Evaluate the bounds on the instance's counts; planes selects the
     plane-dominated shape (and xi 0) instead of the surface-sensitive one."""
+    if not 0 < constant < float("inf"):  # also refuses nan
+        raise DomainError("bound constant must be a positive finite number")
     m, n, inc = inst.m, inst.n, inst.incidences
     if s is None:
         s = max_lines_per_flat(inst.lines)

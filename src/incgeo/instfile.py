@@ -18,13 +18,16 @@ and a file round-trips byte for byte.
 
 A lifted instance has no surface; the field is null and "dim" may exceed 3.
 Only a surface needs poly, so the module imports it where a polynomial is
-read or written, and a surfaceless file loads without it.
+read or written, and a surfaceless file loads without it.  Likewise only
+lines need linespace, imported where a line is first built or tested, so
+a file without lines loads without it.
 An instance's dimension is read off its points and lines, so an instance
 with neither must have "dim" 3.
 A polynomial term of total degree above MAX_DEGREE, or a polynomial of more
 than MAX_TERMS terms, is refused on reading: checking a line against the
 surface expands every term along the line, so one huge exponent or a dense
-high-degree factor would stall the load.
+high-degree factor would stall the load.  A "dim" above MAX_DIM is refused
+too: the projection's exact certificate grows steeply with the dimension.
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ from typing import TYPE_CHECKING, Sequence
 
 from .errors import ArityError, DomainError, ParseError
 from .linalg import Vec, to_vec
-from .linespace import AffLine, incidence_relation, line_on_surface
 
 if TYPE_CHECKING:
+    from .linespace import AffLine
     from .poly import Poly, Surface
 
 
@@ -85,6 +88,8 @@ class IncidenceInstance:
         if surface is not None:
             if dims and dims != {3}:
                 raise ArityError("a surface-carrying instance must live in 3-space")
+            if lns:
+                from .linespace import line_on_surface
             # a line lies in Z(gh) iff it lies in Z(g) or in Z(h)
             for ln in lns:
                 owner = next(
@@ -126,8 +131,10 @@ class IncidenceInstance:
     def containing(self) -> tuple[tuple[int, ...], ...]:
         """For each line, the ascending indices of the surface factors that
         contain it; empty without a surface."""
-        if self.surface is None:
+        if self.surface is None or not self.lines:
             return ()
+        from .linespace import line_on_surface
+
         factors = self.surface.factors
         return tuple(
             (i, *(k for k in range(i + 1, len(factors)) if line_on_surface(factors[k], ln)))
@@ -137,6 +144,8 @@ class IncidenceInstance:
     @cached_property
     def lines_at(self) -> tuple[tuple[int, ...], ...]:
         """For each point, the ascending indices of the lines through it."""
+        from .linespace import incidence_relation
+
         return incidence_relation(self.points, self.lines)
 
     @cached_property
@@ -177,6 +186,12 @@ MAX_DEGREE = 64
 # of degree 5 or less (at most 56 terms) fits; the catalog factors have at
 # most 4 terms.
 MAX_TERMS = 64
+# Projecting an instance down from R^dim certifies each step exactly, and
+# that cost climbs steeply with dim: a product lift of 40 lines and 40
+# points projects in 0.2, 1.7 and 10.5 s from dimensions 8, 16 and 24
+# (2-vCPU VM, Python 3.11).  The lifts in the tests and the benchmark have
+# dim <= 6.  forge refuses to lift past the cap as well.
+MAX_DIM = 16
 
 
 def format_rational(q: Fraction) -> str:
@@ -276,6 +291,8 @@ def obj_to_instance(obj: object) -> IncidenceInstance:
     dim = obj.get("dim")
     if not isinstance(dim, int) or dim < 3:
         raise ParseError(f"bad dimension {dim!r}")
+    if dim > MAX_DIM:
+        raise ParseError(f"dimension {dim} exceeds the cap {MAX_DIM}")
     surface_obj = obj.get("surface")
     surface = None if surface_obj is None else obj_to_surface(surface_obj)
     if surface is not None and dim != 3:
@@ -289,6 +306,8 @@ def obj_to_instance(obj: object) -> IncidenceInstance:
         raise ParseError(f"an instance without points or lines has dim 3, not {dim}")
     points = [_obj_to_vector(p, dim) for p in points_obj]
     lines = []
+    if lines_obj:
+        from .linespace import AffLine
     for item in lines_obj:
         if not isinstance(item, dict):
             raise ParseError(f"bad line entry {item!r}")

@@ -1,19 +1,21 @@
-"""Global analysis of algebraic surfaces in R^3, factor by factor.
+"""Global analysis of algebraic surfaces in R^3, factor by factor: is each
+factor ruled, and how.
 
 A Surface (defined in poly, re-exported here) is kept as its (known)
 factorization into pairwise distinct squarefree factors; factorization is
 never computed here, only consumed, and the product of the factors is
 never formed.  Every analysis function takes one trivariate polynomial f,
-in practice a single factor.  The module answers the questions the
-incidence machinery needs: does a factor admit a ruling (flecnode witness
+in practice a single factor.  The module answers the first question of
+the incidence machinery: does a factor admit a ruling (flecnode witness
 plus divisibility, tried first on a few lines), is it a cone (its apex
-comes from one linear solve), which lines through a point lie on the
-surface (a bounded search), which lines are exceptional, and do the
-generator-count sums stay below the factor degree.  Every local question
-reads one integer expansion of poly: along a line, or around a point as a
-line with direction zero.  Exceptionality is exact over C on non-singular
-lines, read off the tangent pencil along the line; on singular lines it is
-a bounded scan.
+comes from one linear solve), and is a ruling witnessed by a real line.
+Every local question reads one integer expansion of poly: along a line,
+or around a point as a line with direction zero.  The questions asked
+only of ruled factors (lines through a point, exceptional lines and
+generator counts) live in exceptional, which reads the expansion helpers
+here; classification imports its line search only when a ruled factor
+has no hint line, and linespace only when it has hint lines, so
+classifying a surface file without lines loads neither.
 
 Everything is exact.  Ruledness certificates obtained through the flecnode
 route are certificates over the complex numbers; real verdicts are only
@@ -26,20 +28,12 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 from fractions import Fraction
-from math import factorial, gcd, lcm
-from typing import Iterable, NamedTuple, Sequence
+from math import factorial, lcm
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import linalg, poly
-from .errors import (
-    ArityError,
-    DegreeError,
-    DomainError,
-    ExceptionalLineError,
-    InvariantViolation,
-    NotOnSurfaceError,
-)
+from .errors import ArityError, DegreeError, DomainError, InvariantViolation
 from .linalg import Vec, to_vec
-from .linespace import AffLine, RelationKind, incidence_point_line, line_on_surface, line_relation
 from .poly import (
     Poly,
     _den,
@@ -49,11 +43,12 @@ from .poly import (
     _unpack,
     divides,
     exact_div,
-    poly_gcd,
     remove_content,
     sylvester_determinant,
-    univariate_gcd,
 )
+
+if TYPE_CHECKING:
+    from .linespace import AffLine
 
 # The container lives in poly, so a surface file is read and checked without
 # this module; it is re-exported here beside the analysis of its factors.
@@ -503,9 +498,13 @@ def classify_component(factor: Poly, hint_lines: Sequence[AffLine] = ()) -> Clas
     apex = _cone_apex(factor)
     if apex is not None:
         return ClassificationResult(Verdict.CONE, apex=apex, complex_ruled_indicated=True)
-    real_line = next(
-        (ln for ln in hint_lines if ln.dim == 3 and line_on_surface(factor, ln)), None
-    )
+    real_line = None
+    if hint_lines:
+        from .linespace import line_on_surface
+
+        real_line = next(
+            (ln for ln in hint_lines if ln.dim == 3 and line_on_surface(factor, ln)), None
+        )
     if real_line is None:
         real_line = _search_real_line(factor)
     if real_line is not None:
@@ -517,10 +516,16 @@ def classify_component(factor: Poly, hint_lines: Sequence[AffLine] = ()) -> Clas
     )
 
 
+# Entry bound of the search for one real line that witnesses a ruling.
+REAL_LINE_BOUND = 5
+
+
 def _search_real_line(factor: Poly) -> AffLine | None:
     """Cheap bounded search for one rational line on the factor: it looks
     only at the 125 points of the grid {0, +-1, +-2}^3 that lie on the
     factor, each with a line search of entry bound REAL_LINE_BOUND."""
+    from .exceptional import find_lines_through_point
+
     grid = [Fraction(v) for v in (0, 1, -1, 2, -2)]
     for p in itertools.product(grid, repeat=3):
         if factor.eval(p) != 0:
@@ -529,354 +534,3 @@ def _search_real_line(factor: Poly) -> AffLine | None:
         if lines:
             return lines[0]
     return None
-
-
-# -- lines through a point ---------------------------------------------------
-
-
-def _eval_terms(terms: list[tuple[int, tuple[int, int, int]]], v: tuple[int, int, int]) -> int:
-    total = 0
-    for c, e in terms:
-        val = c
-        for base, k in zip(v, e):
-            if k:
-                val *= base**k
-        total += val
-    return total
-
-
-def _primitive_dirs(bound: int):
-    """All primitive integer directions in the box, first nonzero entry positive."""
-    for v1 in range(0, bound + 1):
-        for v2 in range(0 if v1 == 0 else -bound, bound + 1):
-            for v3 in range(1 if v1 == v2 == 0 else -bound, bound + 1):
-                if gcd(gcd(v1, abs(v2)), abs(v3)) == 1:
-                    yield (v1, v2, v3)
-
-
-# Entry bound of the line search: its default, and the bound of the probe
-# scan that decides exceptionality on singular lines.
-DENOMINATOR_BOUND = 10
-# Entry bound of the search for one real line that witnesses a ruling.
-REAL_LINE_BOUND = 5
-
-
-def find_lines_through_point(
-    factor: Poly, p: Sequence, denominator_bound: int = DENOMINATOR_BOUND
-) -> list[AffLine]:
-    """All lines through p inside Z(factor) with small integer directions.
-
-    Sound and complete for directions admitting a primitive integer
-    representative with entries bounded by denominator_bound; lines whose
-    direction needs larger integers are not searched for.  At non-singular
-    points the search is an integer walk over the tangent lattice, still
-    complete inside the box: two coordinates of a direction run over the
-    box, and the gradient, scaled to integers, fixes the third (where the
-    gradient is largest).  Each primitive direction found is tested once.
-    At singular points every primitive direction in the box is tested.
-    """
-    if factor.nvars != 3:
-        raise ArityError("line search works on trivariate factors")
-    if factor.degree() < 1:
-        raise DomainError("line search needs a non-constant factor")
-    if denominator_bound < 1:
-        raise DomainError("denominator bound must be >= 1")
-    pt = to_vec(p)
-    # factor(pt + t v) = sum_k t^k c_k(v), c_k the degree-k Taylor part; c_0 = 0
-    # and c_1(v) = grad . v; each c_k comes as one positive integer multiple
-    parts = _at_point(factor, pt, factor.degree())
-    if (0, 0, 0) in parts:
-        raise NotOnSurfaceError(f"point {tuple(pt)} is not on the surface")
-    g = [parts.get(u, 0) for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    orders = ([(c, e) for e, c in parts.items() if sum(e) == k] for k in range(2, factor.degree() + 1))
-    int_coeffs = sorted((terms for terms in orders if terms), key=len)
-    found: set[AffLine] = set()
-
-    def check_dir(v: tuple[int, int, int]) -> None:
-        for terms in int_coeffs:
-            if _eval_terms(terms, v) != 0:
-                return
-        found.add(AffLine(pt, [Fraction(c) for c in v]))
-
-    if any(g):
-        # c_1 vanishes exactly on the tangent plane lattice: walk two
-        # coordinates over the box (one half of it, as v and -v are one
-        # direction) and solve the integer gradient equation for the third
-        piv = max(range(3), key=lambda i: abs(g[i]))
-        i, j = (k for k in range(3) if k != piv)
-        gi, gj, gp = g[i], g[j], g[piv]
-        seen: set[tuple[int, ...]] = set()
-        for a in range(0, denominator_bound + 1):
-            for b in range(1 if a == 0 else -denominator_bound, denominator_bound + 1):
-                rhs = -(gi * a + gj * b)
-                if rhs % gp:
-                    continue
-                raw = [0, 0, 0]
-                raw[i], raw[j], raw[piv] = a, b, rhs // gp
-                k = gcd(*raw)
-                if abs(raw[piv]) > denominator_bound * k:
-                    continue
-                first = next(x for x in raw if x)
-                if first < 0:
-                    k = -k
-                prim = tuple(x // k for x in raw)
-                if prim not in seen:
-                    seen.add(prim)
-                    check_dir(prim)  # type: ignore[arg-type]
-    else:
-        for v in _primitive_dirs(denominator_bound):
-            check_dir(v)
-
-    lines = sorted(found, key=lambda ln: (ln.direction, ln.base))
-    for ln in lines:
-        if not line_on_surface(factor, ln):  # pragma: no cover - guards check_dir
-            raise InvariantViolation("line search returned a non-contained line")
-    return lines
-
-
-# -- exceptional lines and generator counts ----------------------------------
-
-
-def _probe_parameters(d: int) -> list[Fraction]:
-    """Deterministic probe parameters along a line.
-
-    Plain integers catch linearly spaced incidences; the square values catch
-    rulings whose parametrization meets a fixed line quadratically, which is
-    how generators meet the singular line of the canonical ruled cubic.
-    """
-    out: list[Fraction] = [Fraction(0)]
-    top = 2 * d + 1
-    for k in range(1, top + 1):
-        out.extend((Fraction(k), Fraction(-k)))
-    for k in range(2, top + 1):
-        out.extend((Fraction(k * k), Fraction(-k * k)))
-    seen = set()
-    uniq = []
-    for t in out:
-        if t not in seen:
-            seen.add(t)
-            uniq.append(t)
-    return uniq
-
-
-def exceptional_lines(factor: Poly, lines: Sequence[AffLine]) -> list[AffLine]:
-    """Lines of the family meeting other lines of the factor along their length.
-
-    Every line of the family must lie on the factor; one that does not
-    raises NotOnSurfaceError.  On a non-singular line the answer is exact
-    over C: the line is exceptional iff the tangent pencil along it
-    (_tangent_pencil) has a common factor in the pencil direction, so
-    infinitely many of its points carry a second line of the factor,
-    whatever their entries.  A singular line, where the gradient vanishes
-    and _tangent_pencil gives None, keeps a bounded scan: it is reported
-    when at least 2*deg + 1 distinct points on it are each incident to
-    another line inside the factor, where the witnesses come from its
-    crossings with the supplied family and from line search (entries up to
-    DENOMINATOR_BOUND) at probe points.  On a singly ruled factor more than
-    two such lines contradict the structure theory, so the count is
-    asserted.
-    """
-    d = factor.degree()
-    result = [ln for ln in lines if _is_exceptional(factor, ln, lines)]
-    if d >= 2 and len(result) > 2:
-        raise InvariantViolation(
-            f"{len(result)} exceptional lines on a degree-{d} factor (cap is 2)"
-        )
-    return result
-
-
-def _is_exceptional(factor: Poly, ln: AffLine, contained: Sequence[AffLine]) -> bool:
-    """Whether a line of the factor is exceptional; only a singular line's
-    verdict depends on the family, and then on it as a set, not its order."""
-    pencil = _tangent_pencil(factor, ln)
-    if pencil is None:
-        return _singular_line_scan(factor, ln, contained)
-    return _pencil_has_common_factor(pencil)
-
-
-def _crossings(ln: AffLine, family: Iterable[AffLine]) -> set[Vec]:
-    """The points where the lines of the family other than ln meet it."""
-    points: set[Vec] = set()
-    for other in family:
-        if other != ln:
-            rel = line_relation(ln, other)
-            if rel.kind is RelationKind.INTERSECTING:
-                points.add(rel.point)
-    return points
-
-
-def _singular_line_scan(factor: Poly, ln: AffLine, contained: Sequence[AffLine]) -> bool:
-    """Bounded verdict on a singular line: 2*deg + 1 witness points, from its
-    crossings with the other contained lines, then from line searches at
-    the probe points."""
-    need = 2 * factor.degree() + 1
-    found = _crossings(ln, contained)
-    for t in _probe_parameters(factor.degree()):
-        if len(found) >= need:
-            break
-        pt = ln.point_at(t)
-        if pt in found:
-            continue
-        if any(o != ln for o in find_lines_through_point(factor, pt)):
-            found.add(pt)
-    return len(found) >= need
-
-
-def _tangent_pencil(f: Poly, ln: AffLine) -> list[Bivariate] | None:
-    """The tangent pencil along a contained line, on integers; None when
-    the gradient vanishes along the whole line (a singular line).  A line
-    off the surface, where the expansion's order-0 part is nonzero, raises
-    NotOnSurfaceError.
-
-    With the line's lattice data (D, B, s), X(t) = (B + t*D)/s runs over
-    the line, and F(y) = den*s^deg f*f(y/s) has integer coefficients.  The
-    full expansion of F(B + t*D + y) in y (_line_expansion) gives the
-    gradient of F along the line (its y-linear part) and every higher
-    Taylor part.  The tangent plane at X(t) is spanned by D and
-    W(t) = grad F x D, so a second line through X(t) has a direction
-    a*D + W(t).  The result is, for k = 2..deg f, the u^k coefficient
-    c_k(t, a) of F(B + t*D + u*(a*D + W(t))); the u^0 and u^1 coefficients
-    vanish since the line is contained.  c_k has a-degree at most k - 1.
-    """
-    if f.nvars != ln.dim:
-        raise ArityError("polynomial arity and line dimension differ")
-    _, dv, bv, s = ln.lattice
-    d = f.degree()
-    expansion, _ = _line_expansion(f, bv, dv, s, d)
-    if any(expansion.get((0, 0, 0), ())):
-        raise NotOnSurfaceError("line is not contained in the surface")
-    # the y^a coefficient of F(B + t*D + y) is a list in t; |a| = 1 gives grad F
-    zero = [0] * d
-    grad = [expansion.get(a, zero) for a in _UNITS]
-    cross: list[Bivariate] = []
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        w = [x * dv[k] - y * dv[j] for x, y in zip(grad[j], grad[k])]
-        cross.append({(m, 0): x for m, x in enumerate(w) if x})
-    if not any(cross):
-        return None
-    # powers of the pencil direction a*D_i + W_i(t), coordinate by coordinate
-    dirs = [_zpowers({**w, (0, 1): v}, f.degree_in(i)) for i, (w, v) in enumerate(zip(cross, dv))]
-    return _forms_along(_term_maps(expansion), dirs, 2, d)
-
-
-def _pencil_has_common_factor(pencil: list[Bivariate]) -> bool:
-    """Whether the c_k share a factor of positive degree in a over Q(t):
-    then infinitely many points of the line carry a second line.
-
-    If every c_k vanishes, every direction works.  Otherwise a certificate
-    at a few integers t0 usually settles the common case: when some
-    c_k(t0, .) keeps its a-degree and the c_j(t0, .) have a constant gcd,
-    no common factor exists, since its leading coefficient in a divides
-    that of c_k and so the factor would survive at t0.  Lines without such
-    a point take the exact bivariate gcd.
-    """
-    cs = [c for c in pencil if c]
-    if not cs:
-        return True
-    degrees = [max(j for _, j in c) for c in cs]
-    if min(degrees) == 0:
-        return False
-    if len(cs) == 1:
-        return True
-    for t0 in (1, -1, 2, -2):
-        at = []
-        for c, dg in zip(cs, degrees):
-            row = [0] * (dg + 1)
-            for (i, j), x in c.items():
-                row[dg - j] += x * t0**i
-            at.append(row)
-        if not any(row[0] for row in at):
-            continue
-        rows = [row[next(i for i, x in enumerate(row) if x) :] for row in at if any(row)]
-        g = rows[0]
-        for row in rows[1:]:
-            g = univariate_gcd(g, row)
-            if len(g) == 1:
-                return False
-    g = Poly.zero(2)
-    for c in cs:
-        g = poly_gcd(g, Poly(2, {e: Fraction(x) for e, x in c.items()}))
-        if g.degree_in(1) == 0:
-            return False
-    return True
-
-
-class GeneratorCount(NamedTuple):
-    """Number of family lines through a point, with the contained-line variant."""
-
-    lam: int
-    lam_star: int
-
-
-def lambda_counts(
-    factor: Poly,
-    p: Sequence,
-    lines: Sequence[AffLine],
-    exceptional: Sequence[AffLine] = (),
-    apex: Sequence | None = None,
-) -> GeneratorCount:
-    """Count non-exceptional contained family lines through p.
-
-    At the apex of a cone the count is defined as zero: every generator
-    passes through it, so it carries no information.
-    """
-    pt = to_vec(p)
-    if apex is not None and pt == to_vec(apex):
-        return GeneratorCount(0, 0)
-    exc = set(exceptional)
-    lam = 0
-    for ln in lines:
-        if ln in exc:
-            continue
-        if incidence_point_line(pt, ln) and line_on_surface(factor, ln):
-            lam += 1
-    return GeneratorCount(lam, max(0, lam - 1))
-
-
-class FirstflipReport(NamedTuple):
-    contained: bool
-    total: int
-    bound: int
-    ok: bool
-    points: tuple[Vec, ...]
-
-
-def check_firstflip(
-    factor: Poly,
-    ln: AffLine,
-    lines: Sequence[AffLine],
-    exceptional: Sequence[AffLine],
-    apex: Sequence | None = None,
-) -> FirstflipReport:
-    """Generator-count sum along one probe line against the factor degree.
-
-    For a probe line not inside the factor the plain counts are summed over
-    its intersection points with the family; for a contained probe line each
-    count drops by one (the line itself rules through those points).  The
-    sum is bounded by the factor degree; exceptional probe lines are
-    rejected since the inequality says nothing about them.  exceptional
-    holds the family's exceptional lines (exceptional_lines), computed
-    once by the caller for all its probes.
-    """
-    d = factor.degree()
-    family = [l for l in lines if line_on_surface(factor, l)]
-    if ln in exceptional:
-        raise ExceptionalLineError("generator-count sums are undefined on exceptional lines")
-    contained = line_on_surface(factor, ln)
-    points = _crossings(ln, family)
-    total = 0
-    all_lines = list(family)
-    if contained and ln not in all_lines:
-        all_lines.append(ln)
-    for pt in points:
-        counts = lambda_counts(factor, pt, all_lines, exceptional, apex)
-        total += counts.lam_star if contained else counts.lam
-    ordered = tuple(sorted(points))
-    return FirstflipReport(
-        contained=contained,
-        total=total,
-        bound=d,
-        ok=total <= d,
-        points=ordered,
-    )

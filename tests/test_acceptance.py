@@ -45,11 +45,10 @@ from incgeo.linespace import (
 )
 from incgeo.poly import divides, variables
 from incgeo.projection import project_to_3space
+from incgeo.exceptional import check_firstflip, exceptional_lines
 from incgeo.surfaces import (
     Verdict,
-    check_firstflip,
     classify_component,
-    exceptional_lines,
     flecnode_polynomial,
     ruled_indicator,
 )

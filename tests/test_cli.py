@@ -16,7 +16,7 @@ import pytest
 from incgeo.cli import main
 from incgeo.forge import build_instance
 from incgeo.incidence import count_incidences
-from incgeo.instfile import IncidenceInstance, load_instance, save_instance
+from incgeo.instfile import MAX_DIM, IncidenceInstance, load_instance, save_instance
 from incgeo.poly import variables
 from incgeo.surfaces import Surface
 
@@ -174,6 +174,14 @@ class TestVerify:
         assert code == 1
         assert "within constant 0.001: no" in out
 
+    @pytest.mark.parametrize("constant", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("planes", [False, True])
+    def test_meaningless_constant_exits_two(self, product_file, capsys, constant, planes):
+        argv = ["verify", str(product_file), "--constant", constant] + ["--planes"] * planes
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "bound constant must be a positive finite number" in err
+
     def test_surfaceless_needs_degree(self, tmp_path, capsys):
         path = tmp_path / "lift.json"
         run(capsys, "gen", "--kind", "regulus", "--lines", "6", "--points", "9",
@@ -210,16 +218,18 @@ def product500(tmp_path_factory):
     "command, calls", [("verify", 999), ("flecnode", 999), ("incidence", 1500), ("classify", 1500)]
 )
 def test_containment_stops_at_the_first_owner(product500, monkeypatch, capsys, command, calls):
-    import incgeo.instfile as instfile
+    import incgeo.linespace as linespace
 
     tested = []
-    line_on_surface = instfile.line_on_surface
+    line_on_surface = linespace.line_on_surface
 
+    # instfile imports the test where it runs it; only its calls are counted
     def counted(f, ln):
-        tested.append(ln)
+        if sys._getframe(1).f_globals["__name__"] == "incgeo.instfile":
+            tested.append(ln)
         return line_on_surface(f, ln)
 
-    monkeypatch.setattr(instfile, "line_on_surface", counted)
+    monkeypatch.setattr(linespace, "line_on_surface", counted)
     code, _, _ = run(capsys, command, str(product500))
     assert code == 0
     assert len(tested) == calls
@@ -255,6 +265,28 @@ class TestErrorPaths:
         code, out, err = run(capsys, "project", str(path), "-o", str(out_path))
         assert (code, out) == (2, "")
         assert "has dim 3, not 6" in err
+        assert not out_path.exists()
+
+    def test_dimension_above_the_cap_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "wide.json"
+        dim = MAX_DIM + 1
+        line = {"base": ["0"] * dim, "dir": ["1"] + ["0"] * (dim - 1)}
+        path.write_text(json.dumps(
+            {"dim": dim, "surface": None, "points": [["0"] * dim], "lines": [line]}
+        ), encoding="utf-8")
+        code, out, err = run(capsys, "project", str(path), "-o", str(tmp_path / "out.json"))
+        assert (code, out) == (2, "")
+        assert f"dimension {dim} exceeds the cap {MAX_DIM}" in err
+
+    def test_lift_above_the_cap_exits_two_fast(self, tmp_path, capsys):
+        # without the cap the lift took 6 s at dim 96, in the rank of its matrix
+        out_path = tmp_path / "wide.json"
+        started = time.perf_counter()
+        code, out, err = run(capsys, "gen", "--kind", "cone", "--lines", "3", "--points", "3",
+                             "--dim", "1000", "-o", str(out_path))
+        assert (code, out) == (2, "")
+        assert f"exceeds the cap {MAX_DIM}" in err
+        assert time.perf_counter() - started < 1.0
         assert not out_path.exists()
 
     def test_unreadable_file(self, tmp_path, capsys):

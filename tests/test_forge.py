@@ -17,7 +17,7 @@ from incgeo.forge import (
     place_points,
 )
 from incgeo.incidence import count_incidences, max_lines_per_flat, verify_bound
-from incgeo.instfile import IncidenceInstance
+from incgeo.instfile import MAX_DIM, IncidenceInstance
 from incgeo.linespace import AffLine, incidence_point_line, line_on_surface
 
 F = Fraction
@@ -146,6 +146,13 @@ class TestLiftToDim:
         inst = build_instance("cone", 3, 4, seed=0)
         with pytest.raises(DomainError):
             lift_to_dim(inst.points, inst.lines, 2, seed=0)
+
+    def test_dimension_cap(self):
+        inst = build_instance("cone", 3, 4, seed=0)
+        pts, lns = lift_to_dim(inst.points, inst.lines, MAX_DIM, seed=0)
+        assert {len(p) for p in pts} == {ln.dim for ln in lns} == {MAX_DIM}
+        with pytest.raises(DomainError, match=f"dimension {MAX_DIM + 1} exceeds the cap"):
+            lift_to_dim(inst.points, inst.lines, MAX_DIM + 1, seed=0)
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ArityError):

@@ -8,6 +8,7 @@ from incgeo.errors import ParseError
 from incgeo.forge import build_instance
 from incgeo.instfile import (
     MAX_DEGREE,
+    MAX_DIM,
     MAX_TERMS,
     IncidenceInstance,
     dumps_instance,
@@ -151,6 +152,14 @@ class TestInstanceFiles:
     def test_rejects_malformed_instances(self, obj):
         with pytest.raises(ParseError):
             obj_to_instance(obj)
+
+    def test_dimension_cap(self):
+        def obj(dim):
+            return {"dim": dim, "surface": None, "points": [["0"] * dim], "lines": []}
+
+        assert obj_to_instance(obj(MAX_DIM)).dim == MAX_DIM
+        with pytest.raises(ParseError, match=f"dimension {MAX_DIM + 1} exceeds the cap"):
+            obj_to_instance(obj(MAX_DIM + 1))
 
     def test_surface_must_pair_with_dim_three(self):
         inst = build_instance("cone", 3, 4, seed=0)

@@ -86,9 +86,12 @@ def bare_loads_dataclasses() -> bool:
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("loading")
-    paths = {name: str(root / f"{name}.json") for name in ("cone", "lifted", "back")}
+    paths = {name: str(root / f"{name}.json") for name in ("cone", "fermat", "lifted", "back")}
     assert main(["gen", "--kind", "cone", "--lines", "6", "--points", "12", "--seed", "1",
                  "-o", paths["cone"]]) == 0
+    # a line-free surface file that is not ruled, as every flecnode_cubics benchmark input
+    assert main(["gen", "--kind", "fermat", "--lines", "0", "--points", "0",
+                 "-o", paths["fermat"]]) == 0
     assert main(["gen", "--kind", "product", "--lines", "10", "--points", "16", "--seed", "5",
                  "--dim", "6", "-o", paths["lifted"]]) == 0
     assert main(["project", paths["lifted"], "--seed", "2", "-o", paths["back"]]) == 0
@@ -108,15 +111,17 @@ def test_help_loads_only_the_front_end(bare_loads_dataclasses):
         (("project", "{lifted}", "--seed", "2", "-o", "{out}"), {"poly", "surfaces"}),
         (("verify", "--degree", "7", "{back}"), {"poly", "surfaces"}),
         (("incidence", "{back}"), {"poly", "surfaces"}),
-        (("verify", "{cone}"), {"surfaces", "projection", "forge"}),
-        (("classify", "{cone}"), {"incidence", "projection", "forge"}),
-        (("flecnode", "{cone}"), {"incidence", "projection", "forge"}),
+        (("verify", "{cone}"), {"surfaces", "exceptional", "projection", "forge"}),
+        (("classify", "{cone}"), {"exceptional", "incidence", "projection", "forge"}),
+        (("flecnode", "{cone}"), {"exceptional", "incidence", "projection", "forge"}),
         (("incidence", "{cone}"), {"projection", "forge"}),
+        (("classify", "{fermat}"), {"linespace", "exceptional", "incidence", "projection", "forge"}),
+        (("flecnode", "{fermat}"), {"linespace", "exceptional", "incidence", "projection", "forge"}),
         (("gen", "--kind", "cone", "--lines", "3", "--points", "3", "-o", "{out}"),
          {"surfaces", "incidence", "projection"}),
     ],
     ids=["project", "verify-degree", "incidence-surfaceless", "verify-surface", "classify",
-         "flecnode", "incidence", "gen"],
+         "flecnode", "incidence", "classify-line-free", "flecnode-line-free", "gen"],
 )
 def test_each_subcommand_loads_only_what_it_runs(
     files, tmp_path, bare_loads_dataclasses, argv, absent
@@ -127,6 +132,12 @@ def test_each_subcommand_loads_only_what_it_runs(
     assert code == 0
     assert not modules & absent
     assert bare_loads_dataclasses or not dataclasses_loaded
+
+
+def test_incidence_loads_the_exceptional_lines(files):
+    code, modules, _ = loaded_by("incidence", files["cone"])
+    assert code == 0
+    assert {"surfaces", "exceptional", "linespace"} <= modules
 
 
 def test_importing_the_package_loads_no_module():

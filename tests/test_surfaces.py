@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from incgeo import surfaces
+from incgeo import exceptional, surfaces
 from incgeo.errors import (
     ArityError,
     DegreeError,
@@ -47,16 +47,18 @@ from incgeo.poly import (
     restrict_to_line,
     variables,
 )
+from incgeo.exceptional import (
+    check_firstflip,
+    exceptional_lines,
+    find_lines_through_point,
+    lambda_counts,
+)
 from incgeo.surfaces import (
     ClassificationResult,
     Surface,
     Verdict,
-    check_firstflip,
     classify_component,
-    exceptional_lines,
-    find_lines_through_point,
     flecnode_polynomial,
-    lambda_counts,
     ruled_indicator,
     symmetric_inertia,
 )
@@ -150,13 +152,13 @@ def test_intersection_multiplicity_contained_line():
 
 
 def test_singular_line_of_ruled_cubic():
-    assert surfaces._tangent_pencil(RULED_CUBIC, Z_AXIS) is None
-    assert surfaces._tangent_pencil(RULED_CUBIC, cubic_generator(2)) is not None
+    assert exceptional._tangent_pencil(RULED_CUBIC, Z_AXIS) is None
+    assert exceptional._tangent_pencil(RULED_CUBIC, cubic_generator(2)) is not None
 
 
 def test_singular_line_requires_containment():
     with pytest.raises(NotOnSurfaceError):
-        surfaces._tangent_pencil(SPHERE, Z_AXIS)
+        exceptional._tangent_pencil(SPHERE, Z_AXIS)
 
 
 # -- flecnode witness
@@ -561,7 +563,7 @@ def test_classify_makes_no_pair_relation(monkeypatch):
     def refuse(a, b):
         raise AssertionError("classify_component related a pair of lines")
 
-    monkeypatch.setattr(surfaces, "line_relation", refuse)
+    monkeypatch.setattr(exceptional, "line_relation", refuse)
     hints = [cubic_generator(c) for c in (1, -1, 2, -2)] + [Z_AXIS]
     assert classify_component(RULED_CUBIC, hint_lines=hints).verdict is Verdict.SINGLY_RULED
 
@@ -984,7 +986,7 @@ def test_exceptional_line_of_ruled_cubic():
 
 def uncapped_exceptional(f: Poly, family) -> list[AffLine]:
     """exceptional_lines without its cap of two, for doubly ruled factors."""
-    return [ln for ln in family if surfaces._is_exceptional(f, ln, family)]
+    return [ln for ln in family if exceptional._is_exceptional(f, ln, family)]
 
 
 def test_exceptional_lines_cone_generators_are_not():
@@ -1007,12 +1009,12 @@ def test_exceptional_scan_relates_only_singular_lines(monkeypatch):
         related.append((a, b))
         return line_relation(a, b)
 
-    def counted_search(f, p, bound=surfaces.DENOMINATOR_BOUND):
+    def counted_search(f, p, bound=exceptional.DENOMINATOR_BOUND):
         searched.append(tuple(p))
         return find_lines_through_point(f, p, bound)
 
-    monkeypatch.setattr(surfaces, "line_relation", counted_relation)
-    monkeypatch.setattr(surfaces, "find_lines_through_point", counted_search)
+    monkeypatch.setattr(exceptional, "line_relation", counted_relation)
+    monkeypatch.setattr(exceptional, "find_lines_through_point", counted_search)
     fam = cubic_family()
     assert exceptional_lines(RULED_CUBIC, fam) == [Z_AXIS]
     # the singular axis is related once with each other line; no pair of
@@ -1033,7 +1035,7 @@ def reference_exceptional_among(factor: Poly, contained: frozenset[AffLine]) -> 
     """The exceptional lines of a contained family; whether a line is
     exceptional depends on the family as a set, not on its order."""
     need = 2 * factor.degree() + 1
-    probes = surfaces._probe_parameters(factor.degree())
+    probes = exceptional._probe_parameters(factor.degree())
     witnesses: dict[AffLine, set] = {ln: set() for ln in contained}
     for a, b in itertools.combinations(contained, 2):
         rel = line_relation(a, b)
@@ -1076,8 +1078,8 @@ def _small_meetings(g: Poly, cs) -> int:
     generator's direction (0, 1, g(t)) fits the search box."""
     d = max(g.degree() + 1, 1)
     probes = {
-        t for t in surfaces._probe_parameters(d)
-        if abs(g.eval((t, 0, 0))) <= surfaces.DENOMINATOR_BOUND
+        t for t in exceptional._probe_parameters(d)
+        if abs(g.eval((t, 0, 0))) <= exceptional.DENOMINATOR_BOUND
     }
     return len(probes | {Fraction(c) for c in cs})
 
@@ -1191,11 +1193,11 @@ def test_tangent_pencil_matches_substitution(case):
     f, ln = case
     if f.is_zero:
         return
-    pencil = surfaces._tangent_pencil(f, ln)
+    pencil = exceptional._tangent_pencil(f, ln)
     expected = reference_pencil_verdict(f, ln)
     assert (pencil is None) == (expected is None) == reference_is_singular_line(f, ln)
     if pencil is not None:
-        assert surfaces._pencil_has_common_factor(pencil) == expected
+        assert exceptional._pencil_has_common_factor(pencil) == expected
         assert all(max((j for _, j in c), default=0) <= k + 1 for k, c in enumerate(pencil))
 
 
@@ -1207,7 +1209,7 @@ def test_tangent_pencil_matches_substitution(case):
 
 
 def is_singular_line(f: Poly, ln: AffLine) -> bool:
-    return surfaces._tangent_pencil(f, ln) is None
+    return exceptional._tangent_pencil(f, ln) is None
 
 
 def reference_is_singular_line(f: Poly, ln: AffLine) -> bool:
@@ -1295,7 +1297,7 @@ def test_pencil_certificate_matches_the_exact_gcd(cs):
     g = Poly.zero(2)
     for c in cs:
         g = poly_gcd(g, Poly(2, {e: Fraction(x) for e, x in c.items()}))
-    assert surfaces._pencil_has_common_factor(cs) == (g.is_zero or g.degree_in(1) > 0)
+    assert exceptional._pencil_has_common_factor(cs) == (g.is_zero or g.degree_in(1) > 0)
 
 
 @pytest.mark.parametrize("g", [X**3 + 2 * X, X**5 + 2 * X], ids=["x3", "x5"])
