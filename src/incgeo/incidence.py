@@ -14,8 +14,9 @@ and the meeting counts off the instance, check the structural caps and
 evaluate the closed-form bounds.  count_incidences is the exhaustive
 reference count.  Bound evaluation is the only place floats appear;
 everything combinatorial is exact.  Only the decomposition reads
-surfaces and exceptional, which it imports when it runs, so counting and
-the bounds load no surface analysis.
+surfaces, which it imports when it runs, and exceptional, which it
+imports only for a singly ruled factor, so counting and the bounds load
+no surface analysis.
 """
 
 from __future__ import annotations
@@ -52,8 +53,9 @@ def max_lines_per_flat(lines: Sequence[AffLine]) -> int:
         raise DomainError("instance lines must be distinct")
     if not lines:
         return 0
+    lattices = [ln.lattice for ln in lines]
     return 1 + max(
-        (len(group) for groups, _ in coplanar_partners(lines) for group in groups), default=0
+        (len(group) for groups, _ in coplanar_partners(lattices) for group in groups), default=0
     )
 
 
@@ -97,7 +99,6 @@ class Decomposition(NamedTuple):
 
 def decompose_lines(inst: IncidenceInstance) -> Decomposition:
     """Classify the surface factors and split the line family into L0 and L1."""
-    from .exceptional import exceptional_lines
     from .surfaces import RULED_VERDICTS, Verdict, classify_component
 
     surface = inst.surface
@@ -123,6 +124,8 @@ def decompose_lines(inst: IncidenceInstance) -> Decomposition:
         if r.verdict is Verdict.CONE and r.apex is not None:
             apexes[i] = r.apex
         if r.verdict is Verdict.SINGLY_RULED:
+            from .exceptional import exceptional_lines
+
             found = set(exceptional_lines(surface.factors[i], lines_of[i]))
             exceptional[i] = tuple(j for j in per_factor[i] if inst.lines[j] in found)
 

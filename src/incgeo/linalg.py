@@ -35,10 +35,6 @@ def vec_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def is_zero_vec(a: Sequence[Fraction]) -> bool:
-    return all(x == 0 for x in a)
-
-
 def rref(rows: Sequence[Sequence[Fraction]]) -> list[Vec]:
     """Reduced row echelon form; zero rows dropped."""
     m = [list(r) for r in rows]

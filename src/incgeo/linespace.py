@@ -8,14 +8,21 @@ of a line in a surface (the one question that loads poly).  An instance's
 two pairwise relations are built here, one pass each: incidence_relation
 (point-line) and coplanar_partners (line-line).
 
-Every point-line and line-line question runs on integers.  A line caches
-its pivot k, integer direction D (D[k] > 0) and integer base B with scale
-s, so direction = D/D[k] and base = B/s.  A point P/q lies on it iff
-s*(P_i*D_k - P_k*D_i) = q*D_k*B_i for every i.  Line b meets line a iff
-b's direction and base offset, reduced against a's pivot, are
-proportional; the reduced vector, primitive with positive lead entry,
-keys the 2-flat they span.  coplanar_triple, by exact rank, stays the
-reference predicate for three lines.
+Every point-line and line-line question runs on integers.  A point is its
+scaled pair (P, q): P integer, q > 0 and gcd 1, so the point is P/q.  A
+line is its lattice (k, D, B, s): the pivot k, the primitive integer
+direction D with D[k] > 0 and the integer base B with scale s, so
+direction = D/D[k] and base = B/s, with B[k] = 0.  Both forms are
+canonical, so equal points and equal lines have equal tuples.  A point P/q
+lies on a line iff s*(P_i*D_k - P_k*D_i) = q*D_k*B_i for every i.  In any
+dimension, line b meets line a iff b's direction and base offset, reduced
+against a's pivot, are proportional; the reduced vector, primitive with
+positive lead entry, keys the 2-flat they span.  In R^3 one cross product
+decides the pair instead: with n = D_a x D_b, the lines are coplanar iff n
+is orthogonal to s_a*B_b - s_b*B_a, and for parallel lines n is D_a
+crossed with that offset; the primitive normal keys their plane.
+coplanar_triple, by exact rank, stays the reference predicate for three
+lines.
 
 Plucker coordinates of lines in P^3 use these conventions:
 
@@ -124,6 +131,8 @@ def klein_form(a: Vec, b: Vec) -> Fraction:
 
 # (pivot, integer direction, integer base, base scale) of an AffLine
 Lattice = tuple[int, tuple[int, ...], tuple[int, ...], int]
+# (integer numerators, common denominator) of a point
+Scaled = tuple[tuple[int, ...], int]
 
 
 class RelationKind(Enum):
@@ -200,13 +209,13 @@ class AffLine:
         return tuple(b + tf * d for b, d in zip(self.base, self.direction))
 
 
-def _scaled(v: Vec) -> tuple[tuple[int, ...], int]:
+def _scaled(v: Vec) -> Scaled:
     """(V, q) with v = V/q: q is the lcm of v's denominators, V integer."""
     q = lcm(*(c.denominator for c in v))
     return tuple(c.numerator * (q // c.denominator) for c in v), q
 
 
-def _on_lattice(point: tuple[tuple[int, ...], int], lattice: Lattice) -> bool:
+def _on_lattice(point: Scaled, lattice: Lattice) -> bool:
     """Whether the scaled point (P, q) lies on the line with this lattice
     data, stopping at the first mismatch."""
     pv, q = point
@@ -227,16 +236,18 @@ def incidence_point_line(point: Sequence, ln: AffLine) -> bool:
     return _on_lattice(_scaled(pv), ln.lattice)
 
 
+def _incidences(points: Sequence[Scaled], lines: Sequence[Lattice]) -> tuple[tuple[int, ...], ...]:
+    """For each scaled point, the ascending indices of the lattices through
+    it; each point-line pair is tested once."""
+    return tuple(tuple(j for j, lat in enumerate(lines) if _on_lattice(pt, lat)) for pt in points)
+
+
 def incidence_relation(points: Sequence[Vec], lines: Sequence[AffLine]) -> tuple[tuple[int, ...], ...]:
     """For each point, the ascending indices of the lines through it; each
     point is scaled to integers once and each point-line pair tested once."""
     if len({len(p) for p in points} | {ln.dim for ln in lines}) > 1:
         raise ArityError("point and line dimensions differ")
-    lattices = [ln.lattice for ln in lines]
-    return tuple(
-        tuple(j for j, lat in enumerate(lattices) if _on_lattice(pt, lat))
-        for pt in map(_scaled, points)
-    )
+    return _incidences([_scaled(p) for p in points], [ln.lattice for ln in lines])
 
 
 def _flat_key(v: list[int]) -> tuple[int, ...]:
@@ -248,10 +259,10 @@ def _flat_key(v: list[int]) -> tuple[int, ...]:
 
 
 def _pair(
-    a: AffLine, b: AffLine
+    a: Lattice, b: Lattice
 ) -> tuple[RelationKind, tuple[int, ...] | None, tuple[int, int] | None]:
-    """How b sits against a, from b's direction and b.base - a.base reduced
-    against a, all in integers.
+    """How line b sits against line a, given their lattices, from b's
+    direction and b's base minus a's reduced against a, all in integers.
 
     Returns the kind; for coplanar distinct lines, the key of the 2-flat
     they span among the flats through a (the reduced direction, or for
@@ -260,28 +271,60 @@ def _pair(
     and nonzero denominator of the s with b.point_at(s) on a, left for
     line_relation to reduce, as coplanar_partners never reads it.
     """
-    k, da, ba, sa = a.lattice
-    kb, db, bb, sb = b.lattice
+    k, da, ba, sa = a
+    kb, db, bb, sb = b
     if len(da) != len(db):
         raise ArityError("lines live in different dimensions")
     dk = da[k]
     # sa*sb*dk times the reduced offset; zero at k, where a's base is 0
     wk = bb[k] * sa
-    offset = [(y * sa - x * sb) * dk - wk * d for x, y, d in zip(ba, bb, da)]
     if da == db:  # primitive with positive pivot entry, so equal iff parallel
+        offset = [(y * sa - x * sb) * dk - wk * d for x, y, d in zip(ba, bb, da)]
         if not any(offset):
             return RelationKind.EQUAL, None, None
         return RelationKind.PARALLEL, _flat_key(offset), None
-    # db[kb]*dk times the reduced direction; nonzero, as the directions differ
+    # db[kb]*dk times the reduced direction is the turn; it is nonzero, as
+    # the directions differ.  b meets a iff offset + s*turn = 0 for some s,
+    # tested entry by entry, so most skew pairs stop within a few entries.
     tk = db[k]
-    turn = [c * dk - tk * d for c, d in zip(db, da)]
-    j = next(i for i, c in enumerate(turn) if c)
-    tj, oj = turn[j], offset[j]
-    # b meets a iff offset + s*turn = 0 for some s
-    for t, o in zip(turn, offset):
-        if o * tj != oj * t:
+    tj = oj = 0
+    for x, y, d, c in zip(ba, bb, da, db):
+        t = c * dk - tk * d
+        o = (y * sa - x * sb) * dk - wk * d
+        if tj:
+            if o * tj != oj * t:
+                return RelationKind.SKEW, None, None
+        elif t:
+            tj, oj = t, o
+        elif o:
             return RelationKind.SKEW, None, None
+    turn = [c * dk - tk * d for c, d in zip(db, da)]
     return RelationKind.INTERSECTING, _flat_key(turn), (-oj * db[kb], sa * sb * tj)
+
+
+def _plane_pair(a: Lattice, b: Lattice) -> tuple[RelationKind, tuple[int, ...] | None, None]:
+    """_pair for two lines of R^3, by one cross product and one dot product;
+    the key of their plane is its primitive normal with positive lead
+    entry, and no intersection parameter is returned."""
+    _, (ax, ay, az), ba, sa = a
+    _, (bx, by, bz), bb, sb = b
+    # sa*sb times b's base minus a's
+    ox, oy, oz = (y * sa - x * sb for x, y in zip(ba, bb))
+    nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+    if nx or ny or nz:
+        if nx * ox + ny * oy + nz * oz:
+            return RelationKind.SKEW, None, None
+        kind = RelationKind.INTERSECTING
+    elif ox or oy or oz:
+        # parallel directions are equal, and the normal is d x offset
+        kind = RelationKind.PARALLEL
+        nx, ny, nz = ay * oz - az * oy, az * ox - ax * oz, ax * oy - ay * ox
+    else:  # equal directions and, both slid to 0 at the pivot, equal bases
+        return RelationKind.EQUAL, None, None
+    g = gcd(nx, ny, nz)
+    if (nx or ny or nz) < 0:
+        g = -g
+    return kind, (nx // g, ny // g, nz // g), None
 
 
 def line_relation(l1: AffLine, l2: AffLine) -> LineRelation:
@@ -290,7 +333,7 @@ def line_relation(l1: AffLine, l2: AffLine) -> LineRelation:
     Parallel means equal directions but distinct lines; intersecting
     returns the unique common point.  Works in any ambient dimension.
     """
-    kind, _, s = _pair(l1, l2)
+    kind, _, s = _pair(l1.lattice, l2.lattice)
     return LineRelation(kind, None if s is None else l2.point_at(Fraction(*s)))
 
 
@@ -308,15 +351,17 @@ def coplanar_triple(l1: AffLine, l2: AffLine, l3: AffLine) -> bool:
     return linalg.rank(rows) <= 2
 
 
-def coplanar_partners(lines: Sequence[AffLine]) -> Iterator[tuple[list[list[int]], list[int]]]:
-    """For each line a, in order: the indices of its later coplanar
-    partners, grouped by the 2-flat they span with a, and of its later
-    equal lines.  Each unordered pair is tested once."""
+def coplanar_partners(lines: Sequence[Lattice]) -> Iterator[tuple[list[list[int]], list[int]]]:
+    """For each line a, given by its lattice, in order: the indices of its
+    later coplanar partners, grouped by the 2-flat they span with a, and of
+    its later equal lines.  Each unordered pair is tested once, in R^3 by
+    _plane_pair and otherwise by _pair."""
+    relate = _plane_pair if lines and len(lines[0][1]) == 3 else _pair
     for i, a in enumerate(lines):
         groups: defaultdict[tuple[int, ...], list[int]] = defaultdict(list)
         equal: list[int] = []
         for j in range(i + 1, len(lines)):
-            kind, key, _ = _pair(a, lines[j])
+            kind, key, _ = relate(a, lines[j])
             if key is not None:
                 groups[key].append(j)
             elif kind is RelationKind.EQUAL:

@@ -2,21 +2,30 @@
 
 One projection step removes one dimension: a rational direction w is
 sampled, and the map keeps the coordinates v_i - (w_i / w_j) v_j for i
-different from the pivot j, which is linear with kernel spanned by w.  A
-step is accepted only if it provably changes nothing combinatorial: points
-stay distinct, lines stay distinct and none collapses, the incidence
-relation is preserved pair for pair, and non-coplanar line triples stay
-non-coplanar.  Failed samples are retried against a fixed budget, so the
-output carries a certificate rather than a probabilistic promise.
+different from the pivot j (the first entry of largest magnitude), which
+is linear with kernel spanned by w.  A step is accepted only if it provably
+changes nothing combinatorial: points stay distinct, lines stay distinct
+and none collapses, the incidence relation is preserved pair for pair, and
+non-coplanar line triples stay non-coplanar.  Failed samples are retried
+against a fixed budget, so the output carries a certificate rather than a
+probabilistic promise.
 
-Both pairwise relations come from linespace's integer kernel, on both
-sides of the certificate; the growing denominators of projected
-coordinates only lengthen its integers.  The triple check costs
-O(n^2) pair tests, not O(n^3) triple tests: three projected lines share a
-2-flat only if each two of them do, so only triples inside one group of
-linespace.coplanar_partners are tested exactly on the original side.  The
-original incidence relation is built once and handed to is_generic: each
-accepted step certifies that it did not change.
+Every step runs on integers, in linespace's canonical forms: a point is its
+scaled pair (P, q) and a line its lattice (k, D, B, s).  The direction is
+scaled to an integer W, so the image of P/q is (P_i*W_j - W_i*P_j)/(q*W_j),
+reduced to lowest terms; a line's direction and base map the same way and
+are put back in canonical form.  Fractions and AffLines are built once,
+after the last accepted step.
+
+Both pairwise relations come from linespace's integer kernels, on both
+sides of the certificate.  The triple check costs O(n^2) pair tests, not
+O(n^3) triple tests: three projected lines share a 2-flat only if each two
+of them do, so only triples inside one group of
+linespace.coplanar_partners are tested on the original side, and there
+from two pair relations through the first line: neither pair is skew, and
+either one is equal or both span the same flat.  The original incidence
+relation is built once and handed to is_generic: each accepted step
+certifies that it did not change.
 """
 
 from __future__ import annotations
@@ -24,11 +33,22 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import ArityError, CollapseError, DomainError, ResampleExhaustedError
-from .linalg import Vec, is_zero_vec, to_vec
-from .linespace import AffLine, coplanar_partners, coplanar_triple, incidence_relation
+from .linalg import Vec, to_vec
+from .linespace import (
+    AffLine,
+    Lattice,
+    RelationKind,
+    Scaled,
+    _flat_key,
+    _incidences,
+    _pair,
+    _scaled,
+    coplanar_partners,
+)
 
 SAMPLE_MAGNITUDE = 10**4
 MAX_RESAMPLES = 32
@@ -53,45 +73,60 @@ class GenericityCertificate(NamedTuple):
         )
 
 
-def _pivot_index(w: Vec) -> int:
+def _pivot_index(w: Sequence[int]) -> int:
     piv = max(range(len(w)), key=lambda i: abs(w[i]))
     if w[piv] == 0:
         raise DomainError("projection direction must be nonzero")
     return piv
 
 
-def project_vector(v: Sequence, w: Sequence) -> Vec:
-    """Image of one vector under the projection along w."""
-    vv, ww = to_vec(v), to_vec(w)
-    if len(vv) != len(ww):
-        raise ArityError("vector and direction disagree on dimension")
-    j = _pivot_index(ww)
-    ratio = [wi / ww[j] for wi in ww]
-    return tuple(vv[i] - ratio[i] * vv[j] for i in range(len(vv)) if i != j)
+def _reduced(v: list[int], q: int) -> Scaled:
+    """(V, q) over their gcd, with q > 0; q is nonzero."""
+    g = gcd(q, *v)
+    if q < 0:
+        g = -g
+    return tuple(c // g for c in v), q // g
 
 
 def project_once(
-    points: Sequence, lines: Sequence[AffLine], w: Sequence
-) -> tuple[list[Vec], list[AffLine]]:
-    """Project every point and line along w, dropping one dimension.
+    points: Sequence[Scaled], lines: Sequence[Lattice], w: Sequence[int]
+) -> tuple[list[Scaled], list[Lattice]]:
+    """Project every scaled point and line lattice along the integer
+    direction w, dropping one dimension.
 
     A line whose direction is proportional to w has no image line; that is
     a CollapseError rather than a silent degeneracy.
     """
-    ww = to_vec(w)
-    if len(ww) < 4:
+    dim = len(w)
+    if dim < 4:
         raise DomainError("projection below three dimensions is not meaningful")
-    out_points = [project_vector(p, ww) for p in points]
+    if any(len(pv) != dim for pv, _ in points) or any(len(lat[1]) != dim for lat in lines):
+        raise ArityError("instance and direction disagree on dimension")
+    j = _pivot_index(w)
+    wj = w[j]
+    rest = [(i, c) for i, c in enumerate(w) if i != j]
+
+    def image(v: Sequence[int]) -> list[int]:
+        vj = v[j]
+        return [v[i] * wj - c * vj for i, c in rest]
+
+    out_points = [_reduced(image(pv), q * wj) for pv, q in points]
     out_lines = []
-    for ln in lines:
-        direction = project_vector(ln.direction, ww)
-        if is_zero_vec(direction):
+    for _, dv, bv, s in lines:
+        d = image(dv)
+        if not any(d):
             raise CollapseError("a line is parallel to the projection direction")
-        out_lines.append(AffLine(project_vector(ln.base, ww), direction))
+        d = _flat_key(d)
+        k = next(i for i, c in enumerate(d) if c)
+        # the image of the base, slid along d to 0 at the new pivot k
+        b = image(bv)
+        dk, bk = d[k], b[k]
+        base, scale = _reduced([x * dk - bk * c for x, c in zip(b, d)], s * wj * dk)
+        out_lines.append((k, d, base, scale))
     return out_points, out_lines
 
 
-def _coplanar_triples(lines: Sequence[AffLine]) -> Iterator[tuple[int, int, int]]:
+def _coplanar_triples(lines: Sequence[Lattice]) -> Iterator[tuple[int, int, int]]:
     """Every index triple i < j < k whose lines lie in one 2-flat.
 
     Three lines share a 2-flat only if each two of them do, so such a triple
@@ -110,45 +145,69 @@ def _coplanar_triples(lines: Sequence[AffLine]) -> Iterator[tuple[int, int, int]
                     yield i, j, k
 
 
+def _noncoplanar_kept(lines: Sequence[Lattice], projected_lines: Sequence[Lattice]) -> bool:
+    """Whether every triple of lines that lies in one 2-flat after the
+    projection did so before it.
+
+    Lines i < j < k lie in one 2-flat iff neither j nor k is skew to i, and
+    one of them equals i or both span the same flat with i.  Each pair
+    through i is related once, on the original side, by _pair.
+    """
+    related: dict[tuple[int, int], tuple[RelationKind, tuple[int, ...] | None]] = {}
+
+    def against(i: int, j: int) -> tuple[RelationKind, tuple[int, ...] | None]:
+        if (i, j) not in related:
+            related[i, j] = _pair(lines[i], lines[j])[:2]
+        return related[i, j]
+
+    for i, j, k in _coplanar_triples(projected_lines):
+        (kind_j, key_j), (kind_k, key_k) = against(i, j), against(i, k)
+        if RelationKind.SKEW in (kind_j, kind_k):
+            return False
+        if RelationKind.EQUAL not in (kind_j, kind_k) and key_j != key_k:
+            return False
+    return True
+
+
 def is_generic(
-    points: Sequence[Vec],
-    lines: Sequence[AffLine],
+    points: Sequence[Scaled],
+    lines: Sequence[Lattice],
     lines_at: tuple[tuple[int, ...], ...],
-    projected_points: Sequence,
-    projected_lines: Sequence[AffLine],
+    projected_points: Sequence[Scaled],
+    projected_lines: Sequence[Lattice],
 ) -> GenericityCertificate:
     """Certify that a projection preserved the instance combinatorics.
 
-    lines_at is the original side's incidence relation, as
-    linespace.incidence_relation builds it.  The projected side's relation
+    Points are scaled pairs and lines lattices, on both sides.  lines_at is
+    the original side's incidence relation.  The projected side's relation
     is built here and compared pair for pair, so accidental new incidences
     are caught, not just lost ones.  A triple is tested on the original
     side only if its projected lines share a 2-flat: any other triple is
     non-coplanar after the projection, so it cannot have become coplanar.
     """
-    pts2 = [to_vec(p) for p in projected_points]
-    lines2 = list(projected_lines)
-    if len(points) != len(pts2) or len(lines) != len(lines2):
+    if len(points) != len(projected_points) or len(lines) != len(projected_lines):
         raise DomainError("projected instance has mismatched sizes")
     return GenericityCertificate(
-        points_distinct=len(set(pts2)) == len(set(points)) == len(points),
-        lines_distinct=len(set(lines2)) == len(set(lines)) == len(lines),
-        incidences_preserved=incidence_relation(pts2, lines2) == lines_at,
-        noncoplanar_triples_preserved=all(
-            coplanar_triple(lines[i], lines[j], lines[k]) for i, j, k in _coplanar_triples(lines2)
-        ),
+        points_distinct=len(set(projected_points)) == len(set(points)) == len(points),
+        lines_distinct=len(set(projected_lines)) == len(set(lines)) == len(lines),
+        incidences_preserved=_incidences(projected_points, projected_lines) == lines_at,
+        noncoplanar_triples_preserved=_noncoplanar_kept(lines, projected_lines),
         resamples_used=0,
     )
 
 
-def _sample_direction(rng: random.Random, dim: int) -> Vec:
-    return tuple(
-        Fraction(
-            rng.randint(-SAMPLE_MAGNITUDE, SAMPLE_MAGNITUDE),
-            rng.randint(1, SAMPLE_MAGNITUDE),
-        )
+def _sample_direction(rng: random.Random, dim: int) -> tuple[int, ...]:
+    """A direction with rational entries n/d, |n| <= SAMPLE_MAGNITUDE and
+    1 <= d <= SAMPLE_MAGNITUDE, scaled to a primitive integer vector (zero
+    when every n is)."""
+    draws = [
+        (rng.randint(-SAMPLE_MAGNITUDE, SAMPLE_MAGNITUDE), rng.randint(1, SAMPLE_MAGNITUDE))
         for _ in range(dim)
-    )
+    ]
+    scale = lcm(*(d for _, d in draws))
+    w = [n * (scale // d) for n, d in draws]
+    g = gcd(*w) or 1
+    return tuple(c // g for c in w)
 
 
 def project_to_3space(
@@ -175,29 +234,34 @@ def project_to_3space(
 
     rng = random.Random(seed)
     resamples = 0
-    # an accepted step preserves the incidence relation, so it is built once
-    lines_at = incidence_relation(pts, lns) if dim > 3 else ()
-    while dim > 3:
-        accepted = False
-        while not accepted:
+    if dim > 3:
+        scaled = [_scaled(p) for p in pts]
+        lattices = [ln.lattice for ln in lns]
+        # an accepted step preserves the incidence relation, so it is built once
+        lines_at = _incidences(scaled, lattices)
+        while dim > 3:
             w = _sample_direction(rng, dim)
             try:
-                if is_zero_vec(w):
+                if not any(w):
                     raise CollapseError("zero direction")
-                cand_pts, cand_lns = project_once(pts, lns, w)
-                cert = is_generic(pts, lns, lines_at, cand_pts, cand_lns)
+                cand_pts, cand_lns = project_once(scaled, lattices, w)
+                ok = is_generic(scaled, lattices, lines_at, cand_pts, cand_lns).ok
             except CollapseError:
-                cert = None
-            if cert is not None and cert.ok:
-                pts, lns = cand_pts, cand_lns
+                ok = False
+            if ok:
+                scaled, lattices = cand_pts, cand_lns
                 dim -= 1
-                accepted = True
             else:
                 resamples += 1
                 if resamples > max_resamples:
                     raise ResampleExhaustedError(
                         f"no generic projection direction within {max_resamples} resamples"
                     )
+        pts = [tuple(Fraction(c, q) for c in pv) for pv, q in scaled]
+        lns = [
+            AffLine([Fraction(c, s) for c in bv], [Fraction(c, dv[k]) for c in dv])
+            for k, dv, bv, s in lattices
+        ]
     final = GenericityCertificate(
         points_distinct=len(set(pts)) == len(pts),
         lines_distinct=len(set(lns)) == len(lns),

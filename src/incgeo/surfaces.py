@@ -450,10 +450,11 @@ def classify_component(factor: Poly, hint_lines: Sequence[AffLine] = ()) -> Clas
     complex ruledness in two steps: the witness restricted to a few fixed
     lines (_certified_not_ruled) settles "not ruled" without building it,
     and a factor that no line settles, every ruled one among them, takes
-    the full witness (ruled_indicator).  A cone verdict also needs an
-    exact apex (a point whose Taylor expansion is purely top-degree), found
-    or ruled out by one linear solve whatever the hint lines, and a singly
-    ruled verdict needs a real rational line as witness: a hint line on the
+    the full witness (ruled_indicator) unless it is a cone.  Every cone is
+    ruled, so an exact apex (a point whose Taylor expansion is purely
+    top-degree), found or ruled out by one linear solve before the witness
+    whatever the hint lines, settles the cone verdict.  A singly ruled
+    verdict needs a real rational line as witness: a hint line on the
     factor, else a bounded search.
     """
     d = factor.degree()
@@ -492,12 +493,13 @@ def classify_component(factor: Poly, hint_lines: Sequence[AffLine] = ()) -> Clas
 
     if _certified_not_ruled(factor):
         return ClassificationResult(Verdict.NOT_RULED_REAL, complex_ruled_indicated=False)
-    indication = ruled_indicator(factor)
-    if not indication.indicated:
-        return ClassificationResult(Verdict.NOT_RULED_REAL, complex_ruled_indicated=False)
+    # every cone is ruled, so its apex settles the verdict without the witness
     apex = _cone_apex(factor)
     if apex is not None:
         return ClassificationResult(Verdict.CONE, apex=apex, complex_ruled_indicated=True)
+    indication = ruled_indicator(factor)
+    if not indication.indicated:
+        return ClassificationResult(Verdict.NOT_RULED_REAL, complex_ruled_indicated=False)
     real_line = None
     if hint_lines:
         from .linespace import line_on_surface

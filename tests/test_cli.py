@@ -5,6 +5,7 @@ covers the installed console script. Reports must be byte-identical across
 repeated runs, so anything time-dependent is asserted to live on stderr.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -252,6 +253,32 @@ class TestProject:
         assert count_incidences(after.points, after.lines) == count_incidences(
             before.points, before.lines
         )
+
+
+    # sha256 of the written file, recorded with the Fraction projection step
+    # that the integer step replaced: the golden lifted file, and a cone
+    # lift in R^5 whose lines all meet at the apex
+    @pytest.mark.parametrize(
+        "kind, lines, points, seed, dim, project_seed, digest",
+        [
+            ("product", 10, 16, 5, 6, 2,
+             "c798558085696c0b71d3d4fb701396f929e7fe206c66faf854d5ace00a77c9ce"),
+            ("cone", 12, 30, 1, 5, 3,
+             "c9fc39992cf97ddef80ab9f1913d18da68d1c00186196b8c0a9f6ed29cac1276"),
+        ],
+        ids=["product-r6", "cone-r5"],
+    )
+    def test_projected_file_bytes_are_pinned(
+        self, tmp_path, capsys, kind, lines, points, seed, dim, project_seed, digest
+    ):
+        lifted, out_path = tmp_path / "lift.json", tmp_path / "proj.json"
+        code, _, _ = run(capsys, "gen", "--kind", kind, "--lines", str(lines), "--points", str(points),
+                         "--seed", str(seed), "--dim", str(dim), "-o", str(lifted))
+        assert code == 0
+        code, _, _ = run(capsys, "project", str(lifted), "--seed", str(project_seed),
+                         "-o", str(out_path))
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
 
 class TestErrorPaths:

@@ -217,22 +217,24 @@ def test_max_lines_per_flat_parallel_family():
 
 
 def test_max_lines_per_flat_classifies_each_pair_once(monkeypatch):
-    # one pair test per unordered pair, in the pass it shares with the
-    # projection certificate, and no line_relation call
+    # one pair test per unordered pair, by the R^3 cross-product kernel in
+    # the pass it shares with the projection certificate, and no _pair or
+    # line_relation call
     pair_tests, relations = [], []
-    pair = linespace._pair
+    plane_pair = linespace._plane_pair
 
     def counted(a, b):
         pair_tests.append(frozenset((a, b)))
-        return pair(a, b)
+        return plane_pair(a, b)
 
-    monkeypatch.setattr(linespace, "_pair", counted)
+    monkeypatch.setattr(linespace, "_plane_pair", counted)
+    monkeypatch.setattr(linespace, "_pair", lambda a, b: relations.append((a, b)))
     monkeypatch.setattr(linespace, "line_relation", lambda a, b: relations.append((a, b)))
     _, _, lines = product_instance()
     assert max_lines_per_flat(lines) == 3
     n = len(lines)
     assert len(pair_tests) == n * (n - 1) // 2
-    assert set(pair_tests) == {frozenset(pair) for pair in combinations(lines, 2)}
+    assert set(pair_tests) == {frozenset((a.lattice, b.lattice)) for a, b in combinations(lines, 2)}
     assert relations == []
 
 

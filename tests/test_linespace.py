@@ -17,14 +17,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from projref import project
+
 from incgeo.errors import ArityError, CollapseError, DegenerateLineError, DomainError
 from incgeo.forge import build_instance
-from incgeo.linalg import Vec, is_zero_vec, rank, to_vec, vec_sub
+from incgeo.linalg import Vec, rank, to_vec, vec_sub
 from incgeo.linespace import (
     AffLine,
     LineRelation,
     ProjPoint,
     RelationKind,
+    _pair,
+    _plane_pair,
     coplanar_partners,
     coplanar_triple,
     incidence_point_line,
@@ -34,7 +38,7 @@ from incgeo.linespace import (
     line_relation,
     plucker_from_points,
 )
-from incgeo.projection import project_once, project_to_3space
+from incgeo.projection import project_to_3space
 from incgeo.poly import variables
 
 X, Y, Z = variables(3)
@@ -335,7 +339,7 @@ def test_line_relation_agrees_with_rank(lines):
 @settings(max_examples=150, deadline=None)
 @given(line_families())
 def test_coplanar_groups_agree_with_rank(lines):
-    for i, (groups, equal) in enumerate(coplanar_partners(lines)):
+    for i, (groups, equal) in enumerate(coplanar_partners([ln.lattice for ln in lines])):
         a = lines[i]
         group_of = {j: g for g, group in enumerate(groups) for j in group}
         assert equal == [j for j in range(i + 1, len(lines)) if lines[j] == a]
@@ -402,7 +406,7 @@ def _relate(a: AffLine, pivot: int, b: AffLine) -> tuple[RelationKind, Vec | Non
         raise ArityError("lines live in different dimensions")
     offset = _reduce(vec_sub(b.base, a.base), a, pivot)
     if a.direction == b.direction:  # directions are canonical
-        if is_zero_vec(offset):
+        if not any(offset):
             return RelationKind.EQUAL, None, None
         lead = next(c for c in offset if c)
         return RelationKind.PARALLEL, tuple(c / lead for c in offset), None
@@ -462,7 +466,9 @@ def assert_kernel_matches_oracle(points, lines):
     for a in lines:
         for b in lines:
             assert line_relation(a, b) == oracle_line_relation(a, b)
-    assert list(coplanar_partners(lines)) == list(oracle_coplanar_partners(lines))
+    assert list(coplanar_partners([ln.lattice for ln in lines])) == list(
+        oracle_coplanar_partners(lines)
+    )
 
 
 WIDE_DENOMINATORS = (1, 1, 2, 3, 7, 12, 2**64 + 13, 3**41)
@@ -477,7 +483,7 @@ def test_kernel_matches_fraction_oracle(lines, seed):
 @settings(max_examples=60, deadline=None)
 @given(line_families((1, 2, 5), dims=(4, 6)), st.integers(0, 2**32))
 def test_kernel_matches_fraction_oracle_after_projection(lines, seed):
-    # one project_once step per dimension, along directions with nonzero
+    # one projection step per dimension, along directions with nonzero
     # 40-bit numerators and denominators, so the projected lines' entries
     # have denominators far above 2**64
     rng = random.Random(seed)
@@ -488,7 +494,7 @@ def test_kernel_matches_fraction_oracle_after_projection(lines, seed):
             for _ in range(lines[0].dim)
         ]
         try:
-            points, lines = project_once(points, lines, w)
+            points, lines = project(points, lines, w)
         except CollapseError:
             return
     assert_kernel_matches_oracle(list(dict.fromkeys(points)), lines)
@@ -499,3 +505,42 @@ def test_kernel_matches_fraction_oracle_on_a_projected_instance():
     points, lines, _ = project_to_3space(inst.points, inst.lines, seed=2)
     assert max(c.denominator for ln in lines for c in ln.base) > 2**64
     assert_kernel_matches_oracle(points + near_points(lines, random.Random(3)), lines)
+
+
+# -- the R^3 pair kernel against _pair --------------------------------------
+
+
+def pair_partners(lattices):
+    """coplanar_partners with _pair in every dimension, the reference for
+    the cross-product kernel that coplanar_partners runs in R^3."""
+    for i, a in enumerate(lattices):
+        groups = defaultdict(list)
+        equal = []
+        for j in range(i + 1, len(lattices)):
+            kind, key, _ = _pair(a, lattices[j])
+            if key is not None:
+                groups[key].append(j)
+            elif kind is RelationKind.EQUAL:
+                equal.append(j)
+        yield list(groups.values()), equal
+
+
+@settings(max_examples=200, deadline=None)
+@given(line_families(WIDE_DENOMINATORS, dims=(3, 3)))
+def test_plane_kernel_matches_pair(lines):
+    # parallel, equal, concurrent, skew and flat-sharing lines in R^3
+    lattices = [ln.lattice for ln in lines]
+    for a in lattices:
+        for b in lattices:
+            kind, key, _ = _plane_pair(a, b)
+            assert kind is _pair(a, b)[0]
+            assert (key is None) == (kind in (RelationKind.EQUAL, RelationKind.SKEW))
+    partners = list(coplanar_partners(lattices))
+    assert partners == list(pair_partners(lattices))
+    # two partners of a share a group iff the three lines share a plane
+    for i, (groups, equal) in enumerate(partners):
+        group_of = {j: g for g, group in enumerate(groups) for j in group}
+        for j in group_of:
+            for k in group_of:
+                same = group_of[j] == group_of[k]
+                assert same == coplanar_triple(lines[i], lines[j], lines[k])

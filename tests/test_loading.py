@@ -86,9 +86,13 @@ def bare_loads_dataclasses() -> bool:
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("loading")
-    paths = {name: str(root / f"{name}.json") for name in ("cone", "fermat", "lifted", "back")}
+    names = ("cone", "whitney", "fermat", "lifted", "back")
+    paths = {name: str(root / f"{name}.json") for name in names}
     assert main(["gen", "--kind", "cone", "--lines", "6", "--points", "12", "--seed", "1",
                  "-o", paths["cone"]]) == 0
+    # a singly ruled surface, the one kind whose lines are checked for exceptional ones
+    assert main(["gen", "--kind", "whitney", "--lines", "6", "--points", "12", "--seed", "1",
+                 "-o", paths["whitney"]]) == 0
     # a line-free surface file that is not ruled, as every flecnode_cubics benchmark input
     assert main(["gen", "--kind", "fermat", "--lines", "0", "--points", "0",
                  "-o", paths["fermat"]]) == 0
@@ -135,7 +139,12 @@ def test_each_subcommand_loads_only_what_it_runs(
 
 
 def test_incidence_loads_the_exceptional_lines(files):
+    # only for a singly ruled factor: a cone has no exceptional lines to find
     code, modules, _ = loaded_by("incidence", files["cone"])
+    assert code == 0
+    assert {"surfaces", "linespace"} <= modules
+    assert "exceptional" not in modules
+    code, modules, _ = loaded_by("incidence", files["whitney"])
     assert code == 0
     assert {"surfaces", "exceptional", "linespace"} <= modules
 

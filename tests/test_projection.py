@@ -1,40 +1,48 @@
-"""Tests for generic dimension-lowering projections."""
+"""Tests for generic dimension-lowering projections.
 
+The package projects on integers; projref holds the Fraction formula the
+step is checked against and adapters that run the step and the certificate
+on Fraction points and AffLines.
+"""
+
+import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from projref import (
+    certify,
+    integer_direction,
+    lattice_form,
+    project,
+    project_fractions,
+    project_vector,
+)
 
-from incgeo import projection
+from incgeo import linalg, linespace, projection
 from incgeo.errors import ArityError, CollapseError, DomainError, ResampleExhaustedError
 from incgeo.forge import build_instance, lift_to_dim
 from incgeo.incidence import count_incidences
-from incgeo.linalg import is_zero_vec, to_vec
+from incgeo.linalg import to_vec
 from incgeo.linespace import (
     AffLine,
     RelationKind,
+    _scaled,
     coplanar_triple,
     incidence_point_line,
-    incidence_relation,
     line_relation,
 )
-from incgeo.projection import (
-    is_generic,
-    project_once,
-    project_to_3space,
-    project_vector,
-)
+from incgeo.projection import project_once, project_to_3space
 
 F = Fraction
 
 
-def certify(points, lines, projected_points, projected_lines):
-    """is_generic with the original side's incidence relation built here."""
-    return is_generic(
-        points, lines, incidence_relation(points, lines), projected_points, projected_lines
-    )
+def image(v, w):
+    """The integer step's image of one point, as Fractions."""
+    return project([v], [], w)[0][0]
 
 
 def quad_instance():
@@ -52,50 +60,104 @@ def quad_instance():
 class TestProjectVector:
     def test_direction_maps_to_zero(self):
         w = (F(3), F(-1), F(2), F(5))
-        assert project_vector(w, w) == (F(0),) * 3
+        assert image(w, w) == (F(0),) * 3
 
     def test_dimension_drops_by_one(self):
-        assert len(project_vector((1, 2, 3, 4, 5), (0, 0, 1, 0, 0))) == 4
+        assert len(image((1, 2, 3, 4, 5), (0, 0, 1, 0, 0))) == 4
 
     def test_linear(self):
         w = (F(1), F(2), F(0), F(1))
         a = (F(1), F(0), F(3), F(2))
         b = (F(0), F(5), F(1), F(-1))
-        pa, pb = project_vector(a, w), project_vector(b, w)
-        psum = project_vector(tuple(x + y for x, y in zip(a, b)), w)
+        pa, pb = image(a, w), image(b, w)
+        psum = image(tuple(x + y for x, y in zip(a, b)), w)
         assert psum == tuple(x + y for x, y in zip(pa, pb))
 
     def test_zero_direction_rejected(self):
         with pytest.raises(DomainError):
-            project_vector((1, 2, 3, 4), (0, 0, 0, 0))
+            image((1, 2, 3, 4), (0, 0, 0, 0))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ArityError):
-            project_vector((1, 2, 3), (1, 0, 0, 0))
+            image((1, 2, 3), (1, 0, 0, 0))
 
 
 class TestProjectOnce:
     def test_collapse_of_parallel_line(self):
         pts, lns = quad_instance()
         with pytest.raises(CollapseError):
-            project_once(pts, lns, (0, 0, 0, 1))
+            project(pts, lns, (0, 0, 0, 1))
 
     def test_no_projection_below_three_dims(self):
         with pytest.raises(DomainError):
-            project_once([(F(1), F(2), F(3))], [], (1, 0, 0))
+            project([(F(1), F(2), F(3))], [], (1, 0, 0))
 
     def test_incidences_carry_over(self):
         pts, lns = quad_instance()
         w = (F(1), F(3), F(5), F(7))
-        pts2, lns2 = project_once(pts, lns, w)
+        pts2, lns2 = project(pts, lns, w)
         assert count_incidences(pts2, lns2) >= count_incidences(pts, lns)
+
+
+WIDE = st.sampled_from((1, 1, 2, 3, 7, 2**64 + 13, 3**41))
+
+
+@st.composite
+def step_cases(draw):
+    """Points and lines in R^4..R^6 with wide denominators, and a direction
+    whose largest magnitude is tied between entries, negative, or neither;
+    now and then one line is parallel to it, so the step collapses."""
+    dim = draw(st.integers(4, 6))
+    coord = st.builds(Fraction, st.integers(-9, 9), WIDE)
+    vec = st.tuples(*[coord] * dim)
+    w = list(draw(st.tuples(*[st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))] * dim)))
+    top = draw(st.sampled_from((F(6), F(-6), F(13, 2))))
+    first, second = draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True))
+    w[first] = top
+    if draw(st.booleans()):  # a tie: the pivot is the first of the two
+        w[second] = draw(st.sampled_from((top, -top)))
+    lines = [AffLine(draw(vec), d) for d in draw(st.lists(vec.filter(any), min_size=1, max_size=4))]
+    if draw(st.sampled_from((True, False, False, False))):
+        lines.append(AffLine(draw(vec), [draw(st.sampled_from((-2, 1, 3))) * c for c in w]))
+    points = draw(st.lists(vec, max_size=4)) + [ln.point_at(draw(coord)) for ln in lines]
+    return points, lines, tuple(w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(step_cases())
+def test_integer_step_matches_the_fraction_formula(case):
+    points, lines, w = case
+    try:
+        expected = project_fractions(points, lines, w)
+    except CollapseError:
+        with pytest.raises(CollapseError):
+            project_once(*lattice_form(points, lines), integer_direction(w))
+        return
+    got_points, got_lines = project_once(*lattice_form(points, lines), integer_direction(w))
+    assert got_points == [_scaled(p) for p in expected[0]]
+    assert got_lines == [ln.lattice for ln in expected[1]]
+    assert project(points, lines, w) == expected
+
+
+def test_sampled_directions_are_the_fraction_draws_scaled():
+    # the same rng draws as Fraction(n, d) entries, scaled by a positive
+    # factor to a primitive integer vector: the same map and the same pivot
+    magnitude = projection.SAMPLE_MAGNITUDE
+    for seed in range(20):
+        rng, ref = random.Random(seed), random.Random(seed)
+        w = projection._sample_direction(rng, 6)
+        drawn = [F(ref.randint(-magnitude, magnitude), ref.randint(1, magnitude)) for _ in range(6)]
+        ratio = next(F(x) / y for x, y in zip(w, drawn) if y)
+        assert ratio > 0 and all(x == ratio * y for x, y in zip(w, drawn))
+        assert gcd(*w) == 1
+        assert rng.random() == ref.random()
 
 
 class TestIsGeneric:
     def test_clean_projection_certifies(self):
         pts, lns = quad_instance()
         w = (F(1), F(3), F(5), F(7))
-        pts2, lns2 = project_once(pts, lns, w)
+        pts2, lns2 = project(pts, lns, w)
         cert = certify(pts, lns, pts2, lns2)
         assert cert.ok
         assert cert.resamples_used == 0
@@ -103,7 +165,7 @@ class TestIsGeneric:
     def test_point_collision_flagged(self):
         pts, lns = quad_instance()
         w = pts[1]  # parallel to the segment joining the first two points
-        pts2, lns2 = project_once(pts, [lns[1]], w)
+        pts2, lns2 = project(pts, [lns[1]], w)
         cert = certify(pts, [lns[1]], pts2, lns2)
         assert not cert.points_distinct
         assert not cert.ok
@@ -112,7 +174,7 @@ class TestIsGeneric:
         ln = AffLine((0, 0, 0, 0), (1, 0, 0, 0))
         q = (F(2), F(0), F(0), F(1))  # off the line, but over it along w
         w = (F(0), F(0), F(0), F(1))
-        pts2, lns2 = project_once([q], [ln], w)
+        pts2, lns2 = project([q], [ln], w)
         cert = certify([q], [ln], pts2, lns2)
         assert not cert.incidences_preserved
         assert not cert.ok
@@ -125,7 +187,7 @@ class TestIsGeneric:
         l3 = AffLine((0, 0, 0, 1), (0, 1, 0, 0))
         assert not coplanar_triple(l1, l2, l3)
         w = (F(0), F(0), F(0), F(1))
-        pts2, lns2 = project_once([], [l1, l2, l3], w)
+        pts2, lns2 = project([], [l1, l2, l3], w)
         assert coplanar_triple(*lns2)
         cert = certify([], [l1, l2, l3], pts2, lns2)
         assert not cert.noncoplanar_triples_preserved
@@ -251,7 +313,7 @@ def nonzero(dim):
 
 def keep_projectable(lines, w):
     """Drop the lines that would collapse to a point along w."""
-    return [ln for ln in lines if not is_zero_vec(project_vector(ln.direction, w))]
+    return [ln for ln in lines if any(project_vector(ln.direction, w))]
 
 
 @st.composite
@@ -316,7 +378,7 @@ class TestCertificateAgainstBruteForce:
     @staticmethod
     def check(instance):
         pts, lns, w = instance
-        pts2, lns2 = project_once(pts, lns, w)
+        pts2, lns2 = project(pts, lns, w)
         expected = brute_force_certificate(pts, lns, pts2, lns2)
         assert certificate_fields(certify(pts, lns, pts2, lns2)) == expected
 
@@ -342,7 +404,7 @@ class TestCertificateAgainstBruteForce:
             (AffLine((0, 0, 1, 0), (0, 0, 0, 1)), True),
             (AffLine((0, 0, 0, 1), (0, 1, 0, 1)), False),
         ):
-            pts2, lns2 = project_once([], [a, b, c], w)
+            pts2, lns2 = project([], [a, b, c], w)
             assert lns2[0] == lns2[1]
             cert = certify([], [a, b, c], pts2, lns2)
             assert certificate_fields(cert) == brute_force_certificate([], [a, b, c], [], lns2)
@@ -352,14 +414,22 @@ class TestCertificateAgainstBruteForce:
 
 @pytest.fixture()
 def triple_calls(monkeypatch):
-    """Record every coplanar_triple call that is_generic makes."""
+    """Record every line triple, as indices, that is_generic tests on the
+    original side; the reference predicates are never called."""
     calls = []
+    triples = projection._coplanar_triples
 
-    def counting(*lines):
-        calls.append(lines)
-        return coplanar_triple(*lines)
+    def recorded(lines):
+        for triple in triples(lines):
+            calls.append(triple)
+            yield triple
 
-    monkeypatch.setattr(projection, "coplanar_triple", counting)
+    def unused(*args):
+        raise AssertionError("the certificate called an exact-rank predicate")
+
+    monkeypatch.setattr(projection, "_coplanar_triples", recorded)
+    monkeypatch.setattr(linespace, "coplanar_triple", unused)
+    monkeypatch.setattr(linalg, "rref", unused)
     return calls
 
 
@@ -370,7 +440,7 @@ class TestTripleTestMechanism:
         center = (1, 2, 0, -1)
         lines = [AffLine(center, (1, k, k * k, k**3)) for k in range(8)]
         w = (F(1), F(3), F(-5), F(7))
-        pts2, lns2 = project_once([center], lines, w)
+        pts2, lns2 = project([center], lines, w)
         cert = certify([center], lines, pts2, lns2)
         assert cert.ok
         assert triple_calls == []
@@ -378,7 +448,7 @@ class TestTripleTestMechanism:
     def test_pairwise_skew_image_needs_no_triple_test(self, triple_calls):
         lines = [AffLine((k, 0, k * k, 1), (1, k, k**3, 2 * k + 1)) for k in range(1, 9)]
         w = (F(2), F(-1), F(3), F(1))
-        pts2, lns2 = project_once([], lines, w)
+        pts2, lns2 = project([], lines, w)
         assert all(line_relation(a, b).kind is RelationKind.SKEW
                    for a, b in combinations(lns2, 2))
         assert certify([], lines, pts2, lns2).ok
@@ -396,11 +466,11 @@ class TestTripleTestMechanism:
         pencil = [AffLine((0, 0, 1, 1), d) for d in ((1, 0, 1, 0), (0, 1, 0, 1), (1, 1, 1, 2))]
         lines = plane + pencil
         w = (F(1), F(3), F(-5), F(7))
-        pts2, lns2 = project_once([], lines, w)
+        pts2, lns2 = project([], lines, w)
         assert certify([], lines, pts2, lns2).ok
         in_plane = {frozenset(t) for t in combinations(plane, 3)}
         assert len(triple_calls) == 4
-        assert {frozenset(c) for c in triple_calls} == in_plane
+        assert {frozenset(lines[i] for i in c) for c in triple_calls} == in_plane
 
 
 def test_incidence_relation_is_built_once(monkeypatch):
@@ -409,19 +479,39 @@ def test_incidence_relation_is_built_once(monkeypatch):
     inst = build_instance("product", 6, 9, seed=4)
     pts, lns = lift_to_dim(inst.points, inst.lines, 6, seed=4)
     built, samples = [], []
-    relation, project = projection.incidence_relation, projection.project_once
+    relation, step = projection._incidences, projection.project_once
 
     def counted_relation(points, lines):
         built.append(list(points))
         return relation(points, lines)
 
-    def counted_project(*args):
-        samples.append(project(*args))
+    def counted_step(*args):
+        samples.append(step(*args))
         return samples[-1]
 
-    monkeypatch.setattr(projection, "incidence_relation", counted_relation)
-    monkeypatch.setattr(projection, "project_once", counted_project)
-    pts3, _, cert = project_to_3space(pts, lns, seed=2)
+    monkeypatch.setattr(projection, "_incidences", counted_relation)
+    monkeypatch.setattr(projection, "project_once", counted_step)
+    pts3, lns3, cert = project_to_3space(pts, lns, seed=2)
     assert cert.ok and len(samples) >= 3
-    assert built == [pts] + [projected for projected, _ in samples]
-    assert count_incidences(pts3, samples[-1][1]) == count_incidences(pts, lns)
+    assert built == [lattice_form(pts, lns)[0]] + [projected for projected, _ in samples]
+    assert lattice_form(pts3, lns3) == samples[-1]
+    assert count_incidences(pts3, lns3) == count_incidences(pts, lns)
+
+
+def test_projection_runs_no_exact_rank(monkeypatch):
+    # every step and certificate runs on integer lattices: no rref, and no
+    # coplanar_triple, which stays the reference predicate of the tests
+    inst = build_instance("product", 10, 16, seed=5, dim=6)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "rref", counted("rref", linalg.rref))
+    monkeypatch.setattr(linespace, "coplanar_triple", counted("triple", linespace.coplanar_triple))
+    _, _, cert = project_to_3space(inst.points, inst.lines, seed=2)
+    assert cert.ok
+    assert calls == []

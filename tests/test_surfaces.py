@@ -30,7 +30,7 @@ from incgeo.errors import (
     NotOnSurfaceError,
 )
 from incgeo.instfile import IncidenceInstance, dumps_instance
-from incgeo.linalg import nullspace
+from incgeo.linalg import nullspace, rank
 from incgeo.forge import make_lines
 from incgeo.linespace import AffLine, RelationKind, line_on_surface, line_relation
 from incgeo.poly import (
@@ -383,17 +383,24 @@ def sparse_factors(draw):
 
 
 @st.composite
+def planted_cone_factors(draw):
+    """A cone over a random form h of degree 3 or 4, with a random integer
+    apex: (f, apex, h), f(x) = h(x - apex)."""
+    d = draw(st.integers(3, 4))
+    forms = [e for e in itertools.product(range(d + 1), repeat=3) if sum(e) == d]
+    h = Poly(3, draw(st.dictionaries(st.sampled_from(forms), coefficients, min_size=1, max_size=5)))
+    apex = draw(st.tuples(*[st.integers(-3, 3)] * 3))
+    return substitute(h, [X - apex[0], Y - apex[1], Z - apex[2]]), apex, h
+
+
+@st.composite
 def planted_ruled_factors(draw):
     """Ruled by construction: a cone over a random form with a random apex,
     a cylinder over a plane cubic, or a Whitney-type cubic moved by a
     random invertible affine map."""
     kind = draw(st.sampled_from(["cone", "cylinder", "whitney"]))
     if kind == "cone":
-        d = draw(st.integers(3, 4))
-        forms = [e for e in itertools.product(range(d + 1), repeat=3) if sum(e) == d]
-        h = Poly(3, draw(st.dictionaries(st.sampled_from(forms), coefficients, min_size=1, max_size=5)))
-        apex = draw(st.tuples(*[st.integers(-3, 3)] * 3))
-        return substitute(h, [X - apex[0], Y - apex[1], Z - apex[2]]), True
+        return draw(planted_cone_factors())[0], True
     if kind == "cylinder":
         plane = [(a, b, 0) for a in range(4) for b in range(4 - a)]
         terms = draw(st.dictionaries(st.sampled_from(plane), coefficients, min_size=1, max_size=5))
@@ -422,6 +429,34 @@ def test_line_certificate_never_contradicts_the_witness(case):
         # a planted ruled factor divides its witness (Cayley-Salmon-Monge)
         assert not ruled
         assert not divides(f, flecnode_polynomial(f))
+
+
+@settings(max_examples=30, deadline=None)
+@given(planted_cone_factors())
+def test_planted_cones_are_classified_before_the_witness(case):
+    f, apex, h = case
+    assume(is_square_free(f))
+    calls = []
+    original = surfaces.flecnode_polynomial
+    surfaces.flecnode_polynomial = lambda g: calls.append(g) or original(g)
+    try:
+        res = classify_component(f)
+    finally:
+        surfaces.flecnode_polynomial = original
+    assert res.verdict is Verdict.CONE and res.complex_ruled_indicated
+    assert calls == []
+    # f is homogeneous about the reported apex; that is the planted one
+    # unless h is a cylinder, constant along a line of vertices
+    moved = substitute(f, [X + res.apex[0], Y + res.apex[1], Z + res.apex[2]])
+    assert {sum(e) for e in moved.terms} == {f.degree()}
+    partials = [h.diff(i) for i in range(3)]
+    monomials = sorted({e for p in partials for e in p.terms})
+    if rank([[p.terms.get(e, 0) for e in monomials] for p in partials]) == 3:
+        assert res.apex == apex
+    # a cone is ruled: it divides its flecnode witness (Cayley-Salmon-Monge).
+    # The witness commutes with translation, so this is asked of the form h
+    # at the origin; about the planted apex a dense quartic's takes a minute
+    assert divides(h, flecnode_polynomial(h))
 
 
 @st.composite
