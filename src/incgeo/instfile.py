@@ -188,9 +188,10 @@ MAX_DEGREE = 64
 MAX_TERMS = 64
 # Projecting an instance down from R^dim certifies each step exactly, and
 # that cost climbs steeply with dim: a product lift of 40 lines and 40
-# points projects in 0.05, 0.7 and 3.6 s from dimensions 8, 16 and 24 (in
-# process, 2-vCPU VM, Python 3.11), and `incgeo project` takes 0.7 s on the
-# dim-16 lift.  The lifts in the tests and the benchmark have dim <= 6.
+# points projects in 0.05, 0.6-0.7 and 3.6-4.2 s from dimensions 8, 16 and
+# 24 (in process, 2-vCPU VM, Python 3.11), and `incgeo project` takes
+# 0.7-1.1 s on the dim-16 lift.  The lifts in the tests and the benchmark
+# have dim <= 6.
 # forge refuses to lift past the cap as well.
 MAX_DIM = 16
 

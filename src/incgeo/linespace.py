@@ -17,12 +17,10 @@ canonical, so equal points and equal lines have equal tuples.  A point P/q
 lies on a line iff s*(P_i*D_k - P_k*D_i) = q*D_k*B_i for every i.  In any
 dimension, line b meets line a iff b's direction and base offset, reduced
 against a's pivot, are proportional; the reduced vector, primitive with
-positive lead entry, keys the 2-flat they span.  In R^3 one cross product
-decides the pair instead: with n = D_a x D_b, the lines are coplanar iff n
-is orthogonal to s_a*B_b - s_b*B_a, and for parallel lines n is D_a
-crossed with that offset; the primitive normal keys their plane.
-coplanar_triple, by exact rank, stays the reference predicate for three
-lines.
+positive lead entry, keys the 2-flat they span.  reduced_form and
+line_lattice build both forms from integers, so no other module writes
+them out.  coplanar_triple, by exact rank, stays the reference predicate
+for three lines.
 
 Plucker coordinates of lines in P^3 use these conventions:
 
@@ -200,8 +198,8 @@ class AffLine:
         """(k, D, B, s): the pivot k, the primitive integer direction D with
         D[k] > 0 and the integer base B with scale s > 0, so that
         direction = D/D[k] and base = B/s."""
-        dv, _ = _scaled(self.direction)
-        bv, s = _scaled(self.base)
+        dv, _ = scaled_form(self.direction)
+        bv, s = scaled_form(self.base)
         return self.direction.index(1), dv, bv, s
 
     def point_at(self, t) -> Vec:
@@ -209,7 +207,7 @@ class AffLine:
         return tuple(b + tf * d for b, d in zip(self.base, self.direction))
 
 
-def _scaled(v: Vec) -> Scaled:
+def scaled_form(v: Vec) -> Scaled:
     """(V, q) with v = V/q: q is the lcm of v's denominators, V integer."""
     q = lcm(*(c.denominator for c in v))
     return tuple(c.numerator * (q // c.denominator) for c in v), q
@@ -233,10 +231,10 @@ def incidence_point_line(point: Sequence, ln: AffLine) -> bool:
     pv = to_vec(point)
     if len(pv) != ln.dim:
         raise ArityError("point and line dimensions differ")
-    return _on_lattice(_scaled(pv), ln.lattice)
+    return _on_lattice(scaled_form(pv), ln.lattice)
 
 
-def _incidences(points: Sequence[Scaled], lines: Sequence[Lattice]) -> tuple[tuple[int, ...], ...]:
+def lattice_incidences(points: Sequence[Scaled], lines: Sequence[Lattice]) -> tuple[tuple[int, ...], ...]:
     """For each scaled point, the ascending indices of the lattices through
     it; each point-line pair is tested once."""
     return tuple(tuple(j for j, lat in enumerate(lines) if _on_lattice(pt, lat)) for pt in points)
@@ -247,7 +245,7 @@ def incidence_relation(points: Sequence[Vec], lines: Sequence[AffLine]) -> tuple
     point is scaled to integers once and each point-line pair tested once."""
     if len({len(p) for p in points} | {ln.dim for ln in lines}) > 1:
         raise ArityError("point and line dimensions differ")
-    return _incidences([_scaled(p) for p in points], [ln.lattice for ln in lines])
+    return lattice_incidences([scaled_form(p) for p in points], [ln.lattice for ln in lines])
 
 
 def _flat_key(v: list[int]) -> tuple[int, ...]:
@@ -258,7 +256,28 @@ def _flat_key(v: list[int]) -> tuple[int, ...]:
     return tuple(c // g for c in v)
 
 
-def _pair(
+def reduced_form(v: Sequence[int], q: int) -> Scaled:
+    """The scaled form of the point V/q, for integers V and q != 0: both
+    over their gcd, with q > 0."""
+    g = gcd(q, *v)
+    if q < 0:
+        g = -g
+    return tuple(c // g for c in v), q // g
+
+
+def line_lattice(direction: Sequence[int], base: Sequence[int], scale: int) -> Lattice:
+    """The lattice of the line base/scale + t*direction, for a nonzero
+    integer direction, an integer base and a nonzero scale: the direction
+    made primitive with positive pivot entry, and the base slid along it to
+    0 at the pivot."""
+    dv = _flat_key(direction)
+    k = next(i for i, c in enumerate(dv) if c)
+    dk, bk = dv[k], base[k]
+    bv, s = reduced_form([b * dk - bk * d for b, d in zip(base, dv)], scale * dk)
+    return k, dv, bv, s
+
+
+def lattice_relation(
     a: Lattice, b: Lattice
 ) -> tuple[RelationKind, tuple[int, ...] | None, tuple[int, int] | None]:
     """How line b sits against line a, given their lattices, from b's
@@ -302,38 +321,13 @@ def _pair(
     return RelationKind.INTERSECTING, _flat_key(turn), (-oj * db[kb], sa * sb * tj)
 
 
-def _plane_pair(a: Lattice, b: Lattice) -> tuple[RelationKind, tuple[int, ...] | None, None]:
-    """_pair for two lines of R^3, by one cross product and one dot product;
-    the key of their plane is its primitive normal with positive lead
-    entry, and no intersection parameter is returned."""
-    _, (ax, ay, az), ba, sa = a
-    _, (bx, by, bz), bb, sb = b
-    # sa*sb times b's base minus a's
-    ox, oy, oz = (y * sa - x * sb for x, y in zip(ba, bb))
-    nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
-    if nx or ny or nz:
-        if nx * ox + ny * oy + nz * oz:
-            return RelationKind.SKEW, None, None
-        kind = RelationKind.INTERSECTING
-    elif ox or oy or oz:
-        # parallel directions are equal, and the normal is d x offset
-        kind = RelationKind.PARALLEL
-        nx, ny, nz = ay * oz - az * oy, az * ox - ax * oz, ax * oy - ay * ox
-    else:  # equal directions and, both slid to 0 at the pivot, equal bases
-        return RelationKind.EQUAL, None, None
-    g = gcd(nx, ny, nz)
-    if (nx or ny or nz) < 0:
-        g = -g
-    return kind, (nx // g, ny // g, nz // g), None
-
-
 def line_relation(l1: AffLine, l2: AffLine) -> LineRelation:
     """Classify an ordered pair of affine lines in R^d.
 
     Parallel means equal directions but distinct lines; intersecting
     returns the unique common point.  Works in any ambient dimension.
     """
-    kind, _, s = _pair(l1.lattice, l2.lattice)
+    kind, _, s = lattice_relation(l1.lattice, l2.lattice)
     return LineRelation(kind, None if s is None else l2.point_at(Fraction(*s)))
 
 
@@ -354,14 +348,12 @@ def coplanar_triple(l1: AffLine, l2: AffLine, l3: AffLine) -> bool:
 def coplanar_partners(lines: Sequence[Lattice]) -> Iterator[tuple[list[list[int]], list[int]]]:
     """For each line a, given by its lattice, in order: the indices of its
     later coplanar partners, grouped by the 2-flat they span with a, and of
-    its later equal lines.  Each unordered pair is tested once, in R^3 by
-    _plane_pair and otherwise by _pair."""
-    relate = _plane_pair if lines and len(lines[0][1]) == 3 else _pair
+    its later equal lines.  Each unordered pair is tested once."""
     for i, a in enumerate(lines):
         groups: defaultdict[tuple[int, ...], list[int]] = defaultdict(list)
         equal: list[int] = []
         for j in range(i + 1, len(lines)):
-            kind, key, _ = relate(a, lines[j])
+            kind, key, _ = lattice_relation(a, lines[j])
             if key is not None:
                 groups[key].append(j)
             elif kind is RelationKind.EQUAL:

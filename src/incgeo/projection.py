@@ -13,28 +13,27 @@ probabilistic promise.
 Every step runs on integers, in linespace's canonical forms: a point is its
 scaled pair (P, q) and a line its lattice (k, D, B, s).  The direction is
 scaled to an integer W, so the image of P/q is (P_i*W_j - W_i*P_j)/(q*W_j),
-reduced to lowest terms; a line's direction and base map the same way and
-are put back in canonical form.  Fractions and AffLines are built once,
-after the last accepted step.
+reduced to lowest terms by linespace.reduced_form; a line's direction and
+base map the same way and linespace.line_lattice puts them back in
+canonical form.  Fractions and AffLines are built once, after the last
+accepted step.
 
 Both pairwise relations come from linespace's integer kernels, on both
 sides of the certificate.  The triple check costs O(n^2) pair tests, not
 O(n^3) triple tests: three projected lines share a 2-flat only if each two
-of them do, so only triples inside one group of
-linespace.coplanar_partners are tested on the original side, and there
-from two pair relations through the first line: neither pair is skew, and
-either one is equal or both span the same flat.  The original incidence
-relation is built once and handed to is_generic: each accepted step
-certifies that it did not change.
+of them do, so only the lines of one group of linespace.coplanar_partners
+are related on the original side, each once to the line whose group it
+is: none may be skew to that line, and those not equal to it must span
+one flat with it.  The original incidence relation is built once and
+handed to is_generic: each accepted step certifies that it did not change.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ArityError, CollapseError, DomainError, ResampleExhaustedError
 from .linalg import Vec, to_vec
@@ -43,11 +42,12 @@ from .linespace import (
     Lattice,
     RelationKind,
     Scaled,
-    _flat_key,
-    _incidences,
-    _pair,
-    _scaled,
     coplanar_partners,
+    lattice_incidences,
+    lattice_relation,
+    line_lattice,
+    reduced_form,
+    scaled_form,
 )
 
 SAMPLE_MAGNITUDE = 10**4
@@ -80,14 +80,6 @@ def _pivot_index(w: Sequence[int]) -> int:
     return piv
 
 
-def _reduced(v: list[int], q: int) -> Scaled:
-    """(V, q) over their gcd, with q > 0; q is nonzero."""
-    g = gcd(q, *v)
-    if q < 0:
-        g = -g
-    return tuple(c // g for c in v), q // g
-
-
 def project_once(
     points: Sequence[Scaled], lines: Sequence[Lattice], w: Sequence[int]
 ) -> tuple[list[Scaled], list[Lattice]]:
@@ -110,62 +102,41 @@ def project_once(
         vj = v[j]
         return [v[i] * wj - c * vj for i, c in rest]
 
-    out_points = [_reduced(image(pv), q * wj) for pv, q in points]
+    out_points = [reduced_form(image(pv), q * wj) for pv, q in points]
     out_lines = []
     for _, dv, bv, s in lines:
         d = image(dv)
         if not any(d):
             raise CollapseError("a line is parallel to the projection direction")
-        d = _flat_key(d)
-        k = next(i for i, c in enumerate(d) if c)
-        # the image of the base, slid along d to 0 at the new pivot k
-        b = image(bv)
-        dk, bk = d[k], b[k]
-        base, scale = _reduced([x * dk - bk * c for x, c in zip(b, d)], s * wj * dk)
-        out_lines.append((k, d, base, scale))
+        out_lines.append(line_lattice(d, image(bv), s * wj))
     return out_points, out_lines
-
-
-def _coplanar_triples(lines: Sequence[Lattice]) -> Iterator[tuple[int, int, int]]:
-    """Every index triple i < j < k whose lines lie in one 2-flat.
-
-    Three lines share a 2-flat only if each two of them do, so such a triple
-    lies inside one group of line i's coplanar partners.  A partner equal to
-    line i lies in every flat through it, so it completes a coplanar triple
-    with any other partner.
-    """
-    for i, (groups, equal) in enumerate(coplanar_partners(lines)):
-        for group in groups:
-            for j, k in combinations(group, 2):
-                yield i, j, k
-        if equal:
-            partners = sorted(equal + [j for group in groups for j in group])
-            for j, k in combinations(partners, 2):
-                if j in equal or k in equal:
-                    yield i, j, k
 
 
 def _noncoplanar_kept(lines: Sequence[Lattice], projected_lines: Sequence[Lattice]) -> bool:
     """Whether every triple of lines that lies in one 2-flat after the
     projection did so before it.
 
-    Lines i < j < k lie in one 2-flat iff neither j nor k is skew to i, and
-    one of them equals i or both span the same flat with i.  Each pair
-    through i is related once, on the original side, by _pair.
+    Three lines share a 2-flat only if each two of them do, so after the
+    projection line i shares one with two later lines only if both lie in
+    one group of i's coplanar partners, or one of them equals line i, as an
+    equal line lies in every flat through it.  Lines i, j, k share a 2-flat
+    iff neither j nor k is skew to i and one of them equals i or both span
+    the same flat with i.  So each group, with the lines equal to i, is
+    checked on the original side in one pass: no member is skew to i, and
+    the members not equal to i span one flat with it.  Each pair through i
+    is related at most once.
     """
-    related: dict[tuple[int, int], tuple[RelationKind, tuple[int, ...] | None]] = {}
-
-    def against(i: int, j: int) -> tuple[RelationKind, tuple[int, ...] | None]:
-        if (i, j) not in related:
-            related[i, j] = _pair(lines[i], lines[j])[:2]
-        return related[i, j]
-
-    for i, j, k in _coplanar_triples(projected_lines):
-        (kind_j, key_j), (kind_k, key_k) = against(i, j), against(i, k)
-        if RelationKind.SKEW in (kind_j, kind_k):
-            return False
-        if RelationKind.EQUAL not in (kind_j, kind_k) and key_j != key_k:
-            return False
+    for i, (groups, equal) in enumerate(coplanar_partners(projected_lines)):
+        a = lines[i]
+        shared = [lattice_relation(a, lines[j])[:2] for j in equal]
+        for group in groups or [[]]:
+            if len(equal) + len(group) < 2:
+                continue
+            relations = shared + [lattice_relation(a, lines[j])[:2] for j in group]
+            if any(kind is RelationKind.SKEW for kind, _ in relations):
+                return False
+            if len({key for kind, key in relations if kind is not RelationKind.EQUAL}) > 1:
+                return False
     return True
 
 
@@ -190,7 +161,7 @@ def is_generic(
     return GenericityCertificate(
         points_distinct=len(set(projected_points)) == len(set(points)) == len(points),
         lines_distinct=len(set(projected_lines)) == len(set(lines)) == len(lines),
-        incidences_preserved=_incidences(projected_points, projected_lines) == lines_at,
+        incidences_preserved=lattice_incidences(projected_points, projected_lines) == lines_at,
         noncoplanar_triples_preserved=_noncoplanar_kept(lines, projected_lines),
         resamples_used=0,
     )
@@ -235,10 +206,10 @@ def project_to_3space(
     rng = random.Random(seed)
     resamples = 0
     if dim > 3:
-        scaled = [_scaled(p) for p in pts]
+        scaled = [scaled_form(p) for p in pts]
         lattices = [ln.lattice for ln in lns]
         # an accepted step preserves the incidence relation, so it is built once
-        lines_at = _incidences(scaled, lattices)
+        lines_at = lattice_incidences(scaled, lattices)
         while dim > 3:
             w = _sample_direction(rng, dim)
             try:

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from incgeo.errors import ArityError, CollapseError, DomainError
 from incgeo.linalg import Vec, to_vec
-from incgeo.linespace import AffLine, _scaled, incidence_relation
+from incgeo.linespace import AffLine, scaled_form, incidence_relation
 from incgeo.projection import GenericityCertificate, is_generic, project_once
 
 
@@ -49,7 +49,7 @@ def integer_direction(w: Sequence) -> tuple[int, ...]:
 
 
 def lattice_form(points: Sequence, lines: Sequence[AffLine]) -> tuple[list, list]:
-    return [_scaled(to_vec(p)) for p in points], [ln.lattice for ln in lines]
+    return [scaled_form(to_vec(p)) for p in points], [ln.lattice for ln in lines]
 
 
 def fraction_form(points: Sequence, lines: Sequence) -> tuple[list[Vec], list[AffLine]]:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incgeo import linespace
-from incgeo.errors import DegenerateLineError, DomainError, PlanarComponentError
+from incgeo.errors import ArityError, DegenerateLineError, DomainError, PlanarComponentError
 from incgeo.incidence import (
     BoundReport,
     check_meeting_cap,
@@ -216,19 +216,25 @@ def test_max_lines_per_flat_parallel_family():
     assert max_lines_per_flat(fam) == 6
 
 
+def test_max_lines_per_flat_rejects_mixed_dimensions():
+    in_3 = AffLine((0, 0, 0), (1, 0, 0))
+    in_4 = AffLine((0, 0, 0, 0), (0, 1, 0, 0))
+    for lines in ([in_3, in_4], [in_4, in_3]):
+        with pytest.raises(ArityError):
+            max_lines_per_flat(lines)
+
+
 def test_max_lines_per_flat_classifies_each_pair_once(monkeypatch):
-    # one pair test per unordered pair, by the R^3 cross-product kernel in
-    # the pass it shares with the projection certificate, and no _pair or
-    # line_relation call
+    # one pair test per unordered pair, in the pass it shares with the
+    # projection certificate, and no line_relation call
     pair_tests, relations = [], []
-    plane_pair = linespace._plane_pair
+    pair = linespace.lattice_relation
 
     def counted(a, b):
         pair_tests.append(frozenset((a, b)))
-        return plane_pair(a, b)
+        return pair(a, b)
 
-    monkeypatch.setattr(linespace, "_plane_pair", counted)
-    monkeypatch.setattr(linespace, "_pair", lambda a, b: relations.append((a, b)))
+    monkeypatch.setattr(linespace, "lattice_relation", counted)
     monkeypatch.setattr(linespace, "line_relation", lambda a, b: relations.append((a, b)))
     _, _, lines = product_instance()
     assert max_lines_per_flat(lines) == 3

@@ -27,13 +27,12 @@ from incgeo.linespace import (
     LineRelation,
     ProjPoint,
     RelationKind,
-    _pair,
-    _plane_pair,
     coplanar_partners,
     coplanar_triple,
     incidence_point_line,
     incidence_relation,
     klein_form,
+    line_lattice,
     line_on_surface,
     line_relation,
     plucker_from_points,
@@ -500,47 +499,24 @@ def test_kernel_matches_fraction_oracle_after_projection(lines, seed):
     assert_kernel_matches_oracle(list(dict.fromkeys(points)), lines)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(3, 6).flatmap(lambda dim: st.tuples(
+        st.lists(st.integers(-12, 12), min_size=dim, max_size=dim).filter(any),
+        st.lists(st.integers(-12, 12), min_size=dim, max_size=dim),
+    )),
+    st.integers(-30, 30).filter(bool),
+)
+def test_line_lattice_is_the_canonical_lattice(line, scale):
+    # any integer direction, of either sign and not primitive, and any
+    # nonzero scale give the lattice of the AffLine they describe
+    direction, base = line
+    expected = AffLine([Fraction(b, scale) for b in base], direction).lattice
+    assert line_lattice(direction, base, scale) == expected
+
+
 def test_kernel_matches_fraction_oracle_on_a_projected_instance():
     inst = build_instance("product", 10, 16, seed=5, dim=6)
     points, lines, _ = project_to_3space(inst.points, inst.lines, seed=2)
     assert max(c.denominator for ln in lines for c in ln.base) > 2**64
     assert_kernel_matches_oracle(points + near_points(lines, random.Random(3)), lines)
-
-
-# -- the R^3 pair kernel against _pair --------------------------------------
-
-
-def pair_partners(lattices):
-    """coplanar_partners with _pair in every dimension, the reference for
-    the cross-product kernel that coplanar_partners runs in R^3."""
-    for i, a in enumerate(lattices):
-        groups = defaultdict(list)
-        equal = []
-        for j in range(i + 1, len(lattices)):
-            kind, key, _ = _pair(a, lattices[j])
-            if key is not None:
-                groups[key].append(j)
-            elif kind is RelationKind.EQUAL:
-                equal.append(j)
-        yield list(groups.values()), equal
-
-
-@settings(max_examples=200, deadline=None)
-@given(line_families(WIDE_DENOMINATORS, dims=(3, 3)))
-def test_plane_kernel_matches_pair(lines):
-    # parallel, equal, concurrent, skew and flat-sharing lines in R^3
-    lattices = [ln.lattice for ln in lines]
-    for a in lattices:
-        for b in lattices:
-            kind, key, _ = _plane_pair(a, b)
-            assert kind is _pair(a, b)[0]
-            assert (key is None) == (kind in (RelationKind.EQUAL, RelationKind.SKEW))
-    partners = list(coplanar_partners(lattices))
-    assert partners == list(pair_partners(lattices))
-    # two partners of a share a group iff the three lines share a plane
-    for i, (groups, equal) in enumerate(partners):
-        group_of = {j: g for g, group in enumerate(groups) for j in group}
-        for j in group_of:
-            for k in group_of:
-                same = group_of[j] == group_of[k]
-                assert same == coplanar_triple(lines[i], lines[j], lines[k])

@@ -30,7 +30,7 @@ from incgeo.linalg import to_vec
 from incgeo.linespace import (
     AffLine,
     RelationKind,
-    _scaled,
+    scaled_form,
     coplanar_triple,
     incidence_point_line,
     line_relation,
@@ -134,7 +134,7 @@ def test_integer_step_matches_the_fraction_formula(case):
             project_once(*lattice_form(points, lines), integer_direction(w))
         return
     got_points, got_lines = project_once(*lattice_form(points, lines), integer_direction(w))
-    assert got_points == [_scaled(p) for p in expected[0]]
+    assert got_points == [scaled_form(p) for p in expected[0]]
     assert got_lines == [ln.lattice for ln in expected[1]]
     assert project(points, lines, w) == expected
 
@@ -413,28 +413,27 @@ class TestCertificateAgainstBruteForce:
 
 
 @pytest.fixture()
-def triple_calls(monkeypatch):
-    """Record every line triple, as indices, that is_generic tests on the
-    original side; the reference predicates are never called."""
+def pair_calls(monkeypatch):
+    """Record every pair of original lines, as a set of two lattices, that
+    is_generic relates; the reference predicates are never called."""
     calls = []
-    triples = projection._coplanar_triples
+    relate = projection.lattice_relation
 
-    def recorded(lines):
-        for triple in triples(lines):
-            calls.append(triple)
-            yield triple
+    def recorded(a, b):
+        calls.append(frozenset((a, b)))
+        return relate(a, b)
 
     def unused(*args):
         raise AssertionError("the certificate called an exact-rank predicate")
 
-    monkeypatch.setattr(projection, "_coplanar_triples", recorded)
+    monkeypatch.setattr(projection, "lattice_relation", recorded)
     monkeypatch.setattr(linespace, "coplanar_triple", unused)
     monkeypatch.setattr(linalg, "rref", unused)
     return calls
 
 
 class TestTripleTestMechanism:
-    def test_pencil_needs_no_triple_test(self, triple_calls):
+    def test_pencil_needs_no_triple_test(self, pair_calls):
         # directions on the moment curve: no three are linearly dependent,
         # so no three lines of the pencil share a plane, before or after
         center = (1, 2, 0, -1)
@@ -443,20 +442,23 @@ class TestTripleTestMechanism:
         pts2, lns2 = project([center], lines, w)
         cert = certify([center], lines, pts2, lns2)
         assert cert.ok
-        assert triple_calls == []
+        assert pair_calls == []
 
-    def test_pairwise_skew_image_needs_no_triple_test(self, triple_calls):
+    def test_pairwise_skew_image_needs_no_triple_test(self, pair_calls):
         lines = [AffLine((k, 0, k * k, 1), (1, k, k**3, 2 * k + 1)) for k in range(1, 9)]
         w = (F(2), F(-1), F(3), F(1))
         pts2, lns2 = project([], lines, w)
         assert all(line_relation(a, b).kind is RelationKind.SKEW
                    for a, b in combinations(lns2, 2))
         assert certify([], lines, pts2, lns2).ok
-        assert triple_calls == []
+        assert pair_calls == []
 
-    def test_only_triples_in_a_shared_plane_are_tested(self, triple_calls):
+    def test_only_triples_in_a_shared_plane_are_tested(self, pair_calls):
         # four lines in the plane x3 = x4 = 0, two of them parallel, plus a
-        # pencil of three lines through a point off that plane
+        # pencil of three lines through a point off that plane; the first
+        # plane line is related to the other three and the second to the
+        # last two, and no pair of the pencil, which shares no plane with a
+        # third line, is related
         plane = [
             AffLine((0, 0, 0, 0), (1, 0, 0, 0)),
             AffLine((0, 1, 0, 0), (1, 0, 0, 0)),
@@ -468,9 +470,10 @@ class TestTripleTestMechanism:
         w = (F(1), F(3), F(-5), F(7))
         pts2, lns2 = project([], lines, w)
         assert certify([], lines, pts2, lns2).ok
-        in_plane = {frozenset(t) for t in combinations(plane, 3)}
-        assert len(triple_calls) == 4
-        assert {frozenset(lines[i] for i in c) for c in triple_calls} == in_plane
+        related = {frozenset((plane[i].lattice, plane[j].lattice))
+                   for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3))}
+        assert len(pair_calls) == 5
+        assert set(pair_calls) == related
 
 
 def test_incidence_relation_is_built_once(monkeypatch):
@@ -479,7 +482,7 @@ def test_incidence_relation_is_built_once(monkeypatch):
     inst = build_instance("product", 6, 9, seed=4)
     pts, lns = lift_to_dim(inst.points, inst.lines, 6, seed=4)
     built, samples = [], []
-    relation, step = projection._incidences, projection.project_once
+    relation, step = projection.lattice_incidences, projection.project_once
 
     def counted_relation(points, lines):
         built.append(list(points))
@@ -489,7 +492,7 @@ def test_incidence_relation_is_built_once(monkeypatch):
         samples.append(step(*args))
         return samples[-1]
 
-    monkeypatch.setattr(projection, "_incidences", counted_relation)
+    monkeypatch.setattr(projection, "lattice_incidences", counted_relation)
     monkeypatch.setattr(projection, "project_once", counted_step)
     pts3, lns3, cert = project_to_3space(pts, lns, seed=2)
     assert cert.ok and len(samples) >= 3
