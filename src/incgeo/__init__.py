@@ -6,6 +6,8 @@ The package is organized bottom-up:
   expansion along a line or around a point, integer Taylor data at a
   symbolic point, Sylvester determinants, exact division, gcd, a
   square-free test) and the Surface factor list
+- lattice: the integer forms of points and lines, their incidence, pair
+  and containment kernels, and the file's coordinate strings
 - linespace: affine lines in R^d with their exact incidence, relation and
   coplanarity predicates, and Plucker coordinates with the Klein form
 - surfaces: flecnode witnesses, ruledness indicators, per-component

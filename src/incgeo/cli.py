@@ -95,7 +95,7 @@ def _text_gen(report: dict, args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_classify(args: argparse.Namespace) -> tuple[int, dict]:
-    from .instfile import format_rational, load_instance
+    from .instfile import load_instance
     from .surfaces import classify_component
 
     inst = load_instance(args.file)
@@ -109,7 +109,7 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[int, dict]:
                 "index": i,
                 "degree": factor.degree(),
                 "verdict": res.verdict.value,
-                "apex": None if res.apex is None else [format_rational(c) for c in res.apex],
+                "apex": None if res.apex is None else [str(c) for c in res.apex],
                 "complex_ruled_indicated": res.complex_ruled_indicated,
                 "notes": res.notes,
             }
@@ -172,7 +172,7 @@ def _cmd_incidence(args: argparse.Namespace) -> tuple[int, dict]:
         "n": inst.n,
         "dim": inst.dim,
         "incidences": inst.incidences,
-        "s": max_lines_per_flat(inst.lines),
+        "s": max_lines_per_flat(inst.lattices),
     }
     if inst.surface is not None:
         decomp = decompose_lines(inst)
@@ -249,8 +249,8 @@ def _cmd_project(args: argparse.Namespace) -> tuple[int, dict]:
     from .projection import project_to_3space
 
     inst = load_instance(args.file)
-    pts3, lns3, cert = project_to_3space(inst.points, inst.lines, seed=args.seed)
-    out = IncidenceInstance(None, pts3, lns3)
+    pts3, lns3, cert = project_to_3space(inst.scaled, inst.lattices, seed=args.seed)
+    out = IncidenceInstance.from_forms(None, pts3, lns3)
     save_instance(out, args.output)
     return (0 if cert.ok else 1), {
         "dim_before": inst.dim,

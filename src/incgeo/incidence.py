@@ -3,10 +3,10 @@
 Every function here reads one checked IncidenceInstance (instfile), which
 has already rejected duplicates and stray lines, and which holds the
 surface factors of each line (containing) and the point-line relation
-(lines_at, points_on, by linespace.incidence_relation), both built on
+(lines_at, points_on, by lattice.lattice_incidences), both built on
 first read.
-The workflow: measure the coplanarity parameter s from
-linespace.coplanar_partners; split the line family by surface factor into
+The workflow: measure the coplanarity parameter s from the line lattices
+by lattice.coplanar_partners; split the line family by surface factor into
 the structured part L0 (lines on non-ruled factors, on several factors at
 once, or exceptional on a singly ruled factor) and the generic part L1;
 then read the incidence count, the conical incidences, the pruned points
@@ -16,7 +16,7 @@ reference count.  Bound evaluation is the only place floats appear;
 everything combinatorial is exact.  Only the decomposition reads
 surfaces, which it imports when it runs, and exceptional, which it
 imports only for a singly ruled factor, so counting and the bounds load
-no surface analysis.
+no surface analysis; they read only integer forms, so no Fraction either.
 """
 
 from __future__ import annotations
@@ -24,16 +24,21 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, InvariantViolation, PlanarComponentError
-from .linalg import Vec, to_vec
-from .linespace import AffLine, coplanar_partners, incidence_point_line
+from .lattice import coplanar_partners
 
 if TYPE_CHECKING:
     from .instfile import IncidenceInstance
+    from .lattice import Lattice
+    from .linalg import Vec
+    from .linespace import AffLine
     from .surfaces import ClassificationResult
 
 
 def count_incidences(points: Sequence, lines: Sequence[AffLine]) -> int:
     """Number of pairs (p, ln) with p on ln, by exhaustive exact check."""
+    from .linalg import to_vec
+    from .linespace import incidence_point_line
+
     pts = [to_vec(p) for p in points]
     return sum(1 for p in pts for ln in lines if incidence_point_line(p, ln))
 
@@ -41,8 +46,8 @@ def count_incidences(points: Sequence, lines: Sequence[AffLine]) -> int:
 # -- coplanarity parameter ---------------------------------------------------
 
 
-def max_lines_per_flat(lines: Sequence[AffLine]) -> int:
-    """Largest number of family lines lying in a common plane.
+def max_lines_per_flat(lines: Sequence[Lattice]) -> int:
+    """Largest number of family lines, given as lattices, in a common plane.
 
     Zero for an empty family.  The lowest-index line of a plane finds every
     other line of it in one group of coplanar_partners, so s is one more
@@ -53,9 +58,8 @@ def max_lines_per_flat(lines: Sequence[AffLine]) -> int:
         raise DomainError("instance lines must be distinct")
     if not lines:
         return 0
-    lattices = [ln.lattice for ln in lines]
     return 1 + max(
-        (len(group) for groups, _ in coplanar_partners(lattices) for group in groups), default=0
+        (len(group) for groups, _ in coplanar_partners(lines) for group in groups), default=0
     )
 
 
@@ -290,7 +294,7 @@ def _bound_report(
         raise DomainError("bound constant must be a positive finite number")
     m, n, inc = inst.m, inst.n, inst.incidences
     if s is None:
-        s = max_lines_per_flat(inst.lines)
+        s = max_lines_per_flat(inst.lattices)
     if planes:
         main, xi = rhs_planes(m, s, n), 0.0
     else:

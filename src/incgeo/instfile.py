@@ -17,10 +17,8 @@ and a file round-trips byte for byte.
     }
 
 A lifted instance has no surface; the field is null and "dim" may exceed 3.
-Only a surface needs poly, so the module imports it where a polynomial is
-read or written, and a surfaceless file loads without it.  Likewise only
-lines need linespace, imported where a line is first built or tested, so
-a file without lines loads without it.
+poly loads only to read or write a polynomial, lattice (which reads and
+writes coordinates) only for points or lines, linespace only for the views.
 An instance's dimension is read off its points and lines, so an instance
 with neither must have "dim" 3.
 A polynomial term of total degree above MAX_DEGREE, or a polynomial of more
@@ -33,16 +31,15 @@ too: the projection's exact certificate grows steeply with the dimension.
 from __future__ import annotations
 
 import json
-import re
-from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import ArityError, DomainError, ParseError
-from .linalg import Vec, to_vec
 
 if TYPE_CHECKING:
+    from .lattice import Lattice, Scaled
+    from .linalg import Vec
     from .linespace import AffLine
     from .poly import Poly, Surface
 
@@ -50,38 +47,40 @@ if TYPE_CHECKING:
 class IncidenceInstance:
     """A point set and line set, optionally tied to a concrete surface.
 
-    Construction checks the instance once: points and lines are distinct
-    and share one dimension, and with a surface every line lies on it,
-    each line tested against the factors in order up to the first that
-    holds it.  containing[j] holds the ascending indices of the surface
-    factors that contain lines[j] (empty without a surface), read by the
-    decomposition and the classifier hints; it is built on first read,
-    testing each line only against the factors after that first one.  The
-    incidence relation, lines_at and points_on, is built from
-    linespace.incidence_relation on first read.  A command that never reads
-    one of these never builds it.
-
-    Instances are immutable and equal when their surface, points and lines
-    are; containing and the incidence relation are functions of these.
-    The instance keeps a __dict__ for its cached properties.
-
-    Lifted instances drop the surface: its equation lives in three
-    variables and does not travel to higher dimension, while the points
-    and lines do.
+    It holds lattice's forms, scaled points and line lattices, and checks
+    them once: points and lines are distinct and share one dimension, and
+    with a surface every line lies on it, tested against the factors in
+    order up to the first that holds it.  Built on first read only:
+    containing[j], the factors that contain lines[j] (testing those after
+    the first); the incidence relation lines_at and points_on; and the
+    Fraction views points and lines.  Instances are immutable, and equal
+    when their surface, points and lines are.  A lifted instance has no
+    surface: its equation does not travel to higher dimension.
     """
 
     surface: Surface | None
-    points: tuple[Vec, ...]
-    lines: tuple[AffLine, ...]
+    scaled: tuple[Scaled, ...]
+    lattices: tuple[Lattice, ...]
 
     def __init__(self, surface: Surface | None, points: Sequence, lines: Sequence[AffLine]):
-        pts = tuple(to_vec(p) for p in points)
-        lns = tuple(lines)
+        from .lattice import scaled_form
+        from .linalg import to_vec
+
+        self.__dict__.update(points=tuple(map(to_vec, points)), lines=tuple(lines))
+        self._check(surface, tuple(map(scaled_form, self.points)), tuple(ln.lattice for ln in self.lines))
+
+    @classmethod
+    def from_forms(cls, surface: Surface | None, points: Sequence[Scaled], lines: Sequence[Lattice]):
+        inst = cls.__new__(cls)
+        inst._check(surface, tuple(points), tuple(lines))
+        return inst
+
+    def _check(self, surface: Surface | None, pts: tuple[Scaled, ...], lns: tuple[Lattice, ...]):
         if len(set(pts)) != len(pts):
             raise DomainError("instance points must be distinct")
         if len(set(lns)) != len(lns):
             raise DomainError("instance lines must be distinct")
-        dims = {len(p) for p in pts} | {ln.dim for ln in lns}
+        dims = {len(pv) for pv, _ in pts} | {len(lat[1]) for lat in lns}
         if len(dims) > 1:
             raise ArityError("points and lines disagree on ambient dimension")
         first_owners: list[int] = []
@@ -89,18 +88,18 @@ class IncidenceInstance:
             if dims and dims != {3}:
                 raise ArityError("a surface-carrying instance must live in 3-space")
             if lns:
-                from .linespace import line_on_surface
+                from .lattice import lattice_on_surface
             # a line lies in Z(gh) iff it lies in Z(g) or in Z(h)
-            for ln in lns:
+            for lat in lns:
                 owner = next(
-                    (i for i, w in enumerate(surface.factors) if line_on_surface(w, ln)), None
+                    (i for i, w in enumerate(surface.factors) if lattice_on_surface(w, lat)), None
                 )
                 if owner is None:
                     raise DomainError("an instance line misses the surface")
                 first_owners.append(owner)
         object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "lines", lns)
+        object.__setattr__(self, "scaled", pts)
+        object.__setattr__(self, "lattices", lns)
         object.__setattr__(self, "_first_owners", tuple(first_owners))
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -112,14 +111,12 @@ class IncidenceInstance:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (
-            self.surface == other.surface
-            and self.points == other.points
-            and self.lines == other.lines
+        return (self.surface, self.scaled, self.lattices) == (
+            other.surface, other.scaled, other.lattices
         )
 
     def __hash__(self) -> int:
-        return hash((self.surface, self.points, self.lines))
+        return hash((self.surface, self.scaled, self.lattices))
 
     def __repr__(self) -> str:
         return (
@@ -128,30 +125,44 @@ class IncidenceInstance:
         )
 
     @cached_property
+    def points(self) -> tuple[Vec, ...]:
+        from fractions import Fraction
+
+        return tuple(tuple(Fraction(c, q) for c in pv) for pv, q in self.scaled)
+
+    @cached_property
+    def lines(self) -> tuple[AffLine, ...]:
+        if not self.lattices:
+            return ()
+        from .linespace import AffLine
+
+        return tuple(map(AffLine.from_lattice, self.lattices))
+
+    @cached_property
     def containing(self) -> tuple[tuple[int, ...], ...]:
         """For each line, the ascending indices of the surface factors that
         contain it; empty without a surface."""
-        if self.surface is None or not self.lines:
+        if self.surface is None or not self.lattices:
             return ()
-        from .linespace import line_on_surface
+        from .lattice import lattice_on_surface
 
         factors = self.surface.factors
         return tuple(
-            (i, *(k for k in range(i + 1, len(factors)) if line_on_surface(factors[k], ln)))
-            for i, ln in zip(self._first_owners, self.lines)
+            (i, *(k for k in range(i + 1, len(factors)) if lattice_on_surface(factors[k], lat)))
+            for i, lat in zip(self._first_owners, self.lattices)
         )
 
     @cached_property
     def lines_at(self) -> tuple[tuple[int, ...], ...]:
         """For each point, the ascending indices of the lines through it."""
-        from .linespace import incidence_relation
+        from .lattice import lattice_incidences
 
-        return incidence_relation(self.points, self.lines)
+        return lattice_incidences(self.scaled, self.lattices)
 
     @cached_property
     def points_on(self) -> tuple[tuple[int, ...], ...]:
         """For each line, the ascending indices of the points on it."""
-        points_on: list[list[int]] = [[] for _ in self.lines]
+        points_on: list[list[int]] = [[] for _ in self.lattices]
         for i, through in enumerate(self.lines_at):
             for j in through:
                 points_on[j].append(i)
@@ -164,18 +175,18 @@ class IncidenceInstance:
 
     @property
     def m(self) -> int:
-        return len(self.points)
+        return len(self.scaled)
 
     @property
     def n(self) -> int:
-        return len(self.lines)
+        return len(self.lattices)
 
     @property
     def dim(self) -> int:
-        for p in self.points:
-            return len(p)
-        for ln in self.lines:
-            return ln.dim
+        for pv, _ in self.scaled:
+            return len(pv)
+        for lat in self.lattices:
+            return len(lat[1])
         return 3
 
 
@@ -186,41 +197,12 @@ MAX_DEGREE = 64
 # of degree 5 or less (at most 56 terms) fits; the catalog factors have at
 # most 4 terms.
 MAX_TERMS = 64
-# Projecting an instance down from R^dim certifies each step exactly, and
-# that cost climbs steeply with dim: a product lift of 40 lines and 40
-# points projects in 0.05, 0.6-0.7 and 3.6-4.2 s from dimensions 8, 16 and
-# 24 (in process, 2-vCPU VM, Python 3.11), and `incgeo project` takes
-# 0.7-1.1 s on the dim-16 lift.  The lifts in the tests and the benchmark
-# have dim <= 6.
-# forge refuses to lift past the cap as well.
+# Projecting from R^dim grows the coordinates at every step, and a failed
+# composed certificate is replayed step by step: a product lift of 40 lines
+# and 40 points projects in 0.02, 0.09-0.11 and 0.35-0.38 s from dimensions
+# 8, 16 and 24 (in process, 2-vCPU VM, Python 3.11), and `incgeo project`
+# takes 0.15-0.23 s on the dim-16 lift.  forge refuses to lift past the cap.
 MAX_DIM = 16
-
-
-def format_rational(q: Fraction) -> str:
-    return str(q)
-
-
-_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
-
-
-def parse_rational(text: object) -> Fraction:
-    """Parse the "n" or "n/d" grammar; nothing else (no exponents, no decimals)."""
-    if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
-        raise ParseError(f"expected an 'n' or 'n/d' rational string, got {text!r}")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {text!r}") from exc
-
-
-def _vector_to_obj(v: Vec) -> list[str]:
-    return [format_rational(c) for c in v]
-
-
-def _obj_to_vector(obj: object, dim: int) -> Vec:
-    if not isinstance(obj, list) or len(obj) != dim:
-        raise ParseError(f"expected {dim} coordinates, got {obj!r}")
-    return tuple(parse_rational(c) for c in obj)
 
 
 def poly_to_obj(p: Poly) -> dict:
@@ -235,6 +217,8 @@ def poly_to_obj(p: Poly) -> dict:
 
 
 def obj_to_poly(obj: object, nvars: int) -> Poly:
+    from fractions import Fraction
+
     from .poly import Poly
 
     if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
@@ -276,14 +260,13 @@ def obj_to_surface(obj: object) -> Surface:
 
 
 def instance_to_obj(inst: IncidenceInstance) -> dict:
+    if inst.scaled or inst.lattices:
+        from .lattice import line_strings, point_strings
     return {
         "dim": inst.dim,
         "surface": None if inst.surface is None else surface_to_obj(inst.surface),
-        "points": [_vector_to_obj(p) for p in inst.points],
-        "lines": [
-            {"base": _vector_to_obj(ln.base), "dir": _vector_to_obj(ln.direction)}
-            for ln in inst.lines
-        ],
+        "points": [point_strings(p) for p in inst.scaled],
+        "lines": [dict(zip(("base", "dir"), line_strings(lat))) for lat in inst.lattices],
     }
 
 
@@ -306,17 +289,15 @@ def obj_to_instance(obj: object) -> IncidenceInstance:
     if not points_obj and not lines_obj and dim != 3:
         # nothing would carry the dimension, so it would come back as 3
         raise ParseError(f"an instance without points or lines has dim 3, not {dim}")
-    points = [_obj_to_vector(p, dim) for p in points_obj]
+    if points_obj or lines_obj:
+        from .lattice import read_line, read_point
+    points = [read_point(p, dim) for p in points_obj]
     lines = []
-    if lines_obj:
-        from .linespace import AffLine
     for item in lines_obj:
         if not isinstance(item, dict):
             raise ParseError(f"bad line entry {item!r}")
-        base = _obj_to_vector(item.get("base"), dim)
-        direction = _obj_to_vector(item.get("dir"), dim)
-        lines.append(AffLine(base, direction))
-    return IncidenceInstance(surface, points, lines)
+        lines.append(read_line(item.get("base"), item.get("dir"), dim))
+    return IncidenceInstance.from_forms(surface, points, lines)
 
 
 def dumps_instance(inst: IncidenceInstance) -> str:

@@ -4,23 +4,9 @@ An AffLine is stored canonically (direction scaled to first nonzero entry
 1, base slid to 0 at that pivot), so equality and hashing are exact.  The
 module decides point-line incidence, the relation of two lines (equal,
 parallel, intersecting, skew), coplanarity of three lines and containment
-of a line in a surface (the one question that loads poly).  An instance's
-two pairwise relations are built here, one pass each: incidence_relation
-(point-line) and coplanar_partners (line-line).
-
-Every point-line and line-line question runs on integers.  A point is its
-scaled pair (P, q): P integer, q > 0 and gcd 1, so the point is P/q.  A
-line is its lattice (k, D, B, s): the pivot k, the primitive integer
-direction D with D[k] > 0 and the integer base B with scale s, so
-direction = D/D[k] and base = B/s, with B[k] = 0.  Both forms are
-canonical, so equal points and equal lines have equal tuples.  A point P/q
-lies on a line iff s*(P_i*D_k - P_k*D_i) = q*D_k*B_i for every i.  In any
-dimension, line b meets line a iff b's direction and base offset, reduced
-against a's pivot, are proportional; the reduced vector, primitive with
-positive lead entry, keys the 2-flat they span.  reduced_form and
-line_lattice build both forms from integers, so no other module writes
-them out.  coplanar_triple, by exact rank, stays the reference predicate
-for three lines.
+of a line in a surface.  Incidence and pair relations run on the integer
+kernels of lattice, on each AffLine's cached lattice; coplanar_triple, by
+exact rank, stays the reference predicate for three lines.
 
 Plucker coordinates of lines in P^3 use these conventions:
 
@@ -37,15 +23,13 @@ is 1, which makes them exact to compare too.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import linalg
 from .errors import ArityError, DegenerateLineError, DomainError
+from .lattice import Lattice, RelationKind, _on_lattice, lattice_relation, scaled_form
 from .linalg import Vec, to_vec, vec_sub
 
 if TYPE_CHECKING:
@@ -127,19 +111,6 @@ def klein_form(a: Vec, b: Vec) -> Fraction:
     )
 
 
-# (pivot, integer direction, integer base, base scale) of an AffLine
-Lattice = tuple[int, tuple[int, ...], tuple[int, ...], int]
-# (integer numerators, common denominator) of a point
-Scaled = tuple[tuple[int, ...], int]
-
-
-class RelationKind(Enum):
-    EQUAL = "equal"
-    PARALLEL = "parallel"
-    INTERSECTING = "intersecting"
-    SKEW = "skew"
-
-
 class LineRelation(NamedTuple):
     kind: RelationKind
     point: Vec | None = None
@@ -195,35 +166,22 @@ class AffLine:
 
     @cached_property
     def lattice(self) -> Lattice:
-        """(k, D, B, s): the pivot k, the primitive integer direction D with
-        D[k] > 0 and the integer base B with scale s > 0, so that
-        direction = D/D[k] and base = B/s."""
+        """(k, D, B, s) with direction = D/D[k] and base = B/s."""
         dv, _ = scaled_form(self.direction)
         bv, s = scaled_form(self.base)
         return self.direction.index(1), dv, bv, s
 
+    @classmethod
+    def from_lattice(cls, lattice: Lattice) -> AffLine:
+        """The line with this lattice, which it keeps as its cached one."""
+        k, dv, bv, s = lattice
+        ln = cls([Fraction(c, s) for c in bv], [Fraction(c, dv[k]) for c in dv])
+        ln.__dict__["lattice"] = lattice
+        return ln
+
     def point_at(self, t) -> Vec:
         tf = t if isinstance(t, Fraction) else Fraction(t)
         return tuple(b + tf * d for b, d in zip(self.base, self.direction))
-
-
-def scaled_form(v: Vec) -> Scaled:
-    """(V, q) with v = V/q: q is the lcm of v's denominators, V integer."""
-    q = lcm(*(c.denominator for c in v))
-    return tuple(c.numerator * (q // c.denominator) for c in v), q
-
-
-def _on_lattice(point: Scaled, lattice: Lattice) -> bool:
-    """Whether the scaled point (P, q) lies on the line with this lattice
-    data, stopping at the first mismatch."""
-    pv, q = point
-    k, dv, bv, s = lattice
-    pk, dk = pv[k], dv[k]
-    qdk = q * dk
-    for p, d, b in zip(pv, dv, bv):
-        if s * (p * dk - pk * d) != qdk * b:
-            return False
-    return True
 
 
 def incidence_point_line(point: Sequence, ln: AffLine) -> bool:
@@ -232,93 +190,6 @@ def incidence_point_line(point: Sequence, ln: AffLine) -> bool:
     if len(pv) != ln.dim:
         raise ArityError("point and line dimensions differ")
     return _on_lattice(scaled_form(pv), ln.lattice)
-
-
-def lattice_incidences(points: Sequence[Scaled], lines: Sequence[Lattice]) -> tuple[tuple[int, ...], ...]:
-    """For each scaled point, the ascending indices of the lattices through
-    it; each point-line pair is tested once."""
-    return tuple(tuple(j for j, lat in enumerate(lines) if _on_lattice(pt, lat)) for pt in points)
-
-
-def incidence_relation(points: Sequence[Vec], lines: Sequence[AffLine]) -> tuple[tuple[int, ...], ...]:
-    """For each point, the ascending indices of the lines through it; each
-    point is scaled to integers once and each point-line pair tested once."""
-    if len({len(p) for p in points} | {ln.dim for ln in lines}) > 1:
-        raise ArityError("point and line dimensions differ")
-    return lattice_incidences([scaled_form(p) for p in points], [ln.lattice for ln in lines])
-
-
-def _flat_key(v: list[int]) -> tuple[int, ...]:
-    """The primitive integer vector on v's ray with a positive lead entry."""
-    g = gcd(*v)
-    if next(c for c in v if c) < 0:
-        g = -g
-    return tuple(c // g for c in v)
-
-
-def reduced_form(v: Sequence[int], q: int) -> Scaled:
-    """The scaled form of the point V/q, for integers V and q != 0: both
-    over their gcd, with q > 0."""
-    g = gcd(q, *v)
-    if q < 0:
-        g = -g
-    return tuple(c // g for c in v), q // g
-
-
-def line_lattice(direction: Sequence[int], base: Sequence[int], scale: int) -> Lattice:
-    """The lattice of the line base/scale + t*direction, for a nonzero
-    integer direction, an integer base and a nonzero scale: the direction
-    made primitive with positive pivot entry, and the base slid along it to
-    0 at the pivot."""
-    dv = _flat_key(direction)
-    k = next(i for i, c in enumerate(dv) if c)
-    dk, bk = dv[k], base[k]
-    bv, s = reduced_form([b * dk - bk * d for b, d in zip(base, dv)], scale * dk)
-    return k, dv, bv, s
-
-
-def lattice_relation(
-    a: Lattice, b: Lattice
-) -> tuple[RelationKind, tuple[int, ...] | None, tuple[int, int] | None]:
-    """How line b sits against line a, given their lattices, from b's
-    direction and b's base minus a's reduced against a, all in integers.
-
-    Returns the kind; for coplanar distinct lines, the key of the 2-flat
-    they span among the flats through a (the reduced direction, or for
-    parallel lines the reduced offset, as a primitive integer vector with
-    positive lead entry); and for intersecting lines, the integer numerator
-    and nonzero denominator of the s with b.point_at(s) on a, left for
-    line_relation to reduce, as coplanar_partners never reads it.
-    """
-    k, da, ba, sa = a
-    kb, db, bb, sb = b
-    if len(da) != len(db):
-        raise ArityError("lines live in different dimensions")
-    dk = da[k]
-    # sa*sb*dk times the reduced offset; zero at k, where a's base is 0
-    wk = bb[k] * sa
-    if da == db:  # primitive with positive pivot entry, so equal iff parallel
-        offset = [(y * sa - x * sb) * dk - wk * d for x, y, d in zip(ba, bb, da)]
-        if not any(offset):
-            return RelationKind.EQUAL, None, None
-        return RelationKind.PARALLEL, _flat_key(offset), None
-    # db[kb]*dk times the reduced direction is the turn; it is nonzero, as
-    # the directions differ.  b meets a iff offset + s*turn = 0 for some s,
-    # tested entry by entry, so most skew pairs stop within a few entries.
-    tk = db[k]
-    tj = oj = 0
-    for x, y, d, c in zip(ba, bb, da, db):
-        t = c * dk - tk * d
-        o = (y * sa - x * sb) * dk - wk * d
-        if tj:
-            if o * tj != oj * t:
-                return RelationKind.SKEW, None, None
-        elif t:
-            tj, oj = t, o
-        elif o:
-            return RelationKind.SKEW, None, None
-    turn = [c * dk - tk * d for c, d in zip(db, da)]
-    return RelationKind.INTERSECTING, _flat_key(turn), (-oj * db[kb], sa * sb * tj)
 
 
 def line_relation(l1: AffLine, l2: AffLine) -> LineRelation:
@@ -343,22 +214,6 @@ def coplanar_triple(l1: AffLine, l2: AffLine, l3: AffLine) -> bool:
         vec_sub(l3.base, l1.base),
     ]
     return linalg.rank(rows) <= 2
-
-
-def coplanar_partners(lines: Sequence[Lattice]) -> Iterator[tuple[list[list[int]], list[int]]]:
-    """For each line a, given by its lattice, in order: the indices of its
-    later coplanar partners, grouped by the 2-flat they span with a, and of
-    its later equal lines.  Each unordered pair is tested once."""
-    for i, a in enumerate(lines):
-        groups: defaultdict[tuple[int, ...], list[int]] = defaultdict(list)
-        equal: list[int] = []
-        for j in range(i + 1, len(lines)):
-            kind, key, _ = lattice_relation(a, lines[j])
-            if key is not None:
-                groups[key].append(j)
-            elif kind is RelationKind.EQUAL:
-                equal.append(j)
-        yield list(groups.values()), equal
 
 
 def line_on_surface(f: Poly, ln: AffLine) -> bool:

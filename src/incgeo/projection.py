@@ -1,44 +1,37 @@
 """Generic projection of point-line instances from R^d down to R^3.
 
 One projection step removes one dimension: a rational direction w is
-sampled, and the map keeps the coordinates v_i - (w_i / w_j) v_j for i
-different from the pivot j (the first entry of largest magnitude), which
-is linear with kernel spanned by w.  A step is accepted only if it provably
-changes nothing combinatorial: points stay distinct, lines stay distinct
-and none collapses, the incidence relation is preserved pair for pair, and
-non-coplanar line triples stay non-coplanar.  Failed samples are retried
-against a fixed budget, so the output carries a certificate rather than a
-probabilistic promise.
+sampled, and the map keeps v_i - (w_i / w_j) v_j for i other than the
+pivot j (the first entry of largest magnitude), a linear map with kernel
+span(w).  A projection is accepted only if it provably changes nothing
+combinatorial: points and lines stay distinct, no line collapses, the
+incidence relation is kept pair for pair, and non-coplanar line triples
+stay non-coplanar.  Failed samples are retried against a fixed budget, so
+the output carries a certificate rather than a probabilistic promise.
 
-Every step runs on integers, in linespace's canonical forms: a point is its
-scaled pair (P, q) and a line its lattice (k, D, B, s).  The direction is
-scaled to an integer W, so the image of P/q is (P_i*W_j - W_i*P_j)/(q*W_j),
-reduced to lowest terms by linespace.reduced_form; a line's direction and
-base map the same way and linespace.line_lattice puts them back in
-canonical form.  Fractions and AffLines are built once, after the last
-accepted step.
+Every step runs on integers, in lattice's forms, which project_to_3space
+takes and returns: with the direction scaled to an integer W, the image of
+P/q is (P_i*W_j - W_i*P_j)/(q*W_j), and a line's D and B map the same way.
 
-Both pairwise relations come from linespace's integer kernels, on both
-sides of the certificate.  The triple check costs O(n^2) pair tests, not
-O(n^3) triple tests: three projected lines share a 2-flat only if each two
-of them do, so only the lines of one group of linespace.coplanar_partners
-are related on the original side, each once to the line whose group it
-is: none may be skew to that line, and those not equal to it must span
-one flat with it.  The original incidence relation is built once and
-handed to is_generic: each accepted step certifies that it did not change.
+Every failure persists through later affine steps: merged points or lines
+stay merged, and a new incidence or coplanar triple stays.  So a chain of
+d - 3 steps passes as a whole iff each step does, and its composed map is
+certified once against the original instance and its incidence relation.
+Only if that fails, or a draw is zero or collapses a line, is the chain
+replayed step by step from the same seed, resampling each failed step, so
+output and resample count are those of the step-by-step loop.  Both sides
+of a certificate are related by lattice's integer kernels, the triples in
+O(n^2) pair tests (see _noncoplanar_kept).
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
 from .errors import ArityError, CollapseError, DomainError, ResampleExhaustedError
-from .linalg import Vec, to_vec
-from .linespace import (
-    AffLine,
+from .lattice import (
     Lattice,
     RelationKind,
     Scaled,
@@ -47,7 +40,6 @@ from .linespace import (
     lattice_relation,
     line_lattice,
     reduced_form,
-    scaled_form,
 )
 
 SAMPLE_MAGNITUDE = 10**4
@@ -181,63 +173,60 @@ def _sample_direction(rng: random.Random, dim: int) -> tuple[int, ...]:
     return tuple(c // g for c in w)
 
 
+def _descend(rng: random.Random, points, lines, dim: int, lines_at, max_resamples: int):
+    """(points, lines, resamples) projected to R^3, one draw per step.  With
+    the original relation lines_at each step is certified and resampled
+    until it passes; without, none is, and a failed draw gives None."""
+    resamples = 0
+    while dim > 3:
+        w = _sample_direction(rng, dim)
+        try:
+            if not any(w):
+                raise CollapseError("zero direction")
+            cand_pts, cand_lns = project_once(points, lines, w)
+            ok = lines_at is None or is_generic(points, lines, lines_at, cand_pts, cand_lns).ok
+        except CollapseError:
+            if lines_at is None:
+                return None
+            ok = False
+        if ok:
+            points, lines = cand_pts, cand_lns
+            dim -= 1
+        else:
+            resamples += 1
+            if resamples > max_resamples:
+                raise ResampleExhaustedError(
+                    f"no generic projection direction within {max_resamples} resamples"
+                )
+    return points, lines, resamples
+
+
 def project_to_3space(
-    points: Sequence,
-    lines: Sequence[AffLine],
+    points: Sequence[Scaled],
+    lines: Sequence[Lattice],
     seed: int = 0,
     max_resamples: int = MAX_RESAMPLES,
-) -> tuple[list[Vec], list[AffLine], GenericityCertificate]:
-    """Repeatedly project one dimension until the instance lives in R^3.
-
-    Directions are drawn from a seeded generator, so the output is a pure
-    function of (instance, seed).  Each step must pass the full genericity
-    certificate; failures burn resamples from a shared budget and exhaust
-    into ResampleExhaustedError.
-    """
-    pts = [to_vec(p) for p in points]
-    lns = list(lines)
-    dims = {len(p) for p in pts} | {ln.dim for ln in lns}
+) -> tuple[list[Scaled], list[Lattice], GenericityCertificate]:
+    """Project scaled points and line lattices down to R^3, one dimension
+    per step, along directions drawn from a seeded generator, so the output
+    is a pure function of (instance, seed).  The composed map, or else each
+    step, must pass the full genericity certificate; failed steps burn a
+    shared resample budget and exhaust into ResampleExhaustedError."""
+    pts, lns = list(points), list(lines)
+    dims = {len(pv) for pv, _ in pts} | {len(lat[1]) for lat in lns}
     if len(dims) > 1:
         raise ArityError("points and lines disagree on ambient dimension")
     dim = dims.pop() if dims else 3
     if dim < 3:
         raise DomainError("instances live in dimension at least 3")
 
-    rng = random.Random(seed)
     resamples = 0
     if dim > 3:
-        scaled = [scaled_form(p) for p in pts]
-        lattices = [ln.lattice for ln in lns]
-        # an accepted step preserves the incidence relation, so it is built once
-        lines_at = lattice_incidences(scaled, lattices)
-        while dim > 3:
-            w = _sample_direction(rng, dim)
-            try:
-                if not any(w):
-                    raise CollapseError("zero direction")
-                cand_pts, cand_lns = project_once(scaled, lattices, w)
-                ok = is_generic(scaled, lattices, lines_at, cand_pts, cand_lns).ok
-            except CollapseError:
-                ok = False
-            if ok:
-                scaled, lattices = cand_pts, cand_lns
-                dim -= 1
-            else:
-                resamples += 1
-                if resamples > max_resamples:
-                    raise ResampleExhaustedError(
-                        f"no generic projection direction within {max_resamples} resamples"
-                    )
-        pts = [tuple(Fraction(c, q) for c in pv) for pv, q in scaled]
-        lns = [
-            AffLine([Fraction(c, s) for c in bv], [Fraction(c, dv[k]) for c in dv])
-            for k, dv, bv, s in lattices
-        ]
-    final = GenericityCertificate(
-        points_distinct=len(set(pts)) == len(pts),
-        lines_distinct=len(set(lns)) == len(lns),
-        incidences_preserved=True,
-        noncoplanar_triples_preserved=True,
-        resamples_used=resamples,
-    )
-    return pts, lns, final
+        # every certificate compares against the original incidence relation
+        lines_at = lattice_incidences(pts, lns)
+        chain = _descend(random.Random(seed), pts, lns, dim, None, 0)
+        if chain is None or not is_generic(pts, lns, lines_at, *chain[:2]).ok:
+            chain = _descend(random.Random(seed), pts, lns, dim, lines_at, max_resamples)
+        pts, lns, resamples = chain
+    distinct = len(set(pts)) == len(pts), len(set(lns)) == len(lns)
+    return pts, lns, GenericityCertificate(*distinct, True, True, resamples)

@@ -3,18 +3,29 @@
 The package projects on integers: points as scaled pairs (P, q), lines as
 lattices (k, D, B, s) and the direction scaled to integers.  The tests check
 that step against project_vector, the plain Fraction formula it replaced,
-which shares no arithmetic with it; the adapters below run the integer step
-and certificate on Fraction points and AffLines.
+which shares no arithmetic with it; the adapters below run the integer step,
+the certificate and the whole descent on Fraction points and AffLines.
+step_by_step is the descent that certifies every step, which
+project_to_3space replays only when its one composed certificate fails.
 """
 
+import random
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from incgeo.errors import ArityError, CollapseError, DomainError
+from incgeo.errors import ArityError, CollapseError, DomainError, ResampleExhaustedError
+from incgeo.lattice import lattice_incidences, scaled_form
 from incgeo.linalg import Vec, to_vec
-from incgeo.linespace import AffLine, scaled_form, incidence_relation
-from incgeo.projection import GenericityCertificate, is_generic, project_once
+from incgeo.linespace import AffLine
+from incgeo.projection import (
+    MAX_RESAMPLES,
+    GenericityCertificate,
+    _sample_direction,
+    is_generic,
+    project_once,
+    project_to_3space,
+)
 
 
 def project_vector(v: Sequence, w: Sequence) -> Vec:
@@ -55,7 +66,7 @@ def lattice_form(points: Sequence, lines: Sequence[AffLine]) -> tuple[list, list
 def fraction_form(points: Sequence, lines: Sequence) -> tuple[list[Vec], list[AffLine]]:
     return (
         [tuple(Fraction(c, q) for c in pv) for pv, q in points],
-        [AffLine([Fraction(c, s) for c in bv], dv) for _, dv, bv, s in lines],
+        [AffLine.from_lattice(lat) for lat in lines],
     )
 
 
@@ -69,6 +80,41 @@ def certify(points, lines, projected_points, projected_lines) -> GenericityCerti
     original side's incidence relation built here."""
     scaled, lattices = lattice_form(points, lines)
     return is_generic(
-        scaled, lattices, incidence_relation(points, lines),
+        scaled, lattices, lattice_incidences(scaled, lattices),
         *lattice_form(projected_points, projected_lines),
     )
+
+
+def project_down(points, lines, seed=0, max_resamples=MAX_RESAMPLES):
+    """projection.project_to_3space on Fraction points and AffLines."""
+    pts, lns, cert = project_to_3space(*lattice_form(points, lines), seed, max_resamples)
+    return (*fraction_form(pts, lns), cert)
+
+
+def step_by_step(points, lines, seed=0, max_resamples=MAX_RESAMPLES):
+    """(points, lines, resamples): the descent on scaled points and line
+    lattices that certifies each step against the original incidence
+    relation and resamples it until it passes, with the same draws as
+    project_to_3space."""
+    pts, lns = list(points), list(lines)
+    dim = len(pts[0][0]) if pts else len(lns[0][1])
+    lines_at = lattice_incidences(pts, lns)
+    rng = random.Random(seed)
+    resamples = 0
+    while dim > 3:
+        w = _sample_direction(rng, dim)
+        try:
+            if not any(w):
+                raise CollapseError("zero direction")
+            cand = project_once(pts, lns, w)
+            ok = is_generic(pts, lns, lines_at, *cand).ok
+        except CollapseError:
+            ok = False
+        if ok:
+            pts, lns = cand
+            dim -= 1
+        else:
+            resamples += 1
+            if resamples > max_resamples:
+                raise ResampleExhaustedError("resample budget exhausted")
+    return pts, lns, resamples

@@ -287,20 +287,21 @@ def test_c10_projection_certification():
         m = 5 + trial % 5
         inst = build_instance(kind, n, m, seed=trial)
         target = 4 + trial % 2
-        pts_d, lns_d = lift_to_dim(inst.points, inst.lines, target, seed=trial)
-        pts3, lns3, cert = project_to_3space(pts_d, lns_d, seed=trial + 1)
+        lifted = IncidenceInstance(None, *lift_to_dim(inst.points, inst.lines, target, seed=trial))
+        pts3, lns3, cert = project_to_3space(lifted.scaled, lifted.lattices, seed=trial + 1)
+        back = IncidenceInstance.from_forms(None, pts3, lns3)
         steps = target - 3
         assert cert.ok
         assert cert.resamples_used <= 3 * steps
-        assert len(pts3) == inst.m and len(lns3) == inst.n
-        assert count_incidences(pts3, lns3) == count_incidences(
+        assert back.m == inst.m and back.n == inst.n
+        assert count_incidences(back.points, back.lines) == count_incidences(
             inst.points, inst.lines
         )
         for i in range(inst.n):
             for j in range(i + 1, inst.n):
                 for k in range(j + 1, inst.n):
                     if not coplanar_triple(inst.lines[i], inst.lines[j], inst.lines[k]):
-                        assert not coplanar_triple(lns3[i], lns3[j], lns3[k])
+                        assert not coplanar_triple(back.lines[i], back.lines[j], back.lines[k])
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0, f"projection suite took {elapsed:.1f}s"
 

@@ -214,23 +214,24 @@ def product500(tmp_path_factory):
 
 # 500 lines on 3 factors, one line on two of them: the instance tests each
 # line up to its first factor (999 calls), and containing, read only by
-# incidence and classify, tests the factors after it (501 more)
+# incidence and classify, tests the factors after it (501 more); each test
+# is lattice's integer restriction of the factor to the line
 @pytest.mark.parametrize(
     "command, calls", [("verify", 999), ("flecnode", 999), ("incidence", 1500), ("classify", 1500)]
 )
 def test_containment_stops_at_the_first_owner(product500, monkeypatch, capsys, command, calls):
-    import incgeo.linespace as linespace
+    import incgeo.lattice as lattice
 
     tested = []
-    line_on_surface = linespace.line_on_surface
+    lattice_on_surface = lattice.lattice_on_surface
 
     # instfile imports the test where it runs it; only its calls are counted
-    def counted(f, ln):
+    def counted(f, lat):
         if sys._getframe(1).f_globals["__name__"] == "incgeo.instfile":
-            tested.append(ln)
-        return line_on_surface(f, ln)
+            tested.append(lat)
+        return lattice_on_surface(f, lat)
 
-    monkeypatch.setattr(linespace, "line_on_surface", counted)
+    monkeypatch.setattr(lattice, "lattice_on_surface", counted)
     code, _, _ = run(capsys, command, str(product500))
     assert code == 0
     assert len(tested) == calls
@@ -331,6 +332,22 @@ class TestErrorPaths:
         path.write_text('{"dim": ' + "9" * 5000 + "}", encoding="utf-8")
         code, _, err = run(capsys, "verify", str(path))
         assert code == 2 and "not valid JSON" in err
+
+    @pytest.mark.parametrize("where", ["point", "base", "dir"])
+    def test_coordinate_past_the_int_digit_limit(self, tmp_path, capsys, where):
+        # 4,301 digits is one past Python's limit on int string conversion
+        path = tmp_path / "long.json"
+        long = "1" * 4301
+        obj = {"dim": 3, "surface": None, "points": [["0", "0", "0"]],
+               "lines": [{"base": ["0", "0", "0"], "dir": ["1", "0", "0"]}]}
+        if where == "point":
+            obj["points"][0][1] = long
+        else:
+            obj["lines"][0][where][1] = "1/" + long
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        code, out, err = run(capsys, "verify", "--degree", "7", str(path))
+        assert code == 2 and out == ""
+        assert "error: bad rational" in err
 
     def test_huge_exponent_exits_fast(self, tmp_path, capsys):
         # z - xy + y^2000 with one line: checking the line against the surface

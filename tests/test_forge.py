@@ -199,7 +199,7 @@ class TestBuildInstance:
         inst = build_instance("cone", 20, 200, seed=3)
         assert (inst.m, inst.n) == (200, 20)
         assert count_incidences(inst.points, inst.lines) == 200
-        assert max_lines_per_flat(inst.lines) == 2
+        assert max_lines_per_flat(inst.lattices) == 2
         report = verify_bound(inst, degree=2, s=2)
         assert report.within
         assert abs(report.ratio_main - 0.5293) < 0.001

@@ -153,3 +153,35 @@ def test_detects_an_unreached_public_method():
 def test_no_unreached_public_names():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     assert unreached_public_names(sources, ACCEPTANCE.read_text(encoding="utf-8")) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """The modules a source imports, relative ones without their dots."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.update([node.module] if node.module else [a.name for a in node.names])
+    return found
+
+
+def defined_names(source: str) -> set[str]:
+    return {
+        node.name for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+
+
+def test_the_integer_kernel_builds_no_fraction():
+    # lattice reads, relates and writes points and lines on integers, so
+    # the calls that need only it load neither fractions nor linalg
+    source = (PACKAGE / "lattice.py").read_text(encoding="utf-8")
+    assert not imported_modules(source) & {"fractions", "decimal", "linalg", "linespace"}
+
+
+def test_linespace_builds_on_the_kernel_without_a_copy():
+    linespace = (PACKAGE / "linespace.py").read_text(encoding="utf-8")
+    lattice = (PACKAGE / "lattice.py").read_text(encoding="utf-8")
+    assert "lattice" in imported_modules(linespace)
+    assert not defined_names(linespace) & defined_names(lattice)

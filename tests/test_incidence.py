@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incgeo import linespace
+from incgeo import lattice, linespace
 from incgeo.errors import ArityError, DegenerateLineError, DomainError, PlanarComponentError
 from incgeo.incidence import (
     BoundReport,
@@ -174,6 +174,10 @@ def test_incidence_table_matches_exhaustive_check(instance):
 # -- the coplanarity parameter
 
 
+def lattices(lines):
+    return [ln.lattice for ln in lines]
+
+
 def max_lines_per_flat_oracle(lines) -> int:
     """Brute force: two distinct coplanar lines span one plane, which holds
     exactly the lines coplanar with both."""
@@ -189,17 +193,17 @@ def max_lines_per_flat_oracle(lines) -> int:
 @given(line_families())
 def test_max_lines_per_flat_matches_oracle(family):
     _, lines = family
-    assert max_lines_per_flat(lines) == max_lines_per_flat_oracle(lines)
+    assert max_lines_per_flat(lattices(lines)) == max_lines_per_flat_oracle(lines)
 
 
 def test_max_lines_per_flat_small_cases():
-    assert max_lines_per_flat([]) == 0
-    assert max_lines_per_flat([X_AXIS]) == 1
+    assert max_lines_per_flat(lattices([])) == 0
+    assert max_lines_per_flat(lattices([X_AXIS])) == 1
     skew = AffLine((0, 0, 1), (0, 1, 0))
-    assert max_lines_per_flat([X_AXIS, skew]) == 1
-    assert max_lines_per_flat([X_AXIS, Y_AXIS]) == 2
+    assert max_lines_per_flat(lattices([X_AXIS, skew])) == 1
+    assert max_lines_per_flat(lattices([X_AXIS, Y_AXIS])) == 2
     # three concurrent lines not in a common plane
-    assert max_lines_per_flat([X_AXIS, Y_AXIS, Z_AXIS]) == 2
+    assert max_lines_per_flat(lattices([X_AXIS, Y_AXIS, Z_AXIS])) == 2
 
 
 def test_max_lines_per_flat_triangle():
@@ -208,12 +212,12 @@ def test_max_lines_per_flat_triangle():
         AffLine((0, 0, 0), (0, 1, 0)),
         AffLine((1, 0, 0), (1, -1, 0)),
     ]
-    assert max_lines_per_flat(triangle) == 3
+    assert max_lines_per_flat(lattices(triangle)) == 3
 
 
 def test_max_lines_per_flat_parallel_family():
     fam = [AffLine((0, c, 0), (1, 0, 0)) for c in range(6)]
-    assert max_lines_per_flat(fam) == 6
+    assert max_lines_per_flat(lattices(fam)) == 6
 
 
 def test_max_lines_per_flat_rejects_mixed_dimensions():
@@ -221,23 +225,24 @@ def test_max_lines_per_flat_rejects_mixed_dimensions():
     in_4 = AffLine((0, 0, 0, 0), (0, 1, 0, 0))
     for lines in ([in_3, in_4], [in_4, in_3]):
         with pytest.raises(ArityError):
-            max_lines_per_flat(lines)
+            max_lines_per_flat(lattices(lines))
 
 
 def test_max_lines_per_flat_classifies_each_pair_once(monkeypatch):
-    # one pair test per unordered pair, in the pass it shares with the
-    # projection certificate, and no line_relation call
+    # one pair test per unordered pair, by the kernel in lattice, in the
+    # pass it shares with the projection certificate, and no line_relation
+    # call
     pair_tests, relations = [], []
-    pair = linespace.lattice_relation
+    pair = lattice.lattice_relation
 
     def counted(a, b):
         pair_tests.append(frozenset((a, b)))
         return pair(a, b)
 
-    monkeypatch.setattr(linespace, "lattice_relation", counted)
+    monkeypatch.setattr(lattice, "lattice_relation", counted)
     monkeypatch.setattr(linespace, "line_relation", lambda a, b: relations.append((a, b)))
     _, _, lines = product_instance()
-    assert max_lines_per_flat(lines) == 3
+    assert max_lines_per_flat(lattices(lines)) == 3
     n = len(lines)
     assert len(pair_tests) == n * (n - 1) // 2
     assert set(pair_tests) == {frozenset((a.lattice, b.lattice)) for a, b in combinations(lines, 2)}
@@ -249,13 +254,13 @@ def test_max_lines_per_flat_rejects_duplicates():
     # written from another base point
     lines = [X_AXIS, AffLine((5, 0, 0), (2, 0, 0)), Y_AXIS]
     with pytest.raises(DomainError, match="instance lines must be distinct"):
-        max_lines_per_flat(lines)
+        max_lines_per_flat(lattices(lines))
 
 
 def test_product_instance_coplanarity():
     _, _, lines = product_instance()
     # two opposite-family rulings and a cubic generator close a triangle
-    assert max_lines_per_flat(lines) == 3
+    assert max_lines_per_flat(lattices(lines)) == 3
 
 
 # -- decomposition

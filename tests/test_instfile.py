@@ -1,10 +1,18 @@
-"""Round-trip and validation tests for the JSON instance format."""
+"""Round-trip and validation tests for the JSON instance format.
+
+The coordinates are read straight into integer forms and written back from
+them by incgeo.lattice; fileref holds the Fraction reader and writer they
+are checked against.
+"""
 
 from fractions import Fraction
 
 import pytest
+from fileref import obj_to_vector, parse_rational, vector_to_obj
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from incgeo.errors import ParseError
+from incgeo.errors import DegenerateLineError, DomainError, ParseError
 from incgeo.forge import build_instance
 from incgeo.instfile import (
     MAX_DEGREE,
@@ -12,35 +20,110 @@ from incgeo.instfile import (
     MAX_TERMS,
     IncidenceInstance,
     dumps_instance,
-    format_rational,
     instance_to_obj,
     load_instance,
     obj_to_instance,
     obj_to_poly,
-    parse_rational,
     poly_to_obj,
     save_instance,
 )
+from incgeo.lattice import line_strings, point_strings, read_line, read_point, scaled_form
+from incgeo.linespace import AffLine
 from incgeo.poly import variables
 
 X, Y, Z = variables(3)
 F = Fraction
 
+# past Python's 4,300-digit limit on int string conversion, which Fraction
+# hits too
+LONG = "1" * 4301
+
 
 class TestRationals:
     def test_round_trip(self):
         for q in (F(0), F(3), F(-7, 2), F(10**9, 7)):
-            assert parse_rational(format_rational(q)) == q
+            assert read_point([str(q)], 1) == scaled_form((q,))
+            assert point_strings(read_point([str(q)], 1)) == [str(q)]
 
     def test_integer_form_has_no_slash(self):
-        assert format_rational(F(4, 2)) == "2"
+        assert point_strings(read_point(["4/2"], 1)) == ["2"]
 
     @pytest.mark.parametrize(
         "bad", ["1/0", "abc", "", "1.5e3x", 12, None, ["1"], "1e2000000", "1.5", " 3", "+3"]
     )
     def test_rejects_garbage(self, bad):
         with pytest.raises(ParseError):
-            parse_rational(bad)
+            read_point([bad], 1)
+
+
+def outcome(read):
+    """read()'s value, or the message of the ParseError it raised."""
+    try:
+        return read()
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def rationals(max_digits=40):
+    big = 10**max_digits
+    return st.builds(F, st.integers(-big, big), st.integers(1, big))
+
+
+@st.composite
+def rational_vectors(draw):
+    dim = draw(st.integers(3, 16))
+    return [draw(rationals()) for _ in range(dim)]
+
+
+class TestCoordinateStrings:
+    @settings(max_examples=200, deadline=None)
+    @given(rational_vectors())
+    def test_points_round_trip_byte_for_byte(self, v):
+        text = vector_to_obj(v)
+        assert read_point(text, len(v)) == scaled_form(v)
+        assert point_strings(read_point(text, len(v))) == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(rational_vectors(), st.data())
+    def test_lines_round_trip_byte_for_byte(self, base, data):
+        direction = data.draw(st.lists(rationals(), min_size=len(base), max_size=len(base)).filter(any))
+        ln = AffLine(base, direction)
+        lattice = read_line(vector_to_obj(base), vector_to_obj(direction), len(base))
+        assert lattice == ln.lattice
+        assert line_strings(lattice) == (vector_to_obj(ln.base), vector_to_obj(ln.direction))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-10**6, 10**6), st.integers(0, 10**3)), min_size=3, max_size=6))
+    def test_unreduced_strings_read_as_the_reference_reads_them(self, pairs):
+        # leading zeros, "-0", unreduced and zero denominators
+        text = [f"{n:04d}/{d}" if d % 2 else f"{n}/{d}" for n, d in pairs]
+        expected = outcome(lambda: scaled_form(obj_to_vector(text, len(text))))
+        assert outcome(lambda: read_point(text, len(text))) == expected
+        if not isinstance(expected, str):
+            assert point_strings(read_point(text, len(text))) == vector_to_obj(obj_to_vector(text, len(text)))
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(
+        st.text(alphabet="0123456789/-+ .e_x\n", max_size=8),
+        st.sampled_from([LONG, "-" + LONG[1:], "1/" + LONG, LONG[1:] + "/7", "0" * 4301]),
+        st.integers(), st.none(), st.lists(st.just("1"), max_size=1),
+    ))
+    def test_every_string_reads_as_the_reference_reads_it(self, text):
+        # the same value, or a ParseError with the same message
+        expected = outcome(lambda: (scaled_form((parse_rational(text), F(1), F(0)))))
+        assert outcome(lambda: read_point([text, "1", "0"], 3)) == expected
+
+    def test_wrong_lengths_read_as_the_reference_reads_them(self):
+        for obj in (["1", "2"], ["1"] * 4, "123", None, {"x": "1"}):
+            expected = outcome(lambda: obj_to_vector(obj, 3))
+            assert outcome(lambda: read_point(obj, 3)) == expected
+            assert outcome(lambda: read_line(["0"] * 3, obj, 3)) == expected
+
+    def test_zero_direction_is_the_affline_error(self):
+        with pytest.raises(DegenerateLineError, match="zero direction vector"):
+            AffLine((0, 0, 0), (0, 0, 0))
+        with pytest.raises(DegenerateLineError, match="zero direction vector"):
+            read_line(["1", "2", "3"], ["0", "-0", "0/5"], 3)
 
 
 class TestPolySerialization:
@@ -167,3 +250,29 @@ class TestInstanceFiles:
         obj["dim"] = 4
         with pytest.raises(ParseError):
             obj_to_instance(obj)
+
+
+class TestContainmentOnLattices:
+    """The instance tests each line against the surface by lattice's integer
+    restriction, read off the line's lattice; linespace.line_on_surface,
+    by restrict_to_line on Fractions, is the reference."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(rationals(3).filter(bool), st.sampled_from([F(0), F(1, 7), F(-5, 3)]))
+    def test_agrees_with_the_fraction_restriction(self, c, shift):
+        from incgeo.lattice import lattice_on_surface
+        from incgeo.linespace import line_on_surface
+        from incgeo.poly import Surface
+
+        # a ruling of z = xy and a line of the Whitney cubic x^2 = y^2 z, both
+        # with a rational base, and the same lines moved off by shift
+        regulus, whitney = Z - X * Y, X**2 - Y**2 * Z
+        for f, ln in ((regulus, AffLine((0, c, shift), (1, 0, c))),
+                      (whitney, AffLine((shift, 0, c * c), (c, 1, 0)))):
+            on = lattice_on_surface(f, ln.lattice)
+            assert on == line_on_surface(f, ln) == (shift == 0)
+            if on:
+                assert IncidenceInstance(Surface([f]), [], [ln]).containing == ((0,),)
+            else:
+                with pytest.raises(DomainError, match="misses the surface"):
+                    IncidenceInstance(Surface([f]), [], [ln])

@@ -17,27 +17,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projref import project
+from projref import lattice_form, project, project_down
 
 from incgeo.errors import ArityError, CollapseError, DegenerateLineError, DomainError
 from incgeo.forge import build_instance
+from incgeo.lattice import coplanar_partners, lattice_incidences, line_lattice
 from incgeo.linalg import Vec, rank, to_vec, vec_sub
 from incgeo.linespace import (
     AffLine,
     LineRelation,
     ProjPoint,
     RelationKind,
-    coplanar_partners,
     coplanar_triple,
     incidence_point_line,
-    incidence_relation,
     klein_form,
-    line_lattice,
     line_on_surface,
     line_relation,
     plucker_from_points,
 )
-from incgeo.projection import project_to_3space
 from incgeo.poly import variables
 
 X, Y, Z = variables(3)
@@ -458,7 +455,7 @@ def near_points(lines, rng):
 
 
 def assert_kernel_matches_oracle(points, lines):
-    assert incidence_relation(points, lines) == oracle_incidence_relation(points, lines)
+    assert lattice_incidences(*lattice_form(points, lines)) == oracle_incidence_relation(points, lines)
     for p in points[:4]:
         for ln in lines:
             assert incidence_point_line(p, ln) == _on_line(p, ln, ln.direction.index(1))
@@ -517,6 +514,6 @@ def test_line_lattice_is_the_canonical_lattice(line, scale):
 
 def test_kernel_matches_fraction_oracle_on_a_projected_instance():
     inst = build_instance("product", 10, 16, seed=5, dim=6)
-    points, lines, _ = project_to_3space(inst.points, inst.lines, seed=2)
+    points, lines, _ = project_down(inst.points, inst.lines, seed=2)
     assert max(c.denominator for ln in lines for c in ln.base) > 2**64
     assert_kernel_matches_oracle(points + near_points(lines, random.Random(3)), lines)

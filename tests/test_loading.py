@@ -1,10 +1,13 @@
 """Each CLI call loads only the modules its subcommand runs, and no call
 loads dataclasses; the package resolves its exported names on first use.
+A call that only counts, relates and projects points and lines loads no
+fractions either.
 
 The module sets are read in a fresh interpreter per call, since this test
 process has long since imported every module of the package.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -39,8 +42,11 @@ HOMES = {
     "verify_bound": "incidence",
 }
 
+# the standard library modules whose loading the calls are checked for
+WATCHED = ("dataclasses", "fractions")
+
 # runs main() on its arguments, if given any, and prints the exit code, the
-# loaded incgeo modules and whether dataclasses is loaded as the last line of
+# loaded incgeo modules and the loaded WATCHED modules as the last line of
 # stdout
 CHILD = """
 import json, sys
@@ -53,8 +59,8 @@ if sys.argv[1:]:
     except SystemExit as exc:
         code = exc.code
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "incgeo")
-print(json.dumps([code, loaded, "dataclasses" in sys.modules]))
-"""
+print(json.dumps([code, loaded, [m for m in %r if m in sys.modules]]))
+""" % (WATCHED,)
 
 
 def child_env() -> dict[str, str]:
@@ -63,24 +69,26 @@ def child_env() -> dict[str, str]:
     return env
 
 
-def loaded_by(*argv: str) -> tuple[int | None, set[str], bool]:
+def loaded_by(*argv: str) -> tuple[int | None, set[str], set[str]]:
+    """The exit code, the incgeo modules (without the package prefix) and
+    the WATCHED modules loaded by one call."""
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, *argv],
         capture_output=True, text=True, env=child_env(), check=True,
     )
-    code, modules, dataclasses_loaded = json.loads(proc.stdout.splitlines()[-1])
-    return code, {m.removeprefix("incgeo.") for m in modules}, dataclasses_loaded
+    code, modules, watched = json.loads(proc.stdout.splitlines()[-1])
+    return code, {m.removeprefix("incgeo.") for m in modules}, set(watched)
 
 
 @pytest.fixture(scope="module")
-def bare_loads_dataclasses() -> bool:
-    """Whether a bare interpreter already has dataclasses loaded, say from a
-    site hook, in which case no call can be asked to leave it unloaded."""
+def bare_loads() -> set[str]:
+    """The WATCHED modules a bare interpreter already has loaded, say from a
+    site hook; no call can be asked to leave those unloaded."""
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys; print('dataclasses' in sys.modules)"],
+        [sys.executable, "-c", f"import sys; print([m for m in {WATCHED!r} if m in sys.modules])"],
         capture_output=True, text=True, env=child_env(), check=True,
     )
-    return proc.stdout.split()[-1] == "True"
+    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
 
 
 @pytest.fixture(scope="module")
@@ -102,20 +110,26 @@ def files(tmp_path_factory):
     return paths
 
 
-def test_help_loads_only_the_front_end(bare_loads_dataclasses):
-    code, modules, dataclasses_loaded = loaded_by("--help")
+def test_help_loads_only_the_front_end(bare_loads):
+    code, modules, watched = loaded_by("--help")
     assert code == 0
     assert modules == {"incgeo", "cli", "errors"}
-    assert bare_loads_dataclasses or not dataclasses_loaded
+    assert "dataclasses" not in watched - bare_loads
 
 
 @pytest.mark.parametrize(
     "argv, absent",
     [
-        (("project", "{lifted}", "--seed", "2", "-o", "{out}"), {"poly", "surfaces"}),
-        (("verify", "--degree", "7", "{back}"), {"poly", "surfaces"}),
-        (("incidence", "{back}"), {"poly", "surfaces"}),
-        (("verify", "{cone}"), {"surfaces", "exceptional", "projection", "forge"}),
+        # the surfaceless calls read, count, relate, project and write the
+        # integer forms of lattice alone
+        (("project", "{lifted}", "--seed", "2", "-o", "{out}"),
+         {"poly", "surfaces", "linespace", "linalg", "fractions"}),
+        (("verify", "--degree", "7", "{back}"),
+         {"poly", "surfaces", "linespace", "linalg", "fractions"}),
+        (("incidence", "{back}"), {"poly", "surfaces", "linespace", "linalg", "fractions"}),
+        # poly, which reads the surface, loads fractions
+        (("verify", "{cone}"),
+         {"surfaces", "exceptional", "projection", "forge", "linespace", "linalg"}),
         (("classify", "{cone}"), {"exceptional", "incidence", "projection", "forge"}),
         (("flecnode", "{cone}"), {"exceptional", "incidence", "projection", "forge"}),
         (("incidence", "{cone}"), {"projection", "forge"}),
@@ -127,15 +141,21 @@ def test_help_loads_only_the_front_end(bare_loads_dataclasses):
     ids=["project", "verify-degree", "incidence-surfaceless", "verify-surface", "classify",
          "flecnode", "incidence", "classify-line-free", "flecnode-line-free", "gen"],
 )
-def test_each_subcommand_loads_only_what_it_runs(
-    files, tmp_path, bare_loads_dataclasses, argv, absent
-):
-    code, modules, dataclasses_loaded = loaded_by(
+def test_each_subcommand_loads_only_what_it_runs(files, tmp_path, bare_loads, argv, absent):
+    code, modules, watched = loaded_by(
         *(a.format(out=tmp_path / "out.json", **files) for a in argv)
     )
     assert code == 0
-    assert not modules & absent
-    assert bare_loads_dataclasses or not dataclasses_loaded
+    assert not (modules | watched - bare_loads) & absent
+    assert "dataclasses" not in watched - bare_loads
+
+
+@pytest.mark.parametrize("command", ["classify", "flecnode"])
+def test_a_file_without_points_or_lines_loads_no_lattice(files, command):
+    # lattice reads the coordinates; a line-free surface file has none
+    code, modules, _ = loaded_by(command, files["fermat"])
+    assert code == 0
+    assert modules == {"incgeo", "cli", "errors", "instfile", "linalg", "poly", "surfaces"}
 
 
 def test_incidence_loads_the_exceptional_lines(files):

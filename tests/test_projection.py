@@ -1,8 +1,9 @@
 """Tests for generic dimension-lowering projections.
 
 The package projects on integers; projref holds the Fraction formula the
-step is checked against and adapters that run the step and the certificate
-on Fraction points and AffLines.
+step is checked against, adapters that run the step, the certificate and
+the descent on Fraction points and AffLines, and the step-by-step descent
+that the composed certificate is checked against.
 """
 
 import random
@@ -15,11 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from projref import (
     certify,
+    fraction_form,
     integer_direction,
     lattice_form,
     project,
+    project_down,
     project_fractions,
     project_vector,
+    step_by_step,
 )
 
 from incgeo import linalg, linespace, projection
@@ -27,10 +31,10 @@ from incgeo.errors import ArityError, CollapseError, DomainError, ResampleExhaus
 from incgeo.forge import build_instance, lift_to_dim
 from incgeo.incidence import count_incidences
 from incgeo.linalg import to_vec
+from incgeo.lattice import scaled_form
 from incgeo.linespace import (
     AffLine,
     RelationKind,
-    scaled_form,
     coplanar_triple,
     incidence_point_line,
     line_relation,
@@ -203,7 +207,7 @@ class TestProjectTo3Space:
     def test_four_to_three_preserves_counts(self):
         pts, lns = quad_instance()
         before = count_incidences(pts, lns)
-        pts3, lns3, cert = project_to_3space(pts, lns, seed=7)
+        pts3, lns3, cert = project_down(pts, lns, seed=7)
         assert cert.ok
         assert cert.resamples_used <= 3
         assert {len(p) for p in pts3} == {3}
@@ -212,31 +216,31 @@ class TestProjectTo3Space:
 
     def test_deterministic_in_seed(self):
         pts, lns = quad_instance()
-        first = project_to_3space(pts, lns, seed=12)
-        second = project_to_3space(pts, lns, seed=12)
+        first = project_down(pts, lns, seed=12)
+        second = project_down(pts, lns, seed=12)
         assert first[0] == second[0]
         assert first[1] == second[1]
 
     def test_three_dims_is_identity(self):
         pts = [(F(1), F(2), F(3))]
         lns = [AffLine((0, 0, 0), (1, 1, 1))]
-        pts3, lns3, cert = project_to_3space(pts, lns, seed=0)
+        pts3, lns3, cert = project_down(pts, lns, seed=0)
         assert pts3 == [tuple(map(F, (1, 2, 3)))]
         assert lns3 == lns
         assert cert.ok and cert.resamples_used == 0
 
     def test_empty_instance(self):
-        pts3, lns3, cert = project_to_3space([], [], seed=0)
+        pts3, lns3, cert = project_down([], [], seed=0)
         assert pts3 == [] and lns3 == []
         assert cert.ok
 
     def test_low_dimension_rejected(self):
         with pytest.raises(DomainError):
-            project_to_3space([(F(1), F(2))], [], seed=0)
+            project_down([(F(1), F(2))], [], seed=0)
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ArityError):
-            project_to_3space(
+            project_down(
                 [(F(0), F(0), F(0), F(0))], [AffLine((0,) * 5, (1,) + (0,) * 4)], seed=0
             )
 
@@ -244,7 +248,7 @@ class TestProjectTo3Space:
         # A duplicated input point can never certify, whatever the direction.
         p = (F(1), F(0), F(0), F(0))
         with pytest.raises(ResampleExhaustedError):
-            project_to_3space([p, p], [], seed=0, max_resamples=4)
+            project_down([p, p], [], seed=0, max_resamples=4)
 
 
 @st.composite
@@ -273,7 +277,7 @@ class TestProjectionProperties:
     def test_counts_survive_descent(self, instance):
         pts, lns = instance
         before = count_incidences(pts, lns)
-        pts3, lns3, cert = project_to_3space(pts, lns, seed=5)
+        pts3, lns3, cert = project_down(pts, lns, seed=5)
         assert cert.ok
         assert len(pts3) == len(pts)
         assert len(lns3) == len(lns)
@@ -476,11 +480,20 @@ class TestTripleTestMechanism:
         assert set(pair_calls) == related
 
 
-def test_incidence_relation_is_built_once(monkeypatch):
-    # the original relation once, then only the projected side of each
-    # sample: an accepted step certifies that the relation did not change
+def adversarial_lift(seed):
+    """A lifted product instance in R^6 with one more point, placed so that
+    the first direction drawn from seed merges it with another point: the
+    first chain fails, and the replay resamples its first step."""
     inst = build_instance("product", 6, 9, seed=4)
-    pts, lns = lift_to_dim(inst.points, inst.lines, 6, seed=4)
+    pts, lns = lattice_form(*lift_to_dim(inst.points, inst.lines, 6, seed=4))
+    w = projection._sample_direction(random.Random(seed), 6)
+    (pv, q) = pts[0]
+    return pts + [(tuple(c + q * x for c, x in zip(pv, w)), q)], lns
+
+
+def recorded_descent(monkeypatch, points, lines, seed):
+    """project_to_3space's output, with the point lists that it builds an
+    incidence relation for and every step it takes."""
     built, samples = [], []
     relation, step = projection.lattice_incidences, projection.project_once
 
@@ -494,11 +507,45 @@ def test_incidence_relation_is_built_once(monkeypatch):
 
     monkeypatch.setattr(projection, "lattice_incidences", counted_relation)
     monkeypatch.setattr(projection, "project_once", counted_step)
-    pts3, lns3, cert = project_to_3space(pts, lns, seed=2)
-    assert cert.ok and len(samples) >= 3
-    assert built == [lattice_form(pts, lns)[0]] + [projected for projected, _ in samples]
-    assert lattice_form(pts3, lns3) == samples[-1]
-    assert count_incidences(pts3, lns3) == count_incidences(pts, lns)
+    return project_to_3space(points, lines, seed=seed), built, samples
+
+
+def test_incidence_relation_is_built_once(monkeypatch):
+    # the original relation once, then the composed map's once: its d - 3
+    # steps are not certified one by one
+    inst = build_instance("product", 6, 9, seed=4)
+    pts, lns = lattice_form(*lift_to_dim(inst.points, inst.lines, 6, seed=4))
+    (pts3, lns3, cert), built, samples = recorded_descent(monkeypatch, pts, lns, 2)
+    assert cert.ok and cert.resamples_used == 0
+    assert len(samples) == 3
+    assert built == [pts, samples[-1][0]]
+    assert (pts3, lns3) == samples[-1]
+    assert count_incidences(*fraction_form(pts3, lns3)) == inst.incidences
+
+
+@pytest.mark.parametrize("seed", (7, 8))
+def test_failed_chain_replays_step_by_step(monkeypatch, seed):
+    # the composed map merges two points, so the chain is replayed from the
+    # same seed, each replayed sample builds its projected relation, and
+    # the output and resample count are the step-by-step loop's
+    pts, lns = adversarial_lift(seed)
+    (pts3, lns3, cert), built, samples = recorded_descent(monkeypatch, pts, lns, seed)
+    assert cert.ok and cert.resamples_used > 0
+    assert len(samples) == 3 + 3 + cert.resamples_used
+    assert built == [pts, samples[2][0]] + [projected for projected, _ in samples[3:]]
+    assert (pts3, lns3, cert.resamples_used) == step_by_step(pts, lns, seed=seed)
+
+
+@pytest.mark.parametrize("dim", range(4, 9))
+@pytest.mark.parametrize("seed", (0, 3, 11))
+def test_composed_certificate_matches_step_by_step(dim, seed):
+    # one composed certificate gives the points, lattices and resample count
+    # of the descent that certifies every step
+    inst = build_instance("product", 10, 16, seed=seed)
+    pts, lns = lattice_form(*lift_to_dim(inst.points, inst.lines, dim, seed=seed))
+    pts3, lns3, cert = project_to_3space(pts, lns, seed=seed)
+    assert cert.ok
+    assert (pts3, lns3, cert.resamples_used) == step_by_step(pts, lns, seed=seed)
 
 
 def test_projection_runs_no_exact_rank(monkeypatch):
@@ -515,6 +562,6 @@ def test_projection_runs_no_exact_rank(monkeypatch):
 
     monkeypatch.setattr(linalg, "rref", counted("rref", linalg.rref))
     monkeypatch.setattr(linespace, "coplanar_triple", counted("triple", linespace.coplanar_triple))
-    _, _, cert = project_to_3space(inst.points, inst.lines, seed=2)
+    _, _, cert = project_to_3space(inst.scaled, inst.lattices, seed=2)
     assert cert.ok
     assert calls == []
