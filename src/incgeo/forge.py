@@ -20,6 +20,7 @@ from . import SURFACE_KINDS
 from .errors import ArityError, DomainError, ResampleExhaustedError
 from .linalg import Vec, rank, to_vec
 from .instfile import MAX_DIM, IncidenceInstance
+from .lattice import scaled_form
 from .linespace import AffLine
 from .poly import Poly, Surface, variables
 
@@ -167,8 +168,11 @@ def _embed(v: Vec, dim: int) -> Vec:
     return v + (Fraction(0),) * (dim - len(v))
 
 
-def _mat_vec(matrix: Sequence[Vec], v: Vec) -> Vec:
-    return tuple(sum(row[i] * v[i] for i in range(len(v))) for row in matrix)
+def _mat_vec(matrix: Sequence[Sequence[int]], v: Vec, shift: Sequence[int]) -> Vec:
+    """matrix*v + shift for an integer matrix and shift, on v = V/q: (M*V + q*shift)/q."""
+    pv, q = scaled_form(v)
+    dots = (sum(a * c for a, c in zip(row, pv)) for row in matrix)
+    return tuple(Fraction(d + q * b, q) for d, b in zip(dots, shift))
 
 
 def lift_to_dim(
@@ -179,7 +183,7 @@ def lift_to_dim(
 ) -> tuple[list[Vec], list[AffLine]]:
     """Move a 3-space instance into R^dim by a seeded invertible affine map.
 
-    Zero-padding followed by an invertible rational matrix and a shift
+    Zero-padding followed by an invertible integer matrix and a shift
     keeps every exact relation: distinctness, incidences, coplanarity and
     its absence all survive in both directions.  A target above
     instfile.MAX_DIM raises DomainError, as its file would be refused.
@@ -198,24 +202,18 @@ def lift_to_dim(
         return pts, lns
 
     rng = random.Random(seed)
-    matrix: list[Vec] | None = None
+    matrix: list[tuple[int, ...]] | None = None
     for _ in range(32):
-        cand = [tuple(Fraction(rng.randint(-5, 5)) for _ in range(dim)) for _ in range(dim)]
-        if rank(cand) == dim:
+        cand = [tuple(rng.randint(-5, 5) for _ in range(dim)) for _ in range(dim)]
+        if rank(list(map(to_vec, cand))) == dim:
             matrix = cand
             break
     if matrix is None:
         raise ResampleExhaustedError("no invertible lift matrix within budget")
-    shift = tuple(Fraction(rng.randint(-5, 5)) for _ in range(dim))
-
-    def move(v: Vec) -> Vec:
-        image = _mat_vec(matrix, _embed(v, dim))
-        return tuple(x + s for x, s in zip(image, shift))
-
-    out_pts = [move(p) for p in pts]
-    out_lns = [
-        AffLine(move(ln.base), _mat_vec(matrix, _embed(ln.direction, dim))) for ln in lns
-    ]
+    shift, no_shift = [rng.randint(-5, 5) for _ in range(dim)], [0] * dim
+    out_pts = [_mat_vec(matrix, _embed(p, dim), shift) for p in pts]
+    out_lns = [AffLine(_mat_vec(matrix, _embed(ln.base, dim), shift),
+                       _mat_vec(matrix, _embed(ln.direction, dim), no_shift)) for ln in lns]
     return out_pts, out_lns
 
 
