@@ -2,10 +2,12 @@
 
 The package is organized bottom-up:
 
-- poly: sparse multivariate polynomials over Q (arithmetic, one integer
-  expansion along a line or around a point, integer Taylor data at a
-  symbolic point, Sylvester determinants, exact division, gcd, a
-  square-free test) and the Surface factor list
+- zpoly: the integer forms of polynomials, one integer expansion along a
+  line or around a point, the square-free certificate on lines, and the
+  Surface factor list, held as forms
+- poly: sparse multivariate polynomials over Q (arithmetic, restriction to
+  a line, integer Taylor data at a symbolic point, Sylvester determinants,
+  exact division, gcd, a square-free test), built on zpoly's kernels
 - lattice: the integer forms of points and lines, their incidence, pair
   and containment kernels, and the file's coordinate strings
 - linespace: affine lines in R^d with their exact incidence, relation and
@@ -41,9 +43,10 @@ _HOMES = {
     "incidence": ("count_incidences", "decompose_lines", "verify_bound"),
     "instfile": ("IncidenceInstance", "load_instance", "save_instance"),
     "linespace": ("AffLine",),
-    "poly": ("Poly", "Surface", "variables"),
+    "poly": ("Poly", "variables"),
     "projection": ("project_to_3space",),
     "surfaces": ("classify_component", "flecnode_polynomial"),
+    "zpoly": ("Surface",),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
 

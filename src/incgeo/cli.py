@@ -10,8 +10,9 @@ from it.
 
 Names resolve on first use: each _cmd_* imports the modules its command
 runs when it runs, so building the parser loads only this module and
-errors, and a call loads nothing its subcommand does not use (project and
-a surfaceless verify never load poly or surfaces).
+errors, and a call loads nothing its subcommand does not use (project,
+gen and verify never load poly or surfaces: verify reads a surface's
+degrees off its integer forms).
 
 Exit codes: 0 success, 1 a checked invariant or claimed bound failed,
 2 bad usage or unreadable input, 3 the input violates a command's
@@ -213,12 +214,8 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
     if args.planes:
         bound = verify_planes_bound(inst, constant=args.constant)
     else:
-        if inst.surface is not None and any(
-            w.degree() == 1 for w in inst.surface.factors
-        ):
-            raise PlanarComponentError(
-                "surface has a planar component; rerun with --planes"
-            )
+        if inst.surface is not None and 1 in inst.surface.degrees:
+            raise PlanarComponentError("surface has a planar component; rerun with --planes")
         if inst.surface is not None:
             degree = inst.surface.degree
         elif args.degree is not None:

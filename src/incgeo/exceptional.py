@@ -28,8 +28,9 @@ from .errors import (
 )
 from .linalg import Vec, to_vec
 from .linespace import AffLine, RelationKind, incidence_point_line, line_on_surface, line_relation
-from .poly import Poly, _line_expansion, poly_gcd, univariate_gcd
+from .poly import Poly, poly_gcd
 from .surfaces import _UNITS, Bivariate, _at_point, _forms_along, _term_maps, _zpowers
+from .zpoly import _line_expansion, univariate_gcd
 
 
 # -- lines through a point ---------------------------------------------------
@@ -241,7 +242,7 @@ def _tangent_pencil(f: Poly, ln: AffLine) -> list[Bivariate] | None:
         raise ArityError("polynomial arity and line dimension differ")
     _, dv, bv, s = ln.lattice
     d = f.degree()
-    expansion, _ = _line_expansion(f, bv, dv, s, d)
+    expansion, _ = _line_expansion(f.form, bv, dv, s, d)
     if any(expansion.get((0, 0, 0), ())):
         raise NotOnSurfaceError("line is not contained in the surface")
     # the y^a coefficient of F(B + t*D + y) is a list in t; |a| = 1 gives grad F

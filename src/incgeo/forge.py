@@ -22,14 +22,16 @@ from .linalg import Vec, rank, to_vec
 from .instfile import MAX_DIM, IncidenceInstance
 from .lattice import scaled_form
 from .linespace import AffLine
-from .poly import Poly, Surface, variables
+from .zpoly import Surface
 
-_X, _Y, _Z = variables(3)
-
-_RULED_FACTORS: Mapping[str, Poly] = {
-    "cone": _X**2 + _Y**2 - _Z**2,
-    "regulus": _Z - _X * _Y,
-    "whitney": _X**2 - _Y**2 * _Z,
+# the catalog factors as integer term maps: x^2 + y^2 - z^2, z - xy,
+# x^2 - y^2 z, x^2 + y^2 + z^2 - 1 and x^3 + y^3 + z^3 - 1
+_FACTORS: Mapping[str, dict[tuple[int, ...], int]] = {
+    "cone": {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): -1},
+    "regulus": {(0, 0, 1): 1, (1, 1, 0): -1},
+    "whitney": {(2, 0, 0): 1, (0, 2, 1): -1},
+    "sphere": {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -1},
+    "fermat": {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1, (0, 0, 0): -1},
 }
 
 ORIGIN: Vec = (Fraction(0), Fraction(0), Fraction(0))
@@ -38,14 +40,10 @@ WHITNEY_SINGULAR_AXIS = AffLine((0, 0, 0), (0, 0, 1))
 
 def make_surface(kind: str) -> Surface:
     """Build a catalog surface by name."""
-    if kind in _RULED_FACTORS:
-        return Surface([_RULED_FACTORS[kind]])
-    if kind == "sphere":
-        return Surface([_X**2 + _Y**2 + _Z**2 - 1])
-    if kind == "fermat":
-        return Surface([_X**3 + _Y**3 + _Z**3 - 1])
+    if kind in _FACTORS:
+        return Surface.from_forms([(_FACTORS[kind], 1)])
     if kind == "product":
-        return Surface([_RULED_FACTORS[k] for k in ("cone", "regulus", "whitney")])
+        return Surface.from_forms([(_FACTORS[k], 1) for k in ("cone", "regulus", "whitney")])
     raise DomainError(f"unknown surface kind {kind!r}")
 
 

@@ -4,9 +4,9 @@ Every function here reads one checked IncidenceInstance (instfile), which
 has already rejected duplicates and stray lines, and which holds the
 surface factors of each line (containing) and the point-line relation
 (lines_at, points_on, by lattice.lattice_incidences), both built on
-first read.
-The workflow: measure the coplanarity parameter s from the line lattices
-by lattice.coplanar_partners; split the line family by surface factor into
+first read.  The workflow: measure the coplanarity parameter s from the
+line lattices by lattice.coplanar_partners (in R^3 one precomputed Plucker
+product per pair); split the line family by surface factor into
 the structured part L0 (lines on non-ruled factors, on several factors at
 once, or exceptional on a singly ruled factor) and the generic part L1;
 then read the incidence count, the conical incidences, the pruned points
@@ -16,7 +16,8 @@ reference count.  Bound evaluation is the only place floats appear;
 everything combinatorial is exact.  Only the decomposition reads
 surfaces, which it imports when it runs, and exceptional, which it
 imports only for a singly ruled factor, so counting and the bounds load
-no surface analysis; they read only integer forms, so no Fraction either.
+no surface analysis; they read only integer forms (a surface's degree off
+its zpoly forms), so no Fraction either.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ class Decomposition(NamedTuple):
         surface = self.instance.surface
         d = surface.degree
         non_ruled_sq = sum(
-            surface.factors[i].degree() ** 2
+            surface.degrees[i] ** 2
             for i, r in enumerate(self.verdicts)
             if r.verdict not in RULED_VERDICTS
         )

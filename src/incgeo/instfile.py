@@ -17,8 +17,9 @@ and a file round-trips byte for byte.
     }
 
 A lifted instance has no surface; the field is null and "dim" may exceed 3.
-poly loads only to read or write a polynomial, lattice (which reads and
-writes coordinates) only for points or lines, linespace only for the views.
+Surface factors are read into and written from zpoly's integer forms, so
+poly never loads; lattice (which reads and writes coordinates) loads only
+for points or lines, linespace only for the views.
 An instance's dimension is read off its points and lines, so an instance
 with neither must have "dim" 3.
 A polynomial term of total degree above MAX_DEGREE, or a polynomial of more
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
+from math import gcd, lcm
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -41,7 +43,7 @@ if TYPE_CHECKING:
     from .lattice import Lattice, Scaled
     from .linalg import Vec
     from .linespace import AffLine
-    from .poly import Poly, Surface
+    from .zpoly import Form, Surface
 
 
 class IncidenceInstance:
@@ -49,8 +51,8 @@ class IncidenceInstance:
 
     It holds lattice's forms, scaled points and line lattices, and checks
     them once: points and lines are distinct and share one dimension, and
-    with a surface every line lies on it, tested against the factors in
-    order up to the first that holds it.  Built on first read only:
+    with a surface every line lies on it, tested against the factors' forms
+    in order up to the first that holds it.  Built on first read only:
     containing[j], the factors that contain lines[j] (testing those after
     the first); the incidence relation lines_at and points_on; and the
     Fraction views points and lines.  Instances are immutable, and equal
@@ -92,7 +94,7 @@ class IncidenceInstance:
             # a line lies in Z(gh) iff it lies in Z(g) or in Z(h)
             for lat in lns:
                 owner = next(
-                    (i for i, w in enumerate(surface.factors) if lattice_on_surface(w, lat)), None
+                    (i for i, w in enumerate(surface.forms) if lattice_on_surface(w, lat)), None
                 )
                 if owner is None:
                     raise DomainError("an instance line misses the surface")
@@ -146,9 +148,9 @@ class IncidenceInstance:
             return ()
         from .lattice import lattice_on_surface
 
-        factors = self.surface.factors
+        forms = self.surface.forms
         return tuple(
-            (i, *(k for k in range(i + 1, len(factors)) if lattice_on_surface(factors[k], lat)))
+            (i, *(k for k in range(i + 1, len(forms)) if lattice_on_surface(forms[k], lat)))
             for i, lat in zip(self._first_owners, self.lattices)
         )
 
@@ -205,27 +207,25 @@ MAX_TERMS = 64
 MAX_DIM = 16
 
 
-def poly_to_obj(p: Poly) -> dict:
-    from .poly import grlex_key
+def form_to_obj(form: Form) -> dict:
+    from .zpoly import grlex_key
 
-    terms = sorted(p.terms.items(), key=lambda item: grlex_key(item[0]), reverse=True)
-    return {
-        "terms": [
-            {"n": c.numerator, "d": c.denominator, "e": list(e)} for e, c in terms
-        ]
-    }
+    terms, den = form
+    out = []
+    for e in sorted(terms, key=grlex_key, reverse=True):
+        g = gcd(terms[e], den)
+        out.append({"n": terms[e] // g, "d": den // g, "e": list(e)})
+    return {"terms": out}
 
 
-def obj_to_poly(obj: object, nvars: int) -> Poly:
-    from fractions import Fraction
-
-    from .poly import Poly
-
+def obj_to_form(obj: object, nvars: int) -> Form:
+    """The integer form of a polynomial object: each n/d in lowest terms,
+    zero terms dropped, numerators over the lcm of the denominators."""
     if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
         raise ParseError(f"expected a polynomial object, got {obj!r}")
     if len(obj["terms"]) > MAX_TERMS:
         raise ParseError(f"polynomial of {len(obj['terms'])} terms exceeds the cap {MAX_TERMS}")
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[tuple[int, ...], tuple[int, int]] = {}
     for item in obj["terms"]:
         if not isinstance(item, dict):
             raise ParseError(f"bad polynomial term {item!r}")
@@ -240,23 +240,23 @@ def obj_to_poly(obj: object, nvars: int) -> Poly:
         key = tuple(e)
         if key in terms:
             raise ParseError(f"repeated exponent {key} in polynomial")
-        terms[key] = Fraction(n, d)
-    return Poly(nvars, terms)
-
-
-def surface_to_obj(surface: Surface) -> dict:
-    return {"vars": 3, "factors": [poly_to_obj(w) for w in surface.factors]}
+        terms[key] = n, d
+    for key in terms:
+        if any(k < 0 for k in key):
+            raise DomainError(f"negative exponent in {key}")
+    den = lcm(*(d // gcd(n, d) for n, d in terms.values() if n))
+    return {key: n * den // d for key, (n, d) in terms.items() if n}, den
 
 
 def obj_to_surface(obj: object) -> Surface:
-    from .poly import Surface
+    from .zpoly import Surface
 
     if not isinstance(obj, dict) or obj.get("vars") != 3:
         raise ParseError(f"expected a trivariate surface object, got {obj!r}")
     factors = obj.get("factors")
     if not isinstance(factors, list) or not factors:
         raise ParseError("surface needs a nonempty factor list")
-    return Surface([obj_to_poly(w, 3) for w in factors])
+    return Surface.from_forms([obj_to_form(w, 3) for w in factors])
 
 
 def instance_to_obj(inst: IncidenceInstance) -> dict:
@@ -264,7 +264,8 @@ def instance_to_obj(inst: IncidenceInstance) -> dict:
         from .lattice import line_strings, point_strings
     return {
         "dim": inst.dim,
-        "surface": None if inst.surface is None else surface_to_obj(inst.surface),
+        "surface": None if inst.surface is None else {
+            "vars": 3, "factors": [form_to_obj(w) for w in inst.surface.forms]},
         "points": [point_strings(p) for p in inst.scaled],
         "lines": [dict(zip(("base", "dir"), line_strings(lat))) for lat in inst.lattices],
     }

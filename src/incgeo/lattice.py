@@ -4,11 +4,12 @@ A point is its scaled pair (P, q), P/q with q > 0 and gcd 1; a line its
 lattice (k, D, B, s): pivot k, primitive direction D with D[k] > 0, base
 B/s with B[k] = 0.  Both are canonical, so equal points or lines have
 equal tuples.  P/q lies on the line iff s*(P_i*D_k - P_k*D_i) = q*D_k*B_i
-for every i; line b meets line a iff b's direction and base offset,
-reduced against a's pivot, are proportional, and the reduced vector's
-flat key (primitive, positive lead entry) keys the 2-flat they span.  The
-module imports neither fractions nor linalg; linespace builds AffLine and
-the Fraction predicates on top of it.
+for every i.  In R^3 two lines are coplanar iff their Plucker coordinates'
+reciprocal product vanishes; in R^d line b meets line a iff b's direction
+and base offset, reduced against a's pivot, are proportional, and the
+reduced vector's flat key (primitive, positive lead entry) keys the 2-flat
+they span.  The module imports neither fractions nor linalg; linespace
+builds AffLine and the Fraction predicates on top of it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 from .errors import ArityError, DegenerateLineError, ParseError
 
 if TYPE_CHECKING:
-    from .poly import Poly
+    from .zpoly import Form
 
 # (pivot, integer direction, integer base, base scale) of a line
 Lattice = tuple[int, tuple[int, ...], tuple[int, ...], int]
@@ -70,21 +71,25 @@ def line_lattice(direction: Sequence[int], base: Sequence[int], scale: int) -> L
     return k, dv, bv, s
 
 
-def _on_lattice(point: Scaled, lattice: Lattice) -> bool:
-    """Whether the point lies on the line, stopping at the first mismatch."""
-    pv, q = point
-    k, dv, bv, s = lattice
-    pk, dk = pv[k], dv[k]
-    qdk = q * dk
-    for p, d, b in zip(pv, dv, bv):
-        if s * (p * dk - pk * d) != qdk * b:
-            return False
-    return True
-
-
 def lattice_incidences(points: Sequence[Scaled], lines: Sequence[Lattice]) -> tuple[tuple[int, ...], ...]:
-    """For each point, the ascending indices of the lines through it."""
-    return tuple(tuple(j for j, lat in enumerate(lines) if _on_lattice(pt, lat)) for pt in points)
+    """For each point, the ascending indices of the lines through it: each
+    line's equations above, i other than k, with coefficients read once."""
+    equations = [
+        (k, s * dv[k], [(i, s * d, dv[k] * b) for i, (d, b) in enumerate(zip(dv, bv)) if i != k])
+        for k, dv, bv, s in lines
+    ]
+    out = []
+    for pv, q in points:
+        through = []
+        for j, (k, sdk, rows) in enumerate(equations):
+            pk = pv[k]
+            for i, sd, dkb in rows:
+                if sdk * pv[i] - sd * pk != q * dkb:
+                    break
+            else:
+                through.append(j)
+        out.append(tuple(through))
+    return tuple(out)
 
 
 def lattice_relation(
@@ -131,26 +136,53 @@ def lattice_relation(
 def coplanar_partners(lines: Sequence[Lattice]) -> Iterator[tuple[list[list[int]], list[int]]]:
     """For each line a in order: the indices of its later coplanar partners,
     grouped by the 2-flat they span with a, and of its later equal lines.
-    Each unordered pair is tested once."""
+    Each unordered pair is tested once: in R^d, d > 3, by lattice_relation;
+    in R^3 by one product and no call, as B/s + t*D has Plucker coordinates
+    (s*D, M = B x D) up to s, computed once, and two lines are coplanar iff
+    s_a*D_a.M_b + s_b*D_b.M_a = 0.  Their plane is keyed by its primitive
+    normal: D_a x D_b, or s_a*M_b - s_b*M_a, zero iff equal, for D_a = D_b."""
+    plucker = None
+    if all(len(lat[1]) == 3 for lat in lines):
+        plucker = [
+            (s * d0, s * d1, s * d2, b1 * d2 - b2 * d1, b2 * d0 - b0 * d2, b0 * d1 - b1 * d0)
+            for _, (d0, d1, d2), (b0, b1, b2), s in lines
+        ]
     for i, a in enumerate(lines):
         groups: defaultdict[tuple[int, ...], list[int]] = defaultdict(list)
         equal: list[int] = []
-        for j in range(i + 1, len(lines)):
-            kind, key, _ = lattice_relation(a, lines[j])
-            if key is not None:
-                groups[key].append(j)
-            elif kind is RelationKind.EQUAL:
-                equal.append(j)
+        if plucker is None:
+            for j in range(i + 1, len(lines)):
+                kind, key, _ = lattice_relation(a, lines[j])
+                if key is not None:
+                    groups[key].append(j)
+                elif kind is RelationKind.EQUAL:
+                    equal.append(j)
+        else:
+            _, (d0, d1, d2), _, sa = a
+            u0, u1, u2, m0, m1, m2 = plucker[i]
+            for j, (v0, v1, v2, n0, n1, n2) in enumerate(plucker[i + 1 :], i + 1):
+                if u0 * n0 + u1 * n1 + u2 * n2 + v0 * m0 + v1 * m1 + v2 * m2:
+                    continue
+                _, (e0, e1, e2), _, sb = lines[j]
+                if (e0, e1, e2) == (d0, d1, d2):
+                    x, y, z = sa * n0 - sb * m0, sa * n1 - sb * m1, sa * n2 - sb * m2
+                else:
+                    x, y, z = d1 * e2 - d2 * e1, d2 * e0 - d0 * e2, d0 * e1 - d1 * e0
+                if x or y or z:
+                    g = gcd(x, y, z) if (x or y or z) > 0 else -gcd(x, y, z)
+                    groups[x // g, y // g, z // g].append(j)
+                else:
+                    equal.append(j)
         yield list(groups.values()), equal
 
 
-def lattice_on_surface(f: Poly, lattice: Lattice) -> bool:
-    """Whether the line lies in the zero set of f: f's integer restriction
-    to (B + t*D)/s vanishes."""
-    from .poly import _line_expansion
+def lattice_on_surface(form: Form, lattice: Lattice) -> bool:
+    """Whether the line lies in the zero set of the polynomial of an
+    integer form: its integer restriction to (B + t*D)/s vanishes."""
+    from .zpoly import _line_expansion
 
     _, dv, bv, s = lattice
-    return not any(_line_expansion(f, bv, dv, s, 0)[0].get((0,) * len(dv), ()))
+    return not any(_line_expansion(form, bv, dv, s, 0)[0].get((0,) * len(dv), ()))
 
 
 # -- the file's coordinate strings ---------------------------------------------

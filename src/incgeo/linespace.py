@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import linalg
 from .errors import ArityError, DegenerateLineError, DomainError
-from .lattice import Lattice, RelationKind, _on_lattice, lattice_relation, scaled_form
+from .lattice import Lattice, RelationKind, lattice_incidences, lattice_relation, scaled_form
 from .linalg import Vec, to_vec, vec_sub
 
 if TYPE_CHECKING:
@@ -189,7 +189,7 @@ def incidence_point_line(point: Sequence, ln: AffLine) -> bool:
     pv = to_vec(point)
     if len(pv) != ln.dim:
         raise ArityError("point and line dimensions differ")
-    return _on_lattice(scaled_form(pv), ln.lattice)
+    return bool(lattice_incidences([scaled_form(pv)], [ln.lattice])[0])
 
 
 def line_relation(l1: AffLine, l2: AffLine) -> LineRelation:

@@ -3,45 +3,37 @@
 Coefficients are fractions.Fraction throughout the API; nothing in this
 module ever rounds.  Inside, the determinant and exact division run on
 integer term maps with packed monomials, and the expansion along a line on
-integer coefficient lists.  A polynomial is a map from exponent tuples to
-nonzero coefficients, wrapped in an immutable Poly object.  Monomials are
-ordered graded lexicographically (total degree first, then lex with
-variable 0 highest); the zero polynomial has degree -1.
+the integer form of zpoly, which each Poly caches (Poly.form).  A
+polynomial is a map from exponent tuples to nonzero coefficients, wrapped
+in an immutable Poly object.  Monomials are ordered graded lexicographically
+(total degree first, then lex with variable 0 highest); the zero
+polynomial has degree -1.
 
 Beyond ring arithmetic the module provides the calculus and elimination
-tools the geometry layers need: one integer expansion along a line (with
-direction zero, around a point), the integer Taylor data at a symbolic
-point, polynomial determinants (Bareiss) and the Sylvester determinant
-built on them, single-divisor exact division, multivariate gcd, and a
-square-free test with a certificate on lines.
-
-Surface, the container of a surface's known square-free factor list, lives
-here too: checking its factors needs only the square-free test and the
-content, so reading or writing a surface file loads no surface analysis.
+tools the geometry layers need: the restriction to a line, the integer
+Taylor data at a symbolic point, polynomial determinants (Bareiss) and the
+Sylvester determinant built on them, single-divisor exact division,
+multivariate gcd, and a square-free test that falls back on the gcd when
+zpoly's certificate on lines says nothing.  Surface, the container of a
+surface's factor list, lives in zpoly, so a surface file is read and
+checked without this module.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from fractions import Fraction
-from math import comb, gcd, lcm, prod
+from math import gcd, lcm, prod
 from typing import Mapping, Sequence
 
 from .errors import ArityError, DomainError
-
-Exponent = tuple[int, ...]
+from .zpoly import Exponent, Form, _line_expansion, _taylor_weights, grlex_key, primitive_terms, square_free_on_lines
 
 RatLike = int | Fraction
 
 
 def _frac(value: RatLike) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
-
-
-def grlex_key(e: Exponent) -> tuple[int, Exponent]:
-    """Sort key realizing graded lex order: compare total degree, then lex."""
-    return (sum(e), e)
 
 
 class Poly:
@@ -52,7 +44,7 @@ class Poly:
     finds repeated factors.
     """
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "terms", "_hash", "_form")
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, RatLike] | None = None):
         if nvars < 0:
@@ -70,6 +62,7 @@ class Poly:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_form", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Poly is immutable")
@@ -91,7 +84,25 @@ class Poly:
         e = tuple(1 if i == index else 0 for i in range(nvars))
         return Poly(nvars, {e: Fraction(1)})
 
+    @staticmethod
+    def from_form(nvars: int, form: Form) -> Poly:
+        """The polynomial terms/den of an integer form (terms, den)."""
+        terms, den = form
+        p = Poly(nvars, {e: Fraction(c, den) for e, c in terms.items()})
+        object.__setattr__(p, "_form", form)
+        return p
+
     # -- basic queries -------------------------------------------------
+
+    @property
+    def form(self) -> Form:
+        """The integer form: numerators over the lcm of the denominators."""
+        form = self._form
+        if form is None:
+            den = _den((self,))
+            form = {e: c.numerator * (den // c.denominator) for e, c in self.terms.items()}, den
+            object.__setattr__(self, "_form", form)
+        return form
 
     @property
     def is_zero(self) -> bool:
@@ -117,13 +128,6 @@ class Poly:
                 if k:
                     used[i] = True
         return tuple(i for i, u in enumerate(used) if u)
-
-    def leading(self) -> tuple[Exponent, Fraction]:
-        """Graded-lex leading term of a nonzero polynomial."""
-        if not self.terms:
-            raise DomainError("zero polynomial has no leading term")
-        e = max(self.terms, key=grlex_key)
-        return e, self.terms[e]
 
     def _check_var(self, var: int) -> None:
         if not 0 <= var < self.nvars:
@@ -278,11 +282,15 @@ def variables(nvars: int) -> tuple[Poly, ...]:
 
 def restrict_to_line(p: Poly, base: Sequence[RatLike], direction: Sequence[RatLike]) -> Poly:
     """Univariate polynomial t -> p(base + t*direction), divided back once
-    from its integer expansion."""
+    from its integer expansion along the line, with base = B/s and
+    direction = D/s for the lcm s of their denominators."""
     if len(base) != p.nvars or len(direction) != p.nvars:
         raise ArityError("base/direction arity does not match polynomial")
-    coeffs, scale = _line_coeffs(p, base, direction)
-    return Poly(1, {(j,): Fraction(c, scale) for j, c in enumerate(reversed(coeffs))})
+    b, v = [_frac(a) for a in base], [_frac(a) for a in direction]
+    s = lcm(*(a.denominator for a in b + v))
+    bv, dv = ([a.numerator * (s // a.denominator) for a in w] for w in (b, v))
+    parts, scale = _line_expansion(p.form, bv, dv, s, 0)
+    return Poly(1, {(j,): Fraction(c, scale) for j, c in enumerate(parts.get((0,) * p.nvars, ()))})
 
 
 # -- division, gcd, resultants -----------------------------------------
@@ -416,27 +424,9 @@ def exact_div(g: Poly, f: Poly) -> Poly:
     return q
 
 
-def rational_content(p: Poly) -> Fraction:
-    """Positive rational c with p/c integer-coefficient and primitive.
-
-    The sign is normalized separately; content of zero is defined as 1.
-    """
-    if p.is_zero:
-        return Fraction(1)
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    num = gcd(*(abs(c.numerator) for c in p.terms.values()))
-    return Fraction(num, den)
-
-
 def remove_content(p: Poly) -> Poly:
     """Scale to integer primitive form with positive graded-lex leading sign."""
-    if p.is_zero:
-        return p
-    c = rational_content(p)
-    out = p * (1 / c)
-    if out.leading()[1] < 0:
-        out = -out
-    return out
+    return p if p.is_zero else Poly.from_form(p.nvars, (primitive_terms(p.form[0]), 1))
 
 
 def _content_and_primitive(p: Poly, var: int) -> tuple[Poly, Poly]:
@@ -513,68 +503,6 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     return remove_content(cont * a)
 
 
-def _taylor_weights(e: Exponent, order: int) -> Sequence[tuple[Exponent, int]]:
-    """The pairs (a, prod comb(e_i, a_i)) for a <= e with |a| <= order: the
-    y^a coefficient of (x + y)^e is the weight times x^(e - a).  Order 0,
-    the restriction to a line, is the hot case and needs no product."""
-    if not order:
-        return (((0,) * len(e), 1),)
-    ranges = (range(min(k, order) + 1) for k in e)
-    return [(a, prod(map(comb, e, a))) for a in itertools.product(*ranges) if sum(a) <= order]
-
-
-def _line_expansion(
-    p: Poly, base: Sequence[int], direction: Sequence[int], s: int, order: int
-) -> tuple[dict[Exponent, list[int]], int]:
-    """The expansion of p along the line X(t) = (base + t*direction)/s, on
-    integers, up to the given order in the transverse variables y, and scale.
-
-    With d = deg p and den the lcm of p's denominators, F(y) = den*s^d*p(y/s)
-    has integer coefficients and F(base + t*direction + y) = scale*p(X(t) + y/s)
-    for scale = den*s^d.  Each a with |a| <= order that some term reaches maps
-    to the y^a coefficient of F(base + t*direction + y), a list in t, lowest
-    power first, of length d - |a| + 1.  The term c*x^e gives
-    den*c*s^(d-|e|) times comb(e_i, a_i)*(base_i + t*direction_i)^(e_i-a_i)
-    over i; exponents a above order are never formed.
-
-    With direction zero it expands around the point q = base/s: entry 0 of
-    the y^a list is den*s^(d-|a|) times the x^a coefficient of p(q + x), so
-    each order of the Taylor expansion at q comes out as one positive
-    multiple of it, p(q) and the gradient among them.
-    """
-    d = p.degree()
-    den = _den((p,))
-    # powers[i][k]: (base_i + direction_i t)^k, lowest power first, up to its
-    # last nonzero entry, so a zero direction entry leaves one entry
-    powers = [[[1]] for _ in range(p.nvars)]
-    out: dict[Exponent, list[int]] = {}
-    for e, c in p.terms.items():
-        coef = c.numerator * (den // c.denominator) * s ** (d - sum(e))
-        for a, weight in _taylor_weights(e, order):
-            term = [coef * weight]
-            for i, k in enumerate(e):
-                k -= a[i]
-                if k:
-                    pw = powers[i]
-                    while len(pw) <= k:
-                        prev = pw[-1]
-                        nxt = [base[i] * x + direction[i] * y for x, y in zip(prev + [0], [0] + prev)]
-                        while nxt and not nxt[-1]:
-                            nxt.pop()
-                        pw.append(nxt)
-                    conv = [0] * (len(term) + len(pw[k]) - 1)
-                    for m, x in enumerate(term):
-                        for l, y in enumerate(pw[k]):
-                            conv[m + l] += x * y
-                    term = conv
-            acc = out.get(a)
-            if acc is None:
-                acc = out[a] = [0] * (d - sum(a) + 1)
-            for m, x in enumerate(term):
-                acc[m] += x
-    return out, den * s ** max(d, 0)
-
-
 def _taylor(p: Poly, order: int, width: int, den: int) -> dict[Exponent, dict[int, int]]:
     """The Taylor data of p at a symbolic point x, on integers, up to the
     given order: each a with |a| <= order that some term reaches maps to the
@@ -592,131 +520,20 @@ def _taylor(p: Poly, order: int, width: int, den: int) -> dict[Exponent, dict[in
     return out
 
 
-def _line_coeffs(p: Poly, base: Sequence[RatLike], direction: Sequence[RatLike]) -> tuple[list[int], int]:
-    """Integer coefficients of t -> scale*p(base + t*direction), highest
-    power of t first, padded to length deg p + 1, and scale: the order-0
-    part of _line_expansion, with base = B/s and direction = D/s for the
-    lcm s of their denominators.
-    """
-    b, v = [_frac(a) for a in base], [_frac(a) for a in direction]
-    s = lcm(*(a.denominator for a in b + v))
-    bv = [a.numerator * (s // a.denominator) for a in b]
-    dv = [a.numerator * (s // a.denominator) for a in v]
-    parts, scale = _line_expansion(p, bv, dv, s, 0)
-    return parts.get((0,) * p.nvars, [])[::-1], scale
-
-
-def _fixed_lines(nvars: int) -> list[tuple[list[int], list[int]]]:
-    """Three fixed integer lines (base, direction), none through the
-    origin or along an axis, on which the line certificates test a
-    polynomial."""
-    return [
-        ([(k + i) ** 2 % 11 - 5 for i in range(nvars)], [k * (i + 1) ** 2 % 13 - 6 for i in range(nvars)])
-        for k in range(1, 4)
-    ]
-
-
-def univariate_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Gcd up to a constant of two nonzero integer polynomials given as
-    coefficient lists, highest power first and leading entry nonzero: a
-    primitive remainder sequence.  A list of length 1 means a constant gcd."""
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 1:
-        lb = b[0]
-        while len(a) >= len(b):
-            la = a[0]
-            pad = b + [0] * (len(a) - len(b))
-            a = [lb * x - la * y for x, y in zip(a[1:], pad[1:])]
-            lead = next((i for i, x in enumerate(a) if x), len(a))
-            a = a[lead:]
-        if not a:
-            return b
-        g = gcd(*a)
-        a, b = b, [x // g for x in a]
-    return b
-
-
-def _univariate_square_free(r: list[int]) -> bool:
-    """True iff the integer polynomial r (highest power first, r[0] != 0)
-    has a constant gcd with its derivative."""
-    n = len(r) - 1
-    return len(univariate_gcd(r, [c * (n - i) for i, c in enumerate(r[:-1])])) == 1
-
-
 def is_square_free(p: Poly) -> bool:
-    """True iff p has no repeated factor.
-
-    If p restricted to a line keeps p's degree and is square-free, so is p
-    (were p = g^2 h, g restricted would keep its degree, and its square
-    divide); if three fixed lines fail, the gcd of p and its partials decides.
-    The restrictions run on integer coefficient lists.
-    """
+    """True iff p has no repeated factor: certified on the fixed lines of
+    zpoly (square_free_on_lines), else decided by the gcd of p and its
+    partials."""
     if p.is_zero:
         return False
-    d = p.degree()
-    if d == 0:
+    if p.degree() == 0 or square_free_on_lines(p.form):
         return True
-    for base, direction in _fixed_lines(p.nvars):
-        r, _ = _line_coeffs(p, base, direction)
-        if r[0] and _univariate_square_free(r):
-            return True
     g = p
     for var in p.vars_used():
         g = poly_gcd(g, p.diff(var))
         if g.degree() == 0:
             return True
     return g.degree() == 0
-
-
-class Surface:
-    """A squarefree trivariate polynomial, kept as its known factor list.
-
-    Immutable; surfaces are equal when their factor tuples are.
-    """
-
-    __slots__ = ("factors",)
-
-    factors: tuple[Poly, ...]
-
-    def __init__(self, factors: Sequence[Poly]):
-        factors = tuple(factors)
-        if not factors:
-            raise DomainError("surface needs at least one factor")
-        seen = set()
-        for w in factors:
-            if w.nvars != 3:
-                raise ArityError("surface factors must be trivariate")
-            if w.degree() < 1:
-                raise DomainError("constant factor in surface")
-            if not is_square_free(w):
-                raise DomainError(f"factor {w.render()} is not square-free")
-            key = remove_content(w)
-            if key in seen:
-                raise DomainError("repeated factor in surface")
-            seen.add(key)
-        object.__setattr__(self, "factors", factors)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Surface is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("Surface is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.factors == other.factors
-
-    def __hash__(self) -> int:
-        return hash((self.factors,))
-
-    def __repr__(self) -> str:
-        return f"Surface(factors={self.factors!r})"
-
-    @property
-    def degree(self) -> int:
-        return sum(w.degree() for w in self.factors)
 
 
 def _bareiss(m: list[list], step) -> tuple[object, int]:

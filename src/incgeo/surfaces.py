@@ -1,7 +1,7 @@
 """Global analysis of algebraic surfaces in R^3, factor by factor: is each
 factor ruled, and how.
 
-A Surface (defined in poly, re-exported here) is kept as its (known)
+A Surface (defined in zpoly, re-exported here) is kept as its (known)
 factorization into pairwise distinct squarefree factors; factorization is
 never computed here, only consumed, and the product of the factors is
 never formed.  Every analysis function takes one trivariate polynomial f,
@@ -9,13 +9,14 @@ in practice a single factor.  The module answers the first question of
 the incidence machinery: does a factor admit a ruling (flecnode witness
 plus divisibility, tried first on a few lines), is it a cone (its apex
 comes from one linear solve), and is a ruling witnessed by a real line.
-Every local question reads one integer expansion of poly: along a line,
-or around a point as a line with direction zero.  The questions asked
-only of ruled factors (lines through a point, exceptional lines and
-generator counts) live in exceptional, which reads the expansion helpers
-here; classification imports its line search only when a ruled factor
-has no hint line, and linespace only when it has hint lines, so
-classifying a surface file without lines loads neither.
+Every local question reads one integer expansion of a factor's form
+(zpoly): along a line, or around a point as a line with direction zero.
+The questions asked only of ruled factors (lines through a point,
+exceptional lines and generator counts) live in exceptional, which reads
+the expansion helpers here; classification imports its line search only
+when a ruled factor has no hint line, linespace only when it has hint
+lines, and linalg only to solve for a cone's apex, which no factor that
+the line certificate rules out asks for.
 
 Everything is exact.  Ruledness certificates obtained through the flecnode
 route are certificates over the complex numbers; real verdicts are only
@@ -31,28 +32,18 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from . import linalg, poly
+from . import zpoly
 from .errors import ArityError, DegreeError, DomainError, InvariantViolation
-from .linalg import Vec, to_vec
-from .poly import (
-    Poly,
-    _den,
-    _fixed_lines,
-    _line_expansion,
-    _taylor,
-    _unpack,
-    divides,
-    exact_div,
-    remove_content,
-    sylvester_determinant,
-)
+from .poly import Poly, _den, _taylor, _unpack, divides, exact_div, remove_content, sylvester_determinant
+from .zpoly import _fixed_lines, _line_expansion
 
 if TYPE_CHECKING:
+    from .linalg import Vec
     from .linespace import AffLine
 
-# The container lives in poly, so a surface file is read and checked without
+# The container lives in zpoly, so a surface file is read and checked without
 # this module; it is re-exported here beside the analysis of its factors.
-Surface = poly.Surface
+Surface = zpoly.Surface
 
 # -- the expansion around a point ---------------------------------------------
 
@@ -63,7 +54,7 @@ def _at_point(f: Poly, p: Vec, order: int) -> dict[tuple[int, ...], int]:
     integer.  A point is a line with direction zero (_line_expansion)."""
     s = lcm(*(c.denominator for c in p))
     base = [c.numerator * (s // c.denominator) for c in p]
-    expansion, _ = _line_expansion(f, base, [0] * len(p), s, order)
+    expansion, _ = _line_expansion(f.form, base, [0] * len(p), s, order)
     return {a: g[0] for a, g in expansion.items() if g[0]}
 
 
@@ -250,7 +241,7 @@ def _certified_not_ruled(f: Poly) -> bool:
     d = f.degree()
     charts = [c for c in range(3) if f.degree_in(c)]
     for base, direction in _fixed_lines(3):
-        expansion, _ = _line_expansion(f, base, direction, 1, 3)
+        expansion, _ = _line_expansion(f.form, base, direction, 1, 3)
         if not any(expansion[0, 0, 0][1:]):
             continue
         taylor = _term_maps(expansion)
@@ -303,14 +294,18 @@ def ruled_indicator(f: Poly) -> RuledIndication:
 
     Degree 1 and 2 are always ruled over C.  From degree 3 on the test is
     whether the factor divides its flecnode witness, which is always built
-    here, for its degree.  classify_component asks the line certificate
-    (_certified_not_ruled) first and comes here only when no line decides.
+    here, for its degree.  A cone's witness is built at its apex, where f
+    is its own top-degree part: W commutes with translation chart by
+    chart, so its degree and the divisibility are f's.  classify_component
+    asks the line certificate and the apex first, then tests f | W itself.
     """
     d = f.degree()
     if d < 1:
         raise DomainError("constant polynomials are not surfaces")
     if d <= 2:
         return RuledIndication(indicated=True, complex_only=True, witness_degree=None)
+    if f.nvars == 3 and _cone_apex(f) is not None:
+        f = Poly(3, {e: c for e, c in f.terms.items() if sum(e) == d})
     witness = flecnode_polynomial(f)
     indicated = divides(f, witness)
     return RuledIndication(
@@ -427,8 +422,10 @@ def _cone_apex(f: Poly) -> Vec | None:
         for i in range(3):
             if e[i]:
                 rows.setdefault(e[:i] + (e[i] - 1,) + e[i + 1 :], [Fraction(0)] * 4)[i] += weight
+    from .linalg import rref
+
     apex = [Fraction(0)] * 3
-    for row in linalg.rref(list(rows.values())):
+    for row in rref(list(rows.values())):
         pivot = next((j for j in range(3) if row[j]), None)
         if pivot is None:  # 0 = 1: the partials share no zero
             return None
@@ -439,7 +436,7 @@ def _cone_apex(f: Poly) -> Vec | None:
 def _is_cone_apex(f: Poly, apex: Sequence) -> bool:
     """Whether f(apex + x) is homogeneous: its top part is f's own, so
     every order below the degree must vanish."""
-    return not _at_point(f, to_vec(apex), f.degree() - 1)
+    return not _at_point(f, apex, f.degree() - 1)
 
 
 def classify_component(factor: Poly, hint_lines: Sequence[AffLine] = ()) -> ClassificationResult:
@@ -450,7 +447,7 @@ def classify_component(factor: Poly, hint_lines: Sequence[AffLine] = ()) -> Clas
     complex ruledness in two steps: the witness restricted to a few fixed
     lines (_certified_not_ruled) settles "not ruled" without building it,
     and a factor that no line settles, every ruled one among them, takes
-    the full witness (ruled_indicator) unless it is a cone.  Every cone is
+    the full witness unless it is a cone.  Every cone is
     ruled, so an exact apex (a point whose Taylor expansion is purely
     top-degree), found or ruled out by one linear solve before the witness
     whatever the hint lines, settles the cone verdict.  A singly ruled
@@ -471,7 +468,9 @@ def classify_component(factor: Poly, hint_lines: Sequence[AffLine] = ()) -> Clas
         if rank == 4 and (pos, neg) == (2, 2):
             return ClassificationResult(Verdict.REGULUS, complex_ruled_indicated=True)
         if rank == 3 and (pos, neg) == (2, 1):
-            kernel = linalg.nullspace(m)
+            from .linalg import nullspace
+
+            kernel = nullspace(m)
             k = kernel[0]
             if k[0] != 0:
                 apex = tuple(c / k[0] for c in k[1:])
@@ -497,8 +496,7 @@ def classify_component(factor: Poly, hint_lines: Sequence[AffLine] = ()) -> Clas
     apex = _cone_apex(factor)
     if apex is not None:
         return ClassificationResult(Verdict.CONE, apex=apex, complex_ruled_indicated=True)
-    indication = ruled_indicator(factor)
-    if not indication.indicated:
+    if not divides(factor, flecnode_polynomial(factor)):
         return ClassificationResult(Verdict.NOT_RULED_REAL, complex_ruled_indicated=False)
     real_line = None
     if hint_lines:

@@ -20,6 +20,7 @@ from incgeo.incidence import count_incidences
 from incgeo.instfile import MAX_DIM, IncidenceInstance, load_instance, save_instance
 from incgeo.poly import variables
 from incgeo.surfaces import Surface
+from polyref import substitute
 
 X, Y, Z = variables(3)
 
@@ -133,6 +134,28 @@ class TestFlecnode:
         assert data["factors"][2] == {
             "index": 2, "degree": 3, "witness_degree": 12, "divides": True,
         }
+
+    @pytest.mark.parametrize(
+        "cone, report",
+        [
+            (X**3 + Y**2 * Z - 2 * Z**3 + X * Y * Z,
+             "factor 0: degree 3 witness degree 15 divides factor: yes\n"),
+            (X**4 + Y**3 * Z - 2 * Z**4 + X * Y * Z**2,
+             "factor 0: degree 4 witness degree 26 divides factor: yes\n"),
+        ],
+        ids=["cubic", "quartic"],
+    )
+    def test_cone_off_the_origin(self, tmp_path, capsys, cone, report):
+        # the witness is built at the apex (1, -2, 3), where the moved cone is
+        # its own top-degree part; built on the moved polynomial, the same
+        # report took 6 s for the cubic and 38-83 s for the quartic
+        path = tmp_path / "moved.json"
+        moved = substitute(cone, [X - 1, Y + 2, Z - 3])
+        save_instance(IncidenceInstance(Surface([moved]), [], []), path)
+        started = time.perf_counter()
+        code, out, _ = run(capsys, "flecnode", str(path))
+        assert (code, out) == (0, report)
+        assert time.perf_counter() - started < 5
 
 
 class TestIncidence:

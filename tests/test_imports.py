@@ -185,3 +185,20 @@ def test_linespace_builds_on_the_kernel_without_a_copy():
     lattice = (PACKAGE / "lattice.py").read_text(encoding="utf-8")
     assert "lattice" in imported_modules(linespace)
     assert not defined_names(linespace) & defined_names(lattice)
+
+
+def test_poly_builds_on_the_integer_forms_without_a_copy():
+    # the kernels on integer forms moved from poly to zpoly, which imports
+    # neither poly nor fractions when it loads, so a surface file is read,
+    # checked and measured without them
+    poly = (PACKAGE / "poly.py").read_text(encoding="utf-8")
+    zpoly = (PACKAGE / "zpoly.py").read_text(encoding="utf-8")
+    assert "zpoly" in imported_modules(poly)
+    assert not defined_names(poly) & defined_names(zpoly)
+    loaded = {
+        node.module if isinstance(node, ast.ImportFrom) else alias.name
+        for node in ast.parse(zpoly).body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert not loaded & {"fractions", "decimal", "poly", "linalg"}

@@ -229,9 +229,9 @@ def test_max_lines_per_flat_rejects_mixed_dimensions():
 
 
 def test_max_lines_per_flat_classifies_each_pair_once(monkeypatch):
-    # one pair test per unordered pair, by the kernel in lattice, in the
-    # pass it shares with the projection certificate, and no line_relation
-    # call
+    # in R^3 each unordered pair is one precomputed Plucker product, with no
+    # pivot reduction; in R^4 one pivot reduction by lattice's kernel per
+    # unordered pair.  Neither calls line_relation.
     pair_tests, relations = [], []
     pair = lattice.lattice_relation
 
@@ -243,9 +243,13 @@ def test_max_lines_per_flat_classifies_each_pair_once(monkeypatch):
     monkeypatch.setattr(linespace, "line_relation", lambda a, b: relations.append((a, b)))
     _, _, lines = product_instance()
     assert max_lines_per_flat(lattices(lines)) == 3
+    assert pair_tests == []
+    # the same lines in the hyperplane x_4 = 1 of R^4 span the same flats
+    lifted = [AffLine((*ln.base, 1), (*ln.direction, 0)) for ln in lines]
+    assert max_lines_per_flat(lattices(lifted)) == 3
     n = len(lines)
     assert len(pair_tests) == n * (n - 1) // 2
-    assert set(pair_tests) == {frozenset((a.lattice, b.lattice)) for a, b in combinations(lines, 2)}
+    assert set(pair_tests) == {frozenset((a.lattice, b.lattice)) for a, b in combinations(lifted, 2)}
     assert relations == []
 
 

@@ -1,14 +1,15 @@
 """Round-trip and validation tests for the JSON instance format.
 
 The coordinates are read straight into integer forms and written back from
-them by incgeo.lattice; fileref holds the Fraction reader and writer they
-are checked against.
+them by incgeo.lattice, and each surface factor into its integer form by
+incgeo.instfile; fileref holds the Fraction readers and writer they are
+checked against.
 """
 
 from fractions import Fraction
 
 import pytest
-from fileref import obj_to_vector, parse_rational, vector_to_obj
+from fileref import obj_to_poly, obj_to_vector, parse_rational, vector_to_obj
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,15 +22,15 @@ from incgeo.instfile import (
     IncidenceInstance,
     dumps_instance,
     instance_to_obj,
+    form_to_obj,
     load_instance,
+    obj_to_form,
     obj_to_instance,
-    obj_to_poly,
-    poly_to_obj,
     save_instance,
 )
 from incgeo.lattice import line_strings, point_strings, read_line, read_point, scaled_form
 from incgeo.linespace import AffLine
-from incgeo.poly import variables
+from incgeo.poly import Poly, variables
 
 X, Y, Z = variables(3)
 F = Fraction
@@ -126,15 +127,48 @@ class TestCoordinateStrings:
             read_line(["1", "2", "3"], ["0", "-0", "0/5"], 3)
 
 
+def poly_outcome(read):
+    """The terms of the Poly read(), in order, or the type and text of the
+    error it raised."""
+    try:
+        return list(read().terms.items())
+    except (ParseError, DomainError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+HUGE = 10**60
+
+
+@st.composite
+def polynomial_objects(draw):
+    """Term lists with zero coefficients, negative or repeated exponents,
+    huge or bad numerators and denominators, and degrees and term counts
+    at the caps."""
+    size = draw(st.one_of(st.integers(0, 6), st.integers(MAX_TERMS - 1, MAX_TERMS + 1)))
+    entry = st.one_of(st.integers(0, 3), st.integers(18, MAX_DEGREE // 2 + 2), st.just(-1))
+    exponents = draw(st.lists(st.tuples(entry, entry, entry), min_size=size, max_size=size,
+                              unique=draw(st.booleans())))
+    numerator = st.one_of(st.integers(-3, 3), st.integers(-HUGE, HUGE))
+    denominator = st.one_of(st.integers(1, 12), st.integers(1, HUGE), st.integers(-2, 0))
+    terms = [{"n": draw(numerator), "d": draw(denominator), "e": list(e)} for e in exponents]
+    return {"terms": terms}
+
+
+def read_poly(obj, nvars):
+    """The Poly view of the integer form read from a polynomial object."""
+    return Poly.from_form(nvars, obj_to_form(obj, nvars))
+
+
 class TestPolySerialization:
     def test_round_trip(self):
         p = X**2 * Z - Y**3 + F(5, 3) * X - 7
-        assert obj_to_poly(poly_to_obj(p), 3) == p
+        assert obj_to_form(form_to_obj(p.form), 3) == p.form
+        assert read_poly(form_to_obj(p.form), 3) == p
 
     def test_terms_sorted_for_determinism(self):
         p = X + Z + Y
         q = Z + Y + X
-        assert poly_to_obj(p) == poly_to_obj(q)
+        assert form_to_obj(p.form) == form_to_obj(q.form)
 
     @pytest.mark.parametrize(
         "obj",
@@ -156,17 +190,29 @@ class TestPolySerialization:
     )
     def test_rejects_malformed_polynomials(self, obj):
         with pytest.raises(ParseError):
-            obj_to_poly(obj, 3)
+            obj_to_form(obj, 3)
 
     def test_degree_cap_is_inclusive(self):
-        p = obj_to_poly({"terms": [{"n": 1, "d": 1, "e": [1, MAX_DEGREE - 2, 1]}]}, 3)
+        p = read_poly({"terms": [{"n": 1, "d": 1, "e": [1, MAX_DEGREE - 2, 1]}]}, 3)
         assert p.degree() == MAX_DEGREE
 
     def test_term_cap_is_inclusive(self):
         terms = [{"n": 1, "d": 1, "e": [k, 0, 1]} for k in range(MAX_TERMS + 1)]
-        assert len(obj_to_poly({"terms": terms[:MAX_TERMS]}, 3).terms) == MAX_TERMS
+        assert len(obj_to_form({"terms": terms[:MAX_TERMS]}, 3)[0]) == MAX_TERMS
         with pytest.raises(ParseError, match="exceeds the cap"):
-            obj_to_poly({"terms": terms}, 3)
+            obj_to_form({"terms": terms}, 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(polynomial_objects())
+    def test_reader_matches_the_fraction_oracle(self, obj):
+        # the same Poly view, term order included, or the same error type
+        # and text; and the form read is the oracle's Poly's
+        expected = poly_outcome(lambda: obj_to_poly(obj, 3))
+        assert poly_outcome(lambda: read_poly(obj, 3)) == expected
+        if isinstance(expected, list):
+            assert obj_to_form(obj, 3) == obj_to_poly(obj, 3).form
+
+
 
 
 class TestInstanceFiles:
@@ -262,14 +308,14 @@ class TestContainmentOnLattices:
     def test_agrees_with_the_fraction_restriction(self, c, shift):
         from incgeo.lattice import lattice_on_surface
         from incgeo.linespace import line_on_surface
-        from incgeo.poly import Surface
+        from incgeo.zpoly import Surface
 
         # a ruling of z = xy and a line of the Whitney cubic x^2 = y^2 z, both
         # with a rational base, and the same lines moved off by shift
         regulus, whitney = Z - X * Y, X**2 - Y**2 * Z
         for f, ln in ((regulus, AffLine((0, c, shift), (1, 0, c))),
                       (whitney, AffLine((shift, 0, c * c), (c, 1, 0)))):
-            on = lattice_on_surface(f, ln.lattice)
+            on = lattice_on_surface(f.form, ln.lattice)
             assert on == line_on_surface(f, ln) == (shift == 0)
             if on:
                 assert IncidenceInstance(Surface([f]), [], [ln]).containing == ((0,),)

@@ -517,3 +517,50 @@ def test_kernel_matches_fraction_oracle_on_a_projected_instance():
     points, lines, _ = project_down(inst.points, inst.lines, seed=2)
     assert max(c.denominator for ln in lines for c in ln.base) > 2**64
     assert_kernel_matches_oracle(points + near_points(lines, random.Random(3)), lines)
+
+
+WIDE = st.integers(-2**70, 2**70)
+
+
+@st.composite
+def spatial_families(draw):
+    """Two to nine lines of R^3 with wide integer numerators, each through
+    one of a few shared points (concurrent), along one of a few shared
+    directions (parallel), another line written from another base (equal)
+    or in one shared plane."""
+    def vec():
+        return tuple(Fraction(draw(WIDE), draw(st.sampled_from(WIDE_DENOMINATORS))) for _ in range(3))
+
+    points = [vec() for _ in range(draw(st.integers(1, 3)))]
+    directions = [d for d in (vec() for _ in range(3)) if any(d)] or [(1, 0, 0), (0, 1, 0)]
+    u, v = directions[0], directions[-1]
+    small = st.integers(-3, 3)
+    lines: list = []
+    for _ in range(draw(st.integers(2, 9))):
+        how = draw(st.sampled_from(["concurrent", "parallel", "equal", "plane"]))
+        if how == "equal" and lines:
+            other = draw(st.sampled_from(lines))
+            lines.append(AffLine(other.point_at(draw(WIDE)), [-3 * c for c in other.direction]))
+            continue
+        if how == "plane":
+            a, b, c, d = (draw(small) for _ in range(4))
+            base = [p + a * x + b * y for p, x, y in zip(points[0], u, v)]
+            direction = [c * x + d * y for x, y in zip(u, v)]
+            if any(direction):
+                lines.append(AffLine(base, direction))
+            continue
+        if how == "parallel":
+            lines.append(AffLine(vec(), [draw(st.sampled_from([1, -2])) * c for c in draw(st.sampled_from(directions))]))
+            continue
+        direction = vec()
+        if any(direction):
+            lines.append(AffLine(draw(st.sampled_from(points)), direction))
+    return lines
+
+
+@settings(max_examples=200, deadline=None)
+@given(spatial_families())
+def test_spatial_pass_matches_the_fraction_oracle(lines):
+    # the Plucker pass of R^3 groups each line's partners as the pivot
+    # reduction did, on concurrent, parallel, equal and coplanar lines
+    assert list(coplanar_partners([ln.lattice for ln in lines])) == list(oracle_coplanar_partners(lines))

@@ -1,7 +1,7 @@
 """Each CLI call loads only the modules its subcommand runs, and no call
 loads dataclasses; the package resolves its exported names on first use.
-A call that only counts, relates and projects points and lines loads no
-fractions either.
+A call that only counts, relates and projects points and lines, and reads
+a surface as integer forms, loads no fractions either.
 
 The module sets are read in a fresh interpreter per call, since this test
 process has long since imported every module of the package.
@@ -27,7 +27,7 @@ HOMES = {
     "AffLine": "linespace",
     "IncidenceInstance": "instfile",
     "Poly": "poly",
-    "Surface": "poly",
+    "Surface": "zpoly",
     "build_instance": "forge",
     "classify_component": "surfaces",
     "count_incidences": "incidence",
@@ -127,19 +127,23 @@ def test_help_loads_only_the_front_end(bare_loads):
         (("verify", "--degree", "7", "{back}"),
          {"poly", "surfaces", "linespace", "linalg", "fractions"}),
         (("incidence", "{back}"), {"poly", "surfaces", "linespace", "linalg", "fractions"}),
-        # poly, which reads the surface, loads fractions
+        # the surface is read, checked and measured as integer forms (zpoly)
         (("verify", "{cone}"),
-         {"surfaces", "exceptional", "projection", "forge", "linespace", "linalg"}),
+         {"poly", "surfaces", "exceptional", "projection", "forge", "linespace", "linalg",
+          "fractions"}),
         (("classify", "{cone}"), {"exceptional", "incidence", "projection", "forge"}),
         (("flecnode", "{cone}"), {"exceptional", "incidence", "projection", "forge"}),
         (("incidence", "{cone}"), {"projection", "forge"}),
         (("classify", "{fermat}"), {"linespace", "exceptional", "incidence", "projection", "forge"}),
         (("flecnode", "{fermat}"), {"linespace", "exceptional", "incidence", "projection", "forge"}),
+        # the catalog surface is built from integer forms
         (("gen", "--kind", "cone", "--lines", "3", "--points", "3", "-o", "{out}"),
-         {"surfaces", "incidence", "projection"}),
+         {"poly", "surfaces", "incidence", "projection"}),
+        (("gen", "--kind", "product", "--lines", "3", "--points", "3", "--dim", "5", "-o", "{out}"),
+         {"poly", "surfaces", "incidence", "projection"}),
     ],
     ids=["project", "verify-degree", "incidence-surfaceless", "verify-surface", "classify",
-         "flecnode", "incidence", "classify-line-free", "flecnode-line-free", "gen"],
+         "flecnode", "incidence", "classify-line-free", "flecnode-line-free", "gen", "gen-lifted"],
 )
 def test_each_subcommand_loads_only_what_it_runs(files, tmp_path, bare_loads, argv, absent):
     code, modules, watched = loaded_by(
@@ -150,12 +154,16 @@ def test_each_subcommand_loads_only_what_it_runs(files, tmp_path, bare_loads, ar
     assert "dataclasses" not in watched - bare_loads
 
 
-@pytest.mark.parametrize("command", ["classify", "flecnode"])
-def test_a_file_without_points_or_lines_loads_no_lattice(files, command):
-    # lattice reads the coordinates; a line-free surface file has none
+@pytest.mark.parametrize("command, solves", [("classify", set()), ("flecnode", {"linalg"})],
+                         ids=["classify", "flecnode"])
+def test_a_file_without_points_or_lines_loads_no_lattice(files, command, solves):
+    # lattice reads the coordinates; a line-free surface file has none.
+    # linalg solves only for a quadric or a cone apex: classify never asks
+    # for the apex of a factor that the line certificate rules out, while
+    # flecnode asks for it first, to build a cone's witness at its apex
     code, modules, _ = loaded_by(command, files["fermat"])
     assert code == 0
-    assert modules == {"incgeo", "cli", "errors", "instfile", "linalg", "poly", "surfaces"}
+    assert modules == {"incgeo", "cli", "errors", "instfile", "poly", "surfaces", "zpoly"} | solves
 
 
 def test_incidence_loads_the_exceptional_lines(files):
@@ -197,7 +205,7 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_surface_is_one_class():
-    import incgeo.poly
     import incgeo.surfaces
+    import incgeo.zpoly
 
-    assert incgeo.surfaces.Surface is incgeo.poly.Surface
+    assert incgeo.surfaces.Surface is incgeo.zpoly.Surface

@@ -17,10 +17,7 @@ from incgeo.errors import ArityError, DomainError
 from incgeo.poly import (
     Poly,
     _den,
-    _line_coeffs,
-    _line_expansion,
     _taylor,
-    _univariate_square_free,
     _unpack,
     divides,
     exact_div,
@@ -32,6 +29,7 @@ from incgeo.poly import (
     sylvester_determinant,
     variables,
 )
+from incgeo.zpoly import _line_expansion, _univariate_square_free, grlex_key
 from polyref import substitute
 
 X, Y, Z = variables(3)
@@ -65,7 +63,9 @@ def test_constructor_rejects_bad_exponents():
 def test_grlex_leading_term():
     p = X**2 + X * Y * Z + Y**3
     # degree 3 terms: xyz (1,1,1) and y^3 (0,3,0); lex puts (1,1,1) first
-    assert p.leading()[0] == (1, 1, 1)
+    assert max(p.terms, key=grlex_key) == (1, 1, 1)
+    # the primitive form makes the leading coefficient positive
+    assert remove_content(-2 * p) == p
 
 
 def test_eval_example_and_arity():
@@ -94,7 +94,7 @@ def taylor_components(p, at):
     at = [Fraction(c) for c in at]
     s = lcm(*(c.denominator for c in at))
     d = p.degree()
-    parts, scale = _line_expansion(p, [int(c * s) for c in at], [0] * len(at), s, max(d, 0))
+    parts, scale = _line_expansion(p.form, [int(c * s) for c in at], [0] * len(at), s, max(d, 0))
     out: list[dict] = [{} for _ in range(d + 1)]
     for a, c in parts.items():
         assert not any(c[1:])  # a zero direction leaves nothing in t
@@ -292,7 +292,7 @@ def test_line_expansion_matches_substitution(p, base, direction):
     r = substitute(p, [b + c * t + yi for b, c, yi in zip(base, direction, y)])
     d = p.degree()
     for order in range(3):
-        parts, scale = _line_expansion(p, bv, dv, s, order)
+        parts, scale = _line_expansion(p.form, bv, dv, s, order)
         assert scale == lcm(*(c.denominator for c in p.terms.values())) * s ** max(d, 0)
         expected: dict = {}
         for e, c in r.terms.items():
@@ -474,7 +474,7 @@ def test_exact_div_multiplies_back(f, q, scale):
         return
     # non-primitive, rational, negative graded-lex leading sign
     f = scale * remove_content(f)
-    assert f.leading()[1] < 0
+    assert f.terms[max(f.terms, key=grlex_key)] < 0
     g = q * f
     assert divides(f, g)
     assert exact_div(g, f) == q
@@ -517,14 +517,16 @@ small_int_triples = st.tuples(*[st.integers(-6, 6)] * 3)
 @settings(max_examples=80, deadline=None)
 @given(polys(nvars=3, max_deg=3, max_terms=6), small_int_triples, small_int_triples)
 def test_certificate_restriction_matches_substitution(p, base, direction):
+    # the square-free certificate's restriction: the order-0 expansion of
+    # the form along an integer line, lowest power first
     if p.degree() < 1:
         return
     d = p.degree()
     den = lcm(*(c.denominator for c in p.terms.values()))
-    coeffs, scale = _line_coeffs(p, base, direction)
+    parts, scale = _line_expansion(p.form, base, direction, 1, 0)
     assert scale == den  # integer lines need no scaling
     r = reference_restriction(p, base, direction)
-    assert coeffs == [den * r.terms.get((d - j,), 0) for j in range(d + 1)]
+    assert parts[0, 0, 0] == [den * r.terms.get((j,), 0) for j in range(d + 1)]
 
 
 @settings(max_examples=80, deadline=None)

@@ -36,8 +36,6 @@ from incgeo.linespace import AffLine, RelationKind, line_on_surface, line_relati
 from incgeo.poly import (
     Poly,
     _den,
-    _fixed_lines,
-    _line_expansion,
     _taylor,
     _unpack,
     divides,
@@ -47,6 +45,7 @@ from incgeo.poly import (
     restrict_to_line,
     variables,
 )
+from incgeo.zpoly import _fixed_lines, _line_expansion
 from incgeo.exceptional import (
     check_firstflip,
     exceptional_lines,
@@ -479,7 +478,7 @@ def test_chart_forms_commute_with_restriction(f):
     width = (4 * f.degree()).bit_length()
     symbolic = _taylor(f, 3, width, _den((f,)))
     for base, direction in _fixed_lines(3):
-        along = surfaces._term_maps(_line_expansion(f, base, direction, 1, 3)[0])
+        along = surfaces._term_maps(_line_expansion(f.form, base, direction, 1, 3)[0])
         for c in range(3):
             sym, lin = surfaces._chart_forms(symbolic, c), surfaces._chart_forms(along, c)
             if sym is None or lin is None:
