@@ -102,13 +102,13 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[int, dict]:
     inst = load_instance(args.file)
     surface = _require_surface(inst)
     factors = []
-    for i, factor in enumerate(surface.factors):
-        hints = [ln for ln, owners in zip(inst.lines, inst.containing) if i in owners]
-        res = classify_component(factor, hint_lines=hints)
+    for i, (form, degree) in enumerate(zip(surface.forms, surface.degrees)):
+        hints = [lat for lat, owners in zip(inst.lattices, inst.containing) if i in owners]
+        res = classify_component(form, hint_lines=hints)
         factors.append(
             {
                 "index": i,
-                "degree": factor.degree(),
+                "degree": degree,
                 "verdict": res.verdict.value,
                 "apex": None if res.apex is None else [str(c) for c in res.apex],
                 "complex_ruled_indicated": res.complex_ruled_indicated,

@@ -109,19 +109,18 @@ def decompose_lines(inst: IncidenceInstance) -> Decomposition:
     surface = inst.surface
     if surface is None:
         raise DomainError("decomposition needs an instance with a surface")
-    per_factor: list[list[int]] = [[] for _ in surface.factors]
+    per_factor: list[list[int]] = [[] for _ in surface.forms]
     for j, owners in enumerate(inst.containing):
         for i in owners:
             per_factor[i].append(j)
-    lines_of = [[inst.lines[j] for j in js] for js in per_factor]
 
     verdicts = []
-    for i, w in enumerate(surface.factors):
-        if w.degree() == 1:
+    for form, degree, js in zip(surface.forms, surface.degrees, per_factor):
+        if degree == 1:
             raise PlanarComponentError(
                 "surface has a planar component; use the planes variant"
             )
-        verdicts.append(classify_component(w, hint_lines=lines_of[i]))
+        verdicts.append(classify_component(form, hint_lines=[inst.lattices[j] for j in js]))
 
     exceptional: dict[int, tuple[int, ...]] = {}
     apexes: dict[int, Vec] = {}
@@ -131,7 +130,7 @@ def decompose_lines(inst: IncidenceInstance) -> Decomposition:
         if r.verdict is Verdict.SINGLY_RULED:
             from .exceptional import exceptional_lines
 
-            found = set(exceptional_lines(surface.factors[i], lines_of[i]))
+            found = set(exceptional_lines(surface.factors[i], [inst.lines[j] for j in per_factor[i]]))
             exceptional[i] = tuple(j for j in per_factor[i] if inst.lines[j] in found)
 
     structured: list[int] = []

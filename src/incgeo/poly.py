@@ -11,23 +11,26 @@ polynomial has degree -1.
 
 Beyond ring arithmetic the module provides the calculus and elimination
 tools the geometry layers need: the restriction to a line, the integer
-Taylor data at a symbolic point, polynomial determinants (Bareiss) and the
-Sylvester determinant built on them, single-divisor exact division,
-multivariate gcd, and a square-free test that falls back on the gcd when
-zpoly's certificate on lines says nothing.  Surface, the container of a
-surface's factor list, lives in zpoly, so a surface file is read and
-checked without this module.
+Taylor data at a symbolic point, multivariate polynomial determinants
+(zpoly's Bareiss elimination, on packed term maps) and the Sylvester
+determinant built on them, single-divisor exact division, multivariate
+gcd, and a square-free test that falls back on the gcd when zpoly's
+certificate on lines says nothing.  The line certificate's univariate
+kernels and Surface, the container of a surface's factor list, live in
+zpoly, so a surface file is read and checked, and a factor that the line
+certificate rules out is classified, without this module.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .errors import ArityError, DomainError
-from .zpoly import Exponent, Form, _line_expansion, _taylor_weights, grlex_key, primitive_terms, square_free_on_lines
+from .zpoly import Exponent, Form, _bareiss, _line_expansion, _taylor_weights, grlex_key
+from .zpoly import primitive_terms, square_free_on_lines
 
 RatLike = int | Fraction
 
@@ -536,42 +539,18 @@ def is_square_free(p: Poly) -> bool:
     return g.degree() == 0
 
 
-def _bareiss(m: list[list], step) -> tuple[object, int]:
-    """Fraction-free elimination of a square matrix over Z or Z[x], in
-    place: its determinant up to the sign of the row swaps, and that sign.
-    step(a, d, b, c, p) is (a*d - b*c)/p, exact; p is None at the first
-    step, whose divisor is 1."""
-    n, sign, prev = len(m), 1, None
-    for k in range(n - 1):
-        if not m[k][k]:
-            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if pivot is None:
-                return m[k][k], sign
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = step(m[i][j], m[k][k], m[i][k], m[k][j], prev)
-        prev = m[k][k]
-    return m[n - 1][n - 1], sign
-
-
 def matrix_determinant(mat: list[list[Poly]], nvars: int) -> Poly:
     """Exact determinant of a square matrix of polynomials.
 
     Each row is scaled by the lcm of its denominators, and Bareiss
     elimination runs on the integer matrix, where every division is exact
     in Z[x]; the result is its determinant over the product of the scales.
-    Univariate entries are evaluated at t = 2^k first, so the elimination
-    runs on integers (_univariate_determinant).
     """
     if any(len(row) != len(mat) for row in mat):
         raise DomainError("determinant needs a square matrix")
     n = len(mat)
     if n == 0:
         return Poly.const(nvars, 1)
-    if nvars == 1:
-        return _univariate_determinant(mat)
     # a product of two minors bounds every degree the elimination reaches
     width = (2 * sum(max(max(p.degree() for p in row), 0) for row in mat)).bit_length() + 1
     guard = _guard(nvars, width)
@@ -587,36 +566,6 @@ def matrix_determinant(mat: list[list[Poly]], nvars: int) -> Poly:
 
     det, sign = _bareiss(m, step)
     return _unpack(det, nvars, width, sign * scale)
-
-
-def _univariate_determinant(mat: list[list[Poly]]) -> Poly:
-    """matrix_determinant for univariate entries, as one integer.
-
-    With each row scaled to integers, every coefficient of the determinant
-    is at most the permanent of the entries' coefficient 1-norms, so at
-    most the product of the row sums of those norms; k is one bit above
-    it.  The entries are evaluated at t = 2^k, the integer determinant is
-    taken by Bareiss elimination, and its balanced base-2^k digits are the
-    coefficients.
-    """
-    rows, scale = [], 1
-    for row in mat:
-        den = _den(row)
-        rows.append([[(e, c.numerator * (den // c.denominator)) for (e,), c in p.terms.items()] for p in row])
-        scale *= den
-    k = prod(sum(abs(c) for p in row for _, c in p) for row in rows).bit_length() + 1
-    m = [[sum(c << (k * e) for e, c in p) for p in row] for row in rows]
-    det, sign = _bareiss(m, lambda a, d, b, c, p: a * d - b * c if p is None else (a * d - b * c) // p)
-    det *= sign
-    half, mask = 1 << (k - 1), (1 << k) - 1
-    terms, e = {}, 0
-    while det:
-        digit = ((det + half) & mask) - half
-        if digit:
-            terms[e,] = Fraction(digit, scale)
-        det = (det - digit) >> k
-        e += 1
-    return Poly(1, terms)
 
 
 def sylvester_determinant(a: Sequence[Poly], b: Sequence[Poly], nvars: int) -> Poly:

@@ -13,10 +13,11 @@ Every local question reads one integer expansion of a factor's form
 (zpoly): along a line, or around a point as a line with direction zero.
 The questions asked only of ruled factors (lines through a point,
 exceptional lines and generator counts) live in exceptional, which reads
-the expansion helpers here; classification imports its line search only
-when a ruled factor has no hint line, linespace only when it has hint
-lines, and linalg only to solve for a cone's apex, which no factor that
-the line certificate rules out asks for.
+the expansion helpers here.  classify_component reads a factor's form and
+hint lattices: quadrics and the line certificate (integer lists, zpoly)
+need neither poly nor fractions, imported only for a cone apex of degree
+>= 3, the full witness and the line search; linalg only to solve for an
+apex, which no factor that the line certificate rules out asks for.
 
 Everything is exact.  Ruledness certificates obtained through the flecnode
 route are certificates over the complex numbers; real verdicts are only
@@ -28,18 +29,21 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from fractions import Fraction
 from math import factorial, lcm
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import zpoly
 from .errors import ArityError, DegreeError, DomainError, InvariantViolation
-from .poly import Poly, _den, _taylor, _unpack, divides, exact_div, remove_content, sylvester_determinant
-from .zpoly import _fixed_lines, _line_expansion
+from .zpoly import _fixed_lines, _line_expansion, form_degree, univariate_divides, univariate_sylvester
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .lattice import Lattice
     from .linalg import Vec
     from .linespace import AffLine
+    from .poly import Poly
+    from .zpoly import Form
 
 # The container lives in zpoly, so a surface file is read and checked without
 # this module; it is re-exported here beside the analysis of its factors.
@@ -156,6 +160,8 @@ def _chart_eliminant(f: Poly, c: int) -> Poly | None:
     11*deg - 18.  That every chart gives the same witness up to content is
     not proven here, and no caller relies on it.
     """
+    from .poly import _den, _taylor, _unpack, exact_div, remove_content, sylvester_determinant
+
     # the forms have degree at most 4*deg - 6, so every exponent fits a field
     width = (4 * f.degree()).bit_length()
     forms = _chart_forms(_taylor(f, 3, width, _den((f,))), c)
@@ -186,6 +192,8 @@ def flecnode_polynomial(f: Poly) -> Poly:
     identically (every point of space carries an osculating direction) the
     surface polynomial itself is returned, which keeps that equivalence.
     """
+    from .poly import remove_content
+
     if f.nvars != 3:
         raise ArityError("flecnode witness is defined for trivariate surfaces")
     d = f.degree()
@@ -217,9 +225,9 @@ def flecnode_polynomial(f: Poly) -> Poly:
     return witness
 
 
-def _certified_not_ruled(f: Poly) -> bool:
-    """Whether one of the fixed lines certifies that a factor of degree
-    >= 3 does not divide its flecnode witness, without building it.
+def _certified_not_ruled(form: Form) -> bool:
+    """Whether a fixed line certifies that the factor of a form, of degree
+    >= 3, does not divide its flecnode witness, without building it.
 
     On chart c, _chart_eliminant's resultant is res_c = f_c^6 * W_c, built
     from _chart_forms, and restricting x to a line l commutes with every
@@ -236,12 +244,12 @@ def _certified_not_ruled(f: Poly) -> bool:
     11*deg - 18 cap is enforced on the restricted witness
     res_c|l / f_c|l^6.
     """
-    if f.nvars != 3:  # flecnode_polynomial rejects it
+    if len(next(iter(form[0]))) != 3:  # flecnode_polynomial rejects it
         return False
-    d = f.degree()
-    charts = [c for c in range(3) if f.degree_in(c)]
+    d = form_degree(form)
+    charts = [c for c in range(3) if any(e[c] for e in form[0])]
     for base, direction in _fixed_lines(3):
-        expansion, _ = _line_expansion(f.form, base, direction, 1, 3)
+        expansion, _ = _line_expansion(form, base, direction, 1, 3)
         if not any(expansion[0, 0, 0][1:]):
             continue
         taylor = _term_maps(expansion)
@@ -262,19 +270,20 @@ def _chart_rules_out(d: int, taylor: Taylor, c: int) -> bool | None:
     keyed by the power of t) gives, up to one constant for each order, f|l,
     the gradient on l and the second and third-order forms.  The Sylvester
     determinant of the chart's binary forms (_chart_forms), coefficients in
-    Z[t], is res_c|l up to a nonzero constant.
+    Z[t], is res_c|l up to a nonzero constant; it and the divisibility run
+    on integer coefficient lists, highest power first (zpoly).
     """
     forms = _chart_forms(taylor, c)
     if forms is None:  # both forms vanish at f_i*w_i + f_j*w_j = 0, so res_c|l = 0
         return None
-    a, b = ([Poly(1, {(m,): x for m, x in t.items()}) for t in form] for form in forms)
-    res = sylvester_determinant(a, b, 1)
-    if res.is_zero:
+    res = univariate_sylvester(*forms)
+    if not res:
         return None
-    restricted = res.degree() - 6 * max(taylor[_UNITS[c]])  # of res_c|l / f_c|l^6
+    restricted = len(res) - 1 - 6 * max(taylor[_UNITS[c]])  # of res_c|l / f_c|l^6
     if restricted > 11 * d - 18:
         raise InvariantViolation(f"restricted flecnode witness degree {restricted} exceeds 11*{d}-18")
-    return not divides(Poly(1, {(m,): x for m, x in taylor[0, 0, 0].items()}), res)
+    on_line = taylor[0, 0, 0]
+    return not univariate_divides([on_line.get(m, 0) for m in range(max(on_line), -1, -1)], res)
 
 
 class RuledIndication(NamedTuple):
@@ -299,6 +308,8 @@ def ruled_indicator(f: Poly) -> RuledIndication:
     chart, so its degree and the divisibility are f's.  classify_component
     asks the line certificate and the apex first, then tests f | W itself.
     """
+    from .poly import Poly, divides
+
     d = f.degree()
     if d < 1:
         raise DomainError("constant polynomials are not surfaces")
@@ -335,28 +346,21 @@ class ClassificationResult(NamedTuple):
     notes: str = ""
 
 
-def _quadric_matrix(f: Poly) -> list[list[Fraction]]:
-    """Symmetric 4x4 matrix of the homogenized quadric, index 0 homogenizing."""
-    m = [[Fraction(0)] * 4 for _ in range(4)]
-    for e, c in f.terms.items():
-        support = [i for i, k in enumerate(e) if k]
-        total = sum(e)
-        if total == 0:
-            m[0][0] += c
-        elif total == 1:
-            i = support[0] + 1
-            m[0][i] += c / 2
-            m[i][0] += c / 2
-        elif total == 2 and len(support) == 1:
-            i = support[0] + 1
-            m[i][i] += c
-        elif total == 2:
-            i, j = support[0] + 1, support[1] + 1
-            m[i][j] += c / 2
-            m[j][i] += c / 2
-        else:
+def _quadric_matrix(form: Form) -> list[list[Fraction]]:
+    """Symmetric 4x4 matrix of the homogenized quadric, index 0 homogenizing,
+    read off its integer form: the term c*x_i*x_j adds c/(2*den) at (i, j)
+    and at (j, i)."""
+    from fractions import Fraction
+
+    terms, den = form
+    m = [[0] * 4 for _ in range(4)]
+    for e, c in terms.items():
+        if sum(e) > 2:
             raise DomainError("not a quadric")
-    return m
+        i, j = ([k + 1 for k, n in enumerate(e) for _ in range(n)] + [0, 0])[:2]
+        m[i][j] += c
+        m[j][i] += c
+    return [[Fraction(x, 2 * den) for x in row] for row in m]
 
 
 def symmetric_inertia(matrix: Sequence[Sequence[Fraction]]) -> tuple[int, int, int]:
@@ -410,6 +414,8 @@ def _cone_apex(f: Poly) -> Vec | None:
     its gradient is made of higher partials, which vanish on S; so one
     test at the rref point of S (free coordinates 0) decides all of S.
     """
+    from fractions import Fraction
+
     d = f.degree()
     rows: dict[tuple[int, ...], list[Fraction]] = {}
     for e, c in f.terms.items():
@@ -439,7 +445,7 @@ def _is_cone_apex(f: Poly, apex: Sequence) -> bool:
     return not _at_point(f, apex, f.degree() - 1)
 
 
-def classify_component(factor: Poly, hint_lines: Sequence[AffLine] = ()) -> ClassificationResult:
+def classify_component(factor: Poly | Form, hint_lines: Sequence[AffLine | Lattice] = ()) -> ClassificationResult:
     """Classify one squarefree factor of the surface.
 
     Quadrics are settled exactly through the inertia of the homogenized
@@ -452,15 +458,19 @@ def classify_component(factor: Poly, hint_lines: Sequence[AffLine] = ()) -> Clas
     top-degree), found or ruled out by one linear solve before the witness
     whatever the hint lines, settles the cone verdict.  A singly ruled
     verdict needs a real rational line as witness: a hint line on the
-    factor, else a bounded search.
+    factor, else a bounded search.  The factor is read as its form (a
+    Poly's, or one of Surface.forms) and hint lines as lattices; the Poly
+    view is built only for the apex, the full witness and the line search.
     """
-    d = factor.degree()
+    form, view = (factor, None) if isinstance(factor, tuple) else (factor.form, factor)
+    hints = [ln if isinstance(ln, tuple) else ln.lattice for ln in hint_lines]
+    d = form_degree(form)
     if d < 1:
         raise DomainError("constant factor cannot be classified")
     if d == 1:
         return ClassificationResult(Verdict.PLANE)
     if d == 2:
-        m = _quadric_matrix(factor)
+        m = _quadric_matrix(form)
         pos, neg, _ = symmetric_inertia(m)
         if neg > pos:
             pos, neg = neg, pos
@@ -490,23 +500,25 @@ def classify_component(factor: Poly, hint_lines: Sequence[AffLine] = ()) -> Clas
             )
         return ClassificationResult(Verdict.NOT_RULED_REAL, complex_ruled_indicated=True)
 
-    if _certified_not_ruled(factor):
+    if _certified_not_ruled(form):
         return ClassificationResult(Verdict.NOT_RULED_REAL, complex_ruled_indicated=False)
+    from .poly import Poly, divides
+
+    if view is None:
+        view = Poly.from_form(len(next(iter(form[0]))), form)
     # every cone is ruled, so its apex settles the verdict without the witness
-    apex = _cone_apex(factor)
+    apex = _cone_apex(view)
     if apex is not None:
         return ClassificationResult(Verdict.CONE, apex=apex, complex_ruled_indicated=True)
-    if not divides(factor, flecnode_polynomial(factor)):
+    if not divides(view, flecnode_polynomial(view)):
         return ClassificationResult(Verdict.NOT_RULED_REAL, complex_ruled_indicated=False)
     real_line = None
-    if hint_lines:
-        from .linespace import line_on_surface
+    if hints:
+        from .lattice import lattice_on_surface
 
-        real_line = next(
-            (ln for ln in hint_lines if ln.dim == 3 and line_on_surface(factor, ln)), None
-        )
+        real_line = next((lat for lat in hints if len(lat[1]) == 3 and lattice_on_surface(form, lat)), None)
     if real_line is None:
-        real_line = _search_real_line(factor)
+        real_line = _search_real_line(view)
     if real_line is not None:
         return ClassificationResult(Verdict.SINGLY_RULED, complex_ruled_indicated=True)
     return ClassificationResult(
@@ -524,6 +536,8 @@ def _search_real_line(factor: Poly) -> AffLine | None:
     """Cheap bounded search for one rational line on the factor: it looks
     only at the 125 points of the grid {0, +-1, +-2}^3 that lie on the
     factor, each with a line search of entry bound REAL_LINE_BOUND."""
+    from fractions import Fraction
+
     from .exceptional import find_lines_through_point
 
     grid = [Fraction(v) for v in (0, 1, -1, 2, -2)]

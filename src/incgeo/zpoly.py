@@ -4,9 +4,12 @@ A polynomial's form is (terms, den): its coefficients' integer numerators
 over den, the lcm of their reduced denominators, zero terms dropped, so
 equal polynomials have equal forms.  A form is expanded along a line (with
 direction zero, around a point) and certified square-free on three fixed
-lines here.  Surface holds its factors as forms, so a surface file is read,
-checked, written and measured without poly or fractions; poly's Poly
-caches its form, and Surface.factors, the Poly views, loads poly.
+lines here; the line certificate of surfaces runs on its univariate
+kernels on integer lists, a Sylvester determinant (at t = 2^k, by the
+Bareiss elimination that poly shares) and divisibility.  Surface holds its
+factors as forms, so a surface file is read, checked, written and measured
+without poly or fractions; poly's Poly caches its form, and
+Surface.factors, the Poly views, loads poly.
 """
 
 from __future__ import annotations
@@ -135,6 +138,77 @@ def _univariate_square_free(r: list[int]) -> bool:
     has a constant gcd with its derivative."""
     n = len(r) - 1
     return len(univariate_gcd(r, [c * (n - i) for i, c in enumerate(r[:-1])])) == 1
+
+
+def univariate_divides(f: list[int], g: list[int]) -> bool:
+    """Whether the nonzero integer polynomial f divides g over Q, both
+    highest power first with leading entry nonzero ([] for zero).  By
+    Gauss's lemma f's primitive part p then divides g over Z, so every step
+    of g's long division by p is exact in Z."""
+    c = gcd(*f)
+    p = [x // c for x in f]
+    while len(g) >= len(p):
+        q, r = divmod(g[0], p[0])
+        if r:
+            return False
+        g = [x - q * y for x, y in zip(g[1:], p[1:] + [0] * (len(g) - len(p)))]
+        g = g[next((i for i, x in enumerate(g) if x), len(g)) :]
+    return not g
+
+
+def _bareiss(m: list[list], step) -> tuple[object, int]:
+    """Fraction-free elimination of a square matrix over Z or Z[x], in
+    place: its determinant up to the sign of the row swaps, and that sign.
+    step(a, d, b, c, p) is (a*d - b*c)/p, exact; p is None at the first
+    step, whose divisor is 1."""
+    n, sign, prev = len(m), 1, None
+    for k in range(n - 1):
+        if not m[k][k]:
+            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if pivot is None:
+                return m[k][k], sign
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = step(m[i][j], m[k][k], m[i][k], m[k][j], prev)
+        prev = m[k][k]
+    return m[n - 1][n - 1], sign
+
+
+def univariate_determinant(mat: Sequence[Sequence[dict[int, int]]]) -> list[int]:
+    """Determinant of a square matrix of integer polynomials in t, each a
+    term map {power: coefficient}: its coefficients, highest power first
+    with leading entry nonzero ([] for zero).
+
+    Every coefficient of the determinant is at most the permanent of the
+    entries' coefficient 1-norms, so at most the product of the row sums of
+    those norms; k is one bit above it.  The entries are evaluated at
+    t = 2^k, the integer determinant is taken by Bareiss elimination, and
+    its balanced base-2^k digits are the coefficients.
+    """
+    if not mat:
+        return [1]
+    k = prod(sum(abs(c) for p in row for c in p.values()) for row in mat).bit_length() + 1
+    m = [[sum(c << (k * e) for e, c in p.items()) for p in row] for row in mat]
+    det, sign = _bareiss(m, lambda a, d, b, c, p: a * d - b * c if p is None else (a * d - b * c) // p)
+    det *= sign
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    out = []
+    while det:
+        digit = ((det + half) & mask) - half
+        out.append(digit)
+        det = (det - digit) >> k
+    return out[::-1]
+
+
+def univariate_sylvester(a: Sequence[dict[int, int]], b: Sequence[dict[int, int]]) -> list[int]:
+    """univariate_determinant of the Sylvester matrix of two coefficient
+    lists, highest power first: len(b) - 1 shifted rows of a above
+    len(a) - 1 shifted rows of b."""
+    n = len(a) + len(b) - 2
+    rows = ((coeffs, i) for coeffs, shifts in ((a, len(b) - 1), (b, len(a) - 1)) for i in range(shifts))
+    return univariate_determinant([[{}] * i + list(c) + [{}] * (n - i - len(c)) for c, i in rows])
 
 
 def square_free_on_lines(form: Form) -> bool:

@@ -1,7 +1,9 @@
 """Each CLI call loads only the modules its subcommand runs, and no call
 loads dataclasses; the package resolves its exported names on first use.
 A call that only counts, relates and projects points and lines, and reads
-a surface as integer forms, loads no fractions either.
+a surface as integer forms, loads no fractions either; nor does classify on
+a line-free file whose factors the line certificate rules out, which runs
+on integer lists and loads no poly.
 
 The module sets are read in a fresh interpreter per call, since this test
 process has long since imported every module of the package.
@@ -43,7 +45,7 @@ HOMES = {
 }
 
 # the standard library modules whose loading the calls are checked for
-WATCHED = ("dataclasses", "fractions")
+WATCHED = ("dataclasses", "fractions", "decimal")
 
 # runs main() on its arguments, if given any, and prints the exit code, the
 # loaded incgeo modules and the loaded WATCHED modules as the last line of
@@ -131,10 +133,13 @@ def test_help_loads_only_the_front_end(bare_loads):
         (("verify", "{cone}"),
          {"poly", "surfaces", "exceptional", "projection", "forge", "linespace", "linalg",
           "fractions"}),
-        (("classify", "{cone}"), {"exceptional", "incidence", "projection", "forge"}),
+        # a quadric's matrix is read off its integer form, its hints as lattices
+        (("classify", "{cone}"), {"poly", "linespace", "exceptional", "incidence", "projection", "forge"}),
         (("flecnode", "{cone}"), {"exceptional", "incidence", "projection", "forge"}),
-        (("incidence", "{cone}"), {"projection", "forge"}),
-        (("classify", "{fermat}"), {"linespace", "exceptional", "incidence", "projection", "forge"}),
+        (("incidence", "{cone}"), {"poly", "linespace", "projection", "forge"}),
+        # the line certificate runs on integer lists
+        (("classify", "{fermat}"),
+         {"poly", "linespace", "exceptional", "incidence", "projection", "forge", "fractions", "decimal"}),
         (("flecnode", "{fermat}"), {"linespace", "exceptional", "incidence", "projection", "forge"}),
         # the catalog surface is built from integer forms
         (("gen", "--kind", "cone", "--lines", "3", "--points", "3", "-o", "{out}"),
@@ -154,24 +159,26 @@ def test_each_subcommand_loads_only_what_it_runs(files, tmp_path, bare_loads, ar
     assert "dataclasses" not in watched - bare_loads
 
 
-@pytest.mark.parametrize("command, solves", [("classify", set()), ("flecnode", {"linalg"})],
+@pytest.mark.parametrize("command, witness", [("classify", set()), ("flecnode", {"poly", "linalg"})],
                          ids=["classify", "flecnode"])
-def test_a_file_without_points_or_lines_loads_no_lattice(files, command, solves):
+def test_a_file_without_points_or_lines_loads_no_lattice(files, command, witness):
     # lattice reads the coordinates; a line-free surface file has none.
-    # linalg solves only for a quadric or a cone apex: classify never asks
+    # classify rules the Fermat cubic out on integer lists and never asks
     # for the apex of a factor that the line certificate rules out, while
-    # flecnode asks for it first, to build a cone's witness at its apex
+    # flecnode builds the witness in poly and asks for the apex first (a
+    # linalg solve), to build a cone's witness at its apex
     code, modules, _ = loaded_by(command, files["fermat"])
     assert code == 0
-    assert modules == {"incgeo", "cli", "errors", "instfile", "poly", "surfaces", "zpoly"} | solves
+    assert modules == {"incgeo", "cli", "errors", "instfile", "surfaces", "zpoly"} | witness
 
 
 def test_incidence_loads_the_exceptional_lines(files):
-    # only for a singly ruled factor: a cone has no exceptional lines to find
+    # only for a singly ruled factor: a cone has no exceptional lines to
+    # find, and its lines are read as lattices
     code, modules, _ = loaded_by("incidence", files["cone"])
     assert code == 0
-    assert {"surfaces", "linespace"} <= modules
-    assert "exceptional" not in modules
+    assert "surfaces" in modules
+    assert not {"exceptional", "linespace"} & modules
     code, modules, _ = loaded_by("incidence", files["whitney"])
     assert code == 0
     assert {"surfaces", "exceptional", "linespace"} <= modules

@@ -29,7 +29,14 @@ from incgeo.poly import (
     sylvester_determinant,
     variables,
 )
-from incgeo.zpoly import _line_expansion, _univariate_square_free, grlex_key
+from incgeo.zpoly import (
+    _line_expansion,
+    _univariate_square_free,
+    grlex_key,
+    univariate_determinant,
+    univariate_divides,
+    univariate_sylvester,
+)
 from polyref import substitute
 
 X, Y, Z = variables(3)
@@ -439,19 +446,77 @@ def test_matrix_determinant_matches_laplace_expansion(mat):
     assert matrix_determinant(mat, 2) == laplace_determinant(mat, 2)
 
 
+def term_map(p: Poly) -> dict[int, int]:
+    """An integer univariate Poly as zpoly's term map {power: coefficient}."""
+    return {e: int(c) for (e,), c in p.terms.items()}
+
+
+def coefficient_list(p: Poly) -> list[int]:
+    """An integer univariate Poly's coefficients, highest power first, as
+    zpoly's kernels give them ([] for zero)."""
+    return [int(p.terms.get((e,), 0)) for e in range(p.degree(), -1, -1)]
+
+
+def integer_rows(mat):
+    """mat with each row scaled to integer coefficients."""
+    return [[p * _den(row) for p in row] for row in mat]
+
+
 @settings(max_examples=150, deadline=None)
 @given(square_matrices(nvars=1, max_deg=6))
 def test_univariate_determinant_matches_laplace_expansion(mat):
     # the evaluation at t = 2^k must leave every coefficient its own digit
-    assert matrix_determinant(mat, 1) == laplace_determinant(mat, 1)
+    mat = integer_rows(mat)
+    expected = coefficient_list(laplace_determinant(mat, 1))
+    assert univariate_determinant([[term_map(p) for p in row] for row in mat]) == expected
 
 
 def test_univariate_determinant_reads_back_large_and_negative_coefficients():
     t = Poly.variable(1, 0)
     big = 3**40
-    mat = [[big * t**3 - 1, t + Fraction(1, 7)], [-t, big - t**2]]
-    assert matrix_determinant(mat, 1) == laplace_determinant(mat, 1)
-    assert matrix_determinant([[t, t], [t**2, t**2]], 1).is_zero
+    mat = integer_rows([[big * t**3 - 1, t + Fraction(1, 7)], [-t, big - t**2]])
+    expected = coefficient_list(laplace_determinant(mat, 1))
+    assert univariate_determinant([[term_map(p) for p in row] for row in mat]) == expected
+    assert univariate_determinant([[term_map(t), term_map(t)], [term_map(t**2), term_map(t**2)]]) == []
+
+
+# integer univariate polynomials with wide, negative and zero coefficients,
+# as Polys; the zero polynomial among them
+wide_integers = st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80))
+integer_polys = st.dictionaries(st.integers(0, 4), wide_integers, max_size=3).map(
+    lambda terms: Poly(1, {(e,): c for e, c in terms.items()})
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(integer_polys, min_size=1, max_size=4), st.lists(integer_polys, min_size=1, max_size=4),
+       st.booleans())
+def test_univariate_sylvester_matches_laplace_expansion(a, b, at_infinity):
+    if at_infinity:  # zero leading coefficients: a common root at (1:0)
+        a[0] = b[0] = Poly.zero(1)
+    n = len(a) + len(b) - 2
+    zero = Poly.zero(1)
+    mat = [
+        [zero] * i + coeffs + [zero] * (n - i - len(coeffs))
+        for coeffs, shifts in ((a, len(b) - 1), (b, len(a) - 1))
+        for i in range(shifts)
+    ]
+    got = univariate_sylvester([term_map(p) for p in a], [term_map(p) for p in b])
+    assert got == coefficient_list(laplace_determinant(mat, 1))
+    if at_infinity and n:
+        assert got == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_polys, integer_polys, integer_polys, st.integers(-6, 6), st.booleans())
+def test_univariate_divides_matches_poly_divides(f, g, h, content, planted):
+    # f with a content, over a g that is a multiple of f when planted
+    f = f * content
+    if f.is_zero:
+        return
+    if planted:
+        g = f * h
+    assert univariate_divides(coefficient_list(f), coefficient_list(g)) == divides(f, g)
 
 
 def test_matrix_determinant_rejects_a_ragged_matrix():

@@ -310,13 +310,13 @@ def test_classify_certifies_pinned_cubics_without_the_witness(monkeypatch, name,
 
 def test_ruled_factors_take_the_full_witness():
     for f in (RULED_CUBIC, X**2 * Z - Y**3, X**3 + Y**3 - Z**3, X**3 - Y**2 + X):
-        assert not surfaces._certified_not_ruled(f)
+        assert not surfaces._certified_not_ruled(f.form)
         assert divides(f, flecnode_polynomial(f))
 
 
 def test_line_certificate_enforces_the_witness_degree_cap(monkeypatch):
-    t = Poly.variable(1, 0)
-    monkeypatch.setattr(surfaces, "sylvester_determinant", lambda a, b, nvars: t**100 + 1)
+    # t^100 + 1, highest power first
+    monkeypatch.setattr(surfaces, "univariate_sylvester", lambda a, b: [1] + [0] * 99 + [1])
     with pytest.raises(InvariantViolation, match=r"exceeds 11\*3-18"):
         classify_component(SMOOTH_CUBIC)
 
@@ -424,7 +424,7 @@ CATALOG_CUBICS = [
 @given(st.one_of(sparse_factors(), st.sampled_from(CATALOG_CUBICS), planted_ruled_factors()))
 def test_line_certificate_never_contradicts_the_witness(case):
     f, ruled = case
-    if surfaces._certified_not_ruled(f):
+    if surfaces._certified_not_ruled(f.form):
         # a planted ruled factor divides its witness (Cayley-Salmon-Monge)
         assert not ruled
         assert not divides(f, flecnode_polynomial(f))
