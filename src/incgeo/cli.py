@@ -105,12 +105,14 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[int, dict]:
     for i, (form, degree) in enumerate(zip(surface.forms, surface.degrees)):
         hints = [lat for lat, owners in zip(inst.lattices, inst.containing) if i in owners]
         res = classify_component(form, hint_lines=hints)
+        if res.apex is not None:  # a scaled point, written as the file writes points
+            from .lattice import point_strings
         factors.append(
             {
                 "index": i,
                 "degree": degree,
                 "verdict": res.verdict.value,
-                "apex": None if res.apex is None else [str(c) for c in res.apex],
+                "apex": None if res.apex is None else point_strings(res.apex),
                 "complex_ruled_indicated": res.complex_ruled_indicated,
                 "notes": res.notes,
             }

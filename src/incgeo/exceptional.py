@@ -26,8 +26,8 @@ from .errors import (
     InvariantViolation,
     NotOnSurfaceError,
 )
-from .linalg import Vec, to_vec
-from .linespace import AffLine, RelationKind, incidence_point_line, line_on_surface, line_relation
+from .lattice import scaled_form
+from .linespace import AffLine, RelationKind, Vec, incidence_point_line, line_on_surface, line_relation, to_vec
 from .poly import Poly, poly_gcd
 from .surfaces import _UNITS, Bivariate, _at_point, _forms_along, _term_maps, _zpowers
 from .zpoly import _line_expansion, univariate_gcd
@@ -84,7 +84,7 @@ def find_lines_through_point(
     pt = to_vec(p)
     # factor(pt + t v) = sum_k t^k c_k(v), c_k the degree-k Taylor part; c_0 = 0
     # and c_1(v) = grad . v; each c_k comes as one positive integer multiple
-    parts = _at_point(factor, pt, factor.degree())
+    parts = _at_point(factor.form, scaled_form(pt), factor.degree())
     if (0, 0, 0) in parts:
         raise NotOnSurfaceError(f"point {tuple(pt)} is not on the surface")
     g = [parts.get(u, 0) for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]

@@ -18,11 +18,10 @@ from typing import Iterator, Mapping, Sequence
 
 from . import SURFACE_KINDS
 from .errors import ArityError, DomainError, ResampleExhaustedError
-from .linalg import Vec, rank, to_vec
 from .instfile import MAX_DIM, IncidenceInstance
 from .lattice import scaled_form
-from .linespace import AffLine
-from .zpoly import Surface
+from .linespace import AffLine, Vec, to_vec
+from .zpoly import Surface, echelon
 
 # the catalog factors as integer term maps: x^2 + y^2 - z^2, z - xy,
 # x^2 - y^2 z, x^2 + y^2 + z^2 - 1 and x^3 + y^3 + z^3 - 1
@@ -200,13 +199,11 @@ def lift_to_dim(
         return pts, lns
 
     rng = random.Random(seed)
-    matrix: list[tuple[int, ...]] | None = None
     for _ in range(32):
-        cand = [tuple(rng.randint(-5, 5) for _ in range(dim)) for _ in range(dim)]
-        if rank(list(map(to_vec, cand))) == dim:
-            matrix = cand
+        matrix = [tuple(rng.randint(-5, 5) for _ in range(dim)) for _ in range(dim)]
+        if len(echelon(matrix)) == dim:  # invertible: full rank
             break
-    if matrix is None:
+    else:
         raise ResampleExhaustedError("no invertible lift matrix within budget")
     shift, no_shift = [rng.randint(-5, 5) for _ in range(dim)], [0] * dim
     out_pts = [_mat_vec(matrix, _embed(p, dim), shift) for p in pts]

@@ -17,7 +17,7 @@ everything combinatorial is exact.  Only the decomposition reads
 surfaces, which it imports when it runs, and exceptional, which it
 imports only for a singly ruled factor, so counting and the bounds load
 no surface analysis; they read only integer forms (a surface's degree off
-its zpoly forms), so no Fraction either.
+its zpoly forms), so no Fraction either; nor does a cone apex, a scaled point.
 """
 
 from __future__ import annotations
@@ -29,16 +29,14 @@ from .lattice import coplanar_partners
 
 if TYPE_CHECKING:
     from .instfile import IncidenceInstance
-    from .lattice import Lattice
-    from .linalg import Vec
+    from .lattice import Lattice, Scaled
     from .linespace import AffLine
     from .surfaces import ClassificationResult
 
 
 def count_incidences(points: Sequence, lines: Sequence[AffLine]) -> int:
     """Number of pairs (p, ln) with p on ln, by exhaustive exact check."""
-    from .linalg import to_vec
-    from .linespace import incidence_point_line
+    from .linespace import incidence_point_line, to_vec
 
     pts = [to_vec(p) for p in points]
     return sum(1 for p in pts for ln in lines if incidence_point_line(p, ln))
@@ -77,7 +75,7 @@ class Decomposition(NamedTuple):
     (exceptional, per singly ruled factor).  Every remaining line (generic)
     lies on exactly one factor, its owner, and that factor is ruled; a
     conical incidence is a generic line through the apex of its owner,
-    apexes.get(owner[j]).
+    apexes.get(owner[j]), a scaled point compared with instance.scaled.
     """
 
     instance: IncidenceInstance
@@ -86,7 +84,7 @@ class Decomposition(NamedTuple):
     generic: tuple[int, ...]
     owner: Mapping[int, int]
     exceptional: Mapping[int, tuple[int, ...]]
-    apexes: Mapping[int, Vec]
+    apexes: Mapping[int, Scaled]
 
     @property
     def structured_cap(self) -> int:
@@ -123,7 +121,7 @@ def decompose_lines(inst: IncidenceInstance) -> Decomposition:
         verdicts.append(classify_component(form, hint_lines=[inst.lattices[j] for j in js]))
 
     exceptional: dict[int, tuple[int, ...]] = {}
-    apexes: dict[int, Vec] = {}
+    apexes: dict[int, Scaled] = {}
     for i, r in enumerate(verdicts):
         if r.verdict is Verdict.CONE and r.apex is not None:
             apexes[i] = r.apex
@@ -166,7 +164,7 @@ def decompose_lines(inst: IncidenceInstance) -> Decomposition:
 
 def _non_conical_at(decomp: Decomposition, i: int) -> list[int]:
     """Generic lines through point i, leaving out the conical incidences."""
-    owner, apexes, p = decomp.owner, decomp.apexes, decomp.instance.points[i]
+    owner, apexes, p = decomp.owner, decomp.apexes, decomp.instance.scaled[i]
     return [j for j in decomp.instance.lines_at[i] if j in owner and apexes.get(owner[j]) != p]
 
 
@@ -175,7 +173,7 @@ def conical_incidence_count(decomp: Decomposition) -> int:
     inst, owner, apexes = decomp.instance, decomp.owner, decomp.apexes
     count = sum(
         j in owner and apexes.get(owner[j]) == p
-        for p, lns in zip(inst.points, inst.lines_at)
+        for p, lns in zip(inst.scaled, inst.lines_at)
         for j in lns
     )
     if count > len(decomp.generic):

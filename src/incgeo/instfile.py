@@ -41,8 +41,7 @@ from .errors import ArityError, DomainError, ParseError
 
 if TYPE_CHECKING:
     from .lattice import Lattice, Scaled
-    from .linalg import Vec
-    from .linespace import AffLine
+    from .linespace import AffLine, Vec
     from .zpoly import Form, Surface
 
 
@@ -66,7 +65,7 @@ class IncidenceInstance:
 
     def __init__(self, surface: Surface | None, points: Sequence, lines: Sequence[AffLine]):
         from .lattice import scaled_form
-        from .linalg import to_vec
+        from .linespace import to_vec
 
         self.__dict__.update(points=tuple(map(to_vec, points)), lines=tuple(lines))
         self._check(surface, tuple(map(scaled_form, self.points)), tuple(ln.lattice for ln in self.lines))

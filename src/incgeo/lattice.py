@@ -8,8 +8,8 @@ for every i.  In R^3 two lines are coplanar iff their Plucker coordinates'
 reciprocal product vanishes; in R^d line b meets line a iff b's direction
 and base offset, reduced against a's pivot, are proportional, and the
 reduced vector's flat key (primitive, positive lead entry) keys the 2-flat
-they span.  The module imports neither fractions nor linalg; linespace
-builds AffLine and the Fraction predicates on top of it.
+they span.  The module imports no fractions; linespace builds the
+Fraction views (Vec points and AffLine) and their predicates on top of it.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """Affine lines in R^d and their exact relations, plus Plucker coordinates.
 
-An AffLine is stored canonically (direction scaled to first nonzero entry
-1, base slid to 0 at that pivot), so equality and hashing are exact.  The
-module decides point-line incidence, the relation of two lines (equal,
-parallel, intersecting, skew), coplanarity of three lines and containment
-of a line in a surface.  Incidence and pair relations run on the integer
-kernels of lattice, on each AffLine's cached lattice; coplanar_triple, by
-exact rank, stays the reference predicate for three lines.
+The home of the Fraction views: a point is a Vec of Fractions (to_vec),
+and an AffLine is stored canonically (direction scaled to first nonzero
+entry 1, base slid to 0 at that pivot), so equality and hashing are exact.
+The module decides point-line incidence, the relation of two lines
+(equal, parallel, intersecting, skew), coplanarity of three lines and
+containment of a line in a surface, all on integer kernels over each
+AffLine's cached lattice: lattice's, and for coplanar_triple, the
+reference predicate for three lines, the rank of zpoly's echelon.
 
 Plucker coordinates of lines in P^3 use these conventions:
 
@@ -27,13 +28,28 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from . import linalg
 from .errors import ArityError, DegenerateLineError, DomainError
-from .lattice import Lattice, RelationKind, lattice_incidences, lattice_relation, scaled_form
-from .linalg import Vec, to_vec, vec_sub
+from .lattice import Lattice, RelationKind, lattice_incidences, lattice_on_surface, lattice_relation, scaled_form
+from .zpoly import echelon
 
 if TYPE_CHECKING:
     from .poly import Poly
+
+Vec = tuple[Fraction, ...]
+
+
+def _exact(v: object) -> Fraction:
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, int) and not isinstance(v, bool):
+        return Fraction(v)
+    raise DomainError(f"coordinate {v!r} is not an int or a Fraction")
+
+
+def to_vec(values: Sequence) -> Vec:
+    """The entries as Fractions; anything but an int (bool excluded) or a
+    Fraction is a DomainError."""
+    return tuple(map(_exact, values))
 
 
 def _canonical_ray(coords: Vec) -> Vec:
@@ -203,23 +219,18 @@ def line_relation(l1: AffLine, l2: AffLine) -> LineRelation:
 
 
 def coplanar_triple(l1: AffLine, l2: AffLine, l3: AffLine) -> bool:
-    """True iff all three lines lie in one affine 2-flat."""
+    """True iff all three lines lie in one affine 2-flat: the three
+    directions and the two base offsets span at most a plane.  On lattices
+    (k, D, B, s) the offset B_b/s_b - B_a/s_a is scaled to s_a*B_b - s_b*B_a."""
     if not (l1.dim == l2.dim == l3.dim):
         raise ArityError("lines live in different dimensions")
-    rows = [
-        l1.direction,
-        l2.direction,
-        l3.direction,
-        vec_sub(l2.base, l1.base),
-        vec_sub(l3.base, l1.base),
-    ]
-    return linalg.rank(rows) <= 2
+    (_, d1, b1, s1), (_, d2, b2, s2), (_, d3, b3, s3) = l1.lattice, l2.lattice, l3.lattice
+    offsets = [[s1 * y - s * x for x, y in zip(b1, b)] for b, s in ((b2, s2), (b3, s3))]
+    return len(echelon([d1, d2, d3, *offsets])) <= 2
 
 
 def line_on_surface(f: Poly, ln: AffLine) -> bool:
     """True iff the whole line lies in the zero set of f."""
-    from .poly import restrict_to_line
-
     if f.nvars != ln.dim:
         raise ArityError("polynomial arity and line dimension differ")
-    return restrict_to_line(f, ln.base, ln.direction).is_zero
+    return lattice_on_surface(f.form, ln.lattice)

@@ -2,23 +2,23 @@
 
 Coefficients are fractions.Fraction throughout the API; nothing in this
 module ever rounds.  Inside, the determinant and exact division run on
-integer term maps with packed monomials, and the expansion along a line on
-the integer form of zpoly, which each Poly caches (Poly.form).  A
+integer term maps with packed monomials; each Poly caches its integer
+form of zpoly (Poly.form), on which a line or a point is expanded.  A
 polynomial is a map from exponent tuples to nonzero coefficients, wrapped
 in an immutable Poly object.  Monomials are ordered graded lexicographically
 (total degree first, then lex with variable 0 highest); the zero
 polynomial has degree -1.
 
 Beyond ring arithmetic the module provides the calculus and elimination
-tools the geometry layers need: the restriction to a line, the integer
-Taylor data at a symbolic point, multivariate polynomial determinants
-(zpoly's Bareiss elimination, on packed term maps) and the Sylvester
-determinant built on them, single-divisor exact division, multivariate
-gcd, and a square-free test that falls back on the gcd when zpoly's
-certificate on lines says nothing.  The line certificate's univariate
-kernels and Surface, the container of a surface's factor list, live in
-zpoly, so a surface file is read and checked, and a factor that the line
-certificate rules out is classified, without this module.
+tools the geometry layers need: the integer Taylor data at a symbolic
+point, multivariate polynomial determinants (zpoly's Bareiss elimination,
+on packed term maps) and the Sylvester determinant built on them,
+single-divisor exact division, multivariate gcd, and a square-free test
+that falls back on the gcd when zpoly's certificate on lines says
+nothing.  The line certificate's univariate kernels and Surface, the
+container of a surface's factor list, live in zpoly, so a surface file is
+read and checked, and a factor that the line certificate rules out is
+classified, without this module.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .errors import ArityError, DomainError
-from .zpoly import Exponent, Form, _bareiss, _line_expansion, _taylor_weights, grlex_key
+from .zpoly import Exponent, Form, _bareiss, _taylor_weights, grlex_key
 from .zpoly import primitive_terms, square_free_on_lines
 
 RatLike = int | Fraction
@@ -278,22 +278,6 @@ class Poly:
 def variables(nvars: int) -> tuple[Poly, ...]:
     """Convenience tuple of the coordinate polynomials."""
     return tuple(Poly.variable(nvars, i) for i in range(nvars))
-
-
-# -- spec-level operations ---------------------------------------------
-
-
-def restrict_to_line(p: Poly, base: Sequence[RatLike], direction: Sequence[RatLike]) -> Poly:
-    """Univariate polynomial t -> p(base + t*direction), divided back once
-    from its integer expansion along the line, with base = B/s and
-    direction = D/s for the lcm s of their denominators."""
-    if len(base) != p.nvars or len(direction) != p.nvars:
-        raise ArityError("base/direction arity does not match polynomial")
-    b, v = [_frac(a) for a in base], [_frac(a) for a in direction]
-    s = lcm(*(a.denominator for a in b + v))
-    bv, dv = ([a.numerator * (s // a.denominator) for a in w] for w in (b, v))
-    parts, scale = _line_expansion(p.form, bv, dv, s, 0)
-    return Poly(1, {(j,): Fraction(c, scale) for j, c in enumerate(parts.get((0,) * p.nvars, ()))})
 
 
 # -- division, gcd, resultants -----------------------------------------

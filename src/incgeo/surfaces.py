@@ -8,16 +8,16 @@ never formed.  Every analysis function takes one trivariate polynomial f,
 in practice a single factor.  The module answers the first question of
 the incidence machinery: does a factor admit a ruling (flecnode witness
 plus divisibility, tried first on a few lines), is it a cone (its apex
-comes from one linear solve), and is a ruling witnessed by a real line.
+comes from one integer solve), and is a ruling witnessed by a real line.
 Every local question reads one integer expansion of a factor's form
 (zpoly): along a line, or around a point as a line with direction zero.
 The questions asked only of ruled factors (lines through a point,
 exceptional lines and generator counts) live in exceptional, which reads
 the expansion helpers here.  classify_component reads a factor's form and
-hint lattices: quadrics and the line certificate (integer lists, zpoly)
-need neither poly nor fractions, imported only for a cone apex of degree
->= 3, the full witness and the line search; linalg only to solve for an
-apex, which no factor that the line certificate rules out asks for.
+hint lattices: quadrics, cone apexes and the line certificate run on
+integers (zpoly's echelon and integer lists), and an apex is a scaled
+point (P, q), so they need neither poly nor fractions, imported only for
+the full witness and the line search.
 
 Everything is exact.  Ruledness certificates obtained through the flecnode
 route are certificates over the complex numbers; real verdicts are only
@@ -29,18 +29,15 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from math import factorial, lcm
+from math import factorial
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import zpoly
 from .errors import ArityError, DegreeError, DomainError, InvariantViolation
-from .zpoly import _fixed_lines, _line_expansion, form_degree, univariate_divides, univariate_sylvester
+from .zpoly import _fixed_lines, _line_expansion, echelon_point, form_degree, univariate_divides, univariate_sylvester
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
-    from .lattice import Lattice
-    from .linalg import Vec
+    from .lattice import Lattice, Scaled
     from .linespace import AffLine
     from .poly import Poly
     from .zpoly import Form
@@ -52,13 +49,13 @@ Surface = zpoly.Surface
 # -- the expansion around a point ---------------------------------------------
 
 
-def _at_point(f: Poly, p: Vec, order: int) -> dict[tuple[int, ...], int]:
-    """The Taylor parts of f at p up to the given order: the nonzero x^a
-    coefficients of f(p + x), |a| <= order, each order times one positive
-    integer.  A point is a line with direction zero (_line_expansion)."""
-    s = lcm(*(c.denominator for c in p))
-    base = [c.numerator * (s // c.denominator) for c in p]
-    expansion, _ = _line_expansion(f.form, base, [0] * len(p), s, order)
+def _at_point(form: Form, point: Scaled, order: int) -> dict[tuple[int, ...], int]:
+    """The Taylor parts of the form's polynomial f at the scaled point
+    p = P/q up to the given order: the nonzero x^a coefficients of
+    f(p + x), |a| <= order, each order times one positive integer.  A point
+    is a line with direction zero (_line_expansion)."""
+    pv, q = point
+    expansion, _ = _line_expansion(form, pv, [0] * len(pv), q, order)
     return {a: g[0] for a, g in expansion.items() if g[0]}
 
 
@@ -315,7 +312,7 @@ def ruled_indicator(f: Poly) -> RuledIndication:
         raise DomainError("constant polynomials are not surfaces")
     if d <= 2:
         return RuledIndication(indicated=True, complex_only=True, witness_degree=None)
-    if f.nvars == 3 and _cone_apex(f) is not None:
+    if f.nvars == 3 and _cone_apex(f.form) is not None:
         f = Poly(3, {e: c for e, c in f.terms.items() if sum(e) == d})
     witness = flecnode_polynomial(f)
     indicated = divides(f, witness)
@@ -341,18 +338,16 @@ RULED_VERDICTS = frozenset({Verdict.REGULUS, Verdict.CONE, Verdict.SINGLY_RULED}
 
 class ClassificationResult(NamedTuple):
     verdict: Verdict
-    apex: Vec | None = None
+    apex: Scaled | None = None
     complex_ruled_indicated: bool = False
     notes: str = ""
 
 
-def _quadric_matrix(form: Form) -> list[list[Fraction]]:
+def _quadric_matrix(form: Form) -> list[list[int]]:
     """Symmetric 4x4 matrix of the homogenized quadric, index 0 homogenizing,
-    read off its integer form: the term c*x_i*x_j adds c/(2*den) at (i, j)
-    and at (j, i)."""
-    from fractions import Fraction
-
-    terms, den = form
+    times 2*den > 0, read off its integer form: the term c*x_i*x_j adds c at
+    (i, j) and at (j, i)."""
+    terms, _ = form
     m = [[0] * 4 for _ in range(4)]
     for e, c in terms.items():
         if sum(e) > 2:
@@ -360,16 +355,18 @@ def _quadric_matrix(form: Form) -> list[list[Fraction]]:
         i, j = ([k + 1 for k, n in enumerate(e) for _ in range(n)] + [0, 0])[:2]
         m[i][j] += c
         m[j][i] += c
-    return [[Fraction(x, 2 * den) for x in row] for row in m]
+    return m
 
 
-def symmetric_inertia(matrix: Sequence[Sequence[Fraction]]) -> tuple[int, int, int]:
-    """Exact (positive, negative, zero) inertia of a rational symmetric matrix.
+def symmetric_inertia(matrix: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+    """Exact (positive, negative, zero) inertia of an integer symmetric matrix.
 
-    Congruence diagonalization by Schur complements: eliminating below a
-    pivot row leaves exactly the Schur complement in the trailing block, so
-    row operations alone walk through a congruence-diagonal sequence and the
-    pivot signs give the inertia.
+    Congruence diagonalization by fraction-free Schur complements: below a
+    pivot p each row becomes |p|*row - sign(p)*c*pivot_row, c its entry in
+    the pivot column, which leaves |p| times the Schur complement, of the
+    same inertia, in the trailing block; so row operations alone walk
+    through a congruence-diagonal sequence and the pivot signs give the
+    inertia.
     """
     n = len(matrix)
     m = [list(row) for row in matrix]
@@ -397,14 +394,14 @@ def symmetric_inertia(matrix: Sequence[Sequence[Fraction]]) -> tuple[int, int, i
         else:
             neg += 1
         for j in range(i + 1, n):
-            if m[j][i] != 0:
-                c = m[j][i] / pivot
-                m[j] = [a - c * b for a, b in zip(m[j], m[i])]
+            c = m[j][i] if pivot > 0 else -m[j][i]
+            m[j] = [abs(pivot) * a - c * b for a, b in zip(m[j], m[i])]
     return pos, neg, zero
 
 
-def _cone_apex(f: Poly) -> Vec | None:
-    """The apex of a cone of degree d >= 3, or None when f is no cone.
+def _cone_apex(form: Form) -> Scaled | None:
+    """The apex of a cone of degree d >= 3, as a scaled point, or None when
+    the factor f of the form is no cone.
 
     If f(p + x) is homogeneous of degree d, every (d-1)-th partial of f is
     affine-linear and vanishes at p, so p solves one linear system, taken
@@ -412,37 +409,29 @@ def _cone_apex(f: Poly) -> Vec | None:
     the partial D^(e - unit_i), and |e| = d - 1 adds c*e! to the constant
     of D^e.  On its solution set S each lower partial is constant, since
     its gradient is made of higher partials, which vanish on S; so one
-    test at the rref point of S (free coordinates 0) decides all of S.
+    test at the echelon point of S (free coordinates 0) decides all of S.
+    The integer numerators of the form give the system times den.
     """
-    from fractions import Fraction
-
-    d = f.degree()
-    rows: dict[tuple[int, ...], list[Fraction]] = {}
-    for e, c in f.terms.items():
+    d = form_degree(form)
+    rows: dict[tuple[int, ...], list[int]] = {}
+    for e, c in form[0].items():
         if sum(e) < d - 1:
             continue
         weight = c * factorial(e[0]) * factorial(e[1]) * factorial(e[2])
         if sum(e) == d - 1:
-            rows.setdefault(e, [Fraction(0)] * 4)[3] -= weight
+            rows.setdefault(e, [0] * 4)[3] -= weight
             continue
         for i in range(3):
             if e[i]:
-                rows.setdefault(e[:i] + (e[i] - 1,) + e[i + 1 :], [Fraction(0)] * 4)[i] += weight
-    from .linalg import rref
-
-    apex = [Fraction(0)] * 3
-    for row in rref(list(rows.values())):
-        pivot = next((j for j in range(3) if row[j]), None)
-        if pivot is None:  # 0 = 1: the partials share no zero
-            return None
-        apex[pivot] = row[3]
-    return tuple(apex) if _is_cone_apex(f, apex) else None
+                rows.setdefault(e[:i] + (e[i] - 1,) + e[i + 1 :], [0] * 4)[i] += weight
+    apex = echelon_point(list(rows.values()))  # None: the partials share no zero
+    return apex if apex is not None and _is_cone_apex(form, apex) else None
 
 
-def _is_cone_apex(f: Poly, apex: Sequence) -> bool:
+def _is_cone_apex(form: Form, apex: Scaled) -> bool:
     """Whether f(apex + x) is homogeneous: its top part is f's own, so
     every order below the degree must vanish."""
-    return not _at_point(f, apex, f.degree() - 1)
+    return not _at_point(form, apex, form_degree(form) - 1)
 
 
 def classify_component(factor: Poly | Form, hint_lines: Sequence[AffLine | Lattice] = ()) -> ClassificationResult:
@@ -455,12 +444,12 @@ def classify_component(factor: Poly | Form, hint_lines: Sequence[AffLine | Latti
     and a factor that no line settles, every ruled one among them, takes
     the full witness unless it is a cone.  Every cone is
     ruled, so an exact apex (a point whose Taylor expansion is purely
-    top-degree), found or ruled out by one linear solve before the witness
-    whatever the hint lines, settles the cone verdict.  A singly ruled
-    verdict needs a real rational line as witness: a hint line on the
+    top-degree), found or ruled out by one integer linear solve before the
+    witness whatever the hint lines, settles the cone verdict.  A singly
+    ruled verdict needs a real rational line as witness: a hint line on the
     factor, else a bounded search.  The factor is read as its form (a
     Poly's, or one of Surface.forms) and hint lines as lattices; the Poly
-    view is built only for the apex, the full witness and the line search.
+    view is built only for the full witness and the line search.
     """
     form, view = (factor, None) if isinstance(factor, tuple) else (factor.form, factor)
     hints = [ln if isinstance(ln, tuple) else ln.lattice for ln in hint_lines]
@@ -478,12 +467,9 @@ def classify_component(factor: Poly | Form, hint_lines: Sequence[AffLine | Latti
         if rank == 4 and (pos, neg) == (2, 2):
             return ClassificationResult(Verdict.REGULUS, complex_ruled_indicated=True)
         if rank == 3 and (pos, neg) == (2, 1):
-            from .linalg import nullspace
-
-            kernel = nullspace(m)
-            k = kernel[0]
-            if k[0] != 0:
-                apex = tuple(c / k[0] for c in k[1:])
+            # the kernel is one line; it holds (1, apex) iff m*(1, x) = 0 solves
+            apex = echelon_point([row[1:] + [-row[0]] for row in m])
+            if apex is not None:
                 return ClassificationResult(
                     Verdict.CONE, apex=apex, complex_ruled_indicated=True
                 )
@@ -502,14 +488,14 @@ def classify_component(factor: Poly | Form, hint_lines: Sequence[AffLine | Latti
 
     if _certified_not_ruled(form):
         return ClassificationResult(Verdict.NOT_RULED_REAL, complex_ruled_indicated=False)
+    # every cone is ruled, so its apex settles the verdict without the witness
+    apex = _cone_apex(form)
+    if apex is not None:
+        return ClassificationResult(Verdict.CONE, apex=apex, complex_ruled_indicated=True)
     from .poly import Poly, divides
 
     if view is None:
         view = Poly.from_form(len(next(iter(form[0]))), form)
-    # every cone is ruled, so its apex settles the verdict without the witness
-    apex = _cone_apex(view)
-    if apex is not None:
-        return ClassificationResult(Verdict.CONE, apex=apex, complex_ruled_indicated=True)
     if not divides(view, flecnode_polynomial(view)):
         return ClassificationResult(Verdict.NOT_RULED_REAL, complex_ruled_indicated=False)
     real_line = None

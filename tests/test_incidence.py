@@ -278,7 +278,7 @@ def test_decompose_product_instance():
         Verdict.REGULUS,
         Verdict.SINGLY_RULED,
     ]
-    assert dec.apexes == {0: (0, 0, 0)}
+    assert dec.apexes == {0: ((0, 0, 0), 1)}
     # the y axis lies on the regulus and the cubic at once; the z axis is
     # the exceptional singular line of the cubic
     assert {lines[j] for j in dec.structured} == {Y_AXIS, Z_AXIS}

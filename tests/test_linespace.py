@@ -17,23 +17,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linref import rank, vec_sub
 from projref import lattice_form, project, project_down
 
 from incgeo.errors import ArityError, CollapseError, DegenerateLineError, DomainError
 from incgeo.forge import build_instance
 from incgeo.lattice import coplanar_partners, lattice_incidences, line_lattice
-from incgeo.linalg import Vec, rank, to_vec, vec_sub
 from incgeo.linespace import (
     AffLine,
     LineRelation,
     ProjPoint,
     RelationKind,
+    Vec,
     coplanar_triple,
     incidence_point_line,
     klein_form,
     line_on_surface,
     line_relation,
     plucker_from_points,
+    to_vec,
 )
 from incgeo.poly import variables
 

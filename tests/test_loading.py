@@ -3,7 +3,8 @@ loads dataclasses; the package resolves its exported names on first use.
 A call that only counts, relates and projects points and lines, and reads
 a surface as integer forms, loads no fractions either; nor does classify on
 a line-free file whose factors the line certificate rules out, which runs
-on integer lists and loads no poly.
+on integer lists and loads no poly, nor classify and incidence on a quadric
+cone, whose apex is a scaled point solved for on integers.
 
 The module sets are read in a fresh interpreter per call, since this test
 process has long since imported every module of the package.
@@ -125,21 +126,24 @@ def test_help_loads_only_the_front_end(bare_loads):
         # the surfaceless calls read, count, relate, project and write the
         # integer forms of lattice alone
         (("project", "{lifted}", "--seed", "2", "-o", "{out}"),
-         {"poly", "surfaces", "linespace", "linalg", "fractions"}),
+         {"poly", "surfaces", "linespace", "fractions"}),
         (("verify", "--degree", "7", "{back}"),
-         {"poly", "surfaces", "linespace", "linalg", "fractions"}),
-        (("incidence", "{back}"), {"poly", "surfaces", "linespace", "linalg", "fractions"}),
+         {"poly", "surfaces", "linespace", "fractions"}),
+        (("incidence", "{back}"), {"poly", "surfaces", "linespace", "fractions"}),
         # the surface is read, checked and measured as integer forms (zpoly)
         (("verify", "{cone}"),
-         {"poly", "surfaces", "exceptional", "projection", "forge", "linespace", "linalg",
-          "fractions"}),
-        # a quadric's matrix is read off its integer form, its hints as lattices
-        (("classify", "{cone}"), {"poly", "linespace", "exceptional", "incidence", "projection", "forge"}),
+         {"poly", "surfaces", "exceptional", "projection", "forge", "linespace", "fractions"}),
+        # a quadric's matrix is read off its integer form, its hints as
+        # lattices, and its apex is a scaled point compared with scaled points
+        (("classify", "{cone}"),
+         {"poly", "linespace", "exceptional", "incidence", "projection", "forge", "fractions", "decimal"}),
         (("flecnode", "{cone}"), {"exceptional", "incidence", "projection", "forge"}),
-        (("incidence", "{cone}"), {"poly", "linespace", "projection", "forge"}),
+        (("incidence", "{cone}"), {"poly", "linespace", "projection", "forge", "fractions", "decimal"}),
         # the line certificate runs on integer lists
         (("classify", "{fermat}"),
          {"poly", "linespace", "exceptional", "incidence", "projection", "forge", "fractions", "decimal"}),
+        (("incidence", "{fermat}"),
+         {"poly", "linespace", "exceptional", "projection", "forge", "fractions", "decimal"}),
         (("flecnode", "{fermat}"), {"linespace", "exceptional", "incidence", "projection", "forge"}),
         # the catalog surface is built from integer forms
         (("gen", "--kind", "cone", "--lines", "3", "--points", "3", "-o", "{out}"),
@@ -148,7 +152,8 @@ def test_help_loads_only_the_front_end(bare_loads):
          {"poly", "surfaces", "incidence", "projection"}),
     ],
     ids=["project", "verify-degree", "incidence-surfaceless", "verify-surface", "classify",
-         "flecnode", "incidence", "classify-line-free", "flecnode-line-free", "gen", "gen-lifted"],
+         "flecnode", "incidence", "classify-line-free", "incidence-line-free", "flecnode-line-free", "gen",
+         "gen-lifted"],
 )
 def test_each_subcommand_loads_only_what_it_runs(files, tmp_path, bare_loads, argv, absent):
     code, modules, watched = loaded_by(
@@ -159,14 +164,14 @@ def test_each_subcommand_loads_only_what_it_runs(files, tmp_path, bare_loads, ar
     assert "dataclasses" not in watched - bare_loads
 
 
-@pytest.mark.parametrize("command, witness", [("classify", set()), ("flecnode", {"poly", "linalg"})],
+@pytest.mark.parametrize("command, witness", [("classify", set()), ("flecnode", {"poly"})],
                          ids=["classify", "flecnode"])
 def test_a_file_without_points_or_lines_loads_no_lattice(files, command, witness):
     # lattice reads the coordinates; a line-free surface file has none.
     # classify rules the Fermat cubic out on integer lists and never asks
     # for the apex of a factor that the line certificate rules out, while
-    # flecnode builds the witness in poly and asks for the apex first (a
-    # linalg solve), to build a cone's witness at its apex
+    # flecnode builds the witness in poly and asks for the apex first (an
+    # integer solve in zpoly), to build a cone's witness at its apex
     code, modules, _ = loaded_by(command, files["fermat"])
     assert code == 0
     assert modules == {"incgeo", "cli", "errors", "instfile", "surfaces", "zpoly"} | witness

@@ -25,7 +25,6 @@ from incgeo.poly import (
     matrix_determinant,
     poly_gcd,
     remove_content,
-    restrict_to_line,
     sylvester_determinant,
     variables,
 )
@@ -37,7 +36,7 @@ from incgeo.zpoly import (
     univariate_divides,
     univariate_sylvester,
 )
-from polyref import substitute
+from polyref import restrict_to_line, substitute
 
 X, Y, Z = variables(3)
 

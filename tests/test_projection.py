@@ -26,11 +26,10 @@ from projref import (
     step_by_step,
 )
 
-from incgeo import linalg, linespace, projection
+from incgeo import linespace, projection, zpoly
 from incgeo.errors import ArityError, CollapseError, DomainError, ResampleExhaustedError
 from incgeo.forge import build_instance, lift_to_dim
 from incgeo.incidence import count_incidences
-from incgeo.linalg import to_vec
 from incgeo.lattice import scaled_form
 from incgeo.linespace import (
     AffLine,
@@ -38,6 +37,7 @@ from incgeo.linespace import (
     coplanar_triple,
     incidence_point_line,
     line_relation,
+    to_vec,
 )
 from incgeo.projection import project_once, project_to_3space
 
@@ -432,7 +432,7 @@ def pair_calls(monkeypatch):
 
     monkeypatch.setattr(projection, "lattice_relation", recorded)
     monkeypatch.setattr(linespace, "coplanar_triple", unused)
-    monkeypatch.setattr(linalg, "rref", unused)
+    monkeypatch.setattr(zpoly, "echelon", unused)
     return calls
 
 
@@ -549,7 +549,7 @@ def test_composed_certificate_matches_step_by_step(dim, seed):
 
 
 def test_projection_runs_no_exact_rank(monkeypatch):
-    # every step and certificate runs on integer lattices: no rref, and no
+    # every step and certificate runs on integer lattices: no echelon, and no
     # coplanar_triple, which stays the reference predicate of the tests
     inst = build_instance("product", 10, 16, seed=5, dim=6)
     calls = []
@@ -560,7 +560,7 @@ def test_projection_runs_no_exact_rank(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(linalg, "rref", counted("rref", linalg.rref))
+    monkeypatch.setattr(zpoly, "echelon", counted("echelon", zpoly.echelon))
     monkeypatch.setattr(linespace, "coplanar_triple", counted("triple", linespace.coplanar_triple))
     _, _, cert = project_to_3space(inst.scaled, inst.lattices, seed=2)
     assert cert.ok

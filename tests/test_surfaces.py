@@ -30,8 +30,8 @@ from incgeo.errors import (
     NotOnSurfaceError,
 )
 from incgeo.instfile import IncidenceInstance, dumps_instance
-from incgeo.linalg import nullspace, rank
 from incgeo.forge import make_lines
+from incgeo.lattice import scaled_form
 from incgeo.linespace import AffLine, RelationKind, line_on_surface, line_relation
 from incgeo.poly import (
     Poly,
@@ -42,7 +42,6 @@ from incgeo.poly import (
     is_square_free,
     poly_gcd,
     remove_content,
-    restrict_to_line,
     variables,
 )
 from incgeo.zpoly import _fixed_lines, _line_expansion
@@ -61,7 +60,8 @@ from incgeo.surfaces import (
     ruled_indicator,
     symmetric_inertia,
 )
-from polyref import substitute
+from linref import nullspace, rank
+from polyref import restrict_to_line, substitute
 
 X, Y, Z = variables(3)
 CONE = X**2 + Y**2 - Z**2
@@ -112,7 +112,7 @@ def point_parts(f: Poly, p) -> list[Poly]:
     """The Taylor parts of f at p, order 0 first, as the line search and
     the cone apex test read them: the expansion along a line with
     direction zero, each order a positive multiple of the true part."""
-    parts = surfaces._at_point(f, tuple(Fraction(c) for c in p), f.degree())
+    parts = surfaces._at_point(f.form, scaled_form(tuple(Fraction(c) for c in p)), f.degree())
     return [Poly(3, {a: c for a, c in parts.items() if sum(a) == k}) for k in range(f.degree() + 1)]
 
 
@@ -446,12 +446,13 @@ def test_planted_cones_are_classified_before_the_witness(case):
     assert calls == []
     # f is homogeneous about the reported apex; that is the planted one
     # unless h is a cylinder, constant along a line of vertices
-    moved = substitute(f, [X + res.apex[0], Y + res.apex[1], Z + res.apex[2]])
+    pv, q = res.apex
+    moved = substitute(f, [X + Fraction(pv[0], q), Y + Fraction(pv[1], q), Z + Fraction(pv[2], q)])
     assert {sum(e) for e in moved.terms} == {f.degree()}
     partials = [h.diff(i) for i in range(3)]
     monomials = sorted({e for p in partials for e in p.terms})
     if rank([[p.terms.get(e, 0) for e in monomials] for p in partials]) == 3:
-        assert res.apex == apex
+        assert res.apex == (apex, 1)
     # a cone is ruled: it divides its flecnode witness (Cayley-Salmon-Monge).
     # The witness commutes with translation, so this is asked of the form h
     # at the origin; about the planted apex a dense quartic's takes a minute
@@ -495,27 +496,18 @@ def test_chart_forms_commute_with_restriction(f):
 
 
 def test_symmetric_inertia_diagonal():
-    m = [[Fraction(v)] * 0 for v in ()]  # placeholder for readability
-    diag = [
-        [Fraction(2), Fraction(0)],
-        [Fraction(0), Fraction(-3)],
-    ]
-    assert symmetric_inertia(diag) == (1, 1, 0)
+    assert symmetric_inertia([[2, 0], [0, -3]]) == (1, 1, 0)
 
 
 def test_symmetric_inertia_hyperbolic_block():
-    m = [
-        [Fraction(0), Fraction(1)],
-        [Fraction(1), Fraction(0)],
-    ]
-    assert symmetric_inertia(m) == (1, 1, 0)
+    assert symmetric_inertia([[0, 1], [1, 0]]) == (1, 1, 0)
 
 
 def test_symmetric_inertia_with_kernel():
     m = [
-        [Fraction(0), Fraction(0), Fraction(0)],
-        [Fraction(0), Fraction(1), Fraction(2)],
-        [Fraction(0), Fraction(2), Fraction(4)],
+        [0, 0, 0],
+        [0, 1, 2],
+        [0, 2, 4],
     ]
     assert symmetric_inertia(m) == (1, 0, 2)
 
@@ -534,11 +526,11 @@ def test_classify_regulus():
 def test_classify_cone_finds_apex():
     r = classify_component(CONE)
     assert r.verdict is Verdict.CONE
-    assert r.apex == (0, 0, 0)
+    assert r.apex == ((0, 0, 0), 1)
     shifted = (X - 1) ** 2 + (Y - 2) ** 2 - (Z - 3) ** 2
     r2 = classify_component(shifted)
     assert r2.verdict is Verdict.CONE
-    assert r2.apex == (1, 2, 3)
+    assert r2.apex == ((1, 2, 3), 1)
 
 
 def test_classify_sphere_not_ruled_but_complex_flagged():
@@ -578,7 +570,7 @@ def test_classify_cubic_cone():
     cubic_cone = X**3 + Y**3 - Z**3 + X * Y * Z
     r = classify_component(cubic_cone)
     assert r.verdict is Verdict.CONE
-    assert r.apex == (0, 0, 0)
+    assert r.apex == ((0, 0, 0), 1)
 
 
 @pytest.mark.parametrize("shift", [3, 7])
@@ -590,7 +582,7 @@ def test_classify_cubic_cone_off_the_grid(shift):
     assert reference_cone_apex(cubic_cone) is None
     r = classify_component(cubic_cone)
     assert r.verdict is Verdict.CONE
-    assert r.apex == (shift, 0, 0)
+    assert r.apex == ((shift, 0, 0), 1)
 
 
 def test_classify_makes_no_pair_relation(monkeypatch):
@@ -631,7 +623,7 @@ def reference_apex_candidates(f: Poly, hint_lines) -> list:
 
 def reference_cone_apex(f: Poly, hint_lines=()):
     candidates = reference_apex_candidates(f, hint_lines)
-    return next((p for p in candidates if surfaces._is_cone_apex(f, p)), None)
+    return next((p for p in candidates if surfaces._is_cone_apex(f.form, scaled_form(p))), None)
 
 
 @st.composite
@@ -659,18 +651,18 @@ def planted_cones(draw):
 @given(planted_cones())
 @example(X**2 * Y - 3 * X**2)
 def test_cone_apex_matches_the_candidate_scan(f):
-    apex, ref = surfaces._cone_apex(f), reference_cone_apex(f)
-    if apex is not None and not all(c.denominator == 1 and -2 <= c <= 2 for c in apex):
+    apex, ref = surfaces._cone_apex(f.form), reference_cone_apex(f)
+    if apex is not None and not (apex[1] == 1 and all(-2 <= c <= 2 for c in apex[0])):
         # the scan sees only the -2..2 grid, and a lower part can move the
         # apex set off it: x^2*y - 3x^2 = x^2*(y - 3) has apex (0, 3, 0)
-        assert surfaces._is_cone_apex(f, apex)
+        assert surfaces._is_cone_apex(f.form, apex)
         return
     assert (apex is None) == (ref is None)
     if apex is not None:
-        assert surfaces._is_cone_apex(f, apex)
+        assert surfaces._is_cone_apex(f.form, apex)
         # two apexes differ only when the apex set is positive-dimensional;
-        # the solve reports its rref point, the scan its first grid point
-        assert apex == ref or surfaces._is_cone_apex(f, ref)
+        # the solve reports its echelon point, the scan its first grid point
+        assert apex == scaled_form(ref) or surfaces._is_cone_apex(f.form, scaled_form(ref))
 
 
 # -- repeat calls
