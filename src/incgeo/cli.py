@@ -139,11 +139,10 @@ def _cmd_flecnode(args: argparse.Namespace) -> tuple[int, dict]:
     inst = load_instance(args.file)
     surface = _require_surface(inst)
     factors = []
-    for i, factor in enumerate(surface.factors):
-        ind = ruled_indicator(factor)
+    for i, (form, degree) in enumerate(zip(surface.forms, surface.degrees)):
+        ind = ruled_indicator(form)
         factors.append(
-            {"index": i, "degree": factor.degree(),
-             "witness_degree": ind.witness_degree, "divides": ind.indicated}
+            {"index": i, "degree": degree, "witness_degree": ind.witness_degree, "divides": ind.indicated}
         )
     return 0, {"factors": factors}
 

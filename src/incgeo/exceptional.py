@@ -8,16 +8,20 @@ and do the generator-count sums along a probe line stay below the factor
 degree.  Each reads the expansion helpers of surfaces: the Taylor parts at
 a point, and the forms of one integer expansion along a line.
 Exceptionality is exact over C on non-singular lines, read off the tangent
-pencil along the line; on singular lines it is a bounded scan.  The
-module is apart from surfaces so that classifying a factor, which searches
-for a line only on a ruled factor without hint lines, does not load it.
-"""
+pencil along the line; on singular lines it is a bounded scan.  Everything
+runs on integer forms: a factor is its zpoly form, a line its lattice and a
+point its scaled pair (lattice).  The public functions read a Poly or a
+form, AffLines or lattices, and points of ints or Fractions or scaled
+pairs, and exceptional_lines returns the caller's own line objects, so no
+Fraction view is built; poly is imported only for the bivariate gcd that
+decides a tangent pencil no certificate settles.  The module is apart from
+surfaces so that classifying a factor, which searches for a line only on a
+ruled factor without hint lines, does not load it."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import (
     ArityError,
@@ -26,11 +30,23 @@ from .errors import (
     InvariantViolation,
     NotOnSurfaceError,
 )
-from .lattice import scaled_form
-from .linespace import AffLine, RelationKind, Vec, incidence_point_line, line_on_surface, line_relation, to_vec
-from .poly import Poly, poly_gcd
-from .surfaces import _UNITS, Bivariate, _at_point, _forms_along, _term_maps, _zpowers
-from .zpoly import _line_expansion, univariate_gcd
+from .lattice import Lattice, RelationKind, Scaled, lattice_incidences, lattice_on_surface, lattice_point
+from .lattice import lattice_relation, line_lattice, point_strings, scaled_form
+from .surfaces import _UNITS, Bivariate, _at_point, _form, _forms_along, _lattice, _term_maps, _zpowers
+from .zpoly import Form, _line_expansion, form_degree, univariate_gcd
+
+if TYPE_CHECKING:
+    from .linespace import AffLine
+    from .poly import Poly
+
+
+def _scaled(point: Sequence) -> Scaled:
+    """A scaled pair as it is; a point of ints or Fractions as its pair."""
+    if isinstance(point[0], tuple):
+        return point
+    if not all(hasattr(c, "denominator") and not isinstance(c, bool) for c in point):
+        raise DomainError(f"point {tuple(point)!r} has a coordinate that is not an int or a Fraction")
+    return scaled_form(point)
 
 
 # -- lines through a point ---------------------------------------------------
@@ -62,9 +78,10 @@ DENOMINATOR_BOUND = 10
 
 
 def find_lines_through_point(
-    factor: Poly, p: Sequence, denominator_bound: int = DENOMINATOR_BOUND
-) -> list[AffLine]:
-    """All lines through p inside Z(factor) with small integer directions.
+    form: Form, point: Scaled, denominator_bound: int = DENOMINATOR_BOUND
+) -> list[Lattice]:
+    """The lattices of all lines through the scaled point inside the zero
+    set of the form's factor with small integer directions, in order.
 
     Sound and complete for directions admitting a primitive integer
     representative with entries bounded by denominator_bound; lines whose
@@ -75,28 +92,28 @@ def find_lines_through_point(
     gradient is largest).  Each primitive direction found is tested once.
     At singular points every primitive direction in the box is tested.
     """
-    if factor.nvars != 3:
-        raise ArityError("line search works on trivariate factors")
-    if factor.degree() < 1:
+    d = form_degree(form)
+    if d < 1:
         raise DomainError("line search needs a non-constant factor")
+    if len(next(iter(form[0]))) != 3:
+        raise ArityError("line search works on trivariate factors")
     if denominator_bound < 1:
         raise DomainError("denominator bound must be >= 1")
-    pt = to_vec(p)
-    # factor(pt + t v) = sum_k t^k c_k(v), c_k the degree-k Taylor part; c_0 = 0
+    # f(p + t v) = sum_k t^k c_k(v), c_k the degree-k Taylor part; c_0 = 0
     # and c_1(v) = grad . v; each c_k comes as one positive integer multiple
-    parts = _at_point(factor.form, scaled_form(pt), factor.degree())
+    parts = _at_point(form, point, d)
     if (0, 0, 0) in parts:
-        raise NotOnSurfaceError(f"point {tuple(pt)} is not on the surface")
-    g = [parts.get(u, 0) for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    orders = ([(c, e) for e, c in parts.items() if sum(e) == k] for k in range(2, factor.degree() + 1))
+        raise NotOnSurfaceError(f"point ({', '.join(point_strings(point))}) is not on the surface")
+    g = [parts.get(u, 0) for u in _UNITS]
+    orders = ([(c, e) for e, c in parts.items() if sum(e) == k] for k in range(2, d + 1))
     int_coeffs = sorted((terms for terms in orders if terms), key=len)
-    found: set[AffLine] = set()
+    found: set[Lattice] = set()
 
     def check_dir(v: tuple[int, int, int]) -> None:
         for terms in int_coeffs:
             if _eval_terms(terms, v) != 0:
                 return
-        found.add(AffLine(pt, [Fraction(c) for c in v]))
+        found.add(line_lattice(v, point[0], point[1]))
 
     if any(g):
         # c_1 vanishes exactly on the tangent plane lattice: walk two
@@ -116,9 +133,6 @@ def find_lines_through_point(
                 k = gcd(*raw)
                 if abs(raw[piv]) > denominator_bound * k:
                     continue
-                first = next(x for x in raw if x)
-                if first < 0:
-                    k = -k
                 prim = tuple(x // k for x in raw)
                 if prim not in seen:
                     seen.add(prim)
@@ -127,9 +141,9 @@ def find_lines_through_point(
         for v in _primitive_dirs(denominator_bound):
             check_dir(v)
 
-    lines = sorted(found, key=lambda ln: (ln.direction, ln.base))
+    lines = sorted(found)
     for ln in lines:
-        if not line_on_surface(factor, ln):  # pragma: no cover - guards check_dir
+        if not lattice_on_surface(form, ln):  # pragma: no cover - guards check_dir
             raise InvariantViolation("line search returned a non-contained line")
     return lines
 
@@ -137,34 +151,30 @@ def find_lines_through_point(
 # -- exceptional lines and generator counts ----------------------------------
 
 
-def _probe_parameters(d: int) -> list[Fraction]:
+def _probe_parameters(d: int) -> list[int]:
     """Deterministic probe parameters along a line.
 
     Plain integers catch linearly spaced incidences; the square values catch
     rulings whose parametrization meets a fixed line quadratically, which is
     how generators meet the singular line of the canonical ruled cubic.
     """
-    out: list[Fraction] = [Fraction(0)]
     top = 2 * d + 1
+    out = [0]
     for k in range(1, top + 1):
-        out.extend((Fraction(k), Fraction(-k)))
+        out.extend((k, -k))
     for k in range(2, top + 1):
-        out.extend((Fraction(k * k), Fraction(-k * k)))
-    seen = set()
-    uniq = []
-    for t in out:
-        if t not in seen:
-            seen.add(t)
-            uniq.append(t)
-    return uniq
+        out.extend((k * k, -k * k))
+    return list(dict.fromkeys(out))
 
 
-def exceptional_lines(factor: Poly, lines: Sequence[AffLine]) -> list[AffLine]:
+def exceptional_lines(factor: Poly | Form, lines: Sequence[AffLine | Lattice]) -> list:
     """Lines of the family meeting other lines of the factor along their length.
 
-    Every line of the family must lie on the factor; one that does not
-    raises NotOnSurfaceError.  On a non-singular line the answer is exact
-    over C: the line is exceptional iff the tangent pencil along it
+    The factor is read as its form and the lines as lattices; the result
+    holds the caller's own line objects, in the family's order.  Every line
+    of the family must lie on the factor; one that does not raises
+    NotOnSurfaceError.  On a non-singular line the answer is exact over C:
+    the line is exceptional iff the tangent pencil along it
     (_tangent_pencil) has a common factor in the pencil direction, so
     infinitely many of its points carry a second line of the factor,
     whatever their entries.  A singular line, where the gradient vanishes
@@ -176,8 +186,10 @@ def exceptional_lines(factor: Poly, lines: Sequence[AffLine]) -> list[AffLine]:
     two such lines contradict the structure theory, so the count is
     asserted.
     """
-    d = factor.degree()
-    result = [ln for ln in lines if _is_exceptional(factor, ln, lines)]
+    form = _form(factor)
+    lattices = [_lattice(ln) for ln in lines]
+    d = form_degree(form)
+    result = [ln for ln, lat in zip(lines, lattices) if _is_exceptional(form, lat, lattices)]
     if d >= 2 and len(result) > 2:
         raise InvariantViolation(
             f"{len(result)} exceptional lines on a degree-{d} factor (cap is 2)"
@@ -185,50 +197,51 @@ def exceptional_lines(factor: Poly, lines: Sequence[AffLine]) -> list[AffLine]:
     return result
 
 
-def _is_exceptional(factor: Poly, ln: AffLine, contained: Sequence[AffLine]) -> bool:
+def _is_exceptional(form: Form, ln: Lattice, contained: Sequence[Lattice]) -> bool:
     """Whether a line of the factor is exceptional; only a singular line's
     verdict depends on the family, and then on it as a set, not its order."""
-    pencil = _tangent_pencil(factor, ln)
+    pencil = _tangent_pencil(form, ln)
     if pencil is None:
-        return _singular_line_scan(factor, ln, contained)
+        return _singular_line_scan(form, ln, contained)
     return _pencil_has_common_factor(pencil)
 
 
-def _crossings(ln: AffLine, family: Iterable[AffLine]) -> set[Vec]:
-    """The points where the lines of the family other than ln meet it."""
-    points: set[Vec] = set()
+def _crossings(ln: Lattice, family: Iterable[Lattice]) -> set[Scaled]:
+    """The scaled points where the lines of the family other than ln meet it."""
+    points: set[Scaled] = set()
     for other in family:
         if other != ln:
-            rel = line_relation(ln, other)
-            if rel.kind is RelationKind.INTERSECTING:
-                points.add(rel.point)
+            kind, _, at = lattice_relation(ln, other)
+            if kind is RelationKind.INTERSECTING:
+                points.add(lattice_point(other, *at))
     return points
 
 
-def _singular_line_scan(factor: Poly, ln: AffLine, contained: Sequence[AffLine]) -> bool:
+def _singular_line_scan(form: Form, ln: Lattice, contained: Sequence[Lattice]) -> bool:
     """Bounded verdict on a singular line: 2*deg + 1 witness points, from its
     crossings with the other contained lines, then from line searches at
     the probe points."""
-    need = 2 * factor.degree() + 1
+    d = form_degree(form)
+    need = 2 * d + 1
     found = _crossings(ln, contained)
-    for t in _probe_parameters(factor.degree()):
+    for t in _probe_parameters(d):
         if len(found) >= need:
             break
-        pt = ln.point_at(t)
+        pt = lattice_point(ln, t, 1)
         if pt in found:
             continue
-        if any(o != ln for o in find_lines_through_point(factor, pt)):
+        if any(o != ln for o in find_lines_through_point(form, pt)):
             found.add(pt)
     return len(found) >= need
 
 
-def _tangent_pencil(f: Poly, ln: AffLine) -> list[Bivariate] | None:
+def _tangent_pencil(form: Form, ln: Lattice) -> list[Bivariate] | None:
     """The tangent pencil along a contained line, on integers; None when
     the gradient vanishes along the whole line (a singular line).  A line
     off the surface, where the expansion's order-0 part is nonzero, raises
     NotOnSurfaceError.
 
-    With the line's lattice data (D, B, s), X(t) = (B + t*D)/s runs over
+    With the line's lattice (k, D, B, s), X(t) = (B + t*D)/s runs over
     the line, and F(y) = den*s^deg f*f(y/s) has integer coefficients.  The
     full expansion of F(B + t*D + y) in y (_line_expansion) gives the
     gradient of F along the line (its y-linear part) and every higher
@@ -238,11 +251,11 @@ def _tangent_pencil(f: Poly, ln: AffLine) -> list[Bivariate] | None:
     c_k(t, a) of F(B + t*D + u*(a*D + W(t))); the u^0 and u^1 coefficients
     vanish since the line is contained.  c_k has a-degree at most k - 1.
     """
-    if f.nvars != ln.dim:
+    _, dv, bv, s = ln
+    if form[0] and len(next(iter(form[0]))) != len(dv):
         raise ArityError("polynomial arity and line dimension differ")
-    _, dv, bv, s = ln.lattice
-    d = f.degree()
-    expansion, _ = _line_expansion(f.form, bv, dv, s, d)
+    d = form_degree(form)
+    expansion, _ = _line_expansion(form, bv, dv, s, d)
     if any(expansion.get((0, 0, 0), ())):
         raise NotOnSurfaceError("line is not contained in the surface")
     # the y^a coefficient of F(B + t*D + y) is a list in t; |a| = 1 gives grad F
@@ -256,7 +269,7 @@ def _tangent_pencil(f: Poly, ln: AffLine) -> list[Bivariate] | None:
     if not any(cross):
         return None
     # powers of the pencil direction a*D_i + W_i(t), coordinate by coordinate
-    dirs = [_zpowers({**w, (0, 1): v}, f.degree_in(i)) for i, (w, v) in enumerate(zip(cross, dv))]
+    dirs = [_zpowers({**w, (0, 1): v}, max(e[i] for e in form[0])) for i, (w, v) in enumerate(zip(cross, dv))]
     return _forms_along(_term_maps(expansion), dirs, 2, d)
 
 
@@ -294,9 +307,11 @@ def _pencil_has_common_factor(pencil: list[Bivariate]) -> bool:
             g = univariate_gcd(g, row)
             if len(g) == 1:
                 return False
+    from .poly import Poly, poly_gcd
+
     g = Poly.zero(2)
     for c in cs:
-        g = poly_gcd(g, Poly(2, {e: Fraction(x) for e, x in c.items()}))
+        g = poly_gcd(g, Poly(2, c))
         if g.degree_in(1) == 0:
             return False
     return True
@@ -310,27 +325,25 @@ class GeneratorCount(NamedTuple):
 
 
 def lambda_counts(
-    factor: Poly,
+    factor: Poly | Form,
     p: Sequence,
-    lines: Sequence[AffLine],
-    exceptional: Sequence[AffLine] = (),
+    lines: Sequence[AffLine | Lattice],
+    exceptional: Sequence[AffLine | Lattice] = (),
     apex: Sequence | None = None,
 ) -> GeneratorCount:
     """Count non-exceptional contained family lines through p.
 
-    At the apex of a cone the count is defined as zero: every generator
-    passes through it, so it carries no information.
+    The factor is read as its form, lines as lattices, and p and the apex
+    as scaled points: each may be a scaled pair or a vector of ints or
+    Fractions.  At the apex of a cone the count is defined as zero: every
+    generator passes through it, so it carries no information.
     """
-    pt = to_vec(p)
-    if apex is not None and pt == to_vec(apex):
+    form, pt = _form(factor), _scaled(p)
+    if apex is not None and pt == _scaled(apex):
         return GeneratorCount(0, 0)
-    exc = set(exceptional)
-    lam = 0
-    for ln in lines:
-        if ln in exc:
-            continue
-        if incidence_point_line(pt, ln) and line_on_surface(factor, ln):
-            lam += 1
+    exc = {_lattice(ln) for ln in exceptional}
+    family = [lat for lat in map(_lattice, lines) if lat not in exc]
+    lam = sum(lattice_on_surface(form, family[j]) for j in lattice_incidences([pt], family)[0])
     return GeneratorCount(lam, max(0, lam - 1))
 
 
@@ -339,44 +352,45 @@ class FirstflipReport(NamedTuple):
     total: int
     bound: int
     ok: bool
-    points: tuple[Vec, ...]
+    points: tuple[Scaled, ...]
 
 
 def check_firstflip(
-    factor: Poly,
-    ln: AffLine,
-    lines: Sequence[AffLine],
-    exceptional: Sequence[AffLine],
+    factor: Poly | Form,
+    ln: AffLine | Lattice,
+    lines: Sequence[AffLine | Lattice],
+    exceptional: Sequence[AffLine | Lattice],
     apex: Sequence | None = None,
 ) -> FirstflipReport:
     """Generator-count sum along one probe line against the factor degree.
 
     For a probe line not inside the factor the plain counts are summed over
-    its intersection points with the family; for a contained probe line each
-    count drops by one (the line itself rules through those points).  The
-    sum is bounded by the factor degree; exceptional probe lines are
-    rejected since the inequality says nothing about them.  exceptional
-    holds the family's exceptional lines (exceptional_lines), computed
-    once by the caller for all its probes.
+    its intersection points with the family, scaled points; for a contained
+    probe line each count drops by one (the line itself rules through those
+    points).  The sum is bounded by the factor degree; exceptional probe
+    lines are rejected since the inequality says nothing about them.
+    exceptional holds the family's exceptional lines (exceptional_lines),
+    computed once by the caller for all its probes.  Arguments are read as
+    lambda_counts reads them.
     """
-    d = factor.degree()
-    family = [l for l in lines if line_on_surface(factor, l)]
-    if ln in exceptional:
+    form, probe = _form(factor), _lattice(ln)
+    d = form_degree(form)
+    family = [lat for lat in map(_lattice, lines) if lattice_on_surface(form, lat)]
+    exc = [_lattice(e) for e in exceptional]
+    if probe in exc:
         raise ExceptionalLineError("generator-count sums are undefined on exceptional lines")
-    contained = line_on_surface(factor, ln)
-    points = _crossings(ln, family)
+    contained = lattice_on_surface(form, probe)
+    points = _crossings(probe, family)
     total = 0
-    all_lines = list(family)
-    if contained and ln not in all_lines:
-        all_lines.append(ln)
+    if contained and probe not in family:
+        family.append(probe)
     for pt in points:
-        counts = lambda_counts(factor, pt, all_lines, exceptional, apex)
+        counts = lambda_counts(form, pt, family, exc, apex)
         total += counts.lam_star if contained else counts.lam
-    ordered = tuple(sorted(points))
     return FirstflipReport(
         contained=contained,
         total=total,
         bound=d,
         ok=total <= d,
-        points=ordered,
+        points=tuple(sorted(points)),
     )

@@ -128,8 +128,8 @@ def decompose_lines(inst: IncidenceInstance) -> Decomposition:
         if r.verdict is Verdict.SINGLY_RULED:
             from .exceptional import exceptional_lines
 
-            found = set(exceptional_lines(surface.factors[i], [inst.lines[j] for j in per_factor[i]]))
-            exceptional[i] = tuple(j for j in per_factor[i] if inst.lines[j] in found)
+            found = set(exceptional_lines(surface.forms[i], [inst.lattices[j] for j in per_factor[i]]))
+            exceptional[i] = tuple(j for j in per_factor[i] if inst.lattices[j] in found)
 
     structured: list[int] = []
     owner: dict[int, int] = {}

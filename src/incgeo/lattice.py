@@ -4,12 +4,15 @@ A point is its scaled pair (P, q), P/q with q > 0 and gcd 1; a line its
 lattice (k, D, B, s): pivot k, primitive direction D with D[k] > 0, base
 B/s with B[k] = 0.  Both are canonical, so equal points or lines have
 equal tuples.  P/q lies on the line iff s*(P_i*D_k - P_k*D_i) = q*D_k*B_i
-for every i.  In R^3 two lines are coplanar iff their Plucker coordinates'
-reciprocal product vanishes; in R^d line b meets line a iff b's direction
-and base offset, reduced against a's pivot, are proportional, and the
-reduced vector's flat key (primitive, positive lead entry) keys the 2-flat
-they span.  The module imports no fractions; linespace builds the
-Fraction views (Vec points and AffLine) and their predicates on top of it.
+for every i, and the point at parameter n/d is (B*d*D_k + n*s*D)/(s*d*D_k).
+In R^3 two lines are coplanar iff their Plucker coordinates' reciprocal
+product vanishes; in R^d line b meets line a iff b's direction and base
+offset, reduced against a's pivot, are proportional, and the reduced
+vector's flat key (primitive, positive lead entry) keys the 2-flat they
+span.  The module imports no fractions; the ruled-factor analysis
+(surfaces, exceptional) reads lines and points in these forms, and
+linespace builds the Fraction views (Vec points and AffLine) and their
+predicates on top of it for library callers.
 """
 
 from __future__ import annotations
@@ -69,6 +72,13 @@ def line_lattice(direction: Sequence[int], base: Sequence[int], scale: int) -> L
     dk, bk = dv[k], base[k]
     bv, s = reduced_form([b * dk - bk * d for b, d in zip(base, dv)], scale * dk)
     return k, dv, bv, s
+
+
+def lattice_point(line: Lattice, n: int, d: int) -> Scaled:
+    """The scaled point of the line at parameter n/d, d != 0, counted as
+    AffLine.point_at counts it: B/s + (n/d)*D/D[k]."""
+    k, dv, bv, s = line
+    return reduced_form([b * d * dv[k] + n * s * c for b, c in zip(bv, dv)], s * d * dv[k])
 
 
 def lattice_incidences(points: Sequence[Scaled], lines: Sequence[Lattice]) -> tuple[tuple[int, ...], ...]:

@@ -1,7 +1,8 @@
 """Affine lines in R^d and their exact relations, plus Plucker coordinates.
 
-The home of the Fraction views: a point is a Vec of Fractions (to_vec),
-and an AffLine is stored canonically (direction scaled to first nonzero
+The home of the Fraction views, which the package builds only for a
+library caller (surfaces and exceptional read lattices and scaled points):
+a point is a Vec of Fractions (to_vec), and an AffLine is stored canonically (direction scaled to first nonzero
 entry 1, base slid to 0 at that pivot), so equality and hashing are exact.
 The module decides point-line incidence, the relation of two lines
 (equal, parallel, intersecting, skew), coplanarity of three lines and

@@ -1,36 +1,31 @@
 """Sparse multivariate polynomials over the rationals.
 
 Coefficients are fractions.Fraction throughout the API; nothing in this
-module ever rounds.  Inside, the determinant and exact division run on
-integer term maps with packed monomials; each Poly caches its integer
-form of zpoly (Poly.form), on which a line or a point is expanded.  A
-polynomial is a map from exponent tuples to nonzero coefficients, wrapped
-in an immutable Poly object.  Monomials are ordered graded lexicographically
-(total degree first, then lex with variable 0 highest); the zero
-polynomial has degree -1.
+module ever rounds.  Each Poly caches its integer form of zpoly
+(Poly.form), on which a line or a point is expanded and exact division
+runs (zpoly.form_quotient, on packed term maps).  A polynomial is a map
+from exponent tuples to nonzero coefficients, wrapped in an immutable
+Poly object.  Monomials are ordered graded lexicographically (total
+degree first, then lex with variable 0 highest); the zero polynomial has
+degree -1.
 
-Beyond ring arithmetic the module provides the calculus and elimination
-tools the geometry layers need: the integer Taylor data at a symbolic
-point, multivariate polynomial determinants (zpoly's Bareiss elimination,
-on packed term maps) and the Sylvester determinant built on them,
+Beyond ring arithmetic the module provides partial derivatives,
 single-divisor exact division, multivariate gcd, and a square-free test
 that falls back on the gcd when zpoly's certificate on lines says
-nothing.  The line certificate's univariate kernels and Surface, the
-container of a surface's factor list, live in zpoly, so a surface file is
-read and checked, and a factor that the line certificate rules out is
-classified, without this module.
+nothing.  It is a library view: the flecnode witness, its divisibility
+test and Surface, the container of a surface's factor list, run on zpoly
+forms, so the analysis builds a Poly only for flecnode_polynomial's
+result, for Surface.factors and in the two gcd fallbacks.
 """
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Mapping, Sequence
+from math import lcm
+from typing import Mapping
 
 from .errors import ArityError, DomainError
-from .zpoly import Exponent, Form, _bareiss, _taylor_weights, grlex_key
-from .zpoly import primitive_terms, square_free_on_lines
+from .zpoly import Exponent, Form, form_quotient, grlex_key, primitive_terms, square_free_on_lines
 
 RatLike = int | Fraction
 
@@ -102,7 +97,7 @@ class Poly:
         """The integer form: numerators over the lcm of the denominators."""
         form = self._form
         if form is None:
-            den = _den((self,))
+            den = lcm(*(c.denominator for c in self.terms.values()))
             form = {e: c.numerator * (den // c.denominator) for e, c in self.terms.items()}, den
             object.__setattr__(self, "_form", form)
         return form
@@ -236,20 +231,7 @@ class Poly:
         text = " + ".join(parts)
         return text.replace("+ -", "- ")
 
-    # -- evaluation and derivatives --------------------------------------
-
-    def eval(self, at: Sequence[RatLike]) -> Fraction:
-        if len(at) != self.nvars:
-            raise ArityError(f"expected {self.nvars} coordinates, got {len(at)}")
-        pt = [_frac(a) for a in at]
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for a, k in zip(pt, e):
-                if k:
-                    v *= a**k
-            total += v
-        return total
+    # -- derivatives -----------------------------------------------------
 
     def diff(self, var: int) -> Poly:
         self._check_var(var)
@@ -280,120 +262,14 @@ def variables(nvars: int) -> tuple[Poly, ...]:
     return tuple(Poly.variable(nvars, i) for i in range(nvars))
 
 
-# -- division, gcd, resultants -----------------------------------------
-
-
-# The determinant and exact division run on integer term maps {packed
-# monomial: int}.  A monomial packs into one int of `width`-bit fields: from
-# the top, the total degree, then e[0], e[1], ...  Multiplying monomials is
-# adding ints, and int order is graded lex order.  The width is one bit more
-# than the operation's degree bound needs, so for packed m, n the difference
-# m - n borrows across a field (n does not divide m) exactly when it is
-# negative or shows one of those top guard bits.
-
-
-def _guard(nvars: int, width: int) -> int:
-    bit = 1 << (width - 1)
-    return sum(bit << (i * width) for i in range(nvars + 1))
-
-
-def _den(polys: Sequence[Poly]) -> int:
-    """Least common denominator of the coefficients of polys."""
-    return lcm(*(c.denominator for p in polys for c in p.terms.values()))
-
-
-def _pack(p: Poly, width: int, den: int) -> dict[int, int]:
-    """Packed integer term map of den*p; den is a multiple of _den((p,))."""
-    out = {}
-    for e, c in p.terms.items():
-        m = sum(e)
-        for k in e:
-            m = (m << width) | k
-        out[m] = c.numerator * (den // c.denominator)
-    return out
-
-
-def _unpack(terms: dict[int, int], nvars: int, width: int, den: int) -> Poly:
-    """The Poly with term map terms/den."""
-    mask = (1 << width) - 1
-    out = {}
-    for m, c in terms.items():
-        e = [0] * nvars
-        for i in range(nvars - 1, -1, -1):
-            e[i] = m & mask
-            m >>= width
-        out[tuple(e)] = Fraction(c, den)
-    return Poly(nvars, out)
-
-
-def _zcross(a: dict[int, int], d: dict[int, int], b: dict[int, int], c: dict[int, int]) -> dict[int, int]:
-    """a*d - b*c on integer term maps."""
-    out: dict[int, int] = {}
-    get = out.get
-    for ea, ca in a.items():
-        for ed, cd in d.items():
-            e = ea + ed
-            out[e] = get(e, 0) + ca * cd
-    for eb, cb in b.items():
-        for ec, cc in c.items():
-            e = eb + ec
-            out[e] = get(e, 0) - cb * cc
-    return {e: v for e, v in out.items() if v}
-
-
-def _zquot(g: dict[int, int], f: dict[int, int], guard: int) -> dict[int, int] | None:
-    """Quotient g/f in Z[x] by division in graded lex order, or None as soon
-    as a term of g's remainder shows up, that is when f does not divide g
-    over Z.  f is nonzero; all monomials fit the packing behind guard."""
-    lt_e = max(f)
-    lt_c = f[lt_e]
-    rest = [(e, c) for e, c in f.items() if e != lt_e]
-    work = dict(g)
-    heap = [-e for e in work]  # heapq pops smallest: walk graded lex from the top
-    heapq.heapify(heap)
-    quot = {}
-    while heap:
-        e = -heapq.heappop(heap)
-        c = work.pop(e)
-        if not c:
-            continue
-        q_e = e - lt_e
-        if q_e < 0 or q_e & guard:
-            return None
-        q_c, r = divmod(c, lt_c)
-        if r:
-            return None
-        quot[q_e] = q_c
-        for fe, fc in rest:
-            te = q_e + fe  # below e, so not yet popped
-            prev = work.get(te)
-            if prev is None:
-                heapq.heappush(heap, -te)
-                work[te] = -q_c * fc
-            else:
-                work[te] = prev - q_c * fc
-    return quot
+# -- division and gcd ---------------------------------------------------
 
 
 def _exact_quotient(g: Poly, f: Poly) -> Poly | None:
-    """Quotient g/f, or None when f does not divide g.  By Gauss's lemma,
-    f divides g over Q exactly when f's primitive integer part divides an
-    integer multiple of g over Z."""
+    """Quotient g/f, or None when f does not divide g (zpoly.form_quotient)."""
     g._check_same(f)
-    if f.is_zero:
-        raise DomainError("division by the zero polynomial")
-    if g.is_zero:
-        return Poly.zero(g.nvars)
-    if f.degree() > g.degree():
-        return None
-    width = g.degree().bit_length() + 1
-    g_den, f_den = _den((g,)), _den((f,))
-    fz = _pack(f, width, f_den)
-    f_num = gcd(*fz.values())
-    q = _zquot(_pack(g, width, g_den), {e: c // f_num for e, c in fz.items()}, _guard(g.nvars, width))
-    if q is None:
-        return None
-    return _unpack({e: c * f_den for e, c in q.items()}, g.nvars, width, g_den * f_num)
+    q = form_quotient(g.form, f.form)
+    return None if q is None else Poly.from_form(g.nvars, q)
 
 
 def divides(f: Poly, g: Poly) -> bool:
@@ -490,23 +366,6 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     return remove_content(cont * a)
 
 
-def _taylor(p: Poly, order: int, width: int, den: int) -> dict[Exponent, dict[int, int]]:
-    """The Taylor data of p at a symbolic point x, on integers, up to the
-    given order: each a with |a| <= order that some term reaches maps to the
-    y^a coefficient of den*p(x + y), a packed integer term map in x (_pack;
-    den is a multiple of _den((p,))).  The term c*x^e gives
-    den*c*prod comb(e_i, a_i) at x^(e - a)."""
-    out: dict[Exponent, dict[int, int]] = {}
-    for e, c in p.terms.items():
-        coef = c.numerator * (den // c.denominator)
-        for a, weight in _taylor_weights(e, order):
-            m = sum(e) - sum(a)
-            for k, j in zip(e, a):
-                m = (m << width) | (k - j)
-            out.setdefault(a, {})[m] = coef * weight
-    return out
-
-
 def is_square_free(p: Poly) -> bool:
     """True iff p has no repeated factor: certified on the fixed lines of
     zpoly (square_free_on_lines), else decided by the gcd of p and its
@@ -521,48 +380,3 @@ def is_square_free(p: Poly) -> bool:
         if g.degree() == 0:
             return True
     return g.degree() == 0
-
-
-def matrix_determinant(mat: list[list[Poly]], nvars: int) -> Poly:
-    """Exact determinant of a square matrix of polynomials.
-
-    Each row is scaled by the lcm of its denominators, and Bareiss
-    elimination runs on the integer matrix, where every division is exact
-    in Z[x]; the result is its determinant over the product of the scales.
-    """
-    if any(len(row) != len(mat) for row in mat):
-        raise DomainError("determinant needs a square matrix")
-    n = len(mat)
-    if n == 0:
-        return Poly.const(nvars, 1)
-    # a product of two minors bounds every degree the elimination reaches
-    width = (2 * sum(max(max(p.degree() for p in row), 0) for row in mat)).bit_length() + 1
-    guard = _guard(nvars, width)
-    m, scale = [], 1
-    for row in mat:
-        den = _den(row)
-        m.append([_pack(p, width, den) for p in row])
-        scale *= den
-
-    def step(a, d, b, c, p):
-        cross = _zcross(a, d, b, c)
-        return cross if p is None else _zquot(cross, p, guard)
-
-    det, sign = _bareiss(m, step)
-    return _unpack(det, nvars, width, sign * scale)
-
-
-def sylvester_determinant(a: Sequence[Poly], b: Sequence[Poly], nvars: int) -> Poly:
-    """Sylvester determinant of two coefficient lists, highest power first:
-    len(b) - 1 shifted rows of a above len(a) - 1 shifted rows of b."""
-    n = len(a) + len(b) - 2
-    zero = Poly.zero(nvars)
-    mat: list[list[Poly]] = []
-    for coeffs, shifts in ((a, len(b) - 1), (b, len(a) - 1)):
-        for i in range(shifts):
-            row = [zero] * n
-            for j, c in enumerate(coeffs):
-                row[i + j] = c
-            mat.append(row)
-    return matrix_determinant(mat, nvars)
-

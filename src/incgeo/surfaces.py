@@ -13,11 +13,13 @@ Every local question reads one integer expansion of a factor's form
 (zpoly): along a line, or around a point as a line with direction zero.
 The questions asked only of ruled factors (lines through a point,
 exceptional lines and generator counts) live in exceptional, which reads
-the expansion helpers here.  classify_component reads a factor's form and
-hint lattices: quadrics, cone apexes and the line certificate run on
-integers (zpoly's echelon and integer lists), and an apex is a scaled
-point (P, q), so they need neither poly nor fractions, imported only for
-the full witness and the line search.
+the expansion helpers here.  classify_component and ruled_indicator read
+a factor's form and hint lattices, and every step runs on integers:
+quadrics and cone apexes on zpoly's echelon (an apex is a scaled point
+(P, q)), the line certificate on integer lists, the full witness and its
+divisibility on packed term maps (zpoly), and the line search on the
+integer grid.  So neither loads poly or fractions; a Poly is built only
+as flecnode_polynomial's result.
 
 Everything is exact.  Ruledness certificates obtained through the flecnode
 route are certificates over the complex numbers; real verdicts are only
@@ -29,22 +31,34 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from math import factorial
+from math import factorial, gcd
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import zpoly
 from .errors import ArityError, DegreeError, DomainError, InvariantViolation
-from .zpoly import _fixed_lines, _line_expansion, echelon_point, form_degree, univariate_divides, univariate_sylvester
+from .zpoly import _bareiss, _fixed_lines, _guard, _line_expansion, _taylor_weights, _unpack, _zcross, _zquot
+from .zpoly import echelon_point, form_degree, form_quotient, primitive_terms, sylvester_rows
+from .zpoly import univariate_divides, univariate_sylvester
 
 if TYPE_CHECKING:
     from .lattice import Lattice, Scaled
     from .linespace import AffLine
     from .poly import Poly
-    from .zpoly import Form
+    from .zpoly import Exponent, Form
 
 # The container lives in zpoly, so a surface file is read and checked without
 # this module; it is re-exported here beside the analysis of its factors.
 Surface = zpoly.Surface
+
+
+
+def _form(factor: Poly | Form) -> Form:
+    return factor if isinstance(factor, tuple) else factor.form
+
+
+def _lattice(line: AffLine | Lattice) -> Lattice:
+    return line if isinstance(line, tuple) else line.lattice
+
 
 # -- the expansion around a point ---------------------------------------------
 
@@ -65,7 +79,7 @@ def _at_point(form: Form, point: Scaled, order: int) -> dict[tuple[int, ...], in
 # f(X + y), up to one positive constant per order, as an integer term map
 # {m: c} whose key is additive: the power of t along a line
 # (_line_expansion, through _term_maps), or a packed monomial in x, y, z at a
-# symbolic point (poly._taylor).
+# symbolic point (_taylor).
 Taylor = dict[tuple[int, ...], dict[int, int]]
 # Bivariate integer polynomials in that key and a second variable (the
 # pencil parameter a, or a chart's direction coordinate w_j) are maps
@@ -118,6 +132,22 @@ def _forms_along(taylor: Taylor, dirs: list[list[Bivariate]], low: int, high: in
 # -- flecnode witness -------------------------------------------------------
 
 
+def _taylor(form: Form, order: int, width: int) -> Taylor:
+    """The Taylor data of the form's numerators at a symbolic point x, up to
+    the given order: each a with |a| <= order that some term reaches maps to
+    the y^a coefficient of den*f(x + y), a packed term map in x (zpoly's
+    packing at this width).  The term c*x^e gives c*prod comb(e_i, a_i) at
+    x^(e - a)."""
+    out: Taylor = {}
+    for e, c in form[0].items():
+        for a, weight in _taylor_weights(e, order):
+            m = sum(e) - sum(a)
+            for k, j in zip(e, a):
+                m = (m << width) | (k - j)
+            out.setdefault(a, {})[m] = c * weight
+    return out
+
+
 def _chart_forms(taylor: Taylor, c: int) -> tuple[list[dict[int, int]], ...] | None:
     """The osculation system's binary forms of degrees 2 and 3 on the chart
     where the c-th partial f_c is nonzero, or None when f_c vanishes.
@@ -143,36 +173,77 @@ def _chart_forms(taylor: Taylor, c: int) -> tuple[list[dict[int, int]], ...] | N
     return tuple([{m: x for (m, k), x in g.items() if k == n} for n in range(deg + 1)] for g, deg in ((g2, 2), (g3, 3)))
 
 
-def _chart_eliminant(f: Poly, c: int) -> Poly | None:
-    """Direction eliminant of the osculation system on one chart.
+def _chart_eliminant(form: Form, c: int) -> dict[Exponent, int] | None:
+    """Direction eliminant of the osculation system on one chart: the
+    primitive witness terms, {} when the eliminant vanishes, or None.
 
     On the chart where the c-th partial is nonzero the tangency condition is
     solved for the c-th direction coordinate (after scaling the free
     coordinates by that partial, which keeps everything polynomial).  The
     second and third-order conditions become binary forms of degrees 2 and 3
     in the free direction coordinates (_chart_forms, on the Taylor data at a
-    symbolic point); their resultant depends on position alone.  The
-    scaling inflates the resultant by the 6th power of the chart partial,
-    which is divided back out, leaving a polynomial of degree at most
-    11*deg - 18.  That every chart gives the same witness up to content is
-    not proven here, and no caller relies on it.
+    symbolic point); their resultant depends on position alone.  Its 5x5
+    Sylvester determinant has degree at most 17*deg - 24, so Bareiss
+    elimination, whose steps multiply two minors, runs on packed term maps
+    one bit above twice that.  The scaling inflates the resultant by the
+    6th power of the chart partial, and by Gauss's lemma the primitive part
+    of that power divides it over Z, leaving a polynomial of degree at most
+    11*deg - 18; None when it does not divide.  That every chart gives the
+    same witness up to content is not proven here, and no caller relies on
+    it.
     """
-    from .poly import _den, _taylor, _unpack, exact_div, remove_content, sylvester_determinant
-
-    # the forms have degree at most 4*deg - 6, so every exponent fits a field
-    width = (4 * f.degree()).bit_length()
-    forms = _chart_forms(_taylor(f, 3, width, _den((f,))), c)
+    width = (2 * (17 * form_degree(form) - 24)).bit_length() + 1
+    taylor = _taylor(form, 3, width)
+    forms = _chart_forms(taylor, c)
     if forms is None:
         return None
-    a, b = ([_unpack(t, 3, width, 1) for t in form] for form in forms)
-    res = sylvester_determinant(a, b, 3)
-    if res.is_zero:
-        return res
-    try:
-        witness = exact_div(res, f.diff(c) ** 6)
-    except DomainError:  # the rescaling does not divide on this chart
-        return None
-    return remove_content(witness)
+    guard = _guard(3, width)
+
+    def step(a, d, b, e, p):  # (a*d - b*e)/p, exact
+        cross = _zcross(a, d, b, e)
+        return cross if p is None else _zquot(cross, p, guard)
+
+    res, _ = _bareiss(sylvester_rows(*forms, {}), step)
+    if not res:
+        return {}
+    partial = taylor[_UNITS[c]]
+    content = gcd(*partial.values())
+    partial = {m: x // content for m, x in partial.items()}
+    square = _zcross(partial, partial, {}, {})
+    quotient = _zquot(res, _zcross(_zcross(square, square, {}, {}), square, {}, {}), guard)
+    return None if quotient is None else primitive_terms(_unpack(quotient, 3, width))
+
+
+def _witness_form(form: Form) -> Form:
+    """The flecnode witness of a trivariate form of degree >= 3
+    (flecnode_polynomial) as a primitive form, from the first chart that
+    gives a nonzero eliminant."""
+    d = form_degree(form)
+    if d < 3:
+        raise DegreeError("flecnode witness needs degree >= 3")
+    witness: dict[Exponent, int] | None = None
+    saw_zero = False
+    for c in range(3):
+        result = _chart_eliminant(form, c)
+        if result is None:
+            continue
+        if not result:
+            saw_zero = True
+            continue
+        witness = result
+        break
+    if witness is None:
+        # either every chart degenerated to zero (totally osculating surface)
+        # or no chart admitted the exact rescaling; the surface itself is the
+        # honest fallback witness in the first case and there is no second
+        # case for surfaces with a nonzero gradient somewhere
+        if not saw_zero:
+            raise InvariantViolation("no chart produced a direction eliminant")
+        witness = primitive_terms(form[0])
+    degree = max(map(sum, witness))
+    if degree > 11 * d - 18:
+        raise InvariantViolation(f"flecnode witness degree {degree} exceeds 11*{d}-18")
+    return witness, 1
 
 
 def flecnode_polynomial(f: Poly) -> Poly:
@@ -188,38 +259,13 @@ def flecnode_polynomial(f: Poly) -> Poly:
     In the completely degenerate situation where the eliminant vanishes
     identically (every point of space carries an osculating direction) the
     surface polynomial itself is returned, which keeps that equivalence.
+    This is the Poly view of _witness_form.
     """
-    from .poly import remove_content
+    from .poly import Poly
 
     if f.nvars != 3:
         raise ArityError("flecnode witness is defined for trivariate surfaces")
-    d = f.degree()
-    if d < 3:
-        raise DegreeError("flecnode witness needs degree >= 3")
-    witness: Poly | None = None
-    saw_zero = False
-    for c in range(3):
-        result = _chart_eliminant(f, c)
-        if result is None:
-            continue
-        if result.is_zero:
-            saw_zero = True
-            continue
-        witness = result
-        break
-    if witness is None:
-        # either every chart degenerated to zero (totally osculating surface)
-        # or no chart admitted the exact rescaling; the surface itself is the
-        # honest fallback witness in the first case and there is no second
-        # case for surfaces with a nonzero gradient somewhere
-        if not saw_zero:
-            raise InvariantViolation("no chart produced a direction eliminant")
-        witness = remove_content(f)
-    if witness.degree() > 11 * d - 18:
-        raise InvariantViolation(
-            f"flecnode witness degree {witness.degree()} exceeds 11*{d}-18"
-        )
-    return witness
+    return Poly.from_form(3, _witness_form(f.form))
 
 
 def _certified_not_ruled(form: Form) -> bool:
@@ -295,7 +341,7 @@ class RuledIndication(NamedTuple):
     witness_degree: int | None = None
 
 
-def ruled_indicator(f: Poly) -> RuledIndication:
+def ruled_indicator(factor: Poly | Form) -> RuledIndication:
     """Is the (factor) surface covered by lines over the complex numbers?
 
     Degree 1 and 2 are always ruled over C.  From degree 3 on the test is
@@ -304,21 +350,21 @@ def ruled_indicator(f: Poly) -> RuledIndication:
     is its own top-degree part: W commutes with translation chart by
     chart, so its degree and the divisibility are f's.  classify_component
     asks the line certificate and the apex first, then tests f | W itself.
+    The factor is read as its form (a Poly's, or one of Surface.forms).
     """
-    from .poly import Poly, divides
-
-    d = f.degree()
+    form = _form(factor)
+    d = form_degree(form)
     if d < 1:
         raise DomainError("constant polynomials are not surfaces")
     if d <= 2:
         return RuledIndication(indicated=True, complex_only=True, witness_degree=None)
-    if f.nvars == 3 and _cone_apex(f.form) is not None:
-        f = Poly(3, {e: c for e, c in f.terms.items() if sum(e) == d})
-    witness = flecnode_polynomial(f)
-    indicated = divides(f, witness)
-    return RuledIndication(
-        indicated=indicated, complex_only=indicated, witness_degree=witness.degree()
-    )
+    if len(next(iter(form[0]))) != 3:
+        raise ArityError("flecnode witness is defined for trivariate surfaces")
+    if _cone_apex(form) is not None:
+        form = {e: c for e, c in form[0].items() if sum(e) == d}, form[1]
+    witness = _witness_form(form)
+    indicated = form_quotient(witness, form) is not None
+    return RuledIndication(indicated=indicated, complex_only=indicated, witness_degree=form_degree(witness))
 
 
 # -- component classification -----------------------------------------------
@@ -448,11 +494,11 @@ def classify_component(factor: Poly | Form, hint_lines: Sequence[AffLine | Latti
     witness whatever the hint lines, settles the cone verdict.  A singly
     ruled verdict needs a real rational line as witness: a hint line on the
     factor, else a bounded search.  The factor is read as its form (a
-    Poly's, or one of Surface.forms) and hint lines as lattices; the Poly
-    view is built only for the full witness and the line search.
+    Poly's, or one of Surface.forms) and hint lines as lattices, and every
+    step runs on them: no Poly is built.
     """
-    form, view = (factor, None) if isinstance(factor, tuple) else (factor.form, factor)
-    hints = [ln if isinstance(ln, tuple) else ln.lattice for ln in hint_lines]
+    form = _form(factor)
+    hints = [_lattice(ln) for ln in hint_lines]
     d = form_degree(form)
     if d < 1:
         raise DomainError("constant factor cannot be classified")
@@ -492,11 +538,7 @@ def classify_component(factor: Poly | Form, hint_lines: Sequence[AffLine | Latti
     apex = _cone_apex(form)
     if apex is not None:
         return ClassificationResult(Verdict.CONE, apex=apex, complex_ruled_indicated=True)
-    from .poly import Poly, divides
-
-    if view is None:
-        view = Poly.from_form(len(next(iter(form[0]))), form)
-    if not divides(view, flecnode_polynomial(view)):
+    if form_quotient(_witness_form(form), form) is None:
         return ClassificationResult(Verdict.NOT_RULED_REAL, complex_ruled_indicated=False)
     real_line = None
     if hints:
@@ -504,7 +546,7 @@ def classify_component(factor: Poly | Form, hint_lines: Sequence[AffLine | Latti
 
         real_line = next((lat for lat in hints if len(lat[1]) == 3 and lattice_on_surface(form, lat)), None)
     if real_line is None:
-        real_line = _search_real_line(view)
+        real_line = _search_real_line(form)
     if real_line is not None:
         return ClassificationResult(Verdict.SINGLY_RULED, complex_ruled_indicated=True)
     return ClassificationResult(
@@ -518,19 +560,16 @@ def classify_component(factor: Poly | Form, hint_lines: Sequence[AffLine | Latti
 REAL_LINE_BOUND = 5
 
 
-def _search_real_line(factor: Poly) -> AffLine | None:
+def _search_real_line(form: Form) -> Lattice | None:
     """Cheap bounded search for one rational line on the factor: it looks
-    only at the 125 points of the grid {0, +-1, +-2}^3 that lie on the
-    factor, each with a line search of entry bound REAL_LINE_BOUND."""
-    from fractions import Fraction
-
+    only at the 125 points of the integer grid {0, +-1, +-2}^3 that lie on
+    the factor, each with a line search of entry bound REAL_LINE_BOUND."""
     from .exceptional import find_lines_through_point
 
-    grid = [Fraction(v) for v in (0, 1, -1, 2, -2)]
-    for p in itertools.product(grid, repeat=3):
-        if factor.eval(p) != 0:
+    for p in itertools.product((0, 1, -1, 2, -2), repeat=3):
+        if _at_point(form, (p, 1), 0):  # f(p) != 0
             continue
-        lines = find_lines_through_point(factor, p, REAL_LINE_BOUND)
+        lines = find_lines_through_point(form, (p, 1), REAL_LINE_BOUND)
         if lines:
             return lines[0]
     return None

@@ -4,13 +4,15 @@ A polynomial's form is (terms, den): its coefficients' integer numerators
 over den, the lcm of their reduced denominators, zero terms dropped, so
 equal polynomials have equal forms.  A form is expanded along a line (with
 direction zero, around a point) and certified square-free on three fixed
-lines here; the line certificate of surfaces runs on its univariate
-kernels on integer lists, a Sylvester determinant (at t = 2^k, by the
-Bareiss elimination that poly shares) and divisibility; every exact
-linear solve of the package runs on its fraction-free integer echelon.
-Surface holds its factors as forms, so a surface file is read, checked,
-written and measured without poly or fractions; poly's Poly caches its
-form, and Surface.factors, the Poly views, loads poly.
+lines here.  One builder makes the Sylvester rows of two coefficient
+lists, and one Bareiss elimination takes their determinant: the line
+certificate of surfaces runs on integer lists in t (at t = 2^k), and the
+full flecnode witness on packed term maps, where the exact division of
+form_quotient also runs (poly's divides and exact_div read it).  Every
+exact linear solve of the package runs on the fraction-free integer
+echelon.  Surface holds its factors as forms, so a surface file is read,
+checked, written and measured without poly or fractions; poly's Poly
+caches its form, and Surface.factors, the Poly views, loads poly.
 """
 
 from __future__ import annotations
@@ -254,13 +256,130 @@ def univariate_determinant(mat: Sequence[Sequence[dict[int, int]]]) -> list[int]
     return out[::-1]
 
 
-def univariate_sylvester(a: Sequence[dict[int, int]], b: Sequence[dict[int, int]]) -> list[int]:
-    """univariate_determinant of the Sylvester matrix of two coefficient
-    lists, highest power first: len(b) - 1 shifted rows of a above
-    len(a) - 1 shifted rows of b."""
+def sylvester_rows(a: Sequence, b: Sequence, zero) -> list[list]:
+    """The Sylvester matrix of two coefficient lists, highest power first:
+    len(b) - 1 shifted rows of a above len(a) - 1 shifted rows of b, zero
+    elsewhere."""
     n = len(a) + len(b) - 2
     rows = ((coeffs, i) for coeffs, shifts in ((a, len(b) - 1), (b, len(a) - 1)) for i in range(shifts))
-    return univariate_determinant([[{}] * i + list(c) + [{}] * (n - i - len(c)) for c, i in rows])
+    return [[zero] * i + list(c) + [zero] * (n - i - len(c)) for c, i in rows]
+
+
+def univariate_sylvester(a: Sequence[dict[int, int]], b: Sequence[dict[int, int]]) -> list[int]:
+    """univariate_determinant of the Sylvester matrix of two coefficient
+    lists of term maps in t."""
+    return univariate_determinant(sylvester_rows(a, b, {}))
+
+
+# The witness determinant and exact division run on integer term maps
+# {packed monomial: int}.  A monomial packs into one int of `width`-bit
+# fields: from the top, the total degree, then e[0], e[1], ...  Multiplying
+# monomials is adding ints, and int order is graded lex order.  The width is
+# one bit more than the operation's degree bound needs, so for packed m, n
+# the difference m - n borrows across a field (n does not divide m) exactly
+# when it is negative or shows one of those top guard bits.
+
+
+def _guard(nvars: int, width: int) -> int:
+    bit = 1 << (width - 1)
+    return sum(bit << (i * width) for i in range(nvars + 1))
+
+
+def _pack(terms: dict[Exponent, int], width: int) -> dict[int, int]:
+    """The packed term map of an integer term map."""
+    out = {}
+    for e, c in terms.items():
+        m = sum(e)
+        for k in e:
+            m = (m << width) | k
+        out[m] = c
+    return out
+
+
+def _unpack(packed: dict[int, int], nvars: int, width: int) -> dict[Exponent, int]:
+    """The integer term map of a packed one."""
+    mask = (1 << width) - 1
+    out = {}
+    for m, c in packed.items():
+        e = [0] * nvars
+        for i in range(nvars - 1, -1, -1):
+            e[i] = m & mask
+            m >>= width
+        out[tuple(e)] = c
+    return out
+
+
+def _zcross(a: dict[int, int], d: dict[int, int], b: dict[int, int], c: dict[int, int]) -> dict[int, int]:
+    """a*d - b*c on packed term maps."""
+    out: dict[int, int] = {}
+    get = out.get
+    for ea, ca in a.items():
+        for ed, cd in d.items():
+            e = ea + ed
+            out[e] = get(e, 0) + ca * cd
+    for eb, cb in b.items():
+        for ec, cc in c.items():
+            e = eb + ec
+            out[e] = get(e, 0) - cb * cc
+    return {e: v for e, v in out.items() if v}
+
+
+def _zquot(g: dict[int, int], f: dict[int, int], guard: int) -> dict[int, int] | None:
+    """Quotient g/f in Z[x] by division in graded lex order, or None as soon
+    as a term of g's remainder shows up, that is when f does not divide g
+    over Z.  f is nonzero; all monomials fit the packing behind guard."""
+    import heapq
+
+    lt_e = max(f)
+    lt_c = f[lt_e]
+    rest = [(e, c) for e, c in f.items() if e != lt_e]
+    work = dict(g)
+    heap = [-e for e in work]  # heapq pops smallest: walk graded lex from the top
+    heapq.heapify(heap)
+    quot = {}
+    while heap:
+        e = -heapq.heappop(heap)
+        c = work.pop(e)
+        if not c:
+            continue
+        q_e = e - lt_e
+        if q_e < 0 or q_e & guard:
+            return None
+        q_c, r = divmod(c, lt_c)
+        if r:
+            return None
+        quot[q_e] = q_c
+        for fe, fc in rest:
+            te = q_e + fe  # below e, so not yet popped
+            prev = work.get(te)
+            if prev is None:
+                heapq.heappush(heap, -te)
+                work[te] = -q_c * fc
+            else:
+                work[te] = prev - q_c * fc
+    return quot
+
+
+def form_quotient(g: Form, f: Form) -> Form | None:
+    """The form of g/f, or None when f does not divide g.  By Gauss's
+    lemma, f divides g over Q exactly when f's primitive integer part
+    divides g's numerators over Z; the quotient is that one over den."""
+    if not f[0]:
+        raise DomainError("division by the zero polynomial")
+    if not g[0]:
+        return {}, 1
+    d = form_degree(g)
+    if form_degree(f) > d:
+        return None
+    nvars, width = len(next(iter(g[0]))), d.bit_length() + 1
+    content = gcd(*f[0].values())
+    q = _zquot(_pack(g[0], width), _pack({e: c // content for e, c in f[0].items()}, width), _guard(nvars, width))
+    if q is None:
+        return None
+    # g/f = q * f_den / (g_den * content), reduced to the canonical form
+    terms, den = {e: c * f[1] for e, c in _unpack(q, nvars, width).items()}, g[1] * content
+    k = gcd(den, *terms.values())
+    return {e: c // k for e, c in terms.items()}, den // k
 
 
 def square_free_on_lines(form: Form) -> bool:

@@ -202,3 +202,42 @@ def test_poly_builds_on_the_integer_forms_without_a_copy():
         for alias in node.names
     }
     assert not loaded & {"fractions", "decimal", "poly"}
+
+
+def runtime_imports(source: str) -> set[str]:
+    """The modules a source imports outside `if TYPE_CHECKING:` blocks."""
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+            node.body = [ast.Pass()]
+    return imported_modules(ast.unparse(tree))
+
+
+@pytest.mark.parametrize("name", ["surfaces", "exceptional"])
+def test_the_ruled_factor_analysis_builds_no_fraction(name):
+    # a factor is read as its form, lines as lattices and points as scaled
+    # pairs; poly is imported only inside the functions that build a Poly
+    # (flecnode_polynomial's result, the bivariate gcd fallback)
+    source = (PACKAGE / f"{name}.py").read_text(encoding="utf-8")
+    assert not runtime_imports(source) & {"fractions", "decimal", "linespace"}
+    top_level = {
+        node.module for node in ast.parse(source).body if isinstance(node, ast.ImportFrom)
+    }
+    assert "poly" not in top_level
+
+
+def test_the_witness_has_one_determinant_path():
+    # the Sylvester rows have one builder (zpoly.sylvester_rows), and poly
+    # keeps no determinant, Taylor data or evaluation of its own
+    poly = ast.parse((PACKAGE / "poly.py").read_text(encoding="utf-8"))
+    names = defined_names(ast.unparse(poly))
+    assert not names & {"matrix_determinant", "sylvester_determinant", "_taylor"}
+    (cls,) = [node for node in poly.body if isinstance(node, ast.ClassDef) and node.name == "Poly"]
+    assert "eval" not in {m.name for m in cls.body if isinstance(m, ast.FunctionDef)}
+    builders = [
+        f"{path.stem}.{node.name}"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and "sylvester" in node.name
+    ]
+    assert builders == ["zpoly.sylvester_rows", "zpoly.univariate_sylvester"]

@@ -4,7 +4,10 @@ A call that only counts, relates and projects points and lines, and reads
 a surface as integer forms, loads no fractions either; nor does classify on
 a line-free file whose factors the line certificate rules out, which runs
 on integer lists and loads no poly, nor classify and incidence on a quadric
-cone, whose apex is a scaled point solved for on integers.
+cone, whose apex is a scaled point solved for on integers.  classify,
+flecnode and incidence on a file with a ruled factor that is no cone load
+neither poly nor fractions either: the witness runs on packed term maps,
+the line search on the integer grid, and the exceptional lines on lattices.
 
 The module sets are read in a fresh interpreter per call, since this test
 process has long since imported every module of the package.
@@ -97,13 +100,17 @@ def bare_loads() -> set[str]:
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("loading")
-    names = ("cone", "whitney", "fermat", "lifted", "back")
+    names = ("cone", "whitney", "whitney0", "product", "fermat", "lifted", "back")
     paths = {name: str(root / f"{name}.json") for name in names}
     assert main(["gen", "--kind", "cone", "--lines", "6", "--points", "12", "--seed", "1",
                  "-o", paths["cone"]]) == 0
     # a singly ruled surface, the one kind whose lines are checked for exceptional ones
     assert main(["gen", "--kind", "whitney", "--lines", "6", "--points", "12", "--seed", "1",
                  "-o", paths["whitney"]]) == 0
+    # without hint lines, classify searches the Whitney cubic for a witness line
+    assert main(["gen", "--kind", "whitney", "--lines", "0", "--points", "0", "-o", paths["whitney0"]]) == 0
+    assert main(["gen", "--kind", "product", "--lines", "10", "--points", "16", "--seed", "5",
+                 "-o", paths["product"]]) == 0
     # a line-free surface file that is not ruled, as every flecnode_cubics benchmark input
     assert main(["gen", "--kind", "fermat", "--lines", "0", "--points", "0",
                  "-o", paths["fermat"]]) == 0
@@ -144,7 +151,18 @@ def test_help_loads_only_the_front_end(bare_loads):
          {"poly", "linespace", "exceptional", "incidence", "projection", "forge", "fractions", "decimal"}),
         (("incidence", "{fermat}"),
          {"poly", "linespace", "exceptional", "projection", "forge", "fractions", "decimal"}),
-        (("flecnode", "{fermat}"), {"linespace", "exceptional", "incidence", "projection", "forge"}),
+        (("flecnode", "{fermat}"),
+         {"poly", "linespace", "exceptional", "incidence", "projection", "forge", "fractions", "decimal"}),
+        # a ruled factor's witness and divisibility run on packed term maps,
+        # its line search on the integer grid, and its exceptional lines on
+        # lattices and scaled points
+        (("classify", "{whitney}"), {"poly", "linespace", "fractions", "decimal"}),
+        (("flecnode", "{whitney}"), {"poly", "linespace", "fractions", "decimal"}),
+        (("incidence", "{whitney}"), {"poly", "linespace", "fractions", "decimal"}),
+        (("classify", "{whitney0}"), {"poly", "linespace", "fractions", "decimal"}),
+        (("classify", "{product}"), {"poly", "linespace", "fractions", "decimal"}),
+        (("flecnode", "{product}"), {"poly", "linespace", "fractions", "decimal"}),
+        (("incidence", "{product}"), {"poly", "linespace", "fractions", "decimal"}),
         # the catalog surface is built from integer forms
         (("gen", "--kind", "cone", "--lines", "3", "--points", "3", "-o", "{out}"),
          {"poly", "surfaces", "incidence", "projection"}),
@@ -152,8 +170,9 @@ def test_help_loads_only_the_front_end(bare_loads):
          {"poly", "surfaces", "incidence", "projection"}),
     ],
     ids=["project", "verify-degree", "incidence-surfaceless", "verify-surface", "classify",
-         "flecnode", "incidence", "classify-line-free", "incidence-line-free", "flecnode-line-free", "gen",
-         "gen-lifted"],
+         "flecnode", "incidence", "classify-line-free", "incidence-line-free", "flecnode-line-free",
+         "classify-whitney", "flecnode-whitney", "incidence-whitney", "classify-whitney-line-free",
+         "classify-product", "flecnode-product", "incidence-product", "gen", "gen-lifted"],
 )
 def test_each_subcommand_loads_only_what_it_runs(files, tmp_path, bare_loads, argv, absent):
     code, modules, watched = loaded_by(
@@ -164,29 +183,30 @@ def test_each_subcommand_loads_only_what_it_runs(files, tmp_path, bare_loads, ar
     assert "dataclasses" not in watched - bare_loads
 
 
-@pytest.mark.parametrize("command, witness", [("classify", set()), ("flecnode", {"poly"})],
-                         ids=["classify", "flecnode"])
-def test_a_file_without_points_or_lines_loads_no_lattice(files, command, witness):
+@pytest.mark.parametrize("command", ["classify", "flecnode"])
+def test_a_file_without_points_or_lines_loads_no_lattice(files, command):
     # lattice reads the coordinates; a line-free surface file has none.
     # classify rules the Fermat cubic out on integer lists and never asks
     # for the apex of a factor that the line certificate rules out, while
-    # flecnode builds the witness in poly and asks for the apex first (an
-    # integer solve in zpoly), to build a cone's witness at its apex
+    # flecnode asks for the apex first (an integer solve in zpoly), to
+    # build a cone's witness at its apex, and builds the witness on the
+    # form's packed term maps, so neither loads poly
     code, modules, _ = loaded_by(command, files["fermat"])
     assert code == 0
-    assert modules == {"incgeo", "cli", "errors", "instfile", "surfaces", "zpoly"} | witness
+    assert modules == {"incgeo", "cli", "errors", "instfile", "surfaces", "zpoly"}
 
 
 def test_incidence_loads_the_exceptional_lines(files):
     # only for a singly ruled factor: a cone has no exceptional lines to
-    # find, and its lines are read as lattices
+    # find; either way the lines are read as lattices
     code, modules, _ = loaded_by("incidence", files["cone"])
     assert code == 0
     assert "surfaces" in modules
     assert not {"exceptional", "linespace"} & modules
     code, modules, _ = loaded_by("incidence", files["whitney"])
     assert code == 0
-    assert {"surfaces", "exceptional", "linespace"} <= modules
+    assert {"surfaces", "exceptional"} <= modules
+    assert "linespace" not in modules
 
 
 def test_importing_the_package_loads_no_module():

@@ -16,27 +16,25 @@ from hypothesis import strategies as st
 from incgeo.errors import ArityError, DomainError
 from incgeo.poly import (
     Poly,
-    _den,
-    _taylor,
-    _unpack,
     divides,
     exact_div,
     is_square_free,
-    matrix_determinant,
     poly_gcd,
     remove_content,
-    sylvester_determinant,
     variables,
 )
+from incgeo.surfaces import _taylor
 from incgeo.zpoly import (
     _line_expansion,
     _univariate_square_free,
+    _unpack,
+    form_quotient,
     grlex_key,
     univariate_determinant,
     univariate_divides,
     univariate_sylvester,
 )
-from polyref import restrict_to_line, substitute
+from polyref import evaluate, matrix_determinant, quotient, restrict_to_line, substitute, sylvester_determinant
 
 X, Y, Z = variables(3)
 
@@ -76,10 +74,10 @@ def test_grlex_leading_term():
 
 def test_eval_example_and_arity():
     f = X**2 - Y**2 * Z
-    assert f.eval(frac_vec(2, 1, 4)) == 0
-    assert f.eval(frac_vec(1, 1, 2)) == -1
+    assert evaluate(f, frac_vec(2, 1, 4)) == 0
+    assert evaluate(f, frac_vec(1, 1, 2)) == -1
     with pytest.raises(ArityError):
-        f.eval(frac_vec(1, 2))
+        evaluate(f, frac_vec(1, 2))
 
 
 def test_partial_derivative_matches_hand_result():
@@ -129,7 +127,7 @@ def test_taylor_components_sum_reconstructs_shift():
         # evaluating the shift at x - at recovers p(x) on sample points
         probe = frac_vec(rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-2, 2))
         moved = [q - a for q, a in zip(probe, at)]
-        assert total.eval(moved) == p.eval(probe)
+        assert evaluate(total, moved) == evaluate(p, probe)
 
 
 # -- resultants ----------------------------------------------------------
@@ -171,8 +169,8 @@ def test_sylvester_resultant_vanishes_iff_shared_factor():
     res = resultant(p, q2, 0)
     # res vanishes exactly at t values where roots collide: -t = t or -t = -1
     assert not res.is_zero
-    assert res.eval([Fraction(0), Fraction(0)]) == 0
-    assert res.eval([Fraction(0), Fraction(3)]) != 0
+    assert evaluate(res, [Fraction(0), Fraction(0)]) == 0
+    assert evaluate(res, [Fraction(0), Fraction(3)]) != 0
 
 
 def test_sylvester_determinant_takes_highest_power_first():
@@ -310,10 +308,10 @@ def test_line_expansion_matches_substitution(p, base, direction):
 
 
 @settings(max_examples=100, deadline=None)
-@given(polys(nvars=3, max_deg=3, max_terms=6), st.integers(0, 3), st.integers(1, 3))
-def test_taylor_matches_substitution(p, order, k):
-    # the y^a part of den*p(x + y), by substitution on Fractions
-    den = k * _den((p,))
+@given(polys(nvars=3, max_deg=3, max_terms=6), st.integers(0, 3))
+def test_taylor_matches_substitution(p, order):
+    # the y^a part of den*p(x + y), den the form's, by substitution on Fractions
+    den = p.form[1]
     width = (p.degree() + 1).bit_length() + 1
     x = variables(6)
     r = substitute(p, [x[i] + x[3 + i] for i in range(3)])
@@ -321,9 +319,9 @@ def test_taylor_matches_substitution(p, order, k):
     for e, c in r.terms.items():
         if sum(e[3:]) <= order:
             expected.setdefault(e[3:], {})[e[:3]] = den * c
-    data = _taylor(p, order, width, den)
+    data = _taylor(p.form, order, width)
     assert all(isinstance(c, int) for terms in data.values() for c in terms.values())
-    assert {a: _unpack(terms, 3, width, 1) for a, terms in data.items()} == {
+    assert {a: Poly(3, _unpack(terms, 3, width)) for a, terms in data.items()} == {
         a: Poly(3, terms) for a, terms in expected.items()
     }
 
@@ -355,8 +353,8 @@ def test_restrict_to_line_checks_arity():
 @given(polys(), polys(), st.tuples(small_fracs, small_fracs))
 def test_eval_is_ring_homomorphism(p, q, at):
     pt = list(at)
-    assert (p + q).eval(pt) == p.eval(pt) + q.eval(pt)
-    assert (p * q).eval(pt) == p.eval(pt) * q.eval(pt)
+    assert evaluate(p + q, pt) == evaluate(p, pt) + evaluate(q, pt)
+    assert evaluate(p * q, pt) == evaluate(p, pt) * evaluate(q, pt)
 
 
 @settings(max_examples=40, deadline=None)
@@ -411,6 +409,9 @@ def _random_poly(rng, nvars, max_deg, nonzero=False):
 
 
 # -- integer kernel: determinant and exact division ------------------------
+#
+# matrix_determinant and sylvester_determinant are the Poly oracles of
+# polyref, on zpoly's packed kernels; Laplace expansion checks them.
 
 
 def laplace_determinant(mat, nvars):
@@ -458,7 +459,7 @@ def coefficient_list(p: Poly) -> list[int]:
 
 def integer_rows(mat):
     """mat with each row scaled to integer coefficients."""
-    return [[p * _den(row) for p in row] for row in mat]
+    return [[p * lcm(*(q.form[1] for q in row)) for p in row] for row in mat]
 
 
 @settings(max_examples=150, deadline=None)
@@ -546,6 +547,37 @@ def test_exact_div_multiplies_back(f, q, scale):
     assert not divides(f, g + scale)
     with pytest.raises(DomainError):
         exact_div(g + scale, f)
+
+
+# rational scales of either sign, 1 and -1 among them
+scales = st.tuples(st.integers(1, 6), st.integers(1, 5), st.booleans()).map(
+    lambda t: Fraction(t[0], t[1]) * (-1 if t[2] else 1)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    polys(nvars=3, max_deg=2, max_terms=4),
+    polys(nvars=3, max_deg=2, max_terms=4),
+    polys(nvars=3, max_deg=3, max_terms=3),
+    scales,
+    st.booleans(),
+)
+def test_form_quotient_matches_the_fraction_division(f, h, r, scale, planted):
+    # a non-primitive rational divisor, over a multiple of it when planted
+    # and else over a multiple plus a random remainder, which rarely divides
+    if f.is_zero:
+        return
+    f = scale * f
+    g = f * h if planted else f * h + r
+    want = quotient(g, f)
+    got = form_quotient(g.form, f.form)
+    assert (got is None) == (want is None)
+    if planted:
+        assert want == h
+    if want is not None:
+        assert got == want.form
+        assert exact_div(g, f) == want
 
 
 def test_kernel_field_width_follows_the_degree_bound():

@@ -30,21 +30,19 @@ from incgeo.errors import (
     NotOnSurfaceError,
 )
 from incgeo.instfile import IncidenceInstance, dumps_instance
+from incgeo.forge import ORIGIN as FORGE_ORIGIN
 from incgeo.forge import make_lines
-from incgeo.lattice import scaled_form
+from incgeo.lattice import lattice_relation, scaled_form
 from incgeo.linespace import AffLine, RelationKind, line_on_surface, line_relation
 from incgeo.poly import (
     Poly,
-    _den,
-    _taylor,
-    _unpack,
     divides,
     is_square_free,
     poly_gcd,
     remove_content,
     variables,
 )
-from incgeo.zpoly import _fixed_lines, _line_expansion
+from incgeo.zpoly import _fixed_lines, _line_expansion, _unpack
 from incgeo.exceptional import (
     check_firstflip,
     exceptional_lines,
@@ -61,7 +59,7 @@ from incgeo.surfaces import (
     symmetric_inertia,
 )
 from linref import nullspace, rank
-from polyref import restrict_to_line, substitute
+from polyref import chart_eliminant, evaluate, restrict_to_line, substitute
 
 X, Y, Z = variables(3)
 CONE = X**2 + Y**2 - Z**2
@@ -151,13 +149,13 @@ def test_intersection_multiplicity_contained_line():
 
 
 def test_singular_line_of_ruled_cubic():
-    assert exceptional._tangent_pencil(RULED_CUBIC, Z_AXIS) is None
-    assert exceptional._tangent_pencil(RULED_CUBIC, cubic_generator(2)) is not None
+    assert exceptional._tangent_pencil(RULED_CUBIC.form, Z_AXIS.lattice) is None
+    assert exceptional._tangent_pencil(RULED_CUBIC.form, cubic_generator(2).lattice) is not None
 
 
 def test_singular_line_requires_containment():
     with pytest.raises(NotOnSurfaceError):
-        exceptional._tangent_pencil(SPHERE, Z_AXIS)
+        exceptional._tangent_pencil(SPHERE.form, Z_AXIS.lattice)
 
 
 # -- flecnode witness
@@ -200,7 +198,7 @@ def test_flecnode_vanishes_at_flecnodes():
     # every point of a ruled surface carries a tritangent (contained) line
     fl = flecnode_polynomial(RULED_CUBIC)
     for p in [(2, 1, 4), (3, 1, 9), (Fraction(1, 2), 1, Fraction(1, 4))]:
-        assert fl.eval([Fraction(v) for v in p]) == 0
+        assert evaluate(fl, p) == 0
 
 
 # sha256 of each witness's sorted terms, recorded with the Fraction Bareiss
@@ -300,10 +298,10 @@ def test_ruled_indicator_routes():
 
 @pytest.mark.parametrize("name, k", sorted(WITNESS_SHA256) + [("dense", 0)])
 def test_classify_certifies_pinned_cubics_without_the_witness(monkeypatch, name, k):
-    def no_witness(f):
+    def no_witness(form):
         raise AssertionError("classify built the full flecnode witness")
 
-    monkeypatch.setattr(surfaces, "flecnode_polynomial", no_witness)
+    monkeypatch.setattr(surfaces, "_witness_form", no_witness)
     res = classify_component(pinned_cubic(name, k))
     assert res.verdict is Verdict.NOT_RULED_REAL and res.complex_ruled_indicated is False
 
@@ -436,12 +434,12 @@ def test_planted_cones_are_classified_before_the_witness(case):
     f, apex, h = case
     assume(is_square_free(f))
     calls = []
-    original = surfaces.flecnode_polynomial
-    surfaces.flecnode_polynomial = lambda g: calls.append(g) or original(g)
+    original = surfaces._witness_form
+    surfaces._witness_form = lambda form: calls.append(form) or original(form)
     try:
         res = classify_component(f)
     finally:
-        surfaces.flecnode_polynomial = original
+        surfaces._witness_form = original
     assert res.verdict is Verdict.CONE and res.complex_ruled_indicated
     assert calls == []
     # f is homogeneous about the reported apex; that is the planted one
@@ -477,7 +475,7 @@ def test_chart_forms_commute_with_restriction(f):
     # both data carry den*f and the fixed lines have s = 1, so the constant
     # relating them is 1 on each form
     width = (4 * f.degree()).bit_length()
-    symbolic = _taylor(f, 3, width, _den((f,)))
+    symbolic = surfaces._taylor(f.form, 3, width)
     for base, direction in _fixed_lines(3):
         along = surfaces._term_maps(_line_expansion(f.form, base, direction, 1, 3)[0])
         for c in range(3):
@@ -488,8 +486,23 @@ def test_chart_forms_commute_with_restriction(f):
                 assert restrict_to_line(f.diff(c), base, direction).is_zero
                 continue
             for sym_form, lin_form in zip(sym, lin):
-                restricted = [restrict_to_line(_unpack(t, 3, width, 1), base, direction) for t in sym_form]
+                restricted = [restrict_to_line(Poly(3, _unpack(t, 3, width)), base, direction) for t in sym_form]
                 assert restricted == [Poly(1, {(m,): x for m, x in t.items()}) for t in lin_form]
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_factors(), st.integers(0, 2))
+@example((3 * X**2 * Y - 3 * Y**3 + 3 * X, False), 0)  # the resultant vanishes
+@example((3 * X**2 * Y - 3 * Y**3 + 3 * X, False), 2)  # the chart's partial vanishes
+def test_chart_eliminant_matches_the_poly_path(case, c):
+    # the witness on packed term maps of the form, against the Poly
+    # determinant and the Poly division that it replaced
+    f, _ = case
+    got, want = surfaces._chart_eliminant(f.form, c), chart_eliminant(f, c)
+    if want is None or want.is_zero:
+        assert got == (None if want is None else {})
+    else:
+        assert Poly(3, got) == want
 
 
 # -- quadric inertia and classification
@@ -589,7 +602,7 @@ def test_classify_makes_no_pair_relation(monkeypatch):
     def refuse(a, b):
         raise AssertionError("classify_component related a pair of lines")
 
-    monkeypatch.setattr(exceptional, "line_relation", refuse)
+    monkeypatch.setattr(exceptional, "lattice_relation", refuse)
     hints = [cubic_generator(c) for c in (1, -1, 2, -2)] + [Z_AXIS]
     assert classify_component(RULED_CUBIC, hint_lines=hints).verdict is Verdict.SINGLY_RULED
 
@@ -615,7 +628,7 @@ def reference_apex_candidates(f: Poly, hint_lines) -> list:
     for p in itertools.product(grid, repeat=3):
         if p in seen:
             continue
-        if f.eval(p) == 0 and all(g.eval(p) == 0 for g in grads):
+        if evaluate(f, p) == 0 and all(evaluate(g, p) == 0 for g in grads):
             seen.add(p)
             candidates.append(p)
     return candidates
@@ -669,9 +682,9 @@ def test_cone_apex_matches_the_candidate_scan(f):
 
 
 def test_line_search_returns_a_fresh_list():
-    lines = find_lines_through_point(CONE, (3, 4, 5), 10)
-    lines.append(Z_AXIS)
-    assert find_lines_through_point(CONE, (3, 4, 5), 10) == [AffLine((0, 0, 0), (3, 4, 5))]
+    lines = find_lines_through_point(CONE.form, ((3, 4, 5), 1), 10)
+    lines.append(Z_AXIS.lattice)
+    assert find_lines_through_point(CONE.form, ((3, 4, 5), 1), 10) == [AffLine((0, 0, 0), (3, 4, 5)).lattice]
 
 
 def test_exceptional_lines_follow_the_given_order():
@@ -685,53 +698,57 @@ def test_exceptional_lines_follow_the_given_order():
 
 
 # -- lines through a point
+#
+# The search reads a form and a scaled point and returns line lattices.
+
+SCALED_ORIGIN = ((0, 0, 0), 1)
 
 
 def test_lines_through_cone_apex():
-    lines = find_lines_through_point(CONE, (0, 0, 0), 10)
+    lines = find_lines_through_point(CONE.form, SCALED_ORIGIN, 10)
     raw = [(0, 1, 1), (0, 1, -1), (1, 0, 1), (1, 0, -1)]
     raw += [(a, b, s * 5) for a, b in [(3, 4), (4, 3), (3, -4), (4, -3)] for s in (1, -1)]
-    expected = {AffLine((0, 0, 0), d) for d in raw}
+    expected = {AffLine((0, 0, 0), d).lattice for d in raw}
     assert len(lines) == 12
     assert set(lines) == expected
 
 
 def test_lines_through_smooth_cone_point():
-    lines = find_lines_through_point(CONE, (3, 4, 5), 10)
-    assert lines == [AffLine((0, 0, 0), (3, 4, 5))]
+    lines = find_lines_through_point(CONE.form, ((3, 4, 5), 1), 10)
+    assert lines == [AffLine((0, 0, 0), (3, 4, 5)).lattice]
 
 
 def test_lines_through_ruled_cubic_point():
-    lines = find_lines_through_point(RULED_CUBIC, (2, 1, 4), 10)
-    assert lines == [cubic_generator(2)]
+    lines = find_lines_through_point(RULED_CUBIC.form, ((2, 1, 4), 1), 10)
+    assert lines == [cubic_generator(2).lattice]
 
 
 def test_lines_through_sphere_point_none():
-    assert find_lines_through_point(SPHERE, (0, 0, 1), 10) == []
+    assert find_lines_through_point(SPHERE.form, ((0, 0, 1), 1), 10) == []
 
 
 def test_lines_through_regulus_point():
-    lines = find_lines_through_point(REGULUS, (0, 0, 0), 10)
-    assert AffLine((0, 0, 0), (1, 0, 0)) in lines
-    assert AffLine((0, 0, 0), (0, 1, 0)) in lines
+    lines = find_lines_through_point(REGULUS.form, SCALED_ORIGIN, 10)
+    assert AffLine((0, 0, 0), (1, 0, 0)).lattice in lines
+    assert AffLine((0, 0, 0), (0, 1, 0)).lattice in lines
     assert len(lines) == 2
 
 
 def test_lines_search_requires_surface_point():
     with pytest.raises(NotOnSurfaceError):
-        find_lines_through_point(CONE, (1, 0, 0), 5)
+        find_lines_through_point(CONE.form, ((1, 0, 0), 1), 5)
 
 
 def test_lines_search_respects_bound():
     # the generator with direction (5, 12, 13) needs entries beyond 10
-    lines10 = find_lines_through_point(CONE, (0, 0, 0), 10)
-    lines13 = find_lines_through_point(CONE, (0, 0, 0), 13)
-    steep = AffLine((0, 0, 0), (5, 12, 13))
+    lines10 = find_lines_through_point(CONE.form, SCALED_ORIGIN, 10)
+    lines13 = find_lines_through_point(CONE.form, SCALED_ORIGIN, 13)
+    steep = AffLine((0, 0, 0), (5, 12, 13)).lattice
     assert steep not in lines10
     assert steep in lines13
     # the same generator through a smooth point, found by the tangent walk
-    assert find_lines_through_point(CONE, (5, 12, 13), 12) == []
-    assert find_lines_through_point(CONE, (5, 12, 13), 13) == [steep]
+    assert find_lines_through_point(CONE.form, ((5, 12, 13), 1), 12) == []
+    assert find_lines_through_point(CONE.form, ((5, 12, 13), 1), 13) == [steep]
 
 
 # -- line search against the Fraction box search
@@ -780,7 +797,7 @@ def reference_lines_through(factor: Poly, pt, bound: int) -> list[AffLine]:
     int_coeffs = sorted(
         (c for c in (_ref_int_terms(cp) for cp in coeff_polys) if c), key=len
     )
-    grad = tuple(factor.diff(i).eval(pt) for i in range(3))
+    grad = tuple(evaluate(factor.diff(i), pt) for i in range(3))
     found: set[AffLine] = set()
 
     def check_dir(v: tuple[int, int, int]) -> None:
@@ -892,7 +909,7 @@ def catalog_searches(draw):
         p = draw(st.tuples(*[st.fractions(-3, 3, max_denominator=3)] * 3))
         exponents = st.tuples(*[st.integers(0, 2)] * 3)
         g = Poly(3, draw(st.dictionaries(exponents, st.integers(-3, 3), max_size=5)))
-        f = g - g.eval(p)
+        f = g - evaluate(g, p)
         if f.degree() < 1:
             f = _linear((1, -2, 2), p)
     return f, p, draw(st.integers(1, 10))
@@ -904,7 +921,8 @@ def test_line_search_matches_the_fraction_box_search(search):
     f, p, bound = search
     if f.degree() < 1:
         return
-    assert find_lines_through_point(f, p, bound) == reference_lines_through(f, p, bound)
+    expected = sorted(ln.lattice for ln in reference_lines_through(f, p, bound))
+    assert find_lines_through_point(f.form, scaled_form(p), bound) == expected
 
 
 # -- the expansion around a point against partial derivatives
@@ -923,13 +941,13 @@ def reference_taylor_part(f: Poly, pt, k: int) -> Poly:
         for i, ai in enumerate(a):
             for _ in range(ai):
                 g = g.diff(i)
-        terms[a] = g.eval(pt) / (factorial(a[0]) * factorial(a[1]) * factorial(a[2]))
+        terms[a] = evaluate(g, pt) / (factorial(a[0]) * factorial(a[1]) * factorial(a[2]))
     return Poly(3, terms)
 
 
 def reference_tangent_cone(f: Poly, p) -> Poly:
     pt = tuple(Fraction(c) for c in p)
-    if f.eval(pt) != 0:
+    if evaluate(f, pt) != 0:
         raise NotOnSurfaceError(f"point {pt} is not on the surface")
     for k in range(1, f.degree() + 1):
         cone = reference_taylor_part(f, pt, k)
@@ -963,7 +981,7 @@ def point_questions(draw):
     g = Poly(3, draw(st.dictionaries(exponents, st.integers(-3, 3), max_size=5)))
     kind = draw(st.sampled_from(["random", "plane", "saddle", "singular", "catalog", "off"]))
     if kind == "random":
-        f = g - g.eval(p)
+        f = g - evaluate(g, p)
     elif kind == "plane":
         f = _linear(draw(triples), p)
     elif kind == "saddle":
@@ -980,7 +998,7 @@ def point_questions(draw):
             (SPHERE, (0, 0, 1)), (REGULUS, (0, 0, 0)), (REGULUS, (1, 2, 2)), (Z, (1, 2, 0)),
         ]))
     else:
-        f = g - g.eval(p) + draw(st.fractions(-3, 3, max_denominator=3).filter(bool))
+        f = g - evaluate(g, p) + draw(st.fractions(-3, 3, max_denominator=3).filter(bool))
     return f, p
 
 
@@ -1012,7 +1030,8 @@ def test_exceptional_line_of_ruled_cubic():
 
 def uncapped_exceptional(f: Poly, family) -> list[AffLine]:
     """exceptional_lines without its cap of two, for doubly ruled factors."""
-    return [ln for ln in family if exceptional._is_exceptional(f, ln, family)]
+    lattices = [ln.lattice for ln in family]
+    return [ln for ln, lat in zip(family, lattices) if exceptional._is_exceptional(f.form, lat, lattices)]
 
 
 def test_exceptional_lines_cone_generators_are_not():
@@ -1033,21 +1052,22 @@ def test_exceptional_scan_relates_only_singular_lines(monkeypatch):
 
     def counted_relation(a, b):
         related.append((a, b))
-        return line_relation(a, b)
+        return lattice_relation(a, b)
 
-    def counted_search(f, p, bound=exceptional.DENOMINATOR_BOUND):
-        searched.append(tuple(p))
-        return find_lines_through_point(f, p, bound)
+    def counted_search(form, p, bound=exceptional.DENOMINATOR_BOUND):
+        searched.append(p)
+        return find_lines_through_point(form, p, bound)
 
-    monkeypatch.setattr(exceptional, "line_relation", counted_relation)
+    monkeypatch.setattr(exceptional, "lattice_relation", counted_relation)
     monkeypatch.setattr(exceptional, "find_lines_through_point", counted_search)
     fam = cubic_family()
     assert exceptional_lines(RULED_CUBIC, fam) == [Z_AXIS]
     # the singular axis is related once with each other line; no pair of
     # two smooth lines is related and no smooth line is searched on
-    assert [a for a, _ in related] == [Z_AXIS] * (len(fam) - 1)
-    assert {b for _, b in related} == set(fam) - {Z_AXIS}
-    assert searched and all(p[:2] == (0, 0) for p in searched)
+    axis = Z_AXIS.lattice
+    assert [a for a, _ in related] == [axis] * (len(fam) - 1)
+    assert {b for _, b in related} == {ln.lattice for ln in fam} - {axis}
+    assert searched and all(pv[:2] == (0, 0) for pv, _ in searched)
 
 
 # -- exceptional lines against the probe scan
@@ -1075,8 +1095,8 @@ def reference_exceptional_among(factor: Poly, contained: frozenset[AffLine]) -> 
                 pt = ln.point_at(t)
                 if pt in found:
                     continue
-                others = find_lines_through_point(factor, pt)
-                if any(o != ln for o in others):
+                others = find_lines_through_point(factor.form, scaled_form(pt))
+                if any(o != ln.lattice for o in others):
                     found.add(pt)
                 if len(found) >= need:
                     break
@@ -1094,7 +1114,7 @@ def reference_exceptional_lines(factor: Poly, lines) -> list[AffLine]:
 def _x_axis_family(g: Poly, cs) -> list[AffLine]:
     """The x-axis of z - g(x)*y and its generators x = c, z = g(c)*y."""
     return [AffLine((0, 0, 0), (1, 0, 0))] + [
-        AffLine((c, 0, 0), (0, 1, g.eval((c, 0, 0)))) for c in cs
+        AffLine((c, 0, 0), (0, 1, evaluate(g, (c, 0, 0)))) for c in cs
     ]
 
 
@@ -1105,7 +1125,7 @@ def _small_meetings(g: Poly, cs) -> int:
     d = max(g.degree() + 1, 1)
     probes = {
         t for t in exceptional._probe_parameters(d)
-        if abs(g.eval((t, 0, 0))) <= exceptional.DENOMINATOR_BOUND
+        if abs(evaluate(g, (t, 0, 0))) <= exceptional.DENOMINATOR_BOUND
     }
     return len(probes | {Fraction(c) for c in cs})
 
@@ -1219,7 +1239,7 @@ def test_tangent_pencil_matches_substitution(case):
     f, ln = case
     if f.is_zero:
         return
-    pencil = exceptional._tangent_pencil(f, ln)
+    pencil = exceptional._tangent_pencil(f.form, ln.lattice)
     expected = reference_pencil_verdict(f, ln)
     assert (pencil is None) == (expected is None) == reference_is_singular_line(f, ln)
     if pencil is not None:
@@ -1235,7 +1255,7 @@ def test_tangent_pencil_matches_substitution(case):
 
 
 def is_singular_line(f: Poly, ln: AffLine) -> bool:
-    return exceptional._tangent_pencil(f, ln) is None
+    return exceptional._tangent_pencil(f.form, ln.lattice) is None
 
 
 def reference_is_singular_line(f: Poly, ln: AffLine) -> bool:
@@ -1360,6 +1380,36 @@ def test_lambda_counts_apex_rule():
     counts = lambda_counts(CONE, (0, 0, 0), fam, apex=(0, 0, 0))
     assert counts == lambda_counts(CONE, (0, 0, 0), [], apex=(0, 0, 0))
     assert counts.lam == 0 and counts.lam_star == 0
+
+
+def test_scaled_apex_counts_as_the_fraction_origin():
+    # c06's cone suite: the apex that classify_component returns, a scaled
+    # point, and forge.ORIGIN, a Fraction point, give equal counts and reports
+    family = make_lines("cone", 8)
+    scaled_apex = classify_component(CONE).apex
+    assert scaled_apex == SCALED_ORIGIN
+    assert lambda_counts(CONE, (0, 0, 0), family).lam == len(family)
+    counts = lambda_counts(CONE, (0, 0, 0), family, apex=scaled_apex)
+    assert counts == lambda_counts(CONE, (0, 0, 0), family, apex=FORGE_ORIGIN) == (0, 0)
+    exc = exceptional_lines(CONE, family)
+    rng = random.Random(606)
+    probes = list(family) + [AffLine((30 + k, -40 - k, 7), (1, 1, 3 * k)) for k in range(1, 8)]
+    probes += [
+        AffLine(ln.point_at(Fraction(rng.randint(-8, 8), rng.randint(1, 4))), (rng.randint(-4, 4), 1, 2))
+        for ln in family
+    ]
+    reports = [check_firstflip(CONE, probe, family, exc, apex=scaled_apex) for probe in probes]
+    assert reports == [check_firstflip(CONE, probe, family, exc, apex=FORGE_ORIGIN) for probe in probes]
+    assert any(SCALED_ORIGIN in r.points for r in reports)
+    for pt in {pt for r in reports for pt in r.points}:
+        assert lambda_counts(CONE, pt, family, exc, scaled_apex) == lambda_counts(CONE, pt, family, exc, FORGE_ORIGIN)
+
+
+def test_generator_counts_refuse_a_float_point():
+    with pytest.raises(DomainError, match="not an int or a Fraction"):
+        lambda_counts(CONE, (0.5, 0, 0), [cone_generator(2, 1)])
+    with pytest.raises(DomainError, match="not an int or a Fraction"):
+        lambda_counts(CONE, (0, 0, 0), [], apex=(0.0, 0, 0))
 
 
 def firstflip(factor, ln, family, apex=None):
