@@ -5,8 +5,7 @@ The package is organized bottom-up:
 - zpoly: the integer forms of polynomials, one integer expansion along a
   line or around a point, the square-free certificate on lines, and the
   Surface factor list, held as forms
-- poly: sparse multivariate polynomials over Q (arithmetic, restriction to
-  a line, integer Taylor data at a symbolic point, Sylvester determinants,
+- poly: sparse multivariate polynomials over Q (arithmetic, derivatives,
   exact division, gcd, a square-free test), built on zpoly's kernels
 - lattice: the integer forms of points and lines, their incidence, pair
   and containment kernels, and the file's coordinate strings

@@ -41,12 +41,25 @@ if TYPE_CHECKING:
 
 
 def _scaled(point: Sequence) -> Scaled:
-    """A scaled pair as it is; a point of ints or Fractions as its pair."""
-    if isinstance(point[0], tuple):
-        return point
-    if not all(hasattr(c, "denominator") and not isinstance(c, bool) for c in point):
-        raise DomainError(f"point {tuple(point)!r} has a coordinate that is not an int or a Fraction")
-    return scaled_form(point)
+    """A scaled pair (P, q), q > 0, as it is; a point of ints or Fractions
+    as its pair.  Either must lie in R^3."""
+    if not isinstance(point[0], tuple):
+        if not all(hasattr(c, "denominator") and not isinstance(c, bool) for c in point):
+            raise DomainError(f"point {tuple(point)!r} has a coordinate that is not an int or a Fraction")
+        point = scaled_form(point)
+    if len(point[0]) != 3:
+        raise ArityError(f"point of dimension {len(point[0])}, not 3")
+    if point[1] <= 0:
+        raise DomainError(f"scaled point {point!r} needs a positive scale")
+    return point
+
+
+def _line(line: AffLine | Lattice) -> Lattice:
+    """A line's lattice, which must lie in R^3."""
+    lat = _lattice(line)
+    if len(lat[1]) != 3:
+        raise ArityError(f"line of dimension {len(lat[1])}, not 3")
+    return lat
 
 
 # -- lines through a point ---------------------------------------------------
@@ -92,11 +105,9 @@ def find_lines_through_point(
     gradient is largest).  Each primitive direction found is tested once.
     At singular points every primitive direction in the box is tested.
     """
-    d = form_degree(form)
+    d = form_degree(_form(form))
     if d < 1:
         raise DomainError("line search needs a non-constant factor")
-    if len(next(iter(form[0]))) != 3:
-        raise ArityError("line search works on trivariate factors")
     if denominator_bound < 1:
         raise DomainError("denominator bound must be >= 1")
     # f(p + t v) = sum_k t^k c_k(v), c_k the degree-k Taylor part; c_0 = 0
@@ -173,21 +184,21 @@ def exceptional_lines(factor: Poly | Form, lines: Sequence[AffLine | Lattice]) -
     The factor is read as its form and the lines as lattices; the result
     holds the caller's own line objects, in the family's order.  Every line
     of the family must lie on the factor; one that does not raises
-    NotOnSurfaceError.  On a non-singular line the answer is exact over C:
-    the line is exceptional iff the tangent pencil along it
-    (_tangent_pencil) has a common factor in the pencil direction, so
-    infinitely many of its points carry a second line of the factor,
-    whatever their entries.  A singular line, where the gradient vanishes
-    and _tangent_pencil gives None, keeps a bounded scan: it is reported
-    when at least 2*deg + 1 distinct points on it are each incident to
-    another line inside the factor, where the witnesses come from its
-    crossings with the supplied family and from line search (entries up to
-    DENOMINATOR_BOUND) at probe points.  On a singly ruled factor more than
-    two such lines contradict the structure theory, so the count is
-    asserted.
+    NotOnSurfaceError, and one outside R^3 ArityError.  On a non-singular
+    line the answer is exact over C: the line is exceptional iff the
+    tangent pencil along it (_tangent_pencil) has a common factor in the
+    pencil direction, so infinitely many of its points carry a second line
+    of the factor, whatever their entries.  A singular line, where the
+    gradient vanishes and _tangent_pencil gives None, keeps a bounded
+    scan: it is reported when at least 2*deg + 1 distinct points on it are
+    each incident to another line inside the factor, where the witnesses
+    come from its crossings with the supplied family and from line search
+    (entries up to DENOMINATOR_BOUND) at probe points.  On a singly ruled
+    factor more than two such lines contradict the structure theory, so
+    the count is asserted.
     """
     form = _form(factor)
-    lattices = [_lattice(ln) for ln in lines]
+    lattices = [_line(ln) for ln in lines]
     d = form_degree(form)
     result = [ln for ln, lat in zip(lines, lattices) if _is_exceptional(form, lat, lattices)]
     if d >= 2 and len(result) > 2:
@@ -252,8 +263,6 @@ def _tangent_pencil(form: Form, ln: Lattice) -> list[Bivariate] | None:
     vanish since the line is contained.  c_k has a-degree at most k - 1.
     """
     _, dv, bv, s = ln
-    if form[0] and len(next(iter(form[0]))) != len(dv):
-        raise ArityError("polynomial arity and line dimension differ")
     d = form_degree(form)
     expansion, _ = _line_expansion(form, bv, dv, s, d)
     if any(expansion.get((0, 0, 0), ())):
@@ -335,14 +344,15 @@ def lambda_counts(
 
     The factor is read as its form, lines as lattices, and p and the apex
     as scaled points: each may be a scaled pair or a vector of ints or
-    Fractions.  At the apex of a cone the count is defined as zero: every
-    generator passes through it, so it carries no information.
+    Fractions.  A point or line outside R^3 raises ArityError, a scale
+    q <= 0 DomainError.  At the apex of a cone the count is defined as
+    zero: every generator passes through it, so it carries no information.
     """
     form, pt = _form(factor), _scaled(p)
     if apex is not None and pt == _scaled(apex):
         return GeneratorCount(0, 0)
-    exc = {_lattice(ln) for ln in exceptional}
-    family = [lat for lat in map(_lattice, lines) if lat not in exc]
+    exc = {_line(ln) for ln in exceptional}
+    family = [lat for lat in map(_line, lines) if lat not in exc]
     lam = sum(lattice_on_surface(form, family[j]) for j in lattice_incidences([pt], family)[0])
     return GeneratorCount(lam, max(0, lam - 1))
 
@@ -373,10 +383,10 @@ def check_firstflip(
     computed once by the caller for all its probes.  Arguments are read as
     lambda_counts reads them.
     """
-    form, probe = _form(factor), _lattice(ln)
+    form, probe = _form(factor), _line(ln)
     d = form_degree(form)
-    family = [lat for lat in map(_lattice, lines) if lattice_on_surface(form, lat)]
-    exc = [_lattice(e) for e in exceptional]
+    family = [lat for lat in map(_line, lines) if lattice_on_surface(form, lat)]
+    exc = [_line(e) for e in exceptional]
     if probe in exc:
         raise ExceptionalLineError("generator-count sums are undefined on exceptional lines")
     contained = lattice_on_surface(form, probe)

@@ -14,12 +14,12 @@ Every local question reads one integer expansion of a factor's form
 The questions asked only of ruled factors (lines through a point,
 exceptional lines and generator counts) live in exceptional, which reads
 the expansion helpers here.  classify_component and ruled_indicator read
-a factor's form and hint lattices, and every step runs on integers:
-quadrics and cone apexes on zpoly's echelon (an apex is a scaled point
-(P, q)), the line certificate on integer lists, the full witness and its
-divisibility on packed term maps (zpoly), and the line search on the
-integer grid.  So neither loads poly or fractions; a Poly is built only
-as flecnode_polynomial's result.
+a factor's form and hint lattices, and every step runs on integers: a
+quadric's inertia from its characteristic polynomial, every cone apex on
+zpoly's echelon (an apex is a scaled point (P, q)), the line certificate
+on integer lists, the full witness and its divisibility on packed term
+maps (zpoly), and the line search on the integer grid.  So neither loads
+poly or fractions; a Poly is built only as flecnode_polynomial's result.
 
 Everything is exact.  Ruledness certificates obtained through the flecnode
 route are certificates over the complex numbers; real verdicts are only
@@ -53,7 +53,12 @@ Surface = zpoly.Surface
 
 
 def _form(factor: Poly | Form) -> Form:
-    return factor if isinstance(factor, tuple) else factor.form
+    """A factor's form, a Poly's or itself; the one check that it is
+    trivariate (the zero form has no arity and passes)."""
+    form = factor if isinstance(factor, tuple) else factor.form
+    if form[0] and len(next(iter(form[0]))) != 3:
+        raise ArityError("surface factors must be trivariate")
+    return form
 
 
 def _lattice(line: AffLine | Lattice) -> Lattice:
@@ -263,9 +268,7 @@ def flecnode_polynomial(f: Poly) -> Poly:
     """
     from .poly import Poly
 
-    if f.nvars != 3:
-        raise ArityError("flecnode witness is defined for trivariate surfaces")
-    return Poly.from_form(3, _witness_form(f.form))
+    return Poly.from_form(3, _witness_form(_form(f)))
 
 
 def _certified_not_ruled(form: Form) -> bool:
@@ -287,8 +290,6 @@ def _certified_not_ruled(form: Form) -> bool:
     11*deg - 18 cap is enforced on the restricted witness
     res_c|l / f_c|l^6.
     """
-    if len(next(iter(form[0]))) != 3:  # flecnode_polynomial rejects it
-        return False
     d = form_degree(form)
     charts = [c for c in range(3) if any(e[c] for e in form[0])]
     for base, direction in _fixed_lines(3):
@@ -358,8 +359,6 @@ def ruled_indicator(factor: Poly | Form) -> RuledIndication:
         raise DomainError("constant polynomials are not surfaces")
     if d <= 2:
         return RuledIndication(indicated=True, complex_only=True, witness_degree=None)
-    if len(next(iter(form[0]))) != 3:
-        raise ArityError("flecnode witness is defined for trivariate surfaces")
     if _cone_apex(form) is not None:
         form = {e: c for e, c in form[0].items() if sum(e) == d}, form[1]
     witness = _witness_form(form)
@@ -407,46 +406,28 @@ def _quadric_matrix(form: Form) -> list[list[int]]:
 def symmetric_inertia(matrix: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     """Exact (positive, negative, zero) inertia of an integer symmetric matrix.
 
-    Congruence diagonalization by fraction-free Schur complements: below a
-    pivot p each row becomes |p|*row - sign(p)*c*pivot_row, c its entry in
-    the pivot column, which leaves |p| times the Schur complement, of the
-    same inertia, in the trailing block; so row operations alone walk
-    through a congruence-diagonal sequence and the pivot signs give the
-    inertia.
+    The Faddeev-LeVerrier recurrence M_k = A*M_(k-1) + c_(n-k+1)*I,
+    c_(n-k) = -tr(A*M_k)/k gives the characteristic polynomial p of A, whose
+    coefficients are integers and whose divisions are exact.  Its roots are
+    all real, so Descartes' rule of signs counts them exactly: the zero
+    eigenvalues are the power of x dividing p, the positive ones the sign
+    changes of its coefficients, and the negative ones the rest.
     """
     n = len(matrix)
-    m = [list(row) for row in matrix]
-    pos = neg = zero = 0
-    for i in range(n):
-        if m[i][i] == 0:
-            j = next((j for j in range(i + 1, n) if m[j][j] != 0), None)
-            if j is not None:
-                for row in m:
-                    row[i], row[j] = row[j], row[i]
-                m[i], m[j] = m[j], m[i]
-            else:
-                j = next((j for j in range(i + 1, n) if m[i][j] != 0), None)
-                if j is None:
-                    zero += 1
-                    continue
-                # congruence by adding the j-th basis vector to the i-th:
-                # the new diagonal entry is 2*m[i][j] since m[j][j] = 0
-                for row in m:
-                    row[i] += row[j]
-                m[i] = [a + b for a, b in zip(m[i], m[j])]
-        pivot = m[i][i]
-        if pivot > 0:
-            pos += 1
-        else:
-            neg += 1
-        for j in range(i + 1, n):
-            c = m[j][i] if pivot > 0 else -m[j][i]
-            m[j] = [abs(pivot) * a - c * b for a, b in zip(m[j], m[i])]
-    return pos, neg, zero
+    coeffs = [1]  # of p, highest power first
+    am = [[0] * n for _ in range(n)]  # A*M_k, from M_0 = 0
+    for k in range(1, n + 1):
+        m = [[x + coeffs[-1] * (i == j) for j, x in enumerate(row)] for i, row in enumerate(am)]
+        am = [[sum(a * b for a, b in zip(row, col)) for col in zip(*m)] for row in matrix]
+        coeffs.append(-sum(am[i][i] for i in range(n)) // k)
+    zero = next(i for i, c in enumerate(reversed(coeffs)) if c)
+    signs = [c > 0 for c in coeffs if c]
+    pos = sum(a != b for a, b in zip(signs, signs[1:]))
+    return pos, n - pos - zero, zero
 
 
 def _cone_apex(form: Form) -> Scaled | None:
-    """The apex of a cone of degree d >= 3, as a scaled point, or None when
+    """The apex of a cone of degree d >= 2, as a scaled point, or None when
     the factor f of the form is no cone.
 
     If f(p + x) is homogeneous of degree d, every (d-1)-th partial of f is
@@ -484,7 +465,8 @@ def classify_component(factor: Poly | Form, hint_lines: Sequence[AffLine | Latti
     """Classify one squarefree factor of the surface.
 
     Quadrics are settled exactly through the inertia of the homogenized
-    4x4 matrix.  From degree 3 on, the flecnode divisibility test decides
+    4x4 matrix, and a quadric cone's apex by the solve of any degree
+    (_cone_apex).  From degree 3 on, the flecnode divisibility test decides
     complex ruledness in two steps: the witness restricted to a few fixed
     lines (_certified_not_ruled) settles "not ruled" without building it,
     and a factor that no line settles, every ruled one among them, takes
@@ -505,16 +487,13 @@ def classify_component(factor: Poly | Form, hint_lines: Sequence[AffLine | Latti
     if d == 1:
         return ClassificationResult(Verdict.PLANE)
     if d == 2:
-        m = _quadric_matrix(form)
-        pos, neg, _ = symmetric_inertia(m)
+        pos, neg, _ = symmetric_inertia(_quadric_matrix(form))
         if neg > pos:
             pos, neg = neg, pos
-        rank = pos + neg
-        if rank == 4 and (pos, neg) == (2, 2):
+        if (pos, neg) == (2, 2):
             return ClassificationResult(Verdict.REGULUS, complex_ruled_indicated=True)
-        if rank == 3 and (pos, neg) == (2, 1):
-            # the kernel is one line; it holds (1, apex) iff m*(1, x) = 0 solves
-            apex = echelon_point([row[1:] + [-row[0]] for row in m])
+        if (pos, neg) == (2, 1):
+            apex = _cone_apex(form)
             if apex is not None:
                 return ClassificationResult(
                     Verdict.CONE, apex=apex, complex_ruled_indicated=True
@@ -524,7 +503,7 @@ def classify_component(factor: Poly | Form, hint_lines: Sequence[AffLine | Latti
                 complex_ruled_indicated=True,
                 notes="rank-3 quadric with vertex at infinity (cylinder)",
             )
-        if rank <= 2:
+        if pos + neg <= 2:
             return ClassificationResult(
                 Verdict.UNKNOWN,
                 complex_ruled_indicated=True,

@@ -1,10 +1,10 @@
 """The integer echelon and the integer inertia against their Fraction oracles.
 
 zpoly.echelon serves every exact linear solve of the package (a rank, a
-cone apex, a quadric's kernel) and surfaces.symmetric_inertia reads a
-quadric's inertia on integers; both are checked here against the plain
-Gauss-Jordan elimination and Schur complement walk over the rationals in
-linref.
+cone apex of any degree) and surfaces.symmetric_inertia reads a quadric's
+inertia off its integer characteristic polynomial; both are checked here
+against the plain Gauss-Jordan elimination and Schur complement walk over
+the rationals in linref.
 """
 
 from fractions import Fraction

@@ -14,6 +14,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import projref
 from projref import (
     certify,
     fraction_form,
@@ -533,6 +534,30 @@ def test_failed_chain_replays_step_by_step(monkeypatch, seed):
     assert cert.ok and cert.resamples_used > 0
     assert len(samples) == 3 + 3 + cert.resamples_used
     assert built == [pts, samples[2][0]] + [projected for projected, _ in samples[3:]]
+    assert (pts3, lns3, cert.resamples_used) == step_by_step(pts, lns, seed=seed)
+
+
+@pytest.mark.parametrize("failing", ("zero", "parallel"))
+@pytest.mark.parametrize("seed", (0, 3))
+def test_a_failed_composed_draw_replays_step_by_step(monkeypatch, failing, seed):
+    # the composed pass meets a zero direction (second draw) or one along a
+    # line (first draw), so it stops without a certificate and the replay
+    # resamples that draw; projref draws under the same name, so the
+    # step-by-step loop sees the same draws
+    inst = build_instance("product", 10, 16, seed=seed)
+    pts, lns = lattice_form(*lift_to_dim(inst.points, inst.lines, 6, seed=seed))
+    at, bad = {"zero": (2, (0,) * 5), "parallel": (1, lns[0][1])}[failing]
+    draw, draws = projection._sample_direction, {}
+
+    def sample(rng, dim):
+        w = draw(rng, dim)
+        draws[rng] = draws.get(rng, 0) + 1
+        return bad if draws[rng] == at else w
+
+    monkeypatch.setattr(projection, "_sample_direction", sample)
+    monkeypatch.setattr(projref, "_sample_direction", sample)
+    pts3, lns3, cert = project_to_3space(pts, lns, seed=seed)
+    assert cert.ok and cert.resamples_used == 1
     assert (pts3, lns3, cert.resamples_used) == step_by_step(pts, lns, seed=seed)
 
 

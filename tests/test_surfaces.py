@@ -166,6 +166,21 @@ def test_flecnode_needs_degree_three():
         flecnode_polynomial(CONE)
 
 
+U, V = variables(2)
+A, B, C, D = variables(4)
+
+
+@pytest.mark.parametrize("analysis", [classify_component, ruled_indicator, flecnode_polynomial])
+@pytest.mark.parametrize("factor", [U**2 + V**2 - 1, U**3 - V**2 + U, A**2 + B * C - D, A**3 + B * C * D - 1])
+def test_factors_must_be_trivariate(analysis, factor):
+    # surfaces._form is the one arity check; a bivariate quadric read as a
+    # cylinder and a 4-variable cubic failed with IndexError before it
+    with pytest.raises(ArityError, match="trivariate"):
+        analysis(factor)
+    with pytest.raises(ArityError, match="trivariate"):
+        analysis(factor.form)
+
+
 def test_flecnode_of_ruled_cubic():
     fl = flecnode_polynomial(RULED_CUBIC)
     assert fl.degree() == 12
@@ -534,12 +549,15 @@ def test_classify_regulus():
     assert r.verdict is Verdict.REGULUS
     hyperboloid = X**2 + Y**2 - Z**2 - 1
     assert classify_component(hyperboloid).verdict is Verdict.REGULUS
+    # a quadric's verdict does not see its sign: the inertia is swapped
+    assert classify_component(-REGULUS) == r
 
 
 def test_classify_cone_finds_apex():
     r = classify_component(CONE)
     assert r.verdict is Verdict.CONE
     assert r.apex == ((0, 0, 0), 1)
+    assert classify_component(-CONE) == r
     shifted = (X - 1) ** 2 + (Y - 2) ** 2 - (Z - 3) ** 2
     r2 = classify_component(shifted)
     assert r2.verdict is Verdict.CONE
@@ -555,6 +573,7 @@ def test_classify_sphere_not_ruled_but_complex_flagged():
 def test_classify_cylinder_is_singly_ruled():
     r = classify_component(X**2 + Y**2 - 1)
     assert r.verdict is Verdict.SINGLY_RULED
+    assert classify_component(-(X**2 + Y**2 - 1)) == r
 
 
 def test_classify_rank_deficient_quadric_unresolved():
@@ -573,10 +592,22 @@ def test_classify_ruled_cubic_with_hints():
     assert r.verdict is Verdict.SINGLY_RULED
 
 
-def test_classify_smooth_cubic():
+def test_classify_ruled_cubic_without_a_line_on_the_grid():
+    # the Whitney cubic moved to (1/2, 1/3, 1/5) meets no point of the
+    # search grid, so its ruling is indicated but no real line is found
+    shifted = (X - Fraction(1, 2)) ** 2 - (Y - Fraction(1, 3)) ** 2 * (Z - Fraction(1, 5))
+    r = classify_component(shifted)
+    assert r.verdict is Verdict.UNKNOWN and r.complex_ruled_indicated is True
+    assert r.notes == "complex ruling indicated but no rational line found"
+
+
+def test_classify_smooth_cubic(monkeypatch):
     r = classify_component(SMOOTH_CUBIC)
     assert r.verdict is Verdict.NOT_RULED_REAL
     assert r.complex_ruled_indicated is False
+    # with no line certificate the full witness gives the same verdict
+    monkeypatch.setattr(surfaces, "_certified_not_ruled", lambda form: False)
+    assert classify_component(SMOOTH_CUBIC) == r
 
 
 def test_classify_cubic_cone():
@@ -737,6 +768,15 @@ def test_lines_through_regulus_point():
 def test_lines_search_requires_surface_point():
     with pytest.raises(NotOnSurfaceError):
         find_lines_through_point(CONE.form, ((1, 0, 0), 1), 5)
+
+
+def test_lines_search_refuses_what_it_cannot_search():
+    with pytest.raises(DomainError, match="non-constant"):
+        find_lines_through_point(Poly(3, {(0, 0, 0): 1}).form, SCALED_ORIGIN, 5)
+    with pytest.raises(ArityError, match="trivariate"):
+        find_lines_through_point((A**2 + B * C - D**2).form, ((0, 0, 0, 0), 1), 5)
+    with pytest.raises(DomainError, match="bound must be >= 1"):
+        find_lines_through_point(CONE.form, SCALED_ORIGIN, 0)
 
 
 def test_lines_search_respects_bound():
@@ -1410,6 +1450,31 @@ def test_generator_counts_refuse_a_float_point():
         lambda_counts(CONE, (0.5, 0, 0), [cone_generator(2, 1)])
     with pytest.raises(DomainError, match="not an int or a Fraction"):
         lambda_counts(CONE, (0, 0, 0), [], apex=(0.0, 0, 0))
+
+
+def test_generator_counts_refuse_what_is_not_in_r3():
+    # a 4-D point was cut to 3 coordinates, and a scale q <= 0 was taken
+    family = make_lines("cone", 8)
+    wide = AffLine((0, 0, 0, 0), (1, 0, 0, 1))
+    for point in [(1, 0, 1, 5), ((1, 0, 1, 5), 1)]:
+        with pytest.raises(ArityError, match="dimension 4"):
+            lambda_counts(CONE, point, family)
+    with pytest.raises(ArityError, match="dimension 4"):
+        lambda_counts(CONE, (0, 0, 0), family, apex=(0, 0, 0, 0))
+    for point in [((3, 4, 5), 0), ((3, 4, 5), -1)]:
+        with pytest.raises(DomainError, match="positive scale"):
+            lambda_counts(CONE, point, family)
+    with pytest.raises(DomainError, match="positive scale"):
+        lambda_counts(CONE, (0, 0, 0), family, apex=((0, 0, 0), 0))
+    with pytest.raises(ArityError, match="dimension 4"):
+        lambda_counts(CONE, (3, 4, 5), family + [wide])
+    with pytest.raises(ArityError, match="dimension 4"):
+        lambda_counts(CONE, (3, 4, 5), family, exceptional=[wide.lattice])
+    for probe, lines, exc in [(wide, family, []), (family[0], family + [wide], []), (family[0], family, [wide])]:
+        with pytest.raises(ArityError, match="dimension 4"):
+            check_firstflip(CONE, probe, lines, exc)
+    with pytest.raises(DomainError, match="positive scale"):
+        check_firstflip(CONE, family[0], family, [], apex=((0, 0, 0), 0))
 
 
 def firstflip(factor, ln, family, apex=None):
