@@ -3,10 +3,12 @@
 The package is organized bottom-up:
 
 - zpoly: the integer forms of polynomials, one integer expansion along a
-  line or around a point, the square-free certificate on lines, and the
-  Surface factor list, held as forms
-- poly: sparse multivariate polynomials over Q (arithmetic, derivatives,
-  exact division, gcd, a square-free test), built on zpoly's kernels
+  line or around a point, the square-free test, and the Surface factor
+  list, held as forms
+- zgcd: the gcd over Q of integer term maps, for what no certificate
+  settles
+- poly: sparse multivariate polynomials over Q (arithmetic, rendering,
+  divisibility), a view built on zpoly's kernels
 - lattice: the integer forms of points and lines, their incidence, pair
   and containment kernels, and the file's coordinate strings
 - linespace: affine lines in R^d with their exact incidence, relation and

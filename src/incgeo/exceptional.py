@@ -13,10 +13,12 @@ runs on integer forms: a factor is its zpoly form, a line its lattice and a
 point its scaled pair (lattice).  The public functions read a Poly or a
 form, AffLines or lattices, and points of ints or Fractions or scaled
 pairs, and exceptional_lines returns the caller's own line objects, so no
-Fraction view is built; poly is imported only for the bivariate gcd that
-decides a tangent pencil no certificate settles.  The module is apart from
-surfaces so that classifying a factor, which searches for a line only on a
-ruled factor without hint lines, does not load it."""
+Fraction view is built; the tangent pencil that no certificate settles
+takes its gcd on integer term maps (zgcd.term_gcd), so poly is never
+loaded.  A scaled pair is reduced, and a point or line outside R^3 raises
+ArityError.  The module is apart from surfaces so that classifying a
+factor, which searches for a line only on a ruled factor without hint
+lines, does not load it."""
 
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from .errors import (
     NotOnSurfaceError,
 )
 from .lattice import Lattice, RelationKind, Scaled, lattice_incidences, lattice_on_surface, lattice_point
-from .lattice import lattice_relation, line_lattice, point_strings, scaled_form
+from .lattice import lattice_relation, line_lattice, point_strings, reduced_form, scaled_form
 from .surfaces import _UNITS, Bivariate, _at_point, _form, _forms_along, _lattice, _term_maps, _zpowers
 from .zpoly import Form, _line_expansion, form_degree, univariate_gcd
 
@@ -41,8 +43,8 @@ if TYPE_CHECKING:
 
 
 def _scaled(point: Sequence) -> Scaled:
-    """A scaled pair (P, q), q > 0, as it is; a point of ints or Fractions
-    as its pair.  Either must lie in R^3."""
+    """The scaled pair of a point in R^3: of a pair (P, q), q > 0, reduced
+    (lattice.reduced_form); of a vector of ints or Fractions, its own."""
     if not isinstance(point[0], tuple):
         if not all(hasattr(c, "denominator") and not isinstance(c, bool) for c in point):
             raise DomainError(f"point {tuple(point)!r} has a coordinate that is not an int or a Fraction")
@@ -51,15 +53,7 @@ def _scaled(point: Sequence) -> Scaled:
         raise ArityError(f"point of dimension {len(point[0])}, not 3")
     if point[1] <= 0:
         raise DomainError(f"scaled point {point!r} needs a positive scale")
-    return point
-
-
-def _line(line: AffLine | Lattice) -> Lattice:
-    """A line's lattice, which must lie in R^3."""
-    lat = _lattice(line)
-    if len(lat[1]) != 3:
-        raise ArityError(f"line of dimension {len(lat[1])}, not 3")
-    return lat
+    return reduced_form(*point)
 
 
 # -- lines through a point ---------------------------------------------------
@@ -198,7 +192,7 @@ def exceptional_lines(factor: Poly | Form, lines: Sequence[AffLine | Lattice]) -
     the count is asserted.
     """
     form = _form(factor)
-    lattices = [_line(ln) for ln in lines]
+    lattices = [_lattice(ln) for ln in lines]
     d = form_degree(form)
     result = [ln for ln, lat in zip(lines, lattices) if _is_exceptional(form, lat, lattices)]
     if d >= 2 and len(result) > 2:
@@ -291,7 +285,8 @@ def _pencil_has_common_factor(pencil: list[Bivariate]) -> bool:
     c_k(t0, .) keeps its a-degree and the c_j(t0, .) have a constant gcd,
     no common factor exists, since its leading coefficient in a divides
     that of c_k and so the factor would survive at t0.  Lines without such
-    a point take the exact bivariate gcd.
+    a point take the exact gcd of the c_k, on their integer term maps keyed
+    (t, a) (zgcd.term_gcd).
     """
     cs = [c for c in pencil if c]
     if not cs:
@@ -316,12 +311,12 @@ def _pencil_has_common_factor(pencil: list[Bivariate]) -> bool:
             g = univariate_gcd(g, row)
             if len(g) == 1:
                 return False
-    from .poly import Poly, poly_gcd
+    from .zgcd import term_gcd
 
-    g = Poly.zero(2)
+    g: Bivariate = {}
     for c in cs:
-        g = poly_gcd(g, Poly(2, c))
-        if g.degree_in(1) == 0:
+        g = term_gcd(g, c)
+        if not any(j for _, j in g):
             return False
     return True
 
@@ -351,8 +346,8 @@ def lambda_counts(
     form, pt = _form(factor), _scaled(p)
     if apex is not None and pt == _scaled(apex):
         return GeneratorCount(0, 0)
-    exc = {_line(ln) for ln in exceptional}
-    family = [lat for lat in map(_line, lines) if lat not in exc]
+    exc = {_lattice(ln) for ln in exceptional}
+    family = [lat for lat in map(_lattice, lines) if lat not in exc]
     lam = sum(lattice_on_surface(form, family[j]) for j in lattice_incidences([pt], family)[0])
     return GeneratorCount(lam, max(0, lam - 1))
 
@@ -383,10 +378,10 @@ def check_firstflip(
     computed once by the caller for all its probes.  Arguments are read as
     lambda_counts reads them.
     """
-    form, probe = _form(factor), _line(ln)
+    form, probe = _form(factor), _lattice(ln)
     d = form_degree(form)
-    family = [lat for lat in map(_line, lines) if lattice_on_surface(form, lat)]
-    exc = [_line(e) for e in exceptional]
+    family = [lat for lat in map(_lattice, lines) if lattice_on_surface(form, lat)]
+    exc = [_lattice(e) for e in exceptional]
     if probe in exc:
         raise ExceptionalLineError("generator-count sums are undefined on exceptional lines")
     contained = lattice_on_surface(form, probe)

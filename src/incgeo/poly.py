@@ -9,13 +9,12 @@ Poly object.  Monomials are ordered graded lexicographically (total
 degree first, then lex with variable 0 highest); the zero polynomial has
 degree -1.
 
-Beyond ring arithmetic the module provides partial derivatives,
-single-divisor exact division, multivariate gcd, and a square-free test
-that falls back on the gcd when zpoly's certificate on lines says
-nothing.  It is a library view: the flecnode witness, its divisibility
-test and Surface, the container of a surface's factor list, run on zpoly
-forms, so the analysis builds a Poly only for flecnode_polynomial's
-result, for Surface.factors and in the two gcd fallbacks.
+It is the ring view: arithmetic, render, the cached form and divides
+(zpoly.form_quotient).  The flecnode witness, its divisibility test,
+Surface and its square-free check (zpoly.square_free) run on zpoly forms,
+and the gcd that decides what no certificate settles on integer term
+maps (zgcd), so the analysis builds a Poly only for flecnode_polynomial's
+result, for Surface.factors and to render a refused factor.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from math import lcm
 from typing import Mapping
 
 from .errors import ArityError, DomainError
-from .zpoly import Exponent, Form, form_quotient, grlex_key, primitive_terms, square_free_on_lines
+from .zpoly import Exponent, Form, form_quotient, grlex_key
 
 RatLike = int | Fraction
 
@@ -111,25 +110,6 @@ class Poly:
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def degree_in(self, var: int) -> int:
-        """Degree in one variable; -1 for the zero polynomial."""
-        self._check_var(var)
-        if not self.terms:
-            return -1
-        return max(e[var] for e in self.terms)
-
-    def vars_used(self) -> tuple[int, ...]:
-        used = [False] * self.nvars
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
-                    used[i] = True
-        return tuple(i for i, u in enumerate(used) if u)
-
-    def _check_var(self, var: int) -> None:
-        if not 0 <= var < self.nvars:
-            raise DomainError(f"variable index {var} out of range for {self.nvars} vars")
 
     def _check_same(self, other: Poly) -> None:
         if self.nvars != other.nvars:
@@ -231,152 +211,15 @@ class Poly:
         text = " + ".join(parts)
         return text.replace("+ -", "- ")
 
-    # -- derivatives -----------------------------------------------------
-
-    def diff(self, var: int) -> Poly:
-        self._check_var(var)
-        out: dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
-            k = e[var]
-            if k:
-                e2 = e[:var] + (k - 1,) + e[var + 1 :]
-                out[e2] = out.get(e2, Fraction(0)) + c * k
-        return Poly(self.nvars, out)
-
-    def coeffs_in(self, var: int) -> list[Poly]:
-        """Coefficients [c_0, ..., c_d] of var^k, as polynomials without var."""
-        self._check_var(var)
-        d = self.degree_in(var)
-        if d < 0:
-            return []
-        buckets: list[dict[Exponent, Fraction]] = [dict() for _ in range(d + 1)]
-        for e, c in self.terms.items():
-            k = e[var]
-            e2 = e[:var] + (0,) + e[var + 1 :]
-            buckets[k][e2] = c
-        return [Poly(self.nvars, b) for b in buckets]
-
 
 def variables(nvars: int) -> tuple[Poly, ...]:
     """Convenience tuple of the coordinate polynomials."""
     return tuple(Poly.variable(nvars, i) for i in range(nvars))
 
 
-# -- division and gcd ---------------------------------------------------
-
-
-def _exact_quotient(g: Poly, f: Poly) -> Poly | None:
-    """Quotient g/f, or None when f does not divide g (zpoly.form_quotient)."""
-    g._check_same(f)
-    q = form_quotient(g.form, f.form)
-    return None if q is None else Poly.from_form(g.nvars, q)
-
-
 def divides(f: Poly, g: Poly) -> bool:
     """True iff f divides g exactly (f nonzero; g zero is divisible)."""
     if f.is_zero:
         raise DomainError("divisibility by the zero polynomial is undefined")
-    return _exact_quotient(g, f) is not None
-
-
-def exact_div(g: Poly, f: Poly) -> Poly:
-    """Quotient g/f when the division is exact; DomainError otherwise."""
-    q = _exact_quotient(g, f)
-    if q is None:
-        raise DomainError("division is not exact")
-    return q
-
-
-def remove_content(p: Poly) -> Poly:
-    """Scale to integer primitive form with positive graded-lex leading sign."""
-    return p if p.is_zero else Poly.from_form(p.nvars, (primitive_terms(p.form[0]), 1))
-
-
-def _content_and_primitive(p: Poly, var: int) -> tuple[Poly, Poly]:
-    """Content of p in var, and p over it scaled to integer primitive form,
-    which keeps the coefficients of a remainder sequence from growing."""
-    coeffs = [c for c in p.coeffs_in(var) if not c.is_zero]
-    cont = Poly.zero(p.nvars)
-    for c in coeffs:
-        cont = poly_gcd(cont, c)
-        if cont.degree() == 0:
-            cont = remove_content(cont)
-            break
-    return cont, remove_content(exact_div(p, cont))
-
-
-def _pseudo_reduce(a: Poly, b: Poly, var: int) -> Poly:
-    """Reduce a by b in var, multiplying by powers of b's leading coefficient.
-
-    Output agrees with the classical pseudo-remainder up to a unit times a
-    power of that leading coefficient, which is all a primitive PRS needs.
-    """
-    db = b.degree_in(var)
-    b_coeffs = b.coeffs_in(var)
-    lb = b_coeffs[db]
-    r = a
-    while not r.is_zero:
-        dr = r.degree_in(var)
-        if dr < db:
-            break
-        lr = r.coeffs_in(var)[dr]
-        xshift = Poly(r.nvars, {tuple(dr - db if i == var else 0 for i in range(r.nvars)): Fraction(1)})
-        r = r * lb - b * lr * xshift
-    return r
-
-
-def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Greatest common divisor over Q, integer primitive, positive leading sign.
-
-    Multivariate gcd by the classical primitive remainder sequence: recurse
-    on contents with respect to the highest variable present, run the PRS on
-    the primitive parts.
-    """
-    if f.is_zero and g.is_zero:
-        return Poly.zero(f.nvars)
-    if f.is_zero:
-        return remove_content(g)
-    if g.is_zero:
-        return remove_content(f)
-    f._check_same(g)
-    if f.degree() == 0 or g.degree() == 0:
-        return Poly.const(f.nvars, 1)
-    fv, gv = f.vars_used(), g.vars_used()
-    var = max(max(fv, default=-1), max(gv, default=-1))
-    f_has, g_has = var in fv, var in gv
-    if f_has and not g_has:
-        cont_f, _ = _content_and_primitive(f, var)
-        return poly_gcd(cont_f, g)
-    if g_has and not f_has:
-        cont_g, _ = _content_and_primitive(g, var)
-        return poly_gcd(f, cont_g)
-    cont_f, prim_f = _content_and_primitive(f, var)
-    cont_g, prim_g = _content_and_primitive(g, var)
-    cont = poly_gcd(cont_f, cont_g)
-    a, b = prim_f, prim_g
-    if a.degree_in(var) < b.degree_in(var):
-        a, b = b, a
-    while not b.is_zero:
-        r = _pseudo_reduce(a, b, var)
-        if r.is_zero:
-            a, b = b, r
-            break
-        _, r = _content_and_primitive(r, var)
-        a, b = b, r
-    return remove_content(cont * a)
-
-
-def is_square_free(p: Poly) -> bool:
-    """True iff p has no repeated factor: certified on the fixed lines of
-    zpoly (square_free_on_lines), else decided by the gcd of p and its
-    partials."""
-    if p.is_zero:
-        return False
-    if p.degree() == 0 or square_free_on_lines(p.form):
-        return True
-    g = p
-    for var in p.vars_used():
-        g = poly_gcd(g, p.diff(var))
-        if g.degree() == 0:
-            return True
-    return g.degree() == 0
+    g._check_same(f)
+    return form_quotient(g.form, f.form) is not None

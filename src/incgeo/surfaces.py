@@ -62,7 +62,12 @@ def _form(factor: Poly | Form) -> Form:
 
 
 def _lattice(line: AffLine | Lattice) -> Lattice:
-    return line if isinstance(line, tuple) else line.lattice
+    """A line's lattice, an AffLine's or itself; the one check that it
+    lies in R^3."""
+    lat = line if isinstance(line, tuple) else line.lattice
+    if len(lat[1]) != 3:
+        raise ArityError(f"line of dimension {len(lat[1])}, not 3")
+    return lat
 
 
 # -- the expansion around a point ---------------------------------------------
@@ -477,7 +482,8 @@ def classify_component(factor: Poly | Form, hint_lines: Sequence[AffLine | Latti
     ruled verdict needs a real rational line as witness: a hint line on the
     factor, else a bounded search.  The factor is read as its form (a
     Poly's, or one of Surface.forms) and hint lines as lattices, and every
-    step runs on them: no Poly is built.
+    step runs on them: no Poly is built.  A hint line outside R^3 raises
+    ArityError.
     """
     form = _form(factor)
     hints = [_lattice(ln) for ln in hint_lines]
@@ -523,7 +529,7 @@ def classify_component(factor: Poly | Form, hint_lines: Sequence[AffLine | Latti
     if hints:
         from .lattice import lattice_on_surface
 
-        real_line = next((lat for lat in hints if len(lat[1]) == 3 and lattice_on_surface(form, lat)), None)
+        real_line = next((lat for lat in hints if lattice_on_surface(form, lat)), None)
     if real_line is None:
         real_line = _search_real_line(form)
     if real_line is not None:

@@ -8,11 +8,13 @@ lines here.  One builder makes the Sylvester rows of two coefficient
 lists, and one Bareiss elimination takes their determinant: the line
 certificate of surfaces runs on integer lists in t (at t = 2^k), and the
 full flecnode witness on packed term maps, where the exact division of
-form_quotient also runs (poly's divides and exact_div read it).  Every
+form_quotient also runs (poly's divides reads it).  A factor that no line
+certifies square-free is decided by the gcd of zgcd, on integers.  Every
 exact linear solve of the package runs on the fraction-free integer
 echelon.  Surface holds its factors as forms, so a surface file is read,
 checked, written and measured without poly or fractions; poly's Poly
-caches its form, and Surface.factors, the Poly views, loads poly.
+caches its form, and Surface.factors, the Poly views, loads poly, as does
+rendering a refused factor.
 """
 
 from __future__ import annotations
@@ -404,13 +406,40 @@ def primitive_terms(terms: dict[Exponent, int]) -> dict[Exponent, int]:
     return {e: c // g for e, c in terms.items()}
 
 
+def square_free(form: Form) -> bool:
+    """Whether the polynomial of a nonconstant form has no repeated factor.
+
+    A variable whose square divides every term refutes it at once; a
+    fixed line certifies it (square_free_on_lines); else it is square-free
+    exactly when the gcd of the form and its partial derivatives
+    (zgcd.term_gcd) is constant.
+    """
+    terms = form[0]
+    nvars = len(next(iter(terms)))
+    if any(all(e[i] > 1 for e in terms) for i in range(nvars)):
+        return False
+    if square_free_on_lines(form):
+        return True
+    from .zgcd import term_gcd
+
+    g = terms
+    for i in range(nvars):
+        partial = {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in terms.items() if e[i]}
+        if partial:
+            g = term_gcd(g, partial)
+            if not form_degree((g, 1)):
+                return True
+    return False
+
+
 class Surface:
     """A squarefree trivariate polynomial, kept as its known factor list.
 
     Each factor is held and checked as its form: not constant, square-free
-    (certified on the fixed lines, else by poly's gcd), and not
-    proportional to an earlier one.  Immutable; surfaces are equal when
-    their forms are.  factors, the Poly views, is built on first read.
+    (square_free, on integers), and not proportional to an earlier one;
+    poly is imported only to render a factor that is refused as not
+    square-free.  Immutable; surfaces are equal when their forms are.
+    factors, the Poly views, is built on first read.
     """
 
     forms: tuple[Form, ...]
@@ -434,12 +463,10 @@ class Surface:
                 raise ArityError("surface factors must be trivariate")
             if form_degree(form) < 1:
                 raise DomainError("constant factor in surface")
-            if not square_free_on_lines(form):  # rare: poly.is_square_free's gcd decides
-                from .poly import Poly, is_square_free
+            if not square_free(form):
+                from .poly import Poly  # only to render the refused factor
 
-                view = Poly.from_form(3, form)
-                if not is_square_free(view):
-                    raise DomainError(f"factor {view.render()} is not square-free")
+                raise DomainError(f"factor {Poly.from_form(3, form).render()} is not square-free")
             key = frozenset(primitive_terms(form[0]).items())
             if key in checked:
                 raise DomainError("repeated factor in surface")

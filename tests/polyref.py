@@ -6,7 +6,8 @@ which shares no code with them.  restrict_to_line, the Poly of one such
 expansion along a line, is what the tests read a restriction off.  The
 evaluator and the division algorithm on Fraction terms check the integer
 kernels pointwise; the Poly witness path below checks the one on packed
-term maps.
+term maps, and the gcd on Fraction polynomials the one on integer term
+maps (zgcd.term_gcd).
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from math import lcm
 from typing import Sequence
 
 from incgeo.errors import ArityError, DomainError
-from incgeo.poly import Poly, exact_div, remove_content
+from incgeo.poly import Poly
 from incgeo.surfaces import _chart_forms
 from incgeo.zpoly import (
+    Exponent,
     _bareiss,
     _guard,
     _line_expansion,
@@ -27,7 +29,10 @@ from incgeo.zpoly import (
     _unpack,
     _zcross,
     _zquot,
+    form_quotient,
     grlex_key,
+    primitive_terms,
+    square_free_on_lines,
     sylvester_rows,
 )
 
@@ -107,6 +112,145 @@ def quotient(g: Poly, f: Poly) -> Poly | None:
     return Poly(g.nvars, quot)
 
 
+# -- derivatives, coefficients, exact division and gcd on Polys --------------
+#
+# The package takes gcds on integer term maps (zgcd.term_gcd); this is the
+# primitive remainder sequence on Fraction polynomials that it replaced.
+
+
+def degree_in(p: Poly, var: int) -> int:
+    """Degree in one variable; -1 for the zero polynomial."""
+    return max((e[var] for e in p.terms), default=-1)
+
+
+def vars_used(p: Poly) -> tuple[int, ...]:
+    return tuple(i for i in range(p.nvars) if any(e[i] for e in p.terms))
+
+
+def diff(p: Poly, var: int) -> Poly:
+    """The partial derivative of p in one variable."""
+    if not 0 <= var < p.nvars:
+        raise DomainError(f"variable index {var} out of range for {p.nvars} vars")
+    out: dict[Exponent, Fraction] = {}
+    for e, c in p.terms.items():
+        k = e[var]
+        if k:
+            e2 = e[:var] + (k - 1,) + e[var + 1 :]
+            out[e2] = out.get(e2, Fraction(0)) + c * k
+    return Poly(p.nvars, out)
+
+
+def coeffs_in(p: Poly, var: int) -> list[Poly]:
+    """Coefficients [c_0, ..., c_d] of var^k, as polynomials without var."""
+    buckets: list[dict[Exponent, Fraction]] = [dict() for _ in range(degree_in(p, var) + 1)]
+    for e, c in p.terms.items():
+        buckets[e[var]][e[:var] + (0,) + e[var + 1 :]] = c
+    return [Poly(p.nvars, b) for b in buckets]
+
+
+def exact_div(g: Poly, f: Poly) -> Poly:
+    """Quotient g/f when the division is exact; DomainError otherwise."""
+    g._check_same(f)
+    q = form_quotient(g.form, f.form)
+    if q is None:
+        raise DomainError("division is not exact")
+    return Poly.from_form(g.nvars, q)
+
+
+def remove_content(p: Poly) -> Poly:
+    """Scale to integer primitive form with positive graded-lex leading sign."""
+    return p if p.is_zero else Poly.from_form(p.nvars, (primitive_terms(p.form[0]), 1))
+
+
+def _content_and_primitive(p: Poly, var: int) -> tuple[Poly, Poly]:
+    """Content of p in var, and p over it scaled to integer primitive form,
+    which keeps the coefficients of a remainder sequence from growing."""
+    coeffs = [c for c in coeffs_in(p, var) if not c.is_zero]
+    cont = Poly.zero(p.nvars)
+    for c in coeffs:
+        cont = poly_gcd(cont, c)
+        if cont.degree() == 0:
+            cont = remove_content(cont)
+            break
+    return cont, remove_content(exact_div(p, cont))
+
+
+def _pseudo_reduce(a: Poly, b: Poly, var: int) -> Poly:
+    """Reduce a by b in var, multiplying by powers of b's leading coefficient.
+
+    Output agrees with the classical pseudo-remainder up to a unit times a
+    power of that leading coefficient, which is all a primitive PRS needs.
+    """
+    db = degree_in(b, var)
+    lb = coeffs_in(b, var)[db]
+    r = a
+    while not r.is_zero:
+        dr = degree_in(r, var)
+        if dr < db:
+            break
+        lr = coeffs_in(r, var)[dr]
+        xshift = Poly(r.nvars, {tuple(dr - db if i == var else 0 for i in range(r.nvars)): Fraction(1)})
+        r = r * lb - b * lr * xshift
+    return r
+
+
+def poly_gcd(f: Poly, g: Poly) -> Poly:
+    """Greatest common divisor over Q, integer primitive, positive leading sign.
+
+    Multivariate gcd by the classical primitive remainder sequence: recurse
+    on contents with respect to the highest variable present, run the PRS on
+    the primitive parts.
+    """
+    if f.is_zero and g.is_zero:
+        return Poly.zero(f.nvars)
+    if f.is_zero:
+        return remove_content(g)
+    if g.is_zero:
+        return remove_content(f)
+    f._check_same(g)
+    if f.degree() == 0 or g.degree() == 0:
+        return Poly.const(f.nvars, 1)
+    fv, gv = vars_used(f), vars_used(g)
+    var = max(max(fv, default=-1), max(gv, default=-1))
+    f_has, g_has = var in fv, var in gv
+    if f_has and not g_has:
+        cont_f, _ = _content_and_primitive(f, var)
+        return poly_gcd(cont_f, g)
+    if g_has and not f_has:
+        cont_g, _ = _content_and_primitive(g, var)
+        return poly_gcd(f, cont_g)
+    cont_f, prim_f = _content_and_primitive(f, var)
+    cont_g, prim_g = _content_and_primitive(g, var)
+    cont = poly_gcd(cont_f, cont_g)
+    a, b = prim_f, prim_g
+    if degree_in(a, var) < degree_in(b, var):
+        a, b = b, a
+    while not b.is_zero:
+        r = _pseudo_reduce(a, b, var)
+        if r.is_zero:
+            a, b = b, r
+            break
+        _, r = _content_and_primitive(r, var)
+        a, b = b, r
+    return remove_content(cont * a)
+
+
+def is_square_free(p: Poly) -> bool:
+    """True iff p has no repeated factor: certified on the fixed lines of
+    zpoly (square_free_on_lines), else decided by the gcd of p and its
+    partials."""
+    if p.is_zero:
+        return False
+    if p.degree() == 0 or square_free_on_lines(p.form):
+        return True
+    g = p
+    for var in vars_used(p):
+        g = poly_gcd(g, diff(p, var))
+        if g.degree() == 0:
+            return True
+    return g.degree() == 0
+
+
 # -- the flecnode witness as it was built on Polys ------------------------
 #
 # The package builds the witness on the packed term maps of a form; these
@@ -183,6 +327,6 @@ def chart_eliminant(f: Poly, c: int) -> Poly | None:
     if res.is_zero:
         return res
     try:
-        return remove_content(exact_div(res, f.diff(c) ** 6))
+        return remove_content(exact_div(res, diff(f, c) ** 6))
     except DomainError:
         return None

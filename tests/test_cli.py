@@ -389,6 +389,26 @@ class TestErrorPaths:
         assert time.perf_counter() - started < 1.0
         assert code == 2 and "exceeds the cap" in err
 
+    def test_monomial_square_factor_exits_fast(self, tmp_path, capsys):
+        # x^3 divides every term of this degree-12 factor: the gcd of it and
+        # its partials ran past 30 s, and x^2 dividing every term refutes it
+        path = tmp_path / "x3.json"
+        terms = [
+            (-2, [12, 0, 0]), (-1, [11, 1, 0]), (2, [10, 2, 0]), (-2, [9, 1, 2]), (2, [6, 5, 1]),
+            (-3, [3, 8, 1]), (-2, [9, 2, 0]), (3, [9, 0, 2]), (-2, [3, 8, 0]), (3, [7, 0, 3]),
+            (2, [5, 5, 0]), (-1, [3, 2, 1]),
+        ]
+        path.write_text(json.dumps({
+            "dim": 3,
+            "surface": {"vars": 3, "factors": [{"terms": [{"n": n, "d": 1, "e": e} for n, e in terms]}]},
+            "points": [],
+            "lines": [],
+        }), encoding="utf-8")
+        started = time.perf_counter()
+        code, _, err = run(capsys, "verify", "--degree", "12", str(path))
+        assert time.perf_counter() - started < 1.0
+        assert code == 2 and "is not square-free" in err
+
     def test_dense_factor_exits_fast(self, tmp_path, capsys):
         # every monomial of degree at most 64 (47,905 terms, 1.7 MB) with one
         # line: checking the line against it used to take minutes

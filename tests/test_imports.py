@@ -216,14 +216,17 @@ def runtime_imports(source: str) -> set[str]:
 @pytest.mark.parametrize("name", ["surfaces", "exceptional"])
 def test_the_ruled_factor_analysis_builds_no_fraction(name):
     # a factor is read as its form, lines as lattices and points as scaled
-    # pairs; poly is imported only inside the functions that build a Poly
-    # (flecnode_polynomial's result, the bivariate gcd fallback)
+    # pairs; surfaces imports poly only inside flecnode_polynomial, to build
+    # its result, and exceptional, whose tangent pencil takes its gcd on
+    # integer term maps, only for type checking
     source = (PACKAGE / f"{name}.py").read_text(encoding="utf-8")
     assert not runtime_imports(source) & {"fractions", "decimal", "linespace"}
     top_level = {
         node.module for node in ast.parse(source).body if isinstance(node, ast.ImportFrom)
     }
     assert "poly" not in top_level
+    if name == "exceptional":
+        assert "poly" not in runtime_imports(source)
 
 
 def test_the_witness_has_one_determinant_path():

@@ -7,7 +7,9 @@ on integer lists and loads no poly, nor classify and incidence on a quadric
 cone, whose apex is a scaled point solved for on integers.  classify,
 flecnode and incidence on a file with a ruled factor that is no cone load
 neither poly nor fractions either: the witness runs on packed term maps,
-the line search on the integer grid, and the exceptional lines on lattices.
+the line search on the integer grid, and the exceptional lines on lattices,
+with the gcd that decides a tangent pencil no certificate settles on
+integer term maps.
 
 The module sets are read in a fresh interpreter per call, since this test
 process has long since imported every module of the package.
@@ -117,6 +119,17 @@ def files(tmp_path_factory):
     assert main(["gen", "--kind", "product", "--lines", "10", "--points", "16", "--seed", "5",
                  "--dim", "6", "-o", paths["lifted"]]) == 0
     assert main(["project", paths["lifted"], "--seed", "2", "-o", paths["back"]]) == 0
+    # the smooth singly ruled z - x^2 y: its x-axis is exceptional, since
+    # every (c, 0, 0) carries the line (c, t, c^2 t); no certificate point
+    # t0 settles the tangent pencil, so the gcd decides it
+    terms = [{"n": 1, "d": 1, "e": [0, 0, 1]}, {"n": -1, "d": 1, "e": [2, 1, 0]}]
+    lines = [{"base": ["0", "0", "0"], "dir": ["1", "0", "0"]}]
+    lines += [{"base": [str(c), "0", "0"], "dir": ["0", "1", str(c * c)]} for c in range(-4, 5)]
+    points = [[str(c), str(t), str(c * c * t)] for c in range(-4, 5) for t in (0, 1)]
+    paths["axis"] = str(root / "axis.json")
+    Path(paths["axis"]).write_text(json.dumps({
+        "dim": 3, "surface": {"vars": 3, "factors": [{"terms": terms}]}, "points": points, "lines": lines,
+    }), encoding="utf-8")
     return paths
 
 
@@ -163,6 +176,8 @@ def test_help_loads_only_the_front_end(bare_loads):
         (("classify", "{product}"), {"poly", "linespace", "fractions", "decimal"}),
         (("flecnode", "{product}"), {"poly", "linespace", "fractions", "decimal"}),
         (("incidence", "{product}"), {"poly", "linespace", "fractions", "decimal"}),
+        # an exceptional line's tangent pencil takes the gcd on integer term maps
+        (("incidence", "{axis}"), {"poly", "linespace", "fractions", "decimal"}),
         # the catalog surface is built from integer forms
         (("gen", "--kind", "cone", "--lines", "3", "--points", "3", "-o", "{out}"),
          {"poly", "surfaces", "incidence", "projection"}),
@@ -172,7 +187,8 @@ def test_help_loads_only_the_front_end(bare_loads):
     ids=["project", "verify-degree", "incidence-surfaceless", "verify-surface", "classify",
          "flecnode", "incidence", "classify-line-free", "incidence-line-free", "flecnode-line-free",
          "classify-whitney", "flecnode-whitney", "incidence-whitney", "classify-whitney-line-free",
-         "classify-product", "flecnode-product", "incidence-product", "gen", "gen-lifted"],
+         "classify-product", "flecnode-product", "incidence-product", "incidence-exceptional-axis",
+         "gen", "gen-lifted"],
 )
 def test_each_subcommand_loads_only_what_it_runs(files, tmp_path, bare_loads, argv, absent):
     code, modules, watched = loaded_by(

@@ -14,27 +14,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incgeo.errors import ArityError, DomainError
-from incgeo.poly import (
-    Poly,
-    divides,
-    exact_div,
-    is_square_free,
-    poly_gcd,
-    remove_content,
-    variables,
-)
+from incgeo.poly import Poly, divides, variables
 from incgeo.surfaces import _taylor
+from incgeo.zgcd import term_gcd
 from incgeo.zpoly import (
     _line_expansion,
     _univariate_square_free,
     _unpack,
     form_quotient,
     grlex_key,
+    square_free,
     univariate_determinant,
     univariate_divides,
     univariate_sylvester,
 )
-from polyref import evaluate, matrix_determinant, quotient, restrict_to_line, substitute, sylvester_determinant
+from polyref import (
+    coeffs_in,
+    diff,
+    evaluate,
+    exact_div,
+    is_square_free,
+    matrix_determinant,
+    poly_gcd,
+    quotient,
+    remove_content,
+    restrict_to_line,
+    substitute,
+    sylvester_determinant,
+    vars_used,
+)
 
 X, Y, Z = variables(3)
 
@@ -82,10 +90,10 @@ def test_eval_example_and_arity():
 
 def test_partial_derivative_matches_hand_result():
     f = X**2 - Y**2 * Z
-    assert f.diff(0) == 2 * X
-    assert f.diff(1) == -2 * Y * Z
-    assert f.diff(2) == -(Y**2)
-    assert Poly.const(3, 5).diff(1).is_zero
+    assert diff(f, 0) == 2 * X
+    assert diff(f, 1) == -2 * Y * Z
+    assert diff(f, 2) == -(Y**2)
+    assert diff(Poly.const(3, 5), 1).is_zero
 
 
 # -- taylor components --------------------------------------------------
@@ -136,7 +144,7 @@ def test_taylor_components_sum_reconstructs_shift():
 def resultant(p, q, var):
     """Resultant of p and q in one variable: the Sylvester determinant of
     their coefficient lists in that variable."""
-    return sylvester_determinant(p.coeffs_in(var)[::-1], q.coeffs_in(var)[::-1], p.nvars)
+    return sylvester_determinant(coeffs_in(p, var)[::-1], coeffs_in(q, var)[::-1], p.nvars)
 
 
 def test_sylvester_resultant_quadratic_example():
@@ -215,10 +223,19 @@ def test_divides_random_products():
 
 
 def test_poly_gcd_examples():
-    g = poly_gcd((X - Y) ** 2 * (X + Z), (X - Y) * (X + Y))
-    assert g == X - Y
-    assert poly_gcd(X * Y, Z).terms == {(0, 0, 0): 1}
-    assert poly_gcd(Poly.zero(3), X * Y) == X * Y
+    # the integer gcd and its Fraction oracle, on hand-checked examples
+    cases = [
+        ((X - Y) ** 2 * (X + Z), (X - Y) * (X + Y), X - Y),
+        (X * Y, Z, Poly.const(3, 1)),
+        (Poly.zero(3), X * Y, X * Y),
+        (Poly.zero(3), -2 * X, X),
+    ]
+    for f, g, want in cases:
+        assert poly_gcd(f, g) == want
+        assert term_gcd(f.form[0], g.form[0]) == want.form[0]
+    assert term_gcd({}, {}) == {}
+    with pytest.raises(ArityError):
+        term_gcd(X.form[0], {(1, 0): 1})
 
 
 def test_poly_gcd_divides_both_inputs():
@@ -227,15 +244,17 @@ def test_poly_gcd_divides_both_inputs():
         a = _random_poly(rng, 3, max_deg=2, nonzero=True)
         b = _random_poly(rng, 3, max_deg=2, nonzero=True)
         c = _random_poly(rng, 3, max_deg=1, nonzero=True)
-        g = poly_gcd(a * c, b * c)
+        g = Poly(3, term_gcd((a * c).form[0], (b * c).form[0]))
         assert divides(g, a * c)
         assert divides(g, b * c)
         assert divides(c, g) or c.degree() == 0
 
 
 def test_is_square_free():
-    assert is_square_free(X * Y - 1)
-    assert not is_square_free(X**2 * Y)
+    assert square_free((X * Y - 1).form)
+    assert not square_free((X**2 * Y).form)
+    # x^2 divides every term: refused before any gcd
+    assert not square_free((X**3 * Y - 2 * X**2 * Z**4 + X**2).form)
     assert is_square_free(Poly.const(3, 4))
 
 
@@ -372,14 +391,14 @@ def linear_forms(draw):
     return a[0] + a[1] * X + a[2] * Y + a[3] * Z
 
 
-# Factors stay small: poly_gcd blows up on dense inputs, and with factors of
+# Factors stay small: the gcd blows up on dense inputs, and with factors of
 # degree up to 2 in each variable some planted squares g^2 h run past 5 s.
 @settings(max_examples=40, deadline=None)
 @given(polys(nvars=3, max_deg=1, max_terms=4), polys(nvars=3, max_deg=1, max_terms=4))
 def test_planted_square_is_not_square_free(g, h):
     if g.degree() < 1 or h.is_zero:
         return
-    assert not is_square_free(g**2 * h)
+    assert not square_free((g**2 * h).form)
 
 
 @settings(max_examples=40, deadline=None)
@@ -389,7 +408,7 @@ def test_distinct_irreducible_factors_are_square_free(factors, scale):
     product = Poly.const(3, scale)
     for f in distinct:
         product = product * f
-    assert is_square_free(product)
+    assert square_free(product.form)
 
 
 # -- helpers ---------------------------------------------------------------
@@ -524,6 +543,18 @@ def test_matrix_determinant_rejects_a_ragged_matrix():
         matrix_determinant([[X, Y]], 3)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from([2, 3]))
+def test_term_gcd_matches_the_fraction_oracle(data, nvars):
+    # a planted common factor c; a rational input is read as its numerators
+    a, b = (data.draw(polys(nvars=nvars, max_deg=2, max_terms=4)) for _ in range(2))
+    c = data.draw(polys(nvars=nvars, max_deg=2, max_terms=3))
+    f, g = a * c, b * c
+    want = poly_gcd(f, g)
+    assert want.form[1] == 1
+    assert term_gcd(f.form[0], g.form[0]) == want.form[0]
+
+
 # negative rationals other than -1
 negative_scales = st.tuples(st.integers(2, 6), st.integers(1, 5)).filter(lambda ab: ab[0] != ab[1])
 
@@ -602,8 +633,8 @@ def gcd_square_free(p):
     """Reference: a nonconstant p is square-free iff its gcd with all its
     partial derivatives is constant."""
     g = p
-    for var in p.vars_used():
-        g = poly_gcd(g, p.diff(var))
+    for var in vars_used(p):
+        g = poly_gcd(g, diff(p, var))
     return g.degree() == 0
 
 
@@ -634,7 +665,7 @@ def test_univariate_square_free_agrees_with_the_gcd(g, h, square):
     d = r.degree()
     den = lcm(*(c.denominator for c in r.terms.values()))
     coeffs = [int(den * r.terms.get((d - j,), 0)) for j in range(d + 1)]
-    assert _univariate_square_free(coeffs) == (poly_gcd(r, r.diff(0)).degree() == 0)
+    assert _univariate_square_free(coeffs) == (poly_gcd(r, diff(r, 0)).degree() == 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -643,6 +674,6 @@ def test_square_free_certificate_agrees_with_the_gcd_test(g, h, square):
     if g.degree() < 1 or h.is_zero:
         return
     p = g**2 * h if square else g * h
-    assert is_square_free(p) == gcd_square_free(p)
+    assert square_free(p.form) == gcd_square_free(p) == is_square_free(p)
     if square:
-        assert not is_square_free(p)
+        assert not square_free(p.form)

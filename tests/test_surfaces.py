@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from incgeo import exceptional, surfaces
+from incgeo import exceptional, surfaces, zgcd
 from incgeo.errors import (
     ArityError,
     DegreeError,
@@ -34,15 +34,8 @@ from incgeo.forge import ORIGIN as FORGE_ORIGIN
 from incgeo.forge import make_lines
 from incgeo.lattice import lattice_relation, scaled_form
 from incgeo.linespace import AffLine, RelationKind, line_on_surface, line_relation
-from incgeo.poly import (
-    Poly,
-    divides,
-    is_square_free,
-    poly_gcd,
-    remove_content,
-    variables,
-)
-from incgeo.zpoly import _fixed_lines, _line_expansion, _unpack
+from incgeo.poly import Poly, divides, variables
+from incgeo.zpoly import _fixed_lines, _line_expansion, _unpack, square_free
 from incgeo.exceptional import (
     check_firstflip,
     exceptional_lines,
@@ -59,7 +52,16 @@ from incgeo.surfaces import (
     symmetric_inertia,
 )
 from linref import nullspace, rank
-from polyref import chart_eliminant, evaluate, restrict_to_line, substitute
+from polyref import (
+    chart_eliminant,
+    degree_in,
+    diff,
+    evaluate,
+    poly_gcd,
+    remove_content,
+    restrict_to_line,
+    substitute,
+)
 
 X, Y, Z = variables(3)
 CONE = X**2 + Y**2 - Z**2
@@ -252,7 +254,7 @@ def pinned_cubic(name, k):
 
     while True:
         f = Poly(3, {e: coeff() for e in CUBIC_SUPPORTS[name]})
-        if name == "dense" or is_square_free(f):
+        if name == "dense" or square_free(f.form):
             return f
 
 
@@ -299,6 +301,27 @@ def test_dense_planted_square_rejected_within_budget():
     assert time.perf_counter() - start < 1
 
 
+# x^3 divides every term of this degree-12 factor; its gcd with its
+# partials ran past 30 s
+X3_CONTENT = Poly(3, {
+    (12, 0, 0): -2, (11, 1, 0): -1, (10, 2, 0): 2, (9, 1, 2): -2, (6, 5, 1): 2, (3, 8, 1): -3,
+    (9, 2, 0): -2, (9, 0, 2): 3, (3, 8, 0): -2, (7, 0, 3): 3, (5, 5, 0): 2, (3, 2, 1): -1,
+})
+
+
+def test_monomial_square_rejected_before_any_gcd(monkeypatch):
+    def no_gcd(a, b):
+        raise AssertionError("the square-free check took a gcd")
+
+    monkeypatch.setattr(zgcd, "term_gcd", no_gcd)
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="not square-free"):
+        Surface([X3_CONTENT])
+    with pytest.raises(DomainError, match="not square-free"):
+        Surface.from_forms([(X + 2 * Y - Z).form, (X**3 * Y * (Z**5 - X * Y + 1)).form])
+    assert time.perf_counter() - start < 1
+
+
 def test_ruled_indicator_routes():
     assert ruled_indicator(CONE).indicated is True
     assert ruled_indicator(CONE).complex_only is True
@@ -341,7 +364,7 @@ def six_term_factor(d: int) -> Poly:
     while True:
         support = [rng.choice([e for e in monomials if sum(e) == d])] + rng.sample(monomials, 5)
         f = Poly(3, {e: rng.choice((-3, -2, -1, 1, 2, 3)) for e in support})
-        if len(f.terms) == 6 and is_square_free(f):
+        if len(f.terms) == 6 and square_free(f.form):
             return f
 
 
@@ -447,7 +470,7 @@ def test_line_certificate_never_contradicts_the_witness(case):
 @given(planted_cone_factors())
 def test_planted_cones_are_classified_before_the_witness(case):
     f, apex, h = case
-    assume(is_square_free(f))
+    assume(square_free(f.form))
     calls = []
     original = surfaces._witness_form
     surfaces._witness_form = lambda form: calls.append(form) or original(form)
@@ -462,7 +485,7 @@ def test_planted_cones_are_classified_before_the_witness(case):
     pv, q = res.apex
     moved = substitute(f, [X + Fraction(pv[0], q), Y + Fraction(pv[1], q), Z + Fraction(pv[2], q)])
     assert {sum(e) for e in moved.terms} == {f.degree()}
-    partials = [h.diff(i) for i in range(3)]
+    partials = [diff(h, i) for i in range(3)]
     monomials = sorted({e for p in partials for e in p.terms})
     if rank([[p.terms.get(e, 0) for e in monomials] for p in partials]) == 3:
         assert res.apex == (apex, 1)
@@ -498,7 +521,7 @@ def test_chart_forms_commute_with_restriction(f):
             if sym is None or lin is None:
                 # the chart's partial vanishes on the line, or everywhere
                 assert lin is None
-                assert restrict_to_line(f.diff(c), base, direction).is_zero
+                assert restrict_to_line(diff(f, c), base, direction).is_zero
                 continue
             for sym_form, lin_form in zip(sym, lin):
                 restricted = [restrict_to_line(Poly(3, _unpack(t, 3, width)), base, direction) for t in sym_form]
@@ -655,7 +678,7 @@ def reference_apex_candidates(f: Poly, hint_lines) -> list:
             seen.add(rel.point)
             candidates.append(rel.point)
     grid = [Fraction(v) for v in (-2, -1, 0, 1, 2)]
-    grads = [f.diff(i) for i in range(3)]
+    grads = [diff(f, i) for i in range(3)]
     for p in itertools.product(grid, repeat=3):
         if p in seen:
             continue
@@ -837,7 +860,7 @@ def reference_lines_through(factor: Poly, pt, bound: int) -> list[AffLine]:
     int_coeffs = sorted(
         (c for c in (_ref_int_terms(cp) for cp in coeff_polys) if c), key=len
     )
-    grad = tuple(evaluate(factor.diff(i), pt) for i in range(3))
+    grad = tuple(evaluate(diff(factor, i), pt) for i in range(3))
     found: set[AffLine] = set()
 
     def check_dir(v: tuple[int, int, int]) -> None:
@@ -980,7 +1003,7 @@ def reference_taylor_part(f: Poly, pt, k: int) -> Poly:
         g = f
         for i, ai in enumerate(a):
             for _ in range(ai):
-                g = g.diff(i)
+                g = diff(g, i)
         terms[a] = evaluate(g, pt) / (factorial(a[0]) * factorial(a[1]) * factorial(a[2]))
     return Poly(3, terms)
 
@@ -1233,7 +1256,7 @@ def reference_pencil_verdict(f: Poly, ln: AffLine):
     of positive degree in a."""
     t, a, u = variables(3)
     at = [t * c + b for b, c in zip(ln.base, ln.direction)]
-    grad = [substitute(f.diff(i), at) for i in range(3)]
+    grad = [substitute(diff(f, i), at) for i in range(3)]
     d = ln.direction
     w = [grad[(i + 1) % 3] * d[(i + 2) % 3] - grad[(i + 2) % 3] * d[(i + 1) % 3] for i in range(3)]
     if all(c.is_zero for c in w):
@@ -1246,7 +1269,7 @@ def reference_pencil_verdict(f: Poly, ln: AffLine):
     g = Poly.zero(2)
     for c in coeffs[2:]:
         g = poly_gcd(g, c)
-    return g.is_zero or g.degree_in(1) > 0
+    return g.is_zero or degree_in(g, 1) > 0
 
 
 @st.composite
@@ -1303,7 +1326,7 @@ def reference_is_singular_line(f: Poly, ln: AffLine) -> bool:
     if not line_on_surface(f, ln):
         raise NotOnSurfaceError("line is not contained in the surface")
     return all(
-        restrict_to_line(f.diff(i), ln.base, ln.direction).is_zero for i in range(f.nvars)
+        restrict_to_line(diff(f, i), ln.base, ln.direction).is_zero for i in range(f.nvars)
     )
 
 
@@ -1357,14 +1380,19 @@ def _bivariate(draw, a_degree: int) -> dict:
 def pencils(draw):
     """Integer pencils c_2, c_3, c_4 with a-degree at most k - 1: random,
     with a planted common factor, or with every leading coefficient in a
-    vanishing at the certificate's points t = 1, -1, 2, -2."""
+    vanishing at the certificate's points t = 1, -1, 2, -2; or c_2 = 0,
+    c_3 = A*B, c_4 = A*C, c_5 = B*C, where every two share a factor."""
     # (t^2 - 1)(t^2 - 4) = t^4 - 5t^2 + 4 vanishes at every certificate point
     q = {(4, 0): 1, (2, 0): -5, (0, 0): 4}
-    kind = draw(st.sampled_from(["random", "common", "degenerate"]))
+    leads = st.sampled_from([{(0, 0): 1}, q, {(1, 0): 1, (0, 0): 3}])
+    kind = draw(st.sampled_from(["random", "common", "degenerate", "pairwise"]))
     if kind == "common":
-        lead = draw(st.sampled_from([{(0, 0): 1}, q, {(1, 0): 1, (0, 0): 3}]))
-        factor = {**_bivariate(draw, 0), **surfaces._zmul(lead, {(0, 1): 1})}
+        factor = {**_bivariate(draw, 0), **surfaces._zmul(draw(leads), {(0, 1): 1})}
         cs = [surfaces._zmul(_bivariate(draw, k - 2), factor) for k in range(2, 5)]
+    elif kind == "pairwise":
+        a, b = ({**_bivariate(draw, 0), **surfaces._zmul(draw(leads), {(0, 1): 1})} for _ in range(2))
+        c = _bivariate(draw, 2)
+        cs = [{}, surfaces._zmul(a, b), surfaces._zmul(a, c), surfaces._zmul(b, c)]
     else:
         cs = [_bivariate(draw, k - 1) for k in range(2, 5)]
     if kind == "degenerate":
@@ -1383,7 +1411,7 @@ def test_pencil_certificate_matches_the_exact_gcd(cs):
     g = Poly.zero(2)
     for c in cs:
         g = poly_gcd(g, Poly(2, {e: Fraction(x) for e, x in c.items()}))
-    assert exceptional._pencil_has_common_factor(cs) == (g.is_zero or g.degree_in(1) > 0)
+    assert exceptional._pencil_has_common_factor(cs) == (g.is_zero or degree_in(g, 1) > 0)
 
 
 @pytest.mark.parametrize("g", [X**3 + 2 * X, X**5 + 2 * X], ids=["x3", "x5"])
@@ -1475,6 +1503,26 @@ def test_generator_counts_refuse_what_is_not_in_r3():
             check_firstflip(CONE, probe, lines, exc)
     with pytest.raises(DomainError, match="positive scale"):
         check_firstflip(CONE, family[0], family, [], apex=((0, 0, 0), 0))
+
+
+def test_generator_counts_reduce_a_scaled_pair():
+    # the same point written unreduced missed the apex rule: apex
+    # ((0, 0, 0), 2) counted GeneratorCount(8, 7)
+    family = make_lines("cone", 8)
+    for apex in [((0, 0, 0), 1), ((0, 0, 0), 2), (0, 0, 0)]:
+        assert lambda_counts(CONE, (0, 0, 0), family, apex=apex) == (0, 0)
+        assert lambda_counts(CONE, ((0, 0, 0), 3), family, apex=apex) == (0, 0)
+    pt = family[0].point_at(2)
+    unreduced = (tuple(3 * c.numerator * (6 // c.denominator) for c in pt), 18)
+    assert lambda_counts(CONE, unreduced, family) == lambda_counts(CONE, pt, family)
+
+
+def test_classify_refuses_a_hint_outside_r3():
+    # such a hint was dropped, as if none had been given
+    with pytest.raises(ArityError, match="dimension 4"):
+        classify_component(RULED_CUBIC, hint_lines=[AffLine((0, 0, 0, 0), (1, 0, 0, 0))])
+    with pytest.raises(ArityError, match="dimension 4"):
+        classify_component(RULED_CUBIC.form, hint_lines=[AffLine((0, 0, 0, 0), (1, 0, 0, 0)).lattice])
 
 
 def firstflip(factor, ln, family, apex=None):
