@@ -17,11 +17,12 @@ Fraction view is built; the tangent pencil that no certificate settles
 takes its gcd on integer term maps (zgcd.term_gcd), so poly is never
 loaded.  A scaled pair is reduced, and a point or line outside R^3 raises
 ArityError.  The module is apart from surfaces so that classifying a
-factor, which searches for a line only on a ruled factor without hint
-lines, does not load it."""
+factor, which searches for a line (_search_real_line) only on a ruled
+factor without hint lines, does not load it."""
 
 from __future__ import annotations
 
+import itertools
 from math import gcd
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
@@ -151,6 +152,23 @@ def find_lines_through_point(
         if not lattice_on_surface(form, ln):  # pragma: no cover - guards check_dir
             raise InvariantViolation("line search returned a non-contained line")
     return lines
+
+# Entry bound of the search for one real line that witnesses a ruling.
+REAL_LINE_BOUND = 5
+
+
+def _search_real_line(form: Form) -> Lattice | None:
+    """Cheap bounded search for one rational line on the factor
+    (surfaces.classify_component): it looks only at the 125 points of the
+    integer grid {0, +-1, +-2}^3 that lie on the factor, each with a line
+    search of entry bound REAL_LINE_BOUND."""
+    for p in itertools.product((0, 1, -1, 2, -2), repeat=3):
+        if _at_point(form, (p, 1), 0):  # f(p) != 0
+            continue
+        lines = find_lines_through_point(form, (p, 1), REAL_LINE_BOUND)
+        if lines:
+            return lines[0]
+    return None
 
 
 # -- exceptional lines and generator counts ----------------------------------

@@ -21,7 +21,7 @@ from .errors import ArityError, DomainError, ResampleExhaustedError
 from .instfile import MAX_DIM, IncidenceInstance
 from .lattice import scaled_form
 from .linespace import AffLine, Vec, to_vec
-from .zpoly import Surface, echelon
+from .zpoly import Surface
 
 # the catalog factors as integer term maps: x^2 + y^2 - z^2, z - xy,
 # x^2 - y^2 z, x^2 + y^2 + z^2 - 1 and x^3 + y^3 + z^3 - 1
@@ -197,6 +197,8 @@ def lift_to_dim(
         raise DomainError(f"lift target dimension {dim} exceeds the cap {MAX_DIM}")
     if dim == src:
         return pts, lns
+
+    from .zsolve import echelon
 
     rng = random.Random(seed)
     for _ in range(32):

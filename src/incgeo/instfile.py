@@ -305,7 +305,10 @@ def dumps_instance(inst: IncidenceInstance) -> str:
 
 
 def save_instance(inst: IncidenceInstance, path: str | Path) -> None:
-    Path(path).write_text(dumps_instance(inst), encoding="utf-8")
+    try:
+        Path(path).write_text(dumps_instance(inst), encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot write instance file {path}: {exc}") from exc
 
 
 def load_instance(path: str | Path) -> IncidenceInstance:

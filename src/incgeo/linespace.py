@@ -8,7 +8,7 @@ The module decides point-line incidence, the relation of two lines
 (equal, parallel, intersecting, skew), coplanarity of three lines and
 containment of a line in a surface, all on integer kernels over each
 AffLine's cached lattice: lattice's, and for coplanar_triple, the
-reference predicate for three lines, the rank of zpoly's echelon.
+reference predicate for three lines, the rank of zsolve's echelon.
 
 Plucker coordinates of lines in P^3 use these conventions:
 
@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import ArityError, DegenerateLineError, DomainError
 from .lattice import Lattice, RelationKind, lattice_incidences, lattice_on_surface, lattice_relation, scaled_form
-from .zpoly import echelon
 
 if TYPE_CHECKING:
     from .poly import Poly
@@ -225,6 +224,8 @@ def coplanar_triple(l1: AffLine, l2: AffLine, l3: AffLine) -> bool:
     (k, D, B, s) the offset B_b/s_b - B_a/s_a is scaled to s_a*B_b - s_b*B_a."""
     if not (l1.dim == l2.dim == l3.dim):
         raise ArityError("lines live in different dimensions")
+    from .zsolve import echelon
+
     (_, d1, b1, s1), (_, d2, b2, s2), (_, d3, b3, s3) = l1.lattice, l2.lattice, l3.lattice
     offsets = [[s1 * y - s * x for x, y in zip(b1, b)] for b, s in ((b2, s2), (b3, s3))]
     return len(echelon([d1, d2, d3, *offsets])) <= 2

@@ -3,14 +3,14 @@
 Coefficients are fractions.Fraction throughout the API; nothing in this
 module ever rounds.  Each Poly caches its integer form of zpoly
 (Poly.form), on which a line or a point is expanded and exact division
-runs (zpoly.form_quotient, on packed term maps).  A polynomial is a map
+runs (witness.form_quotient, on packed term maps).  A polynomial is a map
 from exponent tuples to nonzero coefficients, wrapped in an immutable
 Poly object.  Monomials are ordered graded lexicographically (total
 degree first, then lex with variable 0 highest); the zero polynomial has
 degree -1.
 
 It is the ring view: arithmetic, render, the cached form and divides
-(zpoly.form_quotient).  The flecnode witness, its divisibility test,
+(witness.form_quotient).  The flecnode witness, its divisibility test,
 Surface and its square-free check (zpoly.square_free) run on zpoly forms,
 and the gcd that decides what no certificate settles on integer term
 maps (zgcd), so the analysis builds a Poly only for flecnode_polynomial's
@@ -24,7 +24,7 @@ from math import lcm
 from typing import Mapping
 
 from .errors import ArityError, DomainError
-from .zpoly import Exponent, Form, form_quotient, grlex_key
+from .zpoly import Exponent, Form, grlex_key
 
 RatLike = int | Fraction
 
@@ -222,4 +222,6 @@ def divides(f: Poly, g: Poly) -> bool:
     if f.is_zero:
         raise DomainError("divisibility by the zero polynomial is undefined")
     g._check_same(f)
+    from .witness import form_quotient
+
     return form_quotient(g.form, f.form) is not None

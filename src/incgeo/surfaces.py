@@ -14,12 +14,14 @@ Every local question reads one integer expansion of a factor's form
 The questions asked only of ruled factors (lines through a point,
 exceptional lines and generator counts) live in exceptional, which reads
 the expansion helpers here.  classify_component and ruled_indicator read
-a factor's form and hint lattices, and every step runs on integers: a
-quadric's inertia from its characteristic polynomial, every cone apex on
-zpoly's echelon (an apex is a scaled point (P, q)), the line certificate
-on integer lists, the full witness and its divisibility on packed term
-maps (zpoly), and the line search on the integer grid.  So neither loads
-poly or fractions; a Poly is built only as flecnode_polynomial's result.
+a factor's form and hint lattices, and every step runs on integers: the
+line certificate on integer lists (its Sylvester determinant and
+division are here), a quadric's inertia and every cone apex in zsolve (an
+apex is a scaled point (P, q)), the full witness and its divisibility on
+packed term maps in witness, and the line search (exceptional) on the
+integer grid.  Each is imported where it runs, so a factor that the line
+certificate rules out loads none of them.  Neither loads poly or
+fractions; a Poly is built only as flecnode_polynomial's result.
 
 Everything is exact.  Ruledness certificates obtained through the flecnode
 route are certificates over the complex numbers; real verdicts are only
@@ -29,27 +31,23 @@ hand.
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
-from math import factorial, gcd
+from math import gcd, prod
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import zpoly
-from .errors import ArityError, DegreeError, DomainError, InvariantViolation
-from .zpoly import _bareiss, _fixed_lines, _guard, _line_expansion, _taylor_weights, _unpack, _zcross, _zquot
-from .zpoly import echelon_point, form_degree, form_quotient, primitive_terms, sylvester_rows
-from .zpoly import univariate_divides, univariate_sylvester
+from .errors import ArityError, DomainError, InvariantViolation
+from .zpoly import _fixed_lines, _line_expansion, form_degree
 
 if TYPE_CHECKING:
     from .lattice import Lattice, Scaled
     from .linespace import AffLine
     from .poly import Poly
-    from .zpoly import Exponent, Form
+    from .zpoly import Form
 
 # The container lives in zpoly, so a surface file is read and checked without
 # this module; it is re-exported here beside the analysis of its factors.
 Surface = zpoly.Surface
-
 
 
 def _form(factor: Poly | Form) -> Form:
@@ -89,7 +87,7 @@ def _at_point(form: Form, point: Scaled, order: int) -> dict[tuple[int, ...], in
 # f(X + y), up to one positive constant per order, as an integer term map
 # {m: c} whose key is additive: the power of t along a line
 # (_line_expansion, through _term_maps), or a packed monomial in x, y, z at a
-# symbolic point (_taylor).
+# symbolic point (witness._taylor).
 Taylor = dict[tuple[int, ...], dict[int, int]]
 # Bivariate integer polynomials in that key and a second variable (the
 # pencil parameter a, or a chart's direction coordinate w_j) are maps
@@ -142,22 +140,6 @@ def _forms_along(taylor: Taylor, dirs: list[list[Bivariate]], low: int, high: in
 # -- flecnode witness -------------------------------------------------------
 
 
-def _taylor(form: Form, order: int, width: int) -> Taylor:
-    """The Taylor data of the form's numerators at a symbolic point x, up to
-    the given order: each a with |a| <= order that some term reaches maps to
-    the y^a coefficient of den*f(x + y), a packed term map in x (zpoly's
-    packing at this width).  The term c*x^e gives c*prod comb(e_i, a_i) at
-    x^(e - a)."""
-    out: Taylor = {}
-    for e, c in form[0].items():
-        for a, weight in _taylor_weights(e, order):
-            m = sum(e) - sum(a)
-            for k, j in zip(e, a):
-                m = (m << width) | (k - j)
-            out.setdefault(a, {})[m] = c * weight
-    return out
-
-
 def _chart_forms(taylor: Taylor, c: int) -> tuple[list[dict[int, int]], ...] | None:
     """The osculation system's binary forms of degrees 2 and 3 on the chart
     where the c-th partial f_c is nonzero, or None when f_c vanishes.
@@ -183,79 +165,6 @@ def _chart_forms(taylor: Taylor, c: int) -> tuple[list[dict[int, int]], ...] | N
     return tuple([{m: x for (m, k), x in g.items() if k == n} for n in range(deg + 1)] for g, deg in ((g2, 2), (g3, 3)))
 
 
-def _chart_eliminant(form: Form, c: int) -> dict[Exponent, int] | None:
-    """Direction eliminant of the osculation system on one chart: the
-    primitive witness terms, {} when the eliminant vanishes, or None.
-
-    On the chart where the c-th partial is nonzero the tangency condition is
-    solved for the c-th direction coordinate (after scaling the free
-    coordinates by that partial, which keeps everything polynomial).  The
-    second and third-order conditions become binary forms of degrees 2 and 3
-    in the free direction coordinates (_chart_forms, on the Taylor data at a
-    symbolic point); their resultant depends on position alone.  Its 5x5
-    Sylvester determinant has degree at most 17*deg - 24, so Bareiss
-    elimination, whose steps multiply two minors, runs on packed term maps
-    one bit above twice that.  The scaling inflates the resultant by the
-    6th power of the chart partial, and by Gauss's lemma the primitive part
-    of that power divides it over Z, leaving a polynomial of degree at most
-    11*deg - 18; None when it does not divide.  That every chart gives the
-    same witness up to content is not proven here, and no caller relies on
-    it.
-    """
-    width = (2 * (17 * form_degree(form) - 24)).bit_length() + 1
-    taylor = _taylor(form, 3, width)
-    forms = _chart_forms(taylor, c)
-    if forms is None:
-        return None
-    guard = _guard(3, width)
-
-    def step(a, d, b, e, p):  # (a*d - b*e)/p, exact
-        cross = _zcross(a, d, b, e)
-        return cross if p is None else _zquot(cross, p, guard)
-
-    res, _ = _bareiss(sylvester_rows(*forms, {}), step)
-    if not res:
-        return {}
-    partial = taylor[_UNITS[c]]
-    content = gcd(*partial.values())
-    partial = {m: x // content for m, x in partial.items()}
-    square = _zcross(partial, partial, {}, {})
-    quotient = _zquot(res, _zcross(_zcross(square, square, {}, {}), square, {}, {}), guard)
-    return None if quotient is None else primitive_terms(_unpack(quotient, 3, width))
-
-
-def _witness_form(form: Form) -> Form:
-    """The flecnode witness of a trivariate form of degree >= 3
-    (flecnode_polynomial) as a primitive form, from the first chart that
-    gives a nonzero eliminant."""
-    d = form_degree(form)
-    if d < 3:
-        raise DegreeError("flecnode witness needs degree >= 3")
-    witness: dict[Exponent, int] | None = None
-    saw_zero = False
-    for c in range(3):
-        result = _chart_eliminant(form, c)
-        if result is None:
-            continue
-        if not result:
-            saw_zero = True
-            continue
-        witness = result
-        break
-    if witness is None:
-        # either every chart degenerated to zero (totally osculating surface)
-        # or no chart admitted the exact rescaling; the surface itself is the
-        # honest fallback witness in the first case and there is no second
-        # case for surfaces with a nonzero gradient somewhere
-        if not saw_zero:
-            raise InvariantViolation("no chart produced a direction eliminant")
-        witness = primitive_terms(form[0])
-    degree = max(map(sum, witness))
-    if degree > 11 * d - 18:
-        raise InvariantViolation(f"flecnode witness degree {degree} exceeds 11*{d}-18")
-    return witness, 1
-
-
 def flecnode_polynomial(f: Poly) -> Poly:
     """Polynomial witness for the osculating-line locus of a degree >= 3 surface.
 
@@ -269,18 +178,99 @@ def flecnode_polynomial(f: Poly) -> Poly:
     In the completely degenerate situation where the eliminant vanishes
     identically (every point of space carries an osculating direction) the
     surface polynomial itself is returned, which keeps that equivalence.
-    This is the Poly view of _witness_form.
+    This is the Poly view of witness._witness_form.
     """
     from .poly import Poly
+    from .witness import _witness_form
 
     return Poly.from_form(3, _witness_form(_form(f)))
+
+
+# -- the line certificate --------------------------------------------------
+
+
+def univariate_divides(f: list[int], g: list[int]) -> bool:
+    """Whether the nonzero integer polynomial f divides g over Q, both
+    highest power first with leading entry nonzero ([] for zero).  By
+    Gauss's lemma f's primitive part p then divides g over Z, so every step
+    of g's long division by p is exact in Z."""
+    c = gcd(*f)
+    p = [x // c for x in f]
+    while len(g) >= len(p):
+        q, r = divmod(g[0], p[0])
+        if r:
+            return False
+        g = [x - q * y for x, y in zip(g[1:], p[1:] + [0] * (len(g) - len(p)))]
+        g = g[next((i for i, x in enumerate(g) if x), len(g)) :]
+    return not g
+
+
+def _bareiss(m: list[list], step) -> tuple[object, int]:
+    """Fraction-free elimination of a square matrix over Z or Z[x], in
+    place: its determinant up to the sign of the row swaps, and that sign.
+    step(a, d, b, c, p) is (a*d - b*c)/p, exact; p is None at the first
+    step, whose divisor is 1."""
+    n, sign, prev = len(m), 1, None
+    for k in range(n - 1):
+        if not m[k][k]:
+            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if pivot is None:
+                return m[k][k], sign
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = step(m[i][j], m[k][k], m[i][k], m[k][j], prev)
+        prev = m[k][k]
+    return m[n - 1][n - 1], sign
+
+
+def univariate_determinant(mat: Sequence[Sequence[dict[int, int]]]) -> list[int]:
+    """Determinant of a square matrix of integer polynomials in t, each a
+    term map {power: coefficient}: its coefficients, highest power first
+    with leading entry nonzero ([] for zero).
+
+    Every coefficient of the determinant is at most the permanent of the
+    entries' coefficient 1-norms, so at most the product of the row sums of
+    those norms; k is one bit above it.  The entries are evaluated at
+    t = 2^k, the integer determinant is taken by Bareiss elimination, and
+    its balanced base-2^k digits are the coefficients.
+    """
+    if not mat:
+        return [1]
+    k = prod(sum(abs(c) for p in row for c in p.values()) for row in mat).bit_length() + 1
+    m = [[sum(c << (k * e) for e, c in p.items()) for p in row] for row in mat]
+    det, sign = _bareiss(m, lambda a, d, b, c, p: a * d - b * c if p is None else (a * d - b * c) // p)
+    det *= sign
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    out = []
+    while det:
+        digit = ((det + half) & mask) - half
+        out.append(digit)
+        det = (det - digit) >> k
+    return out[::-1]
+
+
+def sylvester_rows(a: Sequence, b: Sequence, zero) -> list[list]:
+    """The Sylvester matrix of two coefficient lists, highest power first:
+    len(b) - 1 shifted rows of a above len(a) - 1 shifted rows of b, zero
+    elsewhere."""
+    n = len(a) + len(b) - 2
+    rows = ((coeffs, i) for coeffs, shifts in ((a, len(b) - 1), (b, len(a) - 1)) for i in range(shifts))
+    return [[zero] * i + list(c) + [zero] * (n - i - len(c)) for c, i in rows]
+
+
+def univariate_sylvester(a: Sequence[dict[int, int]], b: Sequence[dict[int, int]]) -> list[int]:
+    """univariate_determinant of the Sylvester matrix of two coefficient
+    lists of term maps in t."""
+    return univariate_determinant(sylvester_rows(a, b, {}))
 
 
 def _certified_not_ruled(form: Form) -> bool:
     """Whether a fixed line certifies that the factor of a form, of degree
     >= 3, does not divide its flecnode witness, without building it.
 
-    On chart c, _chart_eliminant's resultant is res_c = f_c^6 * W_c, built
+    On chart c, witness._chart_eliminant's resultant is res_c = f_c^6 * W_c, built
     from _chart_forms, and restricting x to a line l commutes with every
     step of it: the forms come from the one builder, on the Taylor data at a
     symbolic point or along l, and the Sylvester determinant commutes with
@@ -320,7 +310,7 @@ def _chart_rules_out(d: int, taylor: Taylor, c: int) -> bool | None:
     the gradient on l and the second and third-order forms.  The Sylvester
     determinant of the chart's binary forms (_chart_forms), coefficients in
     Z[t], is res_c|l up to a nonzero constant; it and the divisibility run
-    on integer coefficient lists, highest power first (zpoly).
+    on integer coefficient lists, highest power first (the kernels above).
     """
     forms = _chart_forms(taylor, c)
     if forms is None:  # both forms vanish at f_i*w_i + f_j*w_j = 0, so res_c|l = 0
@@ -364,6 +354,9 @@ def ruled_indicator(factor: Poly | Form) -> RuledIndication:
         raise DomainError("constant polynomials are not surfaces")
     if d <= 2:
         return RuledIndication(indicated=True, complex_only=True, witness_degree=None)
+    from .witness import _witness_form, form_quotient
+    from .zsolve import _cone_apex
+
     if _cone_apex(form) is not None:
         form = {e: c for e, c in form[0].items() if sum(e) == d}, form[1]
     witness = _witness_form(form)
@@ -393,79 +386,6 @@ class ClassificationResult(NamedTuple):
     notes: str = ""
 
 
-def _quadric_matrix(form: Form) -> list[list[int]]:
-    """Symmetric 4x4 matrix of the homogenized quadric, index 0 homogenizing,
-    times 2*den > 0, read off its integer form: the term c*x_i*x_j adds c at
-    (i, j) and at (j, i)."""
-    terms, _ = form
-    m = [[0] * 4 for _ in range(4)]
-    for e, c in terms.items():
-        if sum(e) > 2:
-            raise DomainError("not a quadric")
-        i, j = ([k + 1 for k, n in enumerate(e) for _ in range(n)] + [0, 0])[:2]
-        m[i][j] += c
-        m[j][i] += c
-    return m
-
-
-def symmetric_inertia(matrix: Sequence[Sequence[int]]) -> tuple[int, int, int]:
-    """Exact (positive, negative, zero) inertia of an integer symmetric matrix.
-
-    The Faddeev-LeVerrier recurrence M_k = A*M_(k-1) + c_(n-k+1)*I,
-    c_(n-k) = -tr(A*M_k)/k gives the characteristic polynomial p of A, whose
-    coefficients are integers and whose divisions are exact.  Its roots are
-    all real, so Descartes' rule of signs counts them exactly: the zero
-    eigenvalues are the power of x dividing p, the positive ones the sign
-    changes of its coefficients, and the negative ones the rest.
-    """
-    n = len(matrix)
-    coeffs = [1]  # of p, highest power first
-    am = [[0] * n for _ in range(n)]  # A*M_k, from M_0 = 0
-    for k in range(1, n + 1):
-        m = [[x + coeffs[-1] * (i == j) for j, x in enumerate(row)] for i, row in enumerate(am)]
-        am = [[sum(a * b for a, b in zip(row, col)) for col in zip(*m)] for row in matrix]
-        coeffs.append(-sum(am[i][i] for i in range(n)) // k)
-    zero = next(i for i, c in enumerate(reversed(coeffs)) if c)
-    signs = [c > 0 for c in coeffs if c]
-    pos = sum(a != b for a, b in zip(signs, signs[1:]))
-    return pos, n - pos - zero, zero
-
-
-def _cone_apex(form: Form) -> Scaled | None:
-    """The apex of a cone of degree d >= 2, as a scaled point, or None when
-    the factor f of the form is no cone.
-
-    If f(p + x) is homogeneous of degree d, every (d-1)-th partial of f is
-    affine-linear and vanishes at p, so p solves one linear system, taken
-    term by term: c*x^e with |e| = d adds c*e! to the x_i coefficient of
-    the partial D^(e - unit_i), and |e| = d - 1 adds c*e! to the constant
-    of D^e.  On its solution set S each lower partial is constant, since
-    its gradient is made of higher partials, which vanish on S; so one
-    test at the echelon point of S (free coordinates 0) decides all of S.
-    The integer numerators of the form give the system times den.
-    """
-    d = form_degree(form)
-    rows: dict[tuple[int, ...], list[int]] = {}
-    for e, c in form[0].items():
-        if sum(e) < d - 1:
-            continue
-        weight = c * factorial(e[0]) * factorial(e[1]) * factorial(e[2])
-        if sum(e) == d - 1:
-            rows.setdefault(e, [0] * 4)[3] -= weight
-            continue
-        for i in range(3):
-            if e[i]:
-                rows.setdefault(e[:i] + (e[i] - 1,) + e[i + 1 :], [0] * 4)[i] += weight
-    apex = echelon_point(list(rows.values()))  # None: the partials share no zero
-    return apex if apex is not None and _is_cone_apex(form, apex) else None
-
-
-def _is_cone_apex(form: Form, apex: Scaled) -> bool:
-    """Whether f(apex + x) is homogeneous: its top part is f's own, so
-    every order below the degree must vanish."""
-    return not _at_point(form, apex, form_degree(form) - 1)
-
-
 def classify_component(factor: Poly | Form, hint_lines: Sequence[AffLine | Lattice] = ()) -> ClassificationResult:
     """Classify one squarefree factor of the surface.
 
@@ -493,6 +413,8 @@ def classify_component(factor: Poly | Form, hint_lines: Sequence[AffLine | Latti
     if d == 1:
         return ClassificationResult(Verdict.PLANE)
     if d == 2:
+        from .zsolve import _cone_apex, _quadric_matrix, symmetric_inertia
+
         pos, neg, _ = symmetric_inertia(_quadric_matrix(form))
         if neg > pos:
             pos, neg = neg, pos
@@ -519,10 +441,14 @@ def classify_component(factor: Poly | Form, hint_lines: Sequence[AffLine | Latti
 
     if _certified_not_ruled(form):
         return ClassificationResult(Verdict.NOT_RULED_REAL, complex_ruled_indicated=False)
+    from .zsolve import _cone_apex
+
     # every cone is ruled, so its apex settles the verdict without the witness
     apex = _cone_apex(form)
     if apex is not None:
         return ClassificationResult(Verdict.CONE, apex=apex, complex_ruled_indicated=True)
+    from .witness import _witness_form, form_quotient
+
     if form_quotient(_witness_form(form), form) is None:
         return ClassificationResult(Verdict.NOT_RULED_REAL, complex_ruled_indicated=False)
     real_line = None
@@ -531,6 +457,8 @@ def classify_component(factor: Poly | Form, hint_lines: Sequence[AffLine | Latti
 
         real_line = next((lat for lat in hints if lattice_on_surface(form, lat)), None)
     if real_line is None:
+        from .exceptional import _search_real_line
+
         real_line = _search_real_line(form)
     if real_line is not None:
         return ClassificationResult(Verdict.SINGLY_RULED, complex_ruled_indicated=True)
@@ -539,22 +467,3 @@ def classify_component(factor: Poly | Form, hint_lines: Sequence[AffLine | Latti
         complex_ruled_indicated=True,
         notes="complex ruling indicated but no rational line found",
     )
-
-
-# Entry bound of the search for one real line that witnesses a ruling.
-REAL_LINE_BOUND = 5
-
-
-def _search_real_line(form: Form) -> Lattice | None:
-    """Cheap bounded search for one rational line on the factor: it looks
-    only at the 125 points of the integer grid {0, +-1, +-2}^3 that lie on
-    the factor, each with a line search of entry bound REAL_LINE_BOUND."""
-    from .exceptional import find_lines_through_point
-
-    for p in itertools.product((0, 1, -1, 2, -2), repeat=3):
-        if _at_point(form, (p, 1), 0):  # f(p) != 0
-            continue
-        lines = find_lines_through_point(form, (p, 1), REAL_LINE_BOUND)
-        if lines:
-            return lines[0]
-    return None

@@ -17,7 +17,7 @@ from operator import add
 from typing import Iterable
 
 from .errors import ArityError
-from .zpoly import Exponent, form_degree, form_quotient, primitive_terms
+from .zpoly import Exponent, form_degree, primitive_terms
 
 
 def _term_cross(
@@ -48,6 +48,8 @@ def _primitive_part(coeffs: list[dict[Exponent, int]]) -> list[dict[Exponent, in
     """A coefficient list over its content (_content), made primitive over Z."""
     cont = _content(coeffs)
     if form_degree((cont, 1)) > 0:
+        from .witness import form_quotient
+
         coeffs = [form_quotient((c, 1), (cont, 1))[0] for c in coeffs]
     g = gcd(*(x for c in coeffs for x in c.values()))
     return [{e: x // g for e, x in c.items()} for c in coeffs]

@@ -1,27 +1,24 @@
-"""Integer forms of polynomials, the kernels that read them, and Surface.
+"""Integer forms of polynomials, the kernels that read a surface, and Surface.
 
 A polynomial's form is (terms, den): its coefficients' integer numerators
 over den, the lcm of their reduced denominators, zero terms dropped, so
 equal polynomials have equal forms.  A form is expanded along a line (with
 direction zero, around a point) and certified square-free on three fixed
-lines here.  One builder makes the Sylvester rows of two coefficient
-lists, and one Bareiss elimination takes their determinant: the line
-certificate of surfaces runs on integer lists in t (at t = 2^k), and the
-full flecnode witness on packed term maps, where the exact division of
-form_quotient also runs (poly's divides reads it).  A factor that no line
-certifies square-free is decided by the gcd of zgcd, on integers.  Every
-exact linear solve of the package runs on the fraction-free integer
-echelon.  Surface holds its factors as forms, so a surface file is read,
-checked, written and measured without poly or fractions; poly's Poly
-caches its form, and Surface.factors, the Poly views, loads poly, as does
-rendering a refused factor.
+lines here; a factor that no line certifies square-free is decided by the
+gcd of zgcd, on integers.  The module holds only what reading a surface
+runs: the line certificate's determinant is in surfaces, the exact solves
+in zsolve, and the full witness and exact division in witness.  Surface
+holds its factors as forms, so a surface file is read, checked, written
+and measured without poly or fractions; poly's Poly caches its form, and
+Surface.factors, the Poly views, loads poly, as does rendering a refused
+factor.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from math import comb, gcd, lcm, prod
+from math import comb, gcd, prod
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ArityError, DomainError
@@ -143,245 +140,6 @@ def _univariate_square_free(r: list[int]) -> bool:
     has a constant gcd with its derivative."""
     n = len(r) - 1
     return len(univariate_gcd(r, [c * (n - i) for i, c in enumerate(r[:-1])])) == 1
-
-
-def univariate_divides(f: list[int], g: list[int]) -> bool:
-    """Whether the nonzero integer polynomial f divides g over Q, both
-    highest power first with leading entry nonzero ([] for zero).  By
-    Gauss's lemma f's primitive part p then divides g over Z, so every step
-    of g's long division by p is exact in Z."""
-    c = gcd(*f)
-    p = [x // c for x in f]
-    while len(g) >= len(p):
-        q, r = divmod(g[0], p[0])
-        if r:
-            return False
-        g = [x - q * y for x, y in zip(g[1:], p[1:] + [0] * (len(g) - len(p)))]
-        g = g[next((i for i, x in enumerate(g) if x), len(g)) :]
-    return not g
-
-
-def _bareiss(m: list[list], step) -> tuple[object, int]:
-    """Fraction-free elimination of a square matrix over Z or Z[x], in
-    place: its determinant up to the sign of the row swaps, and that sign.
-    step(a, d, b, c, p) is (a*d - b*c)/p, exact; p is None at the first
-    step, whose divisor is 1."""
-    n, sign, prev = len(m), 1, None
-    for k in range(n - 1):
-        if not m[k][k]:
-            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if pivot is None:
-                return m[k][k], sign
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = step(m[i][j], m[k][k], m[i][k], m[k][j], prev)
-        prev = m[k][k]
-    return m[n - 1][n - 1], sign
-
-
-def _primitive(row: list[int]) -> list[int]:
-    """A nonzero integer row over the gcd of its entries; a zero row as it is."""
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
-
-
-def echelon(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The reduced row echelon form of an integer matrix, fraction-free:
-    its nonzero rows in pivot order, each the primitive integer multiple of
-    the reduced row over Q with a positive pivot.  Their number is the rank.
-
-    Each pivot row eliminates its column from every other row r as
-    p*r - r[col]*pivot_row, p > 0, which keeps the other pivots positive,
-    and every changed row is made primitive again, so entries stay small.
-    """
-    work = [list(r) for r in rows]
-    done: list[list[int]] = []
-    for col in range(len(work[0]) if work else 0):
-        i = next((i for i, r in enumerate(work) if r[col]), None)
-        if i is None:
-            continue
-        top = _primitive(work.pop(i))
-        if top[col] < 0:
-            top = [-x for x in top]
-        p = top[col]
-        work, done = (
-            [_primitive([p * x - r[col] * y for x, y in zip(r, top)]) if r[col] else r for r in rs]
-            for rs in (work, done)
-        )
-        done.append(top)
-    return done
-
-
-def echelon_point(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int] | None:
-    """The solution with free coordinates 0 of the integer system A*x = b
-    given by its augmented rows [A | b], as a scaled pair (P, q): x = P/q,
-    q > 0 and gcd 1.  None when the system has no solution."""
-    n = len(rows[0]) - 1
-    reduced = echelon(rows)
-    pivots = [next(j for j, x in enumerate(row) if x) for row in reduced]
-    if n in pivots:  # a row 0 = b with b nonzero
-        return None
-    # x_k = row[n]/row[k] at each pivot k, over one denominator
-    q = lcm(*(row[k] for row, k in zip(reduced, pivots)))
-    num = [0] * n
-    for row, k in zip(reduced, pivots):
-        num[k] = row[n] * (q // row[k])
-    g = gcd(q, *num)
-    return tuple(x // g for x in num), q // g
-
-
-def univariate_determinant(mat: Sequence[Sequence[dict[int, int]]]) -> list[int]:
-    """Determinant of a square matrix of integer polynomials in t, each a
-    term map {power: coefficient}: its coefficients, highest power first
-    with leading entry nonzero ([] for zero).
-
-    Every coefficient of the determinant is at most the permanent of the
-    entries' coefficient 1-norms, so at most the product of the row sums of
-    those norms; k is one bit above it.  The entries are evaluated at
-    t = 2^k, the integer determinant is taken by Bareiss elimination, and
-    its balanced base-2^k digits are the coefficients.
-    """
-    if not mat:
-        return [1]
-    k = prod(sum(abs(c) for p in row for c in p.values()) for row in mat).bit_length() + 1
-    m = [[sum(c << (k * e) for e, c in p.items()) for p in row] for row in mat]
-    det, sign = _bareiss(m, lambda a, d, b, c, p: a * d - b * c if p is None else (a * d - b * c) // p)
-    det *= sign
-    half, mask = 1 << (k - 1), (1 << k) - 1
-    out = []
-    while det:
-        digit = ((det + half) & mask) - half
-        out.append(digit)
-        det = (det - digit) >> k
-    return out[::-1]
-
-
-def sylvester_rows(a: Sequence, b: Sequence, zero) -> list[list]:
-    """The Sylvester matrix of two coefficient lists, highest power first:
-    len(b) - 1 shifted rows of a above len(a) - 1 shifted rows of b, zero
-    elsewhere."""
-    n = len(a) + len(b) - 2
-    rows = ((coeffs, i) for coeffs, shifts in ((a, len(b) - 1), (b, len(a) - 1)) for i in range(shifts))
-    return [[zero] * i + list(c) + [zero] * (n - i - len(c)) for c, i in rows]
-
-
-def univariate_sylvester(a: Sequence[dict[int, int]], b: Sequence[dict[int, int]]) -> list[int]:
-    """univariate_determinant of the Sylvester matrix of two coefficient
-    lists of term maps in t."""
-    return univariate_determinant(sylvester_rows(a, b, {}))
-
-
-# The witness determinant and exact division run on integer term maps
-# {packed monomial: int}.  A monomial packs into one int of `width`-bit
-# fields: from the top, the total degree, then e[0], e[1], ...  Multiplying
-# monomials is adding ints, and int order is graded lex order.  The width is
-# one bit more than the operation's degree bound needs, so for packed m, n
-# the difference m - n borrows across a field (n does not divide m) exactly
-# when it is negative or shows one of those top guard bits.
-
-
-def _guard(nvars: int, width: int) -> int:
-    bit = 1 << (width - 1)
-    return sum(bit << (i * width) for i in range(nvars + 1))
-
-
-def _pack(terms: dict[Exponent, int], width: int) -> dict[int, int]:
-    """The packed term map of an integer term map."""
-    out = {}
-    for e, c in terms.items():
-        m = sum(e)
-        for k in e:
-            m = (m << width) | k
-        out[m] = c
-    return out
-
-
-def _unpack(packed: dict[int, int], nvars: int, width: int) -> dict[Exponent, int]:
-    """The integer term map of a packed one."""
-    mask = (1 << width) - 1
-    out = {}
-    for m, c in packed.items():
-        e = [0] * nvars
-        for i in range(nvars - 1, -1, -1):
-            e[i] = m & mask
-            m >>= width
-        out[tuple(e)] = c
-    return out
-
-
-def _zcross(a: dict[int, int], d: dict[int, int], b: dict[int, int], c: dict[int, int]) -> dict[int, int]:
-    """a*d - b*c on packed term maps."""
-    out: dict[int, int] = {}
-    get = out.get
-    for ea, ca in a.items():
-        for ed, cd in d.items():
-            e = ea + ed
-            out[e] = get(e, 0) + ca * cd
-    for eb, cb in b.items():
-        for ec, cc in c.items():
-            e = eb + ec
-            out[e] = get(e, 0) - cb * cc
-    return {e: v for e, v in out.items() if v}
-
-
-def _zquot(g: dict[int, int], f: dict[int, int], guard: int) -> dict[int, int] | None:
-    """Quotient g/f in Z[x] by division in graded lex order, or None as soon
-    as a term of g's remainder shows up, that is when f does not divide g
-    over Z.  f is nonzero; all monomials fit the packing behind guard."""
-    import heapq
-
-    lt_e = max(f)
-    lt_c = f[lt_e]
-    rest = [(e, c) for e, c in f.items() if e != lt_e]
-    work = dict(g)
-    heap = [-e for e in work]  # heapq pops smallest: walk graded lex from the top
-    heapq.heapify(heap)
-    quot = {}
-    while heap:
-        e = -heapq.heappop(heap)
-        c = work.pop(e)
-        if not c:
-            continue
-        q_e = e - lt_e
-        if q_e < 0 or q_e & guard:
-            return None
-        q_c, r = divmod(c, lt_c)
-        if r:
-            return None
-        quot[q_e] = q_c
-        for fe, fc in rest:
-            te = q_e + fe  # below e, so not yet popped
-            prev = work.get(te)
-            if prev is None:
-                heapq.heappush(heap, -te)
-                work[te] = -q_c * fc
-            else:
-                work[te] = prev - q_c * fc
-    return quot
-
-
-def form_quotient(g: Form, f: Form) -> Form | None:
-    """The form of g/f, or None when f does not divide g.  By Gauss's
-    lemma, f divides g over Q exactly when f's primitive integer part
-    divides g's numerators over Z; the quotient is that one over den."""
-    if not f[0]:
-        raise DomainError("division by the zero polynomial")
-    if not g[0]:
-        return {}, 1
-    d = form_degree(g)
-    if form_degree(f) > d:
-        return None
-    nvars, width = len(next(iter(g[0]))), d.bit_length() + 1
-    content = gcd(*f[0].values())
-    q = _zquot(_pack(g[0], width), _pack({e: c // content for e, c in f[0].items()}, width), _guard(nvars, width))
-    if q is None:
-        return None
-    # g/f = q * f_den / (g_den * content), reduced to the canonical form
-    terms, den = {e: c * f[1] for e, c in _unpack(q, nvars, width).items()}, g[1] * content
-    k = gcd(den, *terms.values())
-    return {e: c // k for e, c in terms.items()}, den // k
 
 
 def square_free_on_lines(form: Form) -> bool:

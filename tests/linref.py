@@ -1,7 +1,7 @@
 """Reference linear algebra on Fraction vectors, for the tests.
 
 The package solves every exact linear system on one fraction-free integer
-echelon (zpoly.echelon) and reads a quadric's inertia on integers; the
+echelon (zsolve.echelon) and reads a quadric's inertia on integers; the
 tests check those against this plain Gauss-Jordan elimination and Schur
 complement walk over the rationals, which share no code with them.
 """

@@ -18,22 +18,15 @@ from typing import Sequence
 
 from incgeo.errors import ArityError, DomainError
 from incgeo.poly import Poly
-from incgeo.surfaces import _chart_forms
+from incgeo.surfaces import _bareiss, _chart_forms, sylvester_rows
+from incgeo.witness import _guard, _pack, _unpack, _zcross, _zquot, form_quotient
 from incgeo.zpoly import (
     Exponent,
-    _bareiss,
-    _guard,
     _line_expansion,
-    _pack,
     _taylor_weights,
-    _unpack,
-    _zcross,
-    _zquot,
-    form_quotient,
     grlex_key,
     primitive_terms,
     square_free_on_lines,
-    sylvester_rows,
 )
 
 

@@ -344,6 +344,23 @@ class TestErrorPaths:
         code, _, err = run(capsys, "incidence", str(tmp_path / "missing.json"))
         assert code == 2 and "cannot read" in err
 
+    @pytest.mark.parametrize("target", ["missing/x.json", "."])
+    def test_unwritable_gen_output_exits_two(self, tmp_path, capsys, target):
+        # a missing directory, or a directory itself: a usage error, not exit 1
+        code, out, err = run(capsys, "gen", "--kind", "cone", "--lines", "3", "--points", "3",
+                             "-o", str(tmp_path / target))
+        assert (code, out) == (2, "")
+        assert "error: cannot write instance file" in err
+
+    def test_unwritable_project_output_exits_two(self, tmp_path, capsys):
+        lifted = tmp_path / "lift.json"
+        run(capsys, "gen", "--kind", "product", "--lines", "6", "--points", "6",
+            "--seed", "5", "--dim", "5", "-o", str(lifted))
+        code, out, err = run(capsys, "project", str(lifted), "--seed", "2",
+                             "-o", str(tmp_path / "missing" / "x.json"))
+        assert (code, out) == (2, "")
+        assert "error: cannot write instance file" in err
+
     def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("wat", encoding="utf-8")

@@ -1,7 +1,7 @@
 """The integer echelon and the integer inertia against their Fraction oracles.
 
-zpoly.echelon serves every exact linear solve of the package (a rank, a
-cone apex of any degree) and surfaces.symmetric_inertia reads a quadric's
+zsolve.echelon serves every exact linear solve of the package (a rank, a
+cone apex of any degree) and zsolve.symmetric_inertia reads a quadric's
 inertia off its integer characteristic polynomial; both are checked here
 against the plain Gauss-Jordan elimination and Schur complement walk over
 the rationals in linref.
@@ -14,8 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import linref
-from incgeo.surfaces import symmetric_inertia
-from incgeo.zpoly import echelon, echelon_point
+from incgeo.zsolve import echelon, echelon_point, symmetric_inertia
 
 entries = st.integers(-6, 6)
 

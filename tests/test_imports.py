@@ -13,6 +13,7 @@ checks are plain ast walks, so they need no linter.
 """
 
 import ast
+import itertools
 from pathlib import Path
 
 import pytest
@@ -230,7 +231,7 @@ def test_the_ruled_factor_analysis_builds_no_fraction(name):
 
 
 def test_the_witness_has_one_determinant_path():
-    # the Sylvester rows have one builder (zpoly.sylvester_rows), and poly
+    # the Sylvester rows have one builder (surfaces.sylvester_rows), and poly
     # keeps no determinant, Taylor data or evaluation of its own
     poly = ast.parse((PACKAGE / "poly.py").read_text(encoding="utf-8"))
     names = defined_names(ast.unparse(poly))
@@ -243,4 +244,21 @@ def test_the_witness_has_one_determinant_path():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.FunctionDef) and "sylvester" in node.name
     ]
-    assert builders == ["zpoly.sylvester_rows", "zpoly.univariate_sylvester"]
+    assert builders == ["surfaces.sylvester_rows", "surfaces.univariate_sylvester"]
+
+
+def test_the_kernels_are_split_without_a_copy():
+    # zpoly reads a surface, surfaces holds the line certificate, zsolve the
+    # exact solves and witness the full witness; each kernel has one home,
+    # and zsolve and witness load neither surfaces nor each other, so a call
+    # that needs one of them does not compile the rest
+    names = {m: defined_names((PACKAGE / f"{m}.py").read_text(encoding="utf-8"))
+             for m in ("zpoly", "surfaces", "zsolve", "witness", "exceptional")}
+    for a, b in itertools.combinations(names, 2):
+        assert not names[a] & names[b], (a, b)
+    for name in ("zsolve", "witness"):
+        top_level = {
+            node.module for node in ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8")).body
+            if isinstance(node, ast.ImportFrom)
+        }
+        assert not top_level & {"surfaces", "zsolve", "witness", "exceptional", "poly"}

@@ -3,8 +3,9 @@ loads dataclasses; the package resolves its exported names on first use.
 A call that only counts, relates and projects points and lines, and reads
 a surface as integer forms, loads no fractions either; nor does classify on
 a line-free file whose factors the line certificate rules out, which runs
-on integer lists and loads no poly, nor classify and incidence on a quadric
-cone, whose apex is a scaled point solved for on integers.  classify,
+on integer lists and loads no poly, nor the exact solves (zsolve) or the
+full witness (witness), nor classify and incidence on a quadric cone, whose
+apex is a scaled point solved for on integers.  classify,
 flecnode and incidence on a file with a ruled factor that is no cone load
 neither poly nor fractions either: the witness runs on packed term maps,
 the line search on the integer grid, and the exceptional lines on lattices,
@@ -150,20 +151,28 @@ def test_help_loads_only_the_front_end(bare_loads):
         (("verify", "--degree", "7", "{back}"),
          {"poly", "surfaces", "linespace", "fractions"}),
         (("incidence", "{back}"), {"poly", "surfaces", "linespace", "fractions"}),
-        # the surface is read, checked and measured as integer forms (zpoly)
+        # the surface is read, checked and measured as integer forms (zpoly),
+        # with no exact solve and no witness
         (("verify", "{cone}"),
-         {"poly", "surfaces", "exceptional", "projection", "forge", "linespace", "fractions"}),
+         {"poly", "surfaces", "exceptional", "projection", "forge", "linespace", "zsolve", "witness",
+          "fractions"}),
+        (("verify", "{product}"),
+         {"poly", "surfaces", "exceptional", "projection", "forge", "linespace", "zsolve", "witness",
+          "fractions"}),
         # a quadric's matrix is read off its integer form, its hints as
         # lattices, and its apex is a scaled point compared with scaled points
         (("classify", "{cone}"),
          {"poly", "linespace", "exceptional", "incidence", "projection", "forge", "fractions", "decimal"}),
         (("flecnode", "{cone}"), {"exceptional", "incidence", "projection", "forge"}),
         (("incidence", "{cone}"), {"poly", "linespace", "projection", "forge", "fractions", "decimal"}),
-        # the line certificate runs on integer lists
+        # the line certificate runs on integer lists, and a factor it rules
+        # out takes no apex solve and no witness
         (("classify", "{fermat}"),
-         {"poly", "linespace", "exceptional", "incidence", "projection", "forge", "fractions", "decimal"}),
+         {"poly", "linespace", "exceptional", "incidence", "projection", "forge", "zsolve", "witness",
+          "fractions", "decimal"}),
         (("incidence", "{fermat}"),
-         {"poly", "linespace", "exceptional", "projection", "forge", "fractions", "decimal"}),
+         {"poly", "linespace", "exceptional", "projection", "forge", "zsolve", "witness", "fractions",
+          "decimal"}),
         (("flecnode", "{fermat}"),
          {"poly", "linespace", "exceptional", "incidence", "projection", "forge", "fractions", "decimal"}),
         # a ruled factor's witness and divisibility run on packed term maps,
@@ -178,13 +187,14 @@ def test_help_loads_only_the_front_end(bare_loads):
         (("incidence", "{product}"), {"poly", "linespace", "fractions", "decimal"}),
         # an exceptional line's tangent pencil takes the gcd on integer term maps
         (("incidence", "{axis}"), {"poly", "linespace", "fractions", "decimal"}),
-        # the catalog surface is built from integer forms
+        # the catalog surface is built from integer forms, and only a lift
+        # solves (its rank test, zsolve)
         (("gen", "--kind", "cone", "--lines", "3", "--points", "3", "-o", "{out}"),
-         {"poly", "surfaces", "incidence", "projection"}),
+         {"poly", "surfaces", "incidence", "projection", "zsolve", "witness"}),
         (("gen", "--kind", "product", "--lines", "3", "--points", "3", "--dim", "5", "-o", "{out}"),
-         {"poly", "surfaces", "incidence", "projection"}),
+         {"poly", "surfaces", "incidence", "projection", "witness"}),
     ],
-    ids=["project", "verify-degree", "incidence-surfaceless", "verify-surface", "classify",
+    ids=["project", "verify-degree", "incidence-surfaceless", "verify-surface", "verify-product", "classify",
          "flecnode", "incidence", "classify-line-free", "incidence-line-free", "flecnode-line-free",
          "classify-whitney", "flecnode-whitney", "incidence-whitney", "classify-whitney-line-free",
          "classify-product", "flecnode-product", "incidence-product", "incidence-exceptional-axis",
@@ -199,17 +209,28 @@ def test_each_subcommand_loads_only_what_it_runs(files, tmp_path, bare_loads, ar
     assert "dataclasses" not in watched - bare_loads
 
 
-@pytest.mark.parametrize("command", ["classify", "flecnode"])
-def test_a_file_without_points_or_lines_loads_no_lattice(files, command):
+@pytest.mark.parametrize(
+    "command, solves",
+    [("classify", set()), ("flecnode", {"zsolve", "witness"})],
+    ids=["classify", "flecnode"],
+)
+def test_a_file_without_points_or_lines_loads_no_lattice(files, command, solves):
     # lattice reads the coordinates; a line-free surface file has none.
     # classify rules the Fermat cubic out on integer lists and never asks
     # for the apex of a factor that the line certificate rules out, while
-    # flecnode asks for the apex first (an integer solve in zpoly), to
+    # flecnode asks for the apex first (an integer solve in zsolve), to
     # build a cone's witness at its apex, and builds the witness on the
-    # form's packed term maps, so neither loads poly
+    # form's packed term maps (witness), so neither loads poly
     code, modules, _ = loaded_by(command, files["fermat"])
     assert code == 0
-    assert modules == {"incgeo", "cli", "errors", "instfile", "surfaces", "zpoly"}
+    assert modules == {"incgeo", "cli", "errors", "instfile", "surfaces", "zpoly"} | solves
+
+
+def test_a_ruled_factor_loads_the_witness(files):
+    # a ruled factor that is no cone is settled by f | W, the full witness
+    code, modules, _ = loaded_by("flecnode", files["whitney"])
+    assert code == 0
+    assert {"surfaces", "zsolve", "witness"} <= modules
 
 
 def test_incidence_loads_the_exceptional_lines(files):

@@ -15,18 +15,14 @@ from hypothesis import strategies as st
 
 from incgeo.errors import ArityError, DomainError
 from incgeo.poly import Poly, divides, variables
-from incgeo.surfaces import _taylor
+from incgeo.surfaces import univariate_determinant, univariate_divides, univariate_sylvester
+from incgeo.witness import _taylor, _unpack, form_quotient
 from incgeo.zgcd import term_gcd
 from incgeo.zpoly import (
     _line_expansion,
     _univariate_square_free,
-    _unpack,
-    form_quotient,
     grlex_key,
     square_free,
-    univariate_determinant,
-    univariate_divides,
-    univariate_sylvester,
 )
 from polyref import (
     coeffs_in,

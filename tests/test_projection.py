@@ -27,7 +27,7 @@ from projref import (
     step_by_step,
 )
 
-from incgeo import linespace, projection, zpoly
+from incgeo import linespace, projection, zsolve
 from incgeo.errors import ArityError, CollapseError, DomainError, ResampleExhaustedError
 from incgeo.forge import build_instance, lift_to_dim
 from incgeo.incidence import count_incidences
@@ -433,7 +433,7 @@ def pair_calls(monkeypatch):
 
     monkeypatch.setattr(projection, "lattice_relation", recorded)
     monkeypatch.setattr(linespace, "coplanar_triple", unused)
-    monkeypatch.setattr(zpoly, "echelon", unused)
+    monkeypatch.setattr(zsolve, "echelon", unused)
     return calls
 
 
@@ -585,7 +585,7 @@ def test_projection_runs_no_exact_rank(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(zpoly, "echelon", counted("echelon", zpoly.echelon))
+    monkeypatch.setattr(zsolve, "echelon", counted("echelon", zsolve.echelon))
     monkeypatch.setattr(linespace, "coplanar_triple", counted("triple", linespace.coplanar_triple))
     _, _, cert = project_to_3space(inst.scaled, inst.lattices, seed=2)
     assert cert.ok

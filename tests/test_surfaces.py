@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from incgeo import exceptional, surfaces, zgcd
+from incgeo import exceptional, surfaces, witness, zgcd, zsolve
 from incgeo.errors import (
     ArityError,
     DegreeError,
@@ -35,7 +35,8 @@ from incgeo.forge import make_lines
 from incgeo.lattice import lattice_relation, scaled_form
 from incgeo.linespace import AffLine, RelationKind, line_on_surface, line_relation
 from incgeo.poly import Poly, divides, variables
-from incgeo.zpoly import _fixed_lines, _line_expansion, _unpack, square_free
+from incgeo.witness import _unpack
+from incgeo.zpoly import _fixed_lines, _line_expansion, square_free
 from incgeo.exceptional import (
     check_firstflip,
     exceptional_lines,
@@ -49,8 +50,8 @@ from incgeo.surfaces import (
     classify_component,
     flecnode_polynomial,
     ruled_indicator,
-    symmetric_inertia,
 )
+from incgeo.zsolve import symmetric_inertia
 from linref import nullspace, rank
 from polyref import (
     chart_eliminant,
@@ -339,7 +340,7 @@ def test_classify_certifies_pinned_cubics_without_the_witness(monkeypatch, name,
     def no_witness(form):
         raise AssertionError("classify built the full flecnode witness")
 
-    monkeypatch.setattr(surfaces, "_witness_form", no_witness)
+    monkeypatch.setattr(witness, "_witness_form", no_witness)
     res = classify_component(pinned_cubic(name, k))
     assert res.verdict is Verdict.NOT_RULED_REAL and res.complex_ruled_indicated is False
 
@@ -472,12 +473,12 @@ def test_planted_cones_are_classified_before_the_witness(case):
     f, apex, h = case
     assume(square_free(f.form))
     calls = []
-    original = surfaces._witness_form
-    surfaces._witness_form = lambda form: calls.append(form) or original(form)
+    original = witness._witness_form
+    witness._witness_form = lambda form: calls.append(form) or original(form)
     try:
         res = classify_component(f)
     finally:
-        surfaces._witness_form = original
+        witness._witness_form = original
     assert res.verdict is Verdict.CONE and res.complex_ruled_indicated
     assert calls == []
     # f is homogeneous about the reported apex; that is the planted one
@@ -513,7 +514,7 @@ def test_chart_forms_commute_with_restriction(f):
     # both data carry den*f and the fixed lines have s = 1, so the constant
     # relating them is 1 on each form
     width = (4 * f.degree()).bit_length()
-    symbolic = surfaces._taylor(f.form, 3, width)
+    symbolic = witness._taylor(f.form, 3, width)
     for base, direction in _fixed_lines(3):
         along = surfaces._term_maps(_line_expansion(f.form, base, direction, 1, 3)[0])
         for c in range(3):
@@ -536,7 +537,7 @@ def test_chart_eliminant_matches_the_poly_path(case, c):
     # the witness on packed term maps of the form, against the Poly
     # determinant and the Poly division that it replaced
     f, _ = case
-    got, want = surfaces._chart_eliminant(f.form, c), chart_eliminant(f, c)
+    got, want = witness._chart_eliminant(f.form, c), chart_eliminant(f, c)
     if want is None or want.is_zero:
         assert got == (None if want is None else {})
     else:
@@ -690,7 +691,7 @@ def reference_apex_candidates(f: Poly, hint_lines) -> list:
 
 def reference_cone_apex(f: Poly, hint_lines=()):
     candidates = reference_apex_candidates(f, hint_lines)
-    return next((p for p in candidates if surfaces._is_cone_apex(f.form, scaled_form(p))), None)
+    return next((p for p in candidates if zsolve._is_cone_apex(f.form, scaled_form(p))), None)
 
 
 @st.composite
@@ -718,18 +719,18 @@ def planted_cones(draw):
 @given(planted_cones())
 @example(X**2 * Y - 3 * X**2)
 def test_cone_apex_matches_the_candidate_scan(f):
-    apex, ref = surfaces._cone_apex(f.form), reference_cone_apex(f)
+    apex, ref = zsolve._cone_apex(f.form), reference_cone_apex(f)
     if apex is not None and not (apex[1] == 1 and all(-2 <= c <= 2 for c in apex[0])):
         # the scan sees only the -2..2 grid, and a lower part can move the
         # apex set off it: x^2*y - 3x^2 = x^2*(y - 3) has apex (0, 3, 0)
-        assert surfaces._is_cone_apex(f.form, apex)
+        assert zsolve._is_cone_apex(f.form, apex)
         return
     assert (apex is None) == (ref is None)
     if apex is not None:
-        assert surfaces._is_cone_apex(f.form, apex)
+        assert zsolve._is_cone_apex(f.form, apex)
         # two apexes differ only when the apex set is positive-dimensional;
         # the solve reports its echelon point, the scan its first grid point
-        assert apex == scaled_form(ref) or surfaces._is_cone_apex(f.form, scaled_form(ref))
+        assert apex == scaled_form(ref) or zsolve._is_cone_apex(f.form, scaled_form(ref))
 
 
 # -- repeat calls
